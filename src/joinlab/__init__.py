@@ -15,14 +15,12 @@ from joinlab.f2core import (
     f2_product,
     gen_promise_instance,
     validate_promise,
-    weight,
 )
 from joinlab.ledger import CommLedger, InertLedger, MessageRecord
 from joinlab.qsim import (
     BipartiteGraph,
     CostModel,
     GroverPlan,
-    SearchState,
     disj,
     disj_all,
     graph_collision,
@@ -38,8 +36,6 @@ from joinlab.joins import (
     freivalds_columns,
     gen_hard_instance,
     mm_f2,
-    sketch_decode,
-    sketch_encode,
 )
 from joinlab.reductions import (
     Embedding,
@@ -63,7 +59,6 @@ __all__ = [
     "InstanceError",
     "JoinInstance",
     "MessageRecord",
-    "SearchState",
     "SensingSketch",
     "bmm",
     "bmm_cost_model",
@@ -83,10 +78,7 @@ __all__ = [
     "grover_search",
     "instance_search",
     "mm_f2",
-    "sketch_decode",
-    "sketch_encode",
     "validate_promise",
-    "weight",
 ]
 
 __version__ = "0.1.0"

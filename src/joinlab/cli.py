@@ -122,10 +122,17 @@ def fit_exponent(points, n_boot: int = 200, seed: int = 0) -> FitResult:
 # ---------------------------------------------------------------------------
 
 
-def _mode_of(args) -> CostModel:
-    if args.mode == "exact":
-        return CostModel.exact_mode()
+def _costs_of(args) -> CostModel:
     return CostModel.cost_model(args.c_shuttle, args.c_round, args.epsilon)
+
+
+def _mode_of(args) -> CostModel:
+    model = _costs_of(args)
+    if args.mode == "cost-model":
+        return model
+    if model != CostModel.cost_model():
+        raise ValueError("--c-shuttle, --c-round and --epsilon need --mode cost-model")
+    return CostModel.exact_mode()
 
 
 def _row(n, m, ell, mode, seed, success, ledger, rounds, elapsed_ms):
@@ -160,13 +167,16 @@ def run_bmm_trials(n, ell, trials, base_seed, model, timing=False):
         instance = gen_promise_instance(n, n, ell, seed, "bool")
         ledger = CommLedger()
         stop = _timer(timing)
-        if model.exact:
-            out, trace = joins.bmm_with_trace(instance, model, ledger, rng)
-        else:
-            trace = joins.bmm_cost_model(instance, model, ledger, rng)
-            out = trace.product
-        ok = out == instance.oracle_product
-        rows.append(_row(n, n, ell, model.mode, seed, ok, ledger, trace.t, stop()))
+        try:
+            if model.exact:
+                out, trace = joins.bmm_with_trace(instance, model, ledger, rng)
+            else:
+                trace = joins.bmm_cost_model(instance, model, ledger, rng)
+                out = trace.product
+            ok, rounds = out == instance.oracle_product, trace.t
+        except qsim.ProtocolError:
+            ok, rounds = False, 0
+        rows.append(_row(n, n, ell, model.mode, seed, ok, ledger, rounds, stop()))
     return rows
 
 
@@ -181,7 +191,7 @@ def run_mmf2_trials(n, ell, trials, base_seed, timing=False):
         try:
             out = joins.mm_f2(instance, ledger, rng)
             ok = out == instance.oracle_product
-        except joins.DecodeBudgetError:
+        except qsim.ProtocolError:
             ok = False
         rows.append(_row(n, n, ell, "classical", seed, ok, ledger, 3, stop()))
     return rows
@@ -347,10 +357,20 @@ def _add_common(parser):
     parser.add_argument("--trials", type=int, default=100)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", type=str, default=None, help="path prefix for CSV/JSON outputs")
-    parser.add_argument("--mode", choices=["exact", "cost-model"], default="exact")
+
+
+def _add_costs(parser):
     parser.add_argument("--c-shuttle", type=float, default=1.0)
     parser.add_argument("--c-round", type=float, default=1.0)
     parser.add_argument("--epsilon", type=float, default=0.0)
+
+
+def _add_model(parser):
+    parser.add_argument("--mode", choices=["exact", "cost-model"], default="exact")
+    _add_costs(parser)
+
+
+def _add_trial_checks(parser):
     parser.add_argument("--timing", action="store_true", help="record real wall times (breaks byte-identical output)")
     parser.add_argument("--min-success", type=float, default=None)
 
@@ -363,19 +383,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=parse_grid, required=True)
     p.add_argument("--ell", type=parse_grid, required=True)
     _add_common(p)
+    _add_model(p)
+    _add_trial_checks(p)
 
     p = sub.add_parser("run-mmf2", help="F2 product protocol over a grid")
     p.add_argument("--n", type=parse_grid, required=True)
     p.add_argument("--ell", type=parse_grid, required=True)
     _add_common(p)
+    _add_trial_checks(p)
 
     p = sub.add_parser("run-disj", help="set disjointness with planted witness")
     p.add_argument("--n", type=parse_grid, required=True)
     _add_common(p)
+    _add_model(p)
+    _add_trial_checks(p)
 
     p = sub.add_parser("run-gc", help="graph collision on random graphs")
     p.add_argument("--n", type=parse_grid, required=True)
     _add_common(p)
+    _add_model(p)
+    _add_trial_checks(p)
 
     p = sub.add_parser(
         "scaling",
@@ -388,6 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expect-slope", type=float, default=None)
     p.add_argument("--slope-tol", type=float, default=0.1)
     _add_common(p)
+    _add_costs(p)
 
     p = sub.add_parser("validate-reductions", help="random checks of the embedding identities")
     p.add_argument("--n", type=int, default=32)
@@ -434,10 +462,7 @@ def _cmd_run_gc(args) -> int:
 
 
 def _cmd_scaling(args) -> int:
-    if args.mode == "exact":
-        model = CostModel.cost_model(args.c_shuttle, args.c_round, args.epsilon)
-    else:
-        model = _mode_of(args)
+    model = _costs_of(args)
     points, rows = scaling_points(
         args.protocol, args.n, args.ell, args.trials, args.seed, model, args.divide_log
     )

@@ -22,7 +22,6 @@ __all__ = [
     "InstanceError",
     "bool_product",
     "f2_product",
-    "weight",
     "gen_promise_instance",
     "validate_promise",
 ]
@@ -281,11 +280,6 @@ class BitMatrix:
 
     def __repr__(self) -> str:
         return f"BitMatrix({self.rows}x{self.cols}, weight={self.weight()})"
-
-
-def weight(x) -> int:
-    """Population count of a BitVector or BitMatrix."""
-    return x.weight()
 
 
 def _check_product_shapes(a: BitMatrix, b: BitMatrix):

@@ -20,6 +20,7 @@ from joinlab.f2core import (
     DimensionError,
     InstanceError,
     JoinInstance,
+    _iter_bits,
     bool_product,
     f2_product,
 )
@@ -52,8 +53,6 @@ __all__ = [
     "freivalds_round",
     "freivalds_columns",
     "SensingSketch",
-    "sketch_encode",
-    "sketch_decode",
     "ColumnClassification",
     "classify_columns",
     "mm_f2",
@@ -64,11 +63,11 @@ __all__ = [
 BMM_EXACT_CAP = 1 << 10
 
 
-class PromiseViolationError(RuntimeError):
+class PromiseViolationError(ProtocolError):
     """More output ones were found than the promise bound allows."""
 
 
-class DecodeBudgetError(RuntimeError):
+class DecodeBudgetError(ProtocolError):
     """Sparse-column recovery failed past the repetition budget."""
 
 
@@ -103,20 +102,97 @@ class BmmTrace:
         return sum(self.lambdas)
 
 
-def _column_profiles(instance: JoinInstance):
-    """Column of A and row of B per inner index, with their weights."""
-    a_t = instance.A.transpose()
-    cols = [a_t.row(k) for k in range(instance.A.cols)]
-    rows = [instance.B.row(k) for k in range(instance.B.rows)]
-    return cols, rows
+def _inner_iterations(w: int, c_round: float) -> int:
+    """Grover rounds of a nested collision search whose smaller side has weight w."""
+    return max(1, math.ceil(c_round * math.sqrt(w))) if w else 1
 
 
-def _inner_search_budget(cols, rows, c_round: float) -> int:
-    """Grover budget of the nested collision search, uniform over branches."""
-    top = 0
-    for fa, fb in zip(cols, rows):
-        top = max(top, min(fa.weight(), fb.weight()))
-    return max(1, math.ceil(c_round * math.sqrt(top))) if top else 1
+def _search_and_collect(
+    instance: JoinInstance,
+    model: CostModel,
+    ledger: CommLedger,
+    rng: random.Random,
+    none_repeats: int | None = None,
+) -> BmmTrace:
+    """The search-and-collect loop of the Boolean product protocol, in either mode.
+
+    ``uncovered[k]`` counts the collisions of column k of A and row k of B
+    that are not yet in the output, so index k is a live witness while it is
+    positive.  Each round finds and pays for one live witness, adds all of
+    its uncovered collisions to the output, and takes them off the counts.
+    Exact mode finds the witness with the nested instance search and
+    collects with graph collision on the complement of the output;
+    cost-model mode replays the protocol as :func:`bmm_cost_model` describes.
+    """
+    A, B = instance.A, instance.B
+    if A.cols != B.rows or A.rows != B.cols:
+        raise DimensionError("expected A of shape m x n and B of shape n x m")
+    if model.epsilon:
+        raise ValueError("the bmm protocol does not model injected error; use epsilon = 0")
+    m, n = A.rows, A.cols
+    if model.exact and max(m, n) > BMM_EXACT_CAP:
+        raise SimulationCapError(f"exact bmm caps dimensions at {BMM_EXACT_CAP}")
+    if none_repeats is None:
+        none_repeats = max(1, math.ceil(math.log(100.0 * (instance.ell + 2)) / math.log(3.0)))
+    a_t, b_t = A.transpose(), B.transpose()
+    weights = [(col.bit_count(), row.bit_count()) for col, row in zip(a_t.data, B.data)]
+    min_w = [min(w) for w in weights]
+    uncovered = [wa * wb for wa, wb in weights]
+    width = index_qubits(m)
+    # Grover budget of the nested collision search, uniform over branches
+    inner_budget = _inner_iterations(max(min_w, default=0), model.c_round)
+    inner_cost = inner_budget * 2 * width
+    marked = range(n)  # cost-model mode: live witnesses in ascending order
+
+    def pay(amount: int, phase: str):
+        ledger.charge(A_TO_B, QUBITS, amount, phase)
+        ledger.charge(B_TO_A, QUBITS, amount, phase)
+
+    out_rows = [0] * m
+    ones = 0
+    trace = BmmTrace()
+    while True:
+        if model.exact:
+            answers = [u > 0 for u in uncovered]
+            k = None
+            for _ in range(none_repeats):
+                k = instance_search(answers, ledger, model, rng, inner_cost_qubits=inner_cost)
+                if k is not None:
+                    break
+            if k is None:
+                break
+            graph = BipartiteGraph.complement_of(BitMatrix(m, m, out_rows))
+            f_a, f_b = BitVector(m, a_t.data[k]), BitVector(m, B.data[k])
+            for _ in range(100):
+                cells = graph_collision_all(graph, f_a, f_b, ledger, model, rng)
+                if cells:
+                    break
+            else:
+                raise ProtocolError("collision collection stalled on a verified witness")
+        else:
+            marked = [kk for kk in marked if uncovered[kk]]
+            if not marked:
+                pay(math.ceil(model.c_shuttle * math.sqrt(n)) * inner_budget * width, "final-search")
+                break
+            t_cur = len(marked)
+            k = marked[rng.randrange(t_cur)]
+            row = B.data[k]
+            cells = [(i, j) for i in _iter_bits(a_t.data[k]) for j in _iter_bits(row & ~out_rows[i])]
+            inner = _inner_iterations(min_w[k], model.c_round)
+            pay(math.ceil(model.c_shuttle * math.sqrt(n / t_cur)) * inner * width, "search")
+            collect = max(1, math.ceil(model.c_round * math.sqrt(len(cells) * min_w[k])))
+            pay(collect * width, "collect")
+        # every collected cell is new to the output
+        for i, j in cells:
+            out_rows[i] |= 1 << j
+            for kk in _iter_bits(A.data[i] & b_t.data[j]):
+                uncovered[kk] -= 1
+        ones += len(cells)
+        if ones > instance.ell:
+            raise PromiseViolationError(f"found {ones} ones, promise allows {instance.ell}")
+        trace.rounds.append(BmmRound(k, len(cells), min_w[k]))
+    trace.product = BitMatrix(m, m, out_rows)
+    return trace
 
 
 def bmm_with_trace(
@@ -131,55 +207,11 @@ def bmm_with_trace(
     Every edge entering the output is a verified collision, so spurious ones
     are impossible; protocol error is confined to stopping before all ones
     are found.  ``none_repeats`` boosts each round's search so the union
-    bound over at most ell+1 rounds keeps the end-to-end error small.
+    bound over at most ell+1 rounds keeps the end-to-end error small.  A
+    cost-model ``model`` runs the replay of :func:`bmm_cost_model` instead.
     """
-    A, B = instance.A, instance.B
-    if A.cols != B.rows or A.rows != B.cols:
-        raise DimensionError("expected A of shape m x n and B of shape n x m")
-    m, n = A.rows, A.cols
-    if model.exact and max(m, n) > BMM_EXACT_CAP:
-        raise SimulationCapError(f"exact bmm caps dimensions at {BMM_EXACT_CAP}")
-    if none_repeats is None:
-        none_repeats = max(1, math.ceil(math.log(100.0 * (instance.ell + 2)) / math.log(3.0)))
-    cols, rows = _column_profiles(instance)
-    inner_cost = _inner_search_budget(cols, rows, model.c_round) * 2 * index_qubits(m)
-    out = BitMatrix.zeros(m, m)
-    trace = BmmTrace()
-    while True:
-        graph = BipartiteGraph.complement_of(out)
-        answers = [graph.has_collision(cols[k], rows[k]) for k in range(n)]
-        witness = None
-        for _ in range(none_repeats):
-            witness = instance_search(
-                answers, ledger, model, rng, inner_cost_qubits=inner_cost
-            )
-            if witness is not None:
-                break
-        if witness is None:
-            break
-        edges = frozenset()
-        for _ in range(100):
-            edges = graph_collision_all(
-                graph, cols[witness], rows[witness], ledger, model, rng
-            )
-            if edges:
-                break
-        else:
-            raise ProtocolError("collision collection stalled on a verified witness")
-        out = out.with_ones(edges)
-        if out.weight() > instance.ell:
-            raise PromiseViolationError(
-                f"found {out.weight()} ones, promise allows {instance.ell}"
-            )
-        trace.rounds.append(
-            BmmRound(
-                witness,
-                len(edges),
-                min(cols[witness].weight(), rows[witness].weight()),
-            )
-        )
-    trace.product = out
-    return out, trace
+    trace = _search_and_collect(instance, model, ledger, rng, none_repeats)
+    return trace.product, trace
 
 
 def bmm(
@@ -189,8 +221,7 @@ def bmm(
     rng: random.Random,
     none_repeats: int | None = None,
 ) -> BitMatrix:
-    out, _ = bmm_with_trace(instance, model, ledger, rng, none_repeats)
-    return out
+    return _search_and_collect(instance, model, ledger, rng, none_repeats).product
 
 
 def bmm_cost_model(
@@ -210,65 +241,10 @@ def bmm_cost_model(
     for the search and ``ceil(c_round * sqrt(lambda * w_k)) * ceil(log2 m)``
     for the collect step, where w_k = min(|A[.,k]|, |B[k,.]|) and lambda is
     the number of fresh ones the round contributes.  A final failed search
-    at the worst-case inner budget closes the run.
+    at the worst-case inner budget closes the run.  An exact ``model`` runs
+    the simulated protocol of :func:`bmm_with_trace` instead.
     """
-    A, B = instance.A, instance.B
-    if A.cols != B.rows or A.rows != B.cols:
-        raise DimensionError("expected A of shape m x n and B of shape n x m")
-    m, n = A.rows, A.cols
-    cols, rows = _column_profiles(instance)
-    b_t = instance.B.transpose()
-    width = index_qubits(m)
-
-    min_w = [min(cols[k].weight(), rows[k].weight()) for k in range(n)]
-    uncovered = [cols[k].weight() * rows[k].weight() for k in range(n)]
-    marked = sorted(k for k in range(n) if uncovered[k])
-    covered: set[tuple[int, int]] = set()
-    trace = BmmTrace()
-
-    def inner_iters(w: int) -> int:
-        return max(1, math.ceil(model.c_round * math.sqrt(w))) if w else 1
-
-    while marked:
-        t_cur = len(marked)
-        k = marked[rng.randrange(t_cur)]
-        fresh = [
-            (i, j)
-            for i in cols[k].indices()
-            for j in rows[k].indices()
-            if (i, j) not in covered
-        ]
-        lam = len(fresh)
-        search_amt = math.ceil(model.c_shuttle * math.sqrt(n / t_cur)) * inner_iters(min_w[k]) * width
-        collect_amt = max(1, math.ceil(model.c_round * math.sqrt(lam * min_w[k]))) * width
-        ledger.charge(A_TO_B, QUBITS, search_amt, "search")
-        ledger.charge(B_TO_A, QUBITS, search_amt, "search")
-        ledger.charge(A_TO_B, QUBITS, collect_amt, "collect")
-        ledger.charge(B_TO_A, QUBITS, collect_amt, "collect")
-        dead = []
-        for (i, j) in fresh:
-            covered.add((i, j))
-            for kk in _iter_witnesses(A.data[i] & b_t.data[j]):
-                uncovered[kk] -= 1
-                if uncovered[kk] == 0:
-                    dead.append(kk)
-        if dead:
-            deadset = set(dead)
-            marked = [kk for kk in marked if kk not in deadset]
-        trace.rounds.append(BmmRound(k, lam, min_w[k]))
-    final_inner = max((inner_iters(w) for w in min_w), default=1)
-    final_amt = math.ceil(model.c_shuttle * math.sqrt(n)) * final_inner * width
-    ledger.charge(A_TO_B, QUBITS, final_amt, "final-search")
-    ledger.charge(B_TO_A, QUBITS, final_amt, "final-search")
-    trace.product = BitMatrix.zeros(m, m).with_ones(covered)
-    return trace
-
-
-def _iter_witnesses(word: int):
-    while word:
-        low = word & -word
-        yield low.bit_length() - 1
-        word ^= low
+    return _search_and_collect(instance, model, ledger, rng)
 
 
 def gen_hard_instance(n: int, ell: int, seed: int) -> JoinInstance:
@@ -344,7 +320,7 @@ def freivalds_round(a_side: BitMatrix, b_side: BitMatrix, v: BitVector, ledger: 
     n_out = b_side.cols
     ledger.charge(A_TO_B, BITS, max(1, b_side.rows), "freivalds")
     acc = 0
-    for k in _iter_witnesses(u):
+    for k in _iter_bits(u):
         acc ^= b_side.data[k]
     ledger.charge(B_TO_A, BITS, max(1, n_out), "freivalds")
     return BitVector(n_out, acc)
@@ -493,14 +469,6 @@ class SensingSketch:
         return None
 
 
-def sketch_encode(x: BitVector, sketch: SensingSketch) -> BitVector:
-    return sketch.encode(x)
-
-
-def sketch_decode(measurement: BitVector, sketch: SensingSketch) -> BitVector | None:
-    return sketch.decode(measurement)
-
-
 # ---------------------------------------------------------------------------
 # F2 matrix multiplication
 # ---------------------------------------------------------------------------
@@ -589,7 +557,7 @@ def mm_f2(
         ledger.charge(B_TO_A, BITS, len(dense) * n, "dense-transfer")
         for j in dense:
             acc = 0
-            for i in _iter_witnesses(b_t.data[j]):
+            for i in _iter_bits(b_t.data[j]):
                 acc ^= a_t.data[i]
             out_cols[j] = acc
 
@@ -604,7 +572,7 @@ def mm_f2(
         col_sketches = [sketch.encode(BitVector(n, a_t.data[i])).bits for i in range(n)]
         for j in sorted(unresolved):
             meas = 0
-            for i in _iter_witnesses(b_t.data[j]):
+            for i in _iter_bits(b_t.data[j]):
                 meas ^= col_sketches[i]
             decoded = sketch.decode(BitVector(sketch.measurement_len, meas))
             if decoded is not None:
@@ -617,7 +585,7 @@ def mm_f2(
 
     data = [0] * n
     for j, colbits in out_cols.items():
-        for i in _iter_witnesses(colbits):
+        for i in _iter_bits(colbits):
             data[i] |= 1 << j
     result = BitMatrix(n, n, data)
     if result.weight() > instance.ell:

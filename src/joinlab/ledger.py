@@ -128,13 +128,6 @@ class CommLedger:
     def to_csv_rows(self, trial_id) -> list[tuple]:
         return [(trial_id, e.phase, e.direction, e.kind, e.amount) for e in self.entries]
 
-    @staticmethod
-    def concat(first: "CommLedger", second: "CommLedger") -> "CommLedger":
-        out = CommLedger()
-        for entry in first.entries + second.entries:
-            out.charge(entry.direction, entry.kind, entry.amount, entry.phase)
-        return out
-
     def __len__(self) -> int:
         return len(self.entries)
 

@@ -21,6 +21,7 @@ from joinlab.ledger import (
     A_TO_B,
     B_TO_A,
     BITS,
+    DIRECTIONS,
     QUBITS,
     CommLedger,
     index_qubits,
@@ -33,13 +34,10 @@ __all__ = [
     "COST_MODEL",
     "EXACT_DOMAIN_CAP",
     "CostModel",
-    "SearchState",
     "GroverPlan",
     "BipartiteGraph",
     "SimulationCapError",
     "ProtocolError",
-    "reflect_about_uniform",
-    "phase_flip",
     "grover_search",
     "grover_success_curve",
     "grover_success_curves_batch",
@@ -62,7 +60,7 @@ class SimulationCapError(ValueError):
 
 
 class ProtocolError(RuntimeError):
-    """A protocol run exhausted an internal retry budget."""
+    """A protocol run failed: it exhausted a retry budget or broke its promise."""
 
 
 @dataclass(frozen=True)
@@ -99,48 +97,6 @@ class CostModel:
     @classmethod
     def cost_model(cls, c_shuttle: float = 1.0, c_round: float = 1.0, epsilon: float = 0.0) -> "CostModel":
         return cls(COST_MODEL, c_shuttle, c_round, epsilon)
-
-
-@dataclass
-class SearchState:
-    """Amplitude vector over an index domain [n]."""
-
-    n: int
-    amplitudes: np.ndarray
-
-    @classmethod
-    def uniform(cls, n: int, support) -> "SearchState":
-        idx = sorted(support)
-        if not idx:
-            raise ValueError("support must be nonempty")
-        amps = np.zeros(n, dtype=np.complex128)
-        amps[idx] = 1.0 / math.sqrt(len(idx))
-        return cls(n, amps)
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
-
-    def check_normalized(self, tol: float = 1e-9):
-        if abs(self.norm() - 1.0) > tol:
-            raise ValueError(f"state norm {self.norm()} drifted beyond {tol}")
-
-
-def reflect_about_uniform(amplitudes: np.ndarray, support_mask: np.ndarray) -> np.ndarray:
-    """Reflection 2|pi(S)><pi(S)| - I about the uniform state on a support."""
-    size = int(np.count_nonzero(support_mask))
-    if size == 0:
-        raise ValueError("support must be nonempty")
-    overlap = amplitudes[support_mask].sum() / math.sqrt(size)
-    out = -amplitudes.copy()
-    out[support_mask] += 2.0 * overlap / math.sqrt(size)
-    return out
-
-
-def phase_flip(amplitudes: np.ndarray, marked_mask: np.ndarray) -> np.ndarray:
-    """Diagonal reflection multiplying marked entries by -1."""
-    out = amplitudes.copy()
-    out[marked_mask] = -out[marked_mask]
-    return out
 
 
 def grover_success_curve(support_size: int, marked_count: int, max_iterations: int) -> np.ndarray:
@@ -248,18 +204,57 @@ def _sample_index(probs: np.ndarray, rng: random.Random) -> int:
     return int(min(np.searchsorted(cum, r, side="right"), len(probs) - 1))
 
 
-def _charge_round_trips(ledger: CommLedger, n: int, iterations: int, phase: str, directions):
+def _charge_round_trips(ledger, iterations: int, per_round: int, phase: str, directions=DIRECTIONS):
     if iterations <= 0:
         return
-    width = index_qubits(n)
-    ledger.charge(directions[0], QUBITS, iterations * width, phase)
-    ledger.charge(directions[1], QUBITS, iterations * width, phase)
+    ledger.charge(directions[0], QUBITS, iterations * per_round, phase)
+    ledger.charge(directions[1], QUBITS, iterations * per_round, phase)
 
 
-def _charge_verification(ledger: CommLedger, n: int, phase: str, directions):
-    # one extra round trip: shuttle the candidate register over, announce back
-    ledger.charge(directions[0], QUBITS, index_qubits(n), phase)
-    ledger.charge(directions[1], BITS, outcome_bits(n), phase)
+def _amplify(n: int, domain, marked_mask: np.ndarray, plan, model, rng, charge, outer=False):
+    """Measure amplified candidates from ``domain`` (a sequence over [n]) until one is marked.
+
+    The core of :func:`grover_search` and :func:`instance_search`.
+    ``marked_mask[i]`` says whether ``domain[i]`` is marked, and
+    ``charge(iterations)`` pays for one measurement: the rounds before it
+    plus the verification of its outcome.
+
+    Exact mode runs the two reflections on the amplitude vector for each
+    iteration count the plan draws and samples one candidate per draw.
+    Cost-model mode makes a single measurement at the analytical count
+    ceil(c * sqrt(|domain| / d)) for t marked entries: c = c_round and
+    d = t + 1 for an inner search, c = c_shuttle and d = max(t, 1) for the
+    ``outer`` instance search.  The witness is a seeded uniform pick among
+    the marked entries, suppressed with probability epsilon.
+    """
+    m = len(domain)
+    if model.exact:
+        if n > EXACT_DOMAIN_CAP:
+            raise SimulationCapError(f"exact mode supports n <= {EXACT_DOMAIN_CAP}, got {n}")
+        if plan is None:
+            plan = GroverPlan.default(m)
+        for iterations in plan.draws(rng):
+            amps = np.full(m, 1.0 / math.sqrt(m))
+            for _ in range(iterations):
+                amps[marked_mask] = -amps[marked_mask]
+                amps = 2.0 * amps.mean() - amps
+            candidate = _sample_index(amps * amps, rng)
+            charge(iterations)
+            if marked_mask[candidate]:
+                return domain[candidate]
+        return None
+
+    hits = np.flatnonzero(marked_mask).tolist()
+    t = len(hits)
+    c, d = (model.c_shuttle, max(t, 1)) if outer else (model.c_round, t + 1)
+    iterations = math.ceil(c * math.sqrt(m / d))
+    charge(iterations)
+    if t == 0:
+        return None
+    witness = domain[hits[rng.randrange(t)]]
+    if model.epsilon and rng.random() < model.epsilon:
+        return None
+    return witness
 
 
 def grover_search(
@@ -289,45 +284,20 @@ def grover_search(
         raise ValueError("support must be nonempty")
     if any(not 0 <= i < n for i in sup):
         raise ValueError("support outside domain")
+    width = index_qubits(n)
     verify_phase = phase + "-verify"
 
-    def record(iterations: int):
+    def charge(iterations: int):
+        _charge_round_trips(ledger, iterations, width, phase, directions)
+        # one extra round trip: shuttle the candidate register over, announce back
+        ledger.charge(directions[0], QUBITS, width, verify_phase)
+        ledger.charge(directions[1], BITS, outcome_bits(n), verify_phase)
         if stats is not None:
             stats.setdefault("iterations", []).append(iterations)
             stats["measurements"] = stats.get("measurements", 0) + 1
 
-    if model.exact:
-        if n > EXACT_DOMAIN_CAP:
-            raise SimulationCapError(f"exact mode supports n <= {EXACT_DOMAIN_CAP}, got {n}")
-        if plan is None:
-            plan = GroverPlan.default(len(sup))
-        m = len(sup)
-        marked_mask = np.fromiter((bool(marked(i)) for i in sup), dtype=bool, count=m)
-        for iterations in plan.draws(rng):
-            amps = np.full(m, 1.0 / math.sqrt(m))
-            for _ in range(iterations):
-                amps[marked_mask] = -amps[marked_mask]
-                amps = 2.0 * amps.mean() - amps
-            _charge_round_trips(ledger, n, iterations, phase, directions)
-            candidate = sup[_sample_index(amps * amps, rng)]
-            _charge_verification(ledger, n, verify_phase, directions)
-            record(iterations)
-            if marked(candidate):
-                return candidate
-        return None
-
-    marked_list = [i for i in sup if marked(i)]
-    t = len(marked_list)
-    iterations = math.ceil(model.c_round * math.sqrt(len(sup) / (t + 1)))
-    _charge_round_trips(ledger, n, iterations, phase, directions)
-    _charge_verification(ledger, n, verify_phase, directions)
-    record(iterations)
-    if t == 0:
-        return None
-    witness = marked_list[rng.randrange(t)]
-    if model.epsilon and rng.random() < model.epsilon:
-        return None
-    return witness
+    marked_mask = np.fromiter((bool(marked(i)) for i in sup), dtype=bool, count=len(sup))
+    return _amplify(n, sup, marked_mask, plan, model, rng, charge)
 
 
 def disj(
@@ -447,9 +417,6 @@ class BipartiteGraph:
     def has_edge(self, i: int, j: int) -> bool:
         return self.adj.get(i, j) == 1
 
-    def edges(self) -> list[tuple[int, int]]:
-        return [(i, j) for i in range(self.n_left) for j in self.adj.row(i).indices()]
-
     def left_cover(self, f_b: BitVector) -> BitVector:
         """Left vertices with at least one neighbor inside f_b."""
         if f_b.n != self.n_right:
@@ -468,9 +435,6 @@ class BipartiteGraph:
         for i in f_a.indices():
             acc |= self.adj.data[i]
         return BitVector(self.n_right, acc)
-
-    def has_collision(self, f_a: BitVector, f_b: BitVector) -> bool:
-        return not (self.left_cover(f_b) & f_a).is_zero()
 
     def without_edges(self, edges) -> "BipartiteGraph":
         data = list(self.adj.data)
@@ -566,8 +530,8 @@ def instance_search(
     inner cost multiplied by the repetition factor that boosts a bounded
     error inner protocol for coherent nesting.
     """
-    answers = list(answers)
-    big_n = len(answers)
+    marked_mask = np.array(list(answers), dtype=bool)
+    big_n = len(marked_mask)
     if big_n == 0:
         raise ValueError("instance list must be nonempty")
     if inner_cost_qubits < 0:
@@ -577,48 +541,12 @@ def instance_search(
     inner_per_call = boost * inner_cost_qubits
     verify_phase = phase + "-verify"
 
-    def charge_iterations(iterations: int):
-        if iterations <= 0:
-            return
-        width = index_qubits(big_n)
-        ledger.charge(A_TO_B, QUBITS, iterations * width, phase)
-        ledger.charge(B_TO_A, QUBITS, iterations * width, phase)
+    def charge(iterations: int):
+        _charge_round_trips(ledger, iterations, index_qubits(big_n), phase)
         if inner_per_call:
             # compute on the way out, uncompute on the way back
-            ledger.charge(A_TO_B, QUBITS, iterations * inner_per_call, inner_phase)
-            ledger.charge(B_TO_A, QUBITS, iterations * inner_per_call, inner_phase)
-
-    def charge_verification():
-        if inner_per_call:
+            _charge_round_trips(ledger, iterations, inner_per_call, inner_phase)
             ledger.charge(A_TO_B, QUBITS, inner_per_call, verify_phase)
         ledger.charge(B_TO_A, BITS, outcome_bits(big_n), verify_phase)
 
-    if model.exact:
-        if big_n > EXACT_DOMAIN_CAP:
-            raise SimulationCapError(f"exact mode supports N <= {EXACT_DOMAIN_CAP}")
-        if plan is None:
-            plan = GroverPlan.default(big_n)
-        marked_mask = np.array(answers, dtype=bool)
-        for iterations in plan.draws(rng):
-            amps = np.full(big_n, 1.0 / math.sqrt(big_n))
-            for _ in range(iterations):
-                amps[marked_mask] = -amps[marked_mask]
-                amps = 2.0 * amps.mean() - amps
-            charge_iterations(iterations)
-            candidate = _sample_index(amps * amps, rng)
-            charge_verification()
-            if answers[candidate]:
-                return candidate
-        return None
-
-    marked_list = [i for i, v in enumerate(answers) if v]
-    t = len(marked_list)
-    iterations = math.ceil(model.c_shuttle * math.sqrt(big_n / max(t, 1)))
-    charge_iterations(iterations)
-    charge_verification()
-    if t == 0:
-        return None
-    witness = marked_list[rng.randrange(t)]
-    if model.epsilon and rng.random() < model.epsilon:
-        return None
-    return witness
+    return _amplify(big_n, range(big_n), marked_mask, plan, model, rng, charge, outer=True)

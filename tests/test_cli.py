@@ -8,7 +8,9 @@ import sys
 
 import pytest
 
+from joinlab import joins, qsim
 from joinlab.cli import FitResult, derive_seed, fit_exponent, main, parse_grid
+from joinlab.ledger import A_TO_B, BITS
 
 
 def test_fit_exact_power_law():
@@ -195,6 +197,68 @@ def test_usage_error_exit_code():
     assert main(["run-bmm", "--ell", "8"]) == 2  # missing --n
     assert main(["scaling", "--protocol", "nope", "--n", "8"]) == 2
     assert main(["run-disj", "--n", "8", "--trials", "0"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # flags a subcommand does not read are not registered
+        ["run-mmf2", "--n", "16", "--ell", "4", "--mode", "exact"],
+        ["run-mmf2", "--n", "16", "--ell", "4", "--epsilon", "0.05"],
+        ["scaling", "--protocol", "disj-cost", "--n", "64..512", "--mode", "cost-model"],
+        ["scaling", "--protocol", "disj-cost", "--n", "64..512", "--timing"],
+        ["scaling", "--protocol", "disj-cost", "--n", "64..512", "--min-success", "0.5"],
+        ["validate-reductions", "--n", "8", "--c-round", "2"],
+        ["validate-reductions", "--n", "8", "--timing"],
+        ["validate-reductions", "--n", "8", "--min-success", "0.5"],
+        # cost constants only mean something in cost-model mode
+        ["run-bmm", "--n", "16", "--ell", "8", "--c-shuttle", "2"],
+        ["run-disj", "--n", "64", "--mode", "exact", "--epsilon", "0.05"],
+        ["run-gc", "--n", "16", "--c-round", "2"],
+        # the bmm replay never reads epsilon
+        ["run-bmm", "--n", "16", "--ell", "8", "--mode", "cost-model", "--epsilon", "0.05"],
+        ["scaling", "--protocol", "bmm-cost", "--n", "64", "--ell", "16", "--epsilon", "0.05"],
+    ],
+)
+def test_unused_flag_rejected(argv, capsys):
+    assert main(argv + ["--trials", "2"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def _csv_rows(prefix):
+    import csv as csvmod
+
+    with open(str(prefix) + ".csv") as fh:
+        return list(csvmod.DictReader(fh))
+
+
+@pytest.mark.parametrize(
+    "command, target, error",
+    [
+        ("run-bmm", "bmm_with_trace", qsim.ProtocolError),
+        ("run-bmm", "bmm_with_trace", joins.PromiseViolationError),
+        ("run-mmf2", "mm_f2", joins.DecodeBudgetError),
+        ("run-mmf2", "mm_f2", joins.PromiseViolationError),
+    ],
+)
+def test_protocol_error_is_a_failed_trial(command, target, error, monkeypatch, tmp_path, capsys):
+    def failing(*args, **kwargs):
+        ledger = kwargs.get("ledger") or next(a for a in args if hasattr(a, "charge"))
+        ledger.charge(A_TO_B, BITS, 7, "before-failure")
+        raise error("injected failure")
+
+    monkeypatch.setattr(joins, target, failing)
+    out = tmp_path / "fail"
+    argv = [command, "--n", "16", "--ell", "8", "--trials", "3", "--seed", "1", "--out", str(out)]
+    assert main(argv + ["--min-success", "0.5"]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    rows = _csv_rows(out)
+    assert len(rows) == 3
+    for row in rows:
+        assert row["success"] == "0"
+        assert row["classical_bits"] == "7" and row["qubits"] == "0"
+        if command == "run-bmm":
+            assert row["rounds"] == "0"
 
 
 def test_console_entry_point():

@@ -15,7 +15,6 @@ from joinlab.f2core import (
     f2_product,
     gen_promise_instance,
     validate_promise,
-    weight,
 )
 
 
@@ -114,12 +113,12 @@ def test_product_dimension_mismatch():
 
 
 def test_weight_examples():
-    assert weight(BitVector(16)) == 0
-    assert weight(BitVector(64, (1 << 64) - 1)) == 64
+    assert BitVector(16).weight() == 0
+    assert BitVector(64, (1 << 64) - 1).weight() == 64
     rng = random.Random(8)
     m = BitMatrix.random(9, 13, 0.5, rng)
     naive = sum(m.get(i, j) for i in range(9) for j in range(13))
-    assert weight(m) == naive
+    assert m.weight() == naive
 
 
 def test_transpose_involution_and_weight():

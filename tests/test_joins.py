@@ -25,8 +25,6 @@ from joinlab.joins import (
     freivalds_round,
     gen_hard_instance,
     mm_f2,
-    sketch_decode,
-    sketch_encode,
 )
 from joinlab.ledger import CommLedger, InertLedger, index_qubits
 from joinlab.qsim import CostModel
@@ -218,22 +216,22 @@ def test_freivalds_finds_nonzero_columns():
 
 def test_sketch_zero_vector():
     sk = SensingSketch(64, 4, seed=1)
-    meas = sketch_encode(BitVector(64), sk)
+    meas = sk.encode(BitVector(64))
     assert meas.is_zero()
-    assert sketch_decode(meas, sk) == BitVector(64)
+    assert sk.decode(meas) == BitVector(64)
 
 
 def test_sketch_single_coordinate():
     sk = SensingSketch(64, 4, seed=2)
     x = BitVector.from_indices(64, [17])
-    meas = sketch_encode(x, sk)
+    meas = sk.encode(x)
     # level-0 bucket of 17 carries its parity and its code word
     bucket = sk.bucket_of[0][17]
     off = sk._offset(0, bucket)
     assert (meas.bits >> off) & 1 == 1
     mask = (1 << sk.code_bits) - 1
     assert (meas.bits >> (off + 1)) & mask == sk.code_of[0][17]
-    assert sketch_decode(meas, sk) == x
+    assert sk.decode(meas) == x
 
 
 def test_sketch_linearity_exact():
@@ -242,7 +240,7 @@ def test_sketch_linearity_exact():
     for _ in range(200):
         x = BitVector.random(128, 0.1, rng)
         y = BitVector.random(128, 0.1, rng)
-        assert sketch_encode(x ^ y, sk) == sketch_encode(x, sk) ^ sketch_encode(y, sk)
+        assert sk.encode(x ^ y) == sk.encode(x) ^ sk.encode(y)
 
 
 def test_sketch_measurement_length():

@@ -68,28 +68,6 @@ def test_report_two_phases():
     assert rep["phases"]["beta"] == {BITS: 0, QUBITS: 3}
 
 
-def test_concat_reports_sum():
-    rng = random.Random(7)
-    one, two = CommLedger(), CommLedger()
-    for led in (one, two):
-        for _ in range(50):
-            led.charge(
-                rng.choice((A_TO_B, B_TO_A)),
-                rng.choice((BITS, QUBITS)),
-                rng.randint(1, 20),
-                rng.choice("abc"),
-            )
-    merged = CommLedger.concat(one, two)
-    r1, r2, rm = one.report(), two.report(), merged.report()
-    assert rm["total_bits"] == r1["total_bits"] + r2["total_bits"]
-    assert rm["total_qubits"] == r1["total_qubits"] + r2["total_qubits"]
-    for phase in set(r1["phases"]) | set(r2["phases"]):
-        for kind in (BITS, QUBITS):
-            a = r1["phases"].get(phase, {}).get(kind, 0)
-            b = r2["phases"].get(phase, {}).get(kind, 0)
-            assert rm["phases"][phase][kind] == a + b
-
-
 def test_csv_rows_schema():
     led = CommLedger()
     led.charge(A_TO_B, QUBITS, 4, "grover-shuttle")

@@ -13,7 +13,6 @@ from joinlab.qsim import (
     BipartiteGraph,
     CostModel,
     GroverPlan,
-    SearchState,
     disj,
     disj_all,
     graph_collision,
@@ -22,8 +21,6 @@ from joinlab.qsim import (
     grover_success_curve,
     grover_success_curves_batch,
     instance_search,
-    phase_flip,
-    reflect_about_uniform,
 )
 
 EXACT = CostModel.exact_mode()
@@ -36,27 +33,6 @@ def test_cost_model_validation():
         CostModel.cost_model(c_shuttle=0.5)
     with pytest.raises(ValueError):
         CostModel.cost_model(epsilon=0.2)
-
-
-def test_search_state_uniform_and_norm():
-    state = SearchState.uniform(10, [2, 5, 7])
-    state.check_normalized()
-    assert abs(state.amplitudes[2] - 1 / math.sqrt(3)) < 1e-12
-    assert state.amplitudes[0] == 0
-
-
-def test_reflections_preserve_norm():
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        n = int(rng.integers(2, 40))
-        support = np.zeros(n, dtype=bool)
-        support[rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)] = True
-        amps = rng.normal(size=n) + 1j * rng.normal(size=n)
-        amps[~support] = 0
-        amps /= np.linalg.norm(amps)
-        marked = support & (rng.random(n) < 0.4)
-        out = reflect_about_uniform(phase_flip(amps, marked), support)
-        assert abs(np.linalg.norm(out) - 1.0) < 1e-9
 
 
 def test_success_curve_matches_closed_form():
