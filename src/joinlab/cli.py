@@ -54,11 +54,18 @@ def derive_seed(base: int, *parts) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"must be at least 1, got {value}")
+    return value
+
+
 def parse_grid(text: str) -> list[int]:
-    """Parse '64,128,256' lists or '256..4096' doubling ranges."""
+    """Parse '64,128,256' lists or '256..4096' doubling ranges of sizes >= 1."""
     if ".." in text:
-        lo, hi = (int(tok) for tok in text.split("..", 1))
-        if lo < 1 or hi < lo:
+        lo, hi = (_at_least_one(tok) for tok in text.split("..", 1))
+        if hi < lo:
             raise ValueError(f"bad range {text!r}")
         out = []
         v = lo
@@ -66,7 +73,7 @@ def parse_grid(text: str) -> list[int]:
             out.append(v)
             v *= 2
         return out
-    values = [int(tok) for tok in text.split(",") if tok.strip()]
+    values = [_at_least_one(tok) for tok in text.split(",") if tok.strip()]
     if not values:
         raise ValueError(f"empty grid {text!r}")
     return values
@@ -353,8 +360,24 @@ def _check_success(summary, minimum) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _flag_type(parse):
+    """argparse type that reports ``parse``'s ValueError message under the flag's name."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
+
+
+_GRID = _flag_type(parse_grid)
+_POSITIVE = _flag_type(_at_least_one)
+
+
 def _add_common(parser):
-    parser.add_argument("--trials", type=int, default=100)
+    parser.add_argument("--trials", type=_POSITIVE, default=100)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", type=str, default=None, help="path prefix for CSV/JSON outputs")
 
@@ -380,26 +403,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run-bmm", help="Boolean product protocol over a grid")
-    p.add_argument("--n", type=parse_grid, required=True)
-    p.add_argument("--ell", type=parse_grid, required=True)
+    p.add_argument("--n", type=_GRID, required=True)
+    p.add_argument("--ell", type=_GRID, required=True)
     _add_common(p)
     _add_model(p)
     _add_trial_checks(p)
 
     p = sub.add_parser("run-mmf2", help="F2 product protocol over a grid")
-    p.add_argument("--n", type=parse_grid, required=True)
-    p.add_argument("--ell", type=parse_grid, required=True)
+    p.add_argument("--n", type=_GRID, required=True)
+    p.add_argument("--ell", type=_GRID, required=True)
     _add_common(p)
     _add_trial_checks(p)
 
     p = sub.add_parser("run-disj", help="set disjointness with planted witness")
-    p.add_argument("--n", type=parse_grid, required=True)
+    p.add_argument("--n", type=_GRID, required=True)
     _add_common(p)
     _add_model(p)
     _add_trial_checks(p)
 
     p = sub.add_parser("run-gc", help="graph collision on random graphs")
-    p.add_argument("--n", type=parse_grid, required=True)
+    p.add_argument("--n", type=_GRID, required=True)
     _add_common(p)
     _add_model(p)
     _add_trial_checks(p)
@@ -409,8 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="cost-model sweeps with a log-log exponent fit (always runs in cost-model mode)",
     )
     p.add_argument("--protocol", choices=["bmm-cost", "disj-cost"], required=True)
-    p.add_argument("--n", type=parse_grid, required=True)
-    p.add_argument("--ell", type=parse_grid, default=[256])
+    p.add_argument("--n", type=_GRID, required=True)
+    p.add_argument("--ell", type=_GRID, default=[256])
     p.add_argument("--divide-log", action="store_true", help="divide costs by log2(n) before fitting")
     p.add_argument("--expect-slope", type=float, default=None)
     p.add_argument("--slope-tol", type=float, default=0.1)
@@ -418,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_costs(p)
 
     p = sub.add_parser("validate-reductions", help="random checks of the embedding identities")
-    p.add_argument("--n", type=int, default=32)
+    p.add_argument("--n", type=_POSITIVE, default=32)
     _add_common(p)
 
     return parser
@@ -546,9 +569,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if getattr(args, "trials", 1) < 1:
-        print("error: --trials must be at least 1", file=sys.stderr)
-        return 2
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:

@@ -57,6 +57,8 @@ def test_parse_grid():
     assert parse_grid("7") == [7]
     with pytest.raises(ValueError):
         parse_grid("")
+    with pytest.raises(ValueError):
+        parse_grid("8,0")
 
 
 def test_derive_seed_stable_and_distinct():
@@ -191,6 +193,28 @@ def test_validate_reductions_command(capsys):
     printed = capsys.readouterr().out
     assert "disj-family: 20/20" in printed
     assert "ip-f2: 20/20" in printed
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["run-disj", "--n", "0"], "--n"),
+        (["run-gc", "--n", "0"], "--n"),
+        (["run-disj", "--n", "-4"], "--n"),
+        (["run-disj", "--n", "0..8"], "--n"),
+        (["run-bmm", "--n", "8,0", "--ell", "4"], "--n"),
+        (["run-mmf2", "--n", "16", "--ell", "-1"], "--ell"),
+        (["scaling", "--protocol", "disj-cost", "--n", "64,-64"], "--n"),
+        (["validate-reductions", "--n", "0"], "--n"),
+        (["validate-reductions", "--n", "-2"], "--n"),
+        (["run-disj", "--n", "8", "--trials", "0"], "--trials"),
+    ],
+)
+def test_size_below_one_rejected(argv, flag, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be at least 1" in err
+    assert "Traceback" not in err
 
 
 def test_usage_error_exit_code():

@@ -4,7 +4,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
+from joinlab import f2core
 from joinlab.f2core import (
     BitMatrix,
     BitVector,
@@ -203,3 +206,130 @@ def test_join_instance_build_rejects_bad_kind():
     a = BitMatrix.identity(2)
     with pytest.raises(ValueError):
         JoinInstance(a, a, 1, 0, kind="weird")
+
+
+# ---------------------------------------------------------------------------
+# fast paths against the dense numpy oracle, on both sides of each switch
+# ---------------------------------------------------------------------------
+
+# A few ones stay on the int loop at every width; at 2**20 bits more than
+# about six ones go to the numpy scan, at 64 bits only a full word does.
+WIDTHS = (1, 8, 63, 64, 65, 1000, 8192, 1 << 16, 1 << 20)
+
+
+def _dense_word(n: int, indices) -> int:
+    """Packed int with the given bits set, built through a dense uint8 array."""
+    arr = np.zeros(n, dtype=np.uint8)
+    arr[list(indices)] = 1
+    return int.from_bytes(np.packbits(arr, bitorder="little").tobytes(), "little")
+
+
+def _dense_positions(n: int, word: int) -> list[int]:
+    buf = np.frombuffer(word.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(buf, bitorder="little")).tolist()
+
+
+@st.composite
+def words(draw):
+    n = draw(st.sampled_from(WIDTHS))
+    ones = draw(st.sets(st.integers(0, n - 1), max_size=min(n, 300)))
+    if draw(st.booleans()):
+        ones.add(n - 1)
+    return n, sorted(ones)
+
+
+@given(words())
+@example((64, []))
+@example((1 << 20, []))
+@example((1 << 20, [(1 << 20) - 1]))
+@example((64, list(range(64))))
+def test_set_bits_match_dense_oracle(case):
+    n, ones = case
+    word = _dense_word(n, ones)
+    assert _dense_positions(n, word) == ones
+    for got in (BitVector(n, word).indices(), f2core._scan_bits(word)):
+        assert got == ones  # ascending
+        assert all(type(i) is int for i in got)
+
+
+@pytest.mark.parametrize(
+    "n, k, scans",
+    [
+        (512, 4, False),
+        (512, 256, True),
+        (8192, 8, False),  # a gen_hard_instance row of A at n = 8192
+        (8192, 64, True),
+        (1 << 22, 1, False),
+        (1 << 22, 2048, True),  # a disj-cost operand at n = 2**22
+    ],
+)
+def test_set_bit_switch_sides(n, k, scans, monkeypatch):
+    scanned = []
+    scan = f2core._scan_bits
+    monkeypatch.setattr(f2core, "_scan_bits", lambda word: scanned.append(word) or scan(word))
+    ones = sorted(random.Random(n + k).sample(range(n - 1), k - 1) + [n - 1])
+    assert BitVector(n, _dense_word(n, ones)).indices() == ones
+    assert bool(scanned) == scans
+
+
+@given(
+    st.sampled_from(WIDTHS).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(0, n - 1), max_size=300))
+    )
+)
+@example((0, []))
+@example((1 << 20, [(1 << 20) - 1, 0, (1 << 20) - 1]))
+def test_from_indices_matches_dense_oracle(case):
+    n, indices = case
+    v = BitVector.from_indices(n, indices)
+    assert v.n == n and v.bits == _dense_word(n, indices)
+
+
+@pytest.mark.parametrize(
+    "n, indices, bad",
+    [(8, [3, 8], 8), (8, [-1, 9], -1), (0, [0], 0), (1 << 20, [5, 1 << 20, -3], 1 << 20)],
+)
+def test_from_indices_rejects_out_of_range(n, indices, bad):
+    with pytest.raises(ValueError) as info:
+        BitVector.from_indices(n, indices)
+    assert info.value.args == (f"index {bad} outside [0, {n})",)
+
+
+def _check_transpose(m: BitMatrix):
+    t = m.transpose()
+    assert (t.rows, t.cols) == (m.cols, m.rows)
+    assert np.array_equal(t.to_numpy(), m.to_numpy().T)
+
+
+@st.composite
+def sparse_matrices(draw):
+    rows, cols = draw(st.integers(0, 200)), draw(st.integers(0, 200))
+    limit = rows * cols // f2core._SCATTER_CELLS_PER_ONE
+    cell = st.tuples(st.integers(0, max(rows - 1, 0)), st.integers(0, max(cols - 1, 0)))
+    cells = draw(st.lists(cell, max_size=limit))
+    return BitMatrix.zeros(rows, cols).with_ones(cells)
+
+
+@given(sparse_matrices())
+@example(BitMatrix.zeros(0, 0))
+@example(BitMatrix.zeros(0, 7))
+@example(BitMatrix.zeros(7, 0))
+@example(BitMatrix.zeros(9, 9).with_ones([(8, 0)]))
+def test_transpose_scatter_side_matches_dense_oracle(m):
+    assert m.weight() * f2core._SCATTER_CELLS_PER_ONE <= m.rows * m.cols
+    _check_transpose(m)
+
+
+@st.composite
+def dense_matrices(draw):
+    rows, cols = draw(st.integers(1, 48)), draw(st.integers(1, 48))
+    data = draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows))
+    return BitMatrix(rows, cols, data)
+
+
+@given(dense_matrices())
+@example(BitMatrix.ones(3, 70))
+@example(BitMatrix.identity(1))
+def test_transpose_dense_side_matches_dense_oracle(m):
+    assume(m.weight() * f2core._SCATTER_CELLS_PER_ONE > m.rows * m.cols)
+    _check_transpose(m)
