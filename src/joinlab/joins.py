@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from joinlab.f2core import (
     BitMatrix,
@@ -358,46 +359,72 @@ class SensingSketch:
     single coordinate consistent with the bucket, preferring candidates
     confirmed by a second level, and only accepts a result whose residual
     cancels exactly.
+
+    Construction only fixes the sizes.  The seeded bucket and code tables
+    are drawn from ``random.Random(seed)`` on first use, and a coordinate's
+    measurement word the first time a vector holding it is encoded, so a
+    sketch that only reports ``measurement_len``, or only sees zero vectors
+    and zero measurements, never draws them.
     """
 
     def __init__(self, n: int, kappa: int, seed: int, levels: int | None = None):
-        if n < 2:
-            raise ValueError("sketch needs a domain of at least 2")
+        if n < 1:
+            raise ValueError("sketch needs a domain of at least 1")
         if kappa < 1:
             raise ValueError("sparsity bound must be positive")
+        if levels is not None and levels < 1:
+            raise ValueError(f"levels must be at least 1, got {levels}")
         self.n = n
         self.kappa = kappa
         self.seed = seed
         self.levels = levels if levels is not None else max(1, math.ceil(math.log2(100.0 * kappa)))
         self.buckets = 2 * kappa
         self.code_bits = max(1, (n - 1).bit_length())
-        rng = random.Random(seed)
-        self.bucket_of = []
-        self.code_of = []
-        self._code_inv = []
+        self.measurement_len = self.levels * self.buckets * (1 + self.code_bits)
+        self._words: dict[int, int] = {}
+
+    @cached_property
+    def _tables(self) -> tuple[list[list[int]], list[list[int]], list[dict[int, int]]]:
+        """Per level: each coordinate's bucket, each coordinate's code, and each code's coordinate."""
+        rng = random.Random(self.seed)
+        randrange, n, buckets = rng.randrange, self.n, self.buckets
+        bucket_of, code_of, code_inv = [], [], []
         space = 1 << self.code_bits
         for _ in range(self.levels):
-            self.bucket_of.append([rng.randrange(self.buckets) for _ in range(n)])
+            bucket_of.append([randrange(buckets) for _ in range(n)])
             codes = rng.sample(range(1, space), n) if space > n else rng.sample(range(space), n)
-            self.code_of.append(codes)
-            self._code_inv.append({c: i for i, c in enumerate(codes)})
+            code_of.append(codes)
+            code_inv.append(dict(zip(codes, range(n))))
+        return bucket_of, code_of, code_inv
 
     @property
-    def measurement_len(self) -> int:
-        return self.levels * self.buckets * (1 + self.code_bits)
+    def bucket_of(self) -> list[list[int]]:
+        return self._tables[0]
+
+    @property
+    def code_of(self) -> list[list[int]]:
+        return self._tables[1]
 
     def _offset(self, level: int, bucket: int) -> int:
         return (level * self.buckets + bucket) * (1 + self.code_bits)
+
+    def _word(self, i: int) -> int:
+        """The measurement of coordinate i alone: its parity bit and code in one bucket per level."""
+        word = self._words.get(i)
+        if word is None:
+            bucket_of, code_of, _ = self._tables
+            word = 0
+            for level in range(self.levels):
+                word ^= (1 | (code_of[level][i] << 1)) << self._offset(level, bucket_of[level][i])
+            self._words[i] = word
+        return word
 
     def encode(self, x: BitVector) -> BitVector:
         if x.n != self.n:
             raise DimensionError(f"expected length {self.n}, got {x.n}")
         meas = 0
         for i in x.indices():
-            for level in range(self.levels):
-                off = self._offset(level, self.bucket_of[level][i])
-                meas ^= 1 << off
-                meas ^= self.code_of[level][i] << (off + 1)
+            meas ^= self._word(i)
         return BitVector(self.measurement_len, meas)
 
     def _parse(self, measurement: BitVector):
@@ -415,30 +442,35 @@ class SensingSketch:
     def _candidate(self, parity, chks, level: int, bucket: int):
         if parity[level][bucket] != 1:
             return None
-        i = self._code_inv[level].get(chks[level][bucket])
-        if i is None or self.bucket_of[level][i] != bucket:
+        bucket_of, _, code_inv = self._tables
+        i = code_inv[level].get(chks[level][bucket])
+        if i is None or bucket_of[level][i] != bucket:
             return None
         return i
 
     def _confirmed(self, parity, chks, level: int, i: int) -> bool:
+        bucket_of, code_of, _ = self._tables
         for other in range(self.levels):
             if other == level:
                 continue
-            bucket = self.bucket_of[other][i]
-            if parity[other][bucket] == 1 and chks[other][bucket] == self.code_of[other][i]:
+            bucket = bucket_of[other][i]
+            if parity[other][bucket] == 1 and chks[other][bucket] == code_of[other][i]:
                 return True
         return False
 
     def _peel(self, parity, chks, i: int):
+        bucket_of, code_of, _ = self._tables
         for level in range(self.levels):
-            bucket = self.bucket_of[level][i]
+            bucket = bucket_of[level][i]
             parity[level][bucket] ^= 1
-            chks[level][bucket] ^= self.code_of[level][i]
+            chks[level][bucket] ^= code_of[level][i]
 
     def decode(self, measurement: BitVector) -> BitVector | None:
         """Recover x from its sketch, or None when peeling cannot finish."""
         if measurement.n != self.measurement_len:
             raise DimensionError("measurement length mismatch")
+        if measurement.is_zero():
+            return BitVector(self.n)
         parity, chks = self._parse(measurement)
         recovered = 0
         budget = 8 * self.kappa + 8

@@ -90,6 +90,14 @@ def test_run_mmf2_writes_outputs(tmp_path):
     assert cell["success_rate"] >= 0.9
 
 
+def test_run_mmf2_on_one_by_one(tmp_path):
+    out = tmp_path / "one"
+    argv = ["run-mmf2", "--n", "1", "--ell", "1", "--trials", "3", "--seed", "1", "--out", str(out)]
+    assert main(argv) == 0
+    summary = json.loads((tmp_path / "one.summary.json").read_text())
+    assert summary["cells"]["n=1 m=1 ell=1"]["success_rate"] == 1.0
+
+
 def test_summary_recomputable_from_csv(tmp_path):
     import csv as csvmod
 

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from joinlab.f2core import (
     BitMatrix,
@@ -277,6 +279,66 @@ def test_sketch_decode_failure_is_reported():
     assert outcomes["fail"] > 0
 
 
+@pytest.mark.parametrize(
+    "n, kappa, levels, word",
+    [(0, 4, None, "domain"), (64, 0, None, "sparsity"), (64, 4, 0, "levels"), (64, 4, -1, "levels")],
+)
+def test_sketch_rejects_bad_sizes(n, kappa, levels, word):
+    with pytest.raises(ValueError, match=word):
+        SensingSketch(n, kappa, seed=1, levels=levels)
+
+
+def test_sketch_draws_no_tables_it_does_not_use():
+    sk = SensingSketch(256, 8, seed=5)
+    assert sk.measurement_len == sk.levels * sk.buckets * (1 + sk.code_bits)
+    assert sk.encode(BitVector(256)).is_zero()
+    assert sk.decode(BitVector(sk.measurement_len)) == BitVector(256)
+    assert "_tables" not in vars(sk)
+    sk.encode(BitVector.from_indices(256, [3]))
+    assert "_tables" in vars(sk)
+
+
+def _reference_encode(sk: SensingSketch, x: BitVector) -> int:
+    """The measurement built field by field: parity bit and code of each set coordinate, per level."""
+    meas = 0
+    for i in x.indices():
+        for level in range(sk.levels):
+            off = sk._offset(level, sk.bucket_of[level][i])
+            meas ^= 1 << off
+            meas ^= sk.code_of[level][i] << (off + 1)
+    return meas
+
+
+@st.composite
+def sketch_cases(draw):
+    n = draw(st.sampled_from((1, 2, 3, 17, 64, 257)))
+    kappa = draw(st.integers(1, 6))
+    levels = draw(st.one_of(st.none(), st.integers(1, 4)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    support = st.sets(st.integers(0, n - 1), max_size=min(n, 3 * kappa))
+    return n, kappa, levels, seed, draw(support), draw(support)
+
+
+@given(sketch_cases())
+@example((1, 1, None, 0, set(), {0}))
+@example((257, 6, None, 7, {256}, {0, 256}))
+def test_sketch_encode_matches_field_by_field_reference(case):
+    n, kappa, levels, seed, xs, ys = case
+    sk = SensingSketch(n, kappa, seed, levels)
+    x, y = BitVector.from_indices(n, xs), BitVector.from_indices(n, ys)
+    for v in (BitVector(n), x, y, BitVector.from_indices(n, [0]), BitVector.from_indices(n, [n - 1])):
+        meas = sk.encode(v)
+        assert meas.n == sk.measurement_len
+        assert meas.bits == _reference_encode(sk, v)
+    assert sk.encode(x ^ y) == sk.encode(x) ^ sk.encode(y)
+    assert SensingSketch(n, kappa, seed, levels).encode(y) == sk.encode(y)
+    assert sk.decode(BitVector(sk.measurement_len)) == BitVector(n)
+    # within the sparsity bound or past it, decode never names a wrong vector;
+    # with one level no second level confirms a peel, so a wrong one can come back
+    for v in (x, y, x ^ y):
+        assert sk.levels == 1 or sk.decode(sk.encode(v)) in (None, v)
+
+
 # ---------------------------------------------------------------------------
 # mm_f2
 # ---------------------------------------------------------------------------
@@ -297,6 +359,12 @@ def test_mm_f2_identity_a():
     inst = JoinInstance.build(BitMatrix.identity(16), b, ell=b.weight() + 1, kind="f2")
     out = mm_f2(inst, CommLedger(), random.Random(4))
     assert out == b
+
+
+def test_mm_f2_one_by_one_matches_oracle():
+    for seed in range(50):
+        inst = gen_promise_instance(1, 1, 1, seed, kind="f2")
+        assert mm_f2(inst, CommLedger(), random.Random(seed)) == inst.oracle_product
 
 
 def test_mm_f2_requires_f2_kind():

@@ -14,7 +14,7 @@ import random
 
 from joinlab.cli import main
 from joinlab.f2core import BitMatrix, BitVector, JoinInstance, bool_product, gen_promise_instance
-from joinlab.joins import bmm_cost_model, bmm_with_trace, gen_hard_instance
+from joinlab.joins import SensingSketch, bmm_cost_model, bmm_with_trace, gen_hard_instance, mm_f2
 from joinlab.ledger import CommLedger
 from joinlab.qsim import (
     BipartiteGraph,
@@ -25,7 +25,7 @@ from joinlab.qsim import (
     grover_search,
     instance_search,
 )
-from joinlab.reductions import embed_disj_family
+from joinlab.reductions import embed_disj_family, embed_ip_f2
 
 EXACT = CostModel.exact_mode()
 COST_MODELS = (
@@ -39,6 +39,7 @@ EXPECTED = {
     "bmm_exact": "4e14031030651ea8d771f24eb579309ec317485a951554cc1b17db70284c335e",
     "bmm_cost_model": "f5044f29493b6a25ce07d04c731a0e915001ead30ef4112328e14a227ffa02e6",
     "qsim": "5e23f7e4a2b5247f64676d531d9aed6cf2572c26d3c302f7b07d0400d248ed77",
+    "mm_f2": "aaefb07b481c2d2c5b9e206fe2c58bdbe3e1e06ac9333b2b9b0f88b31dba1553",
     "cli": "864c2e415e5a57eb1f614675c4dbccc4f5fc42eaaf31ee1aa22fbb1e7a4b8d65",
 }
 
@@ -162,6 +163,52 @@ def qsim_digest() -> str:
     return digest.hexdigest()
 
 
+def _mm_f2_cases():
+    """(seed, instance, keyword arguments) for mm_f2, ending in every outcome it has."""
+    for n in (16, 48, 128):
+        for ell in (4, n // 2, 2 * n):  # 2n puts columns on the dense side
+            for trial in range(2):
+                seed = 9000 + 131 * n + 17 * ell + trial
+                yield seed, gen_promise_instance(n, n, ell, seed, "f2"), {}
+    for n, ell in ((64, 16), (64, 64)):
+        seed = 9500 + n + ell
+        yield seed, gen_promise_instance(n, n, ell, seed, "f2"), {"r1": 2, "r_freivalds": 1, "r3": 1}
+    rng = random.Random(45)
+    for n, k in ((16, 3), (64, 8), (128, 8)):
+        left = [BitVector.random(n, 0.5, rng) for _ in range(k)]
+        right = [BitVector.random(n, 0.5, rng) for _ in range(k)]
+        yield 600 + n + k, embed_ip_f2(left, right, n).instance, {}
+    # a promise far below the product's weight: dense columns overflow it
+    a, b = BitMatrix.random(24, 24, 0.3, rng), BitMatrix.random(24, 24, 0.3, rng)
+    yield 7, JoinInstance.build(a, b, ell=9, kind="f2"), {}
+    # two weight-40 columns left on the sparse side overload every sketch
+    cols = rng.sample(range(64), 2)
+    b = BitMatrix.zeros(64, 64).with_ones([(i, j) for j in cols for i in rng.sample(range(64), 40)])
+    inst = JoinInstance.build(BitMatrix.identity(64), b, ell=16, kind="f2")
+    for r3 in (1, 2):
+        yield 8, inst, {"r1": 1, "r_freivalds": 1, "r3": r3}
+
+
+def mm_f2_digest() -> str:
+    digest = _Digest()
+    for seed, inst, kwargs in _mm_f2_cases():
+        rng, led = random.Random(seed), CommLedger()
+        _run(digest, lambda: mm_f2(inst, led, rng, **kwargs).data, rng, led)
+    # the measurement bytes and the decode of fixed-seed sketches
+    rng = random.Random(46)
+    sketches = ((2, 1, 5, None), (64, 4, 1, None), (100, 3, 7, 2), (1024, 16, 99, None))
+    for n, kappa, seed, levels in sketches:
+        sketch = SensingSketch(n, kappa, seed, levels)
+        xs = [BitVector(n), BitVector.from_indices(n, [0]), BitVector.from_indices(n, [n - 1])]
+        xs += [BitVector.random_weight(n, min(n, w), rng) for w in (kappa, 3 * kappa)]
+        for x in xs:
+            meas = sketch.encode(x)
+            decoded = sketch.decode(meas)
+            decoded_bits = None if decoded is None else decoded.bits
+            digest.add(meas.n, meas.bits.to_bytes((meas.n + 7) // 8, "little"), decoded_bits)
+    return digest.hexdigest()
+
+
 CLI_RUNS = (
     ("run-bmm", "--n", "16,32", "--ell", "8,32", "--trials", "10", "--seed", "3", "--mode", "exact"),
     ("run-bmm", "--n", "16,32", "--ell", "8,32", "--trials", "10", "--seed", "3", "--mode", "cost-model"),
@@ -197,6 +244,10 @@ def test_qsim_primitives_pinned():
     assert qsim_digest() == EXPECTED["qsim"]
 
 
+def test_mm_f2_pinned():
+    assert mm_f2_digest() == EXPECTED["mm_f2"]
+
+
 def test_cli_outputs_pinned(tmp_path, capsys):
     assert cli_digest(tmp_path) == EXPECTED["cli"]
 
@@ -210,6 +261,7 @@ if __name__ == "__main__":
                 "bmm_exact": bmm_exact_digest(),
                 "bmm_cost_model": bmm_cost_model_digest(),
                 "qsim": qsim_digest(),
+                "mm_f2": mm_f2_digest(),
                 "cli": cli_digest(tmp),
             }
         )
