@@ -353,12 +353,13 @@ class SensingSketch:
     """Linear parity sketch with bucketed index checksums and a peeling decoder.
 
     Each of ``d`` levels hashes coordinates into ``2 * kappa`` buckets; a
-    bucket stores one parity bit plus ceil(log2 n) checksum bits holding the
-    XOR of a seeded per-level coordinate code.  The sketch is linear over
-    F2 by construction.  Decoding peels buckets whose checksum names a
-    single coordinate consistent with the bucket, preferring candidates
-    confirmed by a second level, and only accepts a result whose residual
-    cancels exactly.
+    bucket is one packed field, ``parity | code << 1``, holding the parity
+    and the XOR of the seeded per-level codes of the coordinates in it, so a
+    coordinate's measurement is one word with its own field at one bucket
+    per level, and the sketch is linear over F2.  Decoding peels that same
+    word off the residual measurement for a coordinate named by a pure
+    bucket, preferring one confirmed by a second level, and only accepts a
+    result whose residual cancels exactly.
 
     Construction only fixes the sizes.  The seeded bucket and code tables
     are drawn from ``random.Random(seed)`` on first use, and a coordinate's
@@ -427,65 +428,39 @@ class SensingSketch:
             meas ^= self._word(i)
         return BitVector(self.measurement_len, meas)
 
-    def _parse(self, measurement: BitVector):
-        parity = [[0] * self.buckets for _ in range(self.levels)]
-        chks = [[0] * self.buckets for _ in range(self.levels)]
-        bits = measurement.bits
-        mask = (1 << self.code_bits) - 1
-        for level in range(self.levels):
-            for bucket in range(self.buckets):
-                off = self._offset(level, bucket)
-                parity[level][bucket] = (bits >> off) & 1
-                chks[level][bucket] = (bits >> (off + 1)) & mask
-        return parity, chks
-
-    def _candidate(self, parity, chks, level: int, bucket: int):
-        if parity[level][bucket] != 1:
-            return None
-        bucket_of, _, code_inv = self._tables
-        i = code_inv[level].get(chks[level][bucket])
-        if i is None or bucket_of[level][i] != bucket:
-            return None
-        return i
-
-    def _confirmed(self, parity, chks, level: int, i: int) -> bool:
-        bucket_of, code_of, _ = self._tables
-        for other in range(self.levels):
-            if other == level:
-                continue
-            bucket = bucket_of[other][i]
-            if parity[other][bucket] == 1 and chks[other][bucket] == code_of[other][i]:
-                return True
-        return False
-
-    def _peel(self, parity, chks, i: int):
-        bucket_of, code_of, _ = self._tables
-        for level in range(self.levels):
-            bucket = bucket_of[level][i]
-            parity[level][bucket] ^= 1
-            chks[level][bucket] ^= code_of[level][i]
-
     def decode(self, measurement: BitVector) -> BitVector | None:
-        """Recover x from its sketch, or None when peeling cannot finish."""
+        """Recover x from its sketch, or None when peeling cannot finish.
+
+        Each step scans the buckets of the residual level by level for a pure
+        one: parity 1 and a code naming a coordinate hashed to that bucket.
+        The first such coordinate whose bucket at another level holds exactly
+        its own field is peeled, else the first one found; the peel XORs the
+        coordinate's word out of the residual.  At most 8 kappa + 8 peels.
+        """
         if measurement.n != self.measurement_len:
             raise DimensionError("measurement length mismatch")
-        if measurement.is_zero():
+        residual = measurement.bits
+        if not residual:
             return BitVector(self.n)
-        parity, chks = self._parse(measurement)
+        bucket_of, code_of, code_inv = self._tables
+        levels, offset = range(self.levels), self._offset
+        mask = (1 << (1 + self.code_bits)) - 1
         recovered = 0
-        budget = 8 * self.kappa + 8
-        while budget > 0:
-            if all(p == 0 and c == 0 for lp, lc in zip(parity, chks) for p, c in zip(lp, lc)):
+        for _ in range(8 * self.kappa + 8):
+            if not residual:
                 return BitVector(self.n, recovered)
-            budget -= 1
-            fallback = None
-            chosen = None
-            for level in range(self.levels):
+            chosen = fallback = None
+            for level in levels:
                 for bucket in range(self.buckets):
-                    i = self._candidate(parity, chks, level, bucket)
-                    if i is None:
+                    field = (residual >> offset(level, bucket)) & mask
+                    i = code_inv[level].get(field >> 1) if field & 1 else None
+                    if i is None or bucket_of[level][i] != bucket:
                         continue
-                    if self._confirmed(parity, chks, level, i):
+                    if any(
+                        (residual >> offset(other, bucket_of[other][i])) & mask == 1 | code_of[other][i] << 1
+                        for other in levels
+                        if other != level
+                    ):
                         chosen = i
                         break
                     if fallback is None:
@@ -496,7 +471,7 @@ class SensingSketch:
                 chosen = fallback
             if chosen is None:
                 return None
-            self._peel(parity, chks, chosen)
+            residual ^= self._word(chosen)
             recovered ^= 1 << chosen
         return None
 
@@ -615,11 +590,7 @@ def mm_f2(
             f"{len(unresolved)} columns undecoded after {r3} sketch rounds"
         )
 
-    data = [0] * n
-    for j, colbits in out_cols.items():
-        for i in _iter_bits(colbits):
-            data[i] |= 1 << j
-    result = BitMatrix(n, n, data)
+    result = BitMatrix(n, n, [out_cols.get(j, 0) for j in range(n)]).transpose()
     if result.weight() > instance.ell:
         raise PromiseViolationError(
             f"recovered {result.weight()} ones, promise allows {instance.ell}"

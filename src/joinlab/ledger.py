@@ -76,7 +76,6 @@ class CommLedger:
     def __init__(self):
         self.entries: list[MessageRecord] = []
         self._total = {BITS: 0, QUBITS: 0}
-        self._by_phase: dict[str, dict[str, int]] = {}
 
     @staticmethod
     def _validate(direction: str, kind: str, amount: int):
@@ -91,8 +90,6 @@ class CommLedger:
         self._validate(direction, kind, amount)
         self.entries.append(MessageRecord(direction, kind, amount, phase))
         self._total[kind] += amount
-        bucket = self._by_phase.setdefault(phase, {BITS: 0, QUBITS: 0})
-        bucket[kind] += amount
 
     @property
     def bits(self) -> int:
@@ -106,21 +103,15 @@ class CommLedger:
         return self.bits + self.qubits
 
     def phase_total(self, phase: str, kind: str | None = None) -> int:
-        bucket = self._by_phase.get(phase, {BITS: 0, QUBITS: 0})
-        if kind is None:
-            return bucket[BITS] + bucket[QUBITS]
-        return bucket[kind]
-
-    def phases(self) -> list[str]:
-        return sorted(self._by_phase)
+        return sum(e.amount for e in self.entries if e.phase == phase and (kind is None or e.kind == kind))
 
     def report(self) -> dict:
         """Per-phase and grand totals with a stable field order."""
+        phases: dict[str, dict[str, int]] = {}
+        for e in self.entries:
+            phases.setdefault(e.phase, {BITS: 0, QUBITS: 0})[e.kind] += e.amount
         return {
-            "phases": {
-                phase: {BITS: self._by_phase[phase][BITS], QUBITS: self._by_phase[phase][QUBITS]}
-                for phase in sorted(self._by_phase)
-            },
+            "phases": {phase: phases[phase] for phase in sorted(phases)},
             "total_bits": self.bits,
             "total_qubits": self.qubits,
         }

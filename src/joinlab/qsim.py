@@ -191,11 +191,6 @@ class GroverPlan:
             for _ in range(self.reps_per_stage):
                 yield rng.randrange(cap) if self.randomize else cap
 
-    def max_total_iterations(self) -> int:
-        caps = self.stage_caps
-        per_stage = [(c - 1 if self.randomize else c) for c in caps]
-        return self.reps_per_stage * sum(max(0, c) for c in per_stage)
-
 
 def _sample_index(probs: np.ndarray, rng: random.Random) -> int:
     cum = np.cumsum(probs)

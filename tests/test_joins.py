@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from joinlab.f2core import (
@@ -322,6 +322,7 @@ def sketch_cases(draw):
 @given(sketch_cases())
 @example((1, 1, None, 0, set(), {0}))
 @example((257, 6, None, 7, {256}, {0, 256}))
+@example((64, 1, 2, 3058970982, {7, 9, 39}, {59, 61}))
 def test_sketch_encode_matches_field_by_field_reference(case):
     n, kappa, levels, seed, xs, ys = case
     sk = SensingSketch(n, kappa, seed, levels)
@@ -333,10 +334,120 @@ def test_sketch_encode_matches_field_by_field_reference(case):
     assert sk.encode(x ^ y) == sk.encode(x) ^ sk.encode(y)
     assert SensingSketch(n, kappa, seed, levels).encode(y) == sk.encode(y)
     assert sk.decode(BitVector(sk.measurement_len)) == BitVector(n)
-    # within the sparsity bound or past it, decode never names a wrong vector;
-    # with one level no second level confirms a peel, so a wrong one can come back
+    # decode only returns a vector whose measurement cancels the input's; past
+    # the sparsity bound that can be x plus a kernel vector of the sketch (the
+    # third example decodes {7, 9, 39} to {36}), and with one level no second
+    # level confirms a peel, so only levels >= 2 within the bound give None or x
     for v in (x, y, x ^ y):
-        assert sk.levels == 1 or sk.decode(sk.encode(v)) in (None, v)
+        d = sk.decode(sk.encode(v))
+        assert d is None or sk.encode(d) == sk.encode(v)
+        if sk.levels >= 2 and v.weight() <= kappa:
+            assert d in (None, v)
+
+
+def _reference_decode(sk: SensingSketch, measurement: BitVector) -> BitVector | None:
+    """The peeling decoder on parallel lists of parity bits and checksums, one pair per bucket."""
+    bucket_of, code_of = sk.bucket_of, sk.code_of
+    code_inv = [{c: i for i, c in enumerate(codes)} for codes in code_of]
+
+    def parse():
+        parity = [[0] * sk.buckets for _ in range(sk.levels)]
+        chks = [[0] * sk.buckets for _ in range(sk.levels)]
+        bits = measurement.bits
+        mask = (1 << sk.code_bits) - 1
+        for level in range(sk.levels):
+            for bucket in range(sk.buckets):
+                off = sk._offset(level, bucket)
+                parity[level][bucket] = (bits >> off) & 1
+                chks[level][bucket] = (bits >> (off + 1)) & mask
+        return parity, chks
+
+    def candidate(level, bucket):
+        if parity[level][bucket] != 1:
+            return None
+        i = code_inv[level].get(chks[level][bucket])
+        if i is None or bucket_of[level][i] != bucket:
+            return None
+        return i
+
+    def confirmed(level, i):
+        for other in range(sk.levels):
+            if other == level:
+                continue
+            bucket = bucket_of[other][i]
+            if parity[other][bucket] == 1 and chks[other][bucket] == code_of[other][i]:
+                return True
+        return False
+
+    def peel(i):
+        for level in range(sk.levels):
+            bucket = bucket_of[level][i]
+            parity[level][bucket] ^= 1
+            chks[level][bucket] ^= code_of[level][i]
+
+    if measurement.is_zero():
+        return BitVector(sk.n)
+    parity, chks = parse()
+    recovered = 0
+    budget = 8 * sk.kappa + 8
+    while budget > 0:
+        if all(p == 0 and c == 0 for lp, lc in zip(parity, chks) for p, c in zip(lp, lc)):
+            return BitVector(sk.n, recovered)
+        budget -= 1
+        fallback = None
+        chosen = None
+        for level in range(sk.levels):
+            for bucket in range(sk.buckets):
+                i = candidate(level, bucket)
+                if i is None:
+                    continue
+                if confirmed(level, i):
+                    chosen = i
+                    break
+                if fallback is None:
+                    fallback = i
+            if chosen is not None:
+                break
+        if chosen is None:
+            chosen = fallback
+        if chosen is None:
+            return None
+        peel(chosen)
+        recovered ^= 1 << chosen
+    return None
+
+
+@st.composite
+def decode_cases(draw):
+    """Sketch sizes and a measurement: the encoding of up to 6 kappa ones XOR nothing, a few bits or a random word."""
+    n = draw(st.sampled_from((1, 2, 3, 17, 64, 257)))
+    kappa = draw(st.integers(1, 6))
+    levels = draw(st.one_of(st.none(), st.integers(1, 4)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    length = SensingSketch(n, kappa, seed, levels).measurement_len
+    support = draw(st.sets(st.integers(0, n - 1), max_size=min(n, 6 * kappa)))
+    noise = draw(
+        st.one_of(
+            st.just(0),
+            st.builds(lambda ps: sum(1 << p for p in ps), st.sets(st.integers(0, length - 1), max_size=8)),
+            st.integers(0, (1 << length) - 1),
+        )
+    )
+    return n, kappa, levels, seed, support, noise
+
+
+@settings(max_examples=400)
+@given(decode_cases())
+@example((1, 1, None, 0, {0}, 0))
+@example((1, 1, 1, 5, set(), 0b11))
+@example((64, 1, 2, 3058970982, {7, 9, 39}, 0))
+def test_sketch_decode_matches_reference_decoder(case):
+    n, kappa, levels, seed, support, noise = case
+    sk = SensingSketch(n, kappa, seed, levels)
+    meas = sk.encode(BitVector.from_indices(n, support)) ^ BitVector(sk.measurement_len, noise)
+    got = sk.decode(meas)
+    # a fresh sketch decodes the same way as one whose tables and words are drawn
+    assert got == _reference_decode(sk, meas) == SensingSketch(n, kappa, seed, levels).decode(meas)
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,25 @@ def test_report_two_phases():
     assert rep["phases"]["beta"] == {BITS: 0, QUBITS: 3}
 
 
+def test_phase_totals_over_interleaved_charges():
+    led = CommLedger()
+    led.charge(A_TO_B, QUBITS, 4, "search")
+    led.charge(B_TO_A, BITS, 1, "announce")
+    led.charge(B_TO_A, QUBITS, 4, "search")
+    led.charge(A_TO_B, BITS, 7, "search")
+    led.charge(A_TO_B, BITS, 2, "announce")
+    assert led.phase_total("search") == 15 and led.phase_total("search", QUBITS) == 8
+    assert led.phase_total("announce", BITS) == 3 and led.phase_total("announce", QUBITS) == 0
+    assert led.phase_total("absent") == led.phase_total("absent", BITS) == 0
+    rep = led.report()
+    assert list(rep["phases"]) == ["announce", "search"]
+    assert rep == {
+        "phases": {"announce": {BITS: 3, QUBITS: 0}, "search": {BITS: 7, QUBITS: 8}},
+        "total_bits": 10,
+        "total_qubits": 8,
+    }
+
+
 def test_csv_rows_schema():
     led = CommLedger()
     led.charge(A_TO_B, QUBITS, 4, "grover-shuttle")
@@ -112,5 +131,7 @@ def test_inert_ledger_does_not_change_outputs():
     inert = InertLedger()
     inert.charge(A_TO_B, BITS, 5, "x")
     assert inert.bits == 0 and len(inert.entries) == 0
+    assert inert.phase_total("x") == inert.phase_total("x", BITS) == 0
+    assert inert.report() == {"phases": {}, "total_bits": 0, "total_qubits": 0}
     with pytest.raises(ValueError):
         inert.charge(A_TO_B, BITS, 0, "x")
