@@ -14,7 +14,6 @@ from joinlab.f2core import (
     bool_product,
     f2_product,
     gen_promise_instance,
-    validate_promise,
 )
 from joinlab.ledger import CommLedger, InertLedger, MessageRecord
 from joinlab.qsim import (
@@ -22,7 +21,6 @@ from joinlab.qsim import (
     CostModel,
     GroverPlan,
     disj,
-    disj_all,
     graph_collision,
     graph_collision_all,
     grover_search,
@@ -64,7 +62,6 @@ __all__ = [
     "bmm_cost_model",
     "bool_product",
     "disj",
-    "disj_all",
     "embed_disj_family",
     "embed_inner_product",
     "embed_ip_f2",
@@ -78,7 +75,6 @@ __all__ = [
     "grover_search",
     "instance_search",
     "mm_f2",
-    "validate_promise",
 ]
 
 __version__ = "0.1.0"

@@ -376,26 +376,37 @@ _GRID = _flag_type(parse_grid)
 _POSITIVE = _flag_type(_at_least_one)
 
 
+def _float_in(lo: float, hi: float = math.inf):
+    def parse(text: str) -> float:
+        value = float(text)
+        if math.isfinite(value) and lo <= value <= hi:
+            return value
+        raise ValueError(f"must be finite and in [{lo:g}, {hi:g}], got {text}")
+
+    return _flag_type(parse)
+
+
 def _add_common(parser):
     parser.add_argument("--trials", type=_POSITIVE, default=100)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", type=str, default=None, help="path prefix for CSV/JSON outputs")
 
 
-def _add_costs(parser):
-    parser.add_argument("--c-shuttle", type=float, default=1.0)
-    parser.add_argument("--c-round", type=float, default=1.0)
-    parser.add_argument("--epsilon", type=float, default=0.0)
+def _add_costs(parser, *flags):
+    """Register the cost constants the command reads; the others keep their defaults."""
+    parser.set_defaults(c_shuttle=1.0, c_round=1.0, epsilon=0.0)
+    for flag in flags:
+        parser.add_argument(flag, type=_float_in(0.0 if flag == "--epsilon" else 1.0))
 
 
-def _add_model(parser):
+def _add_model(parser, *cost_flags):
     parser.add_argument("--mode", choices=["exact", "cost-model"], default="exact")
-    _add_costs(parser)
+    _add_costs(parser, *cost_flags)
 
 
 def _add_trial_checks(parser):
     parser.add_argument("--timing", action="store_true", help="record real wall times (breaks byte-identical output)")
-    parser.add_argument("--min-success", type=float, default=None)
+    parser.add_argument("--min-success", type=_float_in(0.0, 1.0), default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -406,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_GRID, required=True)
     p.add_argument("--ell", type=_GRID, required=True)
     _add_common(p)
-    _add_model(p)
+    _add_model(p, "--c-shuttle", "--c-round")  # bmm does not model injected error
     _add_trial_checks(p)
 
     p = sub.add_parser("run-mmf2", help="F2 product protocol over a grid")
@@ -418,13 +429,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run-disj", help="set disjointness with planted witness")
     p.add_argument("--n", type=_GRID, required=True)
     _add_common(p)
-    _add_model(p)
+    _add_model(p, "--c-round", "--epsilon")  # no outer search, so no c_shuttle
     _add_trial_checks(p)
 
     p = sub.add_parser("run-gc", help="graph collision on random graphs")
     p.add_argument("--n", type=_GRID, required=True)
     _add_common(p)
-    _add_model(p)
+    _add_model(p, "--c-round", "--epsilon")
     _add_trial_checks(p)
 
     p = sub.add_parser(
@@ -433,12 +444,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--protocol", choices=["bmm-cost", "disj-cost"], required=True)
     p.add_argument("--n", type=_GRID, required=True)
-    p.add_argument("--ell", type=_GRID, default=[256])
+    p.add_argument("--ell", type=_GRID, default=None, help="bmm-cost only (default 256)")
     p.add_argument("--divide-log", action="store_true", help="divide costs by log2(n) before fitting")
-    p.add_argument("--expect-slope", type=float, default=None)
-    p.add_argument("--slope-tol", type=float, default=0.1)
+    p.add_argument("--expect-slope", type=_float_in(-math.inf), default=None)
+    p.add_argument("--slope-tol", type=_float_in(0.0), default=None, help="needs --expect-slope (default 0.1)")
     _add_common(p)
-    _add_costs(p)
+    _add_costs(p, "--c-shuttle", "--c-round")  # injected error does not change a charged cost
 
     p = sub.add_parser("validate-reductions", help="random checks of the embedding identities")
     p.add_argument("--n", type=_POSITIVE, default=32)
@@ -485,9 +496,13 @@ def _cmd_run_gc(args) -> int:
 
 
 def _cmd_scaling(args) -> int:
+    if args.protocol == "disj-cost" and (args.c_shuttle != 1.0 or args.ell is not None):
+        raise ValueError("--protocol disj-cost reads neither --c-shuttle nor --ell")
+    if args.slope_tol is not None and args.expect_slope is None:
+        raise ValueError("--slope-tol needs --expect-slope")
     model = _costs_of(args)
     points, rows = scaling_points(
-        args.protocol, args.n, args.ell, args.trials, args.seed, model, args.divide_log
+        args.protocol, args.n, args.ell or [256], args.trials, args.seed, model, args.divide_log
     )
     fit = fit_exponent(points, seed=args.seed)
     extra = {
@@ -502,7 +517,8 @@ def _cmd_scaling(args) -> int:
     summary = _emit(args, rows, extra)
     print(json.dumps(summary["fit"], sort_keys=True))
     if args.expect_slope is not None:
-        return 0 if abs(fit.slope - args.expect_slope) <= args.slope_tol else 1
+        tol = 0.1 if args.slope_tol is None else args.slope_tol
+        return 0 if abs(fit.slope - args.expect_slope) <= tol else 1
     return 0
 
 

@@ -23,7 +23,6 @@ __all__ = [
     "bool_product",
     "f2_product",
     "gen_promise_instance",
-    "validate_promise",
 ]
 
 
@@ -91,10 +90,6 @@ class BitVector:
         return cls(len(values), acc)
 
     @classmethod
-    def from_string(cls, text: str) -> "BitVector":
-        return cls.from_bits(int(c) for c in text.strip())
-
-    @classmethod
     def from_indices(cls, n: int, indices) -> "BitVector":
         # set bits in a byte buffer: `acc |= 1 << i` would copy a growing int per index
         buf = bytearray((n + 7) // 8)
@@ -124,13 +119,6 @@ class BitVector:
 
     def is_zero(self) -> bool:
         return self.bits == 0
-
-    def with_bit(self, i: int, value: int) -> "BitVector":
-        if not 0 <= i < self.n:
-            raise ValueError(f"index {i} outside [0, {self.n})")
-        if value:
-            return BitVector(self.n, self.bits | (1 << i))
-        return BitVector(self.n, self.bits & ~(1 << i))
 
     def to01(self) -> str:
         return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.n))
@@ -286,26 +274,6 @@ class BitMatrix:
             data[i] |= 1 << j
         return BitMatrix(self.rows, self.cols, data)
 
-    def to_text(self) -> str:
-        head = f"{self.rows} {self.cols}"
-        body = "\n".join(self.row(i).to01() for i in range(self.rows))
-        return head + ("\n" + body if body else "") + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "BitMatrix":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ValueError("empty matrix text")
-        rows, cols = (int(tok) for tok in lines[0].split())
-        if len(lines) - 1 != rows:
-            raise ValueError("row count does not match header")
-        vecs = []
-        for ln in lines[1:]:
-            if len(ln.strip()) != cols:
-                raise ValueError("row width does not match header")
-            vecs.append(BitVector.from_string(ln).bits)
-        return cls(rows, cols, vecs)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BitMatrix)
@@ -375,16 +343,6 @@ class JoinInstance:
     def build(cls, A: BitMatrix, B: BitMatrix, ell: int, seed: int = 0, kind: str = "bool") -> "JoinInstance":
         product = bool_product(A, B) if kind == "bool" else f2_product(A, B)
         return cls(A, B, ell, seed, kind, product)
-
-
-def validate_promise(instance: JoinInstance) -> bool:
-    """Recompute the product with the matching oracle and check the promise bound."""
-    product = (
-        bool_product(instance.A, instance.B)
-        if instance.kind == "bool"
-        else f2_product(instance.A, instance.B)
-    )
-    return product == instance.oracle_product and product.weight() <= instance.ell
 
 
 _MAX_PLANT_ATTEMPTS = 100

@@ -60,7 +60,7 @@ __all__ = [
     "BMM_EXACT_CAP",
 ]
 
-# exact bmm keeps the instance-search register simulable
+# run time, not EXACT_DOMAIN_CAP, bounds exact bmm: a trial at n = ell = 2**10 takes about 1 s
 BMM_EXACT_CAP = 1 << 10
 
 

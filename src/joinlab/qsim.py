@@ -42,7 +42,6 @@ __all__ = [
     "grover_success_curve",
     "grover_success_curves_batch",
     "disj",
-    "disj_all",
     "graph_collision",
     "graph_collision_all",
     "instance_search",
@@ -81,8 +80,8 @@ class CostModel:
     def __post_init__(self):
         if self.mode not in (EXACT, COST_MODEL):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.c_shuttle < 1.0 or self.c_round < 1.0:
-            raise ValueError("cost constants must be >= 1")
+        if not all(math.isfinite(c) and c >= 1.0 for c in (self.c_shuttle, self.c_round)):
+            raise ValueError("cost constants must be finite and >= 1")
         if not 0.0 <= self.epsilon < 0.1:
             raise ValueError("epsilon must lie in [0, 1/10)")
 
@@ -341,42 +340,6 @@ def disj(
     )
 
 
-def _consecutive_none_budget(bound: int) -> int:
-    """Repetitions of a 2/3-correct call so a false 'empty' survives a union bound."""
-    return max(1, math.ceil(math.log(3.0 * (bound + 1)) / math.log(3.0)))
-
-
-def disj_all(
-    a: BitVector,
-    b: BitVector,
-    ledger: CommLedger,
-    model: CostModel,
-    rng: random.Random,
-) -> frozenset[int]:
-    """Find the whole intersection by stripping found elements and repeating.
-
-    Each round re-runs the witness search until either a new element shows
-    up or enough consecutive misses accumulate to rule one out at the union
-    bound over all rounds.
-    """
-    if a.n != b.n:
-        raise DimensionError(f"length mismatch: {a.n} vs {b.n}")
-    reps = _consecutive_none_budget(min(a.weight(), b.weight()))
-    found: set[int] = set()
-    cur_a, cur_b = a, b
-    while True:
-        hit = None
-        for _ in range(reps):
-            hit = disj(cur_a, cur_b, ledger, model, rng)
-            if hit is not None:
-                break
-        if hit is None:
-            return frozenset(found)
-        found.add(hit)
-        cur_a = cur_a.with_bit(hit, 0)
-        cur_b = cur_b.with_bit(hit, 0)
-
-
 class BipartiteGraph:
     """Bipartite edge set on [n_left] x [n_right], packed one row per left vertex."""
 
@@ -392,14 +355,6 @@ class BipartiteGraph:
     @property
     def n_right(self) -> int:
         return self.adj.cols
-
-    @classmethod
-    def complete(cls, n_left: int, n_right: int) -> "BipartiteGraph":
-        return cls(BitMatrix.ones(n_left, n_right))
-
-    @classmethod
-    def from_edges(cls, n_left: int, n_right: int, edges) -> "BipartiteGraph":
-        return cls(BitMatrix.zeros(n_left, n_right).with_ones(edges))
 
     @classmethod
     def complement_of(cls, mat: BitMatrix) -> "BipartiteGraph":
@@ -491,8 +446,9 @@ def graph_collision_all(
     """Collect every colliding edge by excluding found edges and repeating."""
     if f_a.n != graph.n_left or f_b.n != graph.n_right:
         raise DimensionError("vector lengths do not match the graph sides")
+    # repetitions of a 2/3-correct call so a false "empty" survives a union bound over all edges
     bound = f_a.weight() * f_b.weight()
-    reps = _consecutive_none_budget(bound)
+    reps = max(1, math.ceil(math.log(3.0 * (bound + 1)) / math.log(3.0)))
     found: set[tuple[int, int]] = set()
     current = graph
     while True:

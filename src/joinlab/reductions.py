@@ -24,8 +24,6 @@ __all__ = [
     "embed_inner_product",
     "embed_or_blocks",
     "embed_ip_f2",
-    "embedding_to_text",
-    "embedding_from_text",
 ]
 
 
@@ -234,27 +232,3 @@ _VALIDATORS = {
     "ip-f2": _validate_ip_f2,
 }
 
-
-def embedding_to_text(emb: Embedding) -> str:
-    """Serialize as a construction header plus the two matrices in text form."""
-    inst = emb.instance
-    header = f"construction={emb.name} ell={inst.ell} kind={inst.kind}"
-    return "\n".join([header, inst.A.to_text().rstrip(), inst.B.to_text().rstrip()]) + "\n"
-
-
-def embedding_from_text(text: str) -> tuple[str, JoinInstance]:
-    """Parse the header and matrices back; payload-level data is not embedded."""
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("construction="):
-        raise ValueError("missing construction header")
-    fields = dict(item.split("=", 1) for item in lines[0].split())
-    body = "\n".join(lines[1:])
-    rows_a = int(body.split()[0])
-    split_at = rows_a + 1
-    body_lines = [ln for ln in body.splitlines() if ln.strip()]
-    mat_a = BitMatrix.from_text("\n".join(body_lines[:split_at]))
-    mat_b = BitMatrix.from_text("\n".join(body_lines[split_at:]))
-    instance = JoinInstance.build(
-        mat_a, mat_b, ell=int(fields["ell"]), kind=fields["kind"]
-    )
-    return fields["construction"], instance

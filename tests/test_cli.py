@@ -250,11 +250,40 @@ def test_usage_error_exit_code():
         # the bmm replay never reads epsilon
         ["run-bmm", "--n", "16", "--ell", "8", "--mode", "cost-model", "--epsilon", "0.05"],
         ["scaling", "--protocol", "bmm-cost", "--n", "64", "--ell", "16", "--epsilon", "0.05"],
+        # disj and graph collision run no outer search, so c_shuttle never enters a charge
+        ["run-disj", "--n", "64", "--mode", "cost-model", "--c-shuttle", "5"],
+        ["run-gc", "--n", "16", "--mode", "cost-model", "--c-shuttle", "5"],
+        ["scaling", "--protocol", "disj-cost", "--n", "64..512", "--c-shuttle", "5"],
+        # the disj sweep has no ell, and a tolerance means nothing without a slope
+        ["scaling", "--protocol", "disj-cost", "--n", "64..512", "--ell", "16"],
+        ["scaling", "--protocol", "disj-cost", "--n", "64..512", "--slope-tol", "0.2"],
+        # injected error is drawn after the charges a sweep fits
+        ["scaling", "--protocol", "disj-cost", "--n", "64..512", "--epsilon", "0.05"],
     ],
 )
 def test_unused_flag_rejected(argv, capsys):
     assert main(argv + ["--trials", "2"]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["run-disj", "--n", "64", "--mode", "cost-model", "--c-round", "inf"], "--c-round"),
+        (["run-disj", "--n", "64", "--mode", "cost-model", "--c-round", "nan"], "--c-round"),
+        (["run-bmm", "--n", "16", "--ell", "8", "--mode", "cost-model", "--c-shuttle", "inf"], "--c-shuttle"),
+        (["run-gc", "--n", "16", "--mode", "cost-model", "--epsilon", "nan"], "--epsilon"),
+        (["run-disj", "--n", "64", "--min-success", "nan"], "--min-success"),
+        (["run-mmf2", "--n", "16", "--ell", "4", "--min-success", "1.5"], "--min-success"),
+        (["run-bmm", "--n", "16", "--ell", "8", "--min-success", "-0.1"], "--min-success"),
+        (["scaling", "--protocol", "disj-cost", "--n", "64..512", "--expect-slope", "nan"], "--expect-slope"),
+    ],
+)
+def test_out_of_range_number_rejected(argv, flag, capsys):
+    assert main(argv + ["--trials", "2"]) == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be finite and in" in err
+    assert "Traceback" not in err
 
 
 def _csv_rows(prefix):

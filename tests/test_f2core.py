@@ -17,7 +17,6 @@ from joinlab.f2core import (
     bool_product,
     f2_product,
     gen_promise_instance,
-    validate_promise,
 )
 
 
@@ -137,35 +136,26 @@ def test_transpose_involution_and_weight():
 
 
 def test_bitvector_basics():
-    v = BitVector.from_string("0110")
+    v = BitVector.from_bits([0, 1, 1, 0])
     assert v.indices() == [1, 2]
     assert v[0] == 0 and v[1] == 1
-    assert (v & BitVector.from_string("0010")).weight() == 1
-    assert v.with_bit(0, 1).to01() == "1110"
-    assert v.with_bit(1, 0).to01() == "0010"
+    assert v.to01() == "0110"
+    assert (v & BitVector.from_indices(4, [2])).weight() == 1
     with pytest.raises(ValueError):
         BitVector(3, 8)
 
 
-def test_matrix_text_round_trip():
-    rng = random.Random(33)
-    m = BitMatrix.random(5, 9, 0.4, rng)
-    again = BitMatrix.from_text(m.to_text())
-    assert again == m
-    assert m.to_text().splitlines()[0] == "5 9"
-
-
 def test_gen_promise_instance_floor():
     inst = gen_promise_instance(4, 3, 1, seed=5)
+    assert inst.oracle_product == bool_product(inst.A, inst.B)
     assert inst.oracle_product.weight() == 1
-    assert validate_promise(inst)
 
 
 def test_gen_promise_instance_band_and_validator():
     inst = gen_promise_instance(32, 32, 64, seed=7)
     got = inst.oracle_product.weight()
     assert 32 <= got <= 64
-    assert validate_promise(inst)
+    assert inst.oracle_product == bool_product(inst.A, inst.B)
 
 
 def test_gen_promise_instance_deterministic():
@@ -198,8 +188,8 @@ def test_instance_band_across_grid():
         m = rng.randint(2, 32)
         ell = rng.randint(1, m * m)
         inst = gen_promise_instance(m, rng.randint(1, 32), ell, seed=rng.randrange(10**6))
+        assert inst.oracle_product == bool_product(inst.A, inst.B)
         assert inst.oracle_product.weight() <= ell
-        assert validate_promise(inst)
 
 
 def test_join_instance_build_rejects_bad_kind():

@@ -182,7 +182,7 @@ def test_freivalds_single_column_detection_is_half():
     for vbits in range(8):
         res = freivalds_round(a, b, BitVector(3, vbits), InertLedger())
         detections += res[2]
-        assert res.with_bit(2, 0).is_zero()  # other columns stay silent
+        assert res.bits & ~(1 << 2) == 0  # other columns stay silent
     assert detections == 4
 
 

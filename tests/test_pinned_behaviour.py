@@ -20,7 +20,6 @@ from joinlab.qsim import (
     BipartiteGraph,
     CostModel,
     GroverPlan,
-    disj_all,
     graph_collision_all,
     grover_search,
     instance_search,
@@ -38,7 +37,7 @@ QSIM_MODELS = (EXACT, CostModel.cost_model(), CostModel.cost_model(c_round=2.0, 
 EXPECTED = {
     "bmm_exact": "4e14031030651ea8d771f24eb579309ec317485a951554cc1b17db70284c335e",
     "bmm_cost_model": "f5044f29493b6a25ce07d04c731a0e915001ead30ef4112328e14a227ffa02e6",
-    "qsim": "5e23f7e4a2b5247f64676d531d9aed6cf2572c26d3c302f7b07d0400d248ed77",
+    "qsim": "8a87834b8754f13736cba012e5e1c3b07d4b1790e0b65eeeead32e0a347bcf7b",
     "mm_f2": "aaefb07b481c2d2c5b9e206fe2c58bdbe3e1e06ac9333b2b9b0f88b31dba1553",
     "cli": "864c2e415e5a57eb1f614675c4dbccc4f5fc42eaaf31ee1aa22fbb1e7a4b8d65",
 }
@@ -147,12 +146,6 @@ def qsim_digest() -> str:
             inner = setup.choice((0, 3, 40))
             rng, led = random.Random(case), CommLedger()
             _run(digest, lambda: instance_search(answers, led, model, rng, inner_cost_qubits=inner), rng, led)
-
-            n = setup.choice((16, 64))
-            a = BitVector.random(n, setup.choice((0.1, 0.4)), setup)
-            b = BitVector.random(n, setup.choice((0.1, 0.4)), setup)
-            rng, led = random.Random(case), CommLedger()
-            _run(digest, lambda: sorted(disj_all(a, b, led, model, rng)), rng, led)
 
             n = setup.choice((8, 24))
             graph = BipartiteGraph.random(n, n, setup.choice((0.1, 0.5)), setup)

@@ -7,14 +7,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from joinlab.f2core import BitVector
+from joinlab.f2core import BitMatrix, BitVector
 from joinlab.ledger import CommLedger, InertLedger, index_qubits
 from joinlab.qsim import (
     BipartiteGraph,
     CostModel,
     GroverPlan,
     disj,
-    disj_all,
     graph_collision,
     graph_collision_all,
     grover_search,
@@ -33,6 +32,11 @@ def test_cost_model_validation():
         CostModel.cost_model(c_shuttle=0.5)
     with pytest.raises(ValueError):
         CostModel.cost_model(epsilon=0.2)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            CostModel.cost_model(c_shuttle=bad)
+        with pytest.raises(ValueError, match="finite"):
+            CostModel.cost_model(c_round=bad)
 
 
 def test_success_curve_matches_closed_form():
@@ -101,9 +105,10 @@ def test_grover_cap_enforced():
 
 def test_disj_trivial_examples():
     led = CommLedger()
-    assert disj(BitVector.from_string("1100"), BitVector.from_string("0011"), led, EXACT, random.Random(2)) is None
+    front = BitVector.from_indices(4, [0, 1])
+    assert disj(front, BitVector.from_indices(4, [2, 3]), led, EXACT, random.Random(2)) is None
     # unique shared element sits at position 1 (0-indexed)
-    w = disj(BitVector.from_string("1100"), BitVector.from_string("0110"), led, EXACT, random.Random(2))
+    w = disj(front, BitVector.from_indices(4, [1, 2]), led, EXACT, random.Random(2))
     assert w == 1
 
 
@@ -178,31 +183,10 @@ def test_disj_cost_model_epsilon_only_suppresses():
         assert disj(a, c, CommLedger(), model, random.Random(tr)) is None
 
 
-def test_disj_all_trivials():
-    rng = random.Random(1)
-    assert disj_all(BitVector.from_string("1100"), BitVector.from_string("0011"), CommLedger(), EXACT, rng) == frozenset()
-    full = BitVector.from_string("1111")
-    assert disj_all(full, full, CommLedger(), EXACT, rng) == frozenset({0, 1, 2, 3})
-
-
-def test_disj_all_monte_carlo():
-    n = 64
-    good = 0
-    trials = 400
-    for tr in range(trials):
-        rng = random.Random(3000 + tr)
-        a = BitVector.random_weight(n, 16, rng)
-        others = [i for i in range(n) if a[i] == 0]
-        b = BitVector.from_indices(n, rng.sample(a.indices(), 5) + rng.sample(others, 11))
-        got = disj_all(a, b, InertLedger(), EXACT, rng)
-        good += got == frozenset((a & b).indices())
-    assert good / trials >= 2 / 3
-
-
 def test_graph_collision_trivials():
-    g = BipartiteGraph.complete(4, 4)
+    g = BipartiteGraph(BitMatrix(4, 4, [0b1111] * 4))
     rng = random.Random(0)
-    assert graph_collision(g, BitVector(4), BitVector.from_string("1111"), CommLedger(), EXACT, rng) is None
+    assert graph_collision(g, BitVector(4), BitVector(4, 0b1111), CommLedger(), EXACT, rng) is None
     e = graph_collision(
         g,
         BitVector.from_indices(4, [0]),
@@ -234,8 +218,8 @@ def test_graph_collision_monte_carlo():
 
 
 def test_graph_collision_all_diagonal():
-    g = BipartiteGraph.from_edges(4, 4, [(i, i) for i in range(4)])
-    full = BitVector.from_string("1111")
+    g = BipartiteGraph(BitMatrix.identity(4))
+    full = BitVector(4, 0b1111)
     got = graph_collision_all(g, full, full, CommLedger(), EXACT, random.Random(2))
     assert got == frozenset((i, i) for i in range(4))
 

@@ -10,8 +10,6 @@ from joinlab.reductions import (
     embed_inner_product,
     embed_ip_f2,
     embed_or_blocks,
-    embedding_from_text,
-    embedding_to_text,
 )
 
 
@@ -62,7 +60,7 @@ def test_inner_product_zero_input():
 
 
 def test_inner_product_parity_of_four():
-    ones = BitVector.from_string("1111")
+    ones = BitVector(4, 0b1111)
     emb = embed_inner_product(ones, ones, n=4)
     assert emb.validate()
     # parity of four aligned ones is zero
@@ -154,14 +152,3 @@ def test_ip_f2_random_validations():
             parity ^= (x & y).weight() % 2
         product = f2_product(emb.instance.A, emb.instance.B)
         assert sum(product.get(i, i) for i in range(n)) % 2 == parity
-
-
-def test_embedding_serialization_round_trip():
-    rng = random.Random(900)
-    emb = embed_disj_family(_vectors(8, 2, rng), _vectors(8, 2, rng), 8)
-    text = embedding_to_text(emb)
-    name, instance = embedding_from_text(text)
-    assert name == "disj-family"
-    assert instance.A == emb.instance.A
-    assert instance.B == emb.instance.B
-    assert instance.ell == emb.instance.ell
