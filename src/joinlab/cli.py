@@ -1,9 +1,12 @@
 """Batch experiment runner: protocol grids, reduction checks, scaling fits.
 
-Each run writes one CSV row per (cell, trial) plus a JSON summary.  Seeds
-are derived per (cell, trial) from the base seed with a stable hash, so a
-given config reproduces its outputs byte for byte (timing defaults to 0 for
-that reason; pass --timing to record real wall times).
+Every runner and sweep shares one seeded trial loop, which writes one CSV
+row per (cell, trial); each run also writes a JSON summary.  Seeds are
+derived per (cell, trial) from the base seed with a stable hash, so a given
+config reproduces its outputs byte for byte (timing defaults to 0 for that
+reason; pass --timing to record the protocol call's wall time).  A protocol
+error is a failed trial: success 0, the costs charged up to the error, and
+rounds 0 for run-bmm or 3 for run-mmf2.  --epsilon must lie in [0, 0.1).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from joinlab import joins, qsim, reductions
-from joinlab.f2core import BitVector, gen_promise_instance
+from joinlab.f2core import BitMatrix, BitVector, gen_promise_instance
 from joinlab.ledger import CommLedger
 from joinlab.qsim import CostModel
 
@@ -129,79 +132,66 @@ def fit_exponent(points, n_boot: int = 200, seed: int = 0) -> FitResult:
 # ---------------------------------------------------------------------------
 
 
-def _costs_of(args) -> CostModel:
-    return CostModel.cost_model(args.c_shuttle, args.c_round, args.epsilon)
-
-
 def _mode_of(args) -> CostModel:
-    model = _costs_of(args)
+    model = CostModel.cost_model(args.c_shuttle, args.c_round, args.epsilon)
     if args.mode == "cost-model":
         return model
-    if model != CostModel.cost_model():
-        raise ValueError("--c-shuttle, --c-round and --epsilon need --mode cost-model")
+    names = ("c_shuttle", "c_round", "epsilon")
+    given = ["--" + k.replace("_", "-") for k in names if getattr(args, k) != getattr(CostModel, k)]
+    if given:
+        raise ValueError(f"{' and '.join(given)} need{'s' * (len(given) == 1)} --mode cost-model")
     return CostModel.exact_mode()
 
 
-def _row(n, m, ell, mode, seed, success, ledger, rounds, elapsed_ms):
-    return {
-        "n": n,
-        "m": m,
-        "ell": ell,
-        "mode": mode,
-        "seed": seed,
-        "success": int(success),
-        "classical_bits": ledger.bits,
-        "qubits": ledger.qubits,
-        "rounds": rounds,
-        "wall_time_ms": elapsed_ms,
-    }
+def _trials(key, cell, trials, base_seed, timing, build, play, failed_rounds=0):
+    """The seeded trial loop behind every runner: one CSV row per trial.
 
-
-def _timer(enabled: bool):
-    start = time.perf_counter()
-
-    def stop() -> int:
-        return int(round((time.perf_counter() - start) * 1000)) if enabled else 0
-
-    return stop
+    ``cell`` is the row's ``(n, m, ell, mode)``; trial ``t`` is seeded by
+    ``derive_seed(base_seed, *key, t)``.  ``build(seed, rng)`` makes the input
+    untimed; ``play(input, ledger, rng)`` runs the protocol on a fresh ledger,
+    timed, and returns ``(success, rounds)``.  A ``ProtocolError`` is a failed
+    trial with the costs charged up to it and ``failed_rounds``.
+    """
+    rows = []
+    for trial in range(trials):
+        seed = derive_seed(base_seed, *key, trial)
+        rng = random.Random(seed)
+        inp = build(seed, rng)
+        ledger = CommLedger()
+        start = time.perf_counter()
+        try:
+            ok, rounds = play(inp, ledger, rng)
+        except qsim.ProtocolError:
+            ok, rounds = False, failed_rounds
+        elapsed_ms = int(round((time.perf_counter() - start) * 1000)) if timing else 0
+        values = (*cell, seed, int(ok), ledger.bits, ledger.qubits, rounds, elapsed_ms)
+        rows.append(dict(zip(CSV_FIELDS, values)))
+    return rows
 
 
 def run_bmm_trials(n, ell, trials, base_seed, model, timing=False):
-    rows = []
-    for trial in range(trials):
-        seed = derive_seed(base_seed, "bmm", n, ell, trial)
-        rng = random.Random(seed)
-        instance = gen_promise_instance(n, n, ell, seed, "bool")
-        ledger = CommLedger()
-        stop = _timer(timing)
-        try:
-            if model.exact:
-                out, trace = joins.bmm_with_trace(instance, model, ledger, rng)
-            else:
-                trace = joins.bmm_cost_model(instance, model, ledger, rng)
-                out = trace.product
-            ok, rounds = out == instance.oracle_product, trace.t
-        except qsim.ProtocolError:
-            ok, rounds = False, 0
-        rows.append(_row(n, n, ell, model.mode, seed, ok, ledger, rounds, stop()))
-    return rows
+    def play(instance, ledger, rng):
+        if model.exact:
+            out, trace = joins.bmm_with_trace(instance, model, ledger, rng)
+        else:
+            trace = joins.bmm_cost_model(instance, model, ledger, rng)
+            out = trace.product
+        return out == instance.oracle_product, trace.t
+
+    return _trials(
+        ("bmm", n, ell), (n, n, ell, model.mode), trials, base_seed, timing,
+        lambda seed, rng: gen_promise_instance(n, n, ell, seed, "bool"), play,
+    )
 
 
 def run_mmf2_trials(n, ell, trials, base_seed, timing=False):
-    rows = []
-    for trial in range(trials):
-        seed = derive_seed(base_seed, "mmf2", n, ell, trial)
-        rng = random.Random(seed)
-        instance = gen_promise_instance(n, n, ell, seed, "f2")
-        ledger = CommLedger()
-        stop = _timer(timing)
-        try:
-            out = joins.mm_f2(instance, ledger, rng)
-            ok = out == instance.oracle_product
-        except qsim.ProtocolError:
-            ok = False
-        rows.append(_row(n, n, ell, "classical", seed, ok, ledger, 3, stop()))
-    return rows
+    def play(instance, ledger, rng):
+        return joins.mm_f2(instance, ledger, rng) == instance.oracle_product, 3
+
+    return _trials(
+        ("mmf2", n, ell), (n, n, ell, "classical"), trials, base_seed, timing,
+        lambda seed, rng: gen_promise_instance(n, n, ell, seed, "f2"), play, failed_rounds=3,
+    )
 
 
 def _disj_pair(n, seed) -> tuple[BitVector, BitVector]:
@@ -216,40 +206,34 @@ def _disj_pair(n, seed) -> tuple[BitVector, BitVector]:
 
 
 def run_disj_trials(n, trials, base_seed, model, timing=False):
-    rows = []
-    for trial in range(trials):
-        seed = derive_seed(base_seed, "disj", n, trial)
-        rng = random.Random(seed)
-        a, b = _disj_pair(n, seed)
-        ledger = CommLedger()
-        stop = _timer(timing)
+    def play(pair, ledger, rng):
+        a, b = pair
         witness = qsim.disj(a, b, ledger, model, rng)
-        ok = witness is not None and a[witness] == 1 and b[witness] == 1
-        rows.append(_row(n, n, 1, model.mode, seed, ok, ledger, 1, stop()))
-    return rows
+        return witness is not None and a[witness] == 1 and b[witness] == 1, 1
+
+    return _trials(
+        ("disj", n), (n, n, 1, model.mode), trials, base_seed, timing,
+        lambda seed, rng: _disj_pair(n, seed), play,
+    )
 
 
 def run_gc_trials(n, trials, base_seed, model, timing=False):
-    rows = []
-    for trial in range(trials):
-        seed = derive_seed(base_seed, "gc", n, trial)
-        rng = random.Random(seed)
+    def build(seed, rng):
         graph = qsim.BipartiteGraph.random(n, n, 0.5, rng)
         f_a = BitVector.random_weight(n, max(1, n // 8), rng)
         f_b = BitVector.random_weight(n, max(1, n // 8), rng)
-        truth = any(
-            graph.has_edge(i, j) for i in f_a.indices() for j in f_b.indices()
-        )
-        ledger = CommLedger()
-        stop = _timer(timing)
+        truth = any(graph.has_edge(i, j) for i in f_a.indices() for j in f_b.indices())
+        return graph, f_a, f_b, truth
+
+    def play(inp, ledger, rng):
+        graph, f_a, f_b, truth = inp
         edge = qsim.graph_collision(graph, f_a, f_b, ledger, model, rng)
         if edge is None:
-            ok = not truth
-        else:
-            i, j = edge
-            ok = graph.has_edge(i, j) and f_a[i] == 1 and f_b[j] == 1
-        rows.append(_row(n, n, 0, model.mode, seed, ok, ledger, 1, stop()))
-    return rows
+            return not truth, 1
+        i, j = edge
+        return graph.has_edge(i, j) and f_a[i] == 1 and f_b[j] == 1, 1
+
+    return _trials(("gc", n), (n, n, 0, model.mode), trials, base_seed, timing, build, play)
 
 
 # ---------------------------------------------------------------------------
@@ -258,40 +242,39 @@ def run_gc_trials(n, trials, base_seed, model, timing=False):
 
 
 def scaling_points(protocol, n_grid, ell_grid, trials, base_seed, model, divide_log):
-    """(x, cost) samples for the requested sweep, one point per trial."""
-    points = []
+    """(x, cost) samples for the requested sweep, one point per trial, and the rows."""
     rows = []
     if protocol == "bmm-cost":
-        sweep_ell = len(ell_grid) > 1
-        cells = [(n, ell) for n in n_grid for ell in ell_grid]
-        for n, ell in cells:
-            for trial in range(trials):
-                seed = derive_seed(base_seed, "scale-bmm", n, ell, trial)
-                rng = random.Random(seed)
-                instance = joins.gen_hard_instance(n, ell, seed)
-                ledger = CommLedger()
-                trace = joins.bmm_cost_model(instance, model, ledger, rng)
-                cost = ledger.total()
-                if divide_log:
-                    cost /= max(1.0, math.log2(n))
-                x = ell if sweep_ell else n
-                points.append((x, cost))
-                rows.append(_row(n, n, ell, model.mode, seed, True, ledger, trace.t, 0))
-    elif protocol == "disj-cost":
+
+        def play(instance, ledger, rng):
+            return True, joins.bmm_cost_model(instance, model, ledger, rng).t
+
         for n in n_grid:
-            for trial in range(trials):
-                seed = derive_seed(base_seed, "scale-disj", n, trial)
-                rng = random.Random(seed)
-                a, b = _disj_pair(n, seed)
-                ledger = CommLedger()
-                qsim.disj(a, b, ledger, model, rng)
-                cost = ledger.total()
-                if divide_log:
-                    cost /= max(1.0, math.log2(n))
-                points.append((n, cost))
-                rows.append(_row(n, n, 1, model.mode, seed, True, ledger, 1, 0))
+            for ell in ell_grid:
+                rows += _trials(
+                    ("scale-bmm", n, ell), (n, n, ell, model.mode), trials, base_seed, False,
+                    lambda seed, rng: joins.gen_hard_instance(n, ell, seed), play,
+                )
+    elif protocol == "disj-cost":
+
+        def play(pair, ledger, rng):
+            qsim.disj(*pair, ledger, model, rng)
+            return True, 1
+
+        for n in n_grid:
+            rows += _trials(
+                ("scale-disj", n), (n, n, 1, model.mode), trials, base_seed, False,
+                lambda seed, rng: _disj_pair(n, seed), play,
+            )
     else:
         raise ValueError(f"unknown scaling protocol {protocol!r}")
+    sweep_ell = protocol == "bmm-cost" and len(ell_grid) > 1
+    points = []
+    for row in rows:
+        cost = row["classical_bits"] + row["qubits"]
+        if divide_log:
+            cost /= max(1.0, math.log2(row["n"]))
+        points.append((row["ell"] if sweep_ell else row["n"], cost))
     return points, rows
 
 
@@ -315,25 +298,17 @@ def _write_json(path, payload):
 
 
 def _summarize(rows):
-    cells: dict[tuple, dict] = {}
+    cells: dict[tuple, list] = {}
     for row in rows:
-        key = (row["n"], row["m"], row["ell"])
-        cell = cells.setdefault(
-            key, {"trials": 0, "successes": 0, "classical_bits": 0, "qubits": 0}
-        )
-        cell["trials"] += 1
-        cell["successes"] += row["success"]
-        cell["classical_bits"] += row["classical_bits"]
-        cell["qubits"] += row["qubits"]
+        cells.setdefault((row["n"], row["m"], row["ell"]), []).append(row)
     out = {}
-    for key in sorted(cells):
-        cell = cells[key]
-        label = f"n={key[0]} m={key[1]} ell={key[2]}"
-        out[label] = {
-            "trials": cell["trials"],
-            "success_rate": cell["successes"] / cell["trials"],
-            "mean_classical_bits": cell["classical_bits"] / cell["trials"],
-            "mean_qubits": cell["qubits"] / cell["trials"],
+    for (n, m, ell), group in sorted(cells.items()):
+        trials = len(group)
+        out[f"n={n} m={m} ell={ell}"] = {
+            "trials": trials,
+            "success_rate": sum(r["success"] for r in group) / trials,
+            "mean_classical_bits": sum(r["classical_bits"] for r in group) / trials,
+            "mean_qubits": sum(r["qubits"] for r in group) / trials,
         }
     return out
 
@@ -346,13 +321,6 @@ def _emit(args, rows, extra=None) -> dict:
         _write_csv(args.out + ".csv", rows)
         _write_json(args.out + ".summary.json", summary)
     return summary
-
-
-def _check_success(summary, minimum) -> int:
-    if minimum is None:
-        return 0
-    worst = min(cell["success_rate"] for cell in summary["cells"].values())
-    return 0 if worst >= minimum else 1
 
 
 # ---------------------------------------------------------------------------
@@ -376,12 +344,13 @@ _GRID = _flag_type(parse_grid)
 _POSITIVE = _flag_type(_at_least_one)
 
 
-def _float_in(lo: float, hi: float = math.inf):
+def _float_in(lo: float, hi: float = math.inf, closed: bool = True):
     def parse(text: str) -> float:
         value = float(text)
-        if math.isfinite(value) and lo <= value <= hi:
+        if math.isfinite(value) and lo <= value and (value <= hi if closed else value < hi):
             return value
-        raise ValueError(f"must be finite and in [{lo:g}, {hi:g}], got {text}")
+        bracket = "]" if closed else ")"
+        raise ValueError(f"must be finite and in [{lo:g}, {hi:g}{bracket}, got {text}")
 
     return _flag_type(parse)
 
@@ -396,7 +365,8 @@ def _add_costs(parser, *flags):
     """Register the cost constants the command reads; the others keep their defaults."""
     parser.set_defaults(c_shuttle=1.0, c_round=1.0, epsilon=0.0)
     for flag in flags:
-        parser.add_argument(flag, type=_float_in(0.0 if flag == "--epsilon" else 1.0))
+        kind = _float_in(0.0, 0.1, closed=False) if flag == "--epsilon" else _float_in(1.0)
+        parser.add_argument(flag, type=kind)
 
 
 def _add_model(parser, *cost_flags):
@@ -450,6 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slope-tol", type=_float_in(0.0), default=None, help="needs --expect-slope (default 0.1)")
     _add_common(p)
     _add_costs(p, "--c-shuttle", "--c-round")  # injected error does not change a charged cost
+    p.set_defaults(mode="cost-model")
 
     p = sub.add_parser("validate-reductions", help="random checks of the embedding identities")
     p.add_argument("--n", type=_POSITIVE, default=32)
@@ -458,41 +429,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run_bmm(args) -> int:
-    model = _mode_of(args)
-    rows = []
-    for n in args.n:
-        for ell in args.ell:
-            rows.extend(run_bmm_trials(n, ell, args.trials, args.seed, model, args.timing))
-    summary = _emit(args, rows)
-    return _check_success(summary, args.min_success)
+_GRIDS = {
+    "run-bmm": lambda a, model, n, ell: run_bmm_trials(n, ell, a.trials, a.seed, model, a.timing),
+    "run-mmf2": lambda a, model, n, ell: run_mmf2_trials(n, ell, a.trials, a.seed, a.timing),
+    "run-disj": lambda a, model, n, ell: run_disj_trials(n, a.trials, a.seed, model, a.timing),
+    "run-gc": lambda a, model, n, ell: run_gc_trials(n, a.trials, a.seed, model, a.timing),
+}
 
 
-def _cmd_run_mmf2(args) -> int:
-    rows = []
-    for n in args.n:
-        for ell in args.ell:
-            rows.extend(run_mmf2_trials(n, ell, args.trials, args.seed, args.timing))
-    summary = _emit(args, rows)
-    return _check_success(summary, args.min_success)
-
-
-def _cmd_run_disj(args) -> int:
-    model = _mode_of(args)
-    rows = []
-    for n in args.n:
-        rows.extend(run_disj_trials(n, args.trials, args.seed, model, args.timing))
-    summary = _emit(args, rows)
-    return _check_success(summary, args.min_success)
-
-
-def _cmd_run_gc(args) -> int:
-    model = _mode_of(args)
-    rows = []
-    for n in args.n:
-        rows.extend(run_gc_trials(n, args.trials, args.seed, model, args.timing))
-    summary = _emit(args, rows)
-    return _check_success(summary, args.min_success)
+def _cmd_grid(args) -> int:
+    """One runner call per (n, ell) cell; run-disj and run-gc have no ell, run-mmf2 no mode."""
+    model = _mode_of(args) if "mode" in args else None
+    run, ells = _GRIDS[args.command], getattr(args, "ell", [None])
+    summary = _emit(args, [row for n in args.n for ell in ells for row in run(args, model, n, ell)])
+    if args.min_success is None:
+        return 0
+    worst = min(cell["success_rate"] for cell in summary["cells"].values())
+    return 0 if worst >= args.min_success else 1
 
 
 def _cmd_scaling(args) -> int:
@@ -500,9 +453,9 @@ def _cmd_scaling(args) -> int:
         raise ValueError("--protocol disj-cost reads neither --c-shuttle nor --ell")
     if args.slope_tol is not None and args.expect_slope is None:
         raise ValueError("--slope-tol needs --expect-slope")
-    model = _costs_of(args)
     points, rows = scaling_points(
-        args.protocol, args.n, args.ell or [256], args.trials, args.seed, model, args.divide_log
+        args.protocol, args.n, args.ell or [256], args.trials, args.seed, _mode_of(args),
+        args.divide_log,
     )
     fit = fit_exponent(points, seed=args.seed)
     extra = {
@@ -546,8 +499,6 @@ def _cmd_validate_reductions(args) -> int:
             elif name == "or-blocks":
                 s = rng.randint(1, max(1, math.isqrt(n)))
                 k = rng.randint(1, n // s)
-                from joinlab.f2core import BitMatrix
-
                 blocks = [
                     (
                         BitMatrix.random(s, s, 0.4, rng),
@@ -570,10 +521,7 @@ def _cmd_validate_reductions(args) -> int:
 
 
 _COMMANDS = {
-    "run-bmm": _cmd_run_bmm,
-    "run-mmf2": _cmd_run_mmf2,
-    "run-disj": _cmd_run_disj,
-    "run-gc": _cmd_run_gc,
+    **dict.fromkeys(_GRIDS, _cmd_grid),
     "scaling": _cmd_scaling,
     "validate-reductions": _cmd_validate_reductions,
 }

@@ -195,11 +195,6 @@ class BitMatrix:
         return cls(rows, cols, [0] * rows)
 
     @classmethod
-    def ones(cls, rows: int, cols: int) -> "BitMatrix":
-        full = (1 << cols) - 1
-        return cls(rows, cols, [full] * rows)
-
-    @classmethod
     def identity(cls, n: int) -> "BitMatrix":
         return cls(n, n, [1 << i for i in range(n)])
 
@@ -264,15 +259,6 @@ class BitMatrix:
                 for j in _iter_bits(r):
                     out[j] |= bit
         return BitMatrix(self.cols, self.rows, out)
-
-    def with_ones(self, cells) -> "BitMatrix":
-        """New matrix with the given (i, j) cells additionally set."""
-        data = list(self.data)
-        for i, j in cells:
-            if not (0 <= i < self.rows and 0 <= j < self.cols):
-                raise IndexError((i, j))
-            data[i] |= 1 << j
-        return BitMatrix(self.rows, self.cols, data)
 
     def __eq__(self, other) -> bool:
         return (

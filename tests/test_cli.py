@@ -318,8 +318,65 @@ def test_protocol_error_is_a_failed_trial(command, target, error, monkeypatch, t
     for row in rows:
         assert row["success"] == "0"
         assert row["classical_bits"] == "7" and row["qubits"] == "0"
-        if command == "run-bmm":
-            assert row["rounds"] == "0"
+        assert row["rounds"] == ("0" if command == "run-bmm" else "3")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run-bmm", "--n", "16", "--ell", "4,8", "--mode", "exact"],
+        ["run-bmm", "--n", "16,32", "--ell", "8", "--mode", "cost-model"],
+        ["run-mmf2", "--n", "32", "--ell", "8"],
+        ["run-disj", "--n", "64,256"],
+        ["run-gc", "--n", "16", "--mode", "cost-model"],
+    ],
+)
+def test_timing_changes_only_wall_time(argv, tmp_path):
+    argv = argv + ["--trials", "4", "--seed", "9"]
+    assert main(argv + ["--out", str(tmp_path / "plain")]) == 0
+    assert main(argv + ["--timing", "--out", str(tmp_path / "timed")]) == 0
+    plain, timed = _csv_rows(tmp_path / "plain"), _csv_rows(tmp_path / "timed")
+    assert len(plain) == len(timed) > 0
+    for a, b in zip(plain, timed):
+        assert a["wall_time_ms"] == "0"
+        assert b["wall_time_ms"].isdigit()
+        assert {**a, "wall_time_ms": None} == {**b, "wall_time_ms": None}
+
+
+@pytest.mark.parametrize(
+    "argv, named, unnamed",
+    [
+        (
+            ["run-disj", "--n", "8", "--c-round", "2"],
+            "--c-round needs",
+            ("--c-shuttle", "--epsilon"),
+        ),
+        (
+            ["run-gc", "--n", "8", "--c-round", "2", "--epsilon", "0.05"],
+            "--c-round and --epsilon need",
+            ("--c-shuttle",),
+        ),
+        (
+            ["run-bmm", "--n", "16", "--ell", "8", "--c-round", "2"],
+            "--c-round needs",
+            ("--c-shuttle", "--epsilon"),
+        ),
+    ],
+)
+def test_exact_mode_cost_flag_message_names_given_flags(argv, named, unnamed, capsys):
+    assert main(argv + ["--trials", "2"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {named} --mode cost-model" in err
+    assert not any(flag in err for flag in unnamed)
+
+
+@pytest.mark.parametrize("value", ["0.1", "0.5", "-0.01"])
+def test_epsilon_out_of_range_rejected_at_parse_time(value, capsys):
+    argv = ["run-disj", "--n", "64", "--mode", "cost-model", "--epsilon", value, "--trials", "2"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "argument --epsilon: must be finite and in [0, 0.1)" in err
+    assert "Traceback" not in err
 
 
 def test_console_entry_point():

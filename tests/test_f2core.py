@@ -48,7 +48,7 @@ def test_bool_product_identity_selects_rows():
 
 
 def test_bool_product_all_ones():
-    ones = BitMatrix.ones(2, 2)
+    ones = BitMatrix(2, 2, [0b11, 0b11])
     assert bool_product(ones, ones) == ones
 
 
@@ -296,15 +296,17 @@ def sparse_matrices(draw):
     rows, cols = draw(st.integers(0, 200)), draw(st.integers(0, 200))
     limit = rows * cols // f2core._SCATTER_CELLS_PER_ONE
     cell = st.tuples(st.integers(0, max(rows - 1, 0)), st.integers(0, max(cols - 1, 0)))
-    cells = draw(st.lists(cell, max_size=limit))
-    return BitMatrix.zeros(rows, cols).with_ones(cells)
+    data = [0] * rows
+    for i, j in draw(st.lists(cell, max_size=limit)):
+        data[i] |= 1 << j
+    return BitMatrix(rows, cols, data)
 
 
 @given(sparse_matrices())
 @example(BitMatrix.zeros(0, 0))
 @example(BitMatrix.zeros(0, 7))
 @example(BitMatrix.zeros(7, 0))
-@example(BitMatrix.zeros(9, 9).with_ones([(8, 0)]))
+@example(BitMatrix(9, 9, [0] * 8 + [1]))
 def test_transpose_scatter_side_matches_dense_oracle(m):
     assert m.weight() * f2core._SCATTER_CELLS_PER_ONE <= m.rows * m.cols
     _check_transpose(m)
@@ -318,7 +320,7 @@ def dense_matrices(draw):
 
 
 @given(dense_matrices())
-@example(BitMatrix.ones(3, 70))
+@example(BitMatrix(3, 70, [(1 << 70) - 1] * 3))
 @example(BitMatrix.identity(1))
 def test_transpose_dense_side_matches_dense_oracle(m):
     assume(m.weight() * f2core._SCATTER_CELLS_PER_ONE > m.rows * m.cols)

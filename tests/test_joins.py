@@ -71,7 +71,7 @@ def test_bmm_matches_oracle_and_never_spurious():
 
 
 def test_bmm_promise_violation_detected():
-    ones = BitMatrix.ones(6, 6)
+    ones = BitMatrix(6, 6, [0b111111] * 6)
     inst = JoinInstance(ones, ones, ell=4, seed=0, kind="bool", oracle_product=bool_product(ones, ones))
     with pytest.raises(PromiseViolationError):
         bmm(inst, EXACT, CommLedger(), random.Random(0))
@@ -120,8 +120,8 @@ def test_cost_model_zero_instance_single_failed_search():
 def test_cost_model_single_witness_formula():
     # one witness column/row pair, one collision cell
     n = 16
-    a = BitMatrix.zeros(n, n).with_ones([(3, 5)])
-    b = BitMatrix.zeros(n, n).with_ones([(5, 7)])
+    a = BitMatrix(n, n, [1 << 5 if i == 3 else 0 for i in range(n)])
+    b = BitMatrix(n, n, [1 << 7 if i == 5 else 0 for i in range(n)])
     inst = JoinInstance.build(a, b, ell=1)
     led = CommLedger()
     model = CostModel.cost_model()
@@ -536,7 +536,10 @@ def test_classification_leaves_scattered_columns_sparse():
         cols = rng.sample(range(n), ell)
         rows = rng.sample(range(n), ell)
         a = BitMatrix.identity(n)
-        b = BitMatrix.zeros(n, n).with_ones(zip(rows, cols))
+        data = [0] * n
+        for i, j in zip(rows, cols):
+            data[i] |= 1 << j
+        b = BitMatrix(n, n, data)
         inst = JoinInstance.build(a, b, ell, tr, "f2")
         cls = classify_columns(inst, InertLedger(), rng, 19, 13)
         clean += len(cls.dense) == 0

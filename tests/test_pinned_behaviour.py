@@ -9,7 +9,10 @@ here and says why in CHANGES.md.  Run this file as a script to print the
 current digests.
 """
 
+import contextlib
 import hashlib
+import io
+import os
 import random
 
 from joinlab.cli import main
@@ -40,6 +43,7 @@ EXPECTED = {
     "qsim": "8a87834b8754f13736cba012e5e1c3b07d4b1790e0b65eeeead32e0a347bcf7b",
     "mm_f2": "aaefb07b481c2d2c5b9e206fe2c58bdbe3e1e06ac9333b2b9b0f88b31dba1553",
     "cli": "864c2e415e5a57eb1f614675c4dbccc4f5fc42eaaf31ee1aa22fbb1e7a4b8d65",
+    "cli_sweeps": "07d166b1c89351cfe8496ba6c02ad20fb6060edec11b4f715b1420a0cd3a796b",
 }
 
 
@@ -89,7 +93,7 @@ def _bmm_instances():
 
 
 def _promise_breaking_instance():
-    ones = BitMatrix.ones(6, 6)
+    ones = BitMatrix(6, 6, [0b111111] * 6)
     return JoinInstance(ones, ones, ell=4, seed=0, kind="bool", oracle_product=bool_product(ones, ones))
 
 
@@ -175,9 +179,11 @@ def _mm_f2_cases():
     a, b = BitMatrix.random(24, 24, 0.3, rng), BitMatrix.random(24, 24, 0.3, rng)
     yield 7, JoinInstance.build(a, b, ell=9, kind="f2"), {}
     # two weight-40 columns left on the sparse side overload every sketch
-    cols = rng.sample(range(64), 2)
-    b = BitMatrix.zeros(64, 64).with_ones([(i, j) for j in cols for i in rng.sample(range(64), 40)])
-    inst = JoinInstance.build(BitMatrix.identity(64), b, ell=16, kind="f2")
+    data = [0] * 64
+    for j in rng.sample(range(64), 2):
+        for i in rng.sample(range(64), 40):
+            data[i] |= 1 << j
+    inst = JoinInstance.build(BitMatrix.identity(64), BitMatrix(64, 64, data), ell=16, kind="f2")
     for r3 in (1, 2):
         yield 8, inst, {"r1": 1, "r_freivalds": 1, "r3": r3}
 
@@ -225,6 +231,34 @@ def cli_digest(tmp_dir) -> str:
     return digest.hexdigest()
 
 
+SWEEP_RUNS = (
+    ("scaling", "--protocol", "disj-cost", "--n", "1024..16384", "--trials", "3", "--seed", "5",
+     "--divide-log"),
+    ("scaling", "--protocol", "bmm-cost", "--n", "64..512", "--ell", "32", "--trials", "2",
+     "--seed", "3"),
+    ("validate-reductions", "--n", "16", "--trials", "10", "--seed", "2"),
+)
+
+
+def sweep_digest(tmp_dir) -> str:
+    """Stdout, CSV and summary of the sweeps and the reduction check."""
+    digest = _Digest()
+    for i, argv in enumerate(SWEEP_RUNS):
+        out = f"{tmp_dir}/sweep{i}"
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main(list(argv) + ["--out", out])
+        digest.add(argv, code, stdout.getvalue())
+        for suffix in (".csv", ".summary.json"):
+            path = out + suffix
+            if os.path.exists(path):
+                with open(path, "rb") as fh:
+                    digest.add(suffix, fh.read())
+            else:
+                digest.add(suffix, None)
+    return digest.hexdigest()
+
+
 def test_bmm_exact_pinned():
     assert bmm_exact_digest() == EXPECTED["bmm_exact"]
 
@@ -245,6 +279,10 @@ def test_cli_outputs_pinned(tmp_path, capsys):
     assert cli_digest(tmp_path) == EXPECTED["cli"]
 
 
+def test_cli_sweeps_pinned(tmp_path):
+    assert sweep_digest(tmp_path) == EXPECTED["cli_sweeps"]
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -256,5 +294,6 @@ if __name__ == "__main__":
                 "qsim": qsim_digest(),
                 "mm_f2": mm_f2_digest(),
                 "cli": cli_digest(tmp),
+                "cli_sweeps": sweep_digest(tmp),
             }
         )

@@ -118,7 +118,8 @@ def test_or_blocks_random_validations():
         emb = embed_or_blocks(blocks, n)
         assert emb.validate()
     with pytest.raises(ValueError):
-        embed_or_blocks([(BitMatrix.ones(5, 5), BitMatrix.ones(5, 5))] * 4, n=16)
+        ones = BitMatrix(5, 5, [0b11111] * 5)
+        embed_or_blocks([(ones, ones)] * 4, n=16)
 
 
 def test_ip_f2_zero_vectors():
