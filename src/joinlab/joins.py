@@ -60,8 +60,9 @@ __all__ = [
     "BMM_EXACT_CAP",
 ]
 
-# run time, not EXACT_DOMAIN_CAP, bounds exact bmm: a trial at n = ell = 2**10 takes about 1 s
-BMM_EXACT_CAP = 1 << 10
+# run time, not EXACT_DOMAIN_CAP, bounds exact bmm: one planted trial at
+# n = ell = 2**12 (seed 5) takes about 1.6 s on a 2-core VM
+BMM_EXACT_CAP = 1 << 12
 
 
 class PromiseViolationError(ProtocolError):
@@ -149,7 +150,9 @@ def _search_and_collect(
         ledger.charge(A_TO_B, QUBITS, amount, phase)
         ledger.charge(B_TO_A, QUBITS, amount, phase)
 
-    out_rows = [0] * m
+    # the graph of cells not yet collected; its missing edges are the output, by row and by column
+    uncollected = BipartiteGraph.complete(m, m)
+    out_rows = uncollected.missing_rows
     ones = 0
     trace = BmmTrace()
     while True:
@@ -162,10 +165,9 @@ def _search_and_collect(
                     break
             if k is None:
                 break
-            graph = BipartiteGraph.complement_of(BitMatrix(m, m, out_rows))
             f_a, f_b = BitVector(m, a_t.data[k]), BitVector(m, B.data[k])
             for _ in range(100):
-                cells = graph_collision_all(graph, f_a, f_b, ledger, model, rng)
+                cells = graph_collision_all(uncollected, f_a, f_b, ledger, model, rng)
                 if cells:
                     break
             else:
@@ -185,7 +187,7 @@ def _search_and_collect(
             pay(collect * width, "collect")
         # every collected cell is new to the output
         for i, j in cells:
-            out_rows[i] |= 1 << j
+            uncollected.remove_edge(i, j)
             for kk in _iter_bits(A.data[i] & b_t.data[j]):
                 uncovered[kk] -= 1
         ones += len(cells)

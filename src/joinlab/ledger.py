@@ -17,7 +17,7 @@ The ``max(1, .)`` clamp keeps amounts positive for degenerate ``n = 1``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "A_TO_B",
@@ -62,8 +62,7 @@ def outcome_bits(n: int) -> int:
     return index_qubits(n) + 1
 
 
-@dataclass(frozen=True)
-class MessageRecord:
+class MessageRecord(NamedTuple):
     direction: str
     kind: str
     amount: int

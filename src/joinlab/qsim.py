@@ -1,15 +1,17 @@
 """Distributed Grover-style subroutines with exact and cost-model execution.
 
-Exact mode simulates the shuttled search register as an amplitude vector and
-charges the ledger for every modeled message.  Cost-model mode computes the
-correct answer classically, charges the analytical iteration count scaled by
-the model constants, and can inject bounded error.  Either way a returned
-witness is always verified against its defining predicate, so false
-positives are impossible; only false negatives carry protocol error.
+Exact mode samples the shuttled search register from its exact state (one
+amplitude on marked, one on unmarked entries) and charges the ledger for
+every modeled message.  Cost-model mode computes the correct answer
+classically, charges the analytical iteration count scaled by the model
+constants, and can inject bounded error.  Either way a returned witness is
+always verified against its defining predicate, so false positives are
+impossible; only false negatives carry protocol error.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from dataclasses import dataclass
@@ -191,18 +193,20 @@ class GroverPlan:
                 yield rng.randrange(cap) if self.randomize else cap
 
 
-def _sample_index(probs: np.ndarray, rng: random.Random) -> int:
-    cum = np.cumsum(probs)
-    total = float(cum[-1])
-    r = rng.random() * total
-    return int(min(np.searchsorted(cum, r, side="right"), len(probs) - 1))
-
-
 def _charge_round_trips(ledger, iterations: int, per_round: int, phase: str, directions=DIRECTIONS):
     if iterations <= 0:
         return
     ledger.charge(directions[0], QUBITS, iterations * per_round, phase)
     ledger.charge(directions[1], QUBITS, iterations * per_round, phase)
+
+
+def _entry_probabilities(m: int, t: int, iterations: int) -> tuple[float, float]:
+    """Probability of each of t marked and each other of m entries after k = ``iterations`` rounds:
+    sin^2, cos^2 of (2k+1) asin(sqrt(t/m)), spread evenly (Boyer, Brassard, Hoyer, Tapp 1998)."""
+    angle = (2 * iterations + 1) * math.asin(math.sqrt(t / m))
+    marked = math.sin(angle) ** 2 / t if t else 0.0
+    unmarked = math.cos(angle) ** 2 / (m - t) if t < m else 0.0
+    return marked, unmarked
 
 
 def _amplify(n: int, domain, marked_mask: np.ndarray, plan, model, rng, charge, outer=False):
@@ -213,8 +217,8 @@ def _amplify(n: int, domain, marked_mask: np.ndarray, plan, model, rng, charge, 
     ``charge(iterations)`` pays for one measurement: the rounds before it
     plus the verification of its outcome.
 
-    Exact mode runs the two reflections on the amplitude vector for each
-    iteration count the plan draws and samples one candidate per draw.
+    Exact mode samples one candidate for each iteration count the plan
+    draws, from the entry probabilities of :func:`_entry_probabilities`.
     Cost-model mode makes a single measurement at the analytical count
     ceil(c * sqrt(|domain| / d)) for t marked entries: c = c_round and
     d = t + 1 for an inner search, c = c_shuttle and d = max(t, 1) for the
@@ -227,12 +231,17 @@ def _amplify(n: int, domain, marked_mask: np.ndarray, plan, model, rng, charge, 
             raise SimulationCapError(f"exact mode supports n <= {EXACT_DOMAIN_CAP}, got {n}")
         if plan is None:
             plan = GroverPlan.default(m)
+        # marked[i] counts the marked entries in domain[:i + 1]
+        marked = np.cumsum(marked_mask).tolist()
+        t = marked[-1]
         for iterations in plan.draws(rng):
-            amps = np.full(m, 1.0 / math.sqrt(m))
-            for _ in range(iterations):
-                amps[marked_mask] = -amps[marked_mask]
-                amps = 2.0 * amps.mean() - amps
-            candidate = _sample_index(amps * amps, rng)
+            pm, pu = _entry_probabilities(m, t, iterations)
+            # the first entry whose prefix mass exceeds r * total, else the last
+            # two non-decreasing rounded products, so the keys stay sorted
+            r = rng.random() * (pu * (m - t) + pm * t)
+            candidate = bisect.bisect_right(
+                range(m - 1), r, key=lambda i: pu * (i + 1 - marked[i]) + pm * marked[i]
+            )
             charge(iterations)
             if marked_mask[candidate]:
                 return domain[candidate]
@@ -278,14 +287,14 @@ def grover_search(
         raise ValueError("support must be nonempty")
     if any(not 0 <= i < n for i in sup):
         raise ValueError("support outside domain")
-    width = index_qubits(n)
+    width, announce = index_qubits(n), outcome_bits(n)
     verify_phase = phase + "-verify"
 
     def charge(iterations: int):
         _charge_round_trips(ledger, iterations, width, phase, directions)
         # one extra round trip: shuttle the candidate register over, announce back
         ledger.charge(directions[0], QUBITS, width, verify_phase)
-        ledger.charge(directions[1], BITS, outcome_bits(n), verify_phase)
+        ledger.charge(directions[1], BITS, announce, verify_phase)
         if stats is not None:
             stats.setdefault("iterations", []).append(iterations)
             stats["measurements"] = stats.get("measurements", 0) + 1
@@ -341,57 +350,67 @@ def disj(
 
 
 class BipartiteGraph:
-    """Bipartite edge set on [n_left] x [n_right], packed one row per left vertex."""
+    """Bipartite edge set on [n_left] x [n_right], kept as its missing edges.
 
-    __slots__ = ("adj",)
+    ``missing_rows[i]`` has bit j set, and ``missing_cols[j]`` bit i, when
+    (i, j) is not an edge.  ``bmm`` searches the complement of its output,
+    so there the two lists are the output in both orientations: a cover is
+    one AND per query vertex and removing an edge sets two bits.
+    """
+
+    __slots__ = ("n_left", "n_right", "missing_rows", "missing_cols")
 
     def __init__(self, adjacency: BitMatrix):
-        self.adj = adjacency
+        full = (1 << adjacency.cols) - 1
+        missing = BitMatrix(adjacency.rows, adjacency.cols, [full ^ r for r in adjacency.data])
+        self._hold(missing.rows, missing.cols, list(missing.data), list(missing.transpose().data))
 
-    @property
-    def n_left(self) -> int:
-        return self.adj.rows
-
-    @property
-    def n_right(self) -> int:
-        return self.adj.cols
+    def _hold(self, n_left: int, n_right: int, missing_rows: list, missing_cols: list):
+        self.n_left, self.n_right = n_left, n_right
+        self.missing_rows, self.missing_cols = missing_rows, missing_cols
+        return self
 
     @classmethod
-    def complement_of(cls, mat: BitMatrix) -> "BipartiteGraph":
-        full = (1 << mat.cols) - 1
-        return cls(BitMatrix(mat.rows, mat.cols, [full ^ r for r in mat.data]))
+    def complete(cls, n_left: int, n_right: int) -> "BipartiteGraph":
+        """Every edge present: the collision graph of ``bmm`` before it finds any output."""
+        return cls.__new__(cls)._hold(n_left, n_right, [0] * n_left, [0] * n_right)
 
     @classmethod
     def random(cls, n_left: int, n_right: int, density: float, rng: random.Random) -> "BipartiteGraph":
         return cls(BitMatrix.random(n_left, n_right, density, rng))
 
+    def copy(self) -> "BipartiteGraph":
+        rows, cols = list(self.missing_rows), list(self.missing_cols)
+        return BipartiteGraph.__new__(BipartiteGraph)._hold(self.n_left, self.n_right, rows, cols)
+
     def has_edge(self, i: int, j: int) -> bool:
-        return self.adj.get(i, j) == 1
+        if not (0 <= i < self.n_left and 0 <= j < self.n_right):
+            raise IndexError((i, j))
+        return not (self.missing_rows[i] >> j) & 1
+
+    def remove_edge(self, i: int, j: int):
+        self.missing_rows[i] |= 1 << j
+        self.missing_cols[j] |= 1 << i
 
     def left_cover(self, f_b: BitVector) -> BitVector:
         """Left vertices with at least one neighbor inside f_b."""
         if f_b.n != self.n_right:
             raise DimensionError("right-side vector length mismatch")
-        acc = 0
-        for i, row in enumerate(self.adj.data):
-            if row & f_b.bits:
-                acc |= 1 << i
-        return BitVector(self.n_left, acc)
+        return _cover(self.missing_cols, f_b, self.n_left)
 
     def right_cover(self, f_a: BitVector) -> BitVector:
         """Right vertices with at least one neighbor inside f_a."""
         if f_a.n != self.n_left:
             raise DimensionError("left-side vector length mismatch")
-        acc = 0
-        for i in f_a.indices():
-            acc |= self.adj.data[i]
-        return BitVector(self.n_right, acc)
+        return _cover(self.missing_rows, f_a, self.n_right)
 
-    def without_edges(self, edges) -> "BipartiteGraph":
-        data = list(self.adj.data)
-        for i, j in edges:
-            data[i] &= ~(1 << j)
-        return BipartiteGraph(BitMatrix(self.n_left, self.n_right, data))
+
+def _cover(missing: list, query: BitVector, n: int) -> BitVector:
+    """Vertices on the other side (of n) with a neighbor in ``query``: the rest miss all of it."""
+    full = uncovered = (1 << n) - 1
+    for v in query.indices():
+        uncovered &= missing[v]
+    return BitVector(n, full ^ uncovered)
 
 
 def graph_collision(
@@ -421,7 +440,7 @@ def graph_collision(
         witness = disj(f_a, left_candidates, ledger, model, rng)
         if witness is None:
             return None
-        partner_pool = (graph.adj.row(witness) & f_b).indices()
+        partner_pool = BitVector(graph.n_right, f_b.bits & ~graph.missing_rows[witness]).indices()
         partner = partner_pool[rng.randrange(len(partner_pool))]
         ledger.charge(B_TO_A, BITS, outcome_bits(graph.n_right), "edge-report")
         return (witness, partner)
@@ -429,7 +448,7 @@ def graph_collision(
     witness = disj(right_candidates, f_b, ledger, model, rng)
     if witness is None:
         return None
-    partner_pool = [i for i in f_a.indices() if graph.has_edge(i, witness)]
+    partner_pool = BitVector(graph.n_left, f_a.bits & ~graph.missing_cols[witness]).indices()
     partner = partner_pool[rng.randrange(len(partner_pool))]
     ledger.charge(A_TO_B, BITS, outcome_bits(graph.n_left), "edge-report")
     return (partner, witness)
@@ -450,7 +469,7 @@ def graph_collision_all(
     bound = f_a.weight() * f_b.weight()
     reps = max(1, math.ceil(math.log(3.0 * (bound + 1)) / math.log(3.0)))
     found: set[tuple[int, int]] = set()
-    current = graph
+    current = graph.copy()
     while True:
         edge = None
         for _ in range(reps):
@@ -460,7 +479,7 @@ def graph_collision_all(
         if edge is None:
             return frozenset(found)
         found.add(edge)
-        current = current.without_edges([edge])
+        current.remove_edge(*edge)
 
 
 def instance_search(
@@ -491,14 +510,15 @@ def instance_search(
     cap = max(1, math.ceil(math.pi / 4.0 * math.sqrt(big_n)))
     boost = max(1, math.ceil(math.log2(100.0 * cap)))
     inner_per_call = boost * inner_cost_qubits
+    width, announce = index_qubits(big_n), outcome_bits(big_n)
     verify_phase = phase + "-verify"
 
     def charge(iterations: int):
-        _charge_round_trips(ledger, iterations, index_qubits(big_n), phase)
+        _charge_round_trips(ledger, iterations, width, phase)
         if inner_per_call:
             # compute on the way out, uncompute on the way back
             _charge_round_trips(ledger, iterations, inner_per_call, inner_phase)
             ledger.charge(A_TO_B, QUBITS, inner_per_call, verify_phase)
-        ledger.charge(B_TO_A, BITS, outcome_bits(big_n), verify_phase)
+        ledger.charge(B_TO_A, BITS, announce, verify_phase)
 
     return _amplify(big_n, range(big_n), marked_mask, plan, model, rng, charge, outer=True)

@@ -29,7 +29,7 @@ from joinlab.joins import (
     mm_f2,
 )
 from joinlab.ledger import CommLedger, InertLedger, index_qubits
-from joinlab.qsim import CostModel
+from joinlab.qsim import CostModel, SimulationCapError
 
 EXACT = CostModel.exact_mode()
 
@@ -85,9 +85,11 @@ def test_bmm_inert_ledger_same_output():
 
 
 def test_bmm_exact_mode_size_cap():
-    big = BitMatrix.zeros(1 << 10 | 1, 8)
+    inst = gen_promise_instance(1 << 12, 1 << 12, 4, seed=12)
+    assert bmm(inst, EXACT, CommLedger(), random.Random(12)) == inst.oracle_product
+    big = BitMatrix.zeros(1 << 12 | 1, 8)
     inst = JoinInstance.build(big, big.transpose(), ell=1)
-    with pytest.raises(Exception):
+    with pytest.raises(SimulationCapError):
         bmm(inst, EXACT, CommLedger(), random.Random(0))
 
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import joinlab
 from joinlab.f2core import BitVector
 from joinlab.ledger import (
     A_TO_B,
@@ -12,6 +13,7 @@ from joinlab.ledger import (
     QUBITS,
     CommLedger,
     InertLedger,
+    MessageRecord,
     index_qubits,
     integer_bits,
     outcome_bits,
@@ -28,6 +30,20 @@ def test_charge_accumulates():
     assert led.bits == 8
     assert led.phase_total("hello") == 8
     assert len(led.entries) == 3
+
+
+def test_message_records_are_immutable_named_fields():
+    led = CommLedger()
+    led.charge(B_TO_A, QUBITS, 7, "search")
+    (rec,) = led.entries
+    assert joinlab.MessageRecord is MessageRecord and isinstance(rec, MessageRecord)
+    assert (rec.direction, rec.kind, rec.amount, rec.phase) == (B_TO_A, QUBITS, 7, "search")
+    direction, kind, amount, phase = rec
+    assert rec == MessageRecord(direction, kind, amount, phase)
+    assert hash(rec) == hash(MessageRecord(B_TO_A, QUBITS, 7, "search"))
+    with pytest.raises(AttributeError):
+        rec.amount = 8
+    assert led.entries[0].amount == 7
 
 
 def test_charge_rejects_bad_amounts():

@@ -1,11 +1,14 @@
 """Search subroutines: exact amplitudes, witnesses, and charged costs."""
 
+import itertools
 import math
 import random
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from joinlab.f2core import BitMatrix, BitVector
 from joinlab.ledger import CommLedger, InertLedger, index_qubits
@@ -13,6 +16,8 @@ from joinlab.qsim import (
     BipartiteGraph,
     CostModel,
     GroverPlan,
+    _amplify,
+    _entry_probabilities,
     disj,
     graph_collision,
     graph_collision_all,
@@ -23,6 +28,84 @@ from joinlab.qsim import (
 )
 
 EXACT = CostModel.exact_mode()
+
+
+# ---------------------------------------------------------------------------
+# statevector reference for the closed-form exact draw
+# ---------------------------------------------------------------------------
+
+
+def _statevectors(marked_mask: np.ndarray):
+    """Amplitudes after 0, 1, 2, ... rounds of the two reflections on the whole vector.
+
+    The last axis is the register, so a stack of masks runs one register per row.
+    """
+    amps = np.full(marked_mask.shape, 1.0 / math.sqrt(marked_mask.shape[-1]))
+    while True:
+        yield amps
+        amps = np.where(marked_mask, -amps, amps)
+        amps = 2.0 * amps.mean(axis=-1, keepdims=True) - amps
+
+
+def _sample_index(probs: np.ndarray, rng: random.Random) -> int:
+    cum = np.cumsum(probs)
+    total = float(cum[-1])
+    r = rng.random() * total
+    return int(min(np.searchsorted(cum, r, side="right"), len(probs) - 1))
+
+
+def _reference_amplify(domain, marked_mask, plan, rng, charge):
+    """The exact branch of ``_amplify`` as a statevector simulation."""
+    for iterations in plan.draws(rng):
+        amps = next(itertools.islice(_statevectors(marked_mask), iterations, None))
+        candidate = _sample_index(amps * amps, rng)
+        charge(iterations)
+        if marked_mask[candidate]:
+            return domain[candidate]
+    return None
+
+
+def _random_mask(m: int, t: int, rng: random.Random) -> np.ndarray:
+    mask = np.zeros(m, dtype=bool)
+    mask[rng.sample(range(m), t)] = True
+    return mask
+
+
+def test_entry_probabilities_match_statevector():
+    rng = random.Random(11)
+    cases = [(m, range(m + 1)) for m in range(1, 65)]
+    cases += [(m, (0, 1, rng.randint(2, m - 1), m)) for m in rng.sample(range(65, 257), 12)]
+    for m, ts in cases:
+        masks = np.array([_random_mask(m, t, rng) for t in ts])
+        probs = np.array(list(itertools.islice(_statevectors(masks), 51))) ** 2
+        pairs = [[_entry_probabilities(m, t, k) for t in ts] for k in range(51)]
+        marked, unmarked = np.array(pairs).T
+        expect = np.where(masks, marked.T[..., None], unmarked.T[..., None])
+        assert np.max(np.abs(probs - expect)) < 1e-12, m
+
+
+@st.composite
+def amplify_cases(draw):
+    m = draw(st.integers(1, 256))
+    t = draw(st.one_of(st.sampled_from((0, 1, m)), st.integers(0, m)))
+    fixed = st.builds(GroverPlan.fixed, st.integers(0, 50), st.integers(1, 3))
+    plan = draw(st.one_of(st.none(), fixed))
+    return m, t, plan, draw(st.integers(0, 2**32))
+
+
+@given(amplify_cases())
+@example((1, 1, None, 0))
+@example((256, 0, GroverPlan.fixed(50, 3), 1))
+def test_closed_form_draws_match_statevector(case):
+    m, t, plan, seed = case
+    mask = _random_mask(m, t, random.Random(seed))
+    domain = range(1000, 1000 + m)
+    got, want = [], []
+    rng_got, rng_want = random.Random(seed), random.Random(seed)
+    found = _amplify(m, domain, mask, plan, EXACT, rng_got, got.append)
+    expect = _reference_amplify(domain, mask, plan or GroverPlan.default(m), rng_want, want.append)
+    # same witness, same charged draws, same generator state afterwards
+    assert (found, got, rng_got.random()) == (expect, want, rng_want.random())
 
 
 def test_cost_model_validation():
@@ -247,6 +330,89 @@ def test_graph_collision_all_monte_carlo_with_cost_band():
     # charged cost tracks the sqrt(lambda * min-weight) * log n shape
     mean_ratio = sum(ratios) / len(ratios)
     assert 1.0 <= mean_ratio <= 60.0
+
+
+class _AdjacencyGraph:
+    """Reference graph: one packed adjacency row per left vertex, each cover a loop over rows."""
+
+    def __init__(self, adj: BitMatrix):
+        self.adj = adj
+
+    @classmethod
+    def complement_of(cls, mat: BitMatrix) -> "_AdjacencyGraph":
+        full = (1 << mat.cols) - 1
+        return cls(BitMatrix(mat.rows, mat.cols, [full ^ r for r in mat.data]))
+
+    def has_edge(self, i: int, j: int) -> bool:
+        return self.adj.get(i, j) == 1
+
+    def left_cover(self, f_b: BitVector) -> BitVector:
+        acc = 0
+        for i, row in enumerate(self.adj.data):
+            if row & f_b.bits:
+                acc |= 1 << i
+        return BitVector(self.adj.rows, acc)
+
+    def right_cover(self, f_a: BitVector) -> BitVector:
+        acc = 0
+        for i in f_a.indices():
+            acc |= self.adj.data[i]
+        return BitVector(self.adj.cols, acc)
+
+    def without_edges(self, edges) -> "_AdjacencyGraph":
+        data = list(self.adj.data)
+        for i, j in edges:
+            data[i] &= ~(1 << j)
+        return _AdjacencyGraph(BitMatrix(self.adj.rows, self.adj.cols, data))
+
+
+@st.composite
+def outputs(draw):
+    """An output matrix with all-zero and all-one rows and columns among its random ones."""
+    rows, cols = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    full = (1 << cols) - 1
+    row = st.one_of(st.just(0), st.just(full), st.integers(0, full))
+    data = draw(st.lists(row, min_size=rows, max_size=rows))
+    for j in draw(st.sets(st.integers(0, cols - 1))):
+        data = [r | 1 << j for r in data]
+    for j in draw(st.sets(st.integers(0, cols - 1))):
+        data = [r & ~(1 << j) for r in data]
+    f_a = draw(st.one_of(st.just(0), st.integers(0, (1 << rows) - 1)))
+    f_b = draw(st.one_of(st.just(full), st.integers(0, full)))
+    return BitMatrix(rows, cols, data), BitVector(rows, f_a), BitVector(cols, f_b)
+
+
+def _same_graph(view: BipartiteGraph, ref: _AdjacencyGraph):
+    rows, cols = ref.adj.rows, ref.adj.cols
+    assert (view.n_left, view.n_right) == (rows, cols)
+    # each partner row and column is the complement of the view's missing edges
+    assert view.missing_rows == [((1 << cols) - 1) ^ r for r in ref.adj.data]
+    assert view.missing_cols == [((1 << rows) - 1) ^ c for c in ref.adj.transpose().data]
+    assert all(view.has_edge(i, j) == ref.has_edge(i, j) for i in range(rows) for j in range(cols))
+
+
+@given(outputs())
+@example((BitMatrix(1, 1, [0]), BitVector(1, 1), BitVector(1, 1)))
+@example((BitMatrix(1, 1, [1]), BitVector(1, 1), BitVector(1, 1)))
+def test_output_view_matches_adjacency_rows(case):
+    out, f_a, f_b = case
+    ref = _AdjacencyGraph.complement_of(out)
+    # built cell by cell as bmm builds it, and from the complement's adjacency
+    view = BipartiteGraph.complete(out.rows, out.cols)
+    for i, row in enumerate(out.data):
+        for j in BitVector(out.cols, row).indices():
+            view.remove_edge(i, j)
+    for graph in (view, BipartiteGraph(ref.adj)):
+        _same_graph(graph, ref)
+        assert graph.left_cover(f_b) == ref.left_cover(f_b)
+        assert graph.right_cover(f_a) == ref.right_cover(f_a)
+    edges = [(i, j) for i in range(out.rows) for j in ref.adj.row(i).indices()]
+    if edges:
+        i, j = edges[len(edges) // 2]
+        less = view.copy()
+        less.remove_edge(i, j)
+        _same_graph(less, ref.without_edges([(i, j)]))
+        _same_graph(view, ref)  # the copy shares nothing with the original
 
 
 def test_instance_search_trivials():
