@@ -31,7 +31,6 @@ from joinlab.joins import (
     SensingSketch,
     bmm,
     bmm_cost_model,
-    freivalds_columns,
     gen_hard_instance,
     mm_f2,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "embed_ip_f2",
     "embed_or_blocks",
     "f2_product",
-    "freivalds_columns",
     "gen_hard_instance",
     "gen_promise_instance",
     "graph_collision",

@@ -20,6 +20,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -205,15 +206,19 @@ def _disj_pair(n, seed) -> tuple[BitVector, BitVector]:
     return a, b
 
 
-def run_disj_trials(n, trials, base_seed, model, timing=False):
-    def play(pair, ledger, rng):
-        a, b = pair
-        witness = qsim.disj(a, b, ledger, model, rng)
-        return witness is not None and a[witness] == 1 and b[witness] == 1, 1
+def _play_disj(model, pair, ledger, rng):
+    """disj succeeds when it finds no witness exactly when the sets are disjoint, else one in both."""
+    a, b = pair
+    witness = qsim.disj(a, b, ledger, model, rng)
+    if witness is None:
+        return (a & b).is_zero(), 1
+    return a[witness] == 1 and b[witness] == 1, 1
 
+
+def run_disj_trials(n, trials, base_seed, model, timing=False):
     return _trials(
         ("disj", n), (n, n, 1, model.mode), trials, base_seed, timing,
-        lambda seed, rng: _disj_pair(n, seed), play,
+        lambda seed, rng: _disj_pair(n, seed), partial(_play_disj, model),
     )
 
 
@@ -247,7 +252,8 @@ def scaling_points(protocol, n_grid, ell_grid, trials, base_seed, model, divide_
     if protocol == "bmm-cost":
 
         def play(instance, ledger, rng):
-            return True, joins.bmm_cost_model(instance, model, ledger, rng).t
+            trace = joins.bmm_cost_model(instance, model, ledger, rng)
+            return trace.product == instance.oracle_product, trace.t
 
         for n in n_grid:
             for ell in ell_grid:
@@ -256,15 +262,10 @@ def scaling_points(protocol, n_grid, ell_grid, trials, base_seed, model, divide_
                     lambda seed, rng: joins.gen_hard_instance(n, ell, seed), play,
                 )
     elif protocol == "disj-cost":
-
-        def play(pair, ledger, rng):
-            qsim.disj(*pair, ledger, model, rng)
-            return True, 1
-
         for n in n_grid:
             rows += _trials(
                 ("scale-disj", n), (n, n, 1, model.mode), trials, base_seed, False,
-                lambda seed, rng: _disj_pair(n, seed), play,
+                lambda seed, rng: _disj_pair(n, seed), partial(_play_disj, model),
             )
     else:
         raise ValueError(f"unknown scaling protocol {protocol!r}")

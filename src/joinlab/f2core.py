@@ -53,6 +53,18 @@ def _scan_bits(word: int) -> list[int]:
     return (nonzero[rows] * 8 + offs).tolist()
 
 
+def _bernoulli(count: int, n: int, density: float, rng: random.Random) -> np.ndarray:
+    """A count x n boolean array of ``rng.random() < density``, drawn row by row in one call.
+
+    ``random()`` is ``((a >> 5) * 2**26 + (b >> 6)) / 2**53`` for the next two
+    32-bit outputs a, b, and ``getrandbits(64 * k)`` holds the next 2k outputs
+    as its 32-bit limbs, lowest first: same bits, same generator state after.
+    """
+    words = np.frombuffer(rng.getrandbits(64 * count * n).to_bytes(8 * count * n, "little"), dtype="<u4")
+    u = ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * (1.0 / 9007199254740992.0)
+    return (u < density).reshape(count, n)
+
+
 def _iter_bits(word: int):
     """Yield the positions of set bits in ascending order, as Python ints."""
     width = word.bit_length()
@@ -101,11 +113,7 @@ class BitVector:
 
     @classmethod
     def random(cls, n: int, density: float, rng: random.Random) -> "BitVector":
-        acc = 0
-        for i in range(n):
-            if rng.random() < density:
-                acc |= 1 << i
-        return cls(n, acc)
+        return cls(n, BitMatrix.random(1, n, density, rng).data[0])
 
     @classmethod
     def random_weight(cls, n: int, w: int, rng: random.Random) -> "BitVector":
@@ -210,7 +218,7 @@ class BitMatrix:
 
     @classmethod
     def random(cls, rows: int, cols: int, density: float, rng: random.Random) -> "BitMatrix":
-        return cls(rows, cols, [BitVector.random(cols, density, rng).bits for _ in range(rows)])
+        return cls.from_numpy(_bernoulli(rows, cols, density, rng))
 
     def get(self, i: int, j: int) -> int:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
@@ -365,19 +373,14 @@ def gen_promise_instance(m: int, n: int, ell: int, seed: int, kind: str = "bool"
     q = target / (k * k)
     for _ in range(_MAX_PLANT_ATTEMPTS):
         p = _entry_density(q, n, kind)
-        a_data = [0] * m
-        for i in active_rows:
-            a_data[i] = BitVector.random(n, p, rng).bits
-        b_data = [0] * n
-        col_mask_bits = [1 << j for j in active_cols]
-        for i in range(n):
-            acc = 0
-            for mask in col_mask_bits:
-                if rng.random() < p:
-                    acc |= mask
-            b_data[i] = acc
-        A = BitMatrix(m, n, a_data)
-        B = BitMatrix(n, m, b_data)
+        # one draw in the per-bit order: A's active rows, then B row by row over its active columns
+        fill = _bernoulli(2 * k, n, p, rng)
+        a_data, b_data = [0] * m, [0] * n
+        for r, j in np.argwhere(fill[:k]).tolist():
+            a_data[active_rows[r]] |= 1 << j
+        for i, t in np.argwhere(fill[k:].reshape(n, k)).tolist():
+            b_data[i] |= 1 << active_cols[t]
+        A, B = BitMatrix(m, n, a_data), BitMatrix(n, m, b_data)
         product = bool_product(A, B) if kind == "bool" else f2_product(A, B)
         got = product.weight()
         if lo <= got <= ell:

@@ -13,7 +13,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property, reduce
+from itertools import compress
+from operator import or_, xor
 
 from joinlab.f2core import (
     BitMatrix,
@@ -21,6 +23,7 @@ from joinlab.f2core import (
     DimensionError,
     InstanceError,
     JoinInstance,
+    _bernoulli,
     _iter_bits,
     bool_product,
     f2_product,
@@ -52,7 +55,6 @@ __all__ = [
     "bmm_cost_model",
     "gen_hard_instance",
     "freivalds_round",
-    "freivalds_columns",
     "SensingSketch",
     "ColumnClassification",
     "classify_columns",
@@ -329,23 +331,6 @@ def freivalds_round(a_side: BitMatrix, b_side: BitMatrix, v: BitVector, ledger: 
     return BitVector(n_out, acc)
 
 
-def freivalds_columns(
-    a_side: BitMatrix,
-    b_side: BitMatrix,
-    repetitions: int,
-    ledger: CommLedger,
-    rng: random.Random,
-) -> set[int]:
-    """Indices of product columns seen nonzero in any of the probe rounds."""
-    if repetitions < 1:
-        raise ValueError("need at least one repetition")
-    detected: set[int] = set()
-    for _ in range(repetitions):
-        v = BitVector.random(a_side.rows, 0.5, rng)
-        detected.update(freivalds_round(a_side, b_side, v, ledger).indices())
-    return detected
-
-
 # ---------------------------------------------------------------------------
 # Sparse recovery over F2
 # ---------------------------------------------------------------------------
@@ -496,6 +481,37 @@ class ColumnClassification:
 _DENSE_VOTE = 0.63
 
 
+def _probe_rounds(instance: JoinInstance, ledger: CommLedger, rng: random.Random, r1: int, r_freivalds: int):
+    """Yield each round's sampled rows of A, its probe vectors and their answers v^T (A_S B).
+
+    An answer is what :func:`freivalds_round` returns, and is charged as one:
+    the XOR of the product rows (A B)[i] of the sampled rows i the probe
+    picks.  Zero rows of A pick nothing; a product row is computed once.
+    """
+    A, B = instance.A, instance.B
+    n = A.rows
+    sample_rows = min(n, max(1, math.ceil(n / math.sqrt(instance.ell))))
+    sent, returned = max(1, B.rows), max(1, B.cols)
+
+    @cache
+    def product_row(i: int) -> int:
+        return reduce(xor, [B.data[k] for k in _iter_bits(A.data[i])], 0)
+
+    for _ in range(r1):
+        chosen = sorted(rng.sample(range(n), sample_rows))
+        if r_freivalds < 1:
+            raise ValueError("need at least one repetition")
+        probes = _bernoulli(r_freivalds, sample_rows, 0.5, rng)
+        live = [t for t, i in enumerate(chosen) if A.data[i]]
+        rows = [product_row(chosen[t]) for t in live]
+        answers = []
+        for hits in probes[:, live].tolist():
+            ledger.charge(A_TO_B, BITS, sent, "freivalds")
+            answers.append(reduce(xor, compress(rows, hits), 0))
+            ledger.charge(B_TO_A, BITS, returned, "freivalds")
+        yield chosen, probes, answers
+
+
 def classify_columns(
     instance: JoinInstance,
     ledger: CommLedger,
@@ -513,12 +529,9 @@ def classify_columns(
     """
     n = instance.A.rows
     sqrt_ell = math.sqrt(instance.ell)
-    sample_rows = min(n, max(1, math.ceil(n / sqrt_ell)))
     votes = [0] * n
-    for _ in range(r1):
-        chosen = sorted(rng.sample(range(n), sample_rows))
-        sub = BitMatrix(sample_rows, instance.A.cols, [instance.A.data[i] for i in chosen])
-        for j in freivalds_columns(sub, instance.B, r_freivalds, ledger, rng):
+    for _, _, answers in _probe_rounds(instance, ledger, rng, r1, r_freivalds):
+        for j in _iter_bits(reduce(or_, answers, 0)):
             votes[j] += 1
     threshold = _DENSE_VOTE * r1
     dense = frozenset(j for j in range(n) if votes[j] >= threshold)

@@ -9,8 +9,10 @@ import sys
 import pytest
 
 from joinlab import joins, qsim
-from joinlab.cli import FitResult, derive_seed, fit_exponent, main, parse_grid
+from joinlab.cli import FitResult, derive_seed, fit_exponent, main, parse_grid, scaling_points
+from joinlab.f2core import BitMatrix
 from joinlab.ledger import A_TO_B, BITS
+from joinlab.qsim import CostModel
 
 
 def test_fit_exact_power_law():
@@ -193,6 +195,23 @@ def test_scaling_disj_cost(tmp_path, capsys):
     assert code == 0
     summary = json.loads((tmp_path / "scal.summary.json").read_text())
     assert "fit" in summary and summary["fit"]["divide_log"] is True
+
+
+@pytest.mark.parametrize(
+    "protocol, module, target, answer",
+    [
+        ("bmm-cost", joins, "bmm_cost_model", lambda inst: joins.BmmTrace(product=BitMatrix.zeros(64, 64))),
+        ("disj-cost", qsim, "disj", lambda a: None),  # every sweep pair intersects
+        ("disj-cost", qsim, "disj", lambda a: next(i for i in range(a.n) if not a[i])),
+    ],
+)
+def test_scaling_rows_check_answers(protocol, module, target, answer, monkeypatch):
+    model = CostModel.cost_model()
+    _, rows = scaling_points(protocol, [64], [16], 2, 1, model, False)
+    assert [row["success"] for row in rows] == [1, 1]
+    monkeypatch.setattr(module, target, lambda first, *rest: answer(first))
+    _, rows = scaling_points(protocol, [64], [16], 2, 1, model, False)
+    assert [row["success"] for row in rows] == [0, 0]
 
 
 def test_validate_reductions_command(capsys):

@@ -1,5 +1,6 @@
 """Packed linear algebra against plain-loop and numpy oracles."""
 
+import math
 import random
 
 import numpy as np
@@ -325,3 +326,117 @@ def dense_matrices(draw):
 def test_transpose_dense_side_matches_dense_oracle(m):
     assume(m.weight() * f2core._SCATTER_CELLS_PER_ONE > m.rows * m.cols)
     _check_transpose(m)
+
+
+# ---------------------------------------------------------------------------
+# batched Bernoulli draws against the per-bit loop they replace
+# ---------------------------------------------------------------------------
+
+DENSITIES = st.one_of(
+    st.sampled_from((0.0, 1.0, 0.5, 1e-9, 5e-324, 1 - 2**-53, 2.0, -1.0, float("nan"))),
+    st.floats(0.0, 1.0),
+)
+
+
+def _loop_row(n: int, density: float, rng: random.Random) -> int:
+    """One row drawn bit by bit, ``rng.random() < density`` per bit, lowest bit first."""
+    acc = 0
+    for i in range(n):
+        if rng.random() < density:
+            acc |= 1 << i
+    return acc
+
+
+@given(st.integers(0, 4), st.integers(0, 300), DENSITIES, st.integers(0, 2**32 - 1))
+@example(0, 7, 0.5, 1)
+@example(3, 0, 0.5, 1)
+@example(4, 300, float("nan"), 2)
+@example(4, 300, 0.5, 3)
+def test_batched_draws_match_per_bit_loop(count, n, density, seed):
+    fast, slow = random.Random(seed), random.Random(seed)
+    bits = f2core._bernoulli(count, n, density, fast)
+    loop = [[slow.random() < density for _ in range(n)] for _ in range(count)]
+    assert bits.dtype == bool and bits.shape == (count, n)
+    assert bits.tolist() == loop
+    assert fast.getrandbits(32) == slow.getrandbits(32)
+
+    expected = BitMatrix(count, n, [_loop_row(n, density, slow) for _ in range(count)])
+    assert BitMatrix.random(count, n, density, fast) == expected
+    assert fast.getrandbits(32) == slow.getrandbits(32)
+    assert BitVector.random(n, density, fast) == BitVector(n, _loop_row(n, density, slow))
+    assert fast.getrandbits(32) == slow.getrandbits(32)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_batched_draws_split_at_the_drawn_float(seed):
+    # a density equal to a drawn value, or one ulp either side of it, decides
+    # that draw by its last bit
+    stream = random.Random(seed)
+    drawn = [stream.random() for _ in range(16)]
+    for j, edge in enumerate(drawn):
+        for density in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, 1.0)):
+            bits = f2core._bernoulli(1, 16, density, random.Random(seed))
+            assert bits[0, j] == (edge < density)
+            assert bits.tolist() == [[u < density for u in drawn]]
+
+
+def _loop_promise_instance(m: int, n: int, ell: int, seed: int, kind: str):
+    """(A, B) of gen_promise_instance with every fill drawn bit by bit, or None where it gives up."""
+    rng = random.Random(seed)
+    k = max(1, math.isqrt(ell - 1) + 1)
+    active_rows = sorted(rng.sample(range(m), k))
+    active_cols = sorted(rng.sample(range(m), k))
+    lo = (ell + 1) // 2
+    q = max(lo, min(ell, round(0.75 * ell))) / (k * k)
+    product = bool_product if kind == "bool" else f2_product
+    for _ in range(f2core._MAX_PLANT_ATTEMPTS):
+        p = f2core._entry_density(q, n, kind)
+        a_data = [0] * m
+        for i in active_rows:
+            a_data[i] = _loop_row(n, p, rng)
+        b_data = []
+        for _ in range(n):
+            acc = 0
+            for j in active_cols:
+                if rng.random() < p:
+                    acc |= 1 << j
+            b_data.append(acc)
+        A, B = BitMatrix(m, n, a_data), BitMatrix(n, m, b_data)
+        got = product(A, B).weight()
+        if lo <= got <= ell:
+            return A, B
+        if got < lo:
+            q = min(q * 1.2 + 1e-3, 0.95 if kind == "bool" else 0.495)
+        else:
+            q = max(q / 1.2, 1e-4)
+    return None
+
+
+def _planted(m: int, n: int, ell: int, seed: int, kind: str):
+    try:
+        inst = gen_promise_instance(m, n, ell, seed, kind)
+    except InstanceError:
+        return None
+    return inst.A, inst.B
+
+
+@given(
+    st.integers(1, 24).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, 24), st.integers(1, m * m))),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(("bool", "f2")),
+)
+@example((1, 1, 1), 0, "f2")
+@example((24, 3, 576), 5, "bool")
+@example((16, 16, 256), 6, "f2")
+def test_promise_instance_matches_per_bit_loop(shape, seed, kind):
+    assert _planted(*shape, seed, kind) == _loop_promise_instance(*shape, seed, kind)
+
+
+def test_promise_instance_gives_up_where_per_bit_loop_does(monkeypatch):
+    monkeypatch.setattr(f2core, "_MAX_PLANT_ATTEMPTS", 1)
+    outcomes = []
+    for seed in range(20):
+        expected = _loop_promise_instance(16, 16, 64, seed, "f2")
+        assert _planted(16, 16, 64, seed, "f2") == expected
+        outcomes.append(expected is None)
+    assert any(outcomes) and not all(outcomes)

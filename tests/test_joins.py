@@ -16,20 +16,22 @@ from joinlab.f2core import (
     gen_promise_instance,
 )
 from joinlab.joins import (
+    ColumnClassification,
     DecodeBudgetError,
     PromiseViolationError,
     SensingSketch,
+    _probe_rounds,
     bmm,
     bmm_cost_model,
     bmm_with_trace,
     classify_columns,
-    freivalds_columns,
     freivalds_round,
     gen_hard_instance,
     mm_f2,
 )
 from joinlab.ledger import CommLedger, InertLedger, index_qubits
 from joinlab.qsim import CostModel, SimulationCapError
+from joinlab.reductions import embed_ip_f2
 
 EXACT = CostModel.exact_mode()
 
@@ -168,11 +170,25 @@ def test_hard_instance_structure():
 # ---------------------------------------------------------------------------
 
 
+def _reference_columns(a_side, b_side, repetitions, ledger, rng) -> set[int]:
+    """Product columns seen nonzero by any of ``repetitions`` probes, each drawn bit by bit."""
+    if repetitions < 1:
+        raise ValueError("need at least one repetition")
+    detected: set[int] = set()
+    for _ in range(repetitions):
+        v = 0
+        for i in range(a_side.rows):
+            if rng.random() < 0.5:
+                v |= 1 << i
+        detected.update(freivalds_round(a_side, b_side, BitVector(a_side.rows, v), ledger).indices())
+    return detected
+
+
 def test_freivalds_zero_product_never_flags():
     rng = random.Random(2)
     a = BitMatrix.zeros(5, 7)
     b = BitMatrix.random(7, 7, 0.5, rng)
-    assert freivalds_columns(a, b, 10, CommLedger(), rng) == set()
+    assert _reference_columns(a, b, 10, CommLedger(), rng) == set()
 
 
 def test_freivalds_single_column_detection_is_half():
@@ -208,7 +224,7 @@ def test_freivalds_finds_nonzero_columns():
         b = BitMatrix.random(n, n, 0.1, rng)
         product = f2_product(a, b)
         truth = {j for j in range(n) if product.col(j).weight() > 0}
-        got = freivalds_columns(a, b, reps, InertLedger(), rng)
+        got = _reference_columns(a, b, reps, InertLedger(), rng)
         good += got == truth
     assert good >= 99
 
@@ -554,3 +570,78 @@ def test_classification_size_bound():
         inst = gen_promise_instance(64, 64, 36, seed, kind="f2")
         cls = classify_columns(inst, InertLedger(), random.Random(seed), 19, 13)
         assert len(cls.dense) <= math.ceil(inst.ell / (0.9 * math.sqrt(inst.ell)))
+
+
+def _reference_classify(instance, ledger, rng, r1, r_freivalds):
+    """classify_columns as one row sample and one :func:`_reference_columns` call per round."""
+    n = instance.A.rows
+    sqrt_ell = math.sqrt(instance.ell)
+    sample_rows = min(n, max(1, math.ceil(n / sqrt_ell)))
+    votes = [0] * n
+    for _ in range(r1):
+        chosen = sorted(rng.sample(range(n), sample_rows))
+        sub = BitMatrix(sample_rows, instance.A.cols, [instance.A.data[i] for i in chosen])
+        for j in _reference_columns(sub, instance.B, r_freivalds, ledger, rng):
+            votes[j] += 1
+    dense = frozenset(j for j in range(n) if votes[j] >= 0.63 * r1)
+    return dense, 0.9 * sqrt_ell, 1.1 * sqrt_ell
+
+
+@st.composite
+def classify_cases(draw):
+    """An F2 instance (planted, inner-product embedding, zero A, density-0.5 A or 1x1) and probe counts."""
+    family = draw(st.sampled_from(("planted", "ip", "zero-a", "half-a", "one")))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = random.Random(seed)
+    n = draw(st.sampled_from((8, 24, 64)))
+    if family == "planted":
+        inst = gen_promise_instance(n, n, draw(st.sampled_from((4, n // 2, 2 * n))), seed, "f2")
+    elif family == "ip":
+        k = draw(st.integers(1, math.isqrt(n)))
+        left = [BitVector.random(n, 0.5, rng) for _ in range(k)]
+        right = [BitVector.random(n, 0.5, rng) for _ in range(k)]
+        inst = embed_ip_f2(left, right, n).instance
+    else:
+        if family == "one":
+            n = 1
+        a = BitMatrix.zeros(n, n) if family == "zero-a" else BitMatrix.random(n, n, 0.5, rng)
+        inst = JoinInstance.build(a, BitMatrix.random(n, n, 0.5, rng), draw(st.integers(1, n * n)), kind="f2")
+    return inst, draw(st.integers(0, 6)), draw(st.integers(0, 5)), seed
+
+
+def _entries(led: CommLedger):
+    return [(e.direction, e.kind, e.amount, e.phase) for e in led.entries]
+
+
+@settings(max_examples=150)
+@given(classify_cases())
+@example((gen_promise_instance(64, 64, 128, 3, "f2"), 19, 13, 3))
+@example((JoinInstance.build(BitMatrix.zeros(8, 8), BitMatrix.identity(8), 4, kind="f2"), 3, 2, 1))
+@example((JoinInstance.build(BitMatrix.identity(1), BitMatrix.identity(1), 1, kind="f2"), 2, 0, 5))
+def test_classify_columns_matches_per_round_reference(case):
+    inst, r1, r_freivalds, seed = case
+    runs = []
+    for classify in (classify_columns, _reference_classify):
+        rng, led = random.Random(seed), CommLedger()
+        try:
+            got = classify(inst, led, rng, r1, r_freivalds)
+        except ValueError as exc:
+            got = exc.args
+        if isinstance(got, ColumnClassification):
+            got = (got.dense, got.lo, got.hi)
+        runs.append((got, _entries(led), rng.getrandbits(32)))
+    assert runs[0] == runs[1]
+
+
+@settings(max_examples=60)
+@given(classify_cases())
+@example((embed_ip_f2([BitVector(16, 0b1011)] * 2, [BitVector(16, 0b0110)] * 2, 16).instance, 3, 4, 2))
+def test_probe_answers_match_freivalds_round(case):
+    inst, r1, r_freivalds, seed = case
+    A, B = inst.A, inst.B
+    rounds = _probe_rounds(inst, InertLedger(), random.Random(seed), r1, max(1, r_freivalds))
+    for chosen, probes, answers in rounds:
+        sub = BitMatrix(len(chosen), A.cols, [A.data[i] for i in chosen])
+        assert len(answers) == len(probes) == max(1, r_freivalds)
+        for v, answer in zip(BitMatrix.from_numpy(probes).data, answers):
+            assert answer == freivalds_round(sub, B, BitVector(len(chosen), v), InertLedger()).bits
