@@ -15,7 +15,7 @@ from joinlab.f2core import (
     f2_product,
     gen_promise_instance,
 )
-from joinlab.ledger import CommLedger, InertLedger, MessageRecord
+from joinlab.ledger import CommLedger, MessageRecord
 from joinlab.qsim import (
     BipartiteGraph,
     CostModel,
@@ -52,7 +52,6 @@ __all__ = [
     "DimensionError",
     "Embedding",
     "GroverPlan",
-    "InertLedger",
     "InstanceError",
     "JoinInstance",
     "MessageRecord",

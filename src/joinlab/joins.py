@@ -17,6 +17,8 @@ from functools import cache, cached_property, reduce
 from itertools import compress
 from operator import or_, xor
 
+import numpy as np
+
 from joinlab.f2core import (
     BitMatrix,
     BitVector,
@@ -63,7 +65,7 @@ __all__ = [
 ]
 
 # run time, not EXACT_DOMAIN_CAP, bounds exact bmm: one planted trial at
-# n = ell = 2**12 (seed 5) takes about 1.6 s on a 2-core VM
+# n = ell = 2**12 (seed 5) takes about 0.7 s on a 2-core VM
 BMM_EXACT_CAP = 1 << 12
 
 
@@ -122,8 +124,10 @@ def _search_and_collect(
 
     ``uncovered[k]`` counts the collisions of column k of A and row k of B
     that are not yet in the output, so index k is a live witness while it is
-    positive.  Each round finds and pays for one live witness, adds all of
-    its uncovered collisions to the output, and takes them off the counts.
+    positive.  Exact mode keeps that test as the bool mask ``live``, cleared
+    as counts reach zero, and hands it to the instance search.  Each round
+    finds and pays for one live witness, adds all of its uncovered
+    collisions to the output, and takes them off the counts.
     Exact mode finds the witness with the nested instance search and
     collects with graph collision on the complement of the output;
     cost-model mode replays the protocol as :func:`bmm_cost_model` describes.
@@ -142,6 +146,7 @@ def _search_and_collect(
     weights = [(col.bit_count(), row.bit_count()) for col, row in zip(a_t.data, B.data)]
     min_w = [min(w) for w in weights]
     uncovered = [wa * wb for wa, wb in weights]
+    live = np.array(uncovered, dtype=bool) if model.exact else None
     width = index_qubits(m)
     # Grover budget of the nested collision search, uniform over branches
     inner_budget = _inner_iterations(max(min_w, default=0), model.c_round)
@@ -159,10 +164,9 @@ def _search_and_collect(
     trace = BmmTrace()
     while True:
         if model.exact:
-            answers = [u > 0 for u in uncovered]
             k = None
             for _ in range(none_repeats):
-                k = instance_search(answers, ledger, model, rng, inner_cost_qubits=inner_cost)
+                k = instance_search(live, ledger, model, rng, inner_cost_qubits=inner_cost)
                 if k is not None:
                     break
             if k is None:
@@ -192,6 +196,8 @@ def _search_and_collect(
             uncollected.remove_edge(i, j)
             for kk in _iter_bits(A.data[i] & b_t.data[j]):
                 uncovered[kk] -= 1
+                if not uncovered[kk] and live is not None:
+                    live[kk] = False
         ones += len(cells)
         if ones > instance.ell:
             raise PromiseViolationError(f"found {ones} ones, promise allows {instance.ell}")

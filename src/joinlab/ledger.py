@@ -26,7 +26,6 @@ __all__ = [
     "QUBITS",
     "MessageRecord",
     "CommLedger",
-    "InertLedger",
     "index_qubits",
     "integer_bits",
     "outcome_bits",
@@ -70,10 +69,15 @@ class MessageRecord(NamedTuple):
 
 
 class CommLedger:
-    """Append-only account of exchanged resources with cached totals."""
+    """Append-only account of exchanged resources with cached totals.
+
+    ``charge`` logs each message as a plain ``(direction, kind, amount,
+    phase)`` tuple; :attr:`entries` builds the :class:`MessageRecord` named
+    tuples only when read.
+    """
 
     def __init__(self):
-        self.entries: list[MessageRecord] = []
+        self._log: list[tuple[str, str, int, str]] = []
         self._total = {BITS: 0, QUBITS: 0}
 
     @staticmethod
@@ -86,9 +90,15 @@ class CommLedger:
             raise ValueError(f"amount must be a positive integer, got {amount!r}")
 
     def charge(self, direction: str, kind: str, amount: int, phase: str):
-        self._validate(direction, kind, amount)
-        self.entries.append(MessageRecord(direction, kind, amount, phase))
+        # one test for the common case; _validate accepts int subclasses and words each rejection
+        if not (direction in DIRECTIONS and kind in KINDS and type(amount) is int and amount > 0):
+            self._validate(direction, kind, amount)
+        self._log.append((direction, kind, amount, phase))
         self._total[kind] += amount
+
+    @property
+    def entries(self) -> list[MessageRecord]:
+        return list(map(MessageRecord._make, self._log))
 
     @property
     def bits(self) -> int:
@@ -119,14 +129,7 @@ class CommLedger:
         return [(trial_id, e.phase, e.direction, e.kind, e.amount) for e in self.entries]
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._log)
 
     def __repr__(self) -> str:
-        return f"CommLedger(bits={self.bits}, qubits={self.qubits}, entries={len(self.entries)})"
-
-
-class InertLedger(CommLedger):
-    """Validates charges but records nothing; protocols must behave identically."""
-
-    def charge(self, direction: str, kind: str, amount: int, phase: str):
-        self._validate(direction, kind, amount)
+        return f"CommLedger(bits={self.bits}, qubits={self.qubits}, entries={len(self)})"

@@ -12,6 +12,7 @@ impossible; only false negatives carry protocol error.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -168,6 +169,7 @@ class GroverPlan:
             raise ValueError("reps_per_stage must be positive")
 
     @classmethod
+    @functools.lru_cache(maxsize=1024)  # plans are frozen, so callers can share one
     def default(cls, support_size: int, extra_stages: int = 4) -> "GroverPlan":
         if support_size < 1:
             raise ValueError("support must be nonempty")
@@ -219,6 +221,8 @@ def _amplify(n: int, domain, marked_mask: np.ndarray, plan, model, rng, charge, 
 
     Exact mode samples one candidate for each iteration count the plan
     draws, from the entry probabilities of :func:`_entry_probabilities`.
+    With no marked entry every draw fails, so it only takes each draw's
+    ``rng.random()`` and charge.
     Cost-model mode makes a single measurement at the analytical count
     ceil(c * sqrt(|domain| / d)) for t marked entries: c = c_round and
     d = t + 1 for an inner search, c = c_shuttle and d = max(t, 1) for the
@@ -231,6 +235,13 @@ def _amplify(n: int, domain, marked_mask: np.ndarray, plan, model, rng, charge, 
             raise SimulationCapError(f"exact mode supports n <= {EXACT_DOMAIN_CAP}, got {n}")
         if plan is None:
             plan = GroverPlan.default(m)
+        if not marked_mask.any():
+            # t = 0 puts all the mass on unmarked entries: each draw still takes
+            # its rng.random() and its charge, but no candidate can be marked
+            for iterations in plan.draws(rng):
+                rng.random()
+                charge(iterations)
+            return None
         # marked[i] counts the marked entries in domain[:i + 1]
         marked = np.cumsum(marked_mask).tolist()
         t = marked[-1]
@@ -495,13 +506,14 @@ def instance_search(
     """Search a list of communication instances for one whose answer is 1.
 
     ``answers[i]`` is the (deterministically computable) inner answer for
-    instance i; exact mode treats it as a perfect phase oracle.  Each
-    amplitude-amplification round charges the index register round trip
-    plus twice the inner protocol's cost (compute and uncompute), with the
-    inner cost multiplied by the repetition factor that boosts a bounded
-    error inner protocol for coherent nesting.
+    instance i; exact mode treats it as a perfect phase oracle.  A bool
+    array is read in place, not copied.  Each amplitude-amplification round
+    charges the index register round trip plus twice the inner protocol's
+    cost (compute and uncompute), with the inner cost multiplied by the
+    repetition factor that boosts a bounded error inner protocol for
+    coherent nesting.
     """
-    marked_mask = np.array(list(answers), dtype=bool)
+    marked_mask = np.asarray(answers, dtype=bool)
     big_n = len(marked_mask)
     if big_n == 0:
         raise ValueError("instance list must be nonempty")

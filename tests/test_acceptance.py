@@ -27,7 +27,7 @@ from joinlab.joins import (
     mm_f2,
 )
 from joinlab.cli import _disj_pair, fit_exponent
-from joinlab.ledger import A_TO_B, B_TO_A, BITS, QUBITS, CommLedger, InertLedger
+from joinlab.ledger import A_TO_B, B_TO_A, BITS, QUBITS, CommLedger
 from joinlab.qsim import (
     CostModel,
     GroverPlan,
@@ -156,7 +156,7 @@ def test_criterion_4_exact_grover_and_witness_distribution():
         counts = Counter()
         hits = 0
         for trial in range(1000):
-            w = disj(a, b, InertLedger(), EXACT, random.Random(8000 + trial), plan=plan)
+            w = disj(a, b, CommLedger(), EXACT, random.Random(8000 + trial), plan=plan)
             if w is not None:
                 assert a[w] == 1 and b[w] == 1
                 counts[w] += 1
@@ -192,7 +192,7 @@ def test_criterion_6_freivalds_exactness():
     assert f2_product(a, b).col(2).weight() > 0
     detections = 0
     for vbits in range(8):
-        result = freivalds_round(a, b, BitVector(3, vbits), InertLedger())
+        result = freivalds_round(a, b, BitVector(3, vbits), CommLedger())
         detections += result[2]
     assert detections == 4
     print("\nACCEPT-6 PASS freivalds single-round detection 4/8 over all probes")

@@ -29,7 +29,7 @@ from joinlab.joins import (
     gen_hard_instance,
     mm_f2,
 )
-from joinlab.ledger import CommLedger, InertLedger, index_qubits
+from joinlab.ledger import A_TO_B, BITS, CommLedger, index_qubits
 from joinlab.qsim import CostModel, SimulationCapError
 from joinlab.reductions import embed_ip_f2
 
@@ -79,11 +79,14 @@ def test_bmm_promise_violation_detected():
         bmm(inst, EXACT, CommLedger(), random.Random(0))
 
 
-def test_bmm_inert_ledger_same_output():
+def test_bmm_output_does_not_read_the_ledger():
     inst = gen_promise_instance(16, 16, 8, seed=123)
-    a = bmm(inst, EXACT, CommLedger(), random.Random(5))
-    b = bmm(inst, EXACT, InertLedger(), random.Random(5))
-    assert a == b
+    fresh, used = CommLedger(), CommLedger()
+    used.charge(A_TO_B, BITS, 3, "earlier")
+    a = bmm(inst, EXACT, fresh, random.Random(5))
+    b = bmm(inst, EXACT, used, random.Random(5))
+    assert a == b == inst.oracle_product
+    assert used.entries[1:] == fresh.entries
 
 
 def test_bmm_exact_mode_size_cap():
@@ -198,7 +201,7 @@ def test_freivalds_single_column_detection_is_half():
     assert f2_product(a, b).col(2).weight() > 0
     detections = 0
     for vbits in range(8):
-        res = freivalds_round(a, b, BitVector(3, vbits), InertLedger())
+        res = freivalds_round(a, b, BitVector(3, vbits), CommLedger())
         detections += res[2]
         assert res.bits & ~(1 << 2) == 0  # other columns stay silent
     assert detections == 4
@@ -224,7 +227,7 @@ def test_freivalds_finds_nonzero_columns():
         b = BitMatrix.random(n, n, 0.1, rng)
         product = f2_product(a, b)
         truth = {j for j in range(n) if product.col(j).weight() > 0}
-        got = _reference_columns(a, b, reps, InertLedger(), rng)
+        got = _reference_columns(a, b, reps, CommLedger(), rng)
         good += got == truth
     assert good >= 99
 
@@ -535,7 +538,7 @@ def test_classification_captures_clearly_dense_columns():
         a = BitMatrix(n, n, [1 if i in rows else 0 for i in range(n)])
         b = BitMatrix(n, n, [(1 << j_star) if k == 0 else 0 for k in range(n)])
         inst = JoinInstance.build(a, b, ell, tr, "f2")
-        cls = classify_columns(inst, InertLedger(), rng, 19, 13)
+        cls = classify_columns(inst, CommLedger(), rng, 19, 13)
         captured += j_star in cls.dense
         pure += all(inst.oracle_product.col(j).weight() >= cls.lo for j in cls.dense)
     assert captured / trials >= 0.95
@@ -559,7 +562,7 @@ def test_classification_leaves_scattered_columns_sparse():
             data[i] |= 1 << j
         b = BitMatrix(n, n, data)
         inst = JoinInstance.build(a, b, ell, tr, "f2")
-        cls = classify_columns(inst, InertLedger(), rng, 19, 13)
+        cls = classify_columns(inst, CommLedger(), rng, 19, 13)
         clean += len(cls.dense) == 0
     assert clean / trials >= 0.95
 
@@ -568,7 +571,7 @@ def test_classification_size_bound():
     for tr in range(50):
         seed = 61000 + tr
         inst = gen_promise_instance(64, 64, 36, seed, kind="f2")
-        cls = classify_columns(inst, InertLedger(), random.Random(seed), 19, 13)
+        cls = classify_columns(inst, CommLedger(), random.Random(seed), 19, 13)
         assert len(cls.dense) <= math.ceil(inst.ell / (0.9 * math.sqrt(inst.ell)))
 
 
@@ -639,9 +642,9 @@ def test_classify_columns_matches_per_round_reference(case):
 def test_probe_answers_match_freivalds_round(case):
     inst, r1, r_freivalds, seed = case
     A, B = inst.A, inst.B
-    rounds = _probe_rounds(inst, InertLedger(), random.Random(seed), r1, max(1, r_freivalds))
+    rounds = _probe_rounds(inst, CommLedger(), random.Random(seed), r1, max(1, r_freivalds))
     for chosen, probes, answers in rounds:
         sub = BitMatrix(len(chosen), A.cols, [A.data[i] for i in chosen])
         assert len(answers) == len(probes) == max(1, r_freivalds)
         for v, answer in zip(BitMatrix.from_numpy(probes).data, answers):
-            assert answer == freivalds_round(sub, B, BitVector(len(chosen), v), InertLedger()).bits
+            assert answer == freivalds_round(sub, B, BitVector(len(chosen), v), CommLedger()).bits

@@ -1,8 +1,10 @@
-"""Ledger accounting: additivity, reports, CSV rows, inert behaviour."""
+"""Ledger accounting: additivity, reports, CSV rows, validation, records built on read."""
 
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import joinlab
 from joinlab.f2core import BitVector
@@ -12,7 +14,6 @@ from joinlab.ledger import (
     BITS,
     QUBITS,
     CommLedger,
-    InertLedger,
     MessageRecord,
     index_qubits,
     integer_bits,
@@ -135,19 +136,77 @@ def test_disj_ledger_recomputed_from_schedule():
     assert led.bits == expect_bits
 
 
-def test_inert_ledger_does_not_change_outputs():
+def test_prior_charges_do_not_change_outputs():
     n = 48
     rng = random.Random(15)
     a = BitVector.random(n, 0.3, rng)
     b = BitVector.random(n, 0.3, rng)
-    outs = []
-    for ledger in (CommLedger(), InertLedger()):
-        outs.append(disj(a, b, ledger, CostModel.exact_mode(), random.Random(99)))
+    fresh, used = CommLedger(), CommLedger()
+    used.charge(A_TO_B, BITS, 5, "earlier")
+    outs = [disj(a, b, led, CostModel.exact_mode(), random.Random(99)) for led in (fresh, used)]
     assert outs[0] == outs[1]
-    inert = InertLedger()
-    inert.charge(A_TO_B, BITS, 5, "x")
-    assert inert.bits == 0 and len(inert.entries) == 0
-    assert inert.phase_total("x") == inert.phase_total("x", BITS) == 0
-    assert inert.report() == {"phases": {}, "total_bits": 0, "total_qubits": 0}
-    with pytest.raises(ValueError):
-        inert.charge(A_TO_B, BITS, 0, "x")
+    assert used.entries[1:] == fresh.entries and used.bits == fresh.bits + 5
+
+
+# (direction, kind, amount) that charge rejects, each with _validate's message
+BAD_CHARGES = [
+    ("sideways", BITS, 1, "unknown direction 'sideways'"),
+    (None, QUBITS, 3, "unknown direction None"),
+    (A_TO_B, "bytes", 1, "unknown kind 'bytes'"),
+    (B_TO_A, None, 2, "unknown kind None"),
+    (A_TO_B, BITS, 0, "amount must be a positive integer, got 0"),
+    (A_TO_B, QUBITS, -1, "amount must be a positive integer, got -1"),
+    (B_TO_A, BITS, 1.0, "amount must be a positive integer, got 1.0"),
+    (A_TO_B, BITS, 2.5, "amount must be a positive integer, got 2.5"),
+    (A_TO_B, BITS, "3", "amount must be a positive integer, got '3'"),
+    (B_TO_A, QUBITS, None, "amount must be a positive integer, got None"),
+    (A_TO_B, BITS, False, "amount must be a positive integer, got False"),
+    # the first bad field names the error
+    ("sideways", "bytes", 0, "unknown direction 'sideways'"),
+    (A_TO_B, "bytes", None, "unknown kind 'bytes'"),
+]
+
+good_charges = st.tuples(
+    st.sampled_from((A_TO_B, B_TO_A)),
+    st.sampled_from((BITS, QUBITS)),
+    st.one_of(st.integers(1, 2**70), st.just(True)),
+    st.text(max_size=6),
+)
+charges = st.one_of(good_charges, st.sampled_from(range(len(BAD_CHARGES))))
+
+
+def _state(led: CommLedger):
+    return len(led), led.entries, led.bits, led.qubits, led.total(), led.report()
+
+
+@given(st.lists(charges, max_size=24))
+def test_charges_are_recorded_in_order_and_rejections_leave_no_trace(ops):
+    led = CommLedger()
+    accepted = []
+    for op in ops:
+        if isinstance(op, int):
+            direction, kind, amount, message = BAD_CHARGES[op]
+            before = _state(led)
+            with pytest.raises(ValueError) as err:
+                led.charge(direction, kind, amount, "bad")
+            assert str(err.value) == message
+            assert _state(led) == before
+        else:
+            led.charge(*op)
+            accepted.append(op)
+    entries = led.entries
+    assert all(type(e) is MessageRecord for e in entries)
+    assert entries == [MessageRecord(*op) for op in accepted]
+    assert len(led) == len(accepted)
+    assert led.bits == sum(op[2] for op in accepted if op[1] == BITS)
+    assert led.qubits == sum(op[2] for op in accepted if op[1] == QUBITS)
+    assert led.to_csv_rows(7) == [(7, p, d, k, a) for d, k, a, p in accepted]
+    for phase in {op[3] for op in accepted}:
+        assert led.phase_total(phase) == sum(op[2] for op in accepted if op[3] == phase)
+
+
+def test_true_is_a_charge_of_one():
+    led = CommLedger()
+    led.charge(A_TO_B, BITS, True, "flag")
+    assert led.bits == 1 and len(led) == 1
+    assert led.entries == [MessageRecord(A_TO_B, BITS, True, "flag")]

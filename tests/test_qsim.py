@@ -1,5 +1,6 @@
 """Search subroutines: exact amplitudes, witnesses, and charged costs."""
 
+import bisect
 import itertools
 import math
 import random
@@ -11,7 +12,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from joinlab.f2core import BitMatrix, BitVector
-from joinlab.ledger import CommLedger, InertLedger, index_qubits
+from joinlab.ledger import CommLedger, index_qubits
 from joinlab.qsim import (
     BipartiteGraph,
     CostModel,
@@ -106,6 +107,62 @@ def test_closed_form_draws_match_statevector(case):
     expect = _reference_amplify(domain, mask, plan or GroverPlan.default(m), rng_want, want.append)
     # same witness, same charged draws, same generator state afterwards
     assert (found, got, rng_got.random()) == (expect, want, rng_want.random())
+
+
+def _reference_bisect_amplify(domain, marked_mask, plan, rng, charge):
+    """The exact branch of ``_amplify`` that bisects prefix masses on every draw, whatever t is."""
+    m = len(domain)
+    marked = np.cumsum(marked_mask).tolist()
+    t = marked[-1]
+    for iterations in plan.draws(rng):
+        pm, pu = _entry_probabilities(m, t, iterations)
+        r = rng.random() * (pu * (m - t) + pm * t)
+        candidate = bisect.bisect_right(
+            range(m - 1), r, key=lambda i: pu * (i + 1 - marked[i]) + pm * marked[i]
+        )
+        charge(iterations)
+        if marked_mask[candidate]:
+            return domain[candidate]
+    return None
+
+
+@st.composite
+def unmarked_cases(draw):
+    n = draw(st.integers(1, 4096))
+    domain = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=min(n, 300))))
+    fixed = st.builds(GroverPlan.fixed, st.integers(0, 60), st.integers(1, 3))
+    zero = st.builds(GroverPlan, st.lists(st.just(0), min_size=1, max_size=3).map(tuple),
+                     st.integers(1, 3), st.just(False))
+    default = st.builds(GroverPlan.default, st.just(len(domain)), st.integers(1, 6))
+    plan = draw(st.one_of(st.none(), default, fixed, zero))
+    return n, domain, plan, draw(st.integers(0, 2**32))
+
+
+@given(unmarked_cases())
+@example((1, [0], None, 0))
+@example((4096, list(range(0, 4096, 16)), GroverPlan.fixed(0, 3), 5))
+def test_unmarked_domain_skips_the_bisect_but_not_the_draws(case):
+    n, domain, plan, seed = case
+    mask = np.zeros(len(domain), dtype=bool)
+    got, want = [], []
+    rng_got, rng_want = random.Random(seed), random.Random(seed)
+    found = _amplify(n, domain, mask, plan, EXACT, rng_got, got.append)
+    reference_plan = plan or GroverPlan.default(len(domain))
+    expect = _reference_bisect_amplify(domain, mask, reference_plan, rng_want, want.append)
+    # no witness, the same charged draws, the same generator state afterwards
+    assert (found, got, rng_got.random()) == (expect, want, rng_want.random())
+    assert found is None
+    assert len(got) == len(reference_plan.stage_caps) * reference_plan.reps_per_stage
+
+
+def test_default_plans_are_shared_per_arguments():
+    for m in (1, 2, 17, 64, 1000, 1 << 20):
+        assert GroverPlan.default(m) is GroverPlan.default(m)
+        assert GroverPlan.default(m, 2) == GroverPlan.default(m, extra_stages=2)
+        assert GroverPlan.default(m, 2) != GroverPlan.default(m, 3)
+        assert GroverPlan.default(m, 3).stage_caps[:-1] == GroverPlan.default(m, 2).stage_caps
+    with pytest.raises(ValueError):
+        GroverPlan.default(0)
 
 
 def test_cost_model_validation():
@@ -208,7 +265,7 @@ def test_disj_monte_carlo_success_and_uniformity():
     hits = 0
     trials = 1000
     for tr in range(trials):
-        w = disj(a, b, InertLedger(), EXACT, random.Random(5000 + tr))
+        w = disj(a, b, CommLedger(), EXACT, random.Random(5000 + tr))
         if w is not None:
             assert w in (6, 7)
             hits += 1
@@ -229,7 +286,7 @@ def test_disj_uniform_at_optimal_iterations():
         counts = Counter()
         hits = 0
         for tr in range(1000):
-            w = disj(a, b, InertLedger(), EXACT, random.Random(8000 + tr), plan=plan)
+            w = disj(a, b, CommLedger(), EXACT, random.Random(8000 + tr), plan=plan)
             if w is not None:
                 counts[w] += 1
                 hits += 1
@@ -291,7 +348,7 @@ def test_graph_collision_monte_carlo():
         f_a = BitVector.random_weight(n, 4, rng)
         f_b = BitVector.random_weight(n, 4, rng)
         truth = any(g.has_edge(i, j) for i in f_a.indices() for j in f_b.indices())
-        edge = graph_collision(g, f_a, f_b, InertLedger(), EXACT, rng)
+        edge = graph_collision(g, f_a, f_b, CommLedger(), EXACT, rng)
         if edge is None:
             good += not truth
         else:
