@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from operator import or_, xor
 
 import numpy as np
 
@@ -75,6 +76,20 @@ def _iter_bits(word: int):
         low = word & -word
         yield low.bit_length() - 1
         word ^= low
+
+
+def _fold(op, rows, word: int, start: int = 0) -> int:
+    """``start`` combined by ``op`` with ``rows[k]`` for each set bit k of ``word``, k ascending.
+
+    The one row combination behind both products and the protocols: OR for
+    the Boolean product, XOR over F2, AND from the full mask for a graph
+    cover.  A zero word returns ``start`` without starting the iterator.
+    """
+    if not word:
+        return start
+    for k in _iter_bits(word):
+        start = op(start, rows[k])
+    return start
 
 
 class BitVector:
@@ -291,25 +306,13 @@ def _check_product_shapes(a: BitMatrix, b: BitMatrix):
 def bool_product(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """Boolean semiring product: OR-accumulate rows of ``b`` chosen by rows of ``a``."""
     _check_product_shapes(a, b)
-    out = []
-    for r in a.data:
-        acc = 0
-        for k in _iter_bits(r):
-            acc |= b.data[k]
-        out.append(acc)
-    return BitMatrix(a.rows, b.cols, out)
+    return BitMatrix(a.rows, b.cols, [_fold(or_, b.data, r) for r in a.data])
 
 
 def f2_product(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """Product over F2: XOR-accumulate rows of ``b`` chosen by rows of ``a``."""
     _check_product_shapes(a, b)
-    out = []
-    for r in a.data:
-        acc = 0
-        for k in _iter_bits(r):
-            acc ^= b.data[k]
-        out.append(acc)
-    return BitMatrix(a.rows, b.cols, out)
+    return BitMatrix(a.rows, b.cols, [_fold(xor, b.data, r) for r in a.data])
 
 
 @dataclass(frozen=True)
@@ -380,11 +383,10 @@ def gen_promise_instance(m: int, n: int, ell: int, seed: int, kind: str = "bool"
             a_data[active_rows[r]] |= 1 << j
         for i, t in np.argwhere(fill[k:].reshape(n, k)).tolist():
             b_data[i] |= 1 << active_cols[t]
-        A, B = BitMatrix(m, n, a_data), BitMatrix(n, m, b_data)
-        product = bool_product(A, B) if kind == "bool" else f2_product(A, B)
-        got = product.weight()
+        instance = JoinInstance.build(BitMatrix(m, n, a_data), BitMatrix(n, m, b_data), ell, seed, kind)
+        got = instance.oracle_product.weight()
         if lo <= got <= ell:
-            return JoinInstance(A, B, ell, seed, kind, product)
+            return instance
         # steer the fill density toward the band before retrying
         if got < lo:
             q = min(q * 1.2 + 1e-3, 0.95 if kind == "bool" else 0.495)

@@ -26,8 +26,9 @@ from joinlab.f2core import (
     InstanceError,
     JoinInstance,
     _bernoulli,
+    _fold,
     _iter_bits,
-    bool_product,
+    bool_product,  # unused here; perfbench's tracing test checks these two bindings
     f2_product,
 )
 from joinlab.ledger import (
@@ -325,16 +326,11 @@ def freivalds_round(a_side: BitMatrix, b_side: BitMatrix, v: BitVector, ledger: 
         raise DimensionError("inner dimensions disagree")
     if v.n != a_side.rows:
         raise DimensionError("probe vector must match the row count of A")
-    u = 0
-    for i in v.indices():
-        u ^= a_side.data[i]
-    n_out = b_side.cols
+    u = _fold(xor, a_side.data, v.bits)
     ledger.charge(A_TO_B, BITS, max(1, b_side.rows), "freivalds")
-    acc = 0
-    for k in _iter_bits(u):
-        acc ^= b_side.data[k]
-    ledger.charge(B_TO_A, BITS, max(1, n_out), "freivalds")
-    return BitVector(n_out, acc)
+    acc = _fold(xor, b_side.data, u)
+    ledger.charge(B_TO_A, BITS, max(1, b_side.cols), "freivalds")
+    return BitVector(b_side.cols, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +497,7 @@ def _probe_rounds(instance: JoinInstance, ledger: CommLedger, rng: random.Random
 
     @cache
     def product_row(i: int) -> int:
-        return reduce(xor, [B.data[k] for k in _iter_bits(A.data[i])], 0)
+        return _fold(xor, B.data, A.data[i])
 
     for _ in range(r1):
         chosen = sorted(rng.sample(range(n), sample_rows))
@@ -584,10 +580,7 @@ def mm_f2(
     if dense:
         ledger.charge(B_TO_A, BITS, len(dense) * n, "dense-transfer")
         for j in dense:
-            acc = 0
-            for i in _iter_bits(b_t.data[j]):
-                acc ^= a_t.data[i]
-            out_cols[j] = acc
+            out_cols[j] = _fold(xor, a_t.data, b_t.data[j])
 
     sparse = [j for j in range(n) if j not in classification.dense]
     kappa = math.ceil(1.1 * math.sqrt(instance.ell))
@@ -599,9 +592,7 @@ def mm_f2(
             continue
         col_sketches = [sketch.encode(BitVector(n, a_t.data[i])).bits for i in range(n)]
         for j in sorted(unresolved):
-            meas = 0
-            for i in _iter_bits(b_t.data[j]):
-                meas ^= col_sketches[i]
+            meas = _fold(xor, col_sketches, b_t.data[j])
             decoded = sketch.decode(BitVector(sketch.measurement_len, meas))
             if decoded is not None:
                 out_cols[j] = decoded.bits

@@ -39,9 +39,6 @@ BITS = "bits"
 QUBITS = "qubits"
 KINDS = (BITS, QUBITS)
 
-CSV_HEADER = ("trial_id", "phase", "direction", "kind", "amount")
-
-
 def index_qubits(n: int) -> int:
     """Qubits (or bits) needed to name an element of [n]."""
     if n < 1:

@@ -16,10 +16,11 @@ import functools
 import math
 import random
 from dataclasses import dataclass
+from operator import and_
 
 import numpy as np
 
-from joinlab.f2core import BitMatrix, BitVector, DimensionError
+from joinlab.f2core import BitMatrix, BitVector, DimensionError, _fold
 from joinlab.ledger import (
     A_TO_B,
     B_TO_A,
@@ -42,8 +43,6 @@ __all__ = [
     "SimulationCapError",
     "ProtocolError",
     "grover_search",
-    "grover_success_curve",
-    "grover_success_curves_batch",
     "disj",
     "graph_collision",
     "graph_collision_all",
@@ -101,47 +100,6 @@ class CostModel:
         return cls(COST_MODEL, c_shuttle, c_round, epsilon)
 
 
-def grover_success_curve(support_size: int, marked_count: int, max_iterations: int) -> np.ndarray:
-    """Exact simulated success probability after k = 0..max_iterations rounds.
-
-    Runs the two reflections on the support-restricted amplitude vector; the
-    closed form sin^2((2k+1) asin(sqrt(t/m))) is the independent check.
-    """
-    if not 1 <= marked_count <= support_size:
-        raise ValueError("need 1 <= marked_count <= support_size")
-    amps = np.full(support_size, 1.0 / math.sqrt(support_size))
-    marked = np.zeros(support_size, dtype=bool)
-    marked[:marked_count] = True
-    probs = np.empty(max_iterations + 1)
-    probs[0] = float(np.sum(amps[marked] ** 2))
-    for k in range(1, max_iterations + 1):
-        amps[marked] = -amps[marked]
-        amps = 2.0 * amps.mean() - amps
-        probs[k] = float(np.sum(amps[marked] ** 2))
-    return probs
-
-
-def grover_success_curves_batch(support_size: int, max_iterations: int) -> np.ndarray:
-    """Success-probability curves for every marked count t = 1..support_size.
-
-    Row ``t-1`` holds the exact simulated probabilities after k = 0..max
-    rounds, computed with the same two reflections as
-    :func:`grover_success_curve` but batched across t for speed.
-    """
-    m = support_size
-    if m < 1:
-        raise ValueError("support must be nonempty")
-    amps = np.full((m, m), 1.0 / math.sqrt(m))
-    mask = np.tril(np.ones((m, m), dtype=bool))
-    out = np.empty((m, max_iterations + 1))
-    out[:, 0] = np.sum(np.where(mask, amps, 0.0) ** 2, axis=1)
-    for k in range(1, max_iterations + 1):
-        amps = np.where(mask, -amps, amps)
-        amps = 2.0 * amps.mean(axis=1, keepdims=True) - amps
-        out[:, k] = np.sum(np.where(mask, amps, 0.0) ** 2, axis=1)
-    return out
-
-
 @dataclass(frozen=True)
 class GroverPlan:
     """Iteration schedule for search with unknown marked count.
@@ -173,6 +131,8 @@ class GroverPlan:
     def default(cls, support_size: int, extra_stages: int = 4) -> "GroverPlan":
         if support_size < 1:
             raise ValueError("support must be nonempty")
+        if extra_stages < 0:
+            raise ValueError(f"extra_stages must be nonnegative, got {extra_stages}")
         hard = max(1, math.ceil(math.pi / 4.0 * math.sqrt(support_size)))
         caps = []
         s = 0
@@ -183,7 +143,8 @@ class GroverPlan:
             caps.append(c)
             s += 1
         caps.extend([hard] * extra_stages)
-        return cls(tuple(caps))
+        # at m = 1 the ceiling is also the first growth cap, so it is the one stage
+        return cls(tuple(caps) or (hard,))
 
     @classmethod
     def fixed(cls, iterations: int, reps: int = 1) -> "GroverPlan":
@@ -418,10 +379,8 @@ class BipartiteGraph:
 
 def _cover(missing: list, query: BitVector, n: int) -> BitVector:
     """Vertices on the other side (of n) with a neighbor in ``query``: the rest miss all of it."""
-    full = uncovered = (1 << n) - 1
-    for v in query.indices():
-        uncovered &= missing[v]
-    return BitVector(n, full ^ uncovered)
+    full = (1 << n) - 1
+    return BitVector(n, full ^ _fold(and_, missing, query.bits, full))
 
 
 def graph_collision(
@@ -446,23 +405,20 @@ def graph_collision(
         ledger.charge(A_TO_B, BITS, integer_bits(f_a.n), "handshake")
         ledger.charge(B_TO_A, BITS, integer_bits(f_b.n), "handshake")
         return None
-    if f_a.weight() <= f_b.weight():
-        left_candidates = graph.left_cover(f_b)
-        witness = disj(f_a, left_candidates, ledger, model, rng)
-        if witness is None:
-            return None
-        partner_pool = BitVector(graph.n_right, f_b.bits & ~graph.missing_rows[witness]).indices()
-        partner = partner_pool[rng.randrange(len(partner_pool))]
-        ledger.charge(B_TO_A, BITS, outcome_bits(graph.n_right), "edge-report")
-        return (witness, partner)
-    right_candidates = graph.right_cover(f_a)
-    witness = disj(right_candidates, f_b, ledger, model, rng)
+    own_is_left = f_a.weight() <= f_b.weight()
+    if own_is_left:
+        own, other, cover, missing, report = f_a, f_b, graph.left_cover, graph.missing_rows, B_TO_A
+    else:
+        own, other, cover, missing, report = f_b, f_a, graph.right_cover, graph.missing_cols, A_TO_B
+    candidates = cover(other)
+    left, right = (own, candidates) if own_is_left else (candidates, own)
+    witness = disj(left, right, ledger, model, rng)
     if witness is None:
         return None
-    partner_pool = BitVector(graph.n_left, f_a.bits & ~graph.missing_cols[witness]).indices()
+    partner_pool = BitVector(other.n, other.bits & ~missing[witness]).indices()
     partner = partner_pool[rng.randrange(len(partner_pool))]
-    ledger.charge(A_TO_B, BITS, outcome_bits(graph.n_left), "edge-report")
-    return (partner, witness)
+    ledger.charge(report, BITS, outcome_bits(other.n), "edge-report")
+    return (witness, partner) if own_is_left else (partner, witness)
 
 
 def graph_collision_all(

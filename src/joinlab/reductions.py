@@ -43,11 +43,10 @@ def _disj_bit(a: BitVector, b: BitVector) -> int:
     return 0 if (a & b).is_zero() else 1
 
 
-def embed_disj_family(a_vectors, b_vectors, n: int) -> Embedding:
-    """Diagonal embedding of k disjointness instances, k <= n, each length n.
+def _embed_diagonal(name: str, kind: str, a_vectors, b_vectors, n: int) -> Embedding:
+    """Row i of A carries the i-th left input and column i of B the i-th right input, i < k <= n.
 
-    Row i of A carries the i-th left input, column i of B the i-th right
-    input; diagonal entry (i, i) of the Boolean product answers instance i.
+    The payload keeps both families as ``a`` and ``b`` and their size ``k``.
     """
     a_vectors = list(a_vectors)
     b_vectors = list(b_vectors)
@@ -58,31 +57,34 @@ def embed_disj_family(a_vectors, b_vectors, n: int) -> Embedding:
         raise ValueError(f"family size {k} exceeds n={n}")
     if any(v.n != n for v in a_vectors + b_vectors):
         raise ValueError("all vectors must have length n")
-    a_data = [a_vectors[i].bits for i in range(k)] + [0] * (n - k)
-    b_data = [0] * n
-    for i in range(k):
-        for pos in b_vectors[i].indices():
-            b_data[pos] |= 1 << i
-    instance = JoinInstance.build(
-        BitMatrix(n, n, a_data), BitMatrix(n, n, b_data), ell=k * k, kind="bool"
-    )
-    payload = {"a": a_vectors, "b": b_vectors, "k": k}
-    return Embedding("disj-family", instance, payload)
+    pad = [0] * (n - k)
+    A = BitMatrix(n, n, [v.bits for v in a_vectors] + pad)
+    B = BitMatrix(n, n, [v.bits for v in b_vectors] + pad).transpose()
+    instance = JoinInstance.build(A, B, ell=k * k, kind=kind)
+    return Embedding(name, instance, {"a": a_vectors, "b": b_vectors, "k": k})
+
+
+def _round_trip(emb: Embedding) -> bool:
+    """The carried inputs are readable off the matrices: row i of A and column i of B."""
+    inst, payload = emb.instance, emb.payload
+    return all(inst.A.row(i) == payload["a"][i] and inst.B.col(i) == payload["b"][i] for i in range(payload["k"]))
+
+
+def embed_disj_family(a_vectors, b_vectors, n: int) -> Embedding:
+    """Diagonal embedding of k disjointness instances, k <= n, each length n.
+
+    Row i of A carries the i-th left input, column i of B the i-th right
+    input; diagonal entry (i, i) of the Boolean product answers instance i.
+    """
+    return _embed_diagonal("disj-family", "bool", a_vectors, b_vectors, n)
 
 
 def _validate_disj_family(emb: Embedding) -> bool:
-    inst = emb.instance
+    inst, payload = emb.instance, emb.payload
     product = bool_product(inst.A, inst.B)
-    if product.weight() > inst.ell:
-        return False
-    k = emb.payload["k"]
-    for i in range(k):
-        if product.get(i, i) != _disj_bit(emb.payload["a"][i], emb.payload["b"][i]):
-            return False
-        # round trip: the carried inputs are readable off the matrices
-        if inst.A.row(i) != emb.payload["a"][i] or inst.B.col(i) != emb.payload["b"][i]:
-            return False
-    return True
+    answers = [_disj_bit(a, b) for a, b in zip(payload["a"], payload["b"])]
+    diagonal = [product.get(i, i) for i in range(len(answers))]
+    return product.weight() <= inst.ell and diagonal == answers and _round_trip(emb)
 
 
 def embed_inner_product(a: BitVector, b: BitVector, n: int) -> Embedding:
@@ -186,43 +188,15 @@ def embed_ip_f2(x_vectors, y_vectors, n: int) -> Embedding:
     vector; the parity of the product's diagonal equals the inner product
     of the concatenated inputs over F2.
     """
-    x_vectors = list(x_vectors)
-    y_vectors = list(y_vectors)
-    k = len(x_vectors)
-    if k == 0 or len(y_vectors) != k:
-        raise ValueError("need matching nonempty input families")
-    if k > n:
-        raise ValueError(f"family size {k} exceeds n={n}")
-    if any(v.n != n for v in x_vectors + y_vectors):
-        raise ValueError("all vectors must have length n")
-    a_data = [x_vectors[i].bits for i in range(k)] + [0] * (n - k)
-    b_data = [0] * n
-    for i in range(k):
-        for pos in y_vectors[i].indices():
-            b_data[pos] |= 1 << i
-    instance = JoinInstance.build(
-        BitMatrix(n, n, a_data), BitMatrix(n, n, b_data), ell=k * k, kind="f2"
-    )
-    payload = {"x": x_vectors, "y": y_vectors, "k": k}
-    return Embedding("ip-f2", instance, payload)
+    return _embed_diagonal("ip-f2", "f2", x_vectors, y_vectors, n)
 
 
 def _validate_ip_f2(emb: Embedding) -> bool:
-    inst = emb.instance
+    inst, payload = emb.instance, emb.payload
     product = f2_product(inst.A, inst.B)
-    if product.weight() > inst.ell:
-        return False
-    diag_parity = sum(product.get(i, i) for i in range(product.rows)) % 2
-    expected = 0
-    for x, y in zip(emb.payload["x"], emb.payload["y"]):
-        expected ^= (x & y).weight() % 2
-    if diag_parity != expected:
-        return False
-    k = emb.payload["k"]
-    for i in range(k):
-        if inst.A.row(i) != emb.payload["x"][i] or inst.B.col(i) != emb.payload["y"][i]:
-            return False
-    return True
+    parity = sum(product.get(i, i) for i in range(product.rows)) % 2
+    expected = sum((a & b).weight() for a, b in zip(payload["a"], payload["b"])) % 2
+    return product.weight() <= inst.ell and parity == expected and _round_trip(emb)
 
 
 _VALIDATORS = {

@@ -4,6 +4,7 @@ Run with ``pytest -s tests/test_acceptance.py`` to see one PASS line per
 criterion with the measured values.
 """
 
+import itertools
 import math
 import random
 import time
@@ -11,6 +12,7 @@ from collections import Counter
 
 import numpy as np
 
+from grover_statevector import grover_success_curve, grover_success_curves_batch, statevectors
 from joinlab.f2core import (
     BitMatrix,
     BitVector,
@@ -28,13 +30,7 @@ from joinlab.joins import (
 )
 from joinlab.cli import _disj_pair, fit_exponent
 from joinlab.ledger import A_TO_B, B_TO_A, BITS, QUBITS, CommLedger
-from joinlab.qsim import (
-    CostModel,
-    GroverPlan,
-    disj,
-    grover_success_curve,
-    grover_success_curves_batch,
-)
+from joinlab.qsim import CostModel, GroverPlan, _entry_probabilities, disj
 
 EXACT = CostModel.exact_mode()
 COST = CostModel.cost_model()
@@ -144,6 +140,15 @@ def test_criterion_4_exact_grover_and_witness_distribution():
         single = grover_success_curve(m, t, 50)
         batch = grover_success_curves_batch(m, 50)[t - 1]
         assert np.max(np.abs(single - batch)) < 1e-12
+    # exact draws sample _entry_probabilities: it must match the statevector entry by entry
+    worst_entry = 0.0
+    for m in (*range(1, 65), 100):
+        masks = np.tril(np.ones((m, m), dtype=bool))
+        probs = np.array(list(itertools.islice(statevectors(masks), 51))) ** 2
+        pairs = np.array([[_entry_probabilities(m, t, k) for t in range(1, m + 1)] for k in range(51)])
+        expect = np.where(masks, pairs[:, :, :1], pairs[:, :, 1:])
+        worst_entry = max(worst_entry, float(np.abs(probs - expect).max()))
+    assert worst_entry < 1e-9, f"entry probabilities off by {worst_entry}"
 
     n = 64
     tvs = {}
@@ -165,7 +170,7 @@ def test_criterion_4_exact_grover_and_witness_distribution():
         tvs[t] = tv
         assert tv <= 0.1, f"t={t} TV {tv:.3f}"
     print(
-        f"\nACCEPT-4 PASS grover closed-form max err {worst:.2e}; "
+        f"\nACCEPT-4 PASS grover closed-form max err {worst:.2e}; entry probabilities max err {worst_entry:.2e}; "
         f"witness TV {dict((k, round(v, 3)) for k, v in tvs.items())}"
     )
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+from operator import and_, or_, xor
 
 import numpy as np
 import pytest
@@ -261,6 +262,44 @@ def test_set_bit_switch_sides(n, k, scans, monkeypatch):
     ones = sorted(random.Random(n + k).sample(range(n - 1), k - 1) + [n - 1])
     assert BitVector(n, _dense_word(n, ones)).indices() == ones
     assert bool(scanned) == scans
+
+
+def _dense_rows(rows, width: int) -> np.ndarray:
+    """Each packed row as a bool array of ``width`` columns."""
+    nbytes = (width + 7) // 8
+    buf = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in rows), dtype=np.uint8)
+    return np.unpackbits(buf.reshape(len(rows), nbytes), axis=1, bitorder="little")[:, :width].astype(bool)
+
+
+@given(words(), st.integers(1, 130), st.integers(0, 2**32 - 1))
+@example((64, []), 9, 0)
+@example((1 << 20, [5]), 70, 1)
+@example((8192, [3, 4100, 8191]), 64, 2)  # few ones: the int loop
+@example((8192, list(range(0, 8192, 128))), 64, 3)  # 64 ones: the numpy scan
+def test_fold_matches_plain_loop_and_dense_oracle(case, width, seed):
+    n, ones = case
+    rng = random.Random(seed)
+    rows = {k: rng.getrandbits(width) for k in ones}
+    full = (1 << width) - 1
+    picked = _dense_rows([rows[k] for k in ones], width)
+    oracles = (
+        (or_, 0, picked.any(axis=0)),
+        (xor, 0, picked.sum(axis=0) % 2 == 1),
+        (and_, full, picked.all(axis=0)),
+    )
+    for op, start, dense in oracles:
+        loop = start
+        for k in ones:
+            loop = op(loop, rows[k])
+        assert f2core._fold(op, rows, _dense_word(n, ones), start) == loop
+        assert loop == _dense_word(width, np.flatnonzero(dense))
+
+
+def test_fold_returns_start_on_a_zero_word_without_iterating(monkeypatch):
+    monkeypatch.setattr(f2core, "_iter_bits", lambda word: pytest.fail("iterated a zero word"))
+    full = (1 << 300) - 1
+    assert f2core._fold(and_, None, 0, full) is full
+    assert f2core._fold(xor, None, 0) == 0
 
 
 @given(

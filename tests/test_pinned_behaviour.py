@@ -10,6 +10,7 @@ current digests.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import os
@@ -27,7 +28,7 @@ from joinlab.qsim import (
     grover_search,
     instance_search,
 )
-from joinlab.reductions import embed_disj_family, embed_ip_f2
+from joinlab.reductions import embed_disj_family, embed_inner_product, embed_ip_f2, embed_or_blocks
 
 EXACT = CostModel.exact_mode()
 COST_MODELS = (
@@ -44,6 +45,7 @@ EXPECTED = {
     "mm_f2": "aaefb07b481c2d2c5b9e206fe2c58bdbe3e1e06ac9333b2b9b0f88b31dba1553",
     "cli": "864c2e415e5a57eb1f614675c4dbccc4f5fc42eaaf31ee1aa22fbb1e7a4b8d65",
     "cli_sweeps": "07d166b1c89351cfe8496ba6c02ad20fb6060edec11b4f715b1420a0cd3a796b",
+    "reductions": "b3861058dd40e27add3043d8965cecd9e0dc057cd718d3adfe299d38493c10c1",
 }
 
 
@@ -208,6 +210,32 @@ def mm_f2_digest() -> str:
     return digest.hexdigest()
 
 
+def _embeddings():
+    rng = random.Random(47)
+    for n, k in ((8, 1), (16, 3), (24, 8), (12, 12)):
+        left = [BitVector.random(n, 0.4, rng) for _ in range(k)]
+        right = [BitVector.random(n, 0.4, rng) for _ in range(k)]
+        yield embed_disj_family(left, right, n)
+        yield embed_ip_f2(left, right, n)
+    for n, length in ((4, 1), (4, 16), (8, 29), (16, 200)):
+        yield embed_inner_product(BitVector.random(length, 0.5, rng), BitVector.random(length, 0.5, rng), n)
+    for n, side, k in ((4, 2, 2), (16, 4, 3), (24, 3, 8)):
+        blocks = [(BitMatrix.random(side, side, 0.4, rng), BitMatrix.random(side, side, 0.4, rng)) for _ in range(k)]
+        yield embed_or_blocks(blocks, n)
+
+
+def reductions_digest() -> str:
+    """Every embedder's (A, B, ell, kind, product) and ``validate()``, also with one cell of A flipped."""
+    digest = _Digest()
+    for emb in _embeddings():
+        inst = emb.instance
+        digest.add(emb.name, inst.A.data, inst.B.data, inst.ell, inst.kind, inst.oracle_product.data)
+        flipped = BitMatrix(inst.A.rows, inst.A.cols, [inst.A.data[0] ^ 1, *inst.A.data[1:]])
+        tampered = JoinInstance.build(flipped, inst.B, inst.ell, inst.seed, inst.kind)
+        digest.add(emb.validate(), dataclasses.replace(emb, instance=tampered).validate())
+    return digest.hexdigest()
+
+
 CLI_RUNS = (
     ("run-bmm", "--n", "16,32", "--ell", "8,32", "--trials", "10", "--seed", "3", "--mode", "exact"),
     ("run-bmm", "--n", "16,32", "--ell", "8,32", "--trials", "10", "--seed", "3", "--mode", "cost-model"),
@@ -278,6 +306,10 @@ def test_mm_f2_pinned():
     assert mm_f2_digest() == EXPECTED["mm_f2"]
 
 
+def test_reductions_pinned():
+    assert reductions_digest() == EXPECTED["reductions"]
+
+
 def test_cli_outputs_pinned(tmp_path):
     assert cli_digest(tmp_path) == EXPECTED["cli"]
 
@@ -298,5 +330,6 @@ if __name__ == "__main__":
                 "mm_f2": mm_f2_digest(),
                 "cli": cli_digest(tmp),
                 "cli_sweeps": sweep_digest(tmp),
+                "reductions": reductions_digest(),
             }
         )

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from grover_statevector import grover_success_curve, grover_success_curves_batch, statevectors
 from joinlab.f2core import BitMatrix, BitVector
-from joinlab.ledger import CommLedger, index_qubits
+from joinlab.ledger import A_TO_B, B_TO_A, BITS, CommLedger, index_qubits, outcome_bits
 from joinlab.qsim import (
     BipartiteGraph,
     CostModel,
@@ -23,8 +24,6 @@ from joinlab.qsim import (
     graph_collision,
     graph_collision_all,
     grover_search,
-    grover_success_curve,
-    grover_success_curves_batch,
     instance_search,
 )
 
@@ -34,18 +33,6 @@ EXACT = CostModel.exact_mode()
 # ---------------------------------------------------------------------------
 # statevector reference for the closed-form exact draw
 # ---------------------------------------------------------------------------
-
-
-def _statevectors(marked_mask: np.ndarray):
-    """Amplitudes after 0, 1, 2, ... rounds of the two reflections on the whole vector.
-
-    The last axis is the register, so a stack of masks runs one register per row.
-    """
-    amps = np.full(marked_mask.shape, 1.0 / math.sqrt(marked_mask.shape[-1]))
-    while True:
-        yield amps
-        amps = np.where(marked_mask, -amps, amps)
-        amps = 2.0 * amps.mean(axis=-1, keepdims=True) - amps
 
 
 def _sample_index(probs: np.ndarray, rng: random.Random) -> int:
@@ -58,7 +45,7 @@ def _sample_index(probs: np.ndarray, rng: random.Random) -> int:
 def _reference_amplify(domain, marked_mask, plan, rng, charge):
     """The exact branch of ``_amplify`` as a statevector simulation."""
     for iterations in plan.draws(rng):
-        amps = next(itertools.islice(_statevectors(marked_mask), iterations, None))
+        amps = next(itertools.islice(statevectors(marked_mask), iterations, None))
         candidate = _sample_index(amps * amps, rng)
         charge(iterations)
         if marked_mask[candidate]:
@@ -78,7 +65,7 @@ def test_entry_probabilities_match_statevector():
     cases += [(m, (0, 1, rng.randint(2, m - 1), m)) for m in rng.sample(range(65, 257), 12)]
     for m, ts in cases:
         masks = np.array([_random_mask(m, t, rng) for t in ts])
-        probs = np.array(list(itertools.islice(_statevectors(masks), 51))) ** 2
+        probs = np.array(list(itertools.islice(statevectors(masks), 51))) ** 2
         pairs = [[_entry_probabilities(m, t, k) for t in ts] for k in range(51)]
         marked, unmarked = np.array(pairs).T
         expect = np.where(masks, marked.T[..., None], unmarked.T[..., None])
@@ -133,7 +120,7 @@ def unmarked_cases(draw):
     fixed = st.builds(GroverPlan.fixed, st.integers(0, 60), st.integers(1, 3))
     zero = st.builds(GroverPlan, st.lists(st.just(0), min_size=1, max_size=3).map(tuple),
                      st.integers(1, 3), st.just(False))
-    default = st.builds(GroverPlan.default, st.just(len(domain)), st.integers(1, 6))
+    default = st.builds(GroverPlan.default, st.just(len(domain)), st.integers(0, 6))
     plan = draw(st.one_of(st.none(), default, fixed, zero))
     return n, domain, plan, draw(st.integers(0, 2**32))
 
@@ -163,6 +150,17 @@ def test_default_plans_are_shared_per_arguments():
         assert GroverPlan.default(m, 3).stage_caps[:-1] == GroverPlan.default(m, 2).stage_caps
     with pytest.raises(ValueError):
         GroverPlan.default(0)
+
+
+def test_default_plan_without_extra_stages():
+    # at m = 1 the growth stages are empty, so the ceiling is the one stage
+    assert GroverPlan.default(1, extra_stages=0).stage_caps == (1,)
+    assert list(GroverPlan.default(1, 0).draws(random.Random(0))) == [0, 0, 0]
+    for m in (2, 3, 17, 64, 1000):
+        hard = math.ceil(math.pi / 4 * math.sqrt(m))
+        assert GroverPlan.default(m, 2).stage_caps == GroverPlan.default(m, 0).stage_caps + (hard, hard)
+    with pytest.raises(ValueError, match="got -1"):
+        GroverPlan.default(5, extra_stages=-1)
 
 
 def test_cost_model_validation():
@@ -355,6 +353,32 @@ def test_graph_collision_monte_carlo():
             i, j = edge
             good += g.has_edge(i, j) and f_a[i] == 1 and f_b[j] == 1 and truth
     assert good / trials >= 2 / 3
+
+
+@pytest.mark.parametrize("model", [EXACT, CostModel.cost_model()], ids=["exact", "cost-model"])
+@pytest.mark.parametrize("n_left, n_right", [(5, 40), (40, 5)])
+@pytest.mark.parametrize("own_is_left", [True, False])
+def test_graph_collision_on_non_square_graphs(own_is_left, n_left, n_right, model):
+    # the lighter side keeps its set; the report names a vertex of the other side
+    w_a, w_b = (2, 4) if own_is_left else (4, 2)
+    partner_n, direction = (n_right, B_TO_A) if own_is_left else (n_left, A_TO_B)
+    found = 0
+    for tr in range(60):
+        rng = random.Random(2600 + tr)
+        g = BipartiteGraph.random(n_left, n_right, 0.3, rng)
+        f_a = BitVector.random_weight(n_left, w_a, rng)
+        f_b = BitVector.random_weight(n_right, w_b, rng)
+        led = CommLedger()
+        edge = graph_collision(g, f_a, f_b, led, model, rng)
+        reports = [(e.direction, e.kind, e.amount) for e in led.entries if e.phase == "edge-report"]
+        if edge is None:
+            assert reports == []
+            continue
+        i, j = edge
+        assert g.has_edge(i, j) and f_a[i] == 1 and f_b[j] == 1
+        assert reports == [(direction, BITS, outcome_bits(partner_n))]
+        found += 1
+    assert found >= 30
 
 
 def test_graph_collision_all_diagonal():
