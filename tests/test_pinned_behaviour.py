@@ -42,7 +42,8 @@ EXPECTED = {
     "bmm_exact": "4e14031030651ea8d771f24eb579309ec317485a951554cc1b17db70284c335e",
     "bmm_cost_model": "f5044f29493b6a25ce07d04c731a0e915001ead30ef4112328e14a227ffa02e6",
     "qsim": "8a87834b8754f13736cba012e5e1c3b07d4b1790e0b65eeeead32e0a347bcf7b",
-    "mm_f2": "aaefb07b481c2d2c5b9e206fe2c58bdbe3e1e06ac9333b2b9b0f88b31dba1553",
+    "mm_f2": "8129e79ab660692ec043961e1b450fe180a023005ba5fe2712c16cecb5ec8d1a",
+    "sketch": "3ff3cd1c92ef3b1ac503771e7e8940de7dc33a42c649d7ff51f4ccba65a3a951",
     "cli": "864c2e415e5a57eb1f614675c4dbccc4f5fc42eaaf31ee1aa22fbb1e7a4b8d65",
     "cli_sweeps": "07d166b1c89351cfe8496ba6c02ad20fb6060edec11b4f715b1420a0cd3a796b",
     "reductions": "b3861058dd40e27add3043d8965cecd9e0dc057cd718d3adfe299d38493c10c1",
@@ -191,11 +192,17 @@ def _mm_f2_cases():
 
 
 def mm_f2_digest() -> str:
+    """The protocol runs: outputs, ledger entries and the draw after each call."""
     digest = _Digest()
     for seed, inst, kwargs in _mm_f2_cases():
         rng, led = random.Random(seed), CommLedger()
         _run(digest, lambda: mm_f2(inst, led, rng, **kwargs).data, rng, led)
-    # the measurement bytes and the decode of fixed-seed sketches
+    return digest.hexdigest()
+
+
+def sketch_digest() -> str:
+    """The measurement bytes and the decode of fixed-seed sketches: the realized hash."""
+    digest = _Digest()
     rng = random.Random(46)
     sketches = ((2, 1, 5, None), (64, 4, 1, None), (100, 3, 7, 2), (1024, 16, 99, None))
     for n, kappa, seed, levels in sketches:
@@ -306,6 +313,10 @@ def test_mm_f2_pinned():
     assert mm_f2_digest() == EXPECTED["mm_f2"]
 
 
+def test_sketch_pinned():
+    assert sketch_digest() == EXPECTED["sketch"]
+
+
 def test_reductions_pinned():
     assert reductions_digest() == EXPECTED["reductions"]
 
@@ -328,6 +339,7 @@ if __name__ == "__main__":
                 "bmm_cost_model": bmm_cost_model_digest(),
                 "qsim": qsim_digest(),
                 "mm_f2": mm_f2_digest(),
+                "sketch": sketch_digest(),
                 "cli": cli_digest(tmp),
                 "cli_sweeps": sweep_digest(tmp),
                 "reductions": reductions_digest(),
