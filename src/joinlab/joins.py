@@ -338,23 +338,93 @@ def freivalds_round(a_side: BitMatrix, b_side: BitMatrix, v: BitVector, ledger: 
 # ---------------------------------------------------------------------------
 
 
+class _SketchWords(dict):
+    """Coordinate -> measurement word of one sketch, filled in on first lookup.
+
+    It holds the sketch's sizes and seed, not the sketch, so the two form no
+    reference cycle.  The hash tables are computed from the seed on first
+    use, for all n coordinates and all levels in one numpy pass.  Level l
+    puts coordinate i in bucket ``h * buckets >> 32`` of the multiply-shift
+    hash ``h = ((a*i + b) mod 2**64) >> 32`` (Dietzfelbinger et al. 1997).
+    Its code is ``(c2 * s(c1 * i) + d) mod 2**code_bits``, with c1 and c2
+    odd and ``s(x) = x ^ x >> ceil(code_bits / 2)``: each step is a
+    bijection, so :meth:`coordinate` inverts it by arithmetic.  The xorshift
+    step matters: with the affine map ``c*i + d`` alone, the XOR of the codes
+    of three coordinates sharing a bucket named a fourth coordinate in that
+    bucket about three times as often as with random codes, and a decoder
+    with few levels peeled those false candidates.  When codes outnumber
+    coordinates, d puts the preimage of code 0 at or above n, so no
+    coordinate has code 0.
+    """
+
+    def __init__(self, n: int, levels: int, buckets: int, code_bits: int, seed: int):
+        super().__init__()
+        self.n, self.levels, self.buckets, self.code_bits, self.seed = n, levels, buckets, code_bits, seed
+        self._shift = (code_bits + 1) // 2
+
+    @cached_property
+    def tables(self) -> tuple[list[list[int]], list[list[int]], list[tuple[int, int, int]]]:
+        """Per level: each coordinate's bucket, each coordinate's code, and (d, c2^-1, c1^-1)."""
+        rng = random.Random(self.seed)
+        n, bits, shift = self.n, self.code_bits, self._shift
+        space = 1 << bits
+        params = []
+        for _ in range(self.levels):
+            a, b = rng.getrandbits(64), rng.getrandbits(64)
+            c1, c2 = rng.getrandbits(bits) | 1, rng.getrandbits(bits) | 1
+            if space > n:
+                x = c1 * rng.randrange(n, space) % space
+                d = -c2 * (x ^ x >> shift) % space
+            else:
+                d = rng.getrandbits(bits)
+            params.append((a, b, c1, c2, d))
+        a, b, c1, c2, d = (np.array(col, dtype=np.uint64)[:, None] for col in zip(*params))
+        i, mask = np.arange(n, dtype=np.uint64), np.uint64(space - 1)
+        buckets = ((a * i + b) >> np.uint64(32)) * np.uint64(self.buckets) >> np.uint64(32)
+        x = c1 * i & mask
+        codes = c2 * (x ^ x >> np.uint64(shift)) + d & mask
+        inverse = [(d, pow(c2, -1, space), pow(c1, -1, space)) for _, _, c1, c2, d in params]
+        return buckets.tolist(), codes.tolist(), inverse
+
+    def coordinate(self, level: int, code: int) -> int | None:
+        """The coordinate with this code at this level, or None when no coordinate below n has it."""
+        d, c2_inv, c1_inv = self.tables[2][level]
+        mask = (1 << self.code_bits) - 1
+        x = (code - d) * c2_inv & mask
+        i = (x ^ x >> self._shift) * c1_inv & mask
+        return i if i < self.n else None
+
+    def __missing__(self, i: int) -> int:
+        bucket_of, code_of, _ = self.tables
+        width = 1 + self.code_bits
+        word = 0
+        for level in range(self.levels):
+            word |= (1 | code_of[level][i] << 1) << (level * self.buckets + bucket_of[level][i]) * width
+        self[i] = word
+        return word
+
+
 class SensingSketch:
     """Linear parity sketch with bucketed index checksums and a peeling decoder.
 
     Each of ``d`` levels hashes coordinates into ``2 * kappa`` buckets; a
     bucket is one packed field, ``parity | code << 1``, holding the parity
-    and the XOR of the seeded per-level codes of the coordinates in it, so a
+    and the XOR of the per-level codes of the coordinates in it, so a
     coordinate's measurement is one word with its own field at one bucket
     per level, and the sketch is linear over F2.  Decoding peels that same
     word off the residual measurement for a coordinate named by a pure
     bucket, preferring one confirmed by a second level, and only accepts a
     result whose residual cancels exactly.
 
-    Construction only fixes the sizes.  The seeded bucket and code tables
-    are drawn from ``random.Random(seed)`` on first use, and a coordinate's
-    measurement word the first time a vector holding it is encoded, so a
-    sketch that only reports ``measurement_len``, or only sees zero vectors
-    and zero measurements, never draws them.
+    The buckets come from a seeded multiply-shift hash and the codes from a
+    seeded bijection (two odd multipliers around an xorshift, plus an
+    offset) that the decoder inverts by arithmetic (see
+    :class:`_SketchWords`); ``random.Random(seed)`` draws only their few
+    parameters.  Construction only fixes the sizes.  The
+    tables are computed on first use and a coordinate's measurement word
+    the first time a vector holding it is encoded, so a sketch that only
+    reports ``measurement_len``, or only sees zero vectors and zero
+    measurements, computes neither.
     """
 
     def __init__(self, n: int, kappa: int, seed: int, levels: int | None = None):
@@ -371,51 +441,15 @@ class SensingSketch:
         self.buckets = 2 * kappa
         self.code_bits = max(1, (n - 1).bit_length())
         self.measurement_len = self.levels * self.buckets * (1 + self.code_bits)
-        self._words: dict[int, int] = {}
-
-    @cached_property
-    def _tables(self) -> tuple[list[list[int]], list[list[int]], list[dict[int, int]]]:
-        """Per level: each coordinate's bucket, each coordinate's code, and each code's coordinate."""
-        rng = random.Random(self.seed)
-        randrange, n, buckets = rng.randrange, self.n, self.buckets
-        bucket_of, code_of, code_inv = [], [], []
-        space = 1 << self.code_bits
-        for _ in range(self.levels):
-            bucket_of.append([randrange(buckets) for _ in range(n)])
-            codes = rng.sample(range(1, space), n) if space > n else rng.sample(range(space), n)
-            code_of.append(codes)
-            code_inv.append(dict(zip(codes, range(n))))
-        return bucket_of, code_of, code_inv
-
-    @property
-    def bucket_of(self) -> list[list[int]]:
-        return self._tables[0]
-
-    @property
-    def code_of(self) -> list[list[int]]:
-        return self._tables[1]
+        self._words = _SketchWords(n, self.levels, self.buckets, self.code_bits, seed)
 
     def _offset(self, level: int, bucket: int) -> int:
         return (level * self.buckets + bucket) * (1 + self.code_bits)
 
-    def _word(self, i: int) -> int:
-        """The measurement of coordinate i alone: its parity bit and code in one bucket per level."""
-        word = self._words.get(i)
-        if word is None:
-            bucket_of, code_of, _ = self._tables
-            word = 0
-            for level in range(self.levels):
-                word ^= (1 | (code_of[level][i] << 1)) << self._offset(level, bucket_of[level][i])
-            self._words[i] = word
-        return word
-
     def encode(self, x: BitVector) -> BitVector:
         if x.n != self.n:
             raise DimensionError(f"expected length {self.n}, got {x.n}")
-        meas = 0
-        for i in x.indices():
-            meas ^= self._word(i)
-        return BitVector(self.measurement_len, meas)
+        return BitVector(self.measurement_len, _fold(xor, self._words, x.bits))
 
     def decode(self, measurement: BitVector) -> BitVector | None:
         """Recover x from its sketch, or None when peeling cannot finish.
@@ -431,8 +465,9 @@ class SensingSketch:
         residual = measurement.bits
         if not residual:
             return BitVector(self.n)
-        bucket_of, code_of, code_inv = self._tables
-        levels, offset = range(self.levels), self._offset
+        words = self._words
+        bucket_of, code_of, _ = words.tables
+        coordinate, levels, offset = words.coordinate, range(self.levels), self._offset
         mask = (1 << (1 + self.code_bits)) - 1
         recovered = 0
         for _ in range(8 * self.kappa + 8):
@@ -442,7 +477,7 @@ class SensingSketch:
             for level in levels:
                 for bucket in range(self.buckets):
                     field = (residual >> offset(level, bucket)) & mask
-                    i = code_inv[level].get(field >> 1) if field & 1 else None
+                    i = coordinate(level, field >> 1) if field & 1 else None
                     if i is None or bucket_of[level][i] != bucket:
                         continue
                     if any(
@@ -460,7 +495,7 @@ class SensingSketch:
                 chosen = fallback
             if chosen is None:
                 return None
-            residual ^= self._word(chosen)
+            residual ^= words[chosen]
             recovered ^= 1 << chosen
         return None
 
@@ -569,6 +604,9 @@ def mm_f2(
         r_freivalds = max(1, math.ceil(math.log2(100.0 * n)))
     if r3 is None:
         r3 = max(1, math.ceil(math.log2(100.0 * n)))
+    for name, value in (("r1", r1), ("r_freivalds", r_freivalds), ("r3", r3)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
 
     classification = classify_columns(instance, ledger, rng, r1, r_freivalds)
     dense = sorted(classification.dense)

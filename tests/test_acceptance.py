@@ -58,7 +58,7 @@ def test_criterion_1_bmm_oracle_correctness():
 
 def test_criterion_2_mm_f2_correctness_and_cost():
     """mm_f2 grid: >=90/100 per cell; bits <= C n sqrt(ell) log^2 n, C stable within 2x."""
-    cs = {}
+    cs, goods = {}, {}
     for n in (64, 128, 256):
         for ell in (4, 16, 64):
             good = 0
@@ -76,11 +76,16 @@ def test_criterion_2_mm_f2_correctness_and_cost():
                 bits_total += led.bits
             c_fit = (bits_total / trials) / (n * math.sqrt(ell) * math.log2(n) ** 2)
             cs[(n, ell)] = c_fit
+            goods[(n, ell)] = good
             assert good >= 90, f"n={n} ell={ell}: {good}/{trials}"
     spread = max(cs.values()) / min(cs.values())
     assert spread < 2.0, f"constant spread {spread:.2f}"
     pretty = {k: round(v, 1) for k, v in cs.items()}
-    print(f"\nACCEPT-2 PASS mm_f2 >=90/100 per cell; C per cell {pretty} spread {spread:.2f}x")
+    worst = min(goods, key=goods.get)
+    print(
+        f"\nACCEPT-2 PASS mm_f2 >=90/100 per cell, worst cell {worst} {goods[worst]}/100; "
+        f"C per cell {pretty} spread {spread:.2f}x"
+    )
 
 
 def test_criterion_3_scaling_fits():

@@ -1,7 +1,9 @@
 """Join protocols against the brute-force products, plus cost-model checks."""
 
+import gc
 import math
 import random
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
@@ -249,11 +251,11 @@ def test_sketch_single_coordinate():
     x = BitVector.from_indices(64, [17])
     meas = sk.encode(x)
     # level-0 bucket of 17 carries its parity and its code word
-    bucket = sk.bucket_of[0][17]
-    off = sk._offset(0, bucket)
+    bucket_of, code_of, _ = sk._words.tables
+    off = sk._offset(0, bucket_of[0][17])
     assert (meas.bits >> off) & 1 == 1
     mask = (1 << sk.code_bits) - 1
-    assert (meas.bits >> (off + 1)) & mask == sk.code_of[0][17]
+    assert (meas.bits >> (off + 1)) & mask == code_of[0][17]
     assert sk.decode(meas) == x
 
 
@@ -314,19 +316,60 @@ def test_sketch_draws_no_tables_it_does_not_use():
     assert sk.measurement_len == sk.levels * sk.buckets * (1 + sk.code_bits)
     assert sk.encode(BitVector(256)).is_zero()
     assert sk.decode(BitVector(sk.measurement_len)) == BitVector(256)
-    assert "_tables" not in vars(sk)
+    assert "tables" not in vars(sk._words) and not sk._words
     sk.encode(BitVector.from_indices(256, [3]))
-    assert "_tables" in vars(sk)
+    assert "tables" in vars(sk._words) and list(sk._words) == [3]
+
+
+def test_sketch_words_do_not_tie_the_sketch_into_a_cycle():
+    sk = SensingSketch(64, 4, seed=6)
+    sk.decode(sk.encode(BitVector.from_indices(64, [5, 9])))
+    ref = weakref.ref(sk)
+    gc.disable()
+    try:
+        del sk
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+@settings(max_examples=150)
+@given(
+    st.sampled_from((1, 2, 3, 17, 64, 257, 1024)),
+    st.integers(1, 8),
+    st.one_of(st.none(), st.integers(1, 4)),
+    st.integers(0, 2**32 - 1),
+)
+@example(1, 1, None, 0)
+@example(1024, 8, 4, 2**32 - 1)
+def test_sketch_hashes_are_invertible_codes_and_in_range_buckets(n, kappa, levels, seed):
+    sk = SensingSketch(n, kappa, seed, levels)
+    words = sk._words
+    bucket_of, code_of, _ = words.tables
+    space = 1 << sk.code_bits
+    assert len(bucket_of) == len(code_of) == sk.levels
+    for level in range(sk.levels):
+        codes = code_of[level]
+        assert len(codes) == n and len(set(codes)) == n
+        assert all(0 <= c < space for c in codes)
+        if space > n:
+            assert 0 not in codes
+        owner = dict(zip(codes, range(n)))
+        for code in range(space):
+            assert words.coordinate(level, code) == owner.get(code)
+        assert len(bucket_of[level]) == n
+        assert all(0 <= b < 2 * kappa for b in bucket_of[level])
 
 
 def _reference_encode(sk: SensingSketch, x: BitVector) -> int:
     """The measurement built field by field: parity bit and code of each set coordinate, per level."""
+    bucket_of, code_of, _ = sk._words.tables
     meas = 0
     for i in x.indices():
         for level in range(sk.levels):
-            off = sk._offset(level, sk.bucket_of[level][i])
+            off = sk._offset(level, bucket_of[level][i])
             meas ^= 1 << off
-            meas ^= sk.code_of[level][i] << (off + 1)
+            meas ^= code_of[level][i] << (off + 1)
     return meas
 
 
@@ -367,8 +410,11 @@ def test_sketch_encode_matches_field_by_field_reference(case):
 
 
 def _reference_decode(sk: SensingSketch, measurement: BitVector) -> BitVector | None:
-    """The peeling decoder on parallel lists of parity bits and checksums, one pair per bucket."""
-    bucket_of, code_of = sk.bucket_of, sk.code_of
+    """The peeling decoder on parallel lists of parity bits and checksums, one pair per bucket.
+
+    Codes are inverted through a dict built from the code table, not by the sketch's arithmetic.
+    """
+    bucket_of, code_of, _ = sk._words.tables
     code_inv = [{c: i for i, c in enumerate(codes)} for codes in code_of]
 
     def parse():
@@ -503,6 +549,27 @@ def test_mm_f2_requires_f2_kind():
     inst = gen_promise_instance(16, 16, 8, seed=0, kind="bool")
     with pytest.raises(ValueError):
         mm_f2(inst, CommLedger(), random.Random(0))
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        ({"r1": 0}, "r1 must be at least 1, got 0"),
+        ({"r1": -2}, "r1 must be at least 1, got -2"),
+        ({"r_freivalds": 0}, "r_freivalds must be at least 1, got 0"),
+        ({"r1": 0, "r_freivalds": 0}, "r1 must be at least 1, got 0"),
+        ({"r1": 3, "r_freivalds": -1}, "r_freivalds must be at least 1, got -1"),
+        ({"r3": 0}, "r3 must be at least 1, got 0"),
+        ({"r3": -1}, "r3 must be at least 1, got -1"),
+    ],
+)
+def test_mm_f2_rejects_repetition_counts_below_one(counts, message):
+    inst = gen_promise_instance(64, 64, 16, seed=11, kind="f2")
+    rng, led = random.Random(12), CommLedger()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        mm_f2(inst, led, rng, **counts)
+    # rejected before any charge or draw
+    assert led.entries == [] and rng.getrandbits(32) == random.Random(12).getrandbits(32)
 
 
 def test_mm_f2_matches_oracle():

@@ -43,7 +43,7 @@ EXPECTED = {
     "bmm_cost_model": "f5044f29493b6a25ce07d04c731a0e915001ead30ef4112328e14a227ffa02e6",
     "qsim": "8a87834b8754f13736cba012e5e1c3b07d4b1790e0b65eeeead32e0a347bcf7b",
     "mm_f2": "8129e79ab660692ec043961e1b450fe180a023005ba5fe2712c16cecb5ec8d1a",
-    "sketch": "3ff3cd1c92ef3b1ac503771e7e8940de7dc33a42c649d7ff51f4ccba65a3a951",
+    "sketch": "899603e5fa3ecf5c58d5f4078a544264eddaa142498c9aaaa853e571f725fa07",
     "cli": "864c2e415e5a57eb1f614675c4dbccc4f5fc42eaaf31ee1aa22fbb1e7a4b8d65",
     "cli_sweeps": "07d166b1c89351cfe8496ba6c02ad20fb6060edec11b4f715b1420a0cd3a796b",
     "reductions": "b3861058dd40e27add3043d8965cecd9e0dc057cd718d3adfe299d38493c10c1",
