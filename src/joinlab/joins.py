@@ -342,19 +342,18 @@ class _SketchWords(dict):
     """Coordinate -> measurement word of one sketch, filled in on first lookup.
 
     It holds the sketch's sizes and seed, not the sketch, so the two form no
-    reference cycle.  The hash tables are computed from the seed on first
-    use, for all n coordinates and all levels in one numpy pass.  Level l
-    puts coordinate i in bucket ``h * buckets >> 32`` of the multiply-shift
-    hash ``h = ((a*i + b) mod 2**64) >> 32`` (Dietzfelbinger et al. 1997).
-    Its code is ``(c2 * s(c1 * i) + d) mod 2**code_bits``, with c1 and c2
-    odd and ``s(x) = x ^ x >> ceil(code_bits / 2)``: each step is a
-    bijection, so :meth:`coordinate` inverts it by arithmetic.  The xorshift
-    step matters: with the affine map ``c*i + d`` alone, the XOR of the codes
-    of three coordinates sharing a bucket named a fourth coordinate in that
-    bucket about three times as often as with random codes, and a decoder
-    with few levels peeled those false candidates.  When codes outnumber
-    coordinates, d puts the preimage of code 0 at or above n, so no
-    coordinate has code 0.
+    reference cycle.  The hash tables are computed on first use, for all
+    coordinates and levels in one numpy pass.  Level l puts coordinate i in
+    bucket ``h * buckets >> 32`` of the multiply-shift hash
+    ``h = ((a*i + b) mod 2**64) >> 32`` (Dietzfelbinger et al. 1997) and
+    gives it code ``(c2 * s(c1*i) + d) mod 2**code_bits``, with c1, c2 odd
+    and ``s(x) = x ^ x >> ceil(code_bits / 2)``.  Each step is a bijection,
+    so :meth:`coordinate` inverts the code by arithmetic.  Without the
+    xorshift s, the XOR of the codes of three coordinates sharing a bucket
+    names a fourth coordinate of that bucket about three times as often as
+    with random codes, and sketches with few levels peel those false
+    candidates.  When codes outnumber coordinates, d puts the preimage of
+    code 0 at or above n, so no coordinate has code 0.
     """
 
     def __init__(self, n: int, levels: int, buckets: int, code_bits: int, seed: int):
@@ -417,14 +416,13 @@ class SensingSketch:
     result whose residual cancels exactly.
 
     The buckets come from a seeded multiply-shift hash and the codes from a
-    seeded bijection (two odd multipliers around an xorshift, plus an
-    offset) that the decoder inverts by arithmetic (see
+    seeded bijection that the decoder inverts by arithmetic (see
     :class:`_SketchWords`); ``random.Random(seed)`` draws only their few
-    parameters.  Construction only fixes the sizes.  The
-    tables are computed on first use and a coordinate's measurement word
-    the first time a vector holding it is encoded, so a sketch that only
-    reports ``measurement_len``, or only sees zero vectors and zero
-    measurements, computes neither.
+    parameters.  Construction only fixes the sizes.  The tables are
+    computed on first use and a coordinate's measurement word the first
+    time a vector holding it is encoded, so a sketch that only reports
+    ``measurement_len``, or only sees zero vectors and zero measurements,
+    computes neither.
     """
 
     def __init__(self, n: int, kappa: int, seed: int, levels: int | None = None):
