@@ -29,7 +29,6 @@ from joinlab.qsim import (
 from joinlab.joins import (
     BmmTrace,
     SensingSketch,
-    bmm,
     bmm_cost_model,
     gen_hard_instance,
     mm_f2,
@@ -56,7 +55,6 @@ __all__ = [
     "JoinInstance",
     "MessageRecord",
     "SensingSketch",
-    "bmm",
     "bmm_cost_model",
     "bool_product",
     "disj",

@@ -172,11 +172,7 @@ def _trials(key, cell, trials, base_seed, timing, build, play, failed_rounds=0):
 
 def run_bmm_trials(n, ell, trials, base_seed, model, timing=False):
     def play(instance, ledger, rng):
-        if model.exact:
-            out, trace = joins.bmm_with_trace(instance, model, ledger, rng)
-        else:
-            trace = joins.bmm_cost_model(instance, model, ledger, rng)
-            out = trace.product
+        out, trace = joins.bmm_with_trace(instance, model, ledger, rng)
         return out == instance.oracle_product, trace.t
 
     return _trials(
@@ -487,17 +483,16 @@ def _cmd_validate_reductions(args) -> int:
         passed = 0
         for trial in range(args.trials):
             rng = random.Random(derive_seed(args.seed, name, trial))
-            if name == "disj-family":
+            if name in ("disj-family", "ip-f2"):
                 k = rng.randint(1, max(1, math.isqrt(n)))
-                emb = reductions.embed_disj_family(
-                    _random_vectors(n, k, rng), _random_vectors(n, k, rng), n
-                )
+                embed = reductions.embed_disj_family if name == "disj-family" else reductions.embed_ip_f2
+                emb = embed(_random_vectors(n, k, rng), _random_vectors(n, k, rng), n)
             elif name == "inner-product":
                 ell = rng.randint(1, n * n)
                 a = BitVector.random(ell, 0.4, rng)
                 b = BitVector.random(ell, 0.4, rng)
                 emb = reductions.embed_inner_product(a, b, n)
-            elif name == "or-blocks":
+            else:
                 s = rng.randint(1, max(1, math.isqrt(n)))
                 k = rng.randint(1, n // s)
                 blocks = [
@@ -508,11 +503,6 @@ def _cmd_validate_reductions(args) -> int:
                     for _ in range(k)
                 ]
                 emb = reductions.embed_or_blocks(blocks, n)
-            else:
-                k = rng.randint(1, max(1, math.isqrt(n)))
-                emb = reductions.embed_ip_f2(
-                    _random_vectors(n, k, rng), _random_vectors(n, k, rng), n
-                )
             passed += emb.validate()
         counts[name] = passed
         print(f"{name}: {passed}/{args.trials}")

@@ -1,11 +1,11 @@
 """Two-party protocols for output-sensitive Boolean and F2 matrix products.
 
-`bmm` runs the search-and-collect protocol: repeatedly find an inner index
-whose column/row pair still collides on the complement of the accumulated
-output, then harvest all of its collisions.  `mm_f2` classifies output
-columns into dense and sparse, ships dense columns verbatim, and recovers
-sparse ones from linear parity sketches.  Both charge every modeled message
-to the ledger.
+`bmm_with_trace` runs the search-and-collect protocol: repeatedly find an
+inner index whose column/row pair still collides on the complement of the
+accumulated output, then harvest all of its collisions.  `mm_f2` classifies
+output columns into dense and sparse, ships dense columns verbatim, and
+recovers sparse ones from linear parity sketches.  Both charge every
+modeled message to the ledger.
 """
 
 from __future__ import annotations
@@ -53,13 +53,11 @@ __all__ = [
     "DecodeBudgetError",
     "BmmRound",
     "BmmTrace",
-    "bmm",
     "bmm_with_trace",
     "bmm_cost_model",
     "gen_hard_instance",
     "freivalds_round",
     "SensingSketch",
-    "ColumnClassification",
     "classify_columns",
     "mm_f2",
     "BMM_EXACT_CAP",
@@ -226,16 +224,6 @@ def bmm_with_trace(
     return trace.product, trace
 
 
-def bmm(
-    instance: JoinInstance,
-    model: CostModel,
-    ledger: CommLedger,
-    rng: random.Random,
-    none_repeats: int | None = None,
-) -> BitMatrix:
-    return _search_and_collect(instance, model, ledger, rng, none_repeats).product
-
-
 def bmm_cost_model(
     instance: JoinInstance,
     model: CostModel,
@@ -393,12 +381,15 @@ class _SketchWords(dict):
         i = (x ^ x >> self._shift) * c1_inv & mask
         return i if i < self.n else None
 
+    def offset(self, level: int, bucket: int) -> int:
+        """Bit position of the field of this bucket at this level in a measurement."""
+        return (level * self.buckets + bucket) * (1 + self.code_bits)
+
     def __missing__(self, i: int) -> int:
         bucket_of, code_of, _ = self.tables
-        width = 1 + self.code_bits
-        word = 0
+        offset, word = self.offset, 0
         for level in range(self.levels):
-            word |= (1 | code_of[level][i] << 1) << (level * self.buckets + bucket_of[level][i]) * width
+            word |= (1 | code_of[level][i] << 1) << offset(level, bucket_of[level][i])
         self[i] = word
         return word
 
@@ -441,9 +432,6 @@ class SensingSketch:
         self.measurement_len = self.levels * self.buckets * (1 + self.code_bits)
         self._words = _SketchWords(n, self.levels, self.buckets, self.code_bits, seed)
 
-    def _offset(self, level: int, bucket: int) -> int:
-        return (level * self.buckets + bucket) * (1 + self.code_bits)
-
     def encode(self, x: BitVector) -> BitVector:
         if x.n != self.n:
             raise DimensionError(f"expected length {self.n}, got {x.n}")
@@ -465,7 +453,7 @@ class SensingSketch:
             return BitVector(self.n)
         words = self._words
         bucket_of, code_of, _ = words.tables
-        coordinate, levels, offset = words.coordinate, range(self.levels), self._offset
+        coordinate, levels, offset = words.coordinate, range(self.levels), words.offset
         mask = (1 << (1 + self.code_bits)) - 1
         recovered = 0
         for _ in range(8 * self.kappa + 8):
@@ -503,15 +491,6 @@ class SensingSketch:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ColumnClassification:
-    """Indices put on the dense side, with the band thresholds used."""
-
-    dense: frozenset[int]
-    lo: float
-    hi: float
-
-
 # a column flagged in at least this fraction of the sampling rounds is dense
 _DENSE_VOTE = 0.63
 
@@ -534,8 +513,6 @@ def _probe_rounds(instance: JoinInstance, ledger: CommLedger, rng: random.Random
 
     for _ in range(r1):
         chosen = sorted(rng.sample(range(n), sample_rows))
-        if r_freivalds < 1:
-            raise ValueError("need at least one repetition")
         probes = _bernoulli(r_freivalds, sample_rows, 0.5, rng)
         live = [t for t, i in enumerate(chosen) if A.data[i]]
         rows = [product_row(chosen[t]) for t in live]
@@ -547,30 +524,37 @@ def _probe_rounds(instance: JoinInstance, ledger: CommLedger, rng: random.Random
         yield chosen, probes, answers
 
 
+def _require_positive(**counts: int):
+    """Reject the first repetition count below 1, by keyword order."""
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 def classify_columns(
     instance: JoinInstance,
     ledger: CommLedger,
     rng: random.Random,
     r1: int,
     r_freivalds: int,
-) -> ColumnClassification:
-    """Row-sampled probing that separates dense from sparse product columns.
+) -> frozenset[int]:
+    """Row-sampled probing that returns the columns of the product declared dense.
 
     Each round samples ~n/sqrt(ell) rows of A and probes which columns of
     the sampled product are nonzero; columns flagged in a clear majority of
     rounds are declared dense.  Columns of weight at least 1.1*sqrt(ell)
     are caught, and declared-dense columns have at least 0.9*sqrt(ell)
     ones, each with high probability; the band between may go either way.
+    Counts below 1 are rejected before any draw or charge.
     """
+    _require_positive(r1=r1, r_freivalds=r_freivalds)
     n = instance.A.rows
-    sqrt_ell = math.sqrt(instance.ell)
     votes = [0] * n
     for _, _, answers in _probe_rounds(instance, ledger, rng, r1, r_freivalds):
         for j in _iter_bits(reduce(or_, answers, 0)):
             votes[j] += 1
     threshold = _DENSE_VOTE * r1
-    dense = frozenset(j for j in range(n) if votes[j] >= threshold)
-    return ColumnClassification(dense, 0.9 * sqrt_ell, 1.1 * sqrt_ell)
+    return frozenset(j for j in range(n) if votes[j] >= threshold)
 
 
 def mm_f2(
@@ -602,12 +586,9 @@ def mm_f2(
         r_freivalds = max(1, math.ceil(math.log2(100.0 * n)))
     if r3 is None:
         r3 = max(1, math.ceil(math.log2(100.0 * n)))
-    for name, value in (("r1", r1), ("r_freivalds", r_freivalds), ("r3", r3)):
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
+    _require_positive(r1=r1, r_freivalds=r_freivalds, r3=r3)
 
-    classification = classify_columns(instance, ledger, rng, r1, r_freivalds)
-    dense = sorted(classification.dense)
+    dense = classify_columns(instance, ledger, rng, r1, r_freivalds)
 
     a_t = A.transpose()
     b_t = B.transpose()
@@ -615,10 +596,10 @@ def mm_f2(
     out_cols: dict[int, int] = {}
     if dense:
         ledger.charge(B_TO_A, BITS, len(dense) * n, "dense-transfer")
-        for j in dense:
+        for j in sorted(dense):
             out_cols[j] = _fold(xor, a_t.data, b_t.data[j])
 
-    sparse = [j for j in range(n) if j not in classification.dense]
+    sparse = [j for j in range(n) if j not in dense]
     kappa = math.ceil(1.1 * math.sqrt(instance.ell))
     unresolved = set(sparse)
     for rep in range(r3):

@@ -108,9 +108,6 @@ class CommLedger:
     def total(self) -> int:
         return self.bits + self.qubits
 
-    def phase_total(self, phase: str, kind: str | None = None) -> int:
-        return sum(e.amount for e in self.entries if e.phase == phase and (kind is None or e.kind == kind))
-
     def report(self) -> dict:
         """Per-phase and grand totals with a stable field order."""
         phases: dict[str, dict[str, int]] = {}
@@ -121,9 +118,6 @@ class CommLedger:
             "total_bits": self.bits,
             "total_qubits": self.qubits,
         }
-
-    def to_csv_rows(self, trial_id) -> list[tuple]:
-        return [(trial_id, e.phase, e.direction, e.kind, e.amount) for e in self.entries]
 
     def __len__(self) -> int:
         return len(self._log)

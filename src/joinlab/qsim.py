@@ -455,9 +455,6 @@ def instance_search(
     model: CostModel,
     rng: random.Random,
     inner_cost_qubits: int = 0,
-    phase: str = "instance-shuttle",
-    inner_phase: str = "inner-protocol",
-    plan: GroverPlan | None = None,
 ):
     """Search a list of communication instances for one whose answer is 1.
 
@@ -479,14 +476,13 @@ def instance_search(
     boost = max(1, math.ceil(math.log2(100.0 * cap)))
     inner_per_call = boost * inner_cost_qubits
     width, announce = index_qubits(big_n), outcome_bits(big_n)
-    verify_phase = phase + "-verify"
 
     def charge(iterations: int):
-        _charge_round_trips(ledger, iterations, width, phase)
+        _charge_round_trips(ledger, iterations, width, "instance-shuttle")
         if inner_per_call:
             # compute on the way out, uncompute on the way back
-            _charge_round_trips(ledger, iterations, inner_per_call, inner_phase)
-            ledger.charge(A_TO_B, QUBITS, inner_per_call, verify_phase)
-        ledger.charge(B_TO_A, BITS, announce, verify_phase)
+            _charge_round_trips(ledger, iterations, inner_per_call, "inner-protocol")
+            ledger.charge(A_TO_B, QUBITS, inner_per_call, "instance-shuttle-verify")
+        ledger.charge(B_TO_A, BITS, announce, "instance-shuttle-verify")
 
-    return _amplify(big_n, range(big_n), marked_mask, plan, model, rng, charge, outer=True)
+    return _amplify(big_n, range(big_n), marked_mask, None, model, rng, charge, outer=True)

@@ -2,12 +2,15 @@
 
 import json
 import math
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import joinlab
 from joinlab import joins, qsim
 from joinlab.cli import FitResult, derive_seed, fit_exponent, main, parse_grid, scaling_points
 from joinlab.f2core import BitMatrix
@@ -399,11 +402,14 @@ def test_epsilon_out_of_range_rejected_at_parse_time(value, capsys):
 
 
 def test_console_entry_point():
+    # the child imports the joinlab this process imported, installed or not
+    path = [str(Path(joinlab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [sys.executable, "-m", "joinlab.cli", "validate-reductions", "--trials", "3", "--n", "8"],
         capture_output=True,
         text=True,
         timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
     )
     assert proc.returncode == 0
     assert "or-blocks: 3/3" in proc.stdout

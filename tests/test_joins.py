@@ -18,12 +18,10 @@ from joinlab.f2core import (
     gen_promise_instance,
 )
 from joinlab.joins import (
-    ColumnClassification,
     DecodeBudgetError,
     PromiseViolationError,
     SensingSketch,
     _probe_rounds,
-    bmm,
     bmm_cost_model,
     bmm_with_trace,
     classify_columns,
@@ -46,7 +44,7 @@ EXACT = CostModel.exact_mode()
 def test_bmm_zero_input():
     inst = JoinInstance.build(BitMatrix.zeros(6, 6), BitMatrix.zeros(6, 6), ell=4)
     led = CommLedger()
-    out = bmm(inst, EXACT, led, random.Random(0))
+    out = bmm_with_trace(inst, EXACT, led, random.Random(0))[0]
     assert out.is_zero()
     assert led.total() > 0  # the terminating search is still paid for
 
@@ -55,7 +53,7 @@ def test_bmm_identity_b():
     rng = random.Random(9)
     a = BitMatrix.random(8, 8, 0.2, rng)
     inst = JoinInstance.build(a, BitMatrix.identity(8), ell=a.weight() + 1)
-    out = bmm(inst, EXACT, CommLedger(), random.Random(1))
+    out = bmm_with_trace(inst, EXACT, CommLedger(), random.Random(1))[0]
     assert out == a
 
 
@@ -78,26 +76,26 @@ def test_bmm_promise_violation_detected():
     ones = BitMatrix(6, 6, [0b111111] * 6)
     inst = JoinInstance(ones, ones, ell=4, seed=0, kind="bool", oracle_product=bool_product(ones, ones))
     with pytest.raises(PromiseViolationError):
-        bmm(inst, EXACT, CommLedger(), random.Random(0))
+        bmm_with_trace(inst, EXACT, CommLedger(), random.Random(0))
 
 
 def test_bmm_output_does_not_read_the_ledger():
     inst = gen_promise_instance(16, 16, 8, seed=123)
     fresh, used = CommLedger(), CommLedger()
     used.charge(A_TO_B, BITS, 3, "earlier")
-    a = bmm(inst, EXACT, fresh, random.Random(5))
-    b = bmm(inst, EXACT, used, random.Random(5))
+    a = bmm_with_trace(inst, EXACT, fresh, random.Random(5))[0]
+    b = bmm_with_trace(inst, EXACT, used, random.Random(5))[0]
     assert a == b == inst.oracle_product
     assert used.entries[1:] == fresh.entries
 
 
 def test_bmm_exact_mode_size_cap():
     inst = gen_promise_instance(1 << 12, 1 << 12, 4, seed=12)
-    assert bmm(inst, EXACT, CommLedger(), random.Random(12)) == inst.oracle_product
+    assert bmm_with_trace(inst, EXACT, CommLedger(), random.Random(12))[0] == inst.oracle_product
     big = BitMatrix.zeros(1 << 12 | 1, 8)
     inst = JoinInstance.build(big, big.transpose(), ell=1)
     with pytest.raises(SimulationCapError):
-        bmm(inst, EXACT, CommLedger(), random.Random(0))
+        bmm_with_trace(inst, EXACT, CommLedger(), random.Random(0))
 
 
 def test_bmm_witness_weight_bound_under_promise():
@@ -123,7 +121,7 @@ def test_cost_model_zero_instance_single_failed_search():
     assert trace.product.is_zero()
     expected = math.ceil(math.sqrt(16)) * 1 * index_qubits(16)
     assert led.qubits == 2 * expected
-    assert led.phase_total("final-search") == led.total()
+    assert sum(led.report()["phases"]["final-search"].values()) == led.total()
 
 
 def test_cost_model_single_witness_formula():
@@ -157,6 +155,38 @@ def test_cost_model_discovery_order_seeded():
     t1 = bmm_cost_model(inst, CostModel.cost_model(), CommLedger(), random.Random(8))
     t2 = bmm_cost_model(inst, CostModel.cost_model(), CommLedger(), random.Random(8))
     assert [r.witness for r in t1.rounds] == [r.witness for r in t2.rounds]
+
+
+@st.composite
+def bmm_cases(draw):
+    """A planted, hard-family or all-zero Boolean instance, a cost model and an rng seed."""
+    family = draw(st.sampled_from(("planted", "hard", "zero")))
+    n = draw(st.sampled_from((4, 12, 32)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if family == "planted":
+        inst = gen_promise_instance(n, n, draw(st.integers(1, 2 * n)), seed, "bool")
+    elif family == "hard":
+        inst = gen_hard_instance(n, draw(st.integers(4, 2 * n)), seed)
+    else:
+        inst = JoinInstance.build(BitMatrix.zeros(n, n), BitMatrix.zeros(n, n), draw(st.integers(1, n)))
+    model = draw(st.sampled_from((EXACT, CostModel.cost_model(), CostModel.cost_model(2.0, 1.5))))
+    return inst, model, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60)
+@given(bmm_cases())
+@example((gen_hard_instance(32, 36, 5), EXACT, 1))
+@example((gen_promise_instance(12, 12, 24, 3, "bool"), CostModel.cost_model(), 2))
+def test_bmm_entry_points_run_one_loop(case):
+    """bmm_with_trace and bmm_cost_model give the same run for either cost model."""
+    inst, model, seed = case
+    runs = []
+    for run in (lambda *a: bmm_with_trace(*a)[1], bmm_cost_model):
+        rng, led = random.Random(seed), CommLedger()
+        trace = run(inst, model, led, rng)
+        runs.append((trace.product, trace.rounds, led.entries, rng.getrandbits(32)))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == inst.oracle_product or model.exact
 
 
 def test_hard_instance_structure():
@@ -239,6 +269,11 @@ def test_freivalds_finds_nonzero_columns():
 # ---------------------------------------------------------------------------
 
 
+def _field_offset(sk: SensingSketch, level: int, bucket: int) -> int:
+    """Bit position of a bucket's field: 1 + code_bits bits per bucket, level after level."""
+    return (level * sk.buckets + bucket) * (1 + sk.code_bits)
+
+
 def test_sketch_zero_vector():
     sk = SensingSketch(64, 4, seed=1)
     meas = sk.encode(BitVector(64))
@@ -252,7 +287,7 @@ def test_sketch_single_coordinate():
     meas = sk.encode(x)
     # level-0 bucket of 17 carries its parity and its code word
     bucket_of, code_of, _ = sk._words.tables
-    off = sk._offset(0, bucket_of[0][17])
+    off = _field_offset(sk, 0, bucket_of[0][17])
     assert (meas.bits >> off) & 1 == 1
     mask = (1 << sk.code_bits) - 1
     assert (meas.bits >> (off + 1)) & mask == code_of[0][17]
@@ -385,7 +420,7 @@ def _reference_encode(sk: SensingSketch, x: BitVector) -> int:
     meas = 0
     for i in x.indices():
         for level in range(sk.levels):
-            off = sk._offset(level, bucket_of[level][i])
+            off = _field_offset(sk, level, bucket_of[level][i])
             meas ^= 1 << off
             meas ^= code_of[level][i] << (off + 1)
     return meas
@@ -442,7 +477,7 @@ def _reference_decode(sk: SensingSketch, measurement: BitVector) -> BitVector | 
         mask = (1 << sk.code_bits) - 1
         for level in range(sk.levels):
             for bucket in range(sk.buckets):
-                off = sk._offset(level, bucket)
+                off = _field_offset(sk, level, bucket)
                 parity[level][bucket] = (bits >> off) & 1
                 chks[level][bucket] = (bits >> (off + 1)) & mask
         return parity, chks
@@ -546,7 +581,7 @@ def test_mm_f2_zero_b():
     led = CommLedger()
     out = mm_f2(inst, led, random.Random(2))
     assert out.is_zero()
-    assert led.phase_total("dense-transfer") == 0  # no column looks dense
+    assert "dense-transfer" not in led.report()["phases"]  # no column looks dense
 
 
 def test_mm_f2_identity_a():
@@ -623,9 +658,9 @@ def test_classification_captures_clearly_dense_columns():
         a = BitMatrix(n, n, [1 if i in rows else 0 for i in range(n)])
         b = BitMatrix(n, n, [(1 << j_star) if k == 0 else 0 for k in range(n)])
         inst = JoinInstance.build(a, b, ell, tr, "f2")
-        cls = classify_columns(inst, CommLedger(), rng, 19, 13)
-        captured += j_star in cls.dense
-        pure += all(inst.oracle_product.col(j).weight() >= cls.lo for j in cls.dense)
+        dense = classify_columns(inst, CommLedger(), rng, 19, 13)
+        captured += j_star in dense
+        pure += all(inst.oracle_product.col(j).weight() >= 0.9 * math.sqrt(ell) for j in dense)
     assert captured / trials >= 0.95
     assert pure / trials >= 0.95
 
@@ -647,8 +682,7 @@ def test_classification_leaves_scattered_columns_sparse():
             data[i] |= 1 << j
         b = BitMatrix(n, n, data)
         inst = JoinInstance.build(a, b, ell, tr, "f2")
-        cls = classify_columns(inst, CommLedger(), rng, 19, 13)
-        clean += len(cls.dense) == 0
+        clean += not classify_columns(inst, CommLedger(), rng, 19, 13)
     assert clean / trials >= 0.95
 
 
@@ -656,23 +690,42 @@ def test_classification_size_bound():
     for tr in range(50):
         seed = 61000 + tr
         inst = gen_promise_instance(64, 64, 36, seed, kind="f2")
-        cls = classify_columns(inst, CommLedger(), random.Random(seed), 19, 13)
-        assert len(cls.dense) <= math.ceil(inst.ell / (0.9 * math.sqrt(inst.ell)))
+        dense = classify_columns(inst, CommLedger(), random.Random(seed), 19, 13)
+        assert len(dense) <= math.ceil(inst.ell / (0.9 * math.sqrt(inst.ell)))
+
+
+@pytest.mark.parametrize(
+    "r1, r_freivalds, message",
+    [
+        (0, 13, "r1 must be at least 1, got 0"),
+        (-1, 13, "r1 must be at least 1, got -1"),
+        (19, 0, "r_freivalds must be at least 1, got 0"),
+        (19, -3, "r_freivalds must be at least 1, got -3"),
+        (0, 0, "r1 must be at least 1, got 0"),
+    ],
+)
+def test_classify_columns_rejects_counts_below_one_before_drawing(r1, r_freivalds, message):
+    inst = gen_promise_instance(64, 64, 16, 11, "f2")
+    rng, led = random.Random(12), CommLedger()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        classify_columns(inst, led, rng, r1, r_freivalds)
+    assert led.entries == [] and rng.getrandbits(32) == random.Random(12).getrandbits(32)
 
 
 def _reference_classify(instance, ledger, rng, r1, r_freivalds):
     """classify_columns as one row sample and one :func:`_reference_columns` call per round."""
+    for name, value in (("r1", r1), ("r_freivalds", r_freivalds)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     n = instance.A.rows
-    sqrt_ell = math.sqrt(instance.ell)
-    sample_rows = min(n, max(1, math.ceil(n / sqrt_ell)))
+    sample_rows = min(n, max(1, math.ceil(n / math.sqrt(instance.ell))))
     votes = [0] * n
     for _ in range(r1):
         chosen = sorted(rng.sample(range(n), sample_rows))
         sub = BitMatrix(sample_rows, instance.A.cols, [instance.A.data[i] for i in chosen])
         for j in _reference_columns(sub, instance.B, r_freivalds, ledger, rng):
             votes[j] += 1
-    dense = frozenset(j for j in range(n) if votes[j] >= 0.63 * r1)
-    return dense, 0.9 * sqrt_ell, 1.1 * sqrt_ell
+    return frozenset(j for j in range(n) if votes[j] >= 0.63 * r1)
 
 
 @st.composite
@@ -715,8 +768,6 @@ def test_classify_columns_matches_per_round_reference(case):
             got = classify(inst, led, rng, r1, r_freivalds)
         except ValueError as exc:
             got = exc.args
-        if isinstance(got, ColumnClassification):
-            got = (got.dense, got.lo, got.hi)
         runs.append((got, _entries(led), rng.getrandbits(32)))
     assert runs[0] == runs[1]
 

@@ -1,4 +1,4 @@
-"""Ledger accounting: additivity, reports, CSV rows, validation, records built on read."""
+"""Ledger accounting: additivity, reports, validation, records built on read."""
 
 import random
 
@@ -29,7 +29,7 @@ def test_charge_accumulates():
     led.charge(A_TO_B, BITS, 3, "hello")
     led.charge(B_TO_A, BITS, 5, "hello")
     assert led.bits == 8
-    assert led.phase_total("hello") == 8
+    assert led.report()["phases"]["hello"] == {BITS: 8, QUBITS: 0}
     assert len(led.entries) == 3
 
 
@@ -92,23 +92,14 @@ def test_phase_totals_over_interleaved_charges():
     led.charge(B_TO_A, QUBITS, 4, "search")
     led.charge(A_TO_B, BITS, 7, "search")
     led.charge(A_TO_B, BITS, 2, "announce")
-    assert led.phase_total("search") == 15 and led.phase_total("search", QUBITS) == 8
-    assert led.phase_total("announce", BITS) == 3 and led.phase_total("announce", QUBITS) == 0
-    assert led.phase_total("absent") == led.phase_total("absent", BITS) == 0
     rep = led.report()
+    assert "absent" not in rep["phases"]
     assert list(rep["phases"]) == ["announce", "search"]
     assert rep == {
         "phases": {"announce": {BITS: 3, QUBITS: 0}, "search": {BITS: 7, QUBITS: 8}},
         "total_bits": 10,
         "total_qubits": 8,
     }
-
-
-def test_csv_rows_schema():
-    led = CommLedger()
-    led.charge(A_TO_B, QUBITS, 4, "grover-shuttle")
-    rows = led.to_csv_rows(trial_id=3)
-    assert rows == [(3, "grover-shuttle", A_TO_B, QUBITS, 4)]
 
 
 def test_conventions():
@@ -200,9 +191,11 @@ def test_charges_are_recorded_in_order_and_rejections_leave_no_trace(ops):
     assert len(led) == len(accepted)
     assert led.bits == sum(op[2] for op in accepted if op[1] == BITS)
     assert led.qubits == sum(op[2] for op in accepted if op[1] == QUBITS)
-    assert led.to_csv_rows(7) == [(7, p, d, k, a) for d, k, a, p in accepted]
-    for phase in {op[3] for op in accepted}:
-        assert led.phase_total(phase) == sum(op[2] for op in accepted if op[3] == phase)
+    phases = led.report()["phases"]
+    assert phases.keys() == {op[3] for op in accepted}
+    for phase, totals in phases.items():
+        for kind in (BITS, QUBITS):
+            assert totals[kind] == sum(op[2] for op in accepted if op[3] == phase and op[1] == kind)
 
 
 def test_true_is_a_charge_of_one():
