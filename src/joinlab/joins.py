@@ -64,7 +64,7 @@ __all__ = [
 ]
 
 # run time, not EXACT_DOMAIN_CAP, bounds exact bmm: one planted trial at
-# n = ell = 2**12 (seed 5) takes about 0.7 s on a 2-core VM
+# n = ell = 2**12 (seed 5) takes about 0.6 s on a 2-core VM
 BMM_EXACT_CAP = 1 << 12
 
 
@@ -505,7 +505,8 @@ def _probe_rounds(instance: JoinInstance, ledger: CommLedger, rng: random.Random
     A, B = instance.A, instance.B
     n = A.rows
     sample_rows = min(n, max(1, math.ceil(n / math.sqrt(instance.ell))))
-    sent, returned = max(1, B.rows), max(1, B.cols)
+    # each probe is charged as one freivalds_round: v out to B's side, v^T (A_S B) back
+    probe = [(A_TO_B, BITS, max(1, B.rows), "freivalds"), (B_TO_A, BITS, max(1, B.cols), "freivalds")]
 
     @cache
     def product_row(i: int) -> int:
@@ -516,11 +517,8 @@ def _probe_rounds(instance: JoinInstance, ledger: CommLedger, rng: random.Random
         probes = _bernoulli(r_freivalds, sample_rows, 0.5, rng)
         live = [t for t, i in enumerate(chosen) if A.data[i]]
         rows = [product_row(chosen[t]) for t in live]
-        answers = []
-        for hits in probes[:, live].tolist():
-            ledger.charge(A_TO_B, BITS, sent, "freivalds")
-            answers.append(reduce(xor, compress(rows, hits), 0))
-            ledger.charge(B_TO_A, BITS, returned, "freivalds")
+        answers = [reduce(xor, compress(rows, hits), 0) for hits in probes[:, live].tolist()]
+        ledger._log_batch(probe * len(answers))
         yield chosen, probes, answers
 
 

@@ -93,6 +93,14 @@ class CommLedger:
         self._log.append((direction, kind, amount, phase))
         self._total[kind] += amount
 
+    def _log_batch(self, records: list):
+        """Log records as ``charge`` would one by one, unchecked: protocol code builds
+        them from known directions and kinds and positive ints.  Totals come from them."""
+        self._log += records
+        total = self._total
+        for _, kind, amount, _ in records:
+            total[kind] += amount
+
     @property
     def entries(self) -> list[MessageRecord]:
         return list(map(MessageRecord._make, self._log))

@@ -20,12 +20,11 @@ from operator import and_
 
 import numpy as np
 
-from joinlab.f2core import BitMatrix, BitVector, DimensionError, _fold
+from joinlab.f2core import BitMatrix, BitVector, DimensionError, _fold, _iter_bits
 from joinlab.ledger import (
     A_TO_B,
     B_TO_A,
     BITS,
-    DIRECTIONS,
     QUBITS,
     CommLedger,
     index_qubits,
@@ -150,17 +149,14 @@ class GroverPlan:
     def fixed(cls, iterations: int, reps: int = 1) -> "GroverPlan":
         return cls((iterations,), reps_per_stage=reps, randomize=False)
 
+    @functools.cached_property
+    def _schedule(self) -> tuple[int, ...]:
+        """Each stage cap once per repetition, in draw order."""
+        return tuple(cap for cap in self.stage_caps for _ in range(self.reps_per_stage))
+
     def draws(self, rng: random.Random):
-        for cap in self.stage_caps:
-            for _ in range(self.reps_per_stage):
-                yield rng.randrange(cap) if self.randomize else cap
-
-
-def _charge_round_trips(ledger, iterations: int, per_round: int, phase: str, directions=DIRECTIONS):
-    if iterations <= 0:
-        return
-    ledger.charge(directions[0], QUBITS, iterations * per_round, phase)
-    ledger.charge(directions[1], QUBITS, iterations * per_round, phase)
+        """Lazily, one ``rng.randrange(cap)`` per scheduled cap, or the caps if not randomized."""
+        return map(rng.randrange, self._schedule) if self.randomize else iter(self._schedule)
 
 
 def _entry_probabilities(m: int, t: int, iterations: int) -> tuple[float, float]:
@@ -177,13 +173,14 @@ def _amplify(n: int, domain, marked_mask: np.ndarray, plan, model, rng, charge, 
 
     The core of :func:`grover_search` and :func:`instance_search`.
     ``marked_mask[i]`` says whether ``domain[i]`` is marked, and
-    ``charge(iterations)`` pays for one measurement: the rounds before it
+    ``charge(draws)`` pays once per search for its measurements, given the
+    iteration count of each in draw order: the rounds before a measurement
     plus the verification of its outcome.
 
     Exact mode samples one candidate for each iteration count the plan
     draws, from the entry probabilities of :func:`_entry_probabilities`.
     With no marked entry every draw fails, so it only takes each draw's
-    ``rng.random()`` and charge.
+    ``rng.random()`` and pays for it.
     Cost-model mode makes a single measurement at the analytical count
     ceil(c * sqrt(|domain| / d)) for t marked entries: c = c_round and
     d = t + 1 for an inner search, c = c_shuttle and d = max(t, 1) for the
@@ -198,11 +195,11 @@ def _amplify(n: int, domain, marked_mask: np.ndarray, plan, model, rng, charge, 
             plan = GroverPlan.default(m)
         if not marked_mask.any():
             # t = 0 puts all the mass on unmarked entries: each draw still takes
-            # its rng.random() and its charge, but no candidate can be marked
-            for iterations in plan.draws(rng):
-                rng.random()
-                charge(iterations)
+            # its rng.random() (zip asks for it after the draw) and is paid for,
+            # but no candidate can be marked
+            charge([iterations for iterations, _ in zip(plan.draws(rng), iter(rng.random, None))])
             return None
+        drawn = []
         # marked[i] counts the marked entries in domain[:i + 1]
         marked = np.cumsum(marked_mask).tolist()
         t = marked[-1]
@@ -214,16 +211,17 @@ def _amplify(n: int, domain, marked_mask: np.ndarray, plan, model, rng, charge, 
             candidate = bisect.bisect_right(
                 range(m - 1), r, key=lambda i: pu * (i + 1 - marked[i]) + pm * marked[i]
             )
-            charge(iterations)
+            drawn.append(iterations)
             if marked_mask[candidate]:
+                charge(drawn)
                 return domain[candidate]
+        charge(drawn)
         return None
 
     hits = np.flatnonzero(marked_mask).tolist()
     t = len(hits)
     c, d = (model.c_shuttle, max(t, 1)) if outer else (model.c_round, t + 1)
-    iterations = math.ceil(c * math.sqrt(m / d))
-    charge(iterations)
+    charge([math.ceil(c * math.sqrt(m / d))])
     if t == 0:
         return None
     witness = domain[hits[rng.randrange(t)]]
@@ -257,21 +255,27 @@ def grover_search(
     sup = sorted(support)
     if not sup:
         raise ValueError("support must be nonempty")
-    if any(not 0 <= i < n for i in sup):
+    if sup[0] < 0 or sup[-1] >= n:
         raise ValueError("support outside domain")
-    width, announce = index_qubits(n), outcome_bits(n)
+    width = index_qubits(n)
+    out, back = directions
+    # one extra round trip per measurement: shuttle the candidate register over, announce back
     verify_phase = phase + "-verify"
+    verify = [(out, QUBITS, width, verify_phase), (back, BITS, outcome_bits(n), verify_phase)]
 
-    def charge(iterations: int):
-        _charge_round_trips(ledger, iterations, width, phase, directions)
-        # one extra round trip: shuttle the candidate register over, announce back
-        ledger.charge(directions[0], QUBITS, width, verify_phase)
-        ledger.charge(directions[1], BITS, announce, verify_phase)
+    def charge(draws: list):
+        records = []
+        for iterations in draws:
+            if iterations > 0:
+                amount = iterations * width
+                records += ((out, QUBITS, amount, phase), (back, QUBITS, amount, phase))
+            records += verify
+        ledger._log_batch(records)
         if stats is not None:
-            stats.setdefault("iterations", []).append(iterations)
-            stats["measurements"] = stats.get("measurements", 0) + 1
+            stats.setdefault("iterations", []).extend(draws)
+            stats["measurements"] = stats.get("measurements", 0) + len(draws)
 
-    marked_mask = np.fromiter((bool(marked(i)) for i in sup), dtype=bool, count=len(sup))
+    marked_mask = np.fromiter(map(marked, sup), bool, len(sup))
     return _amplify(n, sup, marked_mask, plan, model, rng, charge)
 
 
@@ -306,7 +310,7 @@ def disj(
         directions = (B_TO_A, A_TO_B)
     # a support element is in the other set iff it is in the intersection;
     # one AND here saves a shift of the whole other word per probe
-    common = set((a & b).indices())
+    common = set(_iter_bits(a.bits & b.bits))
     return grover_search(
         n,
         support,
@@ -400,12 +404,13 @@ def graph_collision(
     """
     if f_a.n != graph.n_left or f_b.n != graph.n_right:
         raise DimensionError("vector lengths do not match the graph sides")
-    if f_a.weight() == 0 or f_b.weight() == 0:
+    w_a, w_b = f_a.weight(), f_b.weight()
+    if w_a == 0 or w_b == 0:
         # handshake still happens before anyone can conclude emptiness
         ledger.charge(A_TO_B, BITS, integer_bits(f_a.n), "handshake")
         ledger.charge(B_TO_A, BITS, integer_bits(f_b.n), "handshake")
         return None
-    own_is_left = f_a.weight() <= f_b.weight()
+    own_is_left = w_a <= w_b
     if own_is_left:
         own, other, cover, missing, report = f_a, f_b, graph.left_cover, graph.missing_rows, B_TO_A
     else:
@@ -475,14 +480,23 @@ def instance_search(
     cap = max(1, math.ceil(math.pi / 4.0 * math.sqrt(big_n)))
     boost = max(1, math.ceil(math.log2(100.0 * cap)))
     inner_per_call = boost * inner_cost_qubits
-    width, announce = index_qubits(big_n), outcome_bits(big_n)
+    width = index_qubits(big_n)
+    shuttle, inner = "instance-shuttle", "inner-protocol"
+    verify = [(B_TO_A, BITS, outcome_bits(big_n), "instance-shuttle-verify")]
+    if inner_per_call:
+        verify.insert(0, (A_TO_B, QUBITS, inner_per_call, "instance-shuttle-verify"))
 
-    def charge(iterations: int):
-        _charge_round_trips(ledger, iterations, width, "instance-shuttle")
-        if inner_per_call:
-            # compute on the way out, uncompute on the way back
-            _charge_round_trips(ledger, iterations, inner_per_call, "inner-protocol")
-            ledger.charge(A_TO_B, QUBITS, inner_per_call, "instance-shuttle-verify")
-        ledger.charge(B_TO_A, BITS, announce, "instance-shuttle-verify")
+    def charge(draws: list):
+        records = []
+        for iterations in draws:
+            if iterations > 0:
+                amount = iterations * width
+                records += ((A_TO_B, QUBITS, amount, shuttle), (B_TO_A, QUBITS, amount, shuttle))
+                if inner_per_call:
+                    # compute on the way out, uncompute on the way back
+                    amount = iterations * inner_per_call
+                    records += ((A_TO_B, QUBITS, amount, inner), (B_TO_A, QUBITS, amount, inner))
+            records += verify
+        ledger._log_batch(records)
 
     return _amplify(big_n, range(big_n), marked_mask, None, model, rng, charge, outer=True)

@@ -1,5 +1,6 @@
 """Ledger accounting: additivity, reports, validation, records built on read."""
 
+import math
 import random
 
 import pytest
@@ -19,7 +20,7 @@ from joinlab.ledger import (
     integer_bits,
     outcome_bits,
 )
-from joinlab.qsim import CostModel, disj
+from joinlab.qsim import CostModel, disj, instance_search
 
 
 def test_charge_accumulates():
@@ -125,6 +126,45 @@ def test_disj_ledger_recomputed_from_schedule():
     expect_bits = 2 * integer_bits(n) + meas * outcome_bits(n)
     assert led.qubits == expect_qubits
     assert led.bits == expect_bits
+
+
+class _DrawRecorder(random.Random):
+    """``random.Random`` that keeps each ``randrange`` result; overriding only
+    ``randrange`` leaves the stream as it is."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.drawn = []
+
+    def randrange(self, *args):
+        value = super().randrange(*args)
+        self.drawn.append(value)
+        return value
+
+
+@pytest.mark.parametrize("seed", [3, 4, 8])
+def test_instance_search_ledger_recomputed_from_schedule(seed):
+    # Phase totals recomputed from the iteration counts the plan drew (one
+    # randrange per measurement) and the stated conventions, independently
+    # of the charging code path.
+    big_n, inner_cost = 32, 10
+    answers = [i in (6, 21) for i in range(big_n)]
+    rng = _DrawRecorder(seed)
+    led, plain = CommLedger(), CommLedger()
+    found = instance_search(answers, led, CostModel.exact_mode(), rng, inner_cost_qubits=inner_cost)
+    assert found == instance_search(answers, plain, CostModel.exact_mode(), random.Random(seed),
+                                    inner_cost_qubits=inner_cost)
+    assert led.entries == plain.entries  # the recorder leaves the stream as it is
+    iters, meas = sum(rng.drawn), len(rng.drawn)
+    assert iters > 0
+    boost = math.ceil(math.log2(100 * math.ceil(math.pi / 4 * math.sqrt(big_n))))
+    inner = boost * inner_cost
+    assert led.report()["phases"] == {
+        "inner-protocol": {BITS: 0, QUBITS: iters * 2 * inner},
+        "instance-shuttle": {BITS: 0, QUBITS: iters * 2 * index_qubits(big_n)},
+        "instance-shuttle-verify": {BITS: meas * outcome_bits(big_n), QUBITS: meas * inner},
+    }
+    assert len(led) == 4 * sum(k > 0 for k in rng.drawn) + 2 * meas
 
 
 def test_prior_charges_do_not_change_outputs():

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -13,7 +14,16 @@ from hypothesis import strategies as st
 
 from grover_statevector import grover_success_curve, grover_success_curves_batch, statevectors
 from joinlab.f2core import BitMatrix, BitVector
-from joinlab.ledger import A_TO_B, B_TO_A, BITS, CommLedger, index_qubits, outcome_bits
+from joinlab.ledger import (
+    A_TO_B,
+    B_TO_A,
+    BITS,
+    QUBITS,
+    CommLedger,
+    index_qubits,
+    integer_bits,
+    outcome_bits,
+)
 from joinlab.qsim import (
     BipartiteGraph,
     CostModel,
@@ -90,7 +100,7 @@ def test_closed_form_draws_match_statevector(case):
     domain = range(1000, 1000 + m)
     got, want = [], []
     rng_got, rng_want = random.Random(seed), random.Random(seed)
-    found = _amplify(m, domain, mask, plan, EXACT, rng_got, got.append)
+    found = _amplify(m, domain, mask, plan, EXACT, rng_got, got.extend)
     expect = _reference_amplify(domain, mask, plan or GroverPlan.default(m), rng_want, want.append)
     # same witness, same charged draws, same generator state afterwards
     assert (found, got, rng_got.random()) == (expect, want, rng_want.random())
@@ -133,13 +143,92 @@ def test_unmarked_domain_skips_the_bisect_but_not_the_draws(case):
     mask = np.zeros(len(domain), dtype=bool)
     got, want = [], []
     rng_got, rng_want = random.Random(seed), random.Random(seed)
-    found = _amplify(n, domain, mask, plan, EXACT, rng_got, got.append)
+    found = _amplify(n, domain, mask, plan, EXACT, rng_got, got.extend)
     reference_plan = plan or GroverPlan.default(len(domain))
     expect = _reference_bisect_amplify(domain, mask, reference_plan, rng_want, want.append)
     # no witness, the same charged draws, the same generator state afterwards
     assert (found, got, rng_got.random()) == (expect, want, rng_want.random())
     assert found is None
     assert len(got) == len(reference_plan.stage_caps) * reference_plan.reps_per_stage
+
+
+class _Schedule:
+    """A plan that hands out fixed iteration counts and keeps those taken."""
+
+    def __init__(self, counts):
+        self.counts, self.taken = counts, []
+
+    def draws(self, rng):
+        for iterations in self.counts:
+            self.taken.append(iterations)
+            yield iterations
+
+
+def _charge_grover_measurements(ledger, draws, n, phase, directions):
+    """The charges ``grover_search`` made through ``charge``, one measurement at a time."""
+    width, announce = index_qubits(n), outcome_bits(n)
+    for iterations in draws:
+        if iterations > 0:
+            ledger.charge(directions[0], QUBITS, iterations * width, phase)
+            ledger.charge(directions[1], QUBITS, iterations * width, phase)
+        ledger.charge(directions[0], QUBITS, width, phase + "-verify")
+        ledger.charge(directions[1], BITS, announce, phase + "-verify")
+
+
+def _charge_instance_measurements(ledger, draws, big_n, inner_cost_qubits):
+    """The charges ``instance_search`` made through ``charge``, one measurement at a time."""
+    cap = max(1, math.ceil(math.pi / 4.0 * math.sqrt(big_n)))
+    inner = max(1, math.ceil(math.log2(100.0 * cap))) * inner_cost_qubits
+    width = index_qubits(big_n)
+    for iterations in draws:
+        if iterations > 0:
+            ledger.charge(A_TO_B, QUBITS, iterations * width, "instance-shuttle")
+            ledger.charge(B_TO_A, QUBITS, iterations * width, "instance-shuttle")
+        if inner:
+            if iterations > 0:
+                ledger.charge(A_TO_B, QUBITS, iterations * inner, "inner-protocol")
+                ledger.charge(B_TO_A, QUBITS, iterations * inner, "inner-protocol")
+            ledger.charge(A_TO_B, QUBITS, inner, "instance-shuttle-verify")
+        ledger.charge(B_TO_A, BITS, outcome_bits(big_n), "instance-shuttle-verify")
+
+
+def _ledger_state(ledger):
+    return ledger.entries, ledger.bits, ledger.qubits, len(ledger), ledger.report()
+
+
+@st.composite
+def batch_cases(draw):
+    n = draw(st.integers(1, 300))
+    domain = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=min(n, 40))))
+    marked = draw(st.sets(st.sampled_from(domain), max_size=3))
+    counts = draw(st.lists(st.integers(0, 12), min_size=1, max_size=20))
+    inner = draw(st.sampled_from((0, 1, draw(st.integers(2, 500)))))
+    return n, domain, marked, counts, inner, draw(st.integers(0, 2**32))
+
+
+@given(batch_cases())
+@example((1, [0], set(), [0], 0, 0))
+@example((64, [3, 9, 40], {9}, [0, 0, 5, 1, 0], 7, 1))
+def test_batched_search_charges_match_per_measurement_charges(case):
+    # one batch per search logs what one charge call per record used to:
+    # zero-iteration measurements pay only their verification
+    n, domain, marked, counts, inner, seed = case
+    directions = (B_TO_A, A_TO_B) if seed % 2 else (A_TO_B, B_TO_A)
+    got, want = CommLedger(), CommLedger()
+    for led in (got, want):
+        led.charge(A_TO_B, BITS, 3, "earlier")
+    plan = _Schedule(counts)
+    grover_search(n, domain, marked.__contains__, plan, got, EXACT, random.Random(seed),
+                  phase="probe", directions=directions)
+    _charge_grover_measurements(want, plan.taken, n, "probe", directions)
+    assert _ledger_state(got) == _ledger_state(want)
+
+    answers = [i in marked for i in range(n)]
+    plan = _Schedule(counts)
+    with patch.object(GroverPlan, "default", lambda m: plan):
+        instance_search(answers, got, EXACT, random.Random(seed), inner_cost_qubits=inner)
+    _charge_instance_measurements(want, plan.taken, n, inner)
+    assert _ledger_state(got) == _ledger_state(want)
 
 
 def test_default_plans_are_shared_per_arguments():
@@ -380,6 +469,62 @@ def test_graph_collision_on_non_square_graphs(own_is_left, n_left, n_right, mode
         assert reports == [(direction, BITS, outcome_bits(partner_n))]
         found += 1
     assert found >= 30
+
+
+def _reference_graph_collision(graph, f_a, f_b, ledger, model, rng):
+    """``graph_collision`` spelled out per orientation, with covers read off ``has_edge``.
+
+    The lighter side keeps its set and disjointness runs over that side's
+    domain: [n_left] when A keeps f_a, [n_right] when B keeps f_b.
+    """
+    if f_a.weight() == 0 or f_b.weight() == 0:
+        ledger.charge(A_TO_B, BITS, integer_bits(f_a.n), "handshake")
+        ledger.charge(B_TO_A, BITS, integer_bits(f_b.n), "handshake")
+        return None
+    if f_a.weight() <= f_b.weight():
+        cover = [i for i in range(graph.n_left) if any(graph.has_edge(i, j) for j in f_b.indices())]
+        i = disj(f_a, BitVector.from_indices(graph.n_left, cover), ledger, model, rng)
+        if i is None:
+            return None
+        pool = [j for j in f_b.indices() if graph.has_edge(i, j)]
+        j = pool[rng.randrange(len(pool))]
+        ledger.charge(B_TO_A, BITS, outcome_bits(graph.n_right), "edge-report")
+        return i, j
+    cover = [j for j in range(graph.n_right) if any(graph.has_edge(i, j) for i in f_a.indices())]
+    j = disj(BitVector.from_indices(graph.n_right, cover), f_b, ledger, model, rng)
+    if j is None:
+        return None
+    pool = [i for i in f_a.indices() if graph.has_edge(i, j)]
+    i = pool[rng.randrange(len(pool))]
+    ledger.charge(A_TO_B, BITS, outcome_bits(graph.n_left), "edge-report")
+    return i, j
+
+
+@pytest.mark.parametrize("model", [EXACT, CostModel.cost_model()], ids=["exact", "cost-model"])
+@pytest.mark.parametrize("n_left, n_right", [(5, 40), (40, 5)])
+@pytest.mark.parametrize("own_is_left", [True, False])
+def test_graph_collision_matches_reference_on_each_sides_domain(
+    own_is_left, n_left, n_right, model
+):
+    # the two sides need index widths 3 and 6, so a search over the wrong
+    # side's domain shows in the handshake, the shuttles and the draws
+    w_a, w_b = (2, 4) if own_is_left else (4, 2)
+    outcomes = Counter()
+    for tr in range(40):
+        seed = 7100 + tr
+        rng = random.Random(seed)
+        g = BipartiteGraph.random(n_left, n_right, (0.05, 0.3, 0.8)[tr % 3], rng)
+        f_a = BitVector.random_weight(n_left, w_a, rng)
+        f_b = BitVector.random_weight(n_right, w_b, rng)
+        got_rng, want_rng = random.Random(seed), random.Random(seed)
+        got_led, want_led = CommLedger(), CommLedger()
+        edge = graph_collision(g, f_a, f_b, got_led, model, got_rng)
+        expect = _reference_graph_collision(g, f_a, f_b, want_led, model, want_rng)
+        assert edge == expect
+        assert got_led.entries == want_led.entries
+        assert got_rng.getrandbits(32) == want_rng.getrandbits(32)
+        outcomes[edge is None] += 1
+    assert outcomes[False] >= 10 and outcomes[True] >= 1
 
 
 def test_graph_collision_all_diagonal():
