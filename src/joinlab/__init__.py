@@ -30,6 +30,7 @@ from joinlab.joins import (
     BmmTrace,
     SensingSketch,
     bmm_cost_model,
+    bmm_with_trace,
     gen_hard_instance,
     mm_f2,
 )
@@ -56,6 +57,7 @@ __all__ = [
     "MessageRecord",
     "SensingSketch",
     "bmm_cost_model",
+    "bmm_with_trace",
     "bool_product",
     "disj",
     "embed_disj_family",

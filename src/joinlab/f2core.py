@@ -106,17 +106,6 @@ class BitVector:
         self.bits = bits
 
     @classmethod
-    def from_bits(cls, values) -> "BitVector":
-        values = list(values)
-        acc = 0
-        for i, v in enumerate(values):
-            if v not in (0, 1, True, False):
-                raise ValueError("entries must be 0 or 1")
-            if v:
-                acc |= 1 << i
-        return cls(len(values), acc)
-
-    @classmethod
     def from_indices(cls, n: int, indices) -> "BitVector":
         # set bits in a byte buffer: `acc |= 1 << i` would copy a growing int per index
         buf = bytearray((n + 7) // 8)
@@ -142,9 +131,6 @@ class BitVector:
 
     def is_zero(self) -> bool:
         return self.bits == 0
-
-    def to01(self) -> str:
-        return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.n))
 
     def __len__(self) -> int:
         return self.n
@@ -182,7 +168,8 @@ class BitVector:
 
     def __repr__(self) -> str:
         if self.n <= 64:
-            return f"BitVector({self.to01()!r})"
+            cells = "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.n))
+            return f"BitVector({cells!r})"
         return f"BitVector(n={self.n}, weight={self.weight()})"
 
 
@@ -214,48 +201,15 @@ class BitMatrix:
         self.data = data
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(rows, cols, [0] * rows)
-
-    @classmethod
     def identity(cls, n: int) -> "BitMatrix":
         return cls(n, n, [1 << i for i in range(n)])
-
-    @classmethod
-    def from_rows(cls, rows) -> "BitMatrix":
-        vecs = [r if isinstance(r, BitVector) else BitVector.from_bits(r) for r in rows]
-        if not vecs:
-            raise ValueError("need at least one row")
-        cols = vecs[0].n
-        if any(v.n != cols for v in vecs):
-            raise DimensionError("rows have unequal lengths")
-        return cls(len(vecs), cols, [v.bits for v in vecs])
 
     @classmethod
     def random(cls, rows: int, cols: int, density: float, rng: random.Random) -> "BitMatrix":
         return cls.from_numpy(_bernoulli(rows, cols, density, rng))
 
-    def get(self, i: int, j: int) -> int:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError((i, j))
-        return (self.data[i] >> j) & 1
-
-    def row(self, i: int) -> BitVector:
-        return BitVector(self.cols, self.data[i])
-
-    def col(self, j: int) -> BitVector:
-        if not 0 <= j < self.cols:
-            raise IndexError(j)
-        acc = 0
-        for i, r in enumerate(self.data):
-            acc |= ((r >> j) & 1) << i
-        return BitVector(self.rows, acc)
-
     def weight(self) -> int:
         return sum(r.bit_count() for r in self.data)
-
-    def is_zero(self) -> bool:
-        return all(r == 0 for r in self.data)
 
     def to_numpy(self) -> np.ndarray:
         nbytes = (self.cols + 7) // 8 if self.cols else 1

@@ -63,8 +63,8 @@ __all__ = [
     "BMM_EXACT_CAP",
 ]
 
-# run time, not EXACT_DOMAIN_CAP, bounds exact bmm: one planted trial at
-# n = ell = 2**12 (seed 5) takes about 0.6 s on a 2-core VM
+# run time bounds exact bmm: one planted trial at n = ell = 2**12 (seed 5)
+# takes about 0.6 s on a 2-core VM
 BMM_EXACT_CAP = 1 << 12
 
 
@@ -132,8 +132,6 @@ def _search_and_collect(
     cost-model mode replays the protocol as :func:`bmm_cost_model` describes.
     """
     A, B = instance.A, instance.B
-    if A.cols != B.rows or A.rows != B.cols:
-        raise DimensionError("expected A of shape m x n and B of shape n x m")
     if model.epsilon:
         raise ValueError("the bmm protocol does not model injected error; use epsilon = 0")
     m, n = A.rows, A.cols
@@ -575,7 +573,8 @@ def mm_f2(
     A, B = instance.A, instance.B
     if instance.kind != "f2":
         raise ValueError("mm_f2 expects an instance with an F2 promise")
-    if A.rows != A.cols or B.rows != B.cols or A.cols != B.rows:
+    # JoinInstance already holds A as m x n against B as n x m
+    if A.rows != A.cols:
         raise DimensionError("mm_f2 handles square n x n operands")
     n = A.rows
     if r1 is None:

@@ -35,7 +35,6 @@ from joinlab.ledger import (
 __all__ = [
     "EXACT",
     "COST_MODEL",
-    "EXACT_DOMAIN_CAP",
     "CostModel",
     "GroverPlan",
     "BipartiteGraph",
@@ -51,12 +50,8 @@ __all__ = [
 EXACT = "exact"
 COST_MODEL = "cost-model"
 
-# statevector reach for exact simulation of a search over [n]
-EXACT_DOMAIN_CAP = 1 << 20
-
-
 class SimulationCapError(ValueError):
-    """Domain too large for exact statevector simulation."""
+    """Instance dimensions above an exact-mode cap; the cap bounds run time, not memory."""
 
 
 class ProtocolError(RuntimeError):
@@ -168,8 +163,8 @@ def _entry_probabilities(m: int, t: int, iterations: int) -> tuple[float, float]
     return marked, unmarked
 
 
-def _amplify(n: int, domain, marked_mask: np.ndarray, plan, model, rng, charge, outer=False):
-    """Measure amplified candidates from ``domain`` (a sequence over [n]) until one is marked.
+def _amplify(domain, marked_mask: np.ndarray, plan, model, rng, charge, outer=False):
+    """Measure amplified candidates from ``domain`` (a sequence of indices) until one is marked.
 
     The core of :func:`grover_search` and :func:`instance_search`.
     ``marked_mask[i]`` says whether ``domain[i]`` is marked, and
@@ -189,8 +184,6 @@ def _amplify(n: int, domain, marked_mask: np.ndarray, plan, model, rng, charge, 
     """
     m = len(domain)
     if model.exact:
-        if n > EXACT_DOMAIN_CAP:
-            raise SimulationCapError(f"exact mode supports n <= {EXACT_DOMAIN_CAP}, got {n}")
         if plan is None:
             plan = GroverPlan.default(m)
         if not marked_mask.any():
@@ -276,7 +269,7 @@ def grover_search(
             stats["measurements"] = stats.get("measurements", 0) + len(draws)
 
     marked_mask = np.fromiter(map(marked, sup), bool, len(sup))
-    return _amplify(n, sup, marked_mask, plan, model, rng, charge)
+    return _amplify(sup, marked_mask, plan, model, rng, charge)
 
 
 def disj(
@@ -434,9 +427,11 @@ def graph_collision_all(
     model: CostModel,
     rng: random.Random,
 ) -> frozenset[tuple[int, int]]:
-    """Collect every colliding edge by excluding found edges and repeating."""
-    if f_a.n != graph.n_left or f_b.n != graph.n_right:
-        raise DimensionError("vector lengths do not match the graph sides")
+    """Collect every colliding edge by excluding found edges and repeating.
+
+    The first :func:`graph_collision` call checks the vector lengths before
+    anything is charged or drawn.
+    """
     # repetitions of a 2/3-correct call so a false "empty" survives a union bound over all edges
     bound = f_a.weight() * f_b.weight()
     reps = max(1, math.ceil(math.log(3.0 * (bound + 1)) / math.log(3.0)))
@@ -499,4 +494,4 @@ def instance_search(
             records += verify
         ledger._log_batch(records)
 
-    return _amplify(big_n, range(big_n), marked_mask, None, model, rng, charge, outer=True)
+    return _amplify(range(big_n), marked_mask, None, model, rng, charge, outer=True)

@@ -9,6 +9,8 @@ products, independent of any protocol.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from joinlab.f2core import (
     BitMatrix,
@@ -39,10 +41,6 @@ class Embedding:
         return _VALIDATORS[self.name](self)
 
 
-def _disj_bit(a: BitVector, b: BitVector) -> int:
-    return 0 if (a & b).is_zero() else 1
-
-
 def _embed_diagonal(name: str, kind: str, a_vectors, b_vectors, n: int) -> Embedding:
     """Row i of A carries the i-th left input and column i of B the i-th right input, i < k <= n.
 
@@ -67,7 +65,11 @@ def _embed_diagonal(name: str, kind: str, a_vectors, b_vectors, n: int) -> Embed
 def _round_trip(emb: Embedding) -> bool:
     """The carried inputs are readable off the matrices: row i of A and column i of B."""
     inst, payload = emb.instance, emb.payload
-    return all(inst.A.row(i) == payload["a"][i] and inst.B.col(i) == payload["b"][i] for i in range(payload["k"]))
+    k = payload["k"]
+    return (
+        inst.A.data[:k] == tuple(v.bits for v in payload["a"])
+        and inst.B.transpose().data[:k] == tuple(v.bits for v in payload["b"])
+    )
 
 
 def embed_disj_family(a_vectors, b_vectors, n: int) -> Embedding:
@@ -82,8 +84,8 @@ def embed_disj_family(a_vectors, b_vectors, n: int) -> Embedding:
 def _validate_disj_family(emb: Embedding) -> bool:
     inst, payload = emb.instance, emb.payload
     product = bool_product(inst.A, inst.B)
-    answers = [_disj_bit(a, b) for a, b in zip(payload["a"], payload["b"])]
-    diagonal = [product.get(i, i) for i in range(len(answers))]
+    answers = [bool(a.bits & b.bits) for a, b in zip(payload["a"], payload["b"])]
+    diagonal = [bool(row >> i & 1) for i, row in enumerate(product.data[: len(answers)])]
     return product.weight() <= inst.ell and diagonal == answers and _round_trip(emb)
 
 
@@ -107,25 +109,18 @@ def embed_inner_product(a: BitVector, b: BitVector, n: int) -> Embedding:
     instance = JoinInstance.build(
         BitMatrix(n, n, a_data), BitMatrix.identity(n), ell=max(1, ell), kind="bool"
     )
-    payload = {"a": a, "b": b, "layout": "row-major from (0, 0)"}
-    return Embedding("inner-product", instance, payload)
+    return Embedding("inner-product", instance, {"a": a, "b": b})
 
 
 def _validate_inner_product(emb: Embedding) -> bool:
-    inst = emb.instance
-    product = bool_product(inst.A, inst.B)
-    if product != inst.A:
-        return False
-    a, b = emb.payload["a"], emb.payload["b"]
+    """B = I reproduces A, and A's row-major word starts with the left input.
+
+    The right party then reads the left input, so the parity of ``a & b`` follows.
+    """
+    inst, a = emb.instance, emb.payload["a"]
     n = inst.A.cols
-    decoded = BitVector.from_bits(
-        inst.A.get(pos // n, pos % n) for pos in range(a.n)
-    )
-    if decoded != a:
-        return False
-    expected = (a & b).weight() % 2
-    recovered = (decoded & b).weight() % 2
-    return recovered == expected
+    row_major = sum(row << (i * n) for i, row in enumerate(inst.A.data))
+    return bool_product(inst.A, inst.B) == inst.A and row_major & ((1 << a.n) - 1) == a.bits
 
 
 def embed_or_blocks(block_pairs, n: int) -> Embedding:
@@ -157,8 +152,7 @@ def embed_or_blocks(block_pairs, n: int) -> Embedding:
     instance = JoinInstance.build(
         BitMatrix(n, n, a_data), BitMatrix(n, n, b_data), ell=s * s, kind="bool"
     )
-    payload = {"blocks": block_pairs, "side": s, "k": k}
-    return Embedding("or-blocks", instance, payload)
+    return Embedding("or-blocks", instance, {"blocks": block_pairs, "side": s})
 
 
 def _validate_or_blocks(emb: Embedding) -> bool:
@@ -167,18 +161,10 @@ def _validate_or_blocks(emb: Embedding) -> bool:
     if product.weight() > inst.ell:
         return False
     s = emb.payload["side"]
-    union = BitMatrix.zeros(s, s)
-    for left, right in emb.payload["blocks"]:
-        block = bool_product(left, right)
-        union = BitMatrix(s, s, [u | v for u, v in zip(union.data, block.data)])
+    blocks = (bool_product(left, right).data for left, right in emb.payload["blocks"])
+    union = reduce(lambda acc, rows: tuple(map(or_, acc, rows)), blocks, (0,) * s)
     mask = (1 << s) - 1
-    for i in range(s):
-        if product.data[i] & mask != union.data[i]:
-            return False
-    for i in range(s, inst.A.rows):
-        if product.data[i]:
-            return False
-    return True
+    return tuple(row & mask for row in product.data[:s]) == union and not any(product.data[s:])
 
 
 def embed_ip_f2(x_vectors, y_vectors, n: int) -> Embedding:
@@ -194,7 +180,7 @@ def embed_ip_f2(x_vectors, y_vectors, n: int) -> Embedding:
 def _validate_ip_f2(emb: Embedding) -> bool:
     inst, payload = emb.instance, emb.payload
     product = f2_product(inst.A, inst.B)
-    parity = sum(product.get(i, i) for i in range(product.rows)) % 2
+    parity = sum(row >> i & 1 for i, row in enumerate(product.data)) % 2
     expected = sum((a & b).weight() for a, b in zip(payload["a"], payload["b"])) % 2
     return product.weight() <= inst.ell and parity == expected and _round_trip(emb)
 

@@ -1,10 +1,15 @@
 """Public surface: every exported name exists, so star imports keep working."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
+import joinlab
+
 MODULES = ["joinlab"] + [f"joinlab.{m}" for m in ("f2core", "ledger", "qsim", "joins", "reductions", "cli")]
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -16,3 +21,43 @@ def test_all_names_are_attributes(name):
     namespace: dict = {}
     exec(f"from {name} import *", namespace)
     assert set(module.__all__) <= namespace.keys()
+
+
+def test_run_bmm_entry_point_is_exported():
+    assert joinlab.bmm_with_trace is joinlab.joins.bmm_with_trace
+
+
+def _public_methods(classes=("BitVector", "BitMatrix")):
+    """(class, method, is a classmethod) for each public method of the packed-bit classes."""
+    tree = ast.parse((ROOT / "src" / "joinlab" / "f2core.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name in classes:
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                    decorators = {d.id for d in fn.decorator_list if isinstance(d, ast.Name)}
+                    yield node.name, fn.name, "classmethod" in decorators
+
+
+def test_packed_bit_methods_have_callers_outside_tests():
+    """A public BitVector/BitMatrix method is read somewhere in src/ or perfbench/, tests aside.
+
+    Instance methods match by attribute name, so one named like a builtin's
+    method (``get``, say) would pass on any dict read.  Class methods must be read off
+    their class (or ``cls``), or named as ``"Class.method"`` the way
+    perfbench's tracer names what it wraps.
+    """
+    reads, on_class = set(), set()
+    for path in sorted((ROOT / "src" / "joinlab").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                reads.add(node.attr)
+                if isinstance(node.value, ast.Name):
+                    on_class.add((node.value.id, node.attr))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.count(".") == 1:
+                on_class.add(tuple(node.value.split(".")))
+    unused = [
+        f"{cls}.{name}"
+        for cls, name, is_class in _public_methods()
+        if not ((cls, name) in on_class or ("cls", name) in on_class if is_class else name in reads)
+    ]
+    assert not unused, f"public methods only tests call: {unused}"

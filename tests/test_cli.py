@@ -134,6 +134,14 @@ def test_run_disj_exact_mode(tmp_path):
     assert code == 0
 
 
+def test_run_disj_exact_mode_past_two_to_the_twenty(tmp_path):
+    # exact disj draws from the closed-form state, so no domain cap stops it at n = 2**21
+    out = tmp_path / "disj"
+    assert main(["run-disj", "--n", "2097152", "--trials", "2", "--mode", "exact", "--out", str(out)]) == 0
+    cells = json.loads((tmp_path / "disj.summary.json").read_text())["cells"]
+    assert [cell["success_rate"] for cell in cells.values()] == [1.0]
+
+
 def test_run_bmm_exact_small(tmp_path):
     out = tmp_path / "bmm"
     code = main(
@@ -203,7 +211,7 @@ def test_scaling_disj_cost(tmp_path, capsys):
 @pytest.mark.parametrize(
     "protocol, module, target, answer",
     [
-        ("bmm-cost", joins, "bmm_cost_model", lambda inst: joins.BmmTrace(product=BitMatrix.zeros(64, 64))),
+        ("bmm-cost", joins, "bmm_cost_model", lambda inst: joins.BmmTrace(product=BitMatrix(64, 64, [0] * 64))),
         ("disj-cost", qsim, "disj", lambda a: None),  # every sweep pair intersects
         ("disj-cost", qsim, "disj", lambda a: next(i for i in range(a.n) if not a[i])),
     ],

@@ -27,10 +27,10 @@ def triple_loop_bool(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     for i in range(a.rows):
         for j in range(b.cols):
             for k in range(a.cols):
-                if a.get(i, k) and b.get(k, j):
+                if (a.data[i] >> k) & 1 and (b.data[k] >> j) & 1:
                     out[i][j] = 1
                     break
-    return BitMatrix.from_rows(out)
+    return BitMatrix.from_numpy(out)
 
 
 def triple_loop_f2(a: BitMatrix, b: BitMatrix) -> BitMatrix:
@@ -39,13 +39,13 @@ def triple_loop_f2(a: BitMatrix, b: BitMatrix) -> BitMatrix:
         for j in range(b.cols):
             acc = 0
             for k in range(a.cols):
-                acc ^= a.get(i, k) & b.get(k, j)
+                acc ^= (a.data[i] >> k) & (b.data[k] >> j) & 1
             out[i][j] = acc
-    return BitMatrix.from_rows(out)
+    return BitMatrix.from_numpy(out)
 
 
 def test_bool_product_identity_selects_rows():
-    b = BitMatrix.from_rows([[0, 1], [1, 0]])
+    b = BitMatrix.from_numpy([[0, 1], [1, 0]])
     assert bool_product(BitMatrix.identity(2), b) == b
 
 
@@ -69,9 +69,9 @@ def test_f2_product_identity():
 
 
 def test_f2_product_cancellation():
-    a = BitMatrix.from_rows([[1, 1]])
-    b = BitMatrix.from_rows([[1], [1]])
-    assert f2_product(a, b) == BitMatrix.from_rows([[0]])
+    a = BitMatrix.from_numpy([[1, 1]])
+    b = BitMatrix.from_numpy([[1], [1]])
+    assert f2_product(a, b) == BitMatrix.from_numpy([[0]])
 
 
 def test_f2_product_matches_triple_loop_8x8():
@@ -111,9 +111,9 @@ def test_f2_ones_dominated_by_bool_ones():
 
 def test_product_dimension_mismatch():
     with pytest.raises(DimensionError):
-        bool_product(BitMatrix.zeros(2, 3), BitMatrix.zeros(2, 3))
+        bool_product(BitMatrix(2, 3, [0] * 2), BitMatrix(2, 3, [0] * 2))
     with pytest.raises(DimensionError):
-        f2_product(BitMatrix.zeros(2, 3), BitMatrix.zeros(4, 2))
+        f2_product(BitMatrix(2, 3, [0] * 2), BitMatrix(4, 2, [0] * 4))
 
 
 def test_weight_examples():
@@ -121,7 +121,7 @@ def test_weight_examples():
     assert BitVector(64, (1 << 64) - 1).weight() == 64
     rng = random.Random(8)
     m = BitMatrix.random(9, 13, 0.5, rng)
-    naive = sum(m.get(i, j) for i in range(9) for j in range(13))
+    naive = sum((m.data[i] >> j) & 1 for i in range(9) for j in range(13))
     assert m.weight() == naive
 
 
@@ -134,14 +134,15 @@ def test_transpose_involution_and_weight():
         assert t.weight() == m.weight()
         i = rng.randrange(m.rows)
         j = rng.randrange(m.cols)
-        assert m.get(i, j) == t.get(j, i)
+        assert (m.data[i] >> j) & 1 == (t.data[j] >> i) & 1
 
 
 def test_bitvector_basics():
-    v = BitVector.from_bits([0, 1, 1, 0])
+    v = BitVector(4, 0b0110)
     assert v.indices() == [1, 2]
     assert v[0] == 0 and v[1] == 1
-    assert v.to01() == "0110"
+    assert repr(v) == "BitVector('0110')"
+    assert repr(BitVector(0)) == "BitVector('')"
     assert (v & BitVector.from_indices(4, [2])).weight() == 1
     with pytest.raises(ValueError):
         BitVector(3, 8)
@@ -343,9 +344,9 @@ def sparse_matrices(draw):
 
 
 @given(sparse_matrices())
-@example(BitMatrix.zeros(0, 0))
-@example(BitMatrix.zeros(0, 7))
-@example(BitMatrix.zeros(7, 0))
+@example(BitMatrix(0, 0, []))
+@example(BitMatrix(0, 7, []))
+@example(BitMatrix(7, 0, [0] * 7))
 @example(BitMatrix(9, 9, [0] * 8 + [1]))
 def test_transpose_scatter_side_matches_dense_oracle(m):
     assert m.weight() * f2core._SCATTER_CELLS_PER_ONE <= m.rows * m.cols

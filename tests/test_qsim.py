@@ -13,7 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from grover_statevector import grover_success_curve, grover_success_curves_batch, statevectors
-from joinlab.f2core import BitMatrix, BitVector
+from joinlab.f2core import BitMatrix, BitVector, DimensionError
 from joinlab.ledger import (
     A_TO_B,
     B_TO_A,
@@ -100,7 +100,7 @@ def test_closed_form_draws_match_statevector(case):
     domain = range(1000, 1000 + m)
     got, want = [], []
     rng_got, rng_want = random.Random(seed), random.Random(seed)
-    found = _amplify(m, domain, mask, plan, EXACT, rng_got, got.extend)
+    found = _amplify(domain, mask, plan, EXACT, rng_got, got.extend)
     expect = _reference_amplify(domain, mask, plan or GroverPlan.default(m), rng_want, want.append)
     # same witness, same charged draws, same generator state afterwards
     assert (found, got, rng_got.random()) == (expect, want, rng_want.random())
@@ -139,11 +139,11 @@ def unmarked_cases(draw):
 @example((1, [0], None, 0))
 @example((4096, list(range(0, 4096, 16)), GroverPlan.fixed(0, 3), 5))
 def test_unmarked_domain_skips_the_bisect_but_not_the_draws(case):
-    n, domain, plan, seed = case
+    _, domain, plan, seed = case
     mask = np.zeros(len(domain), dtype=bool)
     got, want = [], []
     rng_got, rng_want = random.Random(seed), random.Random(seed)
-    found = _amplify(n, domain, mask, plan, EXACT, rng_got, got.extend)
+    found = _amplify(domain, mask, plan, EXACT, rng_got, got.extend)
     reference_plan = plan or GroverPlan.default(len(domain))
     expect = _reference_bisect_amplify(domain, mask, reference_plan, rng_want, want.append)
     # no witness, the same charged draws, the same generator state afterwards
@@ -325,10 +325,10 @@ def test_grover_empty_support_rejected():
         grover_search(8, [], lambda i: True, None, CommLedger(), EXACT, random.Random(0))
 
 
-def test_grover_cap_enforced():
+def test_grover_exact_mode_has_no_domain_cap():
+    # the exact draw never builds a statevector, so a domain past 2**20 runs like any other
     big = 1 << 21
-    with pytest.raises(Exception):
-        grover_search(big, [0], lambda i: True, None, CommLedger(), EXACT, random.Random(0))
+    assert grover_search(big, [0, big - 1], lambda i: i == big - 1, None, CommLedger(), EXACT, random.Random(0)) == big - 1
 
 
 def test_disj_trivial_examples():
@@ -534,6 +534,17 @@ def test_graph_collision_all_diagonal():
     assert got == frozenset((i, i) for i in range(4))
 
 
+@pytest.mark.parametrize("left, right", [(3, 4), (4, 3), (5, 5)])
+def test_graph_collision_all_rejects_mismatched_vectors_before_any_charge_or_draw(left, right):
+    g = BipartiteGraph(BitMatrix.identity(4))
+    led, rng = CommLedger(), random.Random(9)
+    state = rng.getstate()
+    with pytest.raises(DimensionError):
+        graph_collision_all(g, BitVector(left, 1), BitVector(right, 1), led, EXACT, rng)
+    assert len(led) == 0 and led.total() == 0
+    assert rng.getstate() == state
+
+
 def test_graph_collision_all_monte_carlo_with_cost_band():
     n = 32
     good = 0
@@ -571,7 +582,7 @@ class _AdjacencyGraph:
         return cls(BitMatrix(mat.rows, mat.cols, [full ^ r for r in mat.data]))
 
     def has_edge(self, i: int, j: int) -> bool:
-        return self.adj.get(i, j) == 1
+        return (self.adj.data[i] >> j) & 1 == 1
 
     def left_cover(self, f_b: BitVector) -> BitVector:
         acc = 0
@@ -633,7 +644,7 @@ def test_output_view_matches_adjacency_rows(case):
         _same_graph(graph, ref)
         assert graph.left_cover(f_b) == ref.left_cover(f_b)
         assert graph.right_cover(f_a) == ref.right_cover(f_a)
-    edges = [(i, j) for i in range(out.rows) for j in ref.adj.row(i).indices()]
+    edges = [(i, j) for i in range(out.rows) for j in BitVector(out.cols, ref.adj.data[i]).indices()]
     if edges:
         i, j = edges[len(edges) // 2]
         less = view.copy()

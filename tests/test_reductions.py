@@ -1,10 +1,13 @@
 """Embedding constructions: exact identities checked by the oracles."""
 
+import dataclasses
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from joinlab.f2core import BitMatrix, BitVector, bool_product, f2_product
+from joinlab.f2core import BitMatrix, BitVector, JoinInstance, bool_product, f2_product
 from joinlab.reductions import (
     embed_disj_family,
     embed_inner_product,
@@ -17,13 +20,17 @@ def _vectors(n, k, rng, density=0.3):
     return [BitVector.random(n, density, rng) for _ in range(k)]
 
 
+def _cell(m: BitMatrix, i: int, j: int) -> int:
+    return (m.data[i] >> j) & 1
+
+
 def test_disj_family_all_disjoint_gives_zero_diagonal():
     n = 8
     a = [BitVector.from_indices(n, [0]), BitVector.from_indices(n, [1])]
     b = [BitVector.from_indices(n, [2]), BitVector.from_indices(n, [3])]
     emb = embed_disj_family(a, b, n)
     product = bool_product(emb.instance.A, emb.instance.B)
-    assert all(product.get(i, i) == 0 for i in range(2))
+    assert all(_cell(product, i, i) == 0 for i in range(2))
     assert emb.validate()
 
 
@@ -33,7 +40,7 @@ def test_disj_family_mixed_diagonal():
     b = [BitVector.from_indices(n, [1, 5]), BitVector.from_indices(n, [3])]
     emb = embed_disj_family(a, b, n)
     product = bool_product(emb.instance.A, emb.instance.B)
-    assert product.get(0, 0) == 1 and product.get(1, 1) == 0
+    assert _cell(product, 0, 0) == 1 and _cell(product, 1, 1) == 0
     assert emb.validate()
 
 
@@ -55,7 +62,7 @@ def test_disj_family_rejects_oversized():
 
 def test_inner_product_zero_input():
     emb = embed_inner_product(BitVector(4), BitVector(4), n=4)
-    assert emb.instance.oracle_product.is_zero()
+    assert emb.instance.oracle_product.weight() == 0
     assert emb.validate()
 
 
@@ -77,9 +84,7 @@ def test_inner_product_random_validations():
         b = BitVector.random(ell, 0.5, rng)
         emb = embed_inner_product(a, b, n)
         assert emb.validate()
-        decoded = BitVector.from_bits(
-            emb.instance.A.get(p // n, p % n) for p in range(ell)
-        )
+        decoded = BitVector.from_indices(ell, [p for p in range(ell) if _cell(emb.instance.A, p // n, p % n)])
         assert decoded == a  # round trip
         assert (decoded & b).weight() % 2 == (a & b).weight() % 2
     with pytest.raises(ValueError):
@@ -87,22 +92,22 @@ def test_inner_product_random_validations():
 
 
 def test_or_blocks_zero_blocks():
-    blocks = [(BitMatrix.zeros(2, 2), BitMatrix.zeros(2, 2))] * 3
+    blocks = [(BitMatrix(2, 2, [0, 0]), BitMatrix(2, 2, [0, 0]))] * 3
     emb = embed_or_blocks(blocks, n=8)
-    assert emb.instance.oracle_product.is_zero()
+    assert emb.instance.oracle_product.weight() == 0
     assert emb.validate()
 
 
 def test_or_blocks_disjoint_union():
-    left1 = BitMatrix.from_rows([[1, 0], [0, 0]])
-    right1 = BitMatrix.from_rows([[1, 0], [0, 0]])
-    left2 = BitMatrix.from_rows([[0, 0], [0, 1]])
-    right2 = BitMatrix.from_rows([[0, 0], [0, 1]])
+    left1 = BitMatrix.from_numpy([[1, 0], [0, 0]])
+    right1 = BitMatrix.from_numpy([[1, 0], [0, 0]])
+    left2 = BitMatrix.from_numpy([[0, 0], [0, 1]])
+    right2 = BitMatrix.from_numpy([[0, 0], [0, 1]])
     emb = embed_or_blocks([(left1, right1), (left2, right2)], n=4)
     assert emb.validate()
     product = bool_product(emb.instance.A, emb.instance.B)
-    assert product.get(0, 0) == 1 and product.get(1, 1) == 1
-    assert product.get(0, 1) == 0
+    assert _cell(product, 0, 0) == 1 and _cell(product, 1, 1) == 1
+    assert _cell(product, 0, 1) == 0
 
 
 def test_or_blocks_random_validations():
@@ -126,7 +131,7 @@ def test_ip_f2_zero_vectors():
     n = 8
     zero = [BitVector(n)]
     emb = embed_ip_f2(zero, zero, n)
-    assert emb.instance.oracle_product.is_zero()
+    assert emb.instance.oracle_product.weight() == 0
     assert emb.validate()
 
 
@@ -135,7 +140,7 @@ def test_ip_f2_single_coordinate():
     e1 = [BitVector.from_indices(n, [0])]
     emb = embed_ip_f2(e1, e1, n)
     product = f2_product(emb.instance.A, emb.instance.B)
-    assert product.get(0, 0) == 1
+    assert _cell(product, 0, 0) == 1
     assert emb.validate()
 
 
@@ -152,4 +157,136 @@ def test_ip_f2_random_validations():
         for x, y in zip(xs, ys):
             parity ^= (x & y).weight() % 2
         product = f2_product(emb.instance.A, emb.instance.B)
-        assert sum(product.get(i, i) for i in range(n)) % 2 == parity
+        assert sum(_cell(product, i, i) for i in range(n)) % 2 == parity
+
+
+# ---------------------------------------------------------------------------
+# the validators against cell-by-cell references
+# ---------------------------------------------------------------------------
+
+
+def _reference_round_trip(emb) -> bool:
+    """Row i of A and column i of B hold the i-th carried inputs, compared cell by cell."""
+    inst, payload = emb.instance, emb.payload
+    return all(
+        _cell(inst.A, i, j) == payload["a"][i][j] and _cell(inst.B, j, i) == payload["b"][i][j]
+        for i in range(payload["k"])
+        for j in range(inst.A.cols)
+    )
+
+
+def _reference_disj_family(emb) -> bool:
+    inst, payload = emb.instance, emb.payload
+    product = bool_product(inst.A, inst.B)
+    answers = [0 if (a & b).weight() == 0 else 1 for a, b in zip(payload["a"], payload["b"])]
+    diagonal = [_cell(product, i, i) for i in range(len(answers))]
+    return product.weight() <= inst.ell and diagonal == answers and _reference_round_trip(emb)
+
+
+def _reference_inner_product(emb) -> bool:
+    inst, a, b = emb.instance, emb.payload["a"], emb.payload["b"]
+    if bool_product(inst.A, inst.B) != inst.A:
+        return False
+    n = inst.A.cols
+    decoded = BitVector.from_indices(a.n, [pos for pos in range(a.n) if _cell(inst.A, pos // n, pos % n)])
+    if decoded != a:
+        return False
+    return (decoded & b).weight() % 2 == (a & b).weight() % 2
+
+
+def _reference_or_blocks(emb) -> bool:
+    inst = emb.instance
+    product = bool_product(inst.A, inst.B)
+    if product.weight() > inst.ell:
+        return False
+    s = emb.payload["side"]
+    union = [[0] * s for _ in range(s)]
+    for left, right in emb.payload["blocks"]:
+        block = bool_product(left, right)
+        for i in range(s):
+            for j in range(s):
+                union[i][j] |= _cell(block, i, j)
+    window = all(_cell(product, i, j) == union[i][j] for i in range(s) for j in range(s))
+    below = all(_cell(product, i, j) == 0 for i in range(s, product.rows) for j in range(product.cols))
+    return window and below
+
+
+def _reference_ip_f2(emb) -> bool:
+    inst, payload = emb.instance, emb.payload
+    product = f2_product(inst.A, inst.B)
+    parity = sum(_cell(product, i, i) for i in range(product.rows)) % 2
+    expected = sum((a & b).weight() for a, b in zip(payload["a"], payload["b"])) % 2
+    return product.weight() <= inst.ell and parity == expected and _reference_round_trip(emb)
+
+
+REFERENCES = {
+    "disj-family": _reference_disj_family,
+    "inner-product": _reference_inner_product,
+    "or-blocks": _reference_or_blocks,
+    "ip-f2": _reference_ip_f2,
+}
+
+
+def _bits(draw, n):
+    return BitVector(n, draw(st.integers(0, (1 << n) - 1)))
+
+
+@st.composite
+def embeddings(draw):
+    name = draw(st.sampled_from(sorted(REFERENCES)))
+    if name in ("disj-family", "ip-f2"):
+        n = draw(st.integers(1, 12))
+        k = draw(st.integers(1, n))
+        a, b = ([_bits(draw, n) for _ in range(k)] for _ in range(2))
+        return (embed_disj_family if name == "disj-family" else embed_ip_f2)(a, b, n)
+    if name == "inner-product":
+        n = draw(st.integers(1, 8))
+        length = draw(st.integers(1, n * n))
+        return embed_inner_product(_bits(draw, length), _bits(draw, length), n)
+    s = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 3))
+    n = k * s + draw(st.integers(0, 3))
+    square = st.lists(st.integers(0, (1 << s) - 1), min_size=s, max_size=s).map(lambda rows: BitMatrix(s, s, rows))
+    blocks = [(draw(square), draw(square)) for _ in range(k)]
+    return embed_or_blocks(blocks, n)
+
+
+def _flipped(emb, side: str, i: int, j: int):
+    """The embedding with cell (i, j) of A or B flipped and the oracle product rebuilt."""
+    inst = emb.instance
+    mats = {"A": inst.A, "B": inst.B}
+    m = mats[side]
+    mats[side] = BitMatrix(m.rows, m.cols, [r ^ (1 << j) if row == i else r for row, r in enumerate(m.data)])
+    tampered = JoinInstance.build(mats["A"], mats["B"], inst.ell, inst.seed, inst.kind)
+    return dataclasses.replace(emb, instance=tampered)
+
+
+@st.composite
+def tamper_cases(draw):
+    """An embedding, untouched or with one cell of A or B flipped anywhere, carried region or not."""
+    emb = draw(embeddings())
+    flip = draw(st.none() | st.tuples(st.sampled_from("AB"), st.integers(0, 2**16), st.integers(0, 2**16)))
+    if flip is None:
+        return emb
+    side, i, j = flip
+    n = emb.instance.A.rows
+    return _flipped(emb, side, i % n, j % n)
+
+
+# a cell of A past the carried input: the product still reproduces A, and the input still reads back
+_PAST_INPUT = _flipped(embed_inner_product(BitVector(5, 0b10110), BitVector(5, 0b00111), 3), "A", 2, 2)
+_ONE = [BitVector(2, 0b01)]
+_CORNER = BitMatrix(2, 2, [0b01, 0])
+
+
+@given(tamper_cases())
+@example(_PAST_INPUT)
+# a row of A below the carried ones picks up a row of B: only the weight bound notices
+@example(_flipped(embed_disj_family(_ONE, _ONE, 2), "A", 1, 0))
+@example(_flipped(embed_ip_f2(_ONE, _ONE, 2), "A", 1, 0))
+# the same below the or-blocks window, with the weight still inside the bound
+@example(_flipped(embed_or_blocks([(_CORNER, _CORNER)], 3), "A", 2, 0))
+# right of the or-blocks window in its rows: only the weight bound notices
+@example(_flipped(embed_or_blocks([(BitMatrix(1, 1, [1]),) * 2], 2), "B", 0, 1))
+def test_validators_match_cell_by_cell_references(emb):
+    assert emb.validate() == REFERENCES[emb.name](emb)
