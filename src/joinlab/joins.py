@@ -123,8 +123,9 @@ def _search_and_collect(
 
     ``uncovered[k]`` counts the collisions of column k of A and row k of B
     that are not yet in the output, so index k is a live witness while it is
-    positive.  Exact mode keeps that test as the bool mask ``live``, cleared
-    as counts reach zero, and hands it to the instance search.  Each round
+    positive.  Both modes keep that test as the bool mask ``live``, cleared
+    as counts reach zero: exact mode hands it to the instance search, and
+    cost-model mode picks among its set entries in ascending order.  Each round
     finds and pays for one live witness, adds all of its uncovered
     collisions to the output, and takes them off the counts.
     Exact mode finds the witness with the nested instance search and
@@ -143,12 +144,11 @@ def _search_and_collect(
     weights = [(col.bit_count(), row.bit_count()) for col, row in zip(a_t.data, B.data)]
     min_w = [min(w) for w in weights]
     uncovered = [wa * wb for wa, wb in weights]
-    live = np.array(uncovered, dtype=bool) if model.exact else None
+    live = np.array(uncovered, dtype=bool)
     width = index_qubits(m)
     # Grover budget of the nested collision search, uniform over branches
     inner_budget = _inner_iterations(max(min_w, default=0), model.c_round)
     inner_cost = inner_budget * 2 * width
-    marked = range(n)  # cost-model mode: live witnesses in ascending order
 
     def pay(amount: int, phase: str):
         ledger.charge(A_TO_B, QUBITS, amount, phase)
@@ -176,12 +176,12 @@ def _search_and_collect(
             else:
                 raise ProtocolError("collision collection stalled on a verified witness")
         else:
-            marked = [kk for kk in marked if uncovered[kk]]
-            if not marked:
+            marked = np.flatnonzero(live)
+            t_cur = len(marked)
+            if not t_cur:
                 pay(math.ceil(model.c_shuttle * math.sqrt(n)) * inner_budget * width, "final-search")
                 break
-            t_cur = len(marked)
-            k = marked[rng.randrange(t_cur)]
+            k = int(marked[rng.randrange(t_cur)])
             row = B.data[k]
             cells = [(i, j) for i in _iter_bits(a_t.data[k]) for j in _iter_bits(row & ~out_rows[i])]
             inner = _inner_iterations(min_w[k], model.c_round)
@@ -193,7 +193,7 @@ def _search_and_collect(
             uncollected.remove_edge(i, j)
             for kk in _iter_bits(A.data[i] & b_t.data[j]):
                 uncovered[kk] -= 1
-                if not uncovered[kk] and live is not None:
+                if not uncovered[kk]:
                     live[kk] = False
         ones += len(cells)
         if ones > instance.ell:
@@ -260,19 +260,14 @@ def gen_hard_instance(n: int, ell: int, seed: int) -> JoinInstance:
         raise InstanceError("dimension must be positive")
     if not 4 <= ell <= n * n:
         raise InstanceError("need 4 <= ell <= n^2 for the hard family")
-    w = max(1, math.isqrt(ell) // 2)
+    # 4 <= ell <= n^2 gives 1 <= w <= n/2 and 1 <= p <= sqrt(n), so the core plus a pool fit in [n]
+    w = math.isqrt(ell) // 2
     p = w
     while p * p > n:
         p -= 1
-    if p < 1:
-        raise InstanceError("n too small to host the witness pool")
     rng = random.Random(seed)
-    rows_needed = (w - 1) + p
-    cols_needed = (w - 1) + p
-    if rows_needed > n or cols_needed > n:
-        raise InstanceError("n too small for the core plus pools")
-    row_ids = rng.sample(range(n), rows_needed)
-    col_ids = rng.sample(range(n), cols_needed)
+    row_ids = rng.sample(range(n), w - 1 + p)
+    col_ids = rng.sample(range(n), w - 1 + p)
     core_rows, pool_rows = row_ids[: w - 1], row_ids[w - 1 :]
     core_cols, pool_cols = col_ids[: w - 1], col_ids[w - 1 :]
     witness_ids = rng.sample(range(n), p * p)

@@ -98,60 +98,45 @@ class CostModel:
 class GroverPlan:
     """Iteration schedule for search with unknown marked count.
 
-    Each stage draws (or fixes, when ``randomize`` is off) an iteration
-    count bounded by the stage cap and repeats that ``reps_per_stage``
-    times.  The default plan grows caps geometrically up to the classic
+    ``caps`` holds one cap per measurement, in draw order: each measurement
+    draws (or fixes, when ``randomize`` is off) an iteration count bounded
+    by its cap.  The default plan grows caps geometrically up to the classic
     ceil(pi/4 sqrt(m)) ceiling and then lingers there, which keeps the
     expected cost at the sqrt(m/(t+1)) scale while bounding the false
     negative rate for any marked count.
     """
 
-    stage_caps: tuple[int, ...]
-    reps_per_stage: int = 3
+    caps: tuple[int, ...]
     randomize: bool = True
 
     def __post_init__(self):
-        if not self.stage_caps:
-            raise ValueError("plan needs at least one stage")
-        if any(c < 0 for c in self.stage_caps):
-            raise ValueError("stage caps must be nonnegative")
-        if self.randomize and any(c < 1 for c in self.stage_caps):
-            raise ValueError("randomized stage caps must be positive")
-        if self.reps_per_stage < 1:
-            raise ValueError("reps_per_stage must be positive")
+        if not self.caps:
+            raise ValueError("plan needs at least one measurement")
+        if any(c < 0 for c in self.caps):
+            raise ValueError("caps must be nonnegative")
+        if self.randomize and any(c < 1 for c in self.caps):
+            raise ValueError("randomized caps must be positive")
 
     @classmethod
     @functools.lru_cache(maxsize=1024)  # plans are frozen, so callers can share one
-    def default(cls, support_size: int, extra_stages: int = 4) -> "GroverPlan":
+    def default(cls, support_size: int) -> "GroverPlan":
+        """The growth caps below the ceiling, then four ceiling caps, each cap three times."""
         if support_size < 1:
             raise ValueError("support must be nonempty")
-        if extra_stages < 0:
-            raise ValueError(f"extra_stages must be nonnegative, got {extra_stages}")
-        hard = max(1, math.ceil(math.pi / 4.0 * math.sqrt(support_size)))
-        caps = []
-        s = 0
-        while True:
-            c = math.ceil(2.0 ** (s / 2.0))
-            if c >= hard:
-                break
-            caps.append(c)
+        hard = math.ceil(math.pi / 4.0 * math.sqrt(support_size))
+        growth, s = [], 0
+        while (cap := math.ceil(2.0 ** (s / 2.0))) < hard:
+            growth.append(cap)
             s += 1
-        caps.extend([hard] * extra_stages)
-        # at m = 1 the ceiling is also the first growth cap, so it is the one stage
-        return cls(tuple(caps) or (hard,))
+        return cls(tuple(cap for cap in growth + [hard] * 4 for _ in range(3)))
 
     @classmethod
     def fixed(cls, iterations: int, reps: int = 1) -> "GroverPlan":
-        return cls((iterations,), reps_per_stage=reps, randomize=False)
-
-    @functools.cached_property
-    def _schedule(self) -> tuple[int, ...]:
-        """Each stage cap once per repetition, in draw order."""
-        return tuple(cap for cap in self.stage_caps for _ in range(self.reps_per_stage))
+        return cls((iterations,) * reps, randomize=False)
 
     def draws(self, rng: random.Random):
-        """Lazily, one ``rng.randrange(cap)`` per scheduled cap, or the caps if not randomized."""
-        return map(rng.randrange, self._schedule) if self.randomize else iter(self._schedule)
+        """Lazily, one ``rng.randrange(cap)`` per cap, or the caps if not randomized."""
+        return map(rng.randrange, self.caps) if self.randomize else iter(self.caps)
 
 
 def _entry_probabilities(m: int, t: int, iterations: int) -> tuple[float, float]:
@@ -163,19 +148,19 @@ def _entry_probabilities(m: int, t: int, iterations: int) -> tuple[float, float]
     return marked, unmarked
 
 
-def _amplify(domain, marked_mask: np.ndarray, plan, model, rng, charge, outer=False):
+def _amplify(domain, marked_mask: np.ndarray, plan, model, rng, outer=False):
     """Measure amplified candidates from ``domain`` (a sequence of indices) until one is marked.
 
-    The core of :func:`grover_search` and :func:`instance_search`.
-    ``marked_mask[i]`` says whether ``domain[i]`` is marked, and
-    ``charge(draws)`` pays once per search for its measurements, given the
-    iteration count of each in draw order: the rounds before a measurement
-    plus the verification of its outcome.
+    The sampling core of :func:`grover_search` and :func:`instance_search`.
+    ``marked_mask[i]`` says whether ``domain[i]`` is marked.  Returns
+    ``(witness, draws)``: the marked entry found, or None, and the
+    iteration count of each measurement in draw order, which the caller
+    pays for with :func:`_log_search`.
 
     Exact mode samples one candidate for each iteration count the plan
     draws, from the entry probabilities of :func:`_entry_probabilities`.
     With no marked entry every draw fails, so it only takes each draw's
-    ``rng.random()`` and pays for it.
+    ``rng.random()``.
     Cost-model mode makes a single measurement at the analytical count
     ceil(c * sqrt(|domain| / d)) for t marked entries: c = c_round and
     d = t + 1 for an inner search, c = c_shuttle and d = max(t, 1) for the
@@ -188,10 +173,8 @@ def _amplify(domain, marked_mask: np.ndarray, plan, model, rng, charge, outer=Fa
             plan = GroverPlan.default(m)
         if not marked_mask.any():
             # t = 0 puts all the mass on unmarked entries: each draw still takes
-            # its rng.random() (zip asks for it after the draw) and is paid for,
-            # but no candidate can be marked
-            charge([iterations for iterations, _ in zip(plan.draws(rng), iter(rng.random, None))])
-            return None
+            # its rng.random() (zip asks for it after the draw), but no candidate can be marked
+            return None, [iterations for iterations, _ in zip(plan.draws(rng), iter(rng.random, None))]
         drawn = []
         # marked[i] counts the marked entries in domain[:i + 1]
         marked = np.cumsum(marked_mask).tolist()
@@ -206,21 +189,35 @@ def _amplify(domain, marked_mask: np.ndarray, plan, model, rng, charge, outer=Fa
             )
             drawn.append(iterations)
             if marked_mask[candidate]:
-                charge(drawn)
-                return domain[candidate]
-        charge(drawn)
-        return None
+                return domain[candidate], drawn
+        return None, drawn
 
     hits = np.flatnonzero(marked_mask).tolist()
     t = len(hits)
     c, d = (model.c_shuttle, max(t, 1)) if outer else (model.c_round, t + 1)
-    charge([math.ceil(c * math.sqrt(m / d))])
+    draws = [math.ceil(c * math.sqrt(m / d))]
     if t == 0:
-        return None
+        return None, draws
     witness = domain[hits[rng.randrange(t)]]
     if model.epsilon and rng.random() < model.epsilon:
-        return None
-    return witness
+        return None, draws
+    return witness, draws
+
+
+def _log_search(ledger: CommLedger, draws: list, per_round: list, verify: list):
+    """Pay for one search's measurements in one ledger batch.
+
+    Each measurement logs every ``(direction, kind, unit, phase)`` of
+    ``per_round`` at ``unit`` times its iteration count (nothing at 0
+    iterations), then the ``verify`` records, in the order one ``charge``
+    per message would log them.
+    """
+    records = []
+    for iterations in draws:
+        if iterations:
+            records += [(way, kind, unit * iterations, phase) for way, kind, unit, phase in per_round]
+        records += verify
+    ledger._log_batch(records)
 
 
 def grover_search(
@@ -252,24 +249,17 @@ def grover_search(
         raise ValueError("support outside domain")
     width = index_qubits(n)
     out, back = directions
-    # one extra round trip per measurement: shuttle the candidate register over, announce back
+    # a round trip per Grover round, and one per measurement: shuttle the candidate over, announce back
     verify_phase = phase + "-verify"
+    per_round = [(out, QUBITS, width, phase), (back, QUBITS, width, phase)]
     verify = [(out, QUBITS, width, verify_phase), (back, BITS, outcome_bits(n), verify_phase)]
-
-    def charge(draws: list):
-        records = []
-        for iterations in draws:
-            if iterations > 0:
-                amount = iterations * width
-                records += ((out, QUBITS, amount, phase), (back, QUBITS, amount, phase))
-            records += verify
-        ledger._log_batch(records)
-        if stats is not None:
-            stats.setdefault("iterations", []).extend(draws)
-            stats["measurements"] = stats.get("measurements", 0) + len(draws)
-
     marked_mask = np.fromiter(map(marked, sup), bool, len(sup))
-    return _amplify(sup, marked_mask, plan, model, rng, charge)
+    witness, draws = _amplify(sup, marked_mask, plan, model, rng)
+    _log_search(ledger, draws, per_round, verify)
+    if stats is not None:
+        stats.setdefault("iterations", []).extend(draws)
+        stats["measurements"] = stats.get("measurements", 0) + len(draws)
+    return witness
 
 
 def disj(
@@ -290,8 +280,7 @@ def disj(
     if a.n != b.n:
         raise DimensionError(f"length mismatch: {a.n} vs {b.n}")
     n = a.n
-    ledger.charge(A_TO_B, BITS, integer_bits(n), "handshake")
-    ledger.charge(B_TO_A, BITS, integer_bits(n), "handshake")
+    _handshake(ledger, n, n)
     wa, wb = a.weight(), b.weight()
     if min(wa, wb) == 0:
         return None
@@ -316,6 +305,12 @@ def disj(
         directions=directions,
         stats=stats,
     )
+
+
+def _handshake(ledger: CommLedger, n_a: int, n_b: int):
+    """Each side announces its weight: A an integer in [0, n_a], B one in [0, n_b]."""
+    ledger.charge(A_TO_B, BITS, integer_bits(n_a), "handshake")
+    ledger.charge(B_TO_A, BITS, integer_bits(n_b), "handshake")
 
 
 class BipartiteGraph:
@@ -400,8 +395,7 @@ def graph_collision(
     w_a, w_b = f_a.weight(), f_b.weight()
     if w_a == 0 or w_b == 0:
         # handshake still happens before anyone can conclude emptiness
-        ledger.charge(A_TO_B, BITS, integer_bits(f_a.n), "handshake")
-        ledger.charge(B_TO_A, BITS, integer_bits(f_b.n), "handshake")
+        _handshake(ledger, f_a.n, f_b.n)
         return None
     own_is_left = w_a <= w_b
     if own_is_left:
@@ -477,21 +471,12 @@ def instance_search(
     inner_per_call = boost * inner_cost_qubits
     width = index_qubits(big_n)
     shuttle, inner = "instance-shuttle", "inner-protocol"
+    per_round = [(A_TO_B, QUBITS, width, shuttle), (B_TO_A, QUBITS, width, shuttle)]
     verify = [(B_TO_A, BITS, outcome_bits(big_n), "instance-shuttle-verify")]
     if inner_per_call:
+        # compute on the way out, uncompute on the way back
+        per_round += [(A_TO_B, QUBITS, inner_per_call, inner), (B_TO_A, QUBITS, inner_per_call, inner)]
         verify.insert(0, (A_TO_B, QUBITS, inner_per_call, "instance-shuttle-verify"))
-
-    def charge(draws: list):
-        records = []
-        for iterations in draws:
-            if iterations > 0:
-                amount = iterations * width
-                records += ((A_TO_B, QUBITS, amount, shuttle), (B_TO_A, QUBITS, amount, shuttle))
-                if inner_per_call:
-                    # compute on the way out, uncompute on the way back
-                    amount = iterations * inner_per_call
-                    records += ((A_TO_B, QUBITS, amount, inner), (B_TO_A, QUBITS, amount, inner))
-            records += verify
-        ledger._log_batch(records)
-
-    return _amplify(range(big_n), marked_mask, None, model, rng, charge, outer=True)
+    witness, draws = _amplify(range(big_n), marked_mask, None, model, rng, outer=True)
+    _log_search(ledger, draws, per_round, verify)
+    return witness

@@ -1,9 +1,11 @@
 """CLI plumbing: exponent fits, grids, runners, and reproducible outputs."""
 
+import argparse
 import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,7 @@ import pytest
 
 import joinlab
 from joinlab import joins, qsim
-from joinlab.cli import FitResult, derive_seed, fit_exponent, main, parse_grid, scaling_points
+from joinlab.cli import FitResult, build_parser, derive_seed, fit_exponent, main, parse_grid, scaling_points
 from joinlab.f2core import BitMatrix
 from joinlab.ledger import A_TO_B, BITS
 from joinlab.qsim import CostModel
@@ -421,3 +423,20 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "or-blocks: 3/3" in proc.stdout
+
+
+def test_readme_flag_table_matches_the_parser():
+    # README's "Each subcommand accepts only the flags it reads" table, row by row
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("| Subcommand | Flags |", 1)[1].split("\n\n", 1)[0]
+    documented = {}
+    for row in table.splitlines()[2:]:
+        commands, flags = row.strip("|").split("|")
+        for command in re.findall(r"`([a-z0-9-]+)`", commands):
+            documented[command] = re.findall(r"`(--[a-z0-9-]+)`", flags)
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    actual = {
+        command: sorted(o for a in p._actions for o in a.option_strings if o.startswith("--") and o != "--help")
+        for command, p in sub.choices.items()
+    }
+    assert {command: sorted(flags) for command, flags in documented.items()} == actual

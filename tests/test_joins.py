@@ -189,6 +189,18 @@ def test_bmm_entry_points_run_one_loop(case):
     assert runs[0][0] == inst.oracle_product or model.exact
 
 
+@given(st.integers(2, 64).flatmap(lambda n: st.tuples(st.just(n), st.integers(4, n * n), st.integers(0, 2**32))))
+@example((2, 4, 0))
+@example((64, 64 * 64, 1))
+def test_hard_instance_fits_every_allowed_size(case):
+    # every 4 <= ell <= n^2 builds: the product is the full square on the core plus both pools
+    n, ell, seed = case
+    w = math.isqrt(ell) // 2
+    p = min(w, math.isqrt(n))
+    inst = gen_hard_instance(n, ell, seed)
+    assert inst.oracle_product.weight() == (w - 1 + p) ** 2 <= ell
+
+
 def test_hard_instance_structure():
     inst = gen_hard_instance(128, 144, seed=3)
     w = math.isqrt(144) // 2

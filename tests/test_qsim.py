@@ -52,15 +52,16 @@ def _sample_index(probs: np.ndarray, rng: random.Random) -> int:
     return int(min(np.searchsorted(cum, r, side="right"), len(probs) - 1))
 
 
-def _reference_amplify(domain, marked_mask, plan, rng, charge):
-    """The exact branch of ``_amplify`` as a statevector simulation."""
+def _reference_amplify(domain, marked_mask, plan, rng):
+    """The exact branch of ``_amplify`` as a statevector simulation: the witness and the draws."""
+    draws = []
     for iterations in plan.draws(rng):
         amps = next(itertools.islice(statevectors(marked_mask), iterations, None))
         candidate = _sample_index(amps * amps, rng)
-        charge(iterations)
+        draws.append(iterations)
         if marked_mask[candidate]:
-            return domain[candidate]
-    return None
+            return domain[candidate], draws
+    return None, draws
 
 
 def _random_mask(m: int, t: int, rng: random.Random) -> np.ndarray:
@@ -98,29 +99,29 @@ def test_closed_form_draws_match_statevector(case):
     m, t, plan, seed = case
     mask = _random_mask(m, t, random.Random(seed))
     domain = range(1000, 1000 + m)
-    got, want = [], []
     rng_got, rng_want = random.Random(seed), random.Random(seed)
-    found = _amplify(domain, mask, plan, EXACT, rng_got, got.extend)
-    expect = _reference_amplify(domain, mask, plan or GroverPlan.default(m), rng_want, want.append)
-    # same witness, same charged draws, same generator state afterwards
-    assert (found, got, rng_got.random()) == (expect, want, rng_want.random())
+    got = _amplify(domain, mask, plan, EXACT, rng_got)
+    want = _reference_amplify(domain, mask, plan or GroverPlan.default(m), rng_want)
+    # same witness, same draws, same generator state afterwards
+    assert (got, rng_got.random()) == (want, rng_want.random())
 
 
-def _reference_bisect_amplify(domain, marked_mask, plan, rng, charge):
+def _reference_bisect_amplify(domain, marked_mask, plan, rng):
     """The exact branch of ``_amplify`` that bisects prefix masses on every draw, whatever t is."""
     m = len(domain)
     marked = np.cumsum(marked_mask).tolist()
     t = marked[-1]
+    draws = []
     for iterations in plan.draws(rng):
         pm, pu = _entry_probabilities(m, t, iterations)
         r = rng.random() * (pu * (m - t) + pm * t)
         candidate = bisect.bisect_right(
             range(m - 1), r, key=lambda i: pu * (i + 1 - marked[i]) + pm * marked[i]
         )
-        charge(iterations)
+        draws.append(iterations)
         if marked_mask[candidate]:
-            return domain[candidate]
-    return None
+            return domain[candidate], draws
+    return None, draws
 
 
 @st.composite
@@ -128,9 +129,9 @@ def unmarked_cases(draw):
     n = draw(st.integers(1, 4096))
     domain = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=min(n, 300))))
     fixed = st.builds(GroverPlan.fixed, st.integers(0, 60), st.integers(1, 3))
-    zero = st.builds(GroverPlan, st.lists(st.just(0), min_size=1, max_size=3).map(tuple),
-                     st.integers(1, 3), st.just(False))
-    default = st.builds(GroverPlan.default, st.just(len(domain)), st.integers(0, 6))
+    zero = st.builds(GroverPlan, st.lists(st.just(0), min_size=1, max_size=9).map(tuple), st.just(False))
+    # the default plan of another support size: a schedule of another length
+    default = st.builds(GroverPlan.default, st.integers(1, 4096))
     plan = draw(st.one_of(st.none(), default, fixed, zero))
     return n, domain, plan, draw(st.integers(0, 2**32))
 
@@ -141,15 +142,31 @@ def unmarked_cases(draw):
 def test_unmarked_domain_skips_the_bisect_but_not_the_draws(case):
     _, domain, plan, seed = case
     mask = np.zeros(len(domain), dtype=bool)
-    got, want = [], []
     rng_got, rng_want = random.Random(seed), random.Random(seed)
-    found = _amplify(domain, mask, plan, EXACT, rng_got, got.extend)
+    got = _amplify(domain, mask, plan, EXACT, rng_got)
     reference_plan = plan or GroverPlan.default(len(domain))
-    expect = _reference_bisect_amplify(domain, mask, reference_plan, rng_want, want.append)
-    # no witness, the same charged draws, the same generator state afterwards
-    assert (found, got, rng_got.random()) == (expect, want, rng_want.random())
+    want = _reference_bisect_amplify(domain, mask, reference_plan, rng_want)
+    # no witness, the same draws, the same generator state afterwards
+    assert (got, rng_got.random()) == (want, rng_want.random())
+    found, draws = got
     assert found is None
-    assert len(got) == len(reference_plan.stage_caps) * reference_plan.reps_per_stage
+    assert len(draws) == len(reference_plan.caps)
+
+
+@given(st.integers(1, 600), st.integers(0, 2**32), st.sampled_from((1.0, 1.5, 3.0)), st.booleans())
+@example(1, 0, 1.0, False)
+@example(600, 1, 3.0, True)
+def test_cost_model_search_is_one_analytical_draw(m, seed, c, outer):
+    # one measurement at ceil(c * sqrt(m / d)): d = t + 1 inside, max(t, 1) for the outer search
+    rng = random.Random(seed)
+    t = rng.choice((0, 1, m, rng.randint(0, m)))
+    mask = _random_mask(m, t, rng)
+    model = CostModel.cost_model(c_shuttle=c) if outer else CostModel.cost_model(c_round=c)
+    domain = range(1000, 1000 + m)
+    found, draws = _amplify(domain, mask, None, model, rng, outer=outer)
+    assert draws == [math.ceil(c * math.sqrt(m / (max(t, 1) if outer else t + 1)))]
+    assert (found is None) == (t == 0)
+    assert found is None or mask[found - 1000]
 
 
 class _Schedule:
@@ -234,22 +251,21 @@ def test_batched_search_charges_match_per_measurement_charges(case):
 def test_default_plans_are_shared_per_arguments():
     for m in (1, 2, 17, 64, 1000, 1 << 20):
         assert GroverPlan.default(m) is GroverPlan.default(m)
-        assert GroverPlan.default(m, 2) == GroverPlan.default(m, extra_stages=2)
-        assert GroverPlan.default(m, 2) != GroverPlan.default(m, 3)
-        assert GroverPlan.default(m, 3).stage_caps[:-1] == GroverPlan.default(m, 2).stage_caps
     with pytest.raises(ValueError):
         GroverPlan.default(0)
 
 
-def test_default_plan_without_extra_stages():
-    # at m = 1 the growth stages are empty, so the ceiling is the one stage
-    assert GroverPlan.default(1, extra_stages=0).stage_caps == (1,)
-    assert list(GroverPlan.default(1, 0).draws(random.Random(0))) == [0, 0, 0]
-    for m in (2, 3, 17, 64, 1000):
+def test_default_plan_caps():
+    # growth caps ceil(2^(s/2)) below the ceiling ceil(pi/4 sqrt(m)), then four ceiling caps, each three times
+    assert GroverPlan.default(64).caps == tuple(c for c in (1, 2, 2, 3, 4, 6, 7, 7, 7, 7) for _ in range(3))
+    # at m = 1 the first growth cap is the ceiling, so every cap is the ceiling
+    assert GroverPlan.default(1).caps == (1,) * 12
+    assert list(GroverPlan.default(1).draws(random.Random(0))) == [0] * 12
+    for m in (2, 3, 17, 1000, 1 << 20):
+        caps = GroverPlan.default(m).caps
         hard = math.ceil(math.pi / 4 * math.sqrt(m))
-        assert GroverPlan.default(m, 2).stage_caps == GroverPlan.default(m, 0).stage_caps + (hard, hard)
-    with pytest.raises(ValueError, match="got -1"):
-        GroverPlan.default(5, extra_stages=-1)
+        assert caps[-12:] == (hard,) * 12 and max(caps[:-12], default=0) < hard
+        assert caps == tuple(c for c in caps[::3] for _ in range(3))
 
 
 def test_cost_model_validation():
@@ -308,7 +324,7 @@ def test_grover_all_marked_trivial_measurement():
         16,
         range(4),
         lambda i: True,
-        GroverPlan((1,), reps_per_stage=1),
+        GroverPlan((1,)),
         led,
         EXACT,
         random.Random(1),
@@ -702,6 +718,9 @@ def test_plan_validation():
         GroverPlan(())
     with pytest.raises(ValueError):
         GroverPlan((0,), randomize=True)
+    with pytest.raises(ValueError):
+        GroverPlan.fixed(3, reps=0)
+    assert GroverPlan.fixed(3, reps=2) == GroverPlan((3, 3), randomize=False)
     plan = GroverPlan.default(64)
-    assert plan.stage_caps[-1] == math.ceil(math.pi / 4 * 8)
-    assert all(c >= 1 for c in plan.stage_caps)
+    assert plan.caps[-1] == math.ceil(math.pi / 4 * 8)
+    assert all(c >= 1 for c in plan.caps)

@@ -206,7 +206,10 @@ def _reference_or_blocks(emb) -> bool:
         for i in range(s):
             for j in range(s):
                 union[i][j] |= _cell(block, i, j)
-    window = all(_cell(product, i, j) == union[i][j] for i in range(s) for j in range(s))
+    # the window rows hold the union and nothing right of it
+    window = all(
+        _cell(product, i, j) == (union[i][j] if j < s else 0) for i in range(s) for j in range(product.cols)
+    )
     below = all(_cell(product, i, j) == 0 for i in range(s, product.rows) for j in range(product.cols))
     return window and below
 
@@ -286,7 +289,18 @@ _CORNER = BitMatrix(2, 2, [0b01, 0])
 @example(_flipped(embed_ip_f2(_ONE, _ONE, 2), "A", 1, 0))
 # the same below the or-blocks window, with the weight still inside the bound
 @example(_flipped(embed_or_blocks([(_CORNER, _CORNER)], 3), "A", 2, 0))
-# right of the or-blocks window in its rows: only the weight bound notices
+# right of the or-blocks window in its rows, past the weight bound
 @example(_flipped(embed_or_blocks([(BitMatrix(1, 1, [1]),) * 2], 2), "B", 0, 1))
+# right of the or-blocks window in its rows, within the weight bound
+@example(_flipped(embed_or_blocks([(_CORNER, _CORNER)], 3), "B", 0, 2))
 def test_validators_match_cell_by_cell_references(emb):
     assert emb.validate() == REFERENCES[emb.name](emb)
+
+
+def test_or_blocks_rejects_stray_ones_right_of_the_window():
+    # B's cell (0, 2) puts a one at product cell (0, 2), right of the 2x2 window;
+    # the product weight 2 stays within ell = 4, so only the window rows can tell
+    emb = _flipped(embed_or_blocks([(_CORNER, _CORNER)], 3), "B", 0, 2)
+    assert bool_product(emb.instance.A, emb.instance.B).data[0] == 0b101
+    assert emb.instance.oracle_product.weight() <= emb.instance.ell
+    assert not emb.validate()
