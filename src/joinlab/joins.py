@@ -511,7 +511,7 @@ def _probe_rounds(instance: JoinInstance, ledger: CommLedger, rng: random.Random
         live = [t for t, i in enumerate(chosen) if A.data[i]]
         rows = [product_row(chosen[t]) for t in live]
         answers = [reduce(xor, compress(rows, hits), 0) for hits in probes[:, live].tolist()]
-        ledger._log_batch(probe * len(answers))
+        ledger._log_search([1] * len(answers), probe, [])
         yield chosen, probes, answers
 
 

@@ -2,7 +2,8 @@
 
 Every protocol in this package charges the ledger for each message it
 models, tagged with a free-form phase label, so that empirical totals can
-be compared against the analytical cost forms.
+be compared against the analytical cost forms.  A Grover search logs one
+item for all its messages, expanded into records only when they are read.
 
 Charging conventions (the analyses leave constants open; these pin them):
 
@@ -69,13 +70,15 @@ class CommLedger:
     """Append-only account of exchanged resources with cached totals.
 
     ``charge`` logs each message as a plain ``(direction, kind, amount,
-    phase)`` tuple; :attr:`entries` builds the :class:`MessageRecord` named
-    tuples only when read.
+    phase)`` tuple, :meth:`_log_search` one ``(draws, per_round, verify)``
+    item per search.  :attr:`entries` expands them into :class:`MessageRecord`
+    named tuples only when read; ``len`` counts the records, one per message.
     """
 
     def __init__(self):
-        self._log: list[tuple[str, str, int, str]] = []
+        self._log: list[tuple] = []  # charges' 4-tuples and searches' 3-tuples
         self._total = {BITS: 0, QUBITS: 0}
+        self._records = 0
 
     @staticmethod
     def _validate(direction: str, kind: str, amount: int):
@@ -92,18 +95,40 @@ class CommLedger:
             self._validate(direction, kind, amount)
         self._log.append((direction, kind, amount, phase))
         self._total[kind] += amount
+        self._records += 1
 
-    def _log_batch(self, records: list):
-        """Log records as ``charge`` would one by one, unchecked: protocol code builds
-        them from known directions and kinds and positive ints.  Totals come from them."""
-        self._log += records
-        total = self._total
-        for _, kind, amount, _ in records:
-            total[kind] += amount
+    def _log_search(self, draws: list, per_round: list, verify: list):
+        """Log a search as one unchecked item, priced by arithmetic.
+
+        Each of ``draws`` stands for every ``(direction, kind, unit, phase)`` of
+        ``per_round`` at ``unit`` times its iteration count (none at 0), then the
+        ``verify`` records: what one ``charge`` per message would log.  The ledger
+        keeps the lists it is handed; callers build them fresh and never change them.
+        """
+        self._log.append((draws, per_round, verify))
+        total, measurements, iterations = self._total, len(draws), sum(draws)
+        for _, kind, unit, _ in per_round:
+            total[kind] += unit * iterations
+        for _, kind, amount, _ in verify:
+            total[kind] += amount * measurements
+        self._records += len(per_round) * (measurements - draws.count(0)) + len(verify) * measurements
+
+    def _expand(self):
+        """Yield every logged record as a plain tuple, in log order."""
+        for item in self._log:
+            if len(item) == 4:
+                yield item
+                continue
+            draws, per_round, verify = item
+            for iterations in draws:
+                if iterations:
+                    for way, kind, unit, phase in per_round:
+                        yield way, kind, unit * iterations, phase
+                yield from verify
 
     @property
     def entries(self) -> list[MessageRecord]:
-        return list(map(MessageRecord._make, self._log))
+        return list(map(MessageRecord._make, self._expand()))
 
     @property
     def bits(self) -> int:
@@ -119,8 +144,8 @@ class CommLedger:
     def report(self) -> dict:
         """Per-phase and grand totals with a stable field order."""
         phases: dict[str, dict[str, int]] = {}
-        for e in self.entries:
-            phases.setdefault(e.phase, {BITS: 0, QUBITS: 0})[e.kind] += e.amount
+        for _, kind, amount, phase in self._expand():
+            phases.setdefault(phase, {BITS: 0, QUBITS: 0})[kind] += amount
         return {
             "phases": {phase: phases[phase] for phase in sorted(phases)},
             "total_bits": self.bits,
@@ -128,7 +153,7 @@ class CommLedger:
         }
 
     def __len__(self) -> int:
-        return len(self._log)
+        return self._records
 
     def __repr__(self) -> str:
         return f"CommLedger(bits={self.bits}, qubits={self.qubits}, entries={len(self)})"

@@ -135,8 +135,21 @@ class GroverPlan:
         return cls((iterations,) * reps, randomize=False)
 
     def draws(self, rng: random.Random):
-        """Lazily, one ``rng.randrange(cap)`` per cap, or the caps if not randomized."""
-        return map(rng.randrange, self.caps) if self.randomize else iter(self.caps)
+        """Lazily, one ``rng.randrange(cap)`` per cap, or the caps if not randomized.
+
+        ``randrange(n)`` is ``getrandbits(n.bit_length())`` redrawn while the result is
+        >= n: same bits, same generator state after, without randrange's two Python frames.
+        """
+        if not self.randomize:
+            yield from self.caps
+            return
+        getrandbits = rng.getrandbits
+        for cap in self.caps:
+            width = cap.bit_length()
+            value = getrandbits(width)
+            while value >= cap:
+                value = getrandbits(width)
+            yield value
 
 
 def _entry_probabilities(m: int, t: int, iterations: int) -> tuple[float, float]:
@@ -153,9 +166,9 @@ def _amplify(domain, marked_mask: np.ndarray, plan, model, rng, outer=False):
 
     The sampling core of :func:`grover_search` and :func:`instance_search`.
     ``marked_mask[i]`` says whether ``domain[i]`` is marked.  Returns
-    ``(witness, draws)``: the marked entry found, or None, and the
-    iteration count of each measurement in draw order, which the caller
-    pays for with :func:`_log_search`.
+    ``(witness, draws)``: the marked entry found, or None, and a fresh list
+    of each measurement's iteration count in draw order, which the caller
+    hands to :meth:`CommLedger._log_search` with its message templates.
 
     Exact mode samples one candidate for each iteration count the plan
     draws, from the entry probabilities of :func:`_entry_probabilities`.
@@ -204,22 +217,6 @@ def _amplify(domain, marked_mask: np.ndarray, plan, model, rng, outer=False):
     return witness, draws
 
 
-def _log_search(ledger: CommLedger, draws: list, per_round: list, verify: list):
-    """Pay for one search's measurements in one ledger batch.
-
-    Each measurement logs every ``(direction, kind, unit, phase)`` of
-    ``per_round`` at ``unit`` times its iteration count (nothing at 0
-    iterations), then the ``verify`` records, in the order one ``charge``
-    per message would log them.
-    """
-    records = []
-    for iterations in draws:
-        if iterations:
-            records += [(way, kind, unit * iterations, phase) for way, kind, unit, phase in per_round]
-        records += verify
-    ledger._log_batch(records)
-
-
 def grover_search(
     n: int,
     support,
@@ -255,7 +252,7 @@ def grover_search(
     verify = [(out, QUBITS, width, verify_phase), (back, BITS, outcome_bits(n), verify_phase)]
     marked_mask = np.fromiter(map(marked, sup), bool, len(sup))
     witness, draws = _amplify(sup, marked_mask, plan, model, rng)
-    _log_search(ledger, draws, per_round, verify)
+    ledger._log_search(draws, per_round, verify)
     if stats is not None:
         stats.setdefault("iterations", []).extend(draws)
         stats["measurements"] = stats.get("measurements", 0) + len(draws)
@@ -478,5 +475,5 @@ def instance_search(
         per_round += [(A_TO_B, QUBITS, inner_per_call, inner), (B_TO_A, QUBITS, inner_per_call, inner)]
         verify.insert(0, (A_TO_B, QUBITS, inner_per_call, "instance-shuttle-verify"))
     witness, draws = _amplify(range(big_n), marked_mask, None, model, rng, outer=True)
-    _log_search(ledger, draws, per_round, verify)
+    ledger._log_search(draws, per_round, verify)
     return witness

@@ -3,12 +3,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import joinlab
-from joinlab.f2core import BitVector
+from joinlab.f2core import BitVector, gen_promise_instance
+from joinlab.joins import bmm_cost_model, bmm_with_trace, mm_f2
 from joinlab.ledger import (
     A_TO_B,
     B_TO_A,
@@ -20,7 +22,7 @@ from joinlab.ledger import (
     integer_bits,
     outcome_bits,
 )
-from joinlab.qsim import CostModel, disj, instance_search
+from joinlab.qsim import BipartiteGraph, CostModel, _amplify, disj, graph_collision_all, instance_search
 
 
 def test_charge_accumulates():
@@ -128,34 +130,22 @@ def test_disj_ledger_recomputed_from_schedule():
     assert led.bits == expect_bits
 
 
-class _DrawRecorder(random.Random):
-    """``random.Random`` that keeps each ``randrange`` result; overriding only
-    ``randrange`` leaves the stream as it is."""
-
-    def __init__(self, seed):
-        super().__init__(seed)
-        self.drawn = []
-
-    def randrange(self, *args):
-        value = super().randrange(*args)
-        self.drawn.append(value)
-        return value
-
-
 @pytest.mark.parametrize("seed", [3, 4, 8])
 def test_instance_search_ledger_recomputed_from_schedule(seed):
-    # Phase totals recomputed from the iteration counts the plan drew (one
-    # randrange per measurement) and the stated conventions, independently
-    # of the charging code path.
+    # Phase totals recomputed from the iteration counts the plan draws (read
+    # from _amplify, which only samples) and the stated conventions,
+    # independently of the charging code path.
     big_n, inner_cost = 32, 10
     answers = [i in (6, 21) for i in range(big_n)]
-    rng = _DrawRecorder(seed)
     led, plain = CommLedger(), CommLedger()
-    found = instance_search(answers, led, CostModel.exact_mode(), rng, inner_cost_qubits=inner_cost)
+    found = instance_search(answers, led, CostModel.exact_mode(), random.Random(seed), inner_cost_qubits=inner_cost)
     assert found == instance_search(answers, plain, CostModel.exact_mode(), random.Random(seed),
                                     inner_cost_qubits=inner_cost)
-    assert led.entries == plain.entries  # the recorder leaves the stream as it is
-    iters, meas = sum(rng.drawn), len(rng.drawn)
+    assert led.entries == plain.entries  # the same seed gives the same records
+    witness, drawn = _amplify(range(big_n), np.array(answers), None, CostModel.exact_mode(), random.Random(seed),
+                              outer=True)
+    assert witness == found
+    iters, meas = sum(drawn), len(drawn)
     assert iters > 0
     boost = math.ceil(math.log2(100 * math.ceil(math.pi / 4 * math.sqrt(big_n))))
     inner = boost * inner_cost
@@ -164,7 +154,7 @@ def test_instance_search_ledger_recomputed_from_schedule(seed):
         "instance-shuttle": {BITS: 0, QUBITS: iters * 2 * index_qubits(big_n)},
         "instance-shuttle-verify": {BITS: meas * outcome_bits(big_n), QUBITS: meas * inner},
     }
-    assert len(led) == 4 * sum(k > 0 for k in rng.drawn) + 2 * meas
+    assert len(led) == 4 * sum(k > 0 for k in drawn) + 2 * meas
 
 
 def test_prior_charges_do_not_change_outputs():
@@ -243,3 +233,85 @@ def test_true_is_a_charge_of_one():
     led.charge(A_TO_B, BITS, True, "flag")
     assert led.bits == 1 and len(led) == 1
     assert led.entries == [MessageRecord(A_TO_B, BITS, True, "flag")]
+
+
+templates = st.lists(st.tuples(
+    st.sampled_from((A_TO_B, B_TO_A)),
+    st.sampled_from((BITS, QUBITS)),
+    st.integers(1, 2**40),
+    st.sampled_from(("round", "verify", "probe")),
+), max_size=3)
+# draws mix 0 with positive counts; all-zero and empty lists come up too
+searches = st.tuples(st.lists(st.sampled_from((0, 0, 1, 2, 7)), max_size=6), templates, templates)
+
+
+def _per_message(draws, per_round, verify):
+    """A search's records, one per message: round messages (none at 0 iterations), then ``verify``."""
+    for iterations in draws:
+        if iterations:
+            for way, kind, unit, phase in per_round:
+                yield way, kind, unit * iterations, phase
+        yield from verify
+
+
+@given(st.lists(st.one_of(good_charges, searches), max_size=10))
+@example([((0, 0), [(A_TO_B, QUBITS, 3, "round")], [(B_TO_A, BITS, 2, "verify")]),
+          (A_TO_B, BITS, 1, "earlier"),
+          ([0, 4], [(A_TO_B, QUBITS, 3, "round")], []),
+          ([], [(A_TO_B, BITS, 5, "probe")], [(B_TO_A, BITS, 5, "probe")])])
+def test_search_items_read_back_as_one_charge_per_message(ops):
+    # entries, totals, len and report() match the charges, so a search whose
+    # draws are all 0 shows no round phase in report()
+    got, want = CommLedger(), CommLedger()
+    for op in ops:
+        if len(op) == 4:
+            got.charge(*op)
+            want.charge(*op)
+        else:
+            draws, per_round, verify = (list(part) for part in op)
+            got._log_search(draws, per_round, verify)
+            for record in _per_message(draws, per_round, verify):
+                want.charge(*record)
+    assert _state(got) == _state(want)
+
+
+def _recount(led: CommLedger) -> dict:
+    """``report()`` rebuilt from the expanded entries."""
+    phases = {}
+    for e in led.entries:
+        phases.setdefault(e.phase, {BITS: 0, QUBITS: 0})[e.kind] += e.amount
+    return {
+        "phases": dict(sorted(phases.items())),
+        "total_bits": sum(e.amount for e in led.entries if e.kind == BITS),
+        "total_qubits": sum(e.amount for e in led.entries if e.kind == QUBITS),
+    }
+
+
+def _run_protocol(name: str, led: CommLedger, rng: random.Random):
+    setup = random.Random(21)
+    a, b = BitVector.random(40, 0.3, setup), BitVector.random(40, 0.3, setup)
+    graph = BipartiteGraph.random(12, 10, 0.3, setup)
+    f_a, f_b = BitVector.random(12, 0.5, setup), BitVector.random(10, 0.5, setup)
+    exact = CostModel.exact_mode()
+    if name.startswith("bmm"):
+        model = exact if name == "bmm-exact" else CostModel.cost_model()
+        bmm_with_trace(gen_promise_instance(24, 24, 12, seed=5), model, led, rng)
+    elif name == "mm_f2":
+        mm_f2(gen_promise_instance(32, 32, 8, seed=6, kind="f2"), led, rng)
+    elif name == "disj":
+        disj(a, b, led, exact, rng)
+    elif name == "graph_collision_all":
+        graph_collision_all(graph, f_a, f_b, led, exact, rng)
+    else:
+        marked = 3 if name == "instance_search" else None
+        instance_search([i % 7 == marked for i in range(30)], led, exact, rng, inner_cost_qubits=6)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("name", ["bmm-exact", "bmm-cost-model", "mm_f2", "disj", "graph_collision_all",
+                                  "instance_search", "instance_search-unmarked"])
+def test_protocol_ledgers_count_and_report_their_entries(name, seed):
+    led = CommLedger()
+    _run_protocol(name, led, random.Random(seed))
+    assert len(led) == len(led.entries) > 0
+    assert led.report() == _recount(led)

@@ -248,6 +248,21 @@ def test_batched_search_charges_match_per_measurement_charges(case):
     assert _ledger_state(got) == _ledger_state(want)
 
 
+caps_near_powers = st.integers(0, 70).flatmap(
+    lambda k: st.sampled_from(sorted({1, 2**k, 2**k + 1, max(1, 2**k - 1)}))
+)
+
+
+@given(st.lists(st.one_of(caps_near_powers, st.integers(1, 10**6)), min_size=1, max_size=30),
+       st.integers(0, 2**64))
+@example([1, 2, 3, 4, 5, 7, 8, 9, 2**64 - 1, 2**64, 2**64 + 1], 0)
+def test_plan_draws_match_randrange(caps, seed):
+    # same values as randrange over the caps, and the generator ends in the same state
+    got, want = random.Random(seed), random.Random(seed)
+    assert list(GroverPlan(tuple(caps)).draws(got)) == list(map(want.randrange, caps))
+    assert got.getstate() == want.getstate()
+
+
 def test_default_plans_are_shared_per_arguments():
     for m in (1, 2, 17, 64, 1000, 1 << 20):
         assert GroverPlan.default(m) is GroverPlan.default(m)
