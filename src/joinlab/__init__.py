@@ -15,7 +15,7 @@ from joinlab.f2core import (
     f2_product,
     gen_promise_instance,
 )
-from joinlab.ledger import CommLedger, MessageRecord
+from joinlab.ledger import CommLedger
 from joinlab.qsim import (
     BipartiteGraph,
     CostModel,
@@ -54,7 +54,6 @@ __all__ = [
     "GroverPlan",
     "InstanceError",
     "JoinInstance",
-    "MessageRecord",
     "SensingSketch",
     "bmm_cost_model",
     "bmm_with_trace",

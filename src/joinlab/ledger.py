@@ -2,8 +2,9 @@
 
 Every protocol in this package charges the ledger for each message it
 models, tagged with a free-form phase label, so that empirical totals can
-be compared against the analytical cost forms.  A Grover search logs one
-item for all its messages, expanded into records only when they are read.
+be compared against the analytical cost forms.  The ledger keeps one
+running amount per direction, kind and phase, and a count of messages; a
+Grover search adds all its messages at once.
 
 Charging conventions (the analyses leave constants open; these pin them):
 
@@ -18,14 +19,13 @@ The ``max(1, .)`` clamp keeps amounts positive for degenerate ``n = 1``.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import defaultdict
 
 __all__ = [
     "A_TO_B",
     "B_TO_A",
     "BITS",
     "QUBITS",
-    "MessageRecord",
     "CommLedger",
     "index_qubits",
     "integer_bits",
@@ -59,25 +59,16 @@ def outcome_bits(n: int) -> int:
     return index_qubits(n) + 1
 
 
-class MessageRecord(NamedTuple):
-    direction: str
-    kind: str
-    amount: int
-    phase: str
-
-
 class CommLedger:
-    """Append-only account of exchanged resources with cached totals.
+    """Running totals of exchanged resources, one per ``(direction, kind, phase)``.
 
-    ``charge`` logs each message as a plain ``(direction, kind, amount,
-    phase)`` tuple, :meth:`_log_search` one ``(draws, per_round, verify)``
-    item per search.  :attr:`entries` expands them into :class:`MessageRecord`
-    named tuples only when read; ``len`` counts the records, one per message.
+    ``charge`` adds one message's amount to its key, :meth:`_log_search` a
+    whole search's by arithmetic.  :attr:`amounts` reads the totals back and
+    ``len`` counts the messages; their order is not kept.
     """
 
     def __init__(self):
-        self._log: list[tuple] = []  # charges' 4-tuples and searches' 3-tuples
-        self._total = {BITS: 0, QUBITS: 0}
+        self._amounts: defaultdict[tuple[str, str, str], int] = defaultdict(int)
         self._records = 0
 
     @staticmethod
@@ -90,61 +81,47 @@ class CommLedger:
             raise ValueError(f"amount must be a positive integer, got {amount!r}")
 
     def charge(self, direction: str, kind: str, amount: int, phase: str):
-        # one test for the common case; _validate accepts int subclasses and words each rejection
-        if not (direction in DIRECTIONS and kind in KINDS and type(amount) is int and amount > 0):
-            self._validate(direction, kind, amount)
-        self._log.append((direction, kind, amount, phase))
-        self._total[kind] += amount
+        self._validate(direction, kind, amount)
+        self._amounts[direction, kind, phase] += amount
         self._records += 1
 
     def _log_search(self, draws: list, per_round: list, verify: list):
-        """Log a search as one unchecked item, priced by arithmetic.
+        """Charge a search, unchecked, as one ``charge`` per message would.
 
         Each of ``draws`` stands for every ``(direction, kind, unit, phase)`` of
         ``per_round`` at ``unit`` times its iteration count (none at 0), then the
-        ``verify`` records: what one ``charge`` per message would log.  The ledger
-        keeps the lists it is handed; callers build them fresh and never change them.
+        ``verify`` records.  A key gets an amount only when it is positive.
         """
-        self._log.append((draws, per_round, verify))
-        total, measurements, iterations = self._total, len(draws), sum(draws)
-        for _, kind, unit, _ in per_round:
-            total[kind] += unit * iterations
-        for _, kind, amount, _ in verify:
-            total[kind] += amount * measurements
+        if not draws:
+            return
+        amounts, measurements, iterations = self._amounts, len(draws), sum(draws)
+        if iterations:
+            for way, kind, unit, phase in per_round:
+                amounts[way, kind, phase] += unit * iterations
+        for way, kind, amount, phase in verify:
+            amounts[way, kind, phase] += amount * measurements
         self._records += len(per_round) * (measurements - draws.count(0)) + len(verify) * measurements
 
-    def _expand(self):
-        """Yield every logged record as a plain tuple, in log order."""
-        for item in self._log:
-            if len(item) == 4:
-                yield item
-                continue
-            draws, per_round, verify = item
-            for iterations in draws:
-                if iterations:
-                    for way, kind, unit, phase in per_round:
-                        yield way, kind, unit * iterations, phase
-                yield from verify
-
     @property
-    def entries(self) -> list[MessageRecord]:
-        return list(map(MessageRecord._make, self._expand()))
+    def amounts(self) -> dict[tuple[str, str, str], int]:
+        """A copy of the totals, keyed by ``(direction, kind, phase)``."""
+        return dict(self._amounts)
 
     @property
     def bits(self) -> int:
-        return self._total[BITS]
+        return sum(amount for (_, kind, _), amount in self._amounts.items() if kind == BITS)
 
     @property
     def qubits(self) -> int:
-        return self._total[QUBITS]
+        return sum(amount for (_, kind, _), amount in self._amounts.items() if kind == QUBITS)
 
     def total(self) -> int:
-        return self.bits + self.qubits
+        return sum(self._amounts.values())
 
     def report(self) -> dict:
         """Per-phase and grand totals with a stable field order."""
         phases: dict[str, dict[str, int]] = {}
-        for _, kind, amount, phase in self._expand():
+        for (_, kind, phase), amount in self._amounts.items():
             phases.setdefault(phase, {BITS: 0, QUBITS: 0})[kind] += amount
         return {
             "phases": {phase: phases[phase] for phase in sorted(phases)},
@@ -156,4 +133,4 @@ class CommLedger:
         return self._records
 
     def __repr__(self) -> str:
-        return f"CommLedger(bits={self.bits}, qubits={self.qubits}, entries={len(self)})"
+        return f"CommLedger(bits={self.bits}, qubits={self.qubits}, messages={len(self)})"

@@ -284,14 +284,15 @@ def test_criterion_8_invariant_suite():
     for seed in range(1000):
         rng = random.Random(seed)
         led = CommLedger()
-        running_bits = running_qubits = 0
+        running_bits = running_qubits = charged = 0
         for _ in range(rng.randint(1, 30)):
             kind = BITS if rng.random() < 0.5 else QUBITS
             amount = rng.randint(1, 50)
             led.charge(rng.choice((A_TO_B, B_TO_A)), kind, amount, rng.choice("xyz"))
+            charged += amount
             assert led.bits >= running_bits and led.qubits >= running_qubits
             running_bits, running_qubits = led.bits, led.qubits
-        assert led.bits + led.qubits == sum(e.amount for e in led.entries)
+        assert led.bits + led.qubits == sum(led.amounts.values()) == charged
         rep = led.report()
         assert rep["total_bits"] == led.bits and rep["total_qubits"] == led.qubits
 

@@ -86,7 +86,7 @@ def test_bmm_output_does_not_read_the_ledger():
     a = bmm_with_trace(inst, EXACT, fresh, random.Random(5))[0]
     b = bmm_with_trace(inst, EXACT, used, random.Random(5))[0]
     assert a == b == inst.oracle_product
-    assert used.entries[1:] == fresh.entries
+    assert used.amounts == {(A_TO_B, BITS, "earlier"): 3, **fresh.amounts} and len(used) == len(fresh) + 1
 
 
 def test_bmm_exact_mode_size_cap():
@@ -184,7 +184,7 @@ def test_bmm_entry_points_run_one_loop(case):
     for run in (lambda *a: bmm_with_trace(*a)[1], bmm_cost_model):
         rng, led = random.Random(seed), CommLedger()
         trace = run(inst, model, led, rng)
-        runs.append((trace.product, trace.rounds, led.entries, rng.getrandbits(32)))
+        runs.append((trace.product, trace.rounds, led.amounts, len(led), rng.getrandbits(32)))
     assert runs[0] == runs[1]
     assert runs[0][0] == inst.oracle_product or model.exact
 
@@ -635,7 +635,7 @@ def test_mm_f2_rejects_repetition_counts_below_one(counts, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         mm_f2(inst, led, rng, **counts)
     # rejected before any charge or draw
-    assert led.entries == [] and rng.getrandbits(32) == random.Random(12).getrandbits(32)
+    assert led.amounts == {} and len(led) == 0 and rng.getrandbits(32) == random.Random(12).getrandbits(32)
 
 
 def test_mm_f2_matches_oracle():
@@ -723,7 +723,7 @@ def test_classify_columns_rejects_counts_below_one_before_drawing(r1, r_freivald
     rng, led = random.Random(12), CommLedger()
     with pytest.raises(ValueError, match=f"^{message}$"):
         classify_columns(inst, led, rng, r1, r_freivalds)
-    assert led.entries == [] and rng.getrandbits(32) == random.Random(12).getrandbits(32)
+    assert led.amounts == {} and len(led) == 0 and rng.getrandbits(32) == random.Random(12).getrandbits(32)
 
 
 def _reference_classify(instance, ledger, rng, r1, r_freivalds):
@@ -764,10 +764,6 @@ def classify_cases(draw):
     return inst, draw(st.integers(0, 6)), draw(st.integers(0, 5)), seed
 
 
-def _entries(led: CommLedger):
-    return [(e.direction, e.kind, e.amount, e.phase) for e in led.entries]
-
-
 @settings(max_examples=150)
 @given(classify_cases())
 @example((gen_promise_instance(64, 64, 128, 3, "f2"), 19, 13, 3))
@@ -782,7 +778,7 @@ def test_classify_columns_matches_per_round_reference(case):
             got = classify(inst, led, rng, r1, r_freivalds)
         except ValueError as exc:
             got = exc.args
-        runs.append((got, _entries(led), rng.getrandbits(32)))
+        runs.append((got, led.amounts, len(led), rng.getrandbits(32)))
     assert runs[0] == runs[1]
 
 

