@@ -64,7 +64,7 @@ __all__ = [
 ]
 
 # run time bounds exact bmm: one planted trial at n = ell = 2**12 (seed 5)
-# takes about 0.6 s on a 2-core VM
+# takes about 0.45 s on a 2-core VM
 BMM_EXACT_CAP = 1 << 12
 
 

@@ -16,6 +16,7 @@ import functools
 import math
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import and_
 
 import numpy as np
@@ -161,14 +162,16 @@ def _entry_probabilities(m: int, t: int, iterations: int) -> tuple[float, float]
     return marked, unmarked
 
 
-def _amplify(domain, marked_mask: np.ndarray, plan, model, rng, outer=False):
+def _amplify(domain, marked_mask: np.ndarray, plan, model, rng, outer=False, marked=None):
     """Measure amplified candidates from ``domain`` (a sequence of indices) until one is marked.
 
-    The sampling core of :func:`grover_search` and :func:`instance_search`.
-    ``marked_mask[i]`` says whether ``domain[i]`` is marked.  Returns
-    ``(witness, draws)``: the marked entry found, or None, and a fresh list
-    of each measurement's iteration count in draw order, which the caller
-    hands to :meth:`CommLedger._log_search` with its message templates.
+    The sampling core of every search here.  ``marked_mask[i]`` says whether
+    ``domain[i]`` is marked.  The exact branch reads the mask as its running
+    counts ``marked``, which a caller that searches one domain many times
+    builds once and passes instead of the mask.  Returns ``(witness,
+    draws)``: the marked entry found, or None, and a fresh list of each
+    measurement's iteration count in draw order, which the caller hands to
+    :meth:`CommLedger._log_search` with its message templates.
 
     Exact mode samples one candidate for each iteration count the plan
     draws, from the entry probabilities of :func:`_entry_probabilities`.
@@ -184,14 +187,15 @@ def _amplify(domain, marked_mask: np.ndarray, plan, model, rng, outer=False):
     if model.exact:
         if plan is None:
             plan = GroverPlan.default(m)
-        if not marked_mask.any():
+        if marked is None:
+            # marked[i] counts the marked entries in domain[:i + 1]; the total alone when there are none
+            marked = np.cumsum(marked_mask).tolist() if marked_mask.any() else [0]
+        t = marked[-1]
+        if not t:
             # t = 0 puts all the mass on unmarked entries: each draw still takes
             # its rng.random() (zip asks for it after the draw), but no candidate can be marked
             return None, [iterations for iterations, _ in zip(plan.draws(rng), iter(rng.random, None))]
         drawn = []
-        # marked[i] counts the marked entries in domain[:i + 1]
-        marked = np.cumsum(marked_mask).tolist()
-        t = marked[-1]
         for iterations in plan.draws(rng):
             pm, pu = _entry_probabilities(m, t, iterations)
             # the first entry whose prefix mass exceeds r * total, else the last
@@ -201,7 +205,8 @@ def _amplify(domain, marked_mask: np.ndarray, plan, model, rng, outer=False):
                 range(m - 1), r, key=lambda i: pu * (i + 1 - marked[i]) + pm * marked[i]
             )
             drawn.append(iterations)
-            if marked_mask[candidate]:
+            # the candidate is marked iff the count rises at it
+            if marked[candidate] > (candidate and marked[candidate - 1]):
                 return domain[candidate], drawn
         return None, drawn
 
@@ -215,6 +220,39 @@ def _amplify(domain, marked_mask: np.ndarray, plan, model, rng, outer=False):
     if model.epsilon and rng.random() < model.epsilon:
         return None, draws
     return witness, draws
+
+
+class _Search:
+    """A search over a sorted ``support`` of [n], prepared once and run any number of times.
+
+    ``marks`` says, entry by entry, whether the support's entry is marked
+    (Python bools): exact mode keeps their running counts (the first stays
+    a bool, which is an int), cost-model mode a bool mask.  The message
+    templates are a round trip per Grover round, and one per measurement
+    that shuttles the candidate over and announces the verdict back.
+    """
+
+    __slots__ = ("support", "model", "mask", "marked", "per_round", "verify")
+
+    def __init__(self, n: int, support: list, marks, model: CostModel, phase: str, directions):
+        width = index_qubits(n)
+        out, back = directions
+        self.per_round = [(out, QUBITS, width, phase), (back, QUBITS, width, phase)]
+        phase += "-verify"
+        self.verify = [(out, QUBITS, width, phase), (back, BITS, outcome_bits(n), phase)]
+        self.support, self.model = support, model
+        if model.exact:
+            self.mask, self.marked = None, list(accumulate(marks))
+        else:
+            self.mask, self.marked = np.fromiter(marks, bool, len(support)), None
+
+    def run(self, ledger: CommLedger, rng: random.Random, plan=None, stats=None):
+        witness, draws = _amplify(self.support, self.mask, plan, self.model, rng, marked=self.marked)
+        ledger._log_search(draws, self.per_round, self.verify)
+        if stats is not None:
+            stats.setdefault("iterations", []).extend(draws)
+            stats["measurements"] = stats.get("measurements", 0) + len(draws)
+        return witness
 
 
 def grover_search(
@@ -244,19 +282,24 @@ def grover_search(
         raise ValueError("support must be nonempty")
     if sup[0] < 0 or sup[-1] >= n:
         raise ValueError("support outside domain")
-    width = index_qubits(n)
-    out, back = directions
-    # a round trip per Grover round, and one per measurement: shuttle the candidate over, announce back
-    verify_phase = phase + "-verify"
-    per_round = [(out, QUBITS, width, phase), (back, QUBITS, width, phase)]
-    verify = [(out, QUBITS, width, verify_phase), (back, BITS, outcome_bits(n), verify_phase)]
-    marked_mask = np.fromiter(map(marked, sup), bool, len(sup))
-    witness, draws = _amplify(sup, marked_mask, plan, model, rng)
-    ledger._log_search(draws, per_round, verify)
-    if stats is not None:
-        stats.setdefault("iterations", []).extend(draws)
-        stats["measurements"] = stats.get("measurements", 0) + len(draws)
-    return witness
+    marks = map(bool, map(marked, sup))  # any truthy answer marks; the counts need bools
+    return _Search(n, sup, marks, model, phase, directions).run(ledger, rng, plan, stats)
+
+
+def _disj_search(a: BitVector, b: BitVector, model: CostModel) -> _Search | None:
+    """The search :func:`disj` runs, or None when a or b is empty: the smaller-weight
+    side searches its own set, marked where the other set has it too."""
+    if a.n != b.n:
+        raise DimensionError(f"length mismatch: {a.n} vs {b.n}")
+    wa, wb = a.weight(), b.weight()
+    if min(wa, wb) == 0:
+        return None
+    own, directions = (a, (A_TO_B, B_TO_A)) if wa <= wb else (b, (B_TO_A, A_TO_B))
+    support = own.indices()
+    # a support element is in the other set iff it is in the intersection;
+    # one AND here saves a shift of the whole other word per probe
+    common = set(_iter_bits(a.bits & b.bits))
+    return _Search(a.n, support, map(common.__contains__, support), model, "disj", directions)
 
 
 def disj(
@@ -274,34 +317,9 @@ def disj(
     the smaller-weight side drives a distributed search over its own set
     with the other side's membership as the marking predicate.
     """
-    if a.n != b.n:
-        raise DimensionError(f"length mismatch: {a.n} vs {b.n}")
-    n = a.n
-    _handshake(ledger, n, n)
-    wa, wb = a.weight(), b.weight()
-    if min(wa, wb) == 0:
-        return None
-    if wa <= wb:
-        support = a.indices()
-        directions = (A_TO_B, B_TO_A)
-    else:
-        support = b.indices()
-        directions = (B_TO_A, A_TO_B)
-    # a support element is in the other set iff it is in the intersection;
-    # one AND here saves a shift of the whole other word per probe
-    common = set(_iter_bits(a.bits & b.bits))
-    return grover_search(
-        n,
-        support,
-        common.__contains__,
-        plan,
-        ledger,
-        model,
-        rng,
-        phase="disj",
-        directions=directions,
-        stats=stats,
-    )
+    search = _disj_search(a, b, model)
+    _handshake(ledger, a.n, a.n)
+    return None if search is None else search.run(ledger, rng, plan, stats)
 
 
 def _handshake(ledger: CommLedger, n_a: int, n_b: int):
@@ -350,6 +368,8 @@ class BipartiteGraph:
         return not (self.missing_rows[i] >> j) & 1
 
     def remove_edge(self, i: int, j: int):
+        if not (0 <= i < self.n_left and 0 <= j < self.n_right):
+            raise IndexError((i, j))
         self.missing_rows[i] |= 1 << j
         self.missing_cols[j] |= 1 << i
 
@@ -372,6 +392,57 @@ def _cover(missing: list, query: BitVector, n: int) -> BitVector:
     return BitVector(n, full ^ _fold(and_, missing, query.bits, full))
 
 
+class _Collision:
+    """Graph collision of f_a and f_b, its disjointness question built once per graph state.
+
+    The smaller-weight side keeps its own set and the other side's set goes
+    through ``left_cover`` or ``right_cover``.  Removing a found edge can
+    change only the witness's cover bit, so :meth:`remove` rebuilds only then.
+    """
+
+    __slots__ = ("graph", "model", "own_is_left", "own", "other", "cover", "missing", "report", "sizes",
+                 "search")
+
+    def __init__(self, graph: BipartiteGraph, f_a: BitVector, f_b: BitVector, model: CostModel):
+        if f_a.n != graph.n_left or f_b.n != graph.n_right:
+            raise DimensionError("vector lengths do not match the graph sides")
+        self.graph, self.model, self.own_is_left = graph, model, f_a.weight() <= f_b.weight()
+        # missing[witness] holds the witness's non-neighbors; report is the side that names the partner
+        if self.own_is_left:
+            parts = f_a, f_b, graph.left_cover, graph.missing_rows, B_TO_A
+        else:
+            parts = f_b, f_a, graph.right_cover, graph.missing_cols, A_TO_B
+        self.own, self.other, self.cover, self.missing, self.report = parts
+        # disj shakes hands over the kept side's domain; with a side empty, before anyone can
+        # conclude emptiness, each side announces its weight over its own
+        self.sizes, self.search = (f_a.n, f_b.n), None
+        if f_a.bits and f_b.bits:
+            self.sizes = (self.own.n, self.own.n)
+            self.rebuild()
+
+    def rebuild(self):
+        cover = self.cover(self.other)
+        left, right = (self.own, cover) if self.own_is_left else (cover, self.own)
+        self.search = _disj_search(left, right, self.model)
+
+    def attempt(self, ledger: CommLedger, rng: random.Random):
+        """One :func:`graph_collision` call: disjointness, then the partner pick and its report."""
+        _handshake(ledger, *self.sizes)
+        witness = None if self.search is None else self.search.run(ledger, rng)
+        if witness is None:
+            return None
+        partner_pool = list(_iter_bits(self.other.bits & ~self.missing[witness]))
+        partner = partner_pool[rng.randrange(len(partner_pool))]
+        ledger.charge(self.report, BITS, outcome_bits(self.other.n), "edge-report")
+        return (witness, partner) if self.own_is_left else (partner, witness)
+
+    def remove(self, i: int, j: int):
+        """Remove a found edge; the witness stays covered while it has a neighbor in the other set."""
+        self.graph.remove_edge(i, j)
+        if not self.other.bits & ~self.missing[i if self.own_is_left else j]:
+            self.rebuild()
+
+
 def graph_collision(
     graph: BipartiteGraph,
     f_a: BitVector,
@@ -387,27 +458,7 @@ def graph_collision(
     The winning side then scans its own neighborhood to report the partner
     endpoint, charged as one outcome announcement.
     """
-    if f_a.n != graph.n_left or f_b.n != graph.n_right:
-        raise DimensionError("vector lengths do not match the graph sides")
-    w_a, w_b = f_a.weight(), f_b.weight()
-    if w_a == 0 or w_b == 0:
-        # handshake still happens before anyone can conclude emptiness
-        _handshake(ledger, f_a.n, f_b.n)
-        return None
-    own_is_left = w_a <= w_b
-    if own_is_left:
-        own, other, cover, missing, report = f_a, f_b, graph.left_cover, graph.missing_rows, B_TO_A
-    else:
-        own, other, cover, missing, report = f_b, f_a, graph.right_cover, graph.missing_cols, A_TO_B
-    candidates = cover(other)
-    left, right = (own, candidates) if own_is_left else (candidates, own)
-    witness = disj(left, right, ledger, model, rng)
-    if witness is None:
-        return None
-    partner_pool = BitVector(other.n, other.bits & ~missing[witness]).indices()
-    partner = partner_pool[rng.randrange(len(partner_pool))]
-    ledger.charge(report, BITS, outcome_bits(other.n), "edge-report")
-    return (witness, partner) if own_is_left else (partner, witness)
+    return _Collision(graph, f_a, f_b, model).attempt(ledger, rng)
 
 
 def graph_collision_all(
@@ -420,24 +471,43 @@ def graph_collision_all(
 ) -> frozenset[tuple[int, int]]:
     """Collect every colliding edge by excluding found edges and repeating.
 
-    The first :func:`graph_collision` call checks the vector lengths before
-    anything is charged or drawn.
+    Works on a copy of the graph.  Each attempt charges and draws what one
+    :func:`graph_collision` call does, but the disjointness question is
+    built once per graph state, not per attempt.  Vector lengths that do
+    not match the graph raise ``DimensionError`` before any charge or draw.
     """
+    state = _Collision(graph.copy(), f_a, f_b, model)
     # repetitions of a 2/3-correct call so a false "empty" survives a union bound over all edges
     bound = f_a.weight() * f_b.weight()
     reps = max(1, math.ceil(math.log(3.0 * (bound + 1)) / math.log(3.0)))
     found: set[tuple[int, int]] = set()
-    current = graph.copy()
     while True:
         edge = None
         for _ in range(reps):
-            edge = graph_collision(current, f_a, f_b, ledger, model, rng)
+            edge = state.attempt(ledger, rng)
             if edge is not None:
                 break
         if edge is None:
             return frozenset(found)
         found.add(edge)
-        current.remove_edge(*edge)
+        state.remove(*edge)
+
+
+@functools.lru_cache(maxsize=1024)  # tuples, so every search with these arguments can share them
+def _instance_messages(big_n: int, inner_cost_qubits: int) -> tuple[tuple, tuple]:
+    """The per-round and verify templates of :func:`instance_search` over big_n instances."""
+    cap = max(1, math.ceil(math.pi / 4.0 * math.sqrt(big_n)))
+    boost = max(1, math.ceil(math.log2(100.0 * cap)))
+    inner_per_call = boost * inner_cost_qubits
+    width = index_qubits(big_n)
+    shuttle, inner = "instance-shuttle", "inner-protocol"
+    per_round = ((A_TO_B, QUBITS, width, shuttle), (B_TO_A, QUBITS, width, shuttle))
+    verify = ((B_TO_A, BITS, outcome_bits(big_n), "instance-shuttle-verify"),)
+    if inner_per_call:
+        # compute on the way out, uncompute on the way back
+        per_round += ((A_TO_B, QUBITS, inner_per_call, inner), (B_TO_A, QUBITS, inner_per_call, inner))
+        verify = ((A_TO_B, QUBITS, inner_per_call, "instance-shuttle-verify"),) + verify
+    return per_round, verify
 
 
 def instance_search(
@@ -463,17 +533,7 @@ def instance_search(
         raise ValueError("instance list must be nonempty")
     if inner_cost_qubits < 0:
         raise ValueError("inner cost must be nonnegative")
-    cap = max(1, math.ceil(math.pi / 4.0 * math.sqrt(big_n)))
-    boost = max(1, math.ceil(math.log2(100.0 * cap)))
-    inner_per_call = boost * inner_cost_qubits
-    width = index_qubits(big_n)
-    shuttle, inner = "instance-shuttle", "inner-protocol"
-    per_round = [(A_TO_B, QUBITS, width, shuttle), (B_TO_A, QUBITS, width, shuttle)]
-    verify = [(B_TO_A, BITS, outcome_bits(big_n), "instance-shuttle-verify")]
-    if inner_per_call:
-        # compute on the way out, uncompute on the way back
-        per_round += [(A_TO_B, QUBITS, inner_per_call, inner), (B_TO_A, QUBITS, inner_per_call, inner)]
-        verify.insert(0, (A_TO_B, QUBITS, inner_per_call, "instance-shuttle-verify"))
+    per_round, verify = _instance_messages(big_n, inner_cost_qubits)
     witness, draws = _amplify(range(big_n), marked_mask, None, model, rng, outer=True)
     ledger._log_search(draws, per_round, verify)
     return witness

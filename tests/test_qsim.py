@@ -4,6 +4,7 @@ import bisect
 import itertools
 import math
 import random
+import re
 from collections import Counter
 from unittest.mock import patch
 
@@ -30,6 +31,7 @@ from joinlab.qsim import (
     GroverPlan,
     _amplify,
     _entry_probabilities,
+    _instance_messages,
     disj,
     graph_collision,
     graph_collision_all,
@@ -601,6 +603,61 @@ def test_graph_collision_all_monte_carlo_with_cost_band():
     assert 1.0 <= mean_ratio <= 60.0
 
 
+def _reference_graph_collision_all(graph, f_a, f_b, ledger, model, rng):
+    """``graph_collision_all`` as one :func:`_reference_graph_collision` call per attempt, on a copy."""
+    reps = max(1, math.ceil(math.log(3.0 * (f_a.weight() * f_b.weight() + 1)) / math.log(3.0)))
+    current, found = graph.copy(), set()
+    while True:
+        for _ in range(reps):
+            edge = _reference_graph_collision(current, f_a, f_b, ledger, model, rng)
+            if edge is not None:
+                break
+        if edge is None:
+            return frozenset(found)
+        found.add(edge)
+        current.remove_edge(*edge)
+
+
+@st.composite
+def collision_cases(draw):
+    """A random graph with two sets: square or not, either side lighter, sparse or dense."""
+    n_left = draw(st.integers(1, 10))
+    n_right = draw(st.one_of(st.just(n_left), st.integers(1, 10)))
+    # sparse graphs make witnesses lose their last neighbor, dense ones keep it
+    density = draw(st.sampled_from((0.15, 0.4, 0.8, 1.0)))
+    w_a, w_b = draw(st.integers(0, n_left)), draw(st.integers(0, n_right))
+    model = draw(st.sampled_from((EXACT, CostModel.cost_model(), CostModel.cost_model(c_round=2.0, epsilon=0.05))))
+    return n_left, n_right, density, w_a, w_b, model, draw(st.integers(0, 2**32))
+
+
+@given(collision_cases())
+@example((6, 6, 0.15, 3, 5, EXACT, 1))
+@example((9, 4, 0.8, 4, 2, EXACT, 2))
+def test_graph_collision_all_matches_a_loop_of_single_calls(case):
+    # the question is built once per graph state; the loop builds it on every attempt
+    n_left, n_right, density, w_a, w_b, model, seed = case
+    rng = random.Random(seed)
+    graph = BipartiteGraph.random(n_left, n_right, density, rng)
+    f_a, f_b = BitVector.random_weight(n_left, w_a, rng), BitVector.random_weight(n_right, w_b, rng)
+    got_rng, want_rng = random.Random(seed), random.Random(seed)
+    got_led, want_led = CommLedger(), CommLedger()
+    got = graph_collision_all(graph, f_a, f_b, got_led, model, got_rng)
+    want = _reference_graph_collision_all(graph, f_a, f_b, want_led, model, want_rng)
+    assert got == want
+    assert got_led.amounts == want_led.amounts and len(got_led) == len(want_led)
+    assert got_rng.getstate() == want_rng.getstate()
+
+
+@pytest.mark.parametrize("i, j", [(1, 9), (-1, 2), (3, 0), (0, 4), (0, -1)])
+def test_remove_edge_out_of_range_changes_nothing(i, j):
+    graph = BipartiteGraph.complete(3, 4)
+    graph.remove_edge(2, 3)
+    rows, cols = list(graph.missing_rows), list(graph.missing_cols)
+    with pytest.raises(IndexError, match=re.escape(str((i, j)))):
+        graph.remove_edge(i, j)
+    assert graph.missing_rows == rows and graph.missing_cols == cols
+
+
 class _AdjacencyGraph:
     """Reference graph: one packed adjacency row per left vertex, each cover a loop over rows."""
 
@@ -715,6 +772,20 @@ def test_instance_search_cost_within_factor_two():
     predicted = math.sqrt(8 / 2) * (2 * boost * inner_cost + 2 * index_qubits(8))
     mean = sum(totals) / len(totals)
     assert predicted / 2 <= mean <= predicted * 2
+
+
+def test_instance_search_templates_are_shared_and_immutable():
+    # one template pair per (instance count, inner cost), shared by every search with those two
+    answers = [False, True, False, False, True, False, False, False]
+    templates = _instance_messages(len(answers), 12)
+    assert _instance_messages(len(answers), 12) is templates
+    assert all(isinstance(part, tuple) for part in templates)
+    charges = []
+    for _ in range(2):
+        led = CommLedger()
+        instance_search(answers, led, EXACT, random.Random(3), inner_cost_qubits=12)
+        charges.append((led.amounts, len(led)))
+    assert charges[0] == charges[1]
 
 
 def test_ledger_entry_sequence_reproducible():
