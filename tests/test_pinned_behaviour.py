@@ -41,6 +41,7 @@ QSIM_MODELS = (EXACT, CostModel.cost_model(), CostModel.cost_model(c_round=2.0, 
 EXPECTED = {
     "bmm_exact": "67c8af2580bf9254a488d348720c91aba5917c7a81b93bcb928c1c878b71656d",
     "bmm_cost_model": "3c7f16ddbe3f660987655afc5d72ac48ad0e034e948f70fe0c7034db3775857b",
+    "bmm_cost_model_wide": "2fa02d67d9d35a53f1c35c4e557c4eb73e9451b579ae46b7db7505ec88947505",
     "qsim": "4ec1a90e1fc963f6bb94dd336c1e3b31aacb64679d0e7d80235585e7ea082bcb",
     "mm_f2": "9c050c011459e1acb21c208d4b58593a7f7b85d99f6c3acd306992355dc91fe2",
     "sketch": "899603e5fa3ecf5c58d5f4078a544264eddaa142498c9aaaa853e571f725fa07",
@@ -122,6 +123,18 @@ def bmm_cost_model_digest() -> str:
     instances = list(_bmm_instances())
     for n, ell in ((64, 16), (64, 64), (256, 64), (1024, 256), (4096, 256)):
         instances.append((ell + n, gen_hard_instance(n, ell, seed=ell + n)))
+    for model in COST_MODELS:
+        for seed, inst in instances:
+            rng, led = random.Random(seed), CommLedger()
+            _run(digest, lambda: _trace_fields(bmm_cost_model(inst, model, led, rng)), rng, led)
+    return digest.hexdigest()
+
+
+def bmm_cost_model_wide_digest() -> str:
+    """The replay at the widths the ``scaling-cost`` benchmark runs, where few inner indices hold ones."""
+    digest = _Digest()
+    instances = [(n + seed, gen_hard_instance(n, 256, seed=n + seed)) for n in (2048, 8192) for seed in (1, 2)]
+    instances.append((4096, gen_promise_instance(4096, 4096, 64, seed=4096)))
     for model in COST_MODELS:
         for seed, inst in instances:
             rng, led = random.Random(seed), CommLedger()
@@ -305,6 +318,10 @@ def test_bmm_cost_model_pinned():
     assert bmm_cost_model_digest() == EXPECTED["bmm_cost_model"]
 
 
+def test_bmm_cost_model_wide_pinned():
+    assert bmm_cost_model_wide_digest() == EXPECTED["bmm_cost_model_wide"]
+
+
 def test_qsim_primitives_pinned():
     assert qsim_digest() == EXPECTED["qsim"]
 
@@ -337,6 +354,7 @@ if __name__ == "__main__":
             {
                 "bmm_exact": bmm_exact_digest(),
                 "bmm_cost_model": bmm_cost_model_digest(),
+                "bmm_cost_model_wide": bmm_cost_model_wide_digest(),
                 "qsim": qsim_digest(),
                 "mm_f2": mm_f2_digest(),
                 "sketch": sketch_digest(),
