@@ -134,13 +134,13 @@ def fit_exponent(points, n_boot: int = 200, seed: int = 0) -> FitResult:
 
 
 def _mode_of(args) -> CostModel:
-    model = CostModel.cost_model(args.c_shuttle, args.c_round, args.epsilon)
+    """The model the flags ask for; any cost constant given with ``--mode exact`` is rejected."""
+    given = {k: getattr(args, k) for k in ("c_shuttle", "c_round", "epsilon") if getattr(args, k) is not None}
     if args.mode == "cost-model":
-        return model
-    names = ("c_shuttle", "c_round", "epsilon")
-    given = ["--" + k.replace("_", "-") for k in names if getattr(args, k) != getattr(CostModel, k)]
+        return CostModel.cost_model(**given)
     if given:
-        raise ValueError(f"{' and '.join(given)} need{'s' * (len(given) == 1)} --mode cost-model")
+        flags = ["--" + k.replace("_", "-") for k in given]
+        raise ValueError(f"{' and '.join(flags)} need{'s' * (len(flags) == 1)} --mode cost-model")
     return CostModel.exact_mode()
 
 
@@ -359,8 +359,8 @@ def _add_common(parser):
 
 
 def _add_costs(parser, *flags):
-    """Register the cost constants the command reads; the others keep their defaults."""
-    parser.set_defaults(c_shuttle=1.0, c_round=1.0, epsilon=0.0)
+    """Register the cost constants the command reads; None marks a constant not given."""
+    parser.set_defaults(c_shuttle=None, c_round=None, epsilon=None)
     for flag in flags:
         kind = _float_in(0.0, 0.1, closed=False) if flag == "--epsilon" else _float_in(1.0)
         parser.add_argument(flag, type=kind)
@@ -446,13 +446,18 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_scaling(args) -> int:
-    if args.protocol == "disj-cost" and (args.c_shuttle != 1.0 or args.ell is not None):
+    if args.protocol == "disj-cost" and (args.c_shuttle is not None or args.ell is not None):
         raise ValueError("--protocol disj-cost reads neither --c-shuttle nor --ell")
     if args.slope_tol is not None and args.expect_slope is None:
         raise ValueError("--slope-tol needs --expect-slope")
+    # fit_exponent's own checks, made from the grids before any instance is built
+    ells = args.ell or [256]
+    if len(args.n) * len(ells) * args.trials < 4:
+        raise ValueError("need at least 4 points")
+    if len(set(ells if args.protocol == "bmm-cost" and len(ells) > 1 else args.n)) < 2:
+        raise ValueError("need at least two distinct x values")
     points, rows = scaling_points(
-        args.protocol, args.n, args.ell or [256], args.trials, args.seed, _mode_of(args),
-        args.divide_log,
+        args.protocol, args.n, ells, args.trials, args.seed, _mode_of(args), args.divide_log
     )
     fit = fit_exponent(points, seed=args.seed)
     extra = {

@@ -260,13 +260,13 @@ def _check_product_shapes(a: BitMatrix, b: BitMatrix):
 def bool_product(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """Boolean semiring product: OR-accumulate rows of ``b`` chosen by rows of ``a``."""
     _check_product_shapes(a, b)
-    return BitMatrix(a.rows, b.cols, [_fold(or_, b.data, r) for r in a.data])
+    return BitMatrix(a.rows, b.cols, [_fold(or_, b.data, r) if r else 0 for r in a.data])
 
 
 def f2_product(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """Product over F2: XOR-accumulate rows of ``b`` chosen by rows of ``a``."""
     _check_product_shapes(a, b)
-    return BitMatrix(a.rows, b.cols, [_fold(xor, b.data, r) for r in a.data])
+    return BitMatrix(a.rows, b.cols, [_fold(xor, b.data, r) if r else 0 for r in a.data])
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cache, cached_property, reduce
 from itertools import compress
@@ -121,16 +122,21 @@ def _search_and_collect(
 ) -> BmmTrace:
     """The search-and-collect loop of the Boolean product protocol, in either mode.
 
-    ``uncovered[k]`` counts the collisions of column k of A and row k of B
-    that are not yet in the output, so index k is a live witness while it is
-    positive.  Both modes keep that test as the bool mask ``live``, cleared
-    as counts reach zero: exact mode hands it to the instance search, and
-    cost-model mode picks among its set entries in ascending order.  Each round
-    finds and pays for one live witness, adds all of its uncovered
-    collisions to the output, and takes them off the counts.
-    Exact mode finds the witness with the nested instance search and
-    collects with graph collision on the complement of the output;
-    cost-model mode replays the protocol as :func:`bmm_cost_model` describes.
+    Only an active inner index k, where column k of A and row k of B both
+    hold ones, can collide, so the state is kept over the positions 0, 1, ...
+    of the active indices in ascending order: column k of A, and
+    ``uncovered[p]``, the collisions of that pair not yet in the output.
+    Position p is a live witness while its count is positive.  A collected
+    cell (i, j) lowers the counts at the set bits of ``a_rows[i] & b_cols[j]``,
+    row i of A and column j of B over the positions.  Each round finds and
+    pays for one live witness, adds all of its uncovered collisions to the
+    output, and takes them off the counts.  Exact mode finds the witness
+    with the nested instance search over [n], which reads an n-long bool
+    mask of the live indices, and collects with graph collision on the
+    complement of the output.  Cost-model mode draws from the ascending
+    list of live positions, so it picks the index the ascending live
+    indices would, and replays the protocol as :func:`bmm_cost_model`
+    describes.
     """
     A, B = instance.A, instance.B
     if model.epsilon:
@@ -140,11 +146,25 @@ def _search_and_collect(
         raise SimulationCapError(f"exact bmm caps dimensions at {BMM_EXACT_CAP}")
     if none_repeats is None:
         none_repeats = max(1, math.ceil(math.log(100.0 * (instance.ell + 2)) / math.log(3.0)))
-    a_t, b_t = A.transpose(), B.transpose()
-    weights = [(col.bit_count(), row.bit_count()) for col, row in zip(a_t.data, B.data)]
+    a_nonzero = list(compress(enumerate(A.data), A.data))
+    active = [k for k in _iter_bits(reduce(or_, (row for _, row in a_nonzero), 0)) if B.data[k]]
+    position = {k: p for p, k in enumerate(active)}
+    a_cols, a_rows, b_cols = [0] * len(active), {}, {}
+    for i, row in a_nonzero:
+        a_rows[i] = 0
+        for p in (position[k] for k in _iter_bits(row) if k in position):
+            a_cols[p] |= 1 << i
+            a_rows[i] |= 1 << p
+    for p, k in enumerate(active):
+        for j in _iter_bits(B.data[k]):
+            b_cols[j] = b_cols.get(j, 0) | 1 << p
+    weights = [(col.bit_count(), B.data[k].bit_count()) for col, k in zip(a_cols, active)]
     min_w = [min(w) for w in weights]
     uncovered = [wa * wb for wa, wb in weights]
-    live = np.array(uncovered, dtype=bool)
+    live = list(range(len(active)))
+    if model.exact:
+        live_mask = np.zeros(n, dtype=bool)
+        live_mask[active] = True
     width = index_qubits(m)
     # Grover budget of the nested collision search, uniform over branches
     inner_budget = _inner_iterations(max(min_w, default=0), model.c_round)
@@ -163,12 +183,13 @@ def _search_and_collect(
         if model.exact:
             k = None
             for _ in range(none_repeats):
-                k = instance_search(live, ledger, model, rng, inner_cost_qubits=inner_cost)
+                k = instance_search(live_mask, ledger, model, rng, inner_cost_qubits=inner_cost)
                 if k is not None:
                     break
             if k is None:
                 break
-            f_a, f_b = BitVector(m, a_t.data[k]), BitVector(m, B.data[k])
+            p = position[k]
+            f_a, f_b = BitVector(m, a_cols[p]), BitVector(m, B.data[k])
             for _ in range(100):
                 cells = graph_collision_all(uncollected, f_a, f_b, ledger, model, rng)
                 if cells:
@@ -176,29 +197,30 @@ def _search_and_collect(
             else:
                 raise ProtocolError("collision collection stalled on a verified witness")
         else:
-            marked = np.flatnonzero(live)
-            t_cur = len(marked)
+            t_cur = len(live)
             if not t_cur:
                 pay(math.ceil(model.c_shuttle * math.sqrt(n)) * inner_budget * width, "final-search")
                 break
-            k = int(marked[rng.randrange(t_cur)])
-            row = B.data[k]
-            cells = [(i, j) for i in _iter_bits(a_t.data[k]) for j in _iter_bits(row & ~out_rows[i])]
-            inner = _inner_iterations(min_w[k], model.c_round)
+            p = live[rng.randrange(t_cur)]
+            k, row = active[p], B.data[active[p]]
+            cells = [(i, j) for i in _iter_bits(a_cols[p]) for j in _iter_bits(row & ~out_rows[i])]
+            inner = _inner_iterations(min_w[p], model.c_round)
             pay(math.ceil(model.c_shuttle * math.sqrt(n / t_cur)) * inner * width, "search")
-            collect = max(1, math.ceil(model.c_round * math.sqrt(len(cells) * min_w[k])))
+            collect = max(1, math.ceil(model.c_round * math.sqrt(len(cells) * min_w[p])))
             pay(collect * width, "collect")
         # every collected cell is new to the output
         for i, j in cells:
             uncollected.remove_edge(i, j)
-            for kk in _iter_bits(A.data[i] & b_t.data[j]):
-                uncovered[kk] -= 1
-                if not uncovered[kk]:
-                    live[kk] = False
+            for q in _iter_bits(a_rows[i] & b_cols[j]):
+                uncovered[q] -= 1
+                if not uncovered[q]:
+                    del live[bisect_left(live, q)]
+                    if model.exact:
+                        live_mask[active[q]] = False
         ones += len(cells)
         if ones > instance.ell:
             raise PromiseViolationError(f"found {ones} ones, promise allows {instance.ell}")
-        trace.rounds.append(BmmRound(k, len(cells), min_w[k]))
+        trace.rounds.append(BmmRound(k, len(cells), min_w[p]))
     trace.product = BitMatrix(m, m, out_rows)
     return trace
 

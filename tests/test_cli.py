@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import joinlab
-from joinlab import joins, qsim
+from joinlab import cli, joins, qsim
 from joinlab.cli import FitResult, build_parser, derive_seed, fit_exponent, main, parse_grid, scaling_points
 from joinlab.f2core import BitMatrix
 from joinlab.ledger import A_TO_B, BITS
@@ -227,6 +227,26 @@ def test_scaling_rows_check_answers(protocol, module, target, answer, monkeypatc
     assert [row["success"] for row in rows] == [0, 0]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--protocol", "bmm-cost", "--n", "8192", "--trials", "3"], "need at least 4 points"),
+        (["--protocol", "disj-cost", "--n", "1024", "--trials", "3"], "need at least 4 points"),
+        (["--protocol", "bmm-cost", "--n", "64", "--ell", "16,16", "--trials", "3"], "need at least two distinct x values"),
+        (["--protocol", "bmm-cost", "--n", "64,64", "--trials", "3"], "need at least two distinct x values"),
+        (["--protocol", "disj-cost", "--n", "1024,1024", "--trials", "2"], "need at least two distinct x values"),
+    ],
+)
+def test_scaling_rejects_an_unfittable_sweep_before_any_trial(argv, message, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("an instance was built")
+
+    monkeypatch.setattr(joins, "gen_hard_instance", refuse)
+    monkeypatch.setattr(cli, "_disj_pair", refuse)
+    assert main(["scaling", *argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_validate_reductions_command(capsys):
     code = main(["validate-reductions", "--trials", "20", "--seed", "1", "--n", "16"])
     assert code == 0
@@ -286,6 +306,12 @@ def test_usage_error_exit_code():
         ["run-disj", "--n", "64", "--mode", "cost-model", "--c-shuttle", "5"],
         ["run-gc", "--n", "16", "--mode", "cost-model", "--c-shuttle", "5"],
         ["scaling", "--protocol", "disj-cost", "--n", "64..512", "--c-shuttle", "5"],
+        # a flag is rejected whatever its value, the default's included
+        ["scaling", "--protocol", "disj-cost", "--n", "1024,2048", "--c-shuttle", "1"],
+        ["scaling", "--protocol", "disj-cost", "--n", "1024,2048", "--c-shuttle", "1.0"],
+        ["run-bmm", "--n", "16", "--ell", "8", "--mode", "exact", "--c-shuttle", "1"],
+        ["run-disj", "--n", "64", "--c-round", "1.0"],
+        ["run-gc", "--n", "16", "--epsilon", "0"],
         # the disj sweep has no ell, and a tolerance means nothing without a slope
         ["scaling", "--protocol", "disj-cost", "--n", "64..512", "--ell", "16"],
         ["scaling", "--protocol", "disj-cost", "--n", "64..512", "--slope-tol", "0.2"],

@@ -5,6 +5,7 @@ import math
 import random
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,14 +14,18 @@ from joinlab.f2core import (
     BitMatrix,
     BitVector,
     JoinInstance,
+    _iter_bits,
     bool_product,
     f2_product,
     gen_promise_instance,
 )
 from joinlab.joins import (
+    BmmRound,
+    BmmTrace,
     DecodeBudgetError,
     PromiseViolationError,
     SensingSketch,
+    _inner_iterations,
     _probe_rounds,
     bmm_cost_model,
     bmm_with_trace,
@@ -29,8 +34,15 @@ from joinlab.joins import (
     gen_hard_instance,
     mm_f2,
 )
-from joinlab.ledger import A_TO_B, BITS, CommLedger, index_qubits
-from joinlab.qsim import CostModel, SimulationCapError
+from joinlab.ledger import A_TO_B, B_TO_A, BITS, QUBITS, CommLedger, index_qubits
+from joinlab.qsim import (
+    BipartiteGraph,
+    CostModel,
+    ProtocolError,
+    SimulationCapError,
+    graph_collision_all,
+    instance_search,
+)
 from joinlab.reductions import embed_ip_f2
 
 EXACT = CostModel.exact_mode()
@@ -187,6 +199,145 @@ def test_bmm_entry_points_run_one_loop(case):
         runs.append((trace.product, trace.rounds, led.amounts, len(led), rng.getrandbits(32)))
     assert runs[0] == runs[1]
     assert runs[0][0] == inst.oracle_product or model.exact
+
+
+def _reference_search_and_collect(instance, model, ledger, rng) -> BmmTrace:
+    """The search-and-collect loop over all n inner indices, through full transposes.
+
+    It keeps per-index state for every k in [n] and picks cost-model
+    witnesses from ``np.flatnonzero`` of an n-long live mask: the slow form
+    that the active-index set-up of ``_search_and_collect`` must match.
+    """
+    A, B = instance.A, instance.B
+    m, n = A.rows, A.cols
+    none_repeats = max(1, math.ceil(math.log(100.0 * (instance.ell + 2)) / math.log(3.0)))
+    a_t, b_t = A.transpose(), B.transpose()
+    weights = [(col.bit_count(), row.bit_count()) for col, row in zip(a_t.data, B.data)]
+    min_w = [min(w) for w in weights]
+    uncovered = [wa * wb for wa, wb in weights]
+    live = np.array(uncovered, dtype=bool)
+    width = index_qubits(m)
+    inner_budget = _inner_iterations(max(min_w, default=0), model.c_round)
+
+    def pay(amount, phase):
+        ledger.charge(A_TO_B, QUBITS, amount, phase)
+        ledger.charge(B_TO_A, QUBITS, amount, phase)
+
+    uncollected = BipartiteGraph.complete(m, m)
+    out_rows = uncollected.missing_rows
+    ones, trace = 0, BmmTrace()
+    while True:
+        if model.exact:
+            k = None
+            for _ in range(none_repeats):
+                k = instance_search(live, ledger, model, rng, inner_cost_qubits=inner_budget * 2 * width)
+                if k is not None:
+                    break
+            if k is None:
+                break
+            f_a, f_b = BitVector(m, a_t.data[k]), BitVector(m, B.data[k])
+            for _ in range(100):
+                cells = graph_collision_all(uncollected, f_a, f_b, ledger, model, rng)
+                if cells:
+                    break
+            else:
+                raise ProtocolError("collision collection stalled on a verified witness")
+        else:
+            marked = np.flatnonzero(live)
+            t_cur = len(marked)
+            if not t_cur:
+                pay(math.ceil(model.c_shuttle * math.sqrt(n)) * inner_budget * width, "final-search")
+                break
+            k = int(marked[rng.randrange(t_cur)])
+            cells = [(i, j) for i in _iter_bits(a_t.data[k]) for j in _iter_bits(B.data[k] & ~out_rows[i])]
+            inner = _inner_iterations(min_w[k], model.c_round)
+            pay(math.ceil(model.c_shuttle * math.sqrt(n / t_cur)) * inner * width, "search")
+            pay(max(1, math.ceil(model.c_round * math.sqrt(len(cells) * min_w[k]))) * width, "collect")
+        for i, j in cells:
+            uncollected.remove_edge(i, j)
+            for kk in _iter_bits(A.data[i] & b_t.data[j]):
+                uncovered[kk] -= 1
+                if not uncovered[kk]:
+                    live[kk] = False
+        ones += len(cells)
+        if ones > instance.ell:
+            raise PromiseViolationError(f"found {ones} ones, promise allows {instance.ell}")
+        trace.rounds.append(BmmRound(k, len(cells), min_w[k]))
+    trace.product = BitMatrix(m, m, out_rows)
+    return trace
+
+
+def _sparse_rows(count, width, seed, density, zero_rows):
+    rng = random.Random(seed)
+    return [
+        0 if rng.random() < zero_rows else sum(1 << j for j in range(width) if rng.random() < density)
+        for _ in range(count)
+    ]
+
+
+@st.composite
+def sparse_bool_cases(draw):
+    """A sparse m x n by n x m instance, m and n free, with zero rows on either side, and a promise."""
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    a_rows = _sparse_rows(m, n, draw(st.integers(0, 2**32 - 1)), draw(st.floats(0.0, 0.5)), draw(st.floats(0.0, 0.9)))
+    b_rows = _sparse_rows(n, m, draw(st.integers(0, 2**32 - 1)), draw(st.floats(0.0, 0.5)), draw(st.floats(0.0, 0.9)))
+    weight = bool_product(BitMatrix(m, n, a_rows), BitMatrix(n, m, b_rows)).weight()
+    # an ell just below the weight breaks the promise mid-run
+    ell = draw(st.integers(max(1, weight - 1), max(1, weight + 2)))
+    return a_rows, b_rows, ell
+
+
+class _BoundedRandom(random.Random):
+    """``random.Random`` that raises on its 10,001st ``randrange``, so a run that never ends fails instead."""
+
+    calls = 0
+
+    def randrange(self, *args):
+        self.calls += 1
+        if self.calls > 10_000:
+            raise RuntimeError("the run drew 10,000 ranges without ending")
+        return super().randrange(*args)
+
+
+def _bmm_outcome(run, inst, model, seed):
+    rng, led = _BoundedRandom(seed), CommLedger()
+    try:
+        trace = run(inst, model, led, rng)
+        result = ([(r.witness, r.collisions, r.min_weight) for r in trace.rounds], trace.product)
+    except PromiseViolationError:
+        result = "promise-violation"
+    return result, dict(led.amounts), len(led), rng.getstate()
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_bool_cases(), st.sampled_from((EXACT, CostModel.cost_model(), CostModel.cost_model(1.5, 2.0))), st.integers(0, 2**32 - 1))
+# A's rows name the inner indices out of order, and index 1 has a column of A but no row of B
+@example(([0b0100, 0b1011, 0b0010], [0b101, 0, 0b011, 0b110], 9), CostModel.cost_model(), 3)
+@example(([0b0100, 0b1011, 0b0010], [0b101, 0, 0b011, 0b110], 9), EXACT, 3)
+# every inner index is one-sided, so the product is empty
+@example(([0b011, 0, 0b001, 0b010], [0, 0, 0b1111], 1), CostModel.cost_model(), 0)
+@example(([0b011, 0, 0b001, 0b010], [0, 0, 0b1111], 1), EXACT, 0)
+def test_bmm_active_index_setup_matches_full_transpose_reference(case, model, seed):
+    a_rows, b_rows, ell = case
+    m, n = len(a_rows), len(b_rows)
+    inst = JoinInstance.build(BitMatrix(m, n, a_rows), BitMatrix(n, m, b_rows), ell)
+    want = _bmm_outcome(_reference_search_and_collect, inst, model, seed)
+    assert _bmm_outcome(lambda *a: bmm_with_trace(*a)[1], inst, model, seed) == want
+    assert _bmm_outcome(bmm_cost_model, inst, model, seed) == want
+    if want[0] != "promise-violation":
+        assert want[0][1] == inst.oracle_product or model.exact
+
+
+def test_bmm_cost_model_never_transposes(monkeypatch):
+    inst = gen_hard_instance(1 << 14, 256, seed=11)
+
+    def refuse(self):
+        raise AssertionError("the bmm replay transposed a matrix")
+
+    monkeypatch.setattr(BitMatrix, "transpose", refuse)
+    trace = bmm_cost_model(inst, CostModel.cost_model(), CommLedger(), random.Random(11))
+    assert trace.product == inst.oracle_product
+    assert trace.t == (math.isqrt(256) // 2) ** 2
 
 
 @given(st.integers(2, 64).flatmap(lambda n: st.tuples(st.just(n), st.integers(4, n * n), st.integers(0, 2**32))))
