@@ -65,7 +65,7 @@ __all__ = [
 ]
 
 # run time bounds exact bmm: one planted trial at n = ell = 2**12 (seed 5)
-# takes about 0.45 s on a 2-core VM
+# takes about 0.4 s on a 2-core VM
 BMM_EXACT_CAP = 1 << 12
 
 
@@ -202,7 +202,8 @@ def _search_and_collect(
                 pay(math.ceil(model.c_shuttle * math.sqrt(n)) * inner_budget * width, "final-search")
                 break
             p = live[rng.randrange(t_cur)]
-            k, row = active[p], B.data[active[p]]
+            k = active[p]
+            row = B.data[k]
             cells = [(i, j) for i in _iter_bits(a_cols[p]) for j in _iter_bits(row & ~out_rows[i])]
             inner = _inner_iterations(min_w[p], model.c_round)
             pay(math.ceil(model.c_shuttle * math.sqrt(n / t_cur)) * inner * width, "search")

@@ -310,7 +310,11 @@ def _bmm_outcome(run, inst, model, seed):
 
 
 @settings(max_examples=200, deadline=None)
-@given(sparse_bool_cases(), st.sampled_from((EXACT, CostModel.cost_model(), CostModel.cost_model(1.5, 2.0))), st.integers(0, 2**32 - 1))
+@given(
+    sparse_bool_cases(),
+    st.sampled_from((EXACT, CostModel.cost_model(), CostModel.cost_model(1.5, 2.0))),
+    st.integers(0, 2**32 - 1),
+)
 # A's rows name the inner indices out of order, and index 1 has a column of A but no row of B
 @example(([0b0100, 0b1011, 0b0010], [0b101, 0, 0b011, 0b110], 9), CostModel.cost_model(), 3)
 @example(([0b0100, 0b1011, 0b0010], [0b101, 0, 0b011, 0b110], 9), EXACT, 3)
