@@ -65,7 +65,7 @@ __all__ = [
 ]
 
 # run time bounds exact bmm: one planted trial at n = ell = 2**12 (seed 5)
-# takes about 0.4 s on a 2-core VM
+# takes 0.36-0.41 s of CPU time on a 2-core VM
 BMM_EXACT_CAP = 1 << 12
 
 
@@ -130,13 +130,12 @@ def _search_and_collect(
     cell (i, j) lowers the counts at the set bits of ``a_rows[i] & b_cols[j]``,
     row i of A and column j of B over the positions.  Each round finds and
     pays for one live witness, adds all of its uncovered collisions to the
-    output, and takes them off the counts.  Exact mode finds the witness
-    with the nested instance search over [n], which reads an n-long bool
-    mask of the live indices, and collects with graph collision on the
-    complement of the output.  Cost-model mode draws from the ascending
-    list of live positions, so it picks the index the ascending live
-    indices would, and replays the protocol as :func:`bmm_cost_model`
-    describes.
+    output, and takes them off the counts.  Both modes keep ``live``, the
+    live inner indices in ascending order.  Exact mode finds the witness
+    with the nested instance search over [n], whose marked positions are
+    ``live``, and collects with graph collision on the complement of the
+    output.  Cost-model mode draws a uniform entry of ``live`` and replays
+    the protocol as :func:`bmm_cost_model` describes.
     """
     A, B = instance.A, instance.B
     if model.epsilon:
@@ -161,10 +160,7 @@ def _search_and_collect(
     weights = [(col.bit_count(), B.data[k].bit_count()) for col, k in zip(a_cols, active)]
     min_w = [min(w) for w in weights]
     uncovered = [wa * wb for wa, wb in weights]
-    live = list(range(len(active)))
-    if model.exact:
-        live_mask = np.zeros(n, dtype=bool)
-        live_mask[active] = True
+    live = list(active)
     width = index_qubits(m)
     # Grover budget of the nested collision search, uniform over branches
     inner_budget = _inner_iterations(max(min_w, default=0), model.c_round)
@@ -183,7 +179,7 @@ def _search_and_collect(
         if model.exact:
             k = None
             for _ in range(none_repeats):
-                k = instance_search(live_mask, ledger, model, rng, inner_cost_qubits=inner_cost)
+                k = instance_search(range(n), live, ledger, model, rng, inner_cost_qubits=inner_cost)
                 if k is not None:
                     break
             if k is None:
@@ -201,8 +197,8 @@ def _search_and_collect(
             if not t_cur:
                 pay(math.ceil(model.c_shuttle * math.sqrt(n)) * inner_budget * width, "final-search")
                 break
-            p = live[rng.randrange(t_cur)]
-            k = active[p]
+            k = live[rng.randrange(t_cur)]
+            p = position[k]
             row = B.data[k]
             cells = [(i, j) for i in _iter_bits(a_cols[p]) for j in _iter_bits(row & ~out_rows[i])]
             inner = _inner_iterations(min_w[p], model.c_round)
@@ -215,9 +211,7 @@ def _search_and_collect(
             for q in _iter_bits(a_rows[i] & b_cols[j]):
                 uncovered[q] -= 1
                 if not uncovered[q]:
-                    del live[bisect_left(live, q)]
-                    if model.exact:
-                        live_mask[active[q]] = False
+                    del live[bisect_left(live, active[q])]
         ones += len(cells)
         if ones > instance.ell:
             raise PromiseViolationError(f"found {ones} ones, promise allows {instance.ell}")

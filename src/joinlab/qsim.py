@@ -16,10 +16,7 @@ import functools
 import math
 import random
 from dataclasses import dataclass
-from itertools import accumulate
 from operator import and_
-
-import numpy as np
 
 from joinlab.f2core import BitMatrix, BitVector, DimensionError, _fold, _iter_bits
 from joinlab.ledger import (
@@ -162,15 +159,14 @@ def _entry_probabilities(m: int, t: int, iterations: int) -> tuple[float, float]
     return marked, unmarked
 
 
-def _amplify(domain, marked_mask: np.ndarray, plan, model, rng, outer=False, marked=None):
+def _amplify(domain, hits: list, plan, model, rng, outer=False):
     """Measure amplified candidates from ``domain`` (a sequence of indices) until one is marked.
 
-    The sampling core of every search here.  ``marked_mask[i]`` says whether
-    ``domain[i]`` is marked.  The exact branch reads the mask as its running
-    counts ``marked``, which a caller that searches one domain many times
-    builds once and passes instead of the mask.  Returns ``(witness,
-    draws)``: the marked entry found, or None, and a fresh list of each
-    measurement's iteration count in draw order, which the caller hands to
+    The sampling core of every search here.  ``hits`` lists the positions
+    in ``domain`` of its marked entries, ascending, so ``domain[hits[0]]``
+    is the first marked entry.  Returns ``(witness, draws)``: the marked
+    entry found, or None, and a fresh list of each measurement's iteration
+    count in draw order, which the caller hands to
     :meth:`CommLedger._log_search` with its message templates.
 
     Exact mode samples one candidate for each iteration count the plan
@@ -183,18 +179,15 @@ def _amplify(domain, marked_mask: np.ndarray, plan, model, rng, outer=False, mar
     ``outer`` instance search.  The witness is a seeded uniform pick among
     the marked entries, suppressed with probability epsilon.
     """
-    m = len(domain)
+    m, t = len(domain), len(hits)
     if model.exact:
         if plan is None:
             plan = GroverPlan.default(m)
-        if marked is None:
-            # marked[i] counts the marked entries in domain[:i + 1]; the total alone when there are none
-            marked = np.cumsum(marked_mask).tolist() if marked_mask.any() else [0]
-        t = marked[-1]
         if not t:
             # t = 0 puts all the mass on unmarked entries: each draw still takes
             # its rng.random() (zip asks for it after the draw), but no candidate can be marked
             return None, [iterations for iterations, _ in zip(plan.draws(rng), iter(rng.random, None))]
+        count = functools.partial(bisect.bisect_right, hits)  # count(i): marked entries among the first i + 1
         drawn = []
         for iterations in plan.draws(rng):
             pm, pu = _entry_probabilities(m, t, iterations)
@@ -202,16 +195,14 @@ def _amplify(domain, marked_mask: np.ndarray, plan, model, rng, outer=False, mar
             # two non-decreasing rounded products, so the keys stay sorted
             r = rng.random() * (pu * (m - t) + pm * t)
             candidate = bisect.bisect_right(
-                range(m - 1), r, key=lambda i: pu * (i + 1 - marked[i]) + pm * marked[i]
+                range(m - 1), r, key=lambda i: pu * (i + 1 - (c := count(i))) + pm * c
             )
             drawn.append(iterations)
-            # the candidate is marked iff the count rises at it
-            if marked[candidate] > (candidate and marked[candidate - 1]):
+            # marked iff it is the last hit at or below itself; with none there, hits[-1] lies above it
+            if hits[count(candidate) - 1] == candidate:
                 return domain[candidate], drawn
         return None, drawn
 
-    hits = np.flatnonzero(marked_mask).tolist()
-    t = len(hits)
     c, d = (model.c_shuttle, max(t, 1)) if outer else (model.c_round, t + 1)
     draws = [math.ceil(c * math.sqrt(m / d))]
     if t == 0:
@@ -225,29 +216,24 @@ def _amplify(domain, marked_mask: np.ndarray, plan, model, rng, outer=False, mar
 class _Search:
     """A search over a sorted ``support`` of [n], prepared once and run any number of times.
 
-    ``marks`` says, entry by entry, whether the support's entry is marked
-    (Python bools): exact mode keeps their running counts (the first stays
-    a bool, which is an int), cost-model mode a bool mask.  The message
-    templates are a round trip per Grover round, and one per measurement
-    that shuttles the candidate over and announces the verdict back.
+    ``hits`` lists the positions of the marked entries of the support,
+    ascending.  The message templates are a round trip per Grover round,
+    and one per measurement that shuttles the candidate over and announces
+    the verdict back.
     """
 
-    __slots__ = ("support", "model", "mask", "marked", "per_round", "verify")
+    __slots__ = ("support", "model", "hits", "per_round", "verify")
 
-    def __init__(self, n: int, support: list, marks, model: CostModel, phase: str, directions):
+    def __init__(self, n: int, support: list, hits: list, model: CostModel, phase: str, directions):
         width = index_qubits(n)
         out, back = directions
         self.per_round = [(out, QUBITS, width, phase), (back, QUBITS, width, phase)]
         phase += "-verify"
         self.verify = [(out, QUBITS, width, phase), (back, BITS, outcome_bits(n), phase)]
-        self.support, self.model = support, model
-        if model.exact:
-            self.mask, self.marked = None, list(accumulate(marks))
-        else:
-            self.mask, self.marked = np.fromiter(marks, bool, len(support)), None
+        self.support, self.model, self.hits = support, model, hits
 
     def run(self, ledger: CommLedger, rng: random.Random, plan=None, stats=None):
-        witness, draws = _amplify(self.support, self.mask, plan, self.model, rng, marked=self.marked)
+        witness, draws = _amplify(self.support, self.hits, plan, self.model, rng)
         ledger._log_search(draws, self.per_round, self.verify)
         if stats is not None:
             stats.setdefault("iterations", []).extend(draws)
@@ -282,8 +268,8 @@ def grover_search(
         raise ValueError("support must be nonempty")
     if sup[0] < 0 or sup[-1] >= n:
         raise ValueError("support outside domain")
-    marks = map(bool, map(marked, sup))  # any truthy answer marks; the counts need bools
-    return _Search(n, sup, marks, model, phase, directions).run(ledger, rng, plan, stats)
+    hits = [p for p, i in enumerate(sup) if marked(i)]
+    return _Search(n, sup, hits, model, phase, directions).run(ledger, rng, plan, stats)
 
 
 def _disj_search(a: BitVector, b: BitVector, model: CostModel) -> _Search | None:
@@ -296,10 +282,9 @@ def _disj_search(a: BitVector, b: BitVector, model: CostModel) -> _Search | None
         return None
     own, directions = (a, (A_TO_B, B_TO_A)) if wa <= wb else (b, (B_TO_A, A_TO_B))
     support = own.indices()
-    # a support element is in the other set iff it is in the intersection;
-    # one AND here saves a shift of the whole other word per probe
-    common = set(_iter_bits(a.bits & b.bits))
-    return _Search(a.n, support, map(common.__contains__, support), model, "disj", directions)
+    # the marked entries are the intersection, which lies inside the support
+    hits = [bisect.bisect_left(support, i) for i in _iter_bits(a.bits & b.bits)]
+    return _Search(a.n, support, hits, model, "disj", directions)
 
 
 def disj(
@@ -309,7 +294,6 @@ def disj(
     model: CostModel,
     rng: random.Random,
     plan: GroverPlan | None = None,
-    stats: dict | None = None,
 ):
     """Set disjointness with witness: None if a,b look disjoint, else i in a&b.
 
@@ -319,7 +303,7 @@ def disj(
     """
     search = _disj_search(a, b, model)
     _handshake(ledger, a.n, a.n)
-    return None if search is None else search.run(ledger, rng, plan, stats)
+    return None if search is None else search.run(ledger, rng, plan)
 
 
 def _handshake(ledger: CommLedger, n_a: int, n_b: int):
@@ -511,29 +495,32 @@ def _instance_messages(big_n: int, inner_cost_qubits: int) -> tuple[tuple, tuple
 
 
 def instance_search(
-    answers,
+    instances,
+    answers: list,
     ledger: CommLedger,
     model: CostModel,
     rng: random.Random,
     inner_cost_qubits: int = 0,
 ):
-    """Search a list of communication instances for one whose answer is 1.
+    """Search a sequence of communication instances for one whose answer is 1.
 
-    ``answers[i]`` is the (deterministically computable) inner answer for
-    instance i; exact mode treats it as a perfect phase oracle.  A bool
-    array is read in place, not copied.  Each amplitude-amplification round
-    charges the index register round trip plus twice the inner protocol's
-    cost (compute and uncompute), with the inner cost multiplied by the
-    repetition factor that boosts a bounded error inner protocol for
-    coherent nesting.
+    ``answers`` lists, ascending, the positions in ``instances`` whose
+    (deterministically computable) inner answer is 1; exact mode treats
+    them as a perfect phase oracle.  Returns the instance found, or None.
+    Positions outside ``instances`` raise ``ValueError`` before any draw
+    or charge.  Each amplitude-amplification round charges the index
+    register round trip plus twice the inner protocol's cost (compute and
+    uncompute), with the inner cost multiplied by the repetition factor
+    that boosts a bounded error inner protocol for coherent nesting.
     """
-    marked_mask = np.asarray(answers, dtype=bool)
-    big_n = len(marked_mask)
+    big_n = len(instances)
     if big_n == 0:
         raise ValueError("instance list must be nonempty")
+    if answers and (answers[0] < 0 or answers[-1] >= big_n):
+        raise ValueError(f"answers must be positions in [0, {big_n}), ascending")
     if inner_cost_qubits < 0:
         raise ValueError("inner cost must be nonnegative")
     per_round, verify = _instance_messages(big_n, inner_cost_qubits)
-    witness, draws = _amplify(range(big_n), marked_mask, None, model, rng, outer=True)
+    witness, draws = _amplify(instances, answers, None, model, rng, outer=True)
     ledger._log_search(draws, per_round, verify)
     return witness

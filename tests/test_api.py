@@ -61,3 +61,41 @@ def test_packed_bit_methods_have_callers_outside_tests():
         if not ((cls, name) in on_class or ("cls", name) in on_class if is_class else name in reads)
     ]
     assert not unused, f"public methods only tests call: {unused}"
+
+
+# public functions that only tests reach, each kept for the check that needs it
+TEST_ONLY_FUNCTIONS = {
+    "qsim.grover_search": "the qsim digest in test_pinned_behaviour.py pins its draws and charges",
+    "joins.freivalds_round": "acceptance criterion 6 checks one probe round against the dense product",
+}
+
+
+def test_public_functions_have_callers_outside_tests():
+    """A public module-level function of ``joinlab`` is named in code of src/ or perfbench/, tests aside.
+
+    A name counts where it is read as a name or an attribute in a top-level
+    statement other than its own definition, so recursion and imports do
+    not count, and neither do strings such as ``__all__`` entries or the
+    span names perfbench's tracer wraps by.  Matching is by name, as for
+    the packed-bit methods above.
+    """
+    statements, defined = [], []
+    for path in sorted((ROOT / "src" / "joinlab").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+            statements.append((stmt, names))
+            if path.parent.name == "joinlab" and isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
+                defined.append((f"{path.stem}.{stmt.name}", stmt))
+    uncalled = {
+        qualified
+        for qualified, fn in defined
+        if not any(other is not fn and fn.name in names for other, names in statements)
+    }
+    assert not uncalled - TEST_ONLY_FUNCTIONS.keys(), f"public functions only tests call: {sorted(uncalled)}"
+    # an allowed name that gains a caller leaves the list
+    assert uncalled == TEST_ONLY_FUNCTIONS.keys()

@@ -230,7 +230,8 @@ def _reference_search_and_collect(instance, model, ledger, rng) -> BmmTrace:
         if model.exact:
             k = None
             for _ in range(none_repeats):
-                k = instance_search(live, ledger, model, rng, inner_cost_qubits=inner_budget * 2 * width)
+                k = instance_search(range(n), np.flatnonzero(live).tolist(), ledger, model, rng,
+                                    inner_cost_qubits=inner_budget * 2 * width)
                 if k is not None:
                     break
             if k is None:

@@ -3,7 +3,6 @@
 import math
 import random
 
-import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -117,10 +116,11 @@ def test_disj_ledger_recomputed_from_schedule():
     a = BitVector.from_indices(n, [1, 4, 9, 12])
     b = BitVector.from_indices(n, [0, 4, 7, 8, 13])
     led = CommLedger()
-    stats = {}
-    disj(a, b, led, CostModel.exact_mode(), random.Random(3), stats=stats)
-    iters = sum(stats["iterations"])
-    meas = stats["measurements"]
+    found = disj(a, b, led, CostModel.exact_mode(), random.Random(3))
+    # the lighter side, a, searches its own set; the common element 4 sits at position 1
+    witness, drawn = _amplify(a.indices(), [1], None, CostModel.exact_mode(), random.Random(3))
+    assert witness == found == 4
+    iters, meas = sum(drawn), len(drawn)
     expect_qubits = iters * 2 * index_qubits(n) + meas * index_qubits(n)
     expect_bits = 2 * integer_bits(n) + meas * outcome_bits(n)
     assert led.qubits == expect_qubits
@@ -133,13 +133,14 @@ def test_instance_search_ledger_recomputed_from_schedule(seed):
     # from _amplify, which only samples) and the stated conventions,
     # independently of the charging code path.
     big_n, inner_cost = 32, 10
-    answers = [i in (6, 21) for i in range(big_n)]
+    answers = [6, 21]
     led, plain = CommLedger(), CommLedger()
-    found = instance_search(answers, led, CostModel.exact_mode(), random.Random(seed), inner_cost_qubits=inner_cost)
-    assert found == instance_search(answers, plain, CostModel.exact_mode(), random.Random(seed),
+    found = instance_search(range(big_n), answers, led, CostModel.exact_mode(), random.Random(seed),
+                            inner_cost_qubits=inner_cost)
+    assert found == instance_search(range(big_n), answers, plain, CostModel.exact_mode(), random.Random(seed),
                                     inner_cost_qubits=inner_cost)
     assert led.amounts == plain.amounts and len(led) == len(plain)  # the same seed gives the same charges
-    witness, drawn = _amplify(range(big_n), np.array(answers), None, CostModel.exact_mode(), random.Random(seed),
+    witness, drawn = _amplify(range(big_n), answers, None, CostModel.exact_mode(), random.Random(seed),
                               outer=True)
     assert witness == found
     iters, meas = sum(drawn), len(drawn)
@@ -316,7 +317,8 @@ def _run_protocol(name: str, led: CommLedger, rng: random.Random):
         graph_collision_all(graph, f_a, f_b, led, exact, rng)
     else:
         marked = 3 if name == "instance_search" else None
-        instance_search([i % 7 == marked for i in range(30)], led, exact, rng, inner_cost_qubits=6)
+        answers = [i for i in range(30) if i % 7 == marked]
+        instance_search(range(30), answers, led, exact, rng, inner_cost_qubits=6)
 
 
 @pytest.mark.parametrize("seed", [0, 7])

@@ -165,7 +165,9 @@ def qsim_digest() -> str:
             answers = [setup.random() < setup.choice((0.0, 0.05, 0.5)) for _ in range(size)]
             inner = setup.choice((0, 3, 40))
             rng, led = random.Random(case), CommLedger()
-            _run(digest, lambda: instance_search(answers, led, model, rng, inner_cost_qubits=inner), rng, led)
+            hits = [i for i, answer in enumerate(answers) if answer]
+            _run(digest, lambda: instance_search(range(size), hits, led, model, rng, inner_cost_qubits=inner),
+                 rng, led)
 
             n = setup.choice((8, 24))
             graph = BipartiteGraph.random(n, n, setup.choice((0.1, 0.5)), setup)

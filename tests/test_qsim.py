@@ -102,14 +102,15 @@ def test_closed_form_draws_match_statevector(case):
     mask = _random_mask(m, t, random.Random(seed))
     domain = range(1000, 1000 + m)
     rng_got, rng_want = random.Random(seed), random.Random(seed)
-    got = _amplify(domain, mask, plan, EXACT, rng_got)
+    got = _amplify(domain, np.flatnonzero(mask).tolist(), plan, EXACT, rng_got)
     want = _reference_amplify(domain, mask, plan or GroverPlan.default(m), rng_want)
     # same witness, same draws, same generator state afterwards
     assert (got, rng_got.random()) == (want, rng_want.random())
 
 
 def _reference_bisect_amplify(domain, marked_mask, plan, rng):
-    """The exact branch of ``_amplify`` that bisects prefix masses on every draw, whatever t is."""
+    """The exact branch of ``_amplify`` that bisects prefix masses on every draw, whatever t is,
+    over a list of the running marked counts built from a bool mask."""
     m = len(domain)
     marked = np.cumsum(marked_mask).tolist()
     t = marked[-1]
@@ -145,7 +146,7 @@ def test_unmarked_domain_skips_the_bisect_but_not_the_draws(case):
     _, domain, plan, seed = case
     mask = np.zeros(len(domain), dtype=bool)
     rng_got, rng_want = random.Random(seed), random.Random(seed)
-    got = _amplify(domain, mask, plan, EXACT, rng_got)
+    got = _amplify(domain, [], plan, EXACT, rng_got)
     reference_plan = plan or GroverPlan.default(len(domain))
     want = _reference_bisect_amplify(domain, mask, reference_plan, rng_want)
     # no witness, the same draws, the same generator state afterwards
@@ -153,6 +154,37 @@ def test_unmarked_domain_skips_the_bisect_but_not_the_draws(case):
     found, draws = got
     assert found is None
     assert len(draws) == len(reference_plan.caps)
+
+
+@st.composite
+def marked_cases(draw):
+    m = draw(st.integers(1, 4096))
+    t = draw(st.one_of(st.sampled_from((1, m)), st.integers(1, m)))
+    seed = draw(st.integers(0, 2**32))
+    hits = sorted(random.Random(seed).sample(range(m), t))
+    fixed = st.builds(GroverPlan.fixed, st.integers(0, 60), st.integers(1, 3))
+    plan = draw(st.one_of(st.none(), st.builds(GroverPlan.default, st.integers(1, 4096)), fixed))
+    return m, hits, plan, seed
+
+
+@given(marked_cases())
+@example((1, [0], None, 0))
+@example((4096, list(range(4096)), None, 1))
+@example((4096, [4095], None, 2))
+@example((4096, [0], None, 3))
+@example((4096, [4095], GroverPlan.fixed(50, 3), 4))
+@example((2, [1], GroverPlan.fixed(0, 3), 5))
+def test_marked_domain_matches_the_prefix_count_reference(case):
+    # prefix counts bisected out of the hit positions give the keys of the running-count list
+    m, hits, plan, seed = case
+    domain = range(1000, 1000 + m)
+    mask = np.zeros(m, dtype=bool)
+    mask[hits] = True
+    rng_got, rng_want = random.Random(seed), random.Random(seed)
+    got = _amplify(domain, hits, plan, EXACT, rng_got)
+    want = _reference_bisect_amplify(domain, mask, plan or GroverPlan.default(m), rng_want)
+    # the same witness, the same draws, the same generator state afterwards
+    assert (got, rng_got.random()) == (want, rng_want.random())
 
 
 @given(st.integers(1, 600), st.integers(0, 2**32), st.sampled_from((1.0, 1.5, 3.0)), st.booleans())
@@ -165,7 +197,7 @@ def test_cost_model_search_is_one_analytical_draw(m, seed, c, outer):
     mask = _random_mask(m, t, rng)
     model = CostModel.cost_model(c_shuttle=c) if outer else CostModel.cost_model(c_round=c)
     domain = range(1000, 1000 + m)
-    found, draws = _amplify(domain, mask, None, model, rng, outer=outer)
+    found, draws = _amplify(domain, np.flatnonzero(mask).tolist(), None, model, rng, outer=outer)
     assert draws == [math.ceil(c * math.sqrt(m / (max(t, 1) if outer else t + 1)))]
     assert (found is None) == (t == 0)
     assert found is None or mask[found - 1000]
@@ -242,10 +274,9 @@ def test_batched_search_charges_match_per_measurement_charges(case):
     _charge_grover_measurements(want, plan.taken, n, "probe", directions)
     assert _ledger_state(got) == _ledger_state(want)
 
-    answers = [i in marked for i in range(n)]
     plan = _Schedule(counts)
     with patch.object(GroverPlan, "default", lambda m: plan):
-        instance_search(answers, got, EXACT, random.Random(seed), inner_cost_qubits=inner)
+        instance_search(range(n), sorted(marked), got, EXACT, random.Random(seed), inner_cost_qubits=inner)
     _charge_instance_measurements(want, plan.taken, n, inner)
     assert _ledger_state(got) == _ledger_state(want)
 
@@ -743,27 +774,38 @@ def test_output_view_matches_adjacency_rows(case):
 
 def test_instance_search_trivials():
     rng = random.Random(0)
-    assert instance_search([False] * 8, CommLedger(), EXACT, rng) is None
+    assert instance_search(range(8), [], CommLedger(), EXACT, rng) is None
     led = CommLedger()
-    idx = instance_search([True] * 8, led, EXACT, random.Random(1))
+    idx = instance_search(range(8), list(range(8)), led, EXACT, random.Random(1))
     assert idx in range(8)
     with pytest.raises(ValueError):
-        instance_search([], CommLedger(), EXACT, rng)
+        instance_search([], [], CommLedger(), EXACT, rng)
+
+
+@pytest.mark.parametrize("model", [EXACT, CostModel.cost_model()])
+@pytest.mark.parametrize("answers", [[8], [3, 8], [-1], [-1, 2], [0, 8]])
+def test_instance_search_rejects_answers_outside_the_instances(model, answers):
+    # a position past either end is rejected before any draw or charge
+    led, rng = CommLedger(), random.Random(5)
+    with pytest.raises(ValueError, match=r"positions in \[0, 8\)"):
+        instance_search(range(8), answers, led, model, rng)
+    assert (led.amounts, len(led)) == ({}, 0)
+    assert rng.random() == random.Random(5).random()
 
 
 def test_instance_search_cost_within_factor_two():
     inner_cost = math.ceil(math.sqrt(4)) * 2 * index_qubits(16)
-    answers = [False, True, False, False, True, False, False, False]
+    answers = [1, 4]
     totals = []
     found = 0
     trials = 400
     for tr in range(trials):
         led = CommLedger()
         idx = instance_search(
-            answers, led, EXACT, random.Random(tr), inner_cost_qubits=inner_cost
+            range(8), answers, led, EXACT, random.Random(tr), inner_cost_qubits=inner_cost
         )
         if idx is not None:
-            assert answers[idx]
+            assert idx in answers
             found += 1
         totals.append(led.qubits)
     assert found / trials >= 2 / 3
@@ -776,14 +818,14 @@ def test_instance_search_cost_within_factor_two():
 
 def test_instance_search_templates_are_shared_and_immutable():
     # one template pair per (instance count, inner cost), shared by every search with those two
-    answers = [False, True, False, False, True, False, False, False]
-    templates = _instance_messages(len(answers), 12)
-    assert _instance_messages(len(answers), 12) is templates
+    answers = [1, 4]
+    templates = _instance_messages(8, 12)
+    assert _instance_messages(8, 12) is templates
     assert all(isinstance(part, tuple) for part in templates)
     charges = []
     for _ in range(2):
         led = CommLedger()
-        instance_search(answers, led, EXACT, random.Random(3), inner_cost_qubits=12)
+        instance_search(range(8), answers, led, EXACT, random.Random(3), inner_cost_qubits=12)
         charges.append((led.amounts, len(led)))
     assert charges[0] == charges[1]
 
