@@ -209,7 +209,7 @@ class BitMatrix:
         return cls.from_numpy(_bernoulli(rows, cols, density, rng))
 
     def weight(self) -> int:
-        return sum(r.bit_count() for r in self.data)
+        return sum(map(int.bit_count, self.data))
 
     def to_numpy(self) -> np.ndarray:
         nbytes = (self.cols + 7) // 8 if self.cols else 1

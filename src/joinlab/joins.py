@@ -123,19 +123,19 @@ def _search_and_collect(
     """The search-and-collect loop of the Boolean product protocol, in either mode.
 
     Only an active inner index k, where column k of A and row k of B both
-    hold ones, can collide, so the state is kept over the positions 0, 1, ...
-    of the active indices in ascending order: column k of A, and
-    ``uncovered[p]``, the collisions of that pair not yet in the output.
-    Position p is a live witness while its count is positive.  A collected
-    cell (i, j) lowers the counts at the set bits of ``a_rows[i] & b_cols[j]``,
-    row i of A and column j of B over the positions.  Each round finds and
-    pays for one live witness, adds all of its uncovered collisions to the
-    output, and takes them off the counts.  Both modes keep ``live``, the
-    live inner indices in ascending order.  Exact mode finds the witness
-    with the nested instance search over [n], whose marked positions are
-    ``live``, and collects with graph collision on the complement of the
-    output.  Cost-model mode draws a uniform entry of ``live`` and replays
-    the protocol as :func:`bmm_cost_model` describes.
+    hold ones, can collide.  The state lives in compact coordinates, each
+    numbered in ascending order, so no word in it is n bits wide: positions
+    p of the active indices, the nonzero rows r of A and the columns c of the
+    active rows of B.  ``a_cols[p]`` lists the rows of column k of A,
+    ``b_rows[p]`` is row k of B, ``a_rows[r]`` and ``b_cols[c]`` are the
+    positions a row and a column meet, and ``out[r]`` is the output so far.
+    A round pays for one live witness and adds its collisions not yet in the
+    output; a position those cells touch dies once every row of its A column
+    holds all of its B row.  Both modes keep ``live``, the live inner indices
+    in ascending order.  Exact mode finds the witness by instance search over
+    [n], marked at ``live``, and collects by graph collision on the m x m
+    complement of the output.  Cost-model mode draws a uniform entry of
+    ``live`` and replays the protocol as :func:`bmm_cost_model` describes.
     """
     A, B = instance.A, instance.B
     if model.epsilon:
@@ -145,21 +145,21 @@ def _search_and_collect(
         raise SimulationCapError(f"exact bmm caps dimensions at {BMM_EXACT_CAP}")
     if none_repeats is None:
         none_repeats = max(1, math.ceil(math.log(100.0 * (instance.ell + 2)) / math.log(3.0)))
-    a_nonzero = list(compress(enumerate(A.data), A.data))
-    active = [k for k in _iter_bits(reduce(or_, (row for _, row in a_nonzero), 0)) if B.data[k]]
+    rows = list(compress(range(m), A.data))
+    active = [k for k in _iter_bits(reduce(or_, (A.data[i] for i in rows), 0)) if B.data[k]]
     position = {k: p for p, k in enumerate(active)}
-    a_cols, a_rows, b_cols = [0] * len(active), {}, {}
-    for i, row in a_nonzero:
-        a_rows[i] = 0
-        for p in (position[k] for k in _iter_bits(row) if k in position):
-            a_cols[p] |= 1 << i
-            a_rows[i] |= 1 << p
+    a_rows, a_cols = [0] * len(rows), [[] for _ in active]
+    for r, i in enumerate(rows):
+        for p in (position[k] for k in _iter_bits(A.data[i]) if k in position):
+            a_rows[r] |= 1 << p
+            a_cols[p].append(r)
+    col_of = {j: c for c, j in enumerate(_iter_bits(reduce(or_, (B.data[k] for k in active), 0)))}
+    b_rows, b_cols = [0] * len(active), [0] * len(col_of)
     for p, k in enumerate(active):
-        for j in _iter_bits(B.data[k]):
-            b_cols[j] = b_cols.get(j, 0) | 1 << p
-    weights = [(col.bit_count(), B.data[k].bit_count()) for col, k in zip(a_cols, active)]
-    min_w = [min(w) for w in weights]
-    uncovered = [wa * wb for wa, wb in weights]
+        for c in map(col_of.__getitem__, _iter_bits(B.data[k])):
+            b_rows[p] |= 1 << c
+            b_cols[c] |= 1 << p
+    min_w = [min(len(col), row.bit_count()) for col, row in zip(a_cols, b_rows)]
     live = list(active)
     width = index_qubits(m)
     # Grover budget of the nested collision search, uniform over branches
@@ -170,9 +170,11 @@ def _search_and_collect(
         ledger.charge(A_TO_B, QUBITS, amount, phase)
         ledger.charge(B_TO_A, QUBITS, amount, phase)
 
-    # the graph of cells not yet collected; its missing edges are the output, by row and by column
-    uncollected = BipartiteGraph.complete(m, m)
-    out_rows = uncollected.missing_rows
+    if model.exact:
+        # graph collision works at full width: the cells not yet collected, and each A column over [m]
+        uncollected = BipartiteGraph.complete(m, m)
+        a_full = [sum(1 << rows[r] for r in col) for col in a_cols]
+    out = [0] * len(rows)
     ones = 0
     trace = BmmTrace()
     while True:
@@ -185,13 +187,16 @@ def _search_and_collect(
             if k is None:
                 break
             p = position[k]
-            f_a, f_b = BitVector(m, a_cols[p]), BitVector(m, B.data[k])
+            f_a, f_b = BitVector(m, a_full[p]), BitVector(m, B.data[k])
             for _ in range(100):
-                cells = graph_collision_all(uncollected, f_a, f_b, ledger, model, rng)
-                if cells:
+                found = graph_collision_all(uncollected, f_a, f_b, ledger, model, rng)
+                if found:
                     break
             else:
                 raise ProtocolError("collision collection stalled on a verified witness")
+            for i, j in found:
+                uncollected.remove_edge(i, j)
+            cells = [(bisect_left(rows, i), col_of[j]) for i, j in found]
         else:
             t_cur = len(live)
             if not t_cur:
@@ -199,24 +204,30 @@ def _search_and_collect(
                 break
             k = live[rng.randrange(t_cur)]
             p = position[k]
-            row = B.data[k]
-            cells = [(i, j) for i in _iter_bits(a_cols[p]) for j in _iter_bits(row & ~out_rows[i])]
+            cells = [(r, c) for r in a_cols[p] for c in _iter_bits(b_rows[p] & ~out[r])]
             inner = _inner_iterations(min_w[p], model.c_round)
             pay(math.ceil(model.c_shuttle * math.sqrt(n / t_cur)) * inner * width, "search")
             collect = max(1, math.ceil(model.c_round * math.sqrt(len(cells) * min_w[p])))
             pay(collect * width, "collect")
-        # every collected cell is new to the output
-        for i, j in cells:
-            uncollected.remove_edge(i, j)
-            for q in _iter_bits(a_rows[i] & b_cols[j]):
-                uncovered[q] -= 1
-                if not uncovered[q]:
-                    del live[bisect_left(live, active[q])]
+        # every collected cell is new to the output, so only live positions are touched
+        touched = 0
+        for r, c in cells:
+            out[r] |= 1 << c
+            touched |= a_rows[r] & b_cols[c]
+        for q in _iter_bits(touched):
+            for r in a_cols[q]:
+                if b_rows[q] & ~out[r]:
+                    break
+            else:
+                del live[bisect_left(live, active[q])]
         ones += len(cells)
         if ones > instance.ell:
             raise PromiseViolationError(f"found {ones} ones, promise allows {instance.ell}")
         trace.rounds.append(BmmRound(k, len(cells), min_w[p]))
-    trace.product = BitMatrix(m, m, out_rows)
+    product, col_bits = [0] * m, [1 << j for j in col_of]
+    for i, word in zip(rows, out):
+        product[i] = _fold(or_, col_bits, word)
+    trace.product = BitMatrix(m, m, product)
     return trace
 
 

@@ -451,6 +451,24 @@ def test_console_entry_point():
     assert "or-blocks: 3/3" in proc.stdout
 
 
+def test_package_runs_as_a_module(tmp_path):
+    # python -m joinlab works from a source checkout, and runs the same main as the console script
+    path = [str(Path(joinlab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    argv = ["run-bmm", "--n", "8", "--ell", "4", "--trials", "1"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "joinlab", *argv, "--out", str(tmp_path / "module")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""  # run-bmm writes its results only under --out
+    assert main([*argv, "--out", str(tmp_path / "main")]) == 0
+    for suffix in (".csv", ".summary.json"):
+        assert (tmp_path / f"module{suffix}").read_bytes() == (tmp_path / f"main{suffix}").read_bytes()
+
+
 def test_readme_flag_table_matches_the_parser():
     # README's "Each subcommand accepts only the flags it reads" table, row by row
     readme = (Path(__file__).parents[1] / "README.md").read_text()

@@ -333,6 +333,28 @@ def test_bmm_active_index_setup_matches_full_transpose_reference(case, model, se
         assert want[0][1] == inst.oracle_product or model.exact
 
 
+# words the 12 x 12 cases above never make: n-bit rows and columns, position masks of
+# several 30-bit limbs, and a round that touches enough positions to go through _scan_bits
+WIDE_BMM_CASES = {
+    "hard-2048-cost": (lambda: gen_hard_instance(2048, 256, 3), CostModel.cost_model()),
+    "hard-2048-cost-1.5-2": (lambda: gen_hard_instance(2048, 256, 4), CostModel.cost_model(1.5, 2.0)),
+    "hard-8192-cost": (lambda: gen_hard_instance(8192, 256, 5), CostModel.cost_model()),
+    "hard-8192-cost-1.5-2": (lambda: gen_hard_instance(8192, 256, 6), CostModel.cost_model(1.5, 2.0)),
+    "planted-4096-cost": (lambda: gen_promise_instance(4096, 4096, 64, 4096), CostModel.cost_model()),
+    "hard-1024-exact": (lambda: gen_hard_instance(1024, 256, 7), EXACT),
+}
+
+
+@pytest.mark.parametrize("case", WIDE_BMM_CASES)
+def test_bmm_wide_words_match_per_cell_count_reference(case):
+    build, model = WIDE_BMM_CASES[case]
+    inst = build()
+    want = _bmm_outcome(_reference_search_and_collect, inst, model, 11)
+    assert _bmm_outcome(lambda *a: bmm_with_trace(*a)[1], inst, model, 11) == want
+    assert _bmm_outcome(bmm_cost_model, inst, model, 11) == want
+    assert want[0][1] == inst.oracle_product
+
+
 def test_bmm_cost_model_never_transposes(monkeypatch):
     inst = gen_hard_instance(1 << 14, 256, seed=11)
 
