@@ -437,6 +437,8 @@ _GRIDS = {
 def _cmd_grid(args) -> int:
     """One runner call per (n, ell) cell; run-disj and run-gc have no ell, run-mmf2 no mode."""
     model = _mode_of(args) if "mode" in args else None
+    if not args.out and args.min_success is None:
+        raise ValueError(f"{args.command} would keep nothing of its trials: give --out, --min-success or both")
     run, ells = _GRIDS[args.command], getattr(args, "ell", [None])
     summary = _emit(args, [row for n in args.n for ell in ells for row in run(args, model, n, ell)])
     if args.min_success is None:

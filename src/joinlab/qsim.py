@@ -342,10 +342,6 @@ class BipartiteGraph:
     def random(cls, n_left: int, n_right: int, density: float, rng: random.Random) -> "BipartiteGraph":
         return cls(BitMatrix.random(n_left, n_right, density, rng))
 
-    def copy(self) -> "BipartiteGraph":
-        rows, cols = list(self.missing_rows), list(self.missing_cols)
-        return BipartiteGraph.__new__(BipartiteGraph)._hold(self.n_left, self.n_right, rows, cols)
-
     def has_edge(self, i: int, j: int) -> bool:
         if not (0 <= i < self.n_left and 0 <= j < self.n_right):
             raise IndexError((i, j))
@@ -384,19 +380,19 @@ class _Collision:
     change only the witness's cover bit, so :meth:`remove` rebuilds only then.
     """
 
-    __slots__ = ("graph", "model", "own_is_left", "own", "other", "cover", "missing", "report", "sizes",
+    __slots__ = ("graph", "model", "own_is_left", "own", "other", "cover", "missing", "reporter", "sizes",
                  "search")
 
     def __init__(self, graph: BipartiteGraph, f_a: BitVector, f_b: BitVector, model: CostModel):
         if f_a.n != graph.n_left or f_b.n != graph.n_right:
             raise DimensionError("vector lengths do not match the graph sides")
         self.graph, self.model, self.own_is_left = graph, model, f_a.weight() <= f_b.weight()
-        # missing[witness] holds the witness's non-neighbors; report is the side that names the partner
+        # missing[witness] holds the witness's non-neighbors; reporter is the side that names the partner
         if self.own_is_left:
             parts = f_a, f_b, graph.left_cover, graph.missing_rows, B_TO_A
         else:
             parts = f_b, f_a, graph.right_cover, graph.missing_cols, A_TO_B
-        self.own, self.other, self.cover, self.missing, self.report = parts
+        self.own, self.other, self.cover, self.missing, self.reporter = parts
         # disj shakes hands over the kept side's domain; with a side empty, before anyone can
         # conclude emptiness, each side announces its weight over its own
         self.sizes, self.search = (f_a.n, f_b.n), None
@@ -417,7 +413,7 @@ class _Collision:
             return None
         partner_pool = list(_iter_bits(self.other.bits & ~self.missing[witness]))
         partner = partner_pool[rng.randrange(len(partner_pool))]
-        ledger.charge(self.report, BITS, outcome_bits(self.other.n), "edge-report")
+        ledger.charge(self.reporter, BITS, outcome_bits(self.other.n), "edge-report")
         return (witness, partner) if self.own_is_left else (partner, witness)
 
     def remove(self, i: int, j: int):
@@ -455,12 +451,13 @@ def graph_collision_all(
 ) -> frozenset[tuple[int, int]]:
     """Collect every colliding edge by excluding found edges and repeating.
 
-    Works on a copy of the graph.  Each attempt charges and draws what one
-    :func:`graph_collision` call does, but the disjointness question is
-    built once per graph state, not per attempt.  Vector lengths that do
-    not match the graph raise ``DimensionError`` before any charge or draw.
+    Removes every edge it finds from ``graph``.  Each attempt charges and
+    draws what one :func:`graph_collision` call does, but the disjointness
+    question is built once per graph state, not per attempt.  Vector lengths
+    that do not match the graph raise ``DimensionError`` before any charge,
+    draw or removal.
     """
-    state = _Collision(graph.copy(), f_a, f_b, model)
+    state = _Collision(graph, f_a, f_b, model)
     # repetitions of a 2/3-correct call so a false "empty" survives a union bound over all edges
     bound = f_a.weight() * f_b.weight()
     reps = max(1, math.ceil(math.log(3.0 * (bound + 1)) / math.log(3.0)))

@@ -284,6 +284,26 @@ def test_usage_error_exit_code():
 
 
 @pytest.mark.parametrize(
+    "argv, runner",
+    [
+        (["run-bmm", "--n", "8", "--ell", "4", "--mode", "cost-model"], "run_bmm_trials"),
+        (["run-mmf2", "--n", "8", "--ell", "4"], "run_mmf2_trials"),
+        (["run-disj", "--n", "8"], "run_disj_trials"),
+        (["run-gc", "--n", "8", "--timing"], "run_gc_trials"),
+    ],
+)
+def test_run_that_keeps_nothing_rejected_before_any_trial(argv, runner, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli, runner, refuse)
+    assert main(argv + ["--trials", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {argv[0]} would keep nothing of its trials: give --out, --min-success or both\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         # flags a subcommand does not read are not registered
