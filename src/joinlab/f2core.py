@@ -289,6 +289,8 @@ class JoinInstance:
             raise ValueError(f"unknown instance kind {self.kind!r}")
         if self.A.cols != self.B.rows or self.B.cols != self.A.rows:
             raise DimensionError("expected A of shape m x n against B of shape n x m")
+        if self.ell < 1:
+            raise InstanceError(f"ell must be at least 1, got {self.ell}")
 
     @classmethod
     def build(cls, A: BitMatrix, B: BitMatrix, ell: int, seed: int = 0, kind: str = "bool") -> "JoinInstance":

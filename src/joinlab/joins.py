@@ -29,7 +29,7 @@ from joinlab.f2core import (
     _bernoulli,
     _fold,
     _iter_bits,
-    bool_product,  # unused here; perfbench's tracing test checks these two bindings
+    bool_product,  # unused here; perfbench's tracing test checks this binding
     f2_product,
 )
 from joinlab.ledger import (
@@ -585,10 +585,14 @@ def mm_f2(
 
     Step 1 classifies columns (classical probing).  Step 2 ships the dense
     columns of B so their product columns are computed exactly.  Step 3
-    streams r3 batches of per-column sketches of A; the sparse product
-    columns are decoded from sketch linearity.  The sketch batches are
-    charged for all repetitions (a one-way stream), which keeps the cost of
-    a run a deterministic function of (n, ell).
+    streams r3 batches of sketches of A's columns, and Bob decodes each
+    sparse column of the product from his measurement: by linearity, the
+    sketches folded through column j of B are the sketch of column j of
+    AB, so the simulation encodes that column directly.  A zero column has
+    the zero measurement, which decodes to zero at once, so only the
+    nonzero sparse columns are encoded and decoded.  Every batch is charged
+    (a one-way stream), so the bits are the (n, ell)-determined sketch and
+    probe charges plus n for each dense column.
     """
     A, B = instance.A, instance.B
     if instance.kind != "f2":
@@ -606,28 +610,20 @@ def mm_f2(
     _require_positive(r1=r1, r_freivalds=r_freivalds, r3=r3)
 
     dense = classify_columns(instance, ledger, rng, r1, r_freivalds)
+    # the product's columns; under the promise the transpose scatters at most ell ones
+    columns = f2_product(A, B).transpose().data
 
-    a_t = A.transpose()
-    b_t = B.transpose()
-
-    out_cols: dict[int, int] = {}
+    out_cols = {j: columns[j] for j in dense}
     if dense:
         ledger.charge(B_TO_A, BITS, len(dense) * n, "dense-transfer")
-        for j in sorted(dense):
-            out_cols[j] = _fold(xor, a_t.data, b_t.data[j])
 
-    sparse = [j for j in range(n) if j not in dense]
     kappa = math.ceil(1.1 * math.sqrt(instance.ell))
-    unresolved = set(sparse)
-    for rep in range(r3):
+    unresolved = {j for j in range(n) if columns[j] and j not in dense}
+    for _ in range(r3):
         sketch = SensingSketch(n, kappa, seed=rng.getrandbits(32))
         ledger.charge(A_TO_B, BITS, sketch.measurement_len * n, "sketch-transfer")
-        if not unresolved:
-            continue
-        col_sketches = [sketch.encode(BitVector(n, a_t.data[i])).bits for i in range(n)]
         for j in sorted(unresolved):
-            meas = _fold(xor, col_sketches, b_t.data[j])
-            decoded = sketch.decode(BitVector(sketch.measurement_len, meas))
+            decoded = sketch.decode(sketch.encode(BitVector(n, columns[j])))
             if decoded is not None:
                 out_cols[j] = decoded.bits
                 unresolved.discard(j)

@@ -4,6 +4,7 @@ import gc
 import math
 import random
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from joinlab.f2core import (
     BitMatrix,
     BitVector,
+    InstanceError,
     JoinInstance,
     _iter_bits,
     bool_product,
@@ -972,3 +974,117 @@ def test_probe_answers_match_freivalds_round(case):
         assert len(answers) == len(probes) == max(1, r_freivalds)
         for v, answer in zip(BitMatrix.from_numpy(probes).data, answers):
             assert answer == freivalds_round(sub, B, BitVector(len(chosen), v), CommLedger()).bits
+
+
+def _xor_selected(rows, word: int) -> int:
+    """XOR of rows[k] over the set bits k of word, by a plain loop."""
+    acc = 0
+    for k, row in enumerate(rows):
+        if word >> k & 1:
+            acc ^= row
+    return acc
+
+
+def _reference_mm_f2(instance, ledger, rng, r1, r_freivalds, r3):
+    """mm_f2 with step 3 as it was: both operands transposed, a sketch of every column of A,
+    and each sparse column's measurement folded from those sketches through the column of B."""
+    for name, value in (("r1", r1), ("r_freivalds", r_freivalds), ("r3", r3)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+    n = instance.A.rows
+    dense = classify_columns(instance, ledger, rng, r1, r_freivalds)
+    a_t, b_t = instance.A.transpose(), instance.B.transpose()
+    out_cols = {}
+    if dense:
+        ledger.charge(B_TO_A, BITS, len(dense) * n, "dense-transfer")
+        for j in sorted(dense):
+            out_cols[j] = _xor_selected(a_t.data, b_t.data[j])
+    kappa = math.ceil(1.1 * math.sqrt(instance.ell))
+    unresolved = {j for j in range(n) if j not in dense}
+    for _ in range(r3):
+        sketch = SensingSketch(n, kappa, seed=rng.getrandbits(32))
+        ledger.charge(A_TO_B, BITS, sketch.measurement_len * n, "sketch-transfer")
+        if not unresolved:
+            continue
+        col_sketches = [sketch.encode(BitVector(n, a_t.data[i])).bits for i in range(n)]
+        for j in sorted(unresolved):
+            meas = _xor_selected(col_sketches, b_t.data[j])
+            decoded = sketch.decode(BitVector(sketch.measurement_len, meas))
+            if decoded is not None:
+                out_cols[j] = decoded.bits
+                unresolved.discard(j)
+    if unresolved:
+        raise DecodeBudgetError(f"{len(unresolved)} columns undecoded after {r3} sketch rounds")
+    result = BitMatrix(n, n, [out_cols.get(j, 0) for j in range(n)]).transpose()
+    if result.weight() > instance.ell:
+        raise PromiseViolationError(f"recovered {result.weight()} ones, promise allows {instance.ell}")
+    return result
+
+
+def _column_three_on_even_rows():
+    b = BitMatrix(64, 64, [1 << 3 if i % 2 == 0 else 0 for i in range(64)])
+    return JoinInstance.build(BitMatrix.identity(64), b, 1, kind="f2")
+
+
+@settings(max_examples=120, deadline=None)
+@given(classify_cases(), st.integers(0, 4))
+@example((JoinInstance.build(BitMatrix.identity(1), BitMatrix.identity(1), 1, kind="f2"), 2, 1, 5), 1)
+@example((JoinInstance.build(BitMatrix(8, 8, [0] * 8), BitMatrix.identity(8), 4, kind="f2"), 3, 2, 1), 2)
+@example((JoinInstance.build(BitMatrix.identity(8), BitMatrix(8, 8, [0] * 8), 4, kind="f2"), 3, 2, 1), 2)
+@example((gen_promise_instance(64, 64, 16, 5, "f2"), 18, 13, 5), 13)
+@example((_column_three_on_even_rows(), 1, 1, 2), 1)  # DecodeBudgetError
+@example((_column_three_on_even_rows(), 1, 1, 0), 1)  # PromiseViolationError
+def test_mm_f2_sketches_only_nonzero_sparse_columns_like_the_full_sketch_reference(case, r3):
+    inst, r1, r_freivalds, seed = case
+    encoded = []
+    real_encode = SensingSketch.encode
+
+    def spy(self, x):
+        encoded.append(x.bits)
+        return real_encode(self, x)
+
+    runs = []
+    for run, spied in ((mm_f2, True), (_reference_mm_f2, False)):
+        rng, led = random.Random(seed), CommLedger()
+        with mock.patch.object(SensingSketch, "encode", spy if spied else real_encode):
+            try:
+                got = run(inst, led, rng, r1, r_freivalds, r3)
+            except (ValueError, ProtocolError) as exc:
+                got = type(exc), exc.args
+        runs.append((got, led.amounts, len(led), rng.getrandbits(32)))
+    assert runs[0] == runs[1]
+    if min(r1, r_freivalds, r3) < 1:
+        assert not encoded
+        return
+    columns = inst.oracle_product.transpose().data
+    dense = classify_columns(inst, CommLedger(), random.Random(seed), r1, r_freivalds)
+    sparse = [columns[j] for j in range(inst.A.rows) if columns[j] and j not in dense]
+    # the first batch encodes each nonzero sparse column once, in column order; later ones a subset
+    assert encoded[: len(sparse)] == sparse
+    assert 0 not in encoded and set(encoded) <= set(sparse)
+
+
+def test_mm_f2_transposes_neither_operand(monkeypatch):
+    inst = gen_promise_instance(64, 64, 16, 5, "f2")
+    transposed = []
+    real_transpose = BitMatrix.transpose
+
+    def spy(self):
+        transposed.append(self)
+        return real_transpose(self)
+
+    monkeypatch.setattr(BitMatrix, "transpose", spy)
+    assert mm_f2(inst, CommLedger(), random.Random(5)) == inst.oracle_product
+    assert not any(m is inst.A or m is inst.B for m in transposed)
+    # one transpose reads the product's columns, one turns the recovered columns into rows
+    assert len(transposed) == 2
+
+
+@pytest.mark.parametrize("kind", ["bool", "f2"])
+@pytest.mark.parametrize("ell", [0, -1, -16])
+def test_instances_with_ell_below_one_are_rejected(kind, ell):
+    zero = BitMatrix(8, 8, [0] * 8)
+    with pytest.raises(InstanceError, match=f"^ell must be at least 1, got {ell}$"):
+        JoinInstance.build(zero, zero, ell, kind=kind)
+    with pytest.raises(InstanceError, match="ell"):
+        JoinInstance(zero, zero, ell, 0, kind, f2_product(zero, zero))
