@@ -29,14 +29,6 @@ from joinlab.f2core import BitMatrix, BitVector, gen_promise_instance
 from joinlab.ledger import CommLedger
 from joinlab.qsim import CostModel
 
-__all__ = [
-    "main",
-    "fit_exponent",
-    "FitResult",
-    "derive_seed",
-    "parse_grid",
-]
-
 CSV_FIELDS = (
     "n",
     "m",

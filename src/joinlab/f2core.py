@@ -15,17 +15,6 @@ from operator import or_, xor
 
 import numpy as np
 
-__all__ = [
-    "BitVector",
-    "BitMatrix",
-    "JoinInstance",
-    "DimensionError",
-    "InstanceError",
-    "bool_product",
-    "f2_product",
-    "gen_promise_instance",
-]
-
 
 class DimensionError(ValueError):
     """Operand shapes do not conform."""
@@ -132,9 +121,6 @@ class BitVector:
     def is_zero(self) -> bool:
         return self.bits == 0
 
-    def __len__(self) -> int:
-        return self.n
-
     def __getitem__(self, i: int) -> int:
         if not 0 <= i < self.n:
             raise IndexError(i)
@@ -147,10 +133,6 @@ class BitVector:
     def __and__(self, other: "BitVector") -> "BitVector":
         self._check_len(other)
         return BitVector(self.n, self.bits & other.bits)
-
-    def __or__(self, other: "BitVector") -> "BitVector":
-        self._check_len(other)
-        return BitVector(self.n, self.bits | other.bits)
 
     def __xor__(self, other: "BitVector") -> "BitVector":
         self._check_len(other)

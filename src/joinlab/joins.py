@@ -49,21 +49,6 @@ from joinlab.qsim import (
     instance_search,
 )
 
-__all__ = [
-    "PromiseViolationError",
-    "DecodeBudgetError",
-    "BmmRound",
-    "BmmTrace",
-    "bmm_with_trace",
-    "bmm_cost_model",
-    "gen_hard_instance",
-    "freivalds_round",
-    "SensingSketch",
-    "classify_columns",
-    "mm_f2",
-    "BMM_EXACT_CAP",
-]
-
 # run time bounds exact bmm: one planted trial at n = ell = 2**12 (seed 5)
 # takes 0.19-0.33 s of CPU time on a 2-core VM
 BMM_EXACT_CAP = 1 << 12
@@ -289,9 +274,7 @@ def gen_hard_instance(n: int, ell: int, seed: int) -> JoinInstance:
         raise InstanceError("need 4 <= ell <= n^2 for the hard family")
     # 4 <= ell <= n^2 gives 1 <= w <= n/2 and 1 <= p <= sqrt(n), so the core plus a pool fit in [n]
     w = math.isqrt(ell) // 2
-    p = w
-    while p * p > n:
-        p -= 1
+    p = min(w, math.isqrt(n))
     rng = random.Random(seed)
     row_ids = rng.sample(range(n), w - 1 + p)
     col_ids = rng.sample(range(n), w - 1 + p)

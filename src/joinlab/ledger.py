@@ -21,17 +21,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-__all__ = [
-    "A_TO_B",
-    "B_TO_A",
-    "BITS",
-    "QUBITS",
-    "CommLedger",
-    "index_qubits",
-    "integer_bits",
-    "outcome_bits",
-]
-
 A_TO_B = "A->B"
 B_TO_A = "B->A"
 DIRECTIONS = (A_TO_B, B_TO_A)

@@ -30,21 +30,6 @@ from joinlab.ledger import (
     outcome_bits,
 )
 
-__all__ = [
-    "EXACT",
-    "COST_MODEL",
-    "CostModel",
-    "GroverPlan",
-    "BipartiteGraph",
-    "SimulationCapError",
-    "ProtocolError",
-    "grover_search",
-    "disj",
-    "graph_collision",
-    "graph_collision_all",
-    "instance_search",
-]
-
 EXACT = "exact"
 COST_MODEL = "cost-model"
 

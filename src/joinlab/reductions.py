@@ -20,14 +20,6 @@ from joinlab.f2core import (
     f2_product,
 )
 
-__all__ = [
-    "Embedding",
-    "embed_disj_family",
-    "embed_inner_product",
-    "embed_or_blocks",
-    "embed_ip_f2",
-]
-
 
 @dataclass(frozen=True)
 class Embedding:
@@ -106,9 +98,7 @@ def embed_inner_product(a: BitVector, b: BitVector, n: int) -> Embedding:
     a_data = [0] * n
     for pos in a.indices():
         a_data[pos // n] |= 1 << (pos % n)
-    instance = JoinInstance.build(
-        BitMatrix(n, n, a_data), BitMatrix.identity(n), ell=max(1, ell), kind="bool"
-    )
+    instance = JoinInstance.build(BitMatrix(n, n, a_data), BitMatrix.identity(n), ell=ell, kind="bool")
     return Embedding("inner-product", instance, {"a": a, "b": b})
 
 
@@ -136,6 +126,8 @@ def embed_or_blocks(block_pairs, n: int) -> Embedding:
     for left, right in block_pairs:
         if left.rows != s or left.cols != s or right.rows != s or right.cols != s:
             raise ValueError("all blocks must be square of equal size")
+    if s < 1:
+        raise ValueError(f"blocks must have side at least 1, got {s}")
     k = len(block_pairs)
     if k * s > n:
         raise ValueError(f"{k} blocks of side {s} overflow n={n}")

@@ -1,4 +1,10 @@
-"""Public surface: every exported name exists, so star imports keep working."""
+"""Public surface: a name without a leading underscore is public, and nothing else declares it.
+
+No module keeps an ``__all__`` and the package re-exports nothing, so
+names are imported from their modules.  Every public module-level name and
+every public method has a caller outside tests, or an entry below that
+names the check it is kept for.
+"""
 
 import ast
 import importlib
@@ -17,17 +23,21 @@ CODE = sorted((ROOT / "src" / "joinlab").glob("*.py")) + sorted((ROOT / "perfben
 
 @pytest.mark.parametrize("name", MODULES)
 def test_all_names_are_attributes(name):
+    """No module narrows its public names with ``__all__``, and the package holds only its submodules.
+
+    A star import then binds every global without a leading underscore.
+    """
     module = importlib.import_module(name)
-    missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
-    assert not missing, f"{name}.__all__ names missing attributes: {missing}"
-    assert len(set(module.__all__)) == len(module.__all__)
-    namespace: dict = {}
-    exec(f"from {name} import *", namespace)
-    assert set(module.__all__) <= namespace.keys()
-
-
-def test_run_bmm_entry_point_is_exported():
-    assert joinlab.bmm_with_trace is joinlab.joins.bmm_with_trace
+    assert "__all__" not in vars(module)
+    if module is joinlab:
+        # importing joinlab.<m> binds <m> on the package; anything else there is a re-export
+        extra = {
+            attr
+            for attr, value in vars(joinlab).items()
+            if not (attr.startswith("__") and attr.endswith("__"))
+            and getattr(value, "__name__", None) != f"joinlab.{attr}"
+        }
+        assert not extra, f"the package holds more than its submodules and dunders: {sorted(extra)}"
 
 
 # public methods that only tests reach, each kept for the test that needs it
@@ -98,12 +108,12 @@ TEST_ONLY_FUNCTIONS = {
 }
 
 
-def test_public_functions_have_callers_outside_tests():
-    """A public module-level function of ``joinlab`` is named in code of src/ or perfbench/, tests aside.
+def _uncalled_top_level(kinds) -> set[str]:
+    """Public top-level names of src/joinlab defined by a statement of ``kinds`` that code never reads.
 
     A name counts where it is read as a name or an attribute in a top-level
-    statement other than its own definition, so recursion and imports do
-    not count, and neither do strings such as ``__all__`` entries or the
+    statement of src/ or perfbench/ other than its own definition, so
+    recursion and imports do not count, and neither do strings such as the
     span names perfbench's tracer wraps by.  Matching is by name, as for
     the public methods above.
     """
@@ -117,13 +127,30 @@ def test_public_functions_have_callers_outside_tests():
                 elif isinstance(node, ast.Attribute):
                     names.add(node.attr)
             statements.append((stmt, names))
-            if path.parent.name == "joinlab" and isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
-                defined.append((f"{path.stem}.{stmt.name}", stmt))
-    uncalled = {
+            if path.parent.name != "joinlab" or not isinstance(stmt, kinds):
+                continue
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                targets = [stmt.name]
+            else:
+                assigned = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                targets = [target.id for target in assigned if isinstance(target, ast.Name)]
+            defined += [(f"{path.stem}.{name}", name, stmt) for name in targets if not name.startswith("_")]
+    return {
         qualified
-        for qualified, fn in defined
-        if not any(other is not fn and fn.name in names for other, names in statements)
+        for qualified, name, stmt in defined
+        if not any(other is not stmt and name in names for other, names in statements)
     }
+
+
+def test_public_functions_have_callers_outside_tests():
+    """A public module-level function of ``joinlab`` is named in code of src/ or perfbench/, tests aside."""
+    uncalled = _uncalled_top_level(ast.FunctionDef)
     assert not uncalled - TEST_ONLY_FUNCTIONS.keys(), f"public functions only tests call: {sorted(uncalled)}"
     # an allowed name that gains a caller leaves the list
     assert uncalled == TEST_ONLY_FUNCTIONS.keys()
+
+
+def test_public_classes_and_constants_have_callers_outside_tests():
+    """A public module-level class or constant of ``joinlab`` is named in code of src/ or perfbench/, tests aside."""
+    uncalled = _uncalled_top_level((ast.ClassDef, ast.Assign, ast.AnnAssign))
+    assert not uncalled, f"public classes and constants only tests read: {sorted(uncalled)}"

@@ -277,6 +277,24 @@ def test_size_below_one_rejected(argv, flag, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag, text",
+    [
+        (["run-bmm", "--n", "512..64", "--ell", "4"], "--n", "512..64"),
+        (["run-mmf2", "--n", "64", "--ell", "16..4"], "--ell", "16..4"),
+    ],
+)
+def test_descending_range_rejected(argv, flag, text, capsys):
+    assert main(argv + ["--min-success", "0"]) == 2
+    assert capsys.readouterr().err.endswith(f"error: argument {flag}: bad range '{text}'\n")
+
+
+def test_scaling_points_rejects_an_unknown_protocol():
+    with pytest.raises(ValueError) as raised:
+        scaling_points("mm-cost", [64], [16], 1, 0, CostModel.cost_model(), False)
+    assert str(raised.value) == "unknown scaling protocol 'mm-cost'"
+
+
 def test_usage_error_exit_code():
     assert main(["run-bmm", "--ell", "8"]) == 2  # missing --n
     assert main(["scaling", "--protocol", "nope", "--n", "8"]) == 2

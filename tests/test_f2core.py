@@ -480,3 +480,36 @@ def test_promise_instance_gives_up_where_per_bit_loop_does(monkeypatch):
         assert _planted(16, 16, 64, seed, "f2") == expected
         outcomes.append(expected is None)
     assert any(outcomes) and not all(outcomes)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: BitVector(-1), ValueError, "length must be nonnegative", id="vector-length"),
+        pytest.param(lambda: BitMatrix(-1, 2, []), ValueError, "shape must be nonnegative", id="matrix-shape"),
+        pytest.param(lambda: BitMatrix(2, 2, [0]), ValueError, "row count does not match data", id="matrix-rows"),
+        pytest.param(
+            lambda: BitMatrix(2, 2, [0, 4]), ValueError, "row bits fall outside the declared width", id="matrix-width"
+        ),
+        pytest.param(lambda: BitMatrix.from_numpy(np.zeros(3)), ValueError, "expected a 2-d array", id="from-numpy-1d"),
+        pytest.param(lambda: BitVector(2) & BitVector(3), DimensionError, "length mismatch: 2 vs 3", id="and-lengths"),
+        pytest.param(lambda: BitVector(2)[2], IndexError, "2", id="getitem-past-end"),
+        pytest.param(lambda: BitVector(2)[-1], IndexError, "-1", id="getitem-negative"),
+        pytest.param(
+            lambda: JoinInstance(BitMatrix(2, 3, [0, 0]), BitMatrix(2, 2, [0, 0]), 1, 0),
+            DimensionError,
+            "expected A of shape m x n against B of shape n x m",
+            id="instance-inner",
+        ),
+        pytest.param(
+            lambda: JoinInstance(BitMatrix(2, 3, [0, 0]), BitMatrix(3, 3, [0, 0, 0]), 1, 0),
+            DimensionError,
+            "expected A of shape m x n against B of shape n x m",
+            id="instance-outer",
+        ),
+    ],
+)
+def test_input_checks_reject_with_their_message(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert raised.type is error and str(raised.value) == message

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from joinlab.f2core import (
     BitMatrix,
     BitVector,
+    DimensionError,
     InstanceError,
     JoinInstance,
     _iter_bits,
@@ -1088,3 +1089,63 @@ def test_instances_with_ell_below_one_are_rejected(kind, ell):
         JoinInstance.build(zero, zero, ell, kind=kind)
     with pytest.raises(InstanceError, match="ell"):
         JoinInstance(zero, zero, ell, 0, kind, f2_product(zero, zero))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda: bmm_with_trace(
+                gen_promise_instance(8, 8, 4, seed=1),
+                CostModel.cost_model(epsilon=0.05),
+                CommLedger(),
+                random.Random(0),
+            ),
+            ValueError,
+            "the bmm protocol does not model injected error; use epsilon = 0",
+            id="bmm-epsilon",
+        ),
+        pytest.param(lambda: gen_hard_instance(0, 4, 1), InstanceError, "dimension must be positive", id="hard-n"),
+        pytest.param(
+            lambda: gen_hard_instance(8, 3, 1), InstanceError, "need 4 <= ell <= n^2 for the hard family", id="hard-ell"
+        ),
+        pytest.param(
+            lambda: freivalds_round(BitMatrix(2, 3, [0, 0]), BitMatrix(2, 2, [0, 0]), BitVector(2), CommLedger()),
+            DimensionError,
+            "inner dimensions disagree",
+            id="freivalds-inner",
+        ),
+        pytest.param(
+            lambda: freivalds_round(BitMatrix(2, 2, [0, 0]), BitMatrix(2, 2, [0, 0]), BitVector(3), CommLedger()),
+            DimensionError,
+            "probe vector must match the row count of A",
+            id="freivalds-probe",
+        ),
+        pytest.param(
+            lambda: SensingSketch(8, 2, seed=1).encode(BitVector(7)),
+            DimensionError,
+            "expected length 8, got 7",
+            id="sketch-encode",
+        ),
+        pytest.param(
+            lambda: SensingSketch(8, 2, seed=1).decode(BitVector(7)),
+            DimensionError,
+            "measurement length mismatch",
+            id="sketch-decode",
+        ),
+        pytest.param(
+            lambda: mm_f2(
+                JoinInstance.build(BitMatrix(2, 3, [0, 0]), BitMatrix(3, 2, [0, 0, 0]), 1, kind="f2"),
+                CommLedger(),
+                random.Random(0),
+            ),
+            DimensionError,
+            "mm_f2 handles square n x n operands",
+            id="mm-f2-square",
+        ),
+    ],
+)
+def test_input_checks_reject_with_their_message(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert raised.type is error and str(raised.value) == message

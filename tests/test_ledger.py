@@ -329,3 +329,16 @@ def test_protocol_ledgers_count_and_report_their_entries(name, seed):
     _run_protocol(name, led, random.Random(seed))
     assert len(led) > 0
     led.log.assert_matches(led)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: index_qubits(0), "domain must be nonempty", id="index-qubits"),
+        pytest.param(lambda: integer_bits(-1), "range bound must be nonnegative", id="integer-bits"),
+    ],
+)
+def test_input_checks_reject_with_their_message(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert raised.type is ValueError and str(raised.value) == message

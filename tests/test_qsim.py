@@ -854,3 +854,48 @@ def test_plan_validation():
     plan = GroverPlan.default(64)
     assert plan.caps[-1] == math.ceil(math.pi / 4 * 8)
     assert all(c >= 1 for c in plan.caps)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda: GroverPlan((1, -1), randomize=False), ValueError, "caps must be nonnegative", id="plan-caps"
+        ),
+        pytest.param(
+            lambda: grover_search(4, [0, 4], lambda i: False, None, CommLedger(), EXACT, random.Random(0)),
+            ValueError,
+            "support outside domain",
+            id="support-above",
+        ),
+        pytest.param(
+            lambda: grover_search(4, [-1, 0], lambda i: False, None, CommLedger(), EXACT, random.Random(0)),
+            ValueError,
+            "support outside domain",
+            id="support-below",
+        ),
+        pytest.param(lambda: BipartiteGraph.complete(3, 3).has_edge(3, 0), IndexError, "(3, 0)", id="has-edge"),
+        pytest.param(
+            lambda: BipartiteGraph.complete(3, 4).left_cover(BitVector(3)),
+            DimensionError,
+            "right-side vector length mismatch",
+            id="left-cover",
+        ),
+        pytest.param(
+            lambda: BipartiteGraph.complete(3, 4).right_cover(BitVector(4)),
+            DimensionError,
+            "left-side vector length mismatch",
+            id="right-cover",
+        ),
+        pytest.param(
+            lambda: instance_search(range(4), [], CommLedger(), EXACT, random.Random(0), inner_cost_qubits=-1),
+            ValueError,
+            "inner cost must be nonnegative",
+            id="inner-cost",
+        ),
+    ],
+)
+def test_input_checks_reject_with_their_message(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert raised.type is error and str(raised.value) == message

@@ -304,3 +304,67 @@ def test_or_blocks_rejects_stray_ones_right_of_the_window():
     assert bool_product(emb.instance.A, emb.instance.B).data[0] == 0b101
     assert emb.instance.oracle_product.weight() <= emb.instance.ell
     assert not emb.validate()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: embed_disj_family([], [], 4), "need matching nonempty input families", id="diagonal-empty"
+        ),
+        pytest.param(
+            lambda: embed_ip_f2([BitVector(4)], [], 4), "need matching nonempty input families", id="diagonal-unmatched"
+        ),
+        pytest.param(
+            lambda: embed_disj_family([BitVector(4)] * 5, [BitVector(4)] * 5, 4),
+            "family size 5 exceeds n=4",
+            id="diagonal-oversized",
+        ),
+        pytest.param(
+            lambda: embed_ip_f2([BitVector(3)], [BitVector(4)], 4),
+            "all vectors must have length n",
+            id="diagonal-length",
+        ),
+        pytest.param(
+            lambda: embed_inner_product(BitVector(3), BitVector(4), 4),
+            "both inputs must have the same length",
+            id="inner-product-lengths",
+        ),
+        pytest.param(
+            lambda: embed_inner_product(BitVector(17), BitVector(17), 4),
+            "input length 17 exceeds n^2=16",
+            id="inner-product-oversized",
+        ),
+        pytest.param(
+            lambda: embed_inner_product(BitVector(0), BitVector(0), 4),
+            "inputs must be nonempty",
+            id="inner-product-empty",
+        ),
+        pytest.param(lambda: embed_or_blocks([], 4), "need at least one block pair", id="or-blocks-none"),
+        pytest.param(
+            lambda: embed_or_blocks([(BitMatrix.identity(2), BitMatrix.identity(3))], 8),
+            "all blocks must be square of equal size",
+            id="or-blocks-unequal",
+        ),
+        pytest.param(
+            lambda: embed_or_blocks([(BitMatrix(2, 3, [0, 0]),) * 2], 8),
+            "all blocks must be square of equal size",
+            id="or-blocks-not-square",
+        ),
+        pytest.param(
+            lambda: embed_or_blocks([(BitMatrix.identity(3),) * 2] * 2, 5),
+            "2 blocks of side 3 overflow n=5",
+            id="or-blocks-overflow",
+        ),
+        # 0 x 0 blocks pass the shape checks; the instance they would build has no room for a one
+        pytest.param(
+            lambda: embed_or_blocks([(BitMatrix(0, 0, []),) * 2], 8),
+            "blocks must have side at least 1, got 0",
+            id="or-blocks-empty",
+        ),
+    ],
+)
+def test_input_checks_reject_with_their_message(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert raised.type is ValueError and str(raised.value) == message
