@@ -25,7 +25,7 @@ from functools import partial
 import numpy as np
 
 from joinlab import joins, qsim, reductions
-from joinlab.f2core import BitMatrix, BitVector, gen_promise_instance
+from joinlab.f2core import BitMatrix, BitVector, _sample, gen_promise_instance
 from joinlab.ledger import CommLedger
 from joinlab.qsim import CostModel
 
@@ -187,7 +187,7 @@ def _disj_pair(n, seed) -> tuple[BitVector, BitVector]:
     """Both sides of weight ~sqrt(n) sharing exactly one element."""
     rng = random.Random(seed)
     w = max(1, math.isqrt(n))
-    chosen = rng.sample(range(n), 2 * w - 1)
+    chosen = _sample(n, 2 * w - 1, rng)
     shared = chosen[0]
     a = BitVector.from_indices(n, chosen[:w])
     b = BitVector.from_indices(n, [shared] + chosen[w:])

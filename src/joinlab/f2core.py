@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
 from operator import or_, xor
 
 import numpy as np
@@ -26,21 +28,37 @@ class InstanceError(ValueError):
 
 # Set-bit iteration picks its method from the word's width L and weight k.
 # The int loop pays for a copy of the whole word per set bit, roughly
-# k * (L + 4096) units; the numpy scan pays once per byte plus a fixed
-# call overhead, roughly 6 * L + 2**18 units.  Measured crossover (Python
-# 3.11, numpy 2.4, 2-core VM, loop vs scan on random words): about 60
-# ones up to 1024 bits, 24 at 8192, 14 at 16384, 8 at 65536, 6 at 2**18
-# to 2**20; this rule cuts at 52, 25, 18, 9 and 6.
+# k * (L + 4096) units; the numpy scan pays per byte plus a fixed call
+# overhead, roughly 1.75 * L + 2**18 units.  Words over _SCAN_LIMB_BYTES
+# skip their zero 64-bit limbs first, which pays from about 2**15 bits on
+# when the word is sparse.  Fewest ones at which the loop is slower
+# (Python 3.11, numpy 2.4, 2-core VM, random words; none at 64 bits), and
+# where this rule starts to scan:
+#   width     128  256  512  1024  4096  8192  2**14  2**15  2**16  2**17  2**18  2**19  2**20-2**22
+#   measured   64   72   72    56    28    14     14     10      7      5      5      4            2
+#   rule       63   61   58    52    33    23     15      9      6      4      3      3            2
 _SCAN_WIDTH_PAD = 4096
 _SCAN_FIXED = 1 << 18
+_SCAN_LIMB_BYTES = 4096
 
 
 def _scan_bits(word: int) -> list[int]:
-    """Set-bit positions of a nonnegative int through one numpy pass over its bytes."""
-    buf = np.frombuffer(word.to_bytes((word.bit_length() + 7) // 8, "little"), dtype=np.uint8)
-    nonzero = np.flatnonzero(buf)
-    rows, offs = np.nonzero(np.unpackbits(buf[nonzero, None], axis=1, bitorder="little"))
-    return (nonzero[rows] * 8 + offs).tolist()
+    """Set-bit positions of a nonnegative int through numpy passes over its bytes.
+
+    A word wider than ``_SCAN_LIMB_BYTES`` first drops its zero 64-bit limbs,
+    so a sparse wide word looks at the bytes of its nonzero limbs only.
+    """
+    nbytes = (word.bit_length() + 63) // 64 * 8
+    buf = np.frombuffer(word.to_bytes(nbytes, "little"), dtype=np.uint8)
+    if nbytes > _SCAN_LIMB_BYTES:
+        limbs = buf.view("<u8")
+        hot = np.flatnonzero(limbs)
+        nonzero = np.flatnonzero(limbs[hot].view(np.uint8))
+        at = hot[nonzero >> 3] * 8 + (nonzero & 7)
+    else:
+        at = np.flatnonzero(buf)
+    rows, offs = np.nonzero(np.unpackbits(buf[at, None], axis=1, bitorder="little"))
+    return (at[rows] * 8 + offs).tolist()
 
 
 def _bernoulli(count: int, n: int, density: float, rng: random.Random) -> np.ndarray:
@@ -55,10 +73,35 @@ def _bernoulli(count: int, n: int, density: float, rng: random.Random) -> np.nda
     return (u < density).reshape(count, n)
 
 
+def _sample(n: int, k: int, rng: random.Random) -> list[int]:
+    """``rng.sample(range(n), k)``: the same list, and the same generator state after.
+
+    Above its pool size ``sample`` draws each pick as the top ``n.bit_length()``
+    bits of the next 32-bit output, redrawn while it is at least n or already
+    picked, so the picks are the first k distinct outputs below n.  Every
+    pick still owed takes at least one output, so drawing that many in one
+    ``getrandbits`` call never draws past where ``sample`` stops.  Meant for
+    large k: at a handful of picks the numpy round trip costs more than
+    ``sample`` itself.
+    """
+    setsize = 21  # random.Random.sample's own rule for switching from a pool list to a set
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    if not 0 <= k <= n or n <= setsize or n >> 32:
+        return rng.sample(range(n), k)
+    shift = 32 - n.bit_length()
+    picked = {}
+    while len(picked) < k:
+        owed = k - len(picked)
+        words = np.frombuffer(rng.getrandbits(32 * owed).to_bytes(4 * owed, "little"), dtype="<u4") >> shift
+        picked.update(dict.fromkeys(words[words < n].tolist()))
+    return list(picked)
+
+
 def _iter_bits(word: int):
     """Yield the positions of set bits in ascending order, as Python ints."""
     width = word.bit_length()
-    if word.bit_count() * (width + _SCAN_WIDTH_PAD) > 6 * width + _SCAN_FIXED:
+    if word.bit_count() * (width + _SCAN_WIDTH_PAD) > 7 * width // 4 + _SCAN_FIXED:
         yield from _scan_bits(word)
         return
     while word:
@@ -96,13 +139,22 @@ class BitVector:
 
     @classmethod
     def from_indices(cls, n: int, indices) -> "BitVector":
-        # set bits in a byte buffer: `acc |= 1 << i` would copy a growing int per index
-        buf = bytearray((n + 7) // 8)
-        for i in indices:
-            if not 0 <= i < n:
-                raise ValueError(f"index {i} outside [0, {n})")
-            buf[i >> 3] |= 1 << (i & 7)
-        return cls(n, int.from_bytes(buf, "little"))
+        indices = list(indices)
+        idx = np.asarray(indices)
+        if idx.ndim != 1 or idx.dtype.kind not in "iu":
+            # no indices, a non-int (TypeError) or an int past 64 bits: a plain loop over the originals
+            buf = bytearray((n + 7) // 8)
+            for i in indices:
+                if not 0 <= i < n:
+                    raise ValueError(f"index {i} outside [0, {n})")
+                buf[i >> 3] |= 1 << (i & 7)
+            return cls(n, int.from_bytes(buf, "little"))
+        bad = (idx < 0) | (idx >= n)
+        if bad.any():
+            raise ValueError(f"index {idx[bad.argmax()]} outside [0, {n})")
+        buf = np.zeros((n + 7) // 8, dtype=np.uint8)
+        np.bitwise_or.at(buf, idx >> 3, (1 << (idx & 7)).astype(np.uint8))
+        return cls(n, int.from_bytes(buf.tobytes(), "little"))
 
     @classmethod
     def random(cls, n: int, density: float, rng: random.Random) -> "BitVector":
@@ -175,7 +227,7 @@ class BitMatrix:
         data = tuple(data)
         if len(data) != rows:
             raise ValueError("row count does not match data")
-        for r in data:
+        for r in filter(None, data):
             if r < 0 or r >> cols:
                 raise ValueError("row bits fall outside the declared width")
         self.rows = rows
@@ -191,7 +243,7 @@ class BitMatrix:
         return cls.from_numpy(_bernoulli(rows, cols, density, rng))
 
     def weight(self) -> int:
-        return sum(map(int.bit_count, self.data))
+        return sum(map(int.bit_count, filter(None, self.data)))
 
     def to_numpy(self) -> np.ndarray:
         nbytes = (self.cols + 7) // 8 if self.cols else 1
@@ -234,21 +286,24 @@ class BitMatrix:
         return f"BitMatrix({self.rows}x{self.cols}, weight={self.weight()})"
 
 
-def _check_product_shapes(a: BitMatrix, b: BitMatrix):
+def _product(op, a: BitMatrix, b: BitMatrix) -> BitMatrix:
+    """Rows of ``b`` chosen by each nonzero row of ``a``, combined by ``op``; zero rows stay 0."""
     if a.cols != b.rows:
         raise DimensionError(f"inner dimensions disagree: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
+    out = [0] * a.rows
+    for i in compress(range(a.rows), a.data):
+        out[i] = _fold(op, b.data, a.data[i])
+    return BitMatrix(a.rows, b.cols, out)
 
 
 def bool_product(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """Boolean semiring product: OR-accumulate rows of ``b`` chosen by rows of ``a``."""
-    _check_product_shapes(a, b)
-    return BitMatrix(a.rows, b.cols, [_fold(or_, b.data, r) if r else 0 for r in a.data])
+    return _product(or_, a, b)
 
 
 def f2_product(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """Product over F2: XOR-accumulate rows of ``b`` chosen by rows of ``a``."""
-    _check_product_shapes(a, b)
-    return BitMatrix(a.rows, b.cols, [_fold(xor, b.data, r) if r else 0 for r in a.data])
+    return _product(xor, a, b)
 
 
 @dataclass(frozen=True)
@@ -278,6 +333,11 @@ class JoinInstance:
     def build(cls, A: BitMatrix, B: BitMatrix, ell: int, seed: int = 0, kind: str = "bool") -> "JoinInstance":
         product = bool_product(A, B) if kind == "bool" else f2_product(A, B)
         return cls(A, B, ell, seed, kind, product)
+
+    @cached_property
+    def _f2_product(self) -> BitMatrix:
+        """A B over F2, computed once for the protocols that share it; checkers read ``oracle_product``."""
+        return f2_product(self.A, self.B)
 
 
 _MAX_PLANT_ATTEMPTS = 100

@@ -14,7 +14,7 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cache, cached_property, reduce
+from functools import cached_property, reduce
 from itertools import compress
 from operator import or_, xor
 
@@ -29,7 +29,7 @@ from joinlab.f2core import (
     _bernoulli,
     _fold,
     _iter_bits,
-    bool_product,  # unused here; perfbench's tracing test checks this binding
+    bool_product,  # unused here, like f2_product; perfbench's tracing test checks both bindings
     f2_product,
 )
 from joinlab.ledger import (
@@ -501,23 +501,20 @@ def _probe_rounds(instance: JoinInstance, ledger: CommLedger, rng: random.Random
 
     An answer is what :func:`freivalds_round` returns, and is charged as one:
     the XOR of the product rows (A B)[i] of the sampled rows i the probe
-    picks.  Zero rows of A pick nothing; a product row is computed once.
+    picks, read from the instance's F2 product, which ``mm_f2`` reuses.
+    Zero product rows pick nothing.
     """
-    A, B = instance.A, instance.B
-    n = A.rows
+    B = instance.B
+    n = instance.A.rows
+    product = instance._f2_product.data
     sample_rows = min(n, max(1, math.ceil(n / math.sqrt(instance.ell))))
     # each probe is charged as one freivalds_round: v out to B's side, v^T (A_S B) back
     probe = [(A_TO_B, BITS, max(1, B.rows), "freivalds"), (B_TO_A, BITS, max(1, B.cols), "freivalds")]
-
-    @cache
-    def product_row(i: int) -> int:
-        return _fold(xor, B.data, A.data[i])
-
     for _ in range(r1):
         chosen = sorted(rng.sample(range(n), sample_rows))
         probes = _bernoulli(r_freivalds, sample_rows, 0.5, rng)
-        live = [t for t, i in enumerate(chosen) if A.data[i]]
-        rows = [product_row(chosen[t]) for t in live]
+        live = [t for t, i in enumerate(chosen) if product[i]]
+        rows = [product[chosen[t]] for t in live]
         answers = [reduce(xor, compress(rows, hits), 0) for hits in probes[:, live].tolist()]
         ledger._log_search([1] * len(answers), probe, [])
         yield chosen, probes, answers
@@ -577,7 +574,7 @@ def mm_f2(
     (a one-way stream), so the bits are the (n, ell)-determined sketch and
     probe charges plus n for each dense column.
     """
-    A, B = instance.A, instance.B
+    A = instance.A
     if instance.kind != "f2":
         raise ValueError("mm_f2 expects an instance with an F2 promise")
     # JoinInstance already holds A as m x n against B as n x m
@@ -593,8 +590,9 @@ def mm_f2(
     _require_positive(r1=r1, r_freivalds=r_freivalds, r3=r3)
 
     dense = classify_columns(instance, ledger, rng, r1, r_freivalds)
-    # the product's columns; under the promise the transpose scatters at most ell ones
-    columns = f2_product(A, B).transpose().data
+    # the columns of the product whose rows classification probed; under the promise the transpose
+    # scatters at most ell ones
+    columns = instance._f2_product.transpose().data
 
     out_cols = {j: columns[j] for j in dense}
     if dense:

@@ -10,10 +10,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import joinlab
-from joinlab import cli, joins, qsim
+from joinlab import cli, f2core, joins, qsim
 from joinlab.cli import FitResult, build_parser, derive_seed, fit_exponent, main, parse_grid, scaling_points
 from joinlab.f2core import BitMatrix
 from joinlab.ledger import A_TO_B, BITS
@@ -287,6 +288,27 @@ def test_size_below_one_rejected(argv, flag, capsys):
 def test_descending_range_rejected(argv, flag, text, capsys):
     assert main(argv + ["--min-success", "0"]) == 2
     assert capsys.readouterr().err.endswith(f"error: argument {flag}: bad range '{text}'\n")
+
+
+def test_scaling_cost_sizes_match_plain_sampling_and_scan(monkeypatch):
+    """The benchmark's own disj and bmm cost cells, which the cli digest stops short of, give the
+    same rows with the bulk sampler and the two-level scan swapped for rng.sample and a byte scan."""
+
+    def byte_scan(word):
+        buf = np.frombuffer(word.to_bytes((word.bit_length() + 7) // 8, "little"), dtype=np.uint8)
+        return np.flatnonzero(np.unpackbits(buf, bitorder="little")).tolist()
+
+    def sweep():
+        return (
+            scaling_points("disj-cost", [1 << 18, 1 << 22], [1], 2, 5, CostModel.cost_model(), False),
+            scaling_points("bmm-cost", [8192], [256], 2, 5, CostModel.cost_model(), False),
+        )
+
+    fast = sweep()
+    assert all(row["success"] for _, rows in fast for row in rows)
+    monkeypatch.setattr(cli, "_sample", lambda n, k, rng: rng.sample(range(n), k))
+    monkeypatch.setattr(f2core, "_scan_bits", byte_scan)
+    assert sweep() == fast
 
 
 def test_scaling_points_rejects_an_unknown_protocol():

@@ -205,8 +205,9 @@ def test_join_instance_build_rejects_bad_kind():
 # fast paths against the dense numpy oracle, on both sides of each switch
 # ---------------------------------------------------------------------------
 
-# A few ones stay on the int loop at every width; at 2**20 bits more than
-# about six ones go to the numpy scan, at 64 bits only a full word does.
+# A few ones stay on the int loop at every width; at 2**20 bits two ones
+# go to the numpy scan, at 64 bits only a full word does.  Past 2**15 bits
+# the scan skips zero 64-bit limbs first.
 WIDTHS = (1, 8, 63, 64, 65, 1000, 8192, 1 << 16, 1 << 20)
 
 
@@ -252,7 +253,10 @@ def test_set_bits_match_dense_oracle(case):
         (512, 256, True),
         (8192, 8, False),  # a gen_hard_instance row of A at n = 8192
         (8192, 64, True),
+        (1 << 18, 2, False),
+        (1 << 18, 3, True),
         (1 << 22, 1, False),
+        (1 << 22, 2, True),
         (1 << 22, 2048, True),  # a disj-cost operand at n = 2**22
     ],
 )
@@ -318,12 +322,79 @@ def test_from_indices_matches_dense_oracle(case):
 
 @pytest.mark.parametrize(
     "n, indices, bad",
-    [(8, [3, 8], 8), (8, [-1, 9], -1), (0, [0], 0), (1 << 20, [5, 1 << 20, -3], 1 << 20)],
+    [
+        (8, [3, 8], 8),
+        (8, [-1, 9], -1),
+        (0, [0], 0),
+        (1 << 20, [5, 1 << 20, -3], 1 << 20),
+        (64, [3, 1 << 70], 1 << 70),  # past 64 bits numpy keeps Python objects
+        (64, [5, (1 << 64) - 1], (1 << 64) - 1),  # numpy would read this pair as float64
+        (64, [1 << 63], 1 << 63),  # and this one as uint64
+        (64, [-1, 1 << 63], -1),
+    ],
 )
 def test_from_indices_rejects_out_of_range(n, indices, bad):
     with pytest.raises(ValueError) as info:
         BitVector.from_indices(n, indices)
     assert info.value.args == (f"index {bad} outside [0, {n})",)
+
+
+@given(
+    st.integers(0, 24),
+    st.integers(0, 24),
+    st.integers(0, 24),
+    st.sampled_from((0.0, 0.5, 1.0)),
+    st.integers(0, 2**32 - 1),
+)
+@example(0, 5, 5, 0.0, 0)
+@example(5, 0, 5, 0.0, 1)
+@example(5, 5, 0, 0.0, 2)
+@example(6, 6, 6, 1.0, 3)
+def test_products_with_zero_rows_match_dense_oracle(m, n, p, zero_share, seed):
+    gen = np.random.default_rng(seed)
+    a = gen.random((m, n)) < 0.4
+    a[gen.random(m) < zero_share] = False
+    b = gen.random((n, p)) < 0.4
+    counts = a.astype(np.int64) @ b.astype(np.int64)
+    A, B = BitMatrix.from_numpy(a), BitMatrix.from_numpy(b)
+    for product, dense in ((bool_product, counts > 0), (f2_product, counts % 2 == 1)):
+        got = product(A, B)
+        assert (got.rows, got.cols) == (m, p)
+        assert got.to_numpy().astype(bool).tolist() == dense.tolist()
+        assert got.weight() == int(dense.sum())
+
+
+# the sizes at which random.Random.sample switches from a pool list to a set, at k <= 5, 6..21,
+# 22..85, 86..341 and 342..1365, and either side of them
+SAMPLE_SWITCHES = (21, 22, 85, 86, 277, 278, 1045, 1046, 4117, 4118)
+
+
+@given(
+    st.one_of(
+        st.integers(0, 10),
+        st.sampled_from(SAMPLE_SWITCHES),
+        st.integers(0, 1 << 13),
+        st.sampled_from((1 << 18, 1 << 22, 2**32 - 1, 1 << 32, 1 << 40)),
+        st.integers(0, 2**32 - 1),
+    ),
+    st.one_of(st.sampled_from((-1, 0, 1, 5, 6, 7, 21, 22, 85, 86, 341, 342)), st.integers(-3, 400)),
+    st.integers(0, 2**32 - 1),
+)
+@example(1 << 22, 4095, 0)  # a disj-cost pair at n = 2**22
+@example(2**32 - 1, 4095, 1)
+@example(10, 11, 2)
+@example(100, -1, 3)
+@example(0, 0, 4)
+def test_bulk_sample_matches_random_sample(n, k, seed):
+    runs = []
+    for sample in (lambda rng: rng.sample(range(n), k), lambda rng: f2core._sample(n, k, rng)):
+        rng = random.Random(seed)
+        try:
+            got = sample(rng)
+        except ValueError as exc:
+            got = exc.args
+        runs.append((got, rng.getstate()))
+    assert runs[0] == runs[1]
 
 
 def _check_transpose(m: BitMatrix):
@@ -491,7 +562,33 @@ def test_promise_instance_gives_up_where_per_bit_loop_does(monkeypatch):
         pytest.param(
             lambda: BitMatrix(2, 2, [0, 4]), ValueError, "row bits fall outside the declared width", id="matrix-width"
         ),
+        # only nonzero rows are checked, so a bad row among zero rows must still be caught
+        pytest.param(
+            lambda: BitMatrix(4, 4, [0, 0, -1, 0]),
+            ValueError,
+            "row bits fall outside the declared width",
+            id="matrix-negative-among-zeros",
+        ),
+        pytest.param(
+            lambda: BitMatrix(4, 4, [0, 0, 0, 1 << 90]),
+            ValueError,
+            "row bits fall outside the declared width",
+            id="matrix-width-among-zeros",
+        ),
         pytest.param(lambda: BitMatrix.from_numpy(np.zeros(3)), ValueError, "expected a 2-d array", id="from-numpy-1d"),
+        # numpy would truncate a float index; the plain loop raises on it
+        pytest.param(
+            lambda: BitVector.from_indices(64, [3.7]),
+            TypeError,
+            "unsupported operand type(s) for >>: 'float' and 'int'",
+            id="from-indices-float",
+        ),
+        pytest.param(
+            lambda: BitVector.from_indices(64, [1, 2.0]),
+            TypeError,
+            "unsupported operand type(s) for >>: 'float' and 'int'",
+            id="from-indices-float-after-int",
+        ),
         pytest.param(lambda: BitVector(2) & BitVector(3), DimensionError, "length mismatch: 2 vs 3", id="and-lengths"),
         pytest.param(lambda: BitVector(2)[2], IndexError, "2", id="getitem-past-end"),
         pytest.param(lambda: BitVector(2)[-1], IndexError, "-1", id="getitem-negative"),
