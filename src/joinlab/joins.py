@@ -50,7 +50,7 @@ from joinlab.qsim import (
 )
 
 # run time bounds exact bmm: one planted trial at n = ell = 2**12 (seed 5)
-# takes 0.19-0.33 s of CPU time on a 2-core VM
+# takes 0.14-0.21 s of CPU time on a 2-core VM
 BMM_EXACT_CAP = 1 << 12
 
 

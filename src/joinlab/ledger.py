@@ -52,8 +52,9 @@ class CommLedger:
     """Running totals of exchanged resources, one per ``(direction, kind, phase)``.
 
     ``charge`` adds one message's amount to its key, :meth:`_log_search` a
-    whole search's by arithmetic.  :attr:`amounts` reads the totals back and
-    ``len`` counts the messages; their order is not kept.
+    whole search's by arithmetic, and :meth:`_log` a fixed set of messages
+    any number of times.  :attr:`amounts` reads the totals back and ``len``
+    counts the messages; their order is not kept.
     """
 
     def __init__(self):
@@ -90,6 +91,13 @@ class CommLedger:
         for way, kind, amount, phase in verify:
             amounts[way, kind, phase] += amount * measurements
         self._records += len(per_round) * (measurements - draws.count(0)) + len(verify) * measurements
+
+    def _log(self, messages, times: int = 1):
+        """Charge each ``(direction, kind, amount, phase)`` of ``messages`` ``times`` times, unchecked."""
+        amounts = self._amounts
+        for way, kind, amount, phase in messages:
+            amounts[way, kind, phase] += amount * times
+        self._records += len(messages) * times
 
     @property
     def amounts(self) -> dict[tuple[str, str, str], int]:

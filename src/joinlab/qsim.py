@@ -117,6 +117,10 @@ class GroverPlan:
     def fixed(cls, iterations: int, reps: int = 1) -> "GroverPlan":
         return cls((iterations,) * reps, randomize=False)
 
+    @functools.cached_property
+    def _widths(self) -> tuple[tuple[int, int], ...]:
+        return tuple((cap, cap.bit_length()) for cap in self.caps)
+
     def draws(self, rng: random.Random):
         """Lazily, one ``rng.randrange(cap)`` per cap, or the caps if not randomized.
 
@@ -127,12 +131,26 @@ class GroverPlan:
             yield from self.caps
             return
         getrandbits = rng.getrandbits
-        for cap in self.caps:
-            width = cap.bit_length()
+        for cap, width in self._widths:
             value = getrandbits(width)
             while value >= cap:
                 value = getrandbits(width)
             yield value
+
+    def unmarked_draws(self, rng: random.Random, times: int = 1) -> list:
+        """``times`` runs of :meth:`draws` as one list, each draw followed by its measurement's
+        ``rng.random()``: the draws of searches with nothing marked, in one plain loop."""
+        if not self.randomize:
+            return [cap for _ in range(times) for cap, _r in zip(self.caps, iter(rng.random, None))]
+        getrandbits, random_, drawn = rng.getrandbits, rng.random, []
+        for _ in range(times):
+            for cap, width in self._widths:
+                value = getrandbits(width)
+                while value >= cap:
+                    value = getrandbits(width)
+                random_()
+                drawn.append(value)
+        return drawn
 
 
 def _entry_probabilities(m: int, t: int, iterations: int) -> tuple[float, float]:
@@ -144,7 +162,7 @@ def _entry_probabilities(m: int, t: int, iterations: int) -> tuple[float, float]
     return marked, unmarked
 
 
-def _amplify(domain, hits: list, plan, model, rng, outer=False):
+def _amplify(domain, hits: list, plan, model, rng, outer=False, times=1):
     """Measure amplified candidates from ``domain`` (a sequence of indices) until one is marked.
 
     The sampling core of every search here.  ``hits`` lists the positions
@@ -152,12 +170,13 @@ def _amplify(domain, hits: list, plan, model, rng, outer=False):
     is the first marked entry.  Returns ``(witness, draws)``: the marked
     entry found, or None, and a fresh list of each measurement's iteration
     count in draw order, which the caller hands to
-    :meth:`CommLedger._log_search` with its message templates.
+    :meth:`CommLedger._log_search` with its message templates.  With
+    nothing marked, ``times`` runs that many (failing) searches as one.
 
     Exact mode samples one candidate for each iteration count the plan
-    draws, from the entry probabilities of :func:`_entry_probabilities`.
-    With no marked entry every draw fails, so it only takes each draw's
-    ``rng.random()``.
+    draws, from the entry probabilities of :func:`_entry_probabilities`,
+    and tests on the hits alone whether it is marked.  With no marked entry
+    every draw fails, so it only takes each draw's ``rng.random()``.
     Cost-model mode makes a single measurement at the analytical count
     ceil(c * sqrt(|domain| / d)) for t marked entries: c = c_round and
     d = t + 1 for an inner search, c = c_shuttle and d = max(t, 1) for the
@@ -169,29 +188,25 @@ def _amplify(domain, hits: list, plan, model, rng, outer=False):
         if plan is None:
             plan = GroverPlan.default(m)
         if not t:
-            # t = 0 puts all the mass on unmarked entries: each draw still takes
-            # its rng.random() (zip asks for it after the draw), but no candidate can be marked
-            return None, [iterations for iterations, _ in zip(plan.draws(rng), iter(rng.random, None))]
-        count = functools.partial(bisect.bisect_right, hits)  # count(i): marked entries among the first i + 1
+            return None, plan.unmarked_draws(rng, times)
+        # The mass through entry i, pu * (i + 1 - c) + pm * c with c hits up to i, sums two
+        # non-decreasing rounded products, so masses are sorted.  Through the last entry it is the
+        # total, which r (the total times a float below 1) never reaches: no fallback is needed.
         drawn = []
         for iterations in plan.draws(rng):
             pm, pu = _entry_probabilities(m, t, iterations)
-            # the first entry whose prefix mass exceeds r * total, else the last
-            # two non-decreasing rounded products, so the keys stay sorted
             r = rng.random() * (pu * (m - t) + pm * t)
-            candidate = bisect.bisect_right(
-                range(m - 1), r, key=lambda i: pu * (i + 1 - (c := count(i))) + pm * c
-            )
+            # the first hit whose mass exceeds r is the candidate if the mass before it does not
+            j = bisect.bisect_right(range(t), r, key=lambda j: pu * (hits[j] - j) + pm * (j + 1))
             drawn.append(iterations)
-            # marked iff it is the last hit at or below itself; with none there, hits[-1] lies above it
-            if hits[count(candidate) - 1] == candidate:
-                return domain[candidate], drawn
+            if j < t and pu * (hits[j] - j) + pm * j <= r:
+                return domain[hits[j]], drawn
         return None, drawn
 
     c, d = (model.c_shuttle, max(t, 1)) if outer else (model.c_round, t + 1)
     draws = [math.ceil(c * math.sqrt(m / d))]
     if t == 0:
-        return None, draws
+        return None, draws * times
     witness = domain[hits[rng.randrange(t)]]
     if model.epsilon and rng.random() < model.epsilon:
         return None, draws
@@ -217,8 +232,8 @@ class _Search:
         self.verify = [(out, QUBITS, width, phase), (back, BITS, outcome_bits(n), phase)]
         self.support, self.model, self.hits = support, model, hits
 
-    def run(self, ledger: CommLedger, rng: random.Random, plan=None, stats=None):
-        witness, draws = _amplify(self.support, self.hits, plan, self.model, rng)
+    def run(self, ledger: CommLedger, rng: random.Random, plan=None, stats=None, times=1):
+        witness, draws = _amplify(self.support, self.hits, plan, self.model, rng, times=times)
         ledger._log_search(draws, self.per_round, self.verify)
         if stats is not None:
             stats.setdefault("iterations", []).extend(draws)
@@ -287,14 +302,14 @@ def disj(
     with the other side's membership as the marking predicate.
     """
     search = _disj_search(a, b, model)
-    _handshake(ledger, a.n, a.n)
+    ledger._log(_handshake(a.n, a.n))
     return None if search is None else search.run(ledger, rng, plan)
 
 
-def _handshake(ledger: CommLedger, n_a: int, n_b: int):
+@functools.lru_cache(maxsize=1024)  # tuples, so every handshake over these domains can share them
+def _handshake(n_a: int, n_b: int) -> tuple[tuple, tuple]:
     """Each side announces its weight: A an integer in [0, n_a], B one in [0, n_b]."""
-    ledger.charge(A_TO_B, BITS, integer_bits(n_a), "handshake")
-    ledger.charge(B_TO_A, BITS, integer_bits(n_b), "handshake")
+    return (A_TO_B, BITS, integer_bits(n_a), "handshake"), (B_TO_A, BITS, integer_bits(n_b), "handshake")
 
 
 class BipartiteGraph:
@@ -390,10 +405,11 @@ class _Collision:
         left, right = (self.own, cover) if self.own_is_left else (cover, self.own)
         self.search = _disj_search(left, right, self.model)
 
-    def attempt(self, ledger: CommLedger, rng: random.Random):
-        """One :func:`graph_collision` call: disjointness, then the partner pick and its report."""
-        _handshake(ledger, *self.sizes)
-        witness = None if self.search is None else self.search.run(ledger, rng)
+    def attempt(self, ledger: CommLedger, rng: random.Random, times: int = 1):
+        """One :func:`graph_collision` call: disjointness, then the partner pick and its report.
+        With nothing marked every call fails, so ``times`` charges and draws that many at once."""
+        ledger._log(_handshake(*self.sizes), times)
+        witness = None if self.search is None else self.search.run(ledger, rng, times=times)
         if witness is None:
             return None
         partner_pool = list(_iter_bits(self.other.bits & ~self.missing[witness]))
@@ -438,9 +454,10 @@ def graph_collision_all(
 
     Removes every edge it finds from ``graph``.  Each attempt charges and
     draws what one :func:`graph_collision` call does, but the disjointness
-    question is built once per graph state, not per attempt.  Vector lengths
-    that do not match the graph raise ``DimensionError`` before any charge,
-    draw or removal.
+    question is built once per graph state, not per attempt, and attempts
+    that cannot find an edge run as one batch.  Vector lengths that do not
+    match the graph raise ``DimensionError`` before any charge, draw or
+    removal.
     """
     state = _Collision(graph, f_a, f_b, model)
     # repetitions of a 2/3-correct call so a false "empty" survives a union bound over all edges
@@ -448,6 +465,9 @@ def graph_collision_all(
     reps = max(1, math.ceil(math.log(3.0 * (bound + 1)) / math.log(3.0)))
     found: set[tuple[int, int]] = set()
     while True:
+        if state.search is None or not state.search.hits:
+            state.attempt(ledger, rng, reps)
+            return frozenset(found)
         edge = None
         for _ in range(reps):
             edge = state.attempt(ledger, rng)

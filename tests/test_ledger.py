@@ -214,6 +214,9 @@ class MessageLog:
                     self.records.append((way, kind, unit * iterations, phase))
             self.records.extend(verify)
 
+    def log(self, messages, times):
+        self.records.extend(list(messages) * times)
+
     def assert_matches(self, led: CommLedger):
         """``led`` holds this log's per-key sums, count, totals and report."""
         amounts, phases, totals = {}, {}, {BITS: 0, QUBITS: 0}
@@ -243,6 +246,10 @@ class LoggedLedger(CommLedger):
     def _log_search(self, draws, per_round, verify):
         super()._log_search(draws, per_round, verify)
         self.log.log_search(draws, per_round, verify)
+
+    def _log(self, messages, times=1):
+        super()._log(messages, times)
+        self.log.log(messages, times)
 
 
 def _state(led: CommLedger):
@@ -281,13 +288,15 @@ templates = st.lists(st.tuples(
 ), max_size=3)
 # draws mix 0 with positive counts; all-zero and empty lists come up too
 searches = st.tuples(st.lists(st.sampled_from((0, 0, 1, 2, 7)), max_size=6), templates, templates)
+repeats = st.tuples(templates.map(tuple), st.integers(1, 9))
 
 
-@given(st.lists(st.one_of(good_charges, searches), max_size=10))
+@given(st.lists(st.one_of(good_charges, searches, repeats), max_size=10))
 @example([((0, 0), [(A_TO_B, QUBITS, 3, "round")], [(B_TO_A, BITS, 2, "verify")]),
           (A_TO_B, BITS, 1, "earlier"),
           ([0, 4], [(A_TO_B, QUBITS, 3, "round")], []),
-          ([], [(A_TO_B, BITS, 5, "probe")], [(B_TO_A, BITS, 5, "probe")])])
+          ([], [(A_TO_B, BITS, 5, "probe")], [(B_TO_A, BITS, 5, "probe")]),
+          (((A_TO_B, BITS, 4, "probe"), (B_TO_A, BITS, 6, "verify")), 3)])
 def test_search_items_read_back_as_one_charge_per_message(ops):
     # amounts, totals, len and report() match the per-message log, so a search
     # whose draws are all 0 adds no round key and report() shows no round phase
@@ -295,6 +304,8 @@ def test_search_items_read_back_as_one_charge_per_message(ops):
     for op in ops:
         if len(op) == 4:
             led.charge(*op)
+        elif len(op) == 2:
+            led._log(*op)
         else:
             led._log_search(*(list(part) for part in op))
     led.log.assert_matches(led)

@@ -11,7 +11,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from grover_statevector import grover_success_curve, grover_success_curves_batch, statevectors
@@ -176,7 +176,7 @@ def marked_cases(draw):
 @example((4096, [4095], GroverPlan.fixed(50, 3), 4))
 @example((2, [1], GroverPlan.fixed(0, 3), 5))
 def test_marked_domain_matches_the_prefix_count_reference(case):
-    # prefix counts bisected out of the hit positions give the keys of the running-count list
+    # testing the hits picks the candidate the bisect over the running-count list picks
     m, hits, plan, seed = case
     domain = range(1000, 1000 + m)
     mask = np.zeros(m, dtype=bool)
@@ -186,6 +186,73 @@ def test_marked_domain_matches_the_prefix_count_reference(case):
     want = _reference_bisect_amplify(domain, mask, plan or GroverPlan.default(m), rng_want)
     # the same witness, the same draws, the same generator state afterwards
     assert (got, rng_got.random()) == (want, rng_want.random())
+
+
+class _OnTheMasses(random.Random):
+    """A generator whose ``random()`` puts r on a prefix mass of the current draw, or one float step off it.
+
+    It reads the draw's iteration count off its own last ``getrandbits`` (or takes the fixed
+    count it was given), and it picks the mass and the step with the base ``random()``, so
+    two copies with one seed stay in step whatever the caller does with the values.
+    """
+
+    def __init__(self, seed, m, hits, iterations=None):
+        self.m, self.hits, self.iterations = m, hits, iterations
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        self.iterations = super().getrandbits(k)
+        return self.iterations
+
+    def random(self):
+        u = super().random()
+        m, hits, t = self.m, self.hits, len(self.hits)
+        pm, pu = _entry_probabilities(m, t, self.iterations)
+        total = pu * (m - t) + pm * t
+        # the masses through each hit and through the entry before it, the last entry and a random one
+        entries = [h + d for h in hits for d in (-1, 0)] + [m - 1, int(u * m)]
+        i = entries[int(u * 7919) % len(entries)]
+        c = bisect.bisect_right(hits, i)
+        mass = pu * (i + 1 - c) + pm * c
+        near = [mass / total]
+        for _ in range(2):
+            near = [math.nextafter(near[0], 0.0)] + near + [math.nextafter(near[-1], 2.0)]
+        on = next((v for v in near if v * total == mass), near[2])
+        v = (math.nextafter(on, 0.0), on, math.nextafter(on, 2.0))[int(u * 104729) % 3]
+        return min(max(v, 0.0), math.nextafter(1.0, 0.0))
+
+
+@st.composite
+def boundary_cases(draw):
+    m = draw(st.integers(1, 64))
+    ends = st.sets(st.sampled_from(sorted({0, m - 1})))
+    hits = sorted(draw(ends) | draw(st.one_of(st.just(set(range(m))), st.sets(st.integers(0, m - 1)))))
+    assume(hits)
+    plan = draw(st.one_of(st.none(), st.builds(GroverPlan.default, st.integers(1, 256)),
+                          st.builds(GroverPlan.fixed, st.integers(0, 12), st.integers(1, 3))))
+    return m, hits, plan, draw(st.integers(0, 2**32))
+
+
+@given(boundary_cases())
+@example((1, [0], None, 0))
+@example((2, [0], None, 1))
+@example((2, [1], None, 2))
+@example((2, [0, 1], GroverPlan.fixed(1, 3), 3))
+@example((9, [0, 8], None, 4))
+@example((64, list(range(64)), None, 5))
+def test_hit_test_matches_the_bisect_with_r_on_the_masses(case):
+    # r lands on, or one float step beside, the prefix mass through a hit or the entry before it,
+    # where the hit test's two comparisons and the bisect's decide
+    m, hits, plan, seed = case
+    domain = range(1000, 1000 + m)
+    mask = np.zeros(m, dtype=bool)
+    mask[hits] = True
+    fixed = plan.caps[0] if plan is not None and not plan.randomize else None
+    rng_got, rng_want = (_OnTheMasses(seed, m, hits, fixed) for _ in range(2))
+    got = _amplify(domain, hits, plan, EXACT, rng_got)
+    want = _reference_bisect_amplify(domain, mask, plan or GroverPlan.default(m), rng_want)
+    assert got == want
+    assert rng_got.getstate() == rng_want.getstate()
 
 
 @given(st.integers(1, 600), st.integers(0, 2**32), st.sampled_from((1.0, 1.5, 3.0)), st.booleans())
@@ -214,6 +281,10 @@ class _Schedule:
         for iterations in self.counts:
             self.taken.append(iterations)
             yield iterations
+
+    def unmarked_draws(self, rng, times=1):
+        # each count, then its measurement's rng.random(), as GroverPlan.unmarked_draws takes them
+        return [count for _ in range(times) for count, _r in zip(self.draws(rng), iter(rng.random, None))]
 
 
 def _charge_grover_measurements(ledger, draws, n, phase, directions):
@@ -294,6 +365,19 @@ def test_plan_draws_match_randrange(caps, seed):
     # same values as randrange over the caps, and the generator ends in the same state
     got, want = random.Random(seed), random.Random(seed)
     assert list(GroverPlan(tuple(caps)).draws(got)) == list(map(want.randrange, caps))
+    assert got.getstate() == want.getstate()
+
+
+@given(st.lists(st.one_of(caps_near_powers, st.integers(0, 10**6)), min_size=1, max_size=30),
+       st.booleans(), st.integers(1, 4), st.integers(0, 2**64))
+@example([1, 2, 3, 4, 5, 7, 8, 9, 2**64 - 1, 2**64, 2**64 + 1], True, 3, 0)
+@example([0, 3, 0], False, 2, 1)
+def test_unmarked_draws_match_draws_zipped_with_random(caps, randomize, times, seed):
+    # times runs of draws, each value followed by its measurement's random(), in one list
+    plan = GroverPlan(tuple(c or 1 for c in caps) if randomize else tuple(caps), randomize)
+    got, want = random.Random(seed), random.Random(seed)
+    expect = [count for _ in range(times) for count, _r in zip(plan.draws(want), iter(want.random, None))]
+    assert plan.unmarked_draws(got, times) == expect
     assert got.getstate() == want.getstate()
 
 
@@ -655,8 +739,9 @@ def collision_cases(draw):
     """A random graph with two sets: square or not, either side lighter, sparse or dense."""
     n_left = draw(st.integers(1, 10))
     n_right = draw(st.one_of(st.just(n_left), st.integers(1, 10)))
-    # sparse graphs make witnesses lose their last neighbor, dense ones keep it
-    density = draw(st.sampled_from((0.15, 0.4, 0.8, 1.0)))
+    # sparse graphs make witnesses lose their last neighbor, dense ones keep it; with no edge
+    # every attempt fails from the start
+    density = draw(st.sampled_from((0.0, 0.15, 0.4, 0.8, 1.0)))
     w_a, w_b = draw(st.integers(0, n_left)), draw(st.integers(0, n_right))
     model = draw(st.sampled_from((EXACT, CostModel.cost_model(), CostModel.cost_model(c_round=2.0, epsilon=0.05))))
     return n_left, n_right, density, w_a, w_b, model, draw(st.integers(0, 2**32))
@@ -665,8 +750,13 @@ def collision_cases(draw):
 @given(collision_cases())
 @example((6, 6, 0.15, 3, 5, EXACT, 1))
 @example((9, 4, 0.8, 4, 2, EXACT, 2))
+@example((7, 5, 0.0, 4, 3, EXACT, 3))
+@example((7, 5, 0.0, 4, 3, CostModel.cost_model(epsilon=0.05), 4))
+@example((5, 5, 0.4, 0, 3, EXACT, 5))
+@example((8, 8, 0.8, 5, 6, CostModel.cost_model(epsilon=0.05), 6))
 def test_graph_collision_all_matches_a_loop_of_single_calls(case):
-    # the question is built once per graph state; the loop builds it on every attempt
+    # the question is built once per graph state, and the attempts that cannot find an edge
+    # run as one batch; the loop builds the question and runs every attempt on its own
     n_left, n_right, density, w_a, w_b, model, seed = case
     rng = random.Random(seed)
     graph = BipartiteGraph.random(n_left, n_right, density, rng)
