@@ -159,21 +159,19 @@ def _search_and_collect(
         # graph collision works at full width: each A column over [m], and the cells not yet collected,
         # from which graph_collision_all removes the cells it finds
         uncollected = BipartiteGraph.complete(m, m)
-        a_full = [sum(1 << rows[r] for r in col) for col in a_cols]
     out = [0] * len(rows)
     ones = 0
     trace = BmmTrace()
     while True:
         if model.exact:
-            k = None
             for _ in range(none_repeats):
                 k = instance_search(range(n), live, ledger, model, rng, inner_cost_qubits=inner_cost)
                 if k is not None:
                     break
-            if k is None:
+            else:
                 break
             p = position[k]
-            f_a, f_b = BitVector(m, a_full[p]), BitVector(m, B.data[k])
+            f_a, f_b = BitVector(m, sum(1 << rows[r] for r in a_cols[p])), BitVector(m, B.data[k])
             for _ in range(100):
                 found = graph_collision_all(uncollected, f_a, f_b, ledger, model, rng)
                 if found:
@@ -516,7 +514,7 @@ def _probe_rounds(instance: JoinInstance, ledger: CommLedger, rng: random.Random
         live = [t for t, i in enumerate(chosen) if product[i]]
         rows = [product[chosen[t]] for t in live]
         answers = [reduce(xor, compress(rows, hits), 0) for hits in probes[:, live].tolist()]
-        ledger._log_search([1] * len(answers), probe, [])
+        ledger._log(probe, len(answers))
         yield chosen, probes, answers
 
 

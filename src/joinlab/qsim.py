@@ -81,9 +81,10 @@ class CostModel:
 class GroverPlan:
     """Iteration schedule for search with unknown marked count.
 
-    ``caps`` holds one cap per measurement, in draw order: each measurement
-    draws (or fixes, when ``randomize`` is off) an iteration count bounded
-    by its cap.  The default plan grows caps geometrically up to the classic
+    ``caps`` holds one int cap per measurement, in draw order: each
+    measurement draws ``randrange(cap)`` iterations, or takes the cap itself
+    when ``randomize`` is off.  :func:`_amplify` makes the draws.  The
+    default plan grows caps geometrically up to the classic
     ceil(pi/4 sqrt(m)) ceiling and then lingers there, which keeps the
     expected cost at the sqrt(m/(t+1)) scale while bounding the false
     negative rate for any marked count.
@@ -95,6 +96,9 @@ class GroverPlan:
     def __post_init__(self):
         if not self.caps:
             raise ValueError("plan needs at least one measurement")
+        for c in self.caps:
+            if not isinstance(c, int):
+                raise ValueError(f"caps must be integers, got {c!r}")
         if any(c < 0 for c in self.caps):
             raise ValueError("caps must be nonnegative")
         if self.randomize and any(c < 1 for c in self.caps):
@@ -121,37 +125,6 @@ class GroverPlan:
     def _widths(self) -> tuple[tuple[int, int], ...]:
         return tuple((cap, cap.bit_length()) for cap in self.caps)
 
-    def draws(self, rng: random.Random):
-        """Lazily, one ``rng.randrange(cap)`` per cap, or the caps if not randomized.
-
-        ``randrange(n)`` is ``getrandbits(n.bit_length())`` redrawn while the result is
-        >= n: same bits, same generator state after, without randrange's two Python frames.
-        """
-        if not self.randomize:
-            yield from self.caps
-            return
-        getrandbits = rng.getrandbits
-        for cap, width in self._widths:
-            value = getrandbits(width)
-            while value >= cap:
-                value = getrandbits(width)
-            yield value
-
-    def unmarked_draws(self, rng: random.Random, times: int = 1) -> list:
-        """``times`` runs of :meth:`draws` as one list, each draw followed by its measurement's
-        ``rng.random()``: the draws of searches with nothing marked, in one plain loop."""
-        if not self.randomize:
-            return [cap for _ in range(times) for cap, _r in zip(self.caps, iter(rng.random, None))]
-        getrandbits, random_, drawn = rng.getrandbits, rng.random, []
-        for _ in range(times):
-            for cap, width in self._widths:
-                value = getrandbits(width)
-                while value >= cap:
-                    value = getrandbits(width)
-                random_()
-                drawn.append(value)
-        return drawn
-
 
 def _entry_probabilities(m: int, t: int, iterations: int) -> tuple[float, float]:
     """Probability of each of t marked and each other of m entries after k = ``iterations`` rounds:
@@ -173,10 +146,11 @@ def _amplify(domain, hits: list, plan, model, rng, outer=False, times=1):
     :meth:`CommLedger._log_search` with its message templates.  With
     nothing marked, ``times`` runs that many (failing) searches as one.
 
-    Exact mode samples one candidate for each iteration count the plan
-    draws, from the entry probabilities of :func:`_entry_probabilities`,
-    and tests on the hits alone whether it is marked.  With no marked entry
-    every draw fails, so it only takes each draw's ``rng.random()``.
+    Exact mode measures once per cap of the plan: it draws the iteration
+    count as ``rng.randrange(cap)`` would (or takes the cap when the plan
+    does not randomize), then one ``rng.random()``.  With something marked,
+    that float picks a candidate by the entry probabilities of
+    :func:`_entry_probabilities`, tested on the hits alone.
     Cost-model mode makes a single measurement at the analytical count
     ceil(c * sqrt(|domain| / d)) for t marked entries: c = c_round and
     d = t + 1 for an inner search, c = c_shuttle and d = max(t, 1) for the
@@ -187,20 +161,27 @@ def _amplify(domain, hits: list, plan, model, rng, outer=False, times=1):
     if model.exact:
         if plan is None:
             plan = GroverPlan.default(m)
-        if not t:
-            return None, plan.unmarked_draws(rng, times)
+        getrandbits, random_, randomize, drawn = rng.getrandbits, rng.random, plan.randomize, []
+        # randrange(cap) is getrandbits(cap.bit_length()) redrawn while the result is >= cap: the
+        # same values and generator state, without randrange's two Python frames per draw.
         # The mass through entry i, pu * (i + 1 - c) + pm * c with c hits up to i, sums two
         # non-decreasing rounded products, so masses are sorted.  Through the last entry it is the
         # total, which r (the total times a float below 1) never reaches: no fallback is needed.
-        drawn = []
-        for iterations in plan.draws(rng):
-            pm, pu = _entry_probabilities(m, t, iterations)
-            r = rng.random() * (pu * (m - t) + pm * t)
-            # the first hit whose mass exceeds r is the candidate if the mass before it does not
-            j = bisect.bisect_right(range(t), r, key=lambda j: pu * (hits[j] - j) + pm * (j + 1))
+        for cap, width in plan._widths if t else plan._widths * times:
+            iterations = cap
+            if randomize:
+                iterations = getrandbits(width)
+                while iterations >= cap:
+                    iterations = getrandbits(width)
+            r = random_()
             drawn.append(iterations)
-            if j < t and pu * (hits[j] - j) + pm * j <= r:
-                return domain[hits[j]], drawn
+            if t:
+                pm, pu = _entry_probabilities(m, t, iterations)
+                r *= pu * (m - t) + pm * t
+                # the first hit whose mass exceeds r is the candidate if the mass before it does not
+                j = bisect.bisect_right(range(t), r, key=lambda j: pu * (hits[j] - j) + pm * (j + 1))
+                if j < t and pu * (hits[j] - j) + pm * j <= r:
+                    return domain[hits[j]], drawn
         return None, drawn
 
     c, d = (model.c_shuttle, max(t, 1)) if outer else (model.c_round, t + 1)
@@ -468,12 +449,11 @@ def graph_collision_all(
         if state.search is None or not state.search.hits:
             state.attempt(ledger, rng, reps)
             return frozenset(found)
-        edge = None
         for _ in range(reps):
             edge = state.attempt(ledger, rng)
             if edge is not None:
                 break
-        if edge is None:
+        else:
             return frozenset(found)
         found.add(edge)
         state.remove(*edge)

@@ -55,10 +55,16 @@ def _sample_index(probs: np.ndarray, rng: random.Random) -> int:
     return int(min(np.searchsorted(cum, r, side="right"), len(probs) - 1))
 
 
+def _stdlib_draws(plan, rng):
+    """Each measurement's iteration count, drawn lazily by the stdlib: randrange(cap), or the cap of a fixed plan."""
+    for cap in plan.caps:
+        yield rng.randrange(cap) if plan.randomize else cap
+
+
 def _reference_amplify(domain, marked_mask, plan, rng):
     """The exact branch of ``_amplify`` as a statevector simulation: the witness and the draws."""
     draws = []
-    for iterations in plan.draws(rng):
+    for iterations in _stdlib_draws(plan, rng):
         amps = next(itertools.islice(statevectors(marked_mask), iterations, None))
         candidate = _sample_index(amps * amps, rng)
         draws.append(iterations)
@@ -109,22 +115,24 @@ def test_closed_form_draws_match_statevector(case):
     assert (got, rng_got.random()) == (want, rng_want.random())
 
 
-def _reference_bisect_amplify(domain, marked_mask, plan, rng):
+def _reference_bisect_amplify(domain, marked_mask, plan, rng, times=1):
     """The exact branch of ``_amplify`` that bisects prefix masses on every draw, whatever t is,
-    over a list of the running marked counts built from a bool mask."""
+    over a list of the running marked counts built from a bool mask.  With nothing marked it
+    runs the plan ``times`` times."""
     m = len(domain)
     marked = np.cumsum(marked_mask).tolist()
     t = marked[-1]
     draws = []
-    for iterations in plan.draws(rng):
-        pm, pu = _entry_probabilities(m, t, iterations)
-        r = rng.random() * (pu * (m - t) + pm * t)
-        candidate = bisect.bisect_right(
-            range(m - 1), r, key=lambda i: pu * (i + 1 - marked[i]) + pm * marked[i]
-        )
-        draws.append(iterations)
-        if marked_mask[candidate]:
-            return domain[candidate], draws
+    for _ in range(1 if t else times):
+        for iterations in _stdlib_draws(plan, rng):
+            pm, pu = _entry_probabilities(m, t, iterations)
+            r = rng.random() * (pu * (m - t) + pm * t)
+            candidate = bisect.bisect_right(
+                range(m - 1), r, key=lambda i: pu * (i + 1 - marked[i]) + pm * marked[i]
+            )
+            draws.append(iterations)
+            if marked_mask[candidate]:
+                return domain[candidate], draws
     return None, draws
 
 
@@ -271,22 +279,6 @@ def test_cost_model_search_is_one_analytical_draw(m, seed, c, outer):
     assert found is None or mask[found - 1000]
 
 
-class _Schedule:
-    """A plan that hands out fixed iteration counts and keeps those taken."""
-
-    def __init__(self, counts):
-        self.counts, self.taken = counts, []
-
-    def draws(self, rng):
-        for iterations in self.counts:
-            self.taken.append(iterations)
-            yield iterations
-
-    def unmarked_draws(self, rng, times=1):
-        # each count, then its measurement's rng.random(), as GroverPlan.unmarked_draws takes them
-        return [count for _ in range(times) for count, _r in zip(self.draws(rng), iter(rng.random, None))]
-
-
 def _charge_grover_measurements(ledger, draws, n, phase, directions):
     """The charges ``grover_search`` made through ``charge``, one measurement at a time."""
     width, announce = index_qubits(n), outcome_bits(n)
@@ -340,16 +332,18 @@ def test_batched_search_charges_match_per_measurement_charges(case):
     got, want = CommLedger(), CommLedger()
     for led in (got, want):
         led.charge(A_TO_B, BITS, 3, "earlier")
-    plan = _Schedule(counts)
+    # a search stops at its first witness, so it takes a prefix of the counts: the reference's draws
+    plan = GroverPlan(tuple(counts), randomize=False)
     grover_search(n, domain, marked.__contains__, plan, got, EXACT, random.Random(seed),
                   phase="probe", directions=directions)
-    _charge_grover_measurements(want, plan.taken, n, "probe", directions)
+    _, taken = _reference_bisect_amplify(domain, np.isin(domain, list(marked)), plan, random.Random(seed))
+    _charge_grover_measurements(want, taken, n, "probe", directions)
     assert _ledger_state(got) == _ledger_state(want)
 
-    plan = _Schedule(counts)
     with patch.object(GroverPlan, "default", lambda m: plan):
         instance_search(range(n), sorted(marked), got, EXACT, random.Random(seed), inner_cost_qubits=inner)
-    _charge_instance_measurements(want, plan.taken, n, inner)
+    _, taken = _reference_bisect_amplify(range(n), np.isin(range(n), list(marked)), plan, random.Random(seed))
+    _charge_instance_measurements(want, taken, n, inner)
     assert _ledger_state(got) == _ledger_state(want)
 
 
@@ -362,9 +356,15 @@ caps_near_powers = st.integers(0, 70).flatmap(
        st.integers(0, 2**64))
 @example([1, 2, 3, 4, 5, 7, 8, 9, 2**64 - 1, 2**64, 2**64 + 1], 0)
 def test_plan_draws_match_randrange(caps, seed):
-    # same values as randrange over the caps, and the generator ends in the same state
+    # an unmarked exact search draws the same values as randrange over the caps, each followed by
+    # its measurement's random(), and leaves the generator in the same state
     got, want = random.Random(seed), random.Random(seed)
-    assert list(GroverPlan(tuple(caps)).draws(got)) == list(map(want.randrange, caps))
+    found, draws = _amplify(range(len(caps)), [], GroverPlan(tuple(caps)), EXACT, got)
+    expect = []
+    for cap in caps:
+        expect.append(want.randrange(cap))
+        want.random()
+    assert (found, draws) == (None, expect)
     assert got.getstate() == want.getstate()
 
 
@@ -373,12 +373,43 @@ def test_plan_draws_match_randrange(caps, seed):
 @example([1, 2, 3, 4, 5, 7, 8, 9, 2**64 - 1, 2**64, 2**64 + 1], True, 3, 0)
 @example([0, 3, 0], False, 2, 1)
 def test_unmarked_draws_match_draws_zipped_with_random(caps, randomize, times, seed):
-    # times runs of draws, each value followed by its measurement's random(), in one list
+    # times runs of the plan's draws, each value followed by its measurement's random(), in one list
     plan = GroverPlan(tuple(c or 1 for c in caps) if randomize else tuple(caps), randomize)
     got, want = random.Random(seed), random.Random(seed)
-    expect = [count for _ in range(times) for count, _r in zip(plan.draws(want), iter(want.random, None))]
-    assert plan.unmarked_draws(got, times) == expect
+    expect = [count for _ in range(times) for count, _r in zip(_stdlib_draws(plan, want), iter(want.random, None))]
+    assert _amplify(range(1 + len(caps)), [], plan, EXACT, got, times=times) == (None, expect)
     assert got.getstate() == want.getstate()
+
+
+@st.composite
+def draw_cases(draw):
+    caps = draw(st.lists(st.one_of(caps_near_powers, st.integers(0, 10**6)), min_size=1, max_size=30))
+    randomize = draw(st.booleans())
+    m = draw(st.integers(1, 64))
+    t = draw(st.sampled_from((0, 1, m)))
+    return caps, randomize, m, t, draw(st.integers(1, 4)), draw(st.integers(0, 2**64))
+
+
+@given(draw_cases())
+@example(([1, 2, 3, 4, 5, 7, 8, 9, 2**64 - 1, 2**64, 2**64 + 1], True, 1, 0, 3, 0))
+@example(([1, 2, 3, 4, 5, 7, 8, 9, 2**64 - 1, 2**64, 2**64 + 1], True, 64, 1, 2, 1))
+@example(([1, 2, 3, 4, 5, 7, 8, 9, 2**64 - 1, 2**64, 2**64 + 1], True, 9, 9, 1, 2))
+@example(([0, 3, 0], False, 5, 0, 2, 3))
+@example(([0, 3, 0], False, 5, 1, 4, 4))
+def test_exact_draws_match_randrange(case):
+    # each measurement draws randrange(cap), or takes the cap of a fixed plan, then its random();
+    # with nothing marked, times runs of the plan in one list
+    caps, randomize, m, t, times, seed = case
+    plan = GroverPlan(tuple(c or 1 for c in caps) if randomize else tuple(caps), randomize)
+    hits = sorted(random.Random(seed).sample(range(m), t))
+    mask = np.zeros(m, dtype=bool)
+    mask[hits] = True
+    domain = range(1000, 1000 + m)
+    got, want = random.Random(seed), random.Random(seed)
+    found, draws = _amplify(domain, hits, plan, EXACT, got, times=times)
+    assert (found, draws) == _reference_bisect_amplify(domain, mask, plan, want, times)
+    assert got.getstate() == want.getstate()
+    assert t or len(draws) == times * len(caps)
 
 
 def test_default_plans_are_shared_per_arguments():
@@ -393,7 +424,7 @@ def test_default_plan_caps():
     assert GroverPlan.default(64).caps == tuple(c for c in (1, 2, 2, 3, 4, 6, 7, 7, 7, 7) for _ in range(3))
     # at m = 1 the first growth cap is the ceiling, so every cap is the ceiling
     assert GroverPlan.default(1).caps == (1,) * 12
-    assert list(GroverPlan.default(1).draws(random.Random(0))) == [0] * 12
+    assert _amplify(range(1), [], None, EXACT, random.Random(0)) == (None, [0] * 12)
     for m in (2, 3, 17, 1000, 1 << 20):
         caps = GroverPlan.default(m).caps
         hard = math.ceil(math.pi / 4 * math.sqrt(m))
@@ -951,6 +982,13 @@ def test_plan_validation():
     [
         pytest.param(
             lambda: GroverPlan((1, -1), randomize=False), ValueError, "caps must be nonnegative", id="plan-caps"
+        ),
+        pytest.param(
+            lambda: GroverPlan((1, 2.5)), ValueError, "caps must be integers, got 2.5", id="plan-float-cap"
+        ),
+        pytest.param(
+            lambda: GroverPlan(("3",), randomize=False), ValueError, "caps must be integers, got '3'",
+            id="plan-string-cap",
         ),
         pytest.param(
             lambda: grover_search(4, [0, 4], lambda i: False, None, CommLedger(), EXACT, random.Random(0)),
