@@ -446,9 +446,12 @@ def _cmd_scaling(args) -> int:
         raise ValueError("--slope-tol needs --expect-slope")
     # fit_exponent's own checks, made from the grids before any instance is built
     ells = args.ell or [256]
+    sweep_ell = args.protocol == "bmm-cost" and len(ells) > 1
+    if sweep_ell and len(args.n) > 1:
+        raise ValueError("a bmm-cost sweep varies --n or --ell, not both")
     if len(args.n) * len(ells) * args.trials < 4:
         raise ValueError("need at least 4 points")
-    if len(set(ells if args.protocol == "bmm-cost" and len(ells) > 1 else args.n)) < 2:
+    if len(set(ells if sweep_ell else args.n)) < 2:
         raise ValueError("need at least two distinct x values")
     points, rows = scaling_points(
         args.protocol, args.n, ells, args.trials, args.seed, _mode_of(args), args.divide_log

@@ -325,31 +325,55 @@ def freivalds_round(a_side: BitMatrix, b_side: BitMatrix, v: BitVector, ledger: 
 # ---------------------------------------------------------------------------
 
 
-class _SketchWords(dict):
-    """Coordinate -> measurement word of one sketch, filled in on first lookup.
+class SensingSketch:
+    """Linear parity sketch with bucketed index checksums and a peeling decoder.
 
-    It holds the sketch's sizes and seed, not the sketch, so the two form no
-    reference cycle.  The hash tables are computed on first use, for all
-    coordinates and levels in one numpy pass.  Level l puts coordinate i in
-    bucket ``h * buckets >> 32`` of the multiply-shift hash
-    ``h = ((a*i + b) mod 2**64) >> 32`` (Dietzfelbinger et al. 1997) and
-    gives it code ``(c2 * s(c1*i) + d) mod 2**code_bits``, with c1, c2 odd
-    and ``s(x) = x ^ x >> ceil(code_bits / 2)``.  Each step is a bijection,
-    so :meth:`coordinate` inverts the code by arithmetic.  Without the
-    xorshift s, the XOR of the codes of three coordinates sharing a bucket
-    names a fourth coordinate of that bucket about three times as often as
-    with random codes, and sketches with few levels peel those false
-    candidates.  When codes outnumber coordinates, d puts the preimage of
-    code 0 at or above n, so no coordinate has code 0.
+    Each of ``levels = ceil(log2(100 kappa))`` levels hashes coordinates into
+    ``2 * kappa`` buckets; a bucket is one packed field, ``parity | code << 1``,
+    holding the parity and the XOR of the per-level codes of the coordinates
+    in it.  ``sketch[i]`` is coordinate i's measurement word, the image of the
+    unit vector e_i, with its own field at one bucket per level, so the
+    sketch is linear over F2.  Decoding peels that same word off the residual
+    measurement for a coordinate named by a pure bucket, preferring one
+    confirmed by a second level, and only accepts a result whose residual
+    cancels exactly.
+
+    Level l puts coordinate i in bucket ``h * buckets >> 32`` of the
+    multiply-shift hash ``h = ((a*i + b) mod 2**64) >> 32`` (Dietzfelbinger
+    et al. 1997) and gives it code ``(c2 * s(c1*i) + d) mod 2**code_bits``,
+    with c1, c2 odd and ``s(x) = x ^ x >> ceil(code_bits / 2)``.
+    ``random.Random(seed)`` draws only a, b, c1, c2 and d per level.  Each
+    step is a bijection, so :meth:`_coordinate` inverts the code by
+    arithmetic.  Without the xorshift s, the XOR of the codes of three
+    coordinates sharing a bucket names a fourth coordinate of that bucket
+    about three times as often as with random codes, and sketches with few
+    levels peel those false candidates.  When codes outnumber coordinates, d
+    puts the preimage of code 0 at or above n, so no coordinate has code 0.
+
+    Construction only fixes the sizes.  The tables are computed on first
+    use, for all coordinates and levels in one numpy pass, and a
+    coordinate's word the first time it is read, so a sketch that only
+    reports ``measurement_len``, or only sees zero vectors and zero
+    measurements, computes neither.
     """
 
-    def __init__(self, n: int, levels: int, buckets: int, code_bits: int, seed: int):
-        super().__init__()
-        self.n, self.levels, self.buckets, self.code_bits, self.seed = n, levels, buckets, code_bits, seed
-        self._shift = (code_bits + 1) // 2
+    def __init__(self, n: int, kappa: int, seed: int):
+        if n < 1:
+            raise ValueError("sketch needs a domain of at least 1")
+        if kappa < 1:
+            raise ValueError("sparsity bound must be positive")
+        self.n = n
+        self.kappa = kappa
+        self.seed = seed
+        self.levels = math.ceil(math.log2(100.0 * kappa))
+        self.buckets = 2 * kappa
+        self.code_bits = max(1, (n - 1).bit_length())
+        self.measurement_len = self.levels * self.buckets * (1 + self.code_bits)
+        self._shift = (self.code_bits + 1) // 2
+        self._words: dict[int, int] = {}
 
     @cached_property
-    def tables(self) -> tuple[list[list[int]], list[list[int]], list[tuple[int, int, int]]]:
+    def _tables(self) -> tuple[list[list[int]], list[list[int]], list[tuple[int, int, int]]]:
         """Per level: each coordinate's bucket, each coordinate's code, and (d, c2^-1, c1^-1)."""
         rng = random.Random(self.seed)
         n, bits, shift = self.n, self.code_bits, self._shift
@@ -372,69 +396,33 @@ class _SketchWords(dict):
         inverse = [(d, pow(c2, -1, space), pow(c1, -1, space)) for _, _, c1, c2, d in params]
         return buckets.tolist(), codes.tolist(), inverse
 
-    def coordinate(self, level: int, code: int) -> int | None:
+    def _coordinate(self, level: int, code: int) -> int | None:
         """The coordinate with this code at this level, or None when no coordinate below n has it."""
-        d, c2_inv, c1_inv = self.tables[2][level]
+        d, c2_inv, c1_inv = self._tables[2][level]
         mask = (1 << self.code_bits) - 1
         x = (code - d) * c2_inv & mask
         i = (x ^ x >> self._shift) * c1_inv & mask
         return i if i < self.n else None
 
-    def offset(self, level: int, bucket: int) -> int:
+    def _offset(self, level: int, bucket: int) -> int:
         """Bit position of the field of this bucket at this level in a measurement."""
         return (level * self.buckets + bucket) * (1 + self.code_bits)
 
-    def __missing__(self, i: int) -> int:
-        bucket_of, code_of, _ = self.tables
-        offset, word = self.offset, 0
-        for level in range(self.levels):
-            word |= (1 | code_of[level][i] << 1) << offset(level, bucket_of[level][i])
-        self[i] = word
+    def __getitem__(self, i: int) -> int:
+        """Coordinate i's measurement word, computed the first time it is read."""
+        word = self._words.get(i)
+        if word is None:
+            bucket_of, code_of, _ = self._tables
+            word = 0
+            for level in range(self.levels):
+                word |= (1 | code_of[level][i] << 1) << self._offset(level, bucket_of[level][i])
+            self._words[i] = word
         return word
-
-
-class SensingSketch:
-    """Linear parity sketch with bucketed index checksums and a peeling decoder.
-
-    Each of ``d`` levels hashes coordinates into ``2 * kappa`` buckets; a
-    bucket is one packed field, ``parity | code << 1``, holding the parity
-    and the XOR of the per-level codes of the coordinates in it, so a
-    coordinate's measurement is one word with its own field at one bucket
-    per level, and the sketch is linear over F2.  Decoding peels that same
-    word off the residual measurement for a coordinate named by a pure
-    bucket, preferring one confirmed by a second level, and only accepts a
-    result whose residual cancels exactly.
-
-    The buckets come from a seeded multiply-shift hash and the codes from a
-    seeded bijection that the decoder inverts by arithmetic (see
-    :class:`_SketchWords`); ``random.Random(seed)`` draws only their few
-    parameters.  Construction only fixes the sizes.  The tables are
-    computed on first use and a coordinate's measurement word the first
-    time a vector holding it is encoded, so a sketch that only reports
-    ``measurement_len``, or only sees zero vectors and zero measurements,
-    computes neither.
-    """
-
-    def __init__(self, n: int, kappa: int, seed: int, levels: int | None = None):
-        if n < 1:
-            raise ValueError("sketch needs a domain of at least 1")
-        if kappa < 1:
-            raise ValueError("sparsity bound must be positive")
-        if levels is not None and levels < 1:
-            raise ValueError(f"levels must be at least 1, got {levels}")
-        self.n = n
-        self.kappa = kappa
-        self.seed = seed
-        self.levels = levels if levels is not None else max(1, math.ceil(math.log2(100.0 * kappa)))
-        self.buckets = 2 * kappa
-        self.code_bits = max(1, (n - 1).bit_length())
-        self.measurement_len = self.levels * self.buckets * (1 + self.code_bits)
-        self._words = _SketchWords(n, self.levels, self.buckets, self.code_bits, seed)
 
     def encode(self, x: BitVector) -> BitVector:
         if x.n != self.n:
             raise DimensionError(f"expected length {self.n}, got {x.n}")
-        return BitVector(self.measurement_len, _fold(xor, self._words, x.bits))
+        return BitVector(self.measurement_len, _fold(xor, self, x.bits))
 
     def decode(self, measurement: BitVector) -> BitVector | None:
         """Recover x from its sketch, or None when peeling cannot finish.
@@ -450,9 +438,8 @@ class SensingSketch:
         residual = measurement.bits
         if not residual:
             return BitVector(self.n)
-        words = self._words
-        bucket_of, code_of, _ = words.tables
-        coordinate, levels, offset = words.coordinate, range(self.levels), words.offset
+        bucket_of, code_of, _ = self._tables
+        coordinate, levels, offset = self._coordinate, range(self.levels), self._offset
         mask = (1 << (1 + self.code_bits)) - 1
         recovered = 0
         for _ in range(8 * self.kappa + 8):
@@ -480,7 +467,7 @@ class SensingSketch:
                 chosen = fallback
             if chosen is None:
                 return None
-            residual ^= words[chosen]
+            residual ^= self[chosen]
             recovered ^= 1 << chosen
         return None
 

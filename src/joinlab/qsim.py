@@ -117,10 +117,6 @@ class GroverPlan:
             s += 1
         return cls(tuple(cap for cap in growth + [hard] * 4 for _ in range(3)))
 
-    @classmethod
-    def fixed(cls, iterations: int, reps: int = 1) -> "GroverPlan":
-        return cls((iterations,) * reps, randomize=False)
-
     @functools.cached_property
     def _widths(self) -> tuple[tuple[int, int], ...]:
         return tuple((cap, cap.bit_length()) for cap in self.caps)

@@ -162,7 +162,7 @@ def test_criterion_4_exact_grover_and_witness_distribution():
         b = BitVector.from_indices(n, list(range(t)) + list(range(30, 46)))
         theta = math.asin(math.sqrt(t / 16))
         k_opt = max(0, round(math.pi / (4 * theta) - 0.5))
-        plan = GroverPlan.fixed(k_opt, reps=8)
+        plan = GroverPlan((k_opt,) * 8, randomize=False)
         counts = Counter()
         hits = 0
         for trial in range(1000):

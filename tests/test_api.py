@@ -42,8 +42,6 @@ def test_all_names_are_attributes(name):
 
 # public methods that only tests reach, each kept for the test that needs it
 TEST_ONLY_METHODS = {
-    "qsim.GroverPlan.fixed": "test_acceptance.py::test_criterion_4_exact_grover_and_witness_distribution "
-    "runs fixed-iteration plans against the statevector curve",
     "ledger.CommLedger.amounts": "the ledger digests of test_pinned_behaviour.py hash every amount",
     "ledger.CommLedger.report": "test_acceptance.py::test_criterion_8_invariant_suite checks its totals "
     "against the ledger's bits and qubits",

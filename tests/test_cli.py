@@ -236,6 +236,7 @@ def test_scaling_rows_check_answers(protocol, module, target, answer, monkeypatc
         (["--protocol", "bmm-cost", "--n", "64", "--ell", "16,16", "--trials", "3"], "need at least two distinct x values"),
         (["--protocol", "bmm-cost", "--n", "64,64", "--trials", "3"], "need at least two distinct x values"),
         (["--protocol", "disj-cost", "--n", "1024,1024", "--trials", "2"], "need at least two distinct x values"),
+        (["--protocol", "bmm-cost", "--n", "256,1024", "--ell", "16,64", "--trials", "1"], "a bmm-cost sweep varies --n or --ell, not both"),
     ],
 )
 def test_scaling_rejects_an_unfittable_sweep_before_any_trial(argv, message, monkeypatch, capsys):

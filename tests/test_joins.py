@@ -480,7 +480,7 @@ def test_sketch_single_coordinate():
     x = BitVector.from_indices(64, [17])
     meas = sk.encode(x)
     # level-0 bucket of 17 carries its parity and its code word
-    bucket_of, code_of, _ = sk._words.tables
+    bucket_of, code_of, _ = sk._tables
     off = _field_offset(sk, 0, bucket_of[0][17])
     assert (meas.bits >> off) & 1 == 1
     mask = (1 << sk.code_bits) - 1
@@ -531,13 +531,10 @@ def test_sketch_decode_failure_is_reported():
     assert outcomes["fail"] > 0
 
 
-@pytest.mark.parametrize(
-    "n, kappa, levels, word",
-    [(0, 4, None, "domain"), (64, 0, None, "sparsity"), (64, 4, 0, "levels"), (64, 4, -1, "levels")],
-)
-def test_sketch_rejects_bad_sizes(n, kappa, levels, word):
+@pytest.mark.parametrize("n, kappa, word", [(0, 4, "domain"), (64, 0, "sparsity")])
+def test_sketch_rejects_bad_sizes(n, kappa, word):
     with pytest.raises(ValueError, match=word):
-        SensingSketch(n, kappa, seed=1, levels=levels)
+        SensingSketch(n, kappa, seed=1)
 
 
 def test_sketch_draws_no_tables_it_does_not_use():
@@ -545,9 +542,9 @@ def test_sketch_draws_no_tables_it_does_not_use():
     assert sk.measurement_len == sk.levels * sk.buckets * (1 + sk.code_bits)
     assert sk.encode(BitVector(256)).is_zero()
     assert sk.decode(BitVector(sk.measurement_len)) == BitVector(256)
-    assert "tables" not in vars(sk._words) and not sk._words
+    assert "_tables" not in vars(sk) and not sk._words
     sk.encode(BitVector.from_indices(256, [3]))
-    assert "tables" in vars(sk._words) and list(sk._words) == [3]
+    assert "_tables" in vars(sk) and list(sk._words) == [3]
 
 
 def test_sketch_words_do_not_tie_the_sketch_into_a_cycle():
@@ -582,18 +579,12 @@ def _reference_tables(sk: SensingSketch) -> tuple[list[list[int]], list[list[int
 
 
 @settings(max_examples=150)
-@given(
-    st.sampled_from((1, 2, 3, 17, 64, 257, 1024)),
-    st.integers(1, 8),
-    st.one_of(st.none(), st.integers(1, 4)),
-    st.integers(0, 2**32 - 1),
-)
-@example(1, 1, None, 0)
-@example(1024, 8, 4, 2**32 - 1)
-def test_sketch_hashes_are_invertible_codes_and_in_range_buckets(n, kappa, levels, seed):
-    sk = SensingSketch(n, kappa, seed, levels)
-    words = sk._words
-    bucket_of, code_of, _ = words.tables
+@given(st.sampled_from((1, 2, 3, 17, 64, 257, 1024)), st.integers(1, 8), st.integers(0, 2**32 - 1))
+@example(1, 1, 0)
+@example(1024, 8, 2**32 - 1)
+def test_sketch_hashes_are_invertible_codes_and_in_range_buckets(n, kappa, seed):
+    sk = SensingSketch(n, kappa, seed)
+    bucket_of, code_of, _ = sk._tables
     space = 1 << sk.code_bits
     assert (bucket_of, code_of) == _reference_tables(sk)
     for level in range(sk.levels):
@@ -604,13 +595,13 @@ def test_sketch_hashes_are_invertible_codes_and_in_range_buckets(n, kappa, level
             assert 0 not in codes
         owner = dict(zip(codes, range(n)))
         for code in range(space):
-            assert words.coordinate(level, code) == owner.get(code)
+            assert sk._coordinate(level, code) == owner.get(code)
         assert all(0 <= b < 2 * kappa for b in bucket_of[level])
 
 
 def _reference_encode(sk: SensingSketch, x: BitVector) -> int:
     """The measurement built field by field: parity bit and code of each set coordinate, per level."""
-    bucket_of, code_of, _ = sk._words.tables
+    bucket_of, code_of, _ = sk._tables
     meas = 0
     for i in x.indices():
         for level in range(sk.levels):
@@ -624,35 +615,35 @@ def _reference_encode(sk: SensingSketch, x: BitVector) -> int:
 def sketch_cases(draw):
     n = draw(st.sampled_from((1, 2, 3, 17, 64, 257)))
     kappa = draw(st.integers(1, 6))
-    levels = draw(st.one_of(st.none(), st.integers(1, 4)))
     seed = draw(st.integers(0, 2**32 - 1))
     support = st.sets(st.integers(0, n - 1), max_size=min(n, 3 * kappa))
-    return n, kappa, levels, seed, draw(support), draw(support)
+    return n, kappa, seed, draw(support), draw(support)
 
 
 @given(sketch_cases())
-@example((1, 1, None, 0, set(), {0}))
-@example((257, 6, None, 7, {256}, {0, 256}))
-@example((64, 1, 2, 3058970982, {7, 9, 39}, {59, 61}))
+@example((1, 1, 0, set(), {0}))
+@example((257, 6, 7, {256}, {0, 256}))
+@example((64, 1, 3058970982, {7, 9, 39}, {59, 61}))
 def test_sketch_encode_matches_field_by_field_reference(case):
-    n, kappa, levels, seed, xs, ys = case
-    sk = SensingSketch(n, kappa, seed, levels)
+    n, kappa, seed, xs, ys = case
+    sk = SensingSketch(n, kappa, seed)
     x, y = BitVector.from_indices(n, xs), BitVector.from_indices(n, ys)
     for v in (BitVector(n), x, y, BitVector.from_indices(n, [0]), BitVector.from_indices(n, [n - 1])):
         meas = sk.encode(v)
         assert meas.n == sk.measurement_len
         assert meas.bits == _reference_encode(sk, v)
+    assert all(sk[i] == sk.encode(BitVector.from_indices(n, [i])).bits for i in xs | ys | {0, n - 1})
     assert sk.encode(x ^ y) == sk.encode(x) ^ sk.encode(y)
-    assert SensingSketch(n, kappa, seed, levels).encode(y) == sk.encode(y)
+    assert SensingSketch(n, kappa, seed).encode(y) == sk.encode(y)
     assert sk.decode(BitVector(sk.measurement_len)) == BitVector(n)
     # decode only returns a vector whose measurement cancels the input's; past
-    # the sparsity bound that can be x plus a kernel vector of the sketch (the
-    # third example decodes {7, 9, 39} to {36}), and with one level no second
-    # level confirms a peel, so only levels >= 2 within the bound give None or x
+    # the sparsity bound that could be x plus a kernel vector of the sketch (the
+    # third example's {7, 9, 39} decodes to None and {59, 61} to itself), and
+    # within the bound it is None or x
     for v in (x, y, x ^ y):
         d = sk.decode(sk.encode(v))
         assert d is None or sk.encode(d) == sk.encode(v)
-        if sk.levels >= 2 and v.weight() <= kappa:
+        if v.weight() <= kappa:
             assert d in (None, v)
 
 
@@ -661,7 +652,7 @@ def _reference_decode(sk: SensingSketch, measurement: BitVector) -> BitVector | 
 
     Codes are inverted through a dict built from the code table, not by the sketch's arithmetic.
     """
-    bucket_of, code_of, _ = sk._words.tables
+    bucket_of, code_of, _ = sk._tables
     code_inv = [{c: i for i, c in enumerate(codes)} for codes in code_of]
 
     def parse():
@@ -736,9 +727,8 @@ def decode_cases(draw):
     """Sketch sizes and a measurement: the encoding of up to 6 kappa ones XOR nothing, a few bits or a random word."""
     n = draw(st.sampled_from((1, 2, 3, 17, 64, 257)))
     kappa = draw(st.integers(1, 6))
-    levels = draw(st.one_of(st.none(), st.integers(1, 4)))
     seed = draw(st.integers(0, 2**32 - 1))
-    length = SensingSketch(n, kappa, seed, levels).measurement_len
+    length = SensingSketch(n, kappa, seed).measurement_len
     support = draw(st.sets(st.integers(0, n - 1), max_size=min(n, 6 * kappa)))
     noise = draw(
         st.one_of(
@@ -747,21 +737,21 @@ def decode_cases(draw):
             st.integers(0, (1 << length) - 1),
         )
     )
-    return n, kappa, levels, seed, support, noise
+    return n, kappa, seed, support, noise
 
 
 @settings(max_examples=400)
 @given(decode_cases())
-@example((1, 1, None, 0, {0}, 0))
-@example((1, 1, 1, 5, set(), 0b11))
-@example((64, 1, 2, 3058970982, {7, 9, 39}, 0))
+@example((1, 1, 0, {0}, 0))
+@example((1, 1, 5, set(), 0b11))
+@example((64, 1, 3058970982, {7, 9, 39}, 0))
 def test_sketch_decode_matches_reference_decoder(case):
-    n, kappa, levels, seed, support, noise = case
-    sk = SensingSketch(n, kappa, seed, levels)
+    n, kappa, seed, support, noise = case
+    sk = SensingSketch(n, kappa, seed)
     meas = sk.encode(BitVector.from_indices(n, support)) ^ BitVector(sk.measurement_len, noise)
     got = sk.decode(meas)
     # a fresh sketch decodes the same way as one whose tables and words are drawn
-    assert got == _reference_decode(sk, meas) == SensingSketch(n, kappa, seed, levels).decode(meas)
+    assert got == _reference_decode(sk, meas) == SensingSketch(n, kappa, seed).decode(meas)
 
 
 # ---------------------------------------------------------------------------

@@ -92,18 +92,23 @@ def test_entry_probabilities_match_statevector():
         assert np.max(np.abs(probs - expect)) < 1e-12, m
 
 
+def _fixed_plans(most: int):
+    """Plans that run 1 to 3 measurements at one iteration count in [0, most], none randomized."""
+    return st.builds(lambda k, reps: GroverPlan((k,) * reps, randomize=False), st.integers(0, most), st.integers(1, 3))
+
+
 @st.composite
 def amplify_cases(draw):
     m = draw(st.integers(1, 256))
     t = draw(st.one_of(st.sampled_from((0, 1, m)), st.integers(0, m)))
-    fixed = st.builds(GroverPlan.fixed, st.integers(0, 50), st.integers(1, 3))
+    fixed = _fixed_plans(50)
     plan = draw(st.one_of(st.none(), fixed))
     return m, t, plan, draw(st.integers(0, 2**32))
 
 
 @given(amplify_cases())
 @example((1, 1, None, 0))
-@example((256, 0, GroverPlan.fixed(50, 3), 1))
+@example((256, 0, GroverPlan((50,) * 3, randomize=False), 1))
 def test_closed_form_draws_match_statevector(case):
     m, t, plan, seed = case
     mask = _random_mask(m, t, random.Random(seed))
@@ -140,7 +145,7 @@ def _reference_bisect_amplify(domain, marked_mask, plan, rng, times=1):
 def unmarked_cases(draw):
     n = draw(st.integers(1, 4096))
     domain = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=min(n, 300))))
-    fixed = st.builds(GroverPlan.fixed, st.integers(0, 60), st.integers(1, 3))
+    fixed = _fixed_plans(60)
     zero = st.builds(GroverPlan, st.lists(st.just(0), min_size=1, max_size=9).map(tuple), st.just(False))
     # the default plan of another support size: a schedule of another length
     default = st.builds(GroverPlan.default, st.integers(1, 4096))
@@ -150,7 +155,7 @@ def unmarked_cases(draw):
 
 @given(unmarked_cases())
 @example((1, [0], None, 0))
-@example((4096, list(range(0, 4096, 16)), GroverPlan.fixed(0, 3), 5))
+@example((4096, list(range(0, 4096, 16)), GroverPlan((0,) * 3, randomize=False), 5))
 def test_unmarked_domain_skips_the_bisect_but_not_the_draws(case):
     _, domain, plan, seed = case
     mask = np.zeros(len(domain), dtype=bool)
@@ -171,7 +176,7 @@ def marked_cases(draw):
     t = draw(st.one_of(st.sampled_from((1, m)), st.integers(1, m)))
     seed = draw(st.integers(0, 2**32))
     hits = sorted(random.Random(seed).sample(range(m), t))
-    fixed = st.builds(GroverPlan.fixed, st.integers(0, 60), st.integers(1, 3))
+    fixed = _fixed_plans(60)
     plan = draw(st.one_of(st.none(), st.builds(GroverPlan.default, st.integers(1, 4096)), fixed))
     return m, hits, plan, seed
 
@@ -181,8 +186,8 @@ def marked_cases(draw):
 @example((4096, list(range(4096)), None, 1))
 @example((4096, [4095], None, 2))
 @example((4096, [0], None, 3))
-@example((4096, [4095], GroverPlan.fixed(50, 3), 4))
-@example((2, [1], GroverPlan.fixed(0, 3), 5))
+@example((4096, [4095], GroverPlan((50,) * 3, randomize=False), 4))
+@example((2, [1], GroverPlan((0,) * 3, randomize=False), 5))
 def test_marked_domain_matches_the_prefix_count_reference(case):
     # testing the hits picks the candidate the bisect over the running-count list picks
     m, hits, plan, seed = case
@@ -236,8 +241,7 @@ def boundary_cases(draw):
     ends = st.sets(st.sampled_from(sorted({0, m - 1})))
     hits = sorted(draw(ends) | draw(st.one_of(st.just(set(range(m))), st.sets(st.integers(0, m - 1)))))
     assume(hits)
-    plan = draw(st.one_of(st.none(), st.builds(GroverPlan.default, st.integers(1, 256)),
-                          st.builds(GroverPlan.fixed, st.integers(0, 12), st.integers(1, 3))))
+    plan = draw(st.one_of(st.none(), st.builds(GroverPlan.default, st.integers(1, 256)), _fixed_plans(12)))
     return m, hits, plan, draw(st.integers(0, 2**32))
 
 
@@ -245,7 +249,7 @@ def boundary_cases(draw):
 @example((1, [0], None, 0))
 @example((2, [0], None, 1))
 @example((2, [1], None, 2))
-@example((2, [0, 1], GroverPlan.fixed(1, 3), 3))
+@example((2, [0, 1], GroverPlan((1,) * 3, randomize=False), 3))
 @example((9, [0, 8], None, 4))
 @example((64, list(range(64)), None, 5))
 def test_hit_test_matches_the_bisect_with_r_on_the_masses(case):
@@ -550,7 +554,7 @@ def test_disj_uniform_at_optimal_iterations():
         b = BitVector.from_indices(n, list(range(t)) + list(range(30, 46)))
         theta = math.asin(math.sqrt(t / 16))
         k_opt = max(0, round(math.pi / (4 * theta) - 0.5))
-        plan = GroverPlan.fixed(k_opt, reps=8)
+        plan = GroverPlan((k_opt,) * 8, randomize=False)
         counts = Counter()
         hits = 0
         for tr in range(1000):
@@ -969,9 +973,6 @@ def test_plan_validation():
         GroverPlan(())
     with pytest.raises(ValueError):
         GroverPlan((0,), randomize=True)
-    with pytest.raises(ValueError):
-        GroverPlan.fixed(3, reps=0)
-    assert GroverPlan.fixed(3, reps=2) == GroverPlan((3, 3), randomize=False)
     plan = GroverPlan.default(64)
     assert plan.caps[-1] == math.ceil(math.pi / 4 * 8)
     assert all(c >= 1 for c in plan.caps)
