@@ -26,7 +26,6 @@ from joinlab.f2core import (
     DimensionError,
     InstanceError,
     JoinInstance,
-    _bernoulli,
     _fold,
     _iter_bits,
     bool_product,  # unused here, like f2_product; perfbench's tracing test checks both bindings
@@ -482,12 +481,17 @@ _DENSE_VOTE = 0.63
 
 
 def _probe_rounds(instance: JoinInstance, ledger: CommLedger, rng: random.Random, r1: int, r_freivalds: int):
-    """Yield each round's sampled rows of A, its probe vectors and their answers v^T (A_S B).
+    """Yield each round's sampled nonzero rows of A, its probe word and the answers v^T (A_S B).
 
-    An answer is what :func:`freivalds_round` returns, and is charged as one:
-    the XOR of the product rows (A B)[i] of the sampled rows i the probe
-    picks, read from the instance's F2 product, which ``mm_f2`` reuses.
-    Zero product rows pick nothing.
+    Alice's coins are a private generator seeded by one shared
+    ``getrandbits(64)``.  A round keeps k of the n rows by selection sampling
+    (Knuth, Algorithm S) over [n] ordered with A's nonzero rows first, so the
+    kept rows are a uniform k-subset intersected with them; zero rows of A
+    add nothing to v^T A_S.  Bit ``t * r_freivalds + p`` of the round's word
+    is probe p's bit for ``chosen[t]``.  An answer is what
+    :func:`freivalds_round` returns on the kept rows, and is charged as one:
+    the XOR of the product rows (A B)[i] its probe picks, read from the
+    instance's F2 product, which ``mm_f2`` reuses.
     """
     B = instance.B
     n = instance.A.rows
@@ -495,14 +499,24 @@ def _probe_rounds(instance: JoinInstance, ledger: CommLedger, rng: random.Random
     sample_rows = min(n, max(1, math.ceil(n / math.sqrt(instance.ell))))
     # each probe is charged as one freivalds_round: v out to B's side, v^T (A_S B) back
     probe = [(A_TO_B, BITS, max(1, B.rows), "freivalds"), (B_TO_A, BITS, max(1, B.cols), "freivalds")]
+    coins = random.Random(rng.getrandbits(64))
+    randrange, getrandbits = coins.randrange, coins.getrandbits
+    support, mask = list(compress(range(n), instance.A.data)), (1 << r_freivalds) - 1
     for _ in range(r1):
-        chosen = sorted(rng.sample(range(n), sample_rows))
-        probes = _bernoulli(r_freivalds, sample_rows, 0.5, rng)
-        live = [t for t, i in enumerate(chosen) if product[i]]
-        rows = [product[chosen[t]] for t in live]
-        answers = [reduce(xor, compress(rows, hits), 0) for hits in probes[:, live].tolist()]
-        ledger._log(probe, len(answers))
-        yield chosen, probes, answers
+        chosen, left = [], sample_rows
+        for t, i in enumerate(support):
+            if randrange(n - t) < left:
+                chosen.append(i)
+                left -= 1
+                if not left:
+                    break
+        word, answers = getrandbits(r_freivalds * len(chosen)), [0] * r_freivalds
+        for t, i in enumerate(chosen):
+            if product[i]:
+                for p in _iter_bits(word >> t * r_freivalds & mask):
+                    answers[p] ^= product[i]
+        ledger._log(probe, r_freivalds)
+        yield chosen, word, answers
 
 
 def _require_positive(**counts: int):
@@ -526,7 +540,9 @@ def classify_columns(
     rounds are declared dense.  Columns of weight at least 1.1*sqrt(ell)
     are caught, and declared-dense columns have at least 0.9*sqrt(ell)
     ones, each with high probability; the band between may go either way.
-    Counts below 1 are rejected before any draw or charge.
+    Samples and probes are Alice's private coins, seeded by one
+    ``rng.getrandbits(64)`` (see :func:`_probe_rounds`).  Counts below 1
+    are rejected before any draw or charge.
     """
     _require_positive(r1=r1, r_freivalds=r_freivalds)
     n = instance.A.rows

@@ -1,6 +1,7 @@
 """Join protocols against the brute-force products, plus cost-model checks."""
 
 import gc
+import itertools
 import math
 import random
 import weakref
@@ -898,17 +899,36 @@ def test_classify_columns_rejects_counts_below_one_before_drawing(r1, r_freivald
 
 
 def _reference_classify(instance, ledger, rng, r1, r_freivalds):
-    """classify_columns as one row sample and one :func:`_reference_columns` call per round."""
+    """classify_columns draw for draw, by plain loops: one 64-bit seed from ``rng`` for Alice's
+    coins, then per round Algorithm S over A's nonzero rows, each probe's bits read one at a time
+    from one word, and one :func:`freivalds_round` per probe on the sampled sub-matrix."""
     for name, value in (("r1", r1), ("r_freivalds", r_freivalds)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
-    n = instance.A.rows
+    A, n = instance.A, instance.A.rows
     sample_rows = min(n, max(1, math.ceil(n / math.sqrt(instance.ell))))
+    coins = random.Random(rng.getrandbits(64))
+    nonzero = [i for i in range(n) if A.data[i]]
     votes = [0] * n
     for _ in range(r1):
-        chosen = sorted(rng.sample(range(n), sample_rows))
-        sub = BitMatrix(sample_rows, instance.A.cols, [instance.A.data[i] for i in chosen])
-        for j in _reference_columns(sub, instance.B, r_freivalds, ledger, rng):
+        chosen, left = [], sample_rows
+        for t, i in enumerate(nonzero):
+            if left == 0:
+                break
+            if coins.randrange(n - t) < left:
+                chosen.append(i)
+                left -= 1
+        c = len(chosen)
+        word = coins.getrandbits(r_freivalds * c)
+        sub = BitMatrix(c, A.cols, [A.data[i] for i in chosen])
+        seen = set()
+        for p in range(r_freivalds):
+            v = 0
+            for t in range(c):
+                if word >> (t * r_freivalds + p) & 1:
+                    v |= 1 << t
+            seen.update(freivalds_round(sub, instance.B, BitVector(c, v), ledger).indices())
+        for j in seen:
             votes[j] += 1
     return frozenset(j for j in range(n) if votes[j] >= 0.63 * r1)
 
@@ -959,12 +979,55 @@ def test_classify_columns_matches_per_round_reference(case):
 def test_probe_answers_match_freivalds_round(case):
     inst, r1, r_freivalds, seed = case
     A, B = inst.A, inst.B
-    rounds = _probe_rounds(inst, CommLedger(), random.Random(seed), r1, max(1, r_freivalds))
-    for chosen, probes, answers in rounds:
+    r = max(1, r_freivalds)
+    for chosen, word, answers in _probe_rounds(inst, CommLedger(), random.Random(seed), r1, r):
+        assert chosen == sorted(set(chosen)) and all(A.data[i] for i in chosen)
+        assert word >> r * len(chosen) == 0 and len(answers) == r
         sub = BitMatrix(len(chosen), A.cols, [A.data[i] for i in chosen])
-        assert len(answers) == len(probes) == max(1, r_freivalds)
-        for v, answer in zip(BitMatrix.from_numpy(probes).data, answers):
+        for p, answer in enumerate(answers):
+            # probe p picks chosen[t] when bit t * r + p of the round's word is set
+            v = sum((word >> (t * r + p) & 1) << t for t in range(len(chosen)))
             assert answer == freivalds_round(sub, B, BitVector(len(chosen), v), CommLedger()).bits
+
+
+def test_probe_rounds_sample_rows_and_probe_bits_with_the_uniform_law():
+    # k = ceil(10 / sqrt(7)) = 4 of n = 10 rows, three of them nonzero in A: a uniform 4-subset of
+    # [10] meets S in T with probability C(7, 4 - |T|) / C(10, 4), and each probe bit is fair
+    n, ell, support = 10, 7, (2, 5, 7)
+    a = BitMatrix(n, n, [1 << i if i in support else 0 for i in range(n)])
+    inst = JoinInstance.build(a, BitMatrix.identity(n), ell, kind="f2")
+    rounds, r_freivalds = 20_000, 2
+    subsets, ones, kept = {}, {}, dict.fromkeys(support, 0)
+    for chosen, word, _ in _probe_rounds(inst, CommLedger(), random.Random(2024), rounds, r_freivalds):
+        subsets[frozenset(chosen)] = subsets.get(frozenset(chosen), 0) + 1
+        for t, i in enumerate(chosen):
+            kept[i] += 1
+            for p in range(r_freivalds):
+                ones[i, p] = ones.get((i, p), 0) + (word >> (t * r_freivalds + p) & 1)
+    assert set(subsets) <= {frozenset(c) for r in range(4) for c in itertools.combinations(support, r)}
+    for size in range(4):
+        for subset in itertools.combinations(support, size):
+            q = math.comb(n - 3, 4 - size) / math.comb(n, 4)
+            assert abs(subsets.get(frozenset(subset), 0) / rounds - q) <= 5 * math.sqrt(q * (1 - q) / rounds)
+    for i in support:
+        for p in range(r_freivalds):
+            assert abs(ones[i, p] / kept[i] - 0.5) <= 5 * math.sqrt(0.25 / kept[i])
+
+
+def test_classification_takes_one_64_bit_draw_from_the_shared_stream_whatever_a_holds():
+    n = 64
+    b = BitMatrix.identity(n)
+    instances = (
+        JoinInstance.build(BitMatrix(n, n, [0] * n), b, 16, kind="f2"),
+        JoinInstance.build(BitMatrix.identity(n), b, n, kind="f2"),
+        gen_promise_instance(n, n, 16, 9, "f2"),
+    )
+    after_seed = random.Random(31)
+    after_seed.getrandbits(64)
+    for inst in instances:
+        rng = random.Random(31)
+        classify_columns(inst, CommLedger(), rng, 19, 13)
+        assert rng.getstate() == after_seed.getstate()
 
 
 def _xor_selected(rows, word: int) -> int:

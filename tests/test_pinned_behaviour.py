@@ -5,8 +5,9 @@ returned values, trace rounds, the ledger's amount per ``(direction, kind,
 phase)`` and its message count, the exception a run ends in, and a draw from the
 generator after each call (so the number of draws a protocol takes is
 pinned too).  A change that alters behaviour on purpose updates the digest
-here and says why in CHANGES.md.  Run this file as a script to print the
-current digests.
+here and says why in CHANGES.md.  A re-pin that changes draws but claims
+an unchanged law names the law test that shows it.  Run this file as a
+script to print the current digests.
 
 A change that edits the cases of a digest, dropping one that no longer
 runs or one the program now rejects, proves the edit the same way: run the
@@ -49,9 +50,9 @@ EXPECTED = {
     "bmm_cost_model": "3c7f16ddbe3f660987655afc5d72ac48ad0e034e948f70fe0c7034db3775857b",
     "bmm_cost_model_wide": "2fa02d67d9d35a53f1c35c4e557c4eb73e9451b579ae46b7db7505ec88947505",
     "qsim": "4ec1a90e1fc963f6bb94dd336c1e3b31aacb64679d0e7d80235585e7ea082bcb",
-    "mm_f2": "9c050c011459e1acb21c208d4b58593a7f7b85d99f6c3acd306992355dc91fe2",
+    "mm_f2": "6c2adfa54f4cd386a4fde9c1a3bf63e73b83861c385c55be47a1ec7f00c101ad",
     "sketch": "f97de2d6efae69be59eb14edc171c8a51468a811765de79cea9c634778d8312f",
-    "cli": "656df52d7b1366189dedd9f49f7193a6928128d570e9e643c676f382b836079a",
+    "cli": "1f3790573a7227bdea38b58b0a9d96521c75e745e9db89cb7d1021813200ba72",
     "cli_sweeps": "07d166b1c89351cfe8496ba6c02ad20fb6060edec11b4f715b1420a0cd3a796b",
     "reductions": "b3861058dd40e27add3043d8965cecd9e0dc057cd718d3adfe299d38493c10c1",
 }
