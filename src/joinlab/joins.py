@@ -102,7 +102,6 @@ def _search_and_collect(
     model: CostModel,
     ledger: CommLedger,
     rng: random.Random,
-    none_repeats: int | None = None,
 ) -> BmmTrace:
     """The search-and-collect loop of the Boolean product protocol, in either mode.
 
@@ -127,8 +126,9 @@ def _search_and_collect(
     m, n = A.rows, A.cols
     if model.exact and max(m, n) > BMM_EXACT_CAP:
         raise SimulationCapError(f"exact bmm caps dimensions at {BMM_EXACT_CAP}")
-    if none_repeats is None:
-        none_repeats = max(1, math.ceil(math.log(100.0 * (instance.ell + 2)) / math.log(3.0)))
+    # an exact search misses with probability at most 1/3, so a round ends the run by mistake with
+    # probability at most 1/(100 (ell + 2)), and the union bound covers the at most ell + 1 rounds
+    none_repeats = math.ceil(math.log(100.0 * (instance.ell + 2)) / math.log(3.0))
     rows = list(compress(range(m), A.data))
     active = [k for k in _iter_bits(reduce(or_, (A.data[i] for i in rows), 0)) if B.data[k]]
     position = {k: p for p, k in enumerate(active)}
@@ -217,17 +217,17 @@ def bmm_with_trace(
     model: CostModel,
     ledger: CommLedger,
     rng: random.Random,
-    none_repeats: int | None = None,
 ) -> tuple[BitMatrix, BmmTrace]:
     """Boolean product protocol returning the accumulated output and its trace.
 
     Every edge entering the output is a verified collision, so spurious ones
     are impossible; protocol error is confined to stopping before all ones
-    are found.  ``none_repeats`` boosts each round's search so the union
-    bound over at most ell+1 rounds keeps the end-to-end error small.  A
-    cost-model ``model`` runs the replay of :func:`bmm_cost_model` instead.
+    are found.  The run ends only after ceil(log3(100 (ell+2))) searches in
+    a row find no witness, so the union bound over at most ell+1 rounds
+    keeps the end-to-end error small.  A cost-model ``model`` runs the
+    replay of :func:`bmm_cost_model` instead.
     """
-    trace = _search_and_collect(instance, model, ledger, rng, none_repeats)
+    trace = _search_and_collect(instance, model, ledger, rng)
     return trace.product, trace
 
 
@@ -519,33 +519,20 @@ def _probe_rounds(instance: JoinInstance, ledger: CommLedger, rng: random.Random
         yield chosen, word, answers
 
 
-def _require_positive(**counts: int):
-    """Reject the first repetition count below 1, by keyword order."""
-    for name, value in counts.items():
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
-
-
-def classify_columns(
-    instance: JoinInstance,
-    ledger: CommLedger,
-    rng: random.Random,
-    r1: int,
-    r_freivalds: int,
-) -> frozenset[int]:
+def classify_columns(instance: JoinInstance, ledger: CommLedger, rng: random.Random) -> frozenset[int]:
     """Row-sampled probing that returns the columns of the product declared dense.
 
     Each round samples ~n/sqrt(ell) rows of A and probes which columns of
     the sampled product are nonzero; columns flagged in a clear majority of
-    rounds are declared dense.  Columns of weight at least 1.1*sqrt(ell)
-    are caught, and declared-dense columns have at least 0.9*sqrt(ell)
-    ones, each with high probability; the band between may go either way.
-    Samples and probes are Alice's private coins, seeded by one
-    ``rng.getrandbits(64)`` (see :func:`_probe_rounds`).  Counts below 1
-    are rejected before any draw or charge.
+    rounds are declared dense.  There are r1 = max(1, ceil(3 log2 n))
+    rounds of r_freivalds = ceil(log2(100 n)) probes each.  Columns of
+    weight at least 1.1*sqrt(ell) are caught, and declared-dense columns
+    have at least 0.9*sqrt(ell) ones, each with high probability; the band
+    between may go either way.  Samples and probes are Alice's private
+    coins, seeded by one ``rng.getrandbits(64)`` (see :func:`_probe_rounds`).
     """
-    _require_positive(r1=r1, r_freivalds=r_freivalds)
     n = instance.A.rows
+    r1, r_freivalds = max(1, math.ceil(3 * math.log2(n))), math.ceil(math.log2(100.0 * n))
     votes = [0] * n
     for _, _, answers in _probe_rounds(instance, ledger, rng, r1, r_freivalds):
         for j in _iter_bits(reduce(or_, answers, 0)):
@@ -554,26 +541,19 @@ def classify_columns(
     return frozenset(j for j in range(n) if votes[j] >= threshold)
 
 
-def mm_f2(
-    instance: JoinInstance,
-    ledger: CommLedger,
-    rng: random.Random,
-    r1: int | None = None,
-    r_freivalds: int | None = None,
-    r3: int | None = None,
-) -> BitMatrix:
+def mm_f2(instance: JoinInstance, ledger: CommLedger, rng: random.Random) -> BitMatrix:
     """Full F2 product under the sparse-output promise.
 
     Step 1 classifies columns (classical probing).  Step 2 ships the dense
     columns of B so their product columns are computed exactly.  Step 3
-    streams r3 batches of sketches of A's columns, and Bob decodes each
-    sparse column of the product from his measurement: by linearity, the
-    sketches folded through column j of B are the sketch of column j of
-    AB, so the simulation encodes that column directly.  A zero column has
-    the zero measurement, which decodes to zero at once, so only the
-    nonzero sparse columns are encoded and decoded.  Every batch is charged
-    (a one-way stream), so the bits are the (n, ell)-determined sketch and
-    probe charges plus n for each dense column.
+    streams r3 = ceil(log2(100 n)) batches of sketches of A's columns, and
+    Bob decodes each sparse column of the product from his measurement: by
+    linearity, the sketches folded through column j of B are the sketch of
+    column j of AB, so the simulation encodes that column directly.  A zero
+    column has the zero measurement, which decodes to zero at once, so only
+    the nonzero sparse columns are encoded and decoded.  Every batch is
+    charged (a one-way stream), so the bits are the (n, ell)-determined
+    sketch and probe charges plus n for each dense column.
     """
     A = instance.A
     if instance.kind != "f2":
@@ -582,15 +562,9 @@ def mm_f2(
     if A.rows != A.cols:
         raise DimensionError("mm_f2 handles square n x n operands")
     n = A.rows
-    if r1 is None:
-        r1 = max(1, math.ceil(3 * math.log2(n)))
-    if r_freivalds is None:
-        r_freivalds = max(1, math.ceil(math.log2(100.0 * n)))
-    if r3 is None:
-        r3 = max(1, math.ceil(math.log2(100.0 * n)))
-    _require_positive(r1=r1, r_freivalds=r_freivalds, r3=r3)
+    r3 = math.ceil(math.log2(100.0 * n))
 
-    dense = classify_columns(instance, ledger, rng, r1, r_freivalds)
+    dense = classify_columns(instance, ledger, rng)
     # the columns of the product whose rows classification probed; under the promise the transpose
     # scatters at most ell ones
     columns = instance._f2_product.transpose().data

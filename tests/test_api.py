@@ -2,8 +2,9 @@
 
 No module keeps an ``__all__`` and the package re-exports nothing, so
 names are imported from their modules.  Every public module-level name and
-every public method has a caller outside tests, or an entry below that
-names the check it is kept for.
+every public method has a caller outside tests, and every default
+parameter of one is passed by such a caller, or an entry below names the
+check it is kept for.
 """
 
 import ast
@@ -152,3 +153,70 @@ def test_public_classes_and_constants_have_callers_outside_tests():
     """A public module-level class or constant of ``joinlab`` is named in code of src/ or perfbench/, tests aside."""
     uncalled = _uncalled_top_level((ast.ClassDef, ast.Assign, ast.AnnAssign))
     assert not uncalled, f"public classes and constants only tests read: {sorted(uncalled)}"
+
+
+# default parameters that no caller outside tests passes, each kept for the check that needs it
+TEST_ONLY_DEFAULTS = {
+    "cli.fit_exponent": (("n_boot",), "acceptance criteria 3 and 4 fit with a 100-sample bootstrap"),
+    "cli.main": (("argv",), "test_cli.py drives the commands in-process; the console script passes none"),
+    "qsim.disj": (("plan",), "acceptance criterion 4 runs disj under fixed plans"),
+    "qsim.grover_search": (
+        ("phase", "directions", "stats"),
+        "the qsim digest hashes stats, and test_qsim.py recomputes charges under its own phase and directions",
+    ),
+}
+
+
+def _defaults(fn: ast.FunctionDef) -> list[tuple[int | None, str]]:
+    """(position or None for keyword-only, name) of each parameter of ``fn`` that has a default."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    out = [(p, arg.arg) for p, arg in enumerate(positional) if p >= first]
+    return out + [(None, arg.arg) for arg, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+
+
+def test_default_parameters_are_passed_outside_tests():
+    """A default parameter of a public ``joinlab`` function or method is passed by code of src/ or perfbench/.
+
+    A call passes it by keyword, by position, or by ``*`` or ``**``
+    unpacking.  Calls match by the name called, bare or as an attribute;
+    a method called off an instance does not pass ``self``, so its
+    positions shift by one.  A default that no caller sets is a constant,
+    unless an entry above names the check it is kept for.
+    """
+    trees = {path: ast.parse(path.read_text()) for path in CODE}
+    calls = [
+        node
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+    ]
+    # (qualified name, definition, 1 where a call leaves self or cls implicit)
+    functions = []
+    for path, tree in trees.items():
+        if path.parent.name != "joinlab":
+            continue
+        for stmt in tree.body:
+            if isinstance(stmt, ast.FunctionDef):
+                functions.append((f"{path.stem}.{stmt.name}", stmt, 0))
+            elif isinstance(stmt, ast.ClassDef) and not stmt.name.startswith("_"):
+                for fn in stmt.body:
+                    if isinstance(fn, ast.FunctionDef):
+                        static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+                        functions.append((f"{path.stem}.{stmt.name}.{fn.name}", fn, 0 if static else 1))
+    unpassed = {}
+    for qualified, fn, bound in functions:
+        if fn.name.startswith("_"):
+            continue
+        mine = [c for c in calls if fn.name in (getattr(c.func, "id", None), getattr(c.func, "attr", None))]
+        for position, name in _defaults(fn):
+            passed = any(
+                any(k.arg in (name, None) for k in c.keywords)
+                or any(isinstance(a, ast.Starred) for a in c.args)
+                or (position is not None and len(c.args) + bound > position)
+                for c in mine
+            )
+            if not passed:
+                unpassed.setdefault(qualified, []).append(name)
+    allowed = {qualified: list(names) for qualified, (names, _) in TEST_ONLY_DEFAULTS.items()}
+    assert unpassed == allowed, f"default parameters only tests pass: {unpassed}"

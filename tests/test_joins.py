@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from joinlab import joins
 from joinlab.f2core import (
     BitMatrix,
     BitVector,
@@ -42,6 +43,7 @@ from joinlab.ledger import A_TO_B, B_TO_A, BITS, QUBITS, CommLedger, index_qubit
 from joinlab.qsim import (
     BipartiteGraph,
     CostModel,
+    GroverPlan,
     ProtocolError,
     SimulationCapError,
     graph_collision_all,
@@ -122,6 +124,70 @@ def test_bmm_witness_weight_bound_under_promise():
         _, trace = bmm_with_trace(inst, EXACT, CommLedger(), random.Random(seed))
         for rnd in trace.rounds:
             assert rnd.min_weight <= math.sqrt(inst.ell)
+
+
+def _spied_searches(monkeypatch, stop_after=None):
+    """Route joins' instance searches through the real one, recording each result and the ledger
+    total it added; past ``stop_after`` witnesses every search reports None (still charged)."""
+    calls = []
+
+    def search(instances, answers, ledger, *args, **kwargs):
+        before = ledger.total()
+        k = instance_search(instances, answers, ledger, *args, **kwargs)
+        if stop_after is not None and sum(c is not None for c, _ in calls) == stop_after:
+            k = None
+        calls.append((k, ledger.total() - before))
+        return k
+
+    monkeypatch.setattr(joins, "instance_search", search)
+    return calls
+
+
+def test_exact_bmm_that_stops_early_keeps_its_verified_rounds(monkeypatch):
+    inst = gen_promise_instance(32, 32, 32, seed=6)
+    calls = _spied_searches(monkeypatch, stop_after=2)
+    led = CommLedger()
+    out, trace = bmm_with_trace(inst, EXACT, led, random.Random(6))
+    assert trace.t == 2 and [r.witness for r in trace.rounds] == [k for k, _ in calls if k is not None]
+    truth = inst.oracle_product
+    assert out != truth and all(mine & ~row == 0 for mine, row in zip(out.data, truth.data))
+    assert sum(trace.lambdas) == out.weight()
+    # every search the run made, the ones told to miss included, is on the run's ledger
+    assert calls[-1][0] is None and all(charged > 0 for _, charged in calls)
+
+
+def _search_miss_probability(big_n: int) -> np.ndarray:
+    """Exact chance, for each marked count t in [1, big_n], that one exact instance search over
+    big_n entries under ``GroverPlan.default`` finds nothing: the product over its caps of
+    1 - mean over k < cap of sin^2((2k + 1) asin(sqrt(t / big_n)))."""
+    theta = np.arcsin(np.sqrt(np.arange(1, big_n + 1) / big_n))
+    miss = np.ones(big_n)
+    for cap in GroverPlan.default(big_n).caps:
+        miss *= 1 - np.mean(np.sin(np.outer(theta, 2 * np.arange(cap) + 1)) ** 2, axis=1)
+    return miss
+
+
+def test_final_searches_meet_the_per_round_bound_by_the_exact_miss_probability(monkeypatch):
+    # premise of the base-3 count: one search misses with probability at most 1/3 for every (N, t)
+    worst = {big_n: _search_miss_probability(big_n).max() for big_n in (*range(1, 65), 256, 1000, 1024, 4096)}
+    assert max(worst.values()) <= 1 / 3
+    zero = BitMatrix(32, 32, [0] * 32)
+    cases = [
+        gen_promise_instance(8, 8, 1, seed=3),
+        gen_promise_instance(16, 16, 16, seed=4),
+        gen_promise_instance(32, 32, 64, seed=5),
+        gen_hard_instance(64, 64, seed=6),
+        JoinInstance.build(zero, zero, ell=1024),
+    ]
+    for inst in cases:
+        calls = _spied_searches(monkeypatch)
+        out = bmm_with_trace(inst, EXACT, CommLedger(), random.Random(inst.ell))[0]
+        assert out == inst.oracle_product
+        # the searches after the last witness are the round that ended the run
+        final = len(calls) - 1 - max((i for i, (k, _) in enumerate(calls) if k is not None), default=-1)
+        bound = 1 / (100 * (inst.ell + 2))
+        assert (1 / 3) ** final <= bound
+        assert worst[inst.A.cols] ** final <= bound
 
 
 # ---------------------------------------------------------------------------
@@ -789,27 +855,6 @@ def test_mm_f2_requires_f2_kind():
         mm_f2(inst, CommLedger(), random.Random(0))
 
 
-@pytest.mark.parametrize(
-    "counts, message",
-    [
-        ({"r1": 0}, "r1 must be at least 1, got 0"),
-        ({"r1": -2}, "r1 must be at least 1, got -2"),
-        ({"r_freivalds": 0}, "r_freivalds must be at least 1, got 0"),
-        ({"r1": 0, "r_freivalds": 0}, "r1 must be at least 1, got 0"),
-        ({"r1": 3, "r_freivalds": -1}, "r_freivalds must be at least 1, got -1"),
-        ({"r3": 0}, "r3 must be at least 1, got 0"),
-        ({"r3": -1}, "r3 must be at least 1, got -1"),
-    ],
-)
-def test_mm_f2_rejects_repetition_counts_below_one(counts, message):
-    inst = gen_promise_instance(64, 64, 16, seed=11, kind="f2")
-    rng, led = random.Random(12), CommLedger()
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        mm_f2(inst, led, rng, **counts)
-    # rejected before any charge or draw
-    assert led.amounts == {} and len(led) == 0 and rng.getrandbits(32) == random.Random(12).getrandbits(32)
-
-
 def test_mm_f2_matches_oracle():
     good = 0
     trials = 30
@@ -843,7 +888,7 @@ def test_classification_captures_clearly_dense_columns():
         a = BitMatrix(n, n, [1 if i in rows else 0 for i in range(n)])
         b = BitMatrix(n, n, [(1 << j_star) if k == 0 else 0 for k in range(n)])
         inst = JoinInstance.build(a, b, ell, tr, "f2")
-        dense = classify_columns(inst, CommLedger(), rng, 19, 13)
+        dense = classify_columns(inst, CommLedger(), rng)
         captured += j_star in dense
         product_t = inst.oracle_product.transpose()
         pure += all(product_t.data[j].bit_count() >= 0.9 * math.sqrt(ell) for j in dense)
@@ -868,7 +913,7 @@ def test_classification_leaves_scattered_columns_sparse():
             data[i] |= 1 << j
         b = BitMatrix(n, n, data)
         inst = JoinInstance.build(a, b, ell, tr, "f2")
-        clean += not classify_columns(inst, CommLedger(), rng, 19, 13)
+        clean += not classify_columns(inst, CommLedger(), rng)
     assert clean / trials >= 0.95
 
 
@@ -876,36 +921,16 @@ def test_classification_size_bound():
     for tr in range(50):
         seed = 61000 + tr
         inst = gen_promise_instance(64, 64, 36, seed, kind="f2")
-        dense = classify_columns(inst, CommLedger(), random.Random(seed), 19, 13)
+        dense = classify_columns(inst, CommLedger(), random.Random(seed))
         assert len(dense) <= math.ceil(inst.ell / (0.9 * math.sqrt(inst.ell)))
 
 
-@pytest.mark.parametrize(
-    "r1, r_freivalds, message",
-    [
-        (0, 13, "r1 must be at least 1, got 0"),
-        (-1, 13, "r1 must be at least 1, got -1"),
-        (19, 0, "r_freivalds must be at least 1, got 0"),
-        (19, -3, "r_freivalds must be at least 1, got -3"),
-        (0, 0, "r1 must be at least 1, got 0"),
-    ],
-)
-def test_classify_columns_rejects_counts_below_one_before_drawing(r1, r_freivalds, message):
-    inst = gen_promise_instance(64, 64, 16, 11, "f2")
-    rng, led = random.Random(12), CommLedger()
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        classify_columns(inst, led, rng, r1, r_freivalds)
-    assert led.amounts == {} and len(led) == 0 and rng.getrandbits(32) == random.Random(12).getrandbits(32)
-
-
-def _reference_classify(instance, ledger, rng, r1, r_freivalds):
+def _reference_classify(instance, ledger, rng):
     """classify_columns draw for draw, by plain loops: one 64-bit seed from ``rng`` for Alice's
     coins, then per round Algorithm S over A's nonzero rows, each probe's bits read one at a time
     from one word, and one :func:`freivalds_round` per probe on the sampled sub-matrix."""
-    for name, value in (("r1", r1), ("r_freivalds", r_freivalds)):
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
     A, n = instance.A, instance.A.rows
+    r1, r_freivalds = max(1, math.ceil(3 * math.log2(n))), math.ceil(math.log2(100 * n))
     sample_rows = min(n, max(1, math.ceil(n / math.sqrt(instance.ell))))
     coins = random.Random(rng.getrandbits(64))
     nonzero = [i for i in range(n) if A.data[i]]
@@ -935,7 +960,7 @@ def _reference_classify(instance, ledger, rng, r1, r_freivalds):
 
 @st.composite
 def classify_cases(draw):
-    """An F2 instance (planted, inner-product embedding, zero A, density-0.5 A or 1x1) and probe counts."""
+    """An F2 instance (planted, inner-product embedding, zero A, density-0.5 A or 1x1) and an rng seed."""
     family = draw(st.sampled_from(("planted", "ip", "zero-a", "half-a", "one")))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = random.Random(seed)
@@ -952,34 +977,30 @@ def classify_cases(draw):
             n = 1
         a = BitMatrix(n, n, [0] * n) if family == "zero-a" else BitMatrix.random(n, n, 0.5, rng)
         inst = JoinInstance.build(a, BitMatrix.random(n, n, 0.5, rng), draw(st.integers(1, n * n)), kind="f2")
-    return inst, draw(st.integers(0, 6)), draw(st.integers(0, 5)), seed
+    return inst, seed
 
 
 @settings(max_examples=150)
 @given(classify_cases())
-@example((gen_promise_instance(64, 64, 128, 3, "f2"), 19, 13, 3))
-@example((JoinInstance.build(BitMatrix(8, 8, [0] * 8), BitMatrix.identity(8), 4, kind="f2"), 3, 2, 1))
-@example((JoinInstance.build(BitMatrix.identity(1), BitMatrix.identity(1), 1, kind="f2"), 2, 0, 5))
+@example((gen_promise_instance(64, 64, 128, 3, "f2"), 3))
+@example((JoinInstance.build(BitMatrix(8, 8, [0] * 8), BitMatrix.identity(8), 4, kind="f2"), 1))
+@example((JoinInstance.build(BitMatrix.identity(1), BitMatrix.identity(1), 1, kind="f2"), 5))
 def test_classify_columns_matches_per_round_reference(case):
-    inst, r1, r_freivalds, seed = case
+    inst, seed = case
     runs = []
     for classify in (classify_columns, _reference_classify):
         rng, led = random.Random(seed), CommLedger()
-        try:
-            got = classify(inst, led, rng, r1, r_freivalds)
-        except ValueError as exc:
-            got = exc.args
+        got = classify(inst, led, rng)
         runs.append((got, led.amounts, len(led), rng.getrandbits(32)))
     assert runs[0] == runs[1]
 
 
 @settings(max_examples=60)
-@given(classify_cases())
-@example((embed_ip_f2([BitVector(16, 0b1011)] * 2, [BitVector(16, 0b0110)] * 2, 16).instance, 3, 4, 2))
-def test_probe_answers_match_freivalds_round(case):
-    inst, r1, r_freivalds, seed = case
+@given(classify_cases(), st.integers(0, 6), st.integers(1, 5))
+@example((embed_ip_f2([BitVector(16, 0b1011)] * 2, [BitVector(16, 0b0110)] * 2, 16).instance, 2), 3, 4)
+def test_probe_answers_match_freivalds_round(case, r1, r):
+    inst, seed = case
     A, B = inst.A, inst.B
-    r = max(1, r_freivalds)
     for chosen, word, answers in _probe_rounds(inst, CommLedger(), random.Random(seed), r1, r):
         assert chosen == sorted(set(chosen)) and all(A.data[i] for i in chosen)
         assert word >> r * len(chosen) == 0 and len(answers) == r
@@ -1026,7 +1047,7 @@ def test_classification_takes_one_64_bit_draw_from_the_shared_stream_whatever_a_
     after_seed.getrandbits(64)
     for inst in instances:
         rng = random.Random(31)
-        classify_columns(inst, CommLedger(), rng, 19, 13)
+        classify_columns(inst, CommLedger(), rng)
         assert rng.getstate() == after_seed.getstate()
 
 
@@ -1039,14 +1060,12 @@ def _xor_selected(rows, word: int) -> int:
     return acc
 
 
-def _reference_mm_f2(instance, ledger, rng, r1, r_freivalds, r3):
+def _reference_mm_f2(instance, ledger, rng):
     """mm_f2 with step 3 as it was: both operands transposed, a sketch of every column of A,
     and each sparse column's measurement folded from those sketches through the column of B."""
-    for name, value in (("r1", r1), ("r_freivalds", r_freivalds), ("r3", r3)):
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
     n = instance.A.rows
-    dense = classify_columns(instance, ledger, rng, r1, r_freivalds)
+    r3 = math.ceil(math.log2(100 * n))
+    dense = classify_columns(instance, ledger, rng)
     a_t, b_t = instance.A.transpose(), instance.B.transpose()
     out_cols = {}
     if dense:
@@ -1080,16 +1099,8 @@ def _column_three_on_even_rows():
     return JoinInstance.build(BitMatrix.identity(64), b, 1, kind="f2")
 
 
-@settings(max_examples=120, deadline=None)
-@given(classify_cases(), st.integers(0, 4))
-@example((JoinInstance.build(BitMatrix.identity(1), BitMatrix.identity(1), 1, kind="f2"), 2, 1, 5), 1)
-@example((JoinInstance.build(BitMatrix(8, 8, [0] * 8), BitMatrix.identity(8), 4, kind="f2"), 3, 2, 1), 2)
-@example((JoinInstance.build(BitMatrix.identity(8), BitMatrix(8, 8, [0] * 8), 4, kind="f2"), 3, 2, 1), 2)
-@example((gen_promise_instance(64, 64, 16, 5, "f2"), 18, 13, 5), 13)
-@example((_column_three_on_even_rows(), 1, 1, 2), 1)  # DecodeBudgetError
-@example((_column_three_on_even_rows(), 1, 1, 0), 1)  # PromiseViolationError
-def test_mm_f2_sketches_only_nonzero_sparse_columns_like_the_full_sketch_reference(case, r3):
-    inst, r1, r_freivalds, seed = case
+def _compare_with_full_sketch_reference(inst, seed):
+    """Run mm_f2 and _reference_mm_f2 alike; return mm_f2's result or error, checking what it encoded."""
     encoded = []
     real_encode = SensingSketch.encode
 
@@ -1102,20 +1113,38 @@ def test_mm_f2_sketches_only_nonzero_sparse_columns_like_the_full_sketch_referen
         rng, led = random.Random(seed), CommLedger()
         with mock.patch.object(SensingSketch, "encode", spy if spied else real_encode):
             try:
-                got = run(inst, led, rng, r1, r_freivalds, r3)
-            except (ValueError, ProtocolError) as exc:
+                got = run(inst, led, rng)
+            except ProtocolError as exc:
                 got = type(exc), exc.args
         runs.append((got, led.amounts, len(led), rng.getrandbits(32)))
     assert runs[0] == runs[1]
-    if min(r1, r_freivalds, r3) < 1:
-        assert not encoded
-        return
     columns = inst.oracle_product.transpose().data
-    dense = classify_columns(inst, CommLedger(), random.Random(seed), r1, r_freivalds)
+    dense = classify_columns(inst, CommLedger(), random.Random(seed))
     sparse = [columns[j] for j in range(inst.A.rows) if columns[j] and j not in dense]
     # the first batch encodes each nonzero sparse column once, in column order; later ones a subset
     assert encoded[: len(sparse)] == sparse
     assert 0 not in encoded and set(encoded) <= set(sparse)
+    return runs[0][0]
+
+
+@settings(max_examples=120, deadline=None)
+@given(classify_cases())
+@example((JoinInstance.build(BitMatrix.identity(1), BitMatrix.identity(1), 1, kind="f2"), 5))
+@example((JoinInstance.build(BitMatrix(8, 8, [0] * 8), BitMatrix.identity(8), 4, kind="f2"), 1))
+@example((JoinInstance.build(BitMatrix.identity(8), BitMatrix(8, 8, [0] * 8), 4, kind="f2"), 1))
+@example((gen_promise_instance(64, 64, 16, 5, "f2"), 5))
+def test_mm_f2_sketches_only_nonzero_sparse_columns_like_the_full_sketch_reference(case):
+    _compare_with_full_sketch_reference(*case)
+
+
+def test_mm_f2_ends_in_the_reference_errors(monkeypatch):
+    inst = _column_three_on_even_rows()
+    # the weight-32 column is dense, and shipping it breaks the promise of one
+    assert _compare_with_full_sketch_reference(inst, 0)[0] is PromiseViolationError
+    # with no vote high enough, it stays sparse and overloads every sketch
+    monkeypatch.setattr(joins, "_DENSE_VOTE", 2.0)
+    got = _compare_with_full_sketch_reference(inst, 2)
+    assert got == (DecodeBudgetError, ("1 columns undecoded after 13 sketch rounds",))
 
 
 def test_mm_f2_transposes_neither_operand(monkeypatch):
