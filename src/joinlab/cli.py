@@ -16,6 +16,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import random
 import sys
 import time
@@ -329,8 +330,16 @@ def _flag_type(parse):
     return convert
 
 
+def _out_prefix(text: str) -> str:
+    folder = os.path.dirname(text)
+    if folder and not os.path.isdir(folder):
+        raise ValueError(f"directory {folder!r} does not exist; create it first")
+    return text
+
+
 _GRID = _flag_type(parse_grid)
 _POSITIVE = _flag_type(_at_least_one)
+_OUT = _flag_type(_out_prefix)
 
 
 def _float_in(lo: float, hi: float = math.inf, closed: bool = True):
@@ -347,7 +356,7 @@ def _float_in(lo: float, hi: float = math.inf, closed: bool = True):
 def _add_common(parser):
     parser.add_argument("--trials", type=_POSITIVE, default=100)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", type=str, default=None, help="path prefix for CSV/JSON outputs")
+    parser.add_argument("--out", type=_OUT, default=None, help="path prefix for CSV/JSON outputs")
 
 
 def _add_costs(parser, *flags):

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress
 from operator import or_, xor
 
@@ -339,11 +338,6 @@ class JoinInstance:
     def build(cls, A: BitMatrix, B: BitMatrix, ell: int, seed: int = 0, kind: str = "bool") -> "JoinInstance":
         product = bool_product(A, B) if kind == "bool" else f2_product(A, B)
         return cls(A, B, ell, seed, kind, product)
-
-    @cached_property
-    def _f2_product(self) -> BitMatrix:
-        """A B over F2, computed once for the protocols that share it; checkers read ``oracle_product``."""
-        return f2_product(self.A, self.B)
 
 
 _MAX_PLANT_ATTEMPTS = 100

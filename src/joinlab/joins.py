@@ -248,8 +248,11 @@ def bmm_cost_model(
     for the search and ``ceil(c_round * sqrt(lambda * w_k)) * ceil(log2 m)``
     for the collect step, where w_k = min(|A[.,k]|, |B[k,.]|) and lambda is
     the number of fresh ones the round contributes.  A final failed search
-    at the worst-case inner budget closes the run.  An exact ``model`` runs
-    the simulated protocol of :func:`bmm_with_trace` instead.
+    at the worst-case inner budget closes the run, charging
+    ``ceil(c_shuttle * sqrt(n)) * ceil(c_round * sqrt(w_max)) * ceil(log2 m)``
+    with w_max the largest w_k; the middle factor is 1 when no inner index
+    is active.  An exact ``model`` runs the simulated protocol of
+    :func:`bmm_with_trace` instead.
     """
     return _search_and_collect(instance, model, ledger, rng)
 
@@ -491,11 +494,11 @@ def _probe_rounds(instance: JoinInstance, ledger: CommLedger, rng: random.Random
     is probe p's bit for ``chosen[t]``.  An answer is what
     :func:`freivalds_round` returns on the kept rows, and is charged as one:
     the XOR of the product rows (A B)[i] its probe picks, read from the
-    instance's F2 product, which ``mm_f2`` reuses.
+    ``oracle_product`` of an F2 instance, the product ``mm_f2`` also reads.
     """
     B = instance.B
     n = instance.A.rows
-    product = instance._f2_product.data
+    product = instance.oracle_product.data
     sample_rows = min(n, max(1, math.ceil(n / math.sqrt(instance.ell))))
     # each probe is charged as one freivalds_round: v out to B's side, v^T (A_S B) back
     probe = [(A_TO_B, BITS, max(1, B.rows), "freivalds"), (B_TO_A, BITS, max(1, B.cols), "freivalds")]
@@ -530,6 +533,7 @@ def classify_columns(instance: JoinInstance, ledger: CommLedger, rng: random.Ran
     have at least 0.9*sqrt(ell) ones, each with high probability; the band
     between may go either way.  Samples and probes are Alice's private
     coins, seeded by one ``rng.getrandbits(64)`` (see :func:`_probe_rounds`).
+    ``instance`` is an F2 instance: the answers read its ``oracle_product``.
     """
     n = instance.A.rows
     r1, r_freivalds = max(1, math.ceil(3 * math.log2(n))), math.ceil(math.log2(100.0 * n))
@@ -553,7 +557,8 @@ def mm_f2(instance: JoinInstance, ledger: CommLedger, rng: random.Random) -> Bit
     column has the zero measurement, which decodes to zero at once, so only
     the nonzero sparse columns are encoded and decoded.  Every batch is
     charged (a one-way stream), so the bits are the (n, ell)-determined
-    sketch and probe charges plus n for each dense column.
+    sketch and probe charges plus n for each dense column.  Classification
+    and step 3 read ``oracle_product``, the F2 product of an F2 instance.
     """
     A = instance.A
     if instance.kind != "f2":
@@ -567,7 +572,7 @@ def mm_f2(instance: JoinInstance, ledger: CommLedger, rng: random.Random) -> Bit
     dense = classify_columns(instance, ledger, rng)
     # the columns of the product whose rows classification probed; under the promise the transpose
     # scatters at most ell ones
-    columns = instance._f2_product.transpose().data
+    columns = instance.oracle_product.transpose().data
 
     out_cols = {j: columns[j] for j in dense}
     if dense:

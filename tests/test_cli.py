@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import joinlab
-from joinlab import cli, f2core, joins, qsim
+from joinlab import cli, f2core, joins, qsim, reductions
 from joinlab.cli import FitResult, build_parser, derive_seed, fit_exponent, main, parse_grid, scaling_points
 from joinlab.f2core import BitMatrix
 from joinlab.ledger import A_TO_B, BITS
@@ -342,6 +342,30 @@ def test_run_that_keeps_nothing_rejected_before_any_trial(argv, runner, monkeypa
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {argv[0]} would keep nothing of its trials: give --out, --min-success or both\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run-bmm", "--n", "8", "--ell", "4"],
+        ["run-mmf2", "--n", "8", "--ell", "4"],
+        ["scaling", "--protocol", "bmm-cost", "--n", "64", "--ell", "16,64"],
+        ["validate-reductions", "--n", "8"],
+    ],
+)
+def test_out_in_a_missing_directory_rejected_before_any_trial(argv, tmp_path, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("an instance was built")
+
+    monkeypatch.setattr(cli, "gen_promise_instance", refuse)
+    monkeypatch.setattr(joins, "gen_hard_instance", refuse)
+    monkeypatch.setattr(reductions, "embed_disj_family", refuse)
+    missing = tmp_path / "missing"
+    assert main(argv + ["--trials", "2", "--out", str(missing / "x")]) == 2
+    err = capsys.readouterr().err
+    assert f"argument --out: directory {str(missing)!r} does not exist" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from joinlab import joins
+from joinlab import f2core, joins
 from joinlab.f2core import (
     BitMatrix,
     BitVector,
@@ -237,6 +237,54 @@ def test_cost_model_discovery_order_seeded():
     t1 = bmm_cost_model(inst, CostModel.cost_model(), CommLedger(), random.Random(8))
     t2 = bmm_cost_model(inst, CostModel.cost_model(), CommLedger(), random.Random(8))
     assert [r.witness for r in t1.rounds] == [r.witness for r in t2.rounds]
+
+
+def _replay_charges_by_formula(inst, model, trace) -> dict:
+    """``bmm_cost_model``'s charges from its docstring's formulas, with t_cur, lambda and w_k of each
+    round recomputed by brute force from A, B and the cells earlier rounds collected."""
+    A = np.array([[x >> j & 1 for j in range(inst.A.cols)] for x in inst.A.data], dtype=np.int64)
+    B = np.array([[x >> j & 1 for j in range(inst.B.cols)] for x in inst.B.data], dtype=np.int64)
+    (m, n), width = A.shape, math.ceil(math.log2(A.shape[0]))
+    weights = np.minimum(A.sum(axis=0), B.sum(axis=1))
+    collected = np.zeros((m, m), dtype=np.int64)
+    totals = {"search": 0, "collect": 0}
+    for rnd in trace.rounds:
+        # inner index k is live while some cell of A[., k] x B[k, .] is not yet collected
+        live = np.flatnonzero(((A.T @ (1 - collected)) * B).sum(axis=1))
+        assert rnd.witness in live
+        k = rnd.witness
+        cells = np.outer(A[:, k], B[k]) & (1 - collected)
+        lam, w = int(cells.sum()), int(weights[k])
+        assert (rnd.collisions, rnd.min_weight) == (lam, w)
+        outer = math.ceil(model.c_shuttle * math.sqrt(n / len(live)))
+        totals["search"] += outer * math.ceil(model.c_round * math.sqrt(w)) * width
+        totals["collect"] += math.ceil(model.c_round * math.sqrt(lam * w)) * width
+        collected |= cells
+    assert not ((A.T @ (1 - collected)) * B).any()  # the run ends with t_cur = 0
+    assert trace.product == BitMatrix(m, m, [sum(int(b) << j for j, b in enumerate(row)) for row in collected])
+    w_max = int(weights.max())
+    inner = math.ceil(model.c_round * math.sqrt(w_max)) if w_max else 1
+    totals["final-search"] = math.ceil(model.c_shuttle * math.sqrt(n)) * inner * width
+    return {(way, QUBITS, phase): amount for phase, amount in totals.items() if amount for way in (A_TO_B, B_TO_A)}
+
+
+REPLAY_LAW_INSTANCES = [
+    *(("planted", n, ell, seed) for n in (16, 32) for ell in (n // 2, n, 2 * n) for seed in range(3)),
+    *(("hard", n, ell, 0) for n, ell in ((16, 16), (64, 36), (64, 64))),
+]
+
+
+@pytest.mark.parametrize("model", [CostModel.cost_model(), CostModel.cost_model(c_shuttle=1.5, c_round=2.0)])
+@pytest.mark.parametrize("family, n, ell, seed", REPLAY_LAW_INSTANCES)
+def test_replay_charges_follow_the_per_round_formulas(family, n, ell, seed, model):
+    if family == "planted":
+        inst = gen_promise_instance(n, n, ell, seed)
+    else:
+        inst = gen_hard_instance(n, ell, seed)
+    led = CommLedger()
+    trace = bmm_cost_model(inst, model, led, random.Random(100 + seed))
+    assert trace.t >= 1
+    assert led.amounts == _replay_charges_by_formula(inst, model, trace)
 
 
 @st.composite
@@ -1161,6 +1209,26 @@ def test_mm_f2_transposes_neither_operand(monkeypatch):
     assert not any(m is inst.A or m is inst.B for m in transposed)
     # one transpose reads the product's columns, one turns the recovered columns into rows
     assert len(transposed) == 2
+
+
+def test_f2_protocols_read_the_instance_product_and_compute_none(monkeypatch):
+    rng = random.Random(8)
+    b = BitMatrix.random(16, 16, 0.1, rng)
+    instances = [
+        gen_promise_instance(64, 64, 16, 5, "f2"),
+        gen_promise_instance(32, 32, 64, 6, "f2"),
+        embed_ip_f2(*([BitVector.random(16, 0.5, rng) for _ in range(3)] for _ in range(2)), 16).instance,
+        JoinInstance.build(BitMatrix.identity(16), b, ell=b.weight() + 1, kind="f2"),
+    ]
+    dense = [_reference_classify(inst, CommLedger(), random.Random(seed)) for seed, inst in enumerate(instances)]
+    # every instance is built, so its product is computed, before the spy goes in
+    calls = []
+    real_product = f2core._product
+    monkeypatch.setattr(f2core, "_product", lambda *args: calls.append(args) or real_product(*args))
+    for seed, inst in enumerate(instances):
+        assert classify_columns(inst, CommLedger(), random.Random(seed)) == dense[seed]
+        assert mm_f2(inst, CommLedger(), random.Random(seed)) == inst.oracle_product
+    assert calls == []
 
 
 @pytest.mark.parametrize("kind", ["bool", "f2"])
