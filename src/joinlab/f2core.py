@@ -65,16 +65,27 @@ def _scan_bits(word: int) -> list[int]:
     return (at[rows] * 8 + offs).tolist()
 
 
+# cells per getrandbits call in _bernoulli: the call's bit count, 64 per cell, must fit in a C int
+_BERNOULLI_CHUNK = 1 << 22
+
+
 def _bernoulli(count: int, n: int, density: float, rng: random.Random) -> np.ndarray:
-    """A count x n boolean array of ``rng.random() < density``, drawn row by row in one call.
+    """A count x n boolean array of ``rng.random() < density``, drawn row by row.
 
     ``random()`` is ``((a >> 5) * 2**26 + (b >> 6)) / 2**53`` for the next two
     32-bit outputs a, b, and ``getrandbits(64 * k)`` holds the next 2k outputs
     as its 32-bit limbs, lowest first: same bits, same generator state after.
+    The cells are drawn in order, one call per ``_BERNOULLI_CHUNK`` of them;
+    each call ends on a whole output, so the chunks draw what one call would.
     """
-    words = np.frombuffer(rng.getrandbits(64 * count * n).to_bytes(8 * count * n, "little"), dtype="<u4")
-    u = ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * (1.0 / 9007199254740992.0)
-    return (u < density).reshape(count, n)
+    cells = count * n
+    bits = np.empty(cells, dtype=bool)
+    for start in range(0, cells, _BERNOULLI_CHUNK):
+        size = min(_BERNOULLI_CHUNK, cells - start)
+        words = np.frombuffer(rng.getrandbits(64 * size).to_bytes(8 * size, "little"), dtype="<u4")
+        u = ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * (1.0 / 9007199254740992.0)
+        bits[start : start + size] = u < density
+    return bits.reshape(count, n)
 
 
 def _sample(n: int, k: int, rng: random.Random) -> list[int]:

@@ -156,7 +156,8 @@ def _search_and_collect(
 
     if model.exact:
         # graph collision works at full width: each A column over [m], and the cells not yet collected,
-        # from which graph_collision_all removes the cells it finds
+        # from which graph_collision_all removes the cells it finds.  A searched cover can hold zero rows
+        # of A and unused columns, so compact numbers, which move them, would change the draws
         uncollected = BipartiteGraph.complete(m, m)
     out = [0] * len(rows)
     ones = 0
@@ -525,15 +526,18 @@ def _probe_rounds(instance: JoinInstance, ledger: CommLedger, rng: random.Random
 def classify_columns(instance: JoinInstance, ledger: CommLedger, rng: random.Random) -> frozenset[int]:
     """Row-sampled probing that returns the columns of the product declared dense.
 
-    Each round samples ~n/sqrt(ell) rows of A and probes which columns of
-    the sampled product are nonzero; columns flagged in a clear majority of
-    rounds are declared dense.  There are r1 = max(1, ceil(3 log2 n))
-    rounds of r_freivalds = ceil(log2(100 n)) probes each.  Columns of
-    weight at least 1.1*sqrt(ell) are caught, and declared-dense columns
-    have at least 0.9*sqrt(ell) ones, each with high probability; the band
-    between may go either way.  Samples and probes are Alice's private
-    coins, seeded by one ``rng.getrandbits(64)`` (see :func:`_probe_rounds`).
-    ``instance`` is an F2 instance: the answers read its ``oracle_product``.
+    Each round samples k = min(n, ceil(n/sqrt(ell))) rows of A and probes
+    which columns of the sampled product are nonzero; columns flagged in at
+    least 0.63 r1 of the r1 = max(1, ceil(3 log2 n)) rounds are declared
+    dense.  A round has r_freivalds = ceil(log2(100 n)) probes, so it flags
+    a column with w ones with probability
+    q(w) = (1 - C(n-w, k)/C(n, k)) (1 - 2^-r_freivalds), and the column is
+    declared dense with probability P[Bin(r1, q(w)) >= 0.63 r1].  Around
+    sqrt(ell) that is no sharp split: at (n, ell) = (256, 64) it is 0.745
+    at w = 9 = ceil(1.1 sqrt(ell)) and 0.372 at w = 7 = floor(0.9 sqrt(ell)).
+    Samples and probes are Alice's private coins, seeded by one
+    ``rng.getrandbits(64)`` (see :func:`_probe_rounds`).  ``instance`` is an
+    F2 instance: the answers read its ``oracle_product``.
     """
     n = instance.A.rows
     r1, r_freivalds = max(1, math.ceil(3 * math.log2(n))), math.ceil(math.log2(100.0 * n))

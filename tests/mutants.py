@@ -31,6 +31,7 @@ ROOT = Path(__file__).resolve().parents[1]
 CRITERION_2 = "tests/test_acceptance.py::test_criterion_2_mm_f2_correctness_and_cost"
 CRITERION_3 = "tests/test_acceptance.py::test_criterion_3_scaling_fits"
 REPLAY_LAW = "tests/test_joins.py::test_replay_charges_follow_the_per_round_formulas"
+DENSE_LAW = "tests/test_joins.py::test_classification_declares_a_column_dense_with_the_exact_binomial_law"
 
 # (name, file under src/joinlab, old text, new text, tests that must kill it)
 MUTANTS = [
@@ -53,7 +54,7 @@ MUTANTS = [
         "joins.py",
         "_DENSE_VOTE = 0.63",
         "_DENSE_VOTE = 0.3",
-        ["tests/test_joins.py::test_classification_leaves_scattered_columns_sparse"],
+        ["tests/test_joins.py::test_classification_leaves_scattered_columns_sparse", DENSE_LAW],
     ),
     (
         "index_qubits + 1",
@@ -67,7 +68,21 @@ MUTANTS = [
         "joins.py",
         "if randrange(n - t) < left:",
         "if randrange(n) < left:",
-        ["tests/test_joins.py::test_probe_rounds_sample_rows_and_probe_bits_with_the_uniform_law"],
+        ["tests/test_joins.py::test_probe_rounds_sample_rows_and_probe_bits_with_the_uniform_law", DENSE_LAW],
+    ),
+    (
+        "r_freivalds = 1",
+        "joins.py",
+        "r1, r_freivalds = max(1, math.ceil(3 * math.log2(n))), math.ceil(math.log2(100.0 * n))",
+        "r1, r_freivalds = max(1, math.ceil(3 * math.log2(n))), 1",
+        [DENSE_LAW],
+    ),
+    (
+        "r1 = max(1, ceil(log2 n))",
+        "joins.py",
+        "r1, r_freivalds = max(1, math.ceil(3 * math.log2(n))), math.ceil(math.log2(100.0 * n))",
+        "r1, r_freivalds = max(1, math.ceil(math.log2(n))), math.ceil(math.log2(100.0 * n))",
+        [DENSE_LAW],
     ),
     (
         "replay final-search charge dropped",

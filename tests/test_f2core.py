@@ -3,6 +3,7 @@
 import math
 import random
 from operator import and_, or_, xor
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -478,24 +479,26 @@ def _loop_row(n: int, density: float, rng: random.Random) -> int:
     return acc
 
 
-@given(st.integers(0, 4), st.integers(0, 300), DENSITIES, st.integers(0, 2**32 - 1))
-@example(0, 7, 0.5, 1)
-@example(3, 0, 0.5, 1)
-@example(4, 300, float("nan"), 2)
-@example(4, 300, 0.5, 3)
-def test_batched_draws_match_per_bit_loop(count, n, density, seed):
+# chunk is the number of cells per getrandbits call: a draw wider than one chunk takes several calls
+@given(st.integers(0, 4), st.integers(0, 300), DENSITIES, st.integers(0, 2**32 - 1), st.integers(1, 8))
+@example(0, 7, 0.5, 1, 3)
+@example(3, 0, 0.5, 1, 1)
+@example(4, 300, float("nan"), 2, 7)
+@example(4, 300, 0.5, 3, f2core._BERNOULLI_CHUNK)
+def test_batched_draws_match_per_bit_loop(count, n, density, seed, chunk):
     fast, slow = random.Random(seed), random.Random(seed)
-    bits = f2core._bernoulli(count, n, density, fast)
-    loop = [[slow.random() < density for _ in range(n)] for _ in range(count)]
-    assert bits.dtype == bool and bits.shape == (count, n)
-    assert bits.tolist() == loop
-    assert fast.getrandbits(32) == slow.getrandbits(32)
+    with patch.object(f2core, "_BERNOULLI_CHUNK", chunk):
+        bits = f2core._bernoulli(count, n, density, fast)
+        loop = [[slow.random() < density for _ in range(n)] for _ in range(count)]
+        assert bits.dtype == bool and bits.shape == (count, n)
+        assert bits.tolist() == loop
+        assert fast.getrandbits(32) == slow.getrandbits(32)
 
-    expected = BitMatrix(count, n, [_loop_row(n, density, slow) for _ in range(count)])
-    assert BitMatrix.random(count, n, density, fast) == expected
-    assert fast.getrandbits(32) == slow.getrandbits(32)
-    assert BitVector.random(n, density, fast) == BitVector(n, _loop_row(n, density, slow))
-    assert fast.getrandbits(32) == slow.getrandbits(32)
+        expected = BitMatrix(count, n, [_loop_row(n, density, slow) for _ in range(count)])
+        assert BitMatrix.random(count, n, density, fast) == expected
+        assert fast.getrandbits(32) == slow.getrandbits(32)
+        assert BitVector.random(n, density, fast) == BitVector(n, _loop_row(n, density, slow))
+        assert fast.getrandbits(32) == slow.getrandbits(32)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -440,6 +440,9 @@ def _bmm_outcome(run, inst, model, seed):
 # every inner index is one-sided, so the product is empty
 @example(([0b011, 0, 0b001, 0b010], [0, 0, 0b1111], 1), CostModel.cost_model(), 0)
 @example(([0b011, 0, 0b001, 0b010], [0, 0, 0b1111], 1), EXACT, 0)
+# zero rows of A and columns outside B's active rows sit between the real vertices and can land in a
+# searched cover, whose draws depend on where they sit; seed 2 finds witness 0 first
+@example(([0, 0b11, 0b11, 0b10], [0b0111, 0b0111], 9), EXACT, 2)
 def test_bmm_active_index_setup_matches_full_transpose_reference(case, model, seed):
     a_rows, b_rows, ell = case
     m, n = len(a_rows), len(b_rows)
@@ -971,6 +974,32 @@ def test_classification_size_bound():
         inst = gen_promise_instance(64, 64, 36, seed, kind="f2")
         dense = classify_columns(inst, CommLedger(), random.Random(seed))
         assert len(dense) <= math.ceil(inst.ell / (0.9 * math.sqrt(inst.ell)))
+
+
+def _declared_dense_probability(n: int, ell: int, w: int) -> float:
+    """Exact chance that classification declares a product column with w ones dense.
+
+    A round samples k = min(n, ceil(n / sqrt(ell))) rows, so it holds one of the w with
+    probability 1 - C(n - w, k) / C(n, k), and one of r_freivalds = ceil(log2(100 n)) fair probes
+    then flags the column unless all miss.  The column is dense when at least 0.63 r1 of the
+    r1 = max(1, ceil(3 log2 n)) independent rounds flag it."""
+    k = min(n, max(1, math.ceil(n / math.sqrt(ell))))
+    r1, r_freivalds = max(1, math.ceil(3 * math.log2(n))), math.ceil(math.log2(100 * n))
+    q = (1 - math.comb(n - w, k) / math.comb(n, k)) * (1 - 2.0**-r_freivalds)
+    return sum(math.comb(r1, v) * q**v * (1 - q) ** (r1 - v) for v in range(r1 + 1) if v >= 0.63 * r1)
+
+
+@pytest.mark.parametrize("w", [4, 7, 9])
+def test_classification_declares_a_column_dense_with_the_exact_binomial_law(w):
+    # one nonzero product column, of w ones: w = 7 and 9 are floor(0.9 sqrt(ell)) and ceil(1.1 sqrt(ell)),
+    # where the declared-dense rates are 0.41 and 0.76, not 0 and 1; w = 4 sits well below the band
+    n, ell, seeds = 128, 64, 300
+    rows = random.Random(w).sample(range(n), w)
+    b = BitMatrix(n, n, [1 if i in rows else 0 for i in range(n)])
+    inst = JoinInstance.build(BitMatrix.identity(n), b, ell, kind="f2")
+    rate = sum(0 in classify_columns(inst, CommLedger(), random.Random(seed)) for seed in range(seeds)) / seeds
+    expected = _declared_dense_probability(n, ell, w)
+    assert abs(rate - expected) <= 4 * math.sqrt(expected * (1 - expected) / seeds)
 
 
 def _reference_classify(instance, ledger, rng):
