@@ -40,11 +40,6 @@ _SCAN_WIDTH_PAD = 4096
 _SCAN_FIXED = 1 << 18
 _SCAN_LIMB_BYTES = 4096
 
-# BitVector.from_indices scatters this many indices or more with numpy, and sets fewer in a
-# plain loop: numpy's fixed cost is about 8 us a call, and from n = 64 to 2**18 bits the loop
-# was faster or level up to about 128 indices and slower from 192 on (BENCH_27.json).
-_NUMPY_INDICES = 128
-
 
 def _scan_bits(word: int) -> list[int]:
     """Set-bit positions of a nonnegative int through numpy passes over its bytes.
@@ -154,17 +149,6 @@ class BitVector:
 
     @classmethod
     def from_indices(cls, n: int, indices) -> "BitVector":
-        indices = list(indices)
-        if len(indices) >= _NUMPY_INDICES:
-            idx = np.asarray(indices)
-            if idx.ndim == 1 and idx.dtype.kind in "iu":
-                bad = (idx < 0) | (idx >= n)
-                if bad.any():
-                    raise ValueError(f"index {idx[bad.argmax()]} outside [0, {n})")
-                buf = np.zeros((n + 7) // 8, dtype=np.uint8)
-                np.bitwise_or.at(buf, idx >> 3, (1 << (idx & 7)).astype(np.uint8))
-                return cls(n, int.from_bytes(buf.tobytes(), "little"))
-        # few indices, a non-int (TypeError) or an int past 64 bits: a plain loop over the originals
         buf = bytearray((n + 7) // 8)
         for i in indices:
             if not 0 <= i < n:

@@ -43,14 +43,9 @@ from joinlab.qsim import (
     BipartiteGraph,
     CostModel,
     ProtocolError,
-    SimulationCapError,
     graph_collision_all,
     instance_search,
 )
-
-# run time bounds exact bmm: one planted trial at n = ell = 2**12 (seed 5)
-# takes 0.14-0.21 s of CPU time on a 2-core VM
-BMM_EXACT_CAP = 1 << 12
 
 
 class PromiseViolationError(ProtocolError):
@@ -124,8 +119,6 @@ def _search_and_collect(
     if model.epsilon:
         raise ValueError("the bmm protocol does not model injected error; use epsilon = 0")
     m, n = A.rows, A.cols
-    if model.exact and max(m, n) > BMM_EXACT_CAP:
-        raise SimulationCapError(f"exact bmm caps dimensions at {BMM_EXACT_CAP}")
     # an exact search misses with probability at most 1/3, so a round ends the run by mistake with
     # probability at most 1/(100 (ell + 2)), and the union bound covers the at most ell + 1 rounds
     none_repeats = math.ceil(math.log(100.0 * (instance.ell + 2)) / math.log(3.0))

@@ -33,9 +33,6 @@ from joinlab.ledger import (
 EXACT = "exact"
 COST_MODEL = "cost-model"
 
-class SimulationCapError(ValueError):
-    """Instance dimensions above an exact-mode cap; the cap bounds run time, not memory."""
-
 
 class ProtocolError(RuntimeError):
     """A protocol run failed: it exhausted a retry budget or broke its promise."""

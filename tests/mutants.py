@@ -1,4 +1,4 @@
-"""Opt-in mutation check: each one-line mutant of ``src/`` against the law tests listed for it.
+"""Opt-in mutation check: each mutant of ``src/`` against the law tests listed for it.
 
 Run from anywhere, with the tier-1 test dependencies installed::
 
@@ -8,9 +8,10 @@ Run from anywhere, with the tier-1 test dependencies installed::
 For each mutant the script copies ``src/`` and ``tests/``, with what the
 tests read beside them (``perfbench/``, ``README.md``, ``pyproject.toml``),
 to a fresh temporary directory, checks that the old text occurs exactly once
-in its file, replaces it by the new text and runs pytest there.  It never
-runs ``tests/test_pinned_behaviour.py``: the digests pin draws, and the
-question here is which checks of a law kill each change.  It prints one row
+in its file, replaces it by the new text and runs pytest there.  Not every
+mutant is one line: the old text may be a block of lines, replaced whole.
+It never runs ``tests/test_pinned_behaviour.py``: the digests pin draws, and
+the question here is which checks of a law kill each change.  It prints one row
 per mutant (mutant, killed, killed by) and exits 1 when a mutant survives.
 It writes nothing in the repository.  Tier-1 does not run this file, since
 pytest only collects ``test_*.py``.
@@ -117,6 +118,31 @@ MUTANTS = [
         "math.log(3.0)",
         "math.log(30.0)",
         ["tests/test_joins.py::test_final_searches_meet_the_per_round_bound_by_the_exact_miss_probability"],
+    ),
+    (
+        # a block: exact mode's collect step in compact rows and columns, which moves the zero rows of A
+        # and the unused columns that a searched cover can hold, and so changes the draws
+        "exact collect step in compact coordinates",
+        "joins.py",
+        """            f_a, f_b = BitVector(m, sum(1 << rows[r] for r in a_cols[p])), BitVector(m, B.data[k])
+            for _ in range(100):
+                found = graph_collision_all(uncollected, f_a, f_b, ledger, model, rng)
+                if found:
+                    break
+            else:
+                raise ProtocolError("collision collection stalled on a verified witness")
+            cells = [(bisect_left(rows, i), col_of[j]) for i, j in found]
+""",
+        """            f_a, f_b = BitVector(m, sum(1 << r for r in a_cols[p])), BitVector(m, b_rows[p])
+            for _ in range(100):
+                found = graph_collision_all(uncollected, f_a, f_b, ledger, model, rng)
+                if found:
+                    break
+            else:
+                raise ProtocolError("collision collection stalled on a verified witness")
+            cells = list(found)
+""",
+        ["tests/test_joins.py::test_bmm_active_index_setup_matches_full_transpose_reference"],
     ),
 ]
 

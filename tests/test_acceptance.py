@@ -129,6 +129,32 @@ def test_criterion_3_scaling_fits():
     )
 
 
+def test_exact_bmm_slopes_on_criterion_3_grids():
+    """Exact bmm on criterion 3's grids and seeds returns the oracle product; its slopes are reported.
+
+    The ell- and n-slopes are printed with their margins against criterion 3's
+    bands, 0.75 +- 0.1 and 0.5 +- 0.1, and are not gated: what exact mode
+    should charge for its final searches and its inner boost is still open.
+    """
+    report = []
+    for name, target, grid, build, base in (
+        ("ell", 0.75, (16, 36, 64, 144, 324, 784), lambda ell, seed: gen_hard_instance(4096, ell, seed), 7),
+        ("n", 0.5, (256, 512, 1024, 2048, 4096, 8192, 16384), lambda n, seed: gen_hard_instance(n, 256, seed), 13),
+    ):
+        pts = []
+        for x in grid:
+            for trial in range(3):
+                seed = 100 * trial + base
+                inst = build(x, seed)
+                led = CommLedger()
+                out = bmm_with_trace(inst, EXACT, led, random.Random(seed))[0]
+                assert out == inst.oracle_product, f"{name} = {x}, seed {seed}"
+                pts.append((x, led.total()))
+        slope = fit_exponent(pts, n_boot=100).slope
+        report.append(f"{name} {slope:.3f} (band {target} +- 0.1, margin {0.1 - abs(slope - target):+.3f})")
+    print(f"\nEXACT-3 slopes, not gated: {', '.join(report)}")
+
+
 def test_criterion_4_exact_grover_and_witness_distribution():
     """Simulated success == sin^2((2k+1) theta) within 1e-9; witness TV <= 0.1."""
     worst = 0.0

@@ -321,21 +321,6 @@ def test_from_indices_matches_dense_oracle(case):
     assert v.n == n and v.bits == _dense_word(n, indices)
 
 
-@pytest.mark.parametrize("k", [0, 1, f2core._NUMPY_INDICES - 1, f2core._NUMPY_INDICES, 300])
-@pytest.mark.parametrize("n", [1000, 1 << 18])
-def test_from_indices_sides_of_the_numpy_gate_match_dense_oracle(monkeypatch, n, k):
-    # fewer than _NUMPY_INDICES indices take the plain loop and never reach numpy
-    indices = random.Random(k).sample(range(n), k)
-    want, calls = _dense_word(n, indices), []
-    monkeypatch.setattr(f2core.np, "asarray", lambda x, real=np.asarray: calls.append(len(x)) or real(x))
-    assert BitVector.from_indices(n, indices).bits == want
-    assert calls == ([k] if k >= f2core._NUMPY_INDICES else [])
-
-
-# a run of in-range indices long enough for the numpy side of from_indices' gate
-LONG = list(range(f2core._NUMPY_INDICES))
-
-
 @pytest.mark.parametrize(
     "n, indices, bad",
     [
@@ -343,15 +328,10 @@ LONG = list(range(f2core._NUMPY_INDICES))
         (8, [-1, 9], -1),
         (0, [0], 0),
         (1 << 20, [5, 1 << 20, -3], 1 << 20),
-        (64, [3, 1 << 70], 1 << 70),  # past 64 bits numpy keeps Python objects
-        (64, [5, (1 << 64) - 1], (1 << 64) - 1),  # numpy would read this pair as float64
-        (64, [1 << 63], 1 << 63),  # and this one as uint64
+        (64, [3, 1 << 70], 1 << 70),
+        (64, [5, (1 << 64) - 1], (1 << 64) - 1),
+        (64, [1 << 63], 1 << 63),
         (64, [-1, 1 << 63], -1),
-        (1000, LONG + [1000, -1], 1000),
-        (1000, [-5] + LONG + [1000], -5),
-        (1000, LONG + [1 << 70], 1 << 70),
-        (1000, LONG + [(1 << 64) - 1], (1 << 64) - 1),
-        (1000, LONG + [1 << 63], 1 << 63),
     ],
 )
 def test_from_indices_rejects_out_of_range(n, indices, bad):
@@ -599,7 +579,7 @@ def test_promise_instance_gives_up_where_per_bit_loop_does(monkeypatch):
             id="matrix-width-among-zeros",
         ),
         pytest.param(lambda: BitMatrix.from_numpy(np.zeros(3)), ValueError, "expected a 2-d array", id="from-numpy-1d"),
-        # numpy would truncate a float index; the plain loop raises on it
+        # a float index raises; it is never truncated to an int
         pytest.param(
             lambda: BitVector.from_indices(64, [3.7]),
             TypeError,
@@ -611,12 +591,6 @@ def test_promise_instance_gives_up_where_per_bit_loop_does(monkeypatch):
             TypeError,
             "unsupported operand type(s) for >>: 'float' and 'int'",
             id="from-indices-float-after-int",
-        ),
-        pytest.param(
-            lambda: BitVector.from_indices(1000, list(range(f2core._NUMPY_INDICES)) + [2.0]),
-            TypeError,
-            "unsupported operand type(s) for >>: 'float' and 'int'",
-            id="from-indices-float-after-many-ints",
         ),
         pytest.param(lambda: BitVector(2) & BitVector(3), DimensionError, "length mismatch: 2 vs 3", id="and-lengths"),
         pytest.param(lambda: BitVector(2)[2], IndexError, "2", id="getitem-past-end"),

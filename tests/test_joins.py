@@ -45,7 +45,6 @@ from joinlab.qsim import (
     CostModel,
     GroverPlan,
     ProtocolError,
-    SimulationCapError,
     graph_collision_all,
     instance_search,
 )
@@ -105,15 +104,6 @@ def test_bmm_output_does_not_read_the_ledger():
     b = bmm_with_trace(inst, EXACT, used, random.Random(5))[0]
     assert a == b == inst.oracle_product
     assert used.amounts == {(A_TO_B, BITS, "earlier"): 3, **fresh.amounts} and len(used) == len(fresh) + 1
-
-
-def test_bmm_exact_mode_size_cap():
-    inst = gen_promise_instance(1 << 12, 1 << 12, 4, seed=12)
-    assert bmm_with_trace(inst, EXACT, CommLedger(), random.Random(12))[0] == inst.oracle_product
-    big = BitMatrix(1 << 12 | 1, 8, [0] * (1 << 12 | 1))
-    inst = JoinInstance.build(big, big.transpose(), ell=1)
-    with pytest.raises(SimulationCapError):
-        bmm_with_trace(inst, EXACT, CommLedger(), random.Random(0))
 
 
 def test_bmm_witness_weight_bound_under_promise():
@@ -396,10 +386,14 @@ def _sparse_rows(count, width, seed, density, zero_rows):
 
 @st.composite
 def sparse_bool_cases(draw):
-    """A sparse m x n by n x m instance, m and n free, with zero rows on either side, and a promise."""
+    """An m x n by n x m instance, m and n free, with zero rows on either side, and a promise.
+
+    Row densities run up to 1, so dense rows of A sit next to its zero rows and rows of B leave
+    columns unused: a searched cover can then hold such vertices between its real ones.
+    """
     m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
-    a_rows = _sparse_rows(m, n, draw(st.integers(0, 2**32 - 1)), draw(st.floats(0.0, 0.5)), draw(st.floats(0.0, 0.9)))
-    b_rows = _sparse_rows(n, m, draw(st.integers(0, 2**32 - 1)), draw(st.floats(0.0, 0.5)), draw(st.floats(0.0, 0.9)))
+    a_rows = _sparse_rows(m, n, draw(st.integers(0, 2**32 - 1)), draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 0.9)))
+    b_rows = _sparse_rows(n, m, draw(st.integers(0, 2**32 - 1)), draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 0.9)))
     weight = bool_product(BitMatrix(m, n, a_rows), BitMatrix(n, m, b_rows)).weight()
     # an ell just below the weight breaks the promise mid-run
     ell = draw(st.integers(max(1, weight - 1), max(1, weight + 2)))
@@ -463,6 +457,7 @@ WIDE_BMM_CASES = {
     "hard-8192-cost-1.5-2": (lambda: gen_hard_instance(8192, 256, 6), CostModel.cost_model(1.5, 2.0)),
     "planted-4096-cost": (lambda: gen_promise_instance(4096, 4096, 64, 4096), CostModel.cost_model()),
     "hard-1024-exact": (lambda: gen_hard_instance(1024, 256, 7), EXACT),
+    "hard-16384-exact": (lambda: gen_hard_instance(1 << 14, 256, 8), EXACT),
 }
 
 
