@@ -331,6 +331,8 @@ def _flag_type(parse):
 
 
 def _out_prefix(text: str) -> str:
+    if os.path.basename(text) in ("", ".", ".."):
+        raise ValueError(f"prefix {text!r} names no file; give one, as in runs/bmm")
     folder = os.path.dirname(text)
     if folder and not os.path.isdir(folder):
         raise ValueError(f"directory {folder!r} does not exist; create it first")

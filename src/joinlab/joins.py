@@ -18,8 +18,6 @@ from functools import cached_property, reduce
 from itertools import compress
 from operator import or_, xor
 
-import numpy as np
-
 from joinlab.f2core import (
     BitMatrix,
     BitVector,
@@ -346,11 +344,11 @@ class SensingSketch:
     levels peel those false candidates.  When codes outnumber coordinates, d
     puts the preimage of code 0 at or above n, so no coordinate has code 0.
 
-    Construction only fixes the sizes.  The tables are computed on first
-    use, for all coordinates and levels in one numpy pass, and a
-    coordinate's word the first time it is read, so a sketch that only
-    reports ``measurement_len``, or only sees zero vectors and zero
-    measurements, computes neither.
+    Construction only fixes the sizes.  The per-level parameters are drawn
+    on first use, and a coordinate is placed (its word and its field at each
+    level) the first time it is read, so a sketch that only reports
+    ``measurement_len``, or only sees zero vectors and zero measurements,
+    draws nothing, and encoding x places only x's ones.
     """
 
     def __init__(self, n: int, kappa: int, seed: int):
@@ -366,13 +364,13 @@ class SensingSketch:
         self.code_bits = max(1, (n - 1).bit_length())
         self.measurement_len = self.levels * self.buckets * (1 + self.code_bits)
         self._shift = (self.code_bits + 1) // 2
-        self._words: dict[int, int] = {}
+        self._placed: dict[int, tuple[int, list[int]]] = {}
 
     @cached_property
-    def _tables(self) -> tuple[list[list[int]], list[list[int]], list[tuple[int, int, int]]]:
-        """Per level: each coordinate's bucket, each coordinate's code, and (d, c2^-1, c1^-1)."""
+    def _params(self) -> list[tuple[int, int, int, int, int, int, int]]:
+        """Per level: (a, b, c1, c2, d, c2^-1, c1^-1), the inverses modulo 2**code_bits."""
         rng = random.Random(self.seed)
-        n, bits, shift = self.n, self.code_bits, self._shift
+        n, bits = self.n, self.code_bits
         space = 1 << bits
         params = []
         for _ in range(self.levels):
@@ -380,40 +378,39 @@ class SensingSketch:
             c1, c2 = rng.getrandbits(bits) | 1, rng.getrandbits(bits) | 1
             if space > n:
                 x = c1 * rng.randrange(n, space) % space
-                d = -c2 * (x ^ x >> shift) % space
+                d = -c2 * (x ^ x >> self._shift) % space
             else:
                 d = rng.getrandbits(bits)
-            params.append((a, b, c1, c2, d))
-        a, b, c1, c2, d = (np.array(col, dtype=np.uint64)[:, None] for col in zip(*params))
-        i, mask = np.arange(n, dtype=np.uint64), np.uint64(space - 1)
-        buckets = ((a * i + b) >> np.uint64(32)) * np.uint64(self.buckets) >> np.uint64(32)
-        x = c1 * i & mask
-        codes = c2 * (x ^ x >> np.uint64(shift)) + d & mask
-        inverse = [(d, pow(c2, -1, space), pow(c1, -1, space)) for _, _, c1, c2, d in params]
-        return buckets.tolist(), codes.tolist(), inverse
+            params.append((a, b, c1, c2, d, pow(c2, -1, space), pow(c1, -1, space)))
+        return params
 
     def _coordinate(self, level: int, code: int) -> int | None:
         """The coordinate with this code at this level, or None when no coordinate below n has it."""
-        d, c2_inv, c1_inv = self._tables[2][level]
+        _, _, _, _, d, c2_inv, c1_inv = self._params[level]
         mask = (1 << self.code_bits) - 1
         x = (code - d) * c2_inv & mask
         i = (x ^ x >> self._shift) * c1_inv & mask
         return i if i < self.n else None
 
-    def _offset(self, level: int, bucket: int) -> int:
-        """Bit position of the field of this bucket at this level in a measurement."""
-        return (level * self.buckets + bucket) * (1 + self.code_bits)
+    def _place(self, i: int) -> tuple[int, list[int]]:
+        """Coordinate i's measurement word and the bit position of its field at each level, computed once."""
+        placed = self._placed.get(i)
+        if placed is None:
+            mask, width = (1 << self.code_bits) - 1, 1 + self.code_bits
+            word, offsets = 0, []
+            for level, (a, b, c1, c2, d, _, _) in enumerate(self._params):
+                x = c1 * i & mask
+                code = c2 * (x ^ x >> self._shift) + d & mask
+                bucket = ((a * i + b) % 2**64 >> 32) * self.buckets >> 32
+                offset = (level * self.buckets + bucket) * width
+                word |= (1 | code << 1) << offset
+                offsets.append(offset)
+            placed = self._placed[i] = word, offsets
+        return placed
 
     def __getitem__(self, i: int) -> int:
-        """Coordinate i's measurement word, computed the first time it is read."""
-        word = self._words.get(i)
-        if word is None:
-            bucket_of, code_of, _ = self._tables
-            word = 0
-            for level in range(self.levels):
-                word |= (1 | code_of[level][i] << 1) << self._offset(level, bucket_of[level][i])
-            self._words[i] = word
-        return word
+        """Coordinate i's measurement word."""
+        return self._place(i)[0]
 
     def encode(self, x: BitVector) -> BitVector:
         if x.n != self.n:
@@ -432,26 +429,25 @@ class SensingSketch:
         if measurement.n != self.measurement_len:
             raise DimensionError("measurement length mismatch")
         residual = measurement.bits
-        if not residual:
-            return BitVector(self.n)
-        bucket_of, code_of, _ = self._tables
-        coordinate, levels, offset = self._coordinate, range(self.levels), self._offset
-        mask = (1 << (1 + self.code_bits)) - 1
+        coordinate, place, levels = self._coordinate, self._place, range(self.levels)
+        width = 1 + self.code_bits
+        mask, span = (1 << width) - 1, self.buckets * width
         recovered = 0
         for _ in range(8 * self.kappa + 8):
             if not residual:
                 return BitVector(self.n, recovered)
             chosen = fallback = None
             for level in levels:
-                for bucket in range(self.buckets):
-                    field = (residual >> offset(level, bucket)) & mask
+                for at in range(level * span, (level + 1) * span, width):
+                    field = residual >> at & mask
                     i = coordinate(level, field >> 1) if field & 1 else None
-                    if i is None or bucket_of[level][i] != bucket:
+                    if i is None:
+                        continue
+                    word, offsets = place(i)
+                    if offsets[level] != at:
                         continue
                     if any(
-                        (residual >> offset(other, bucket_of[other][i])) & mask == 1 | code_of[other][i] << 1
-                        for other in levels
-                        if other != level
+                        not (residual ^ word) >> offsets[other] & mask for other in levels if other != level
                     ):
                         chosen = i
                         break
@@ -463,7 +459,7 @@ class SensingSketch:
                 chosen = fallback
             if chosen is None:
                 return None
-            residual ^= self[chosen]
+            residual ^= place(chosen)[0]
             recovered ^= 1 << chosen
         return None
 

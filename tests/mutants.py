@@ -33,6 +33,9 @@ CRITERION_2 = "tests/test_acceptance.py::test_criterion_2_mm_f2_correctness_and_
 CRITERION_3 = "tests/test_acceptance.py::test_criterion_3_scaling_fits"
 REPLAY_LAW = "tests/test_joins.py::test_replay_charges_follow_the_per_round_formulas"
 DENSE_LAW = "tests/test_joins.py::test_classification_declares_a_column_dense_with_the_exact_binomial_law"
+SKETCH_HASHES = "tests/test_joins.py::test_sketch_hashes_are_invertible_codes_and_in_range_buckets"
+SKETCH_ENCODE = "tests/test_joins.py::test_sketch_encode_matches_field_by_field_reference"
+SKETCH_DECODE = "tests/test_joins.py::test_sketch_decode_matches_reference_decoder"
 
 # (name, file under src/joinlab, old text, new text, tests that must kill it)
 MUTANTS = [
@@ -143,6 +146,27 @@ MUTANTS = [
             cells = list(found)
 """,
         ["tests/test_joins.py::test_bmm_active_index_setup_matches_full_transpose_reference"],
+    ),
+    (
+        "sketch bucket hash without + b",
+        "joins.py",
+        "((a * i + b) % 2**64 >> 32)",
+        "((a * i) % 2**64 >> 32)",
+        [SKETCH_HASHES, "tests/test_joins.py::test_sketch_single_coordinate", SKETCH_ENCODE, SKETCH_DECODE],
+    ),
+    (
+        "sketch decode never confirms, always the fallback",
+        "joins.py",
+        "not (residual ^ word) >> offsets[other] & mask for other in levels",
+        "False for other in levels",
+        [SKETCH_DECODE],
+    ),
+    (
+        "sketch code map without the xorshift",
+        "joins.py",
+        "code = c2 * (x ^ x >> self._shift) + d & mask",
+        "code = c2 * x + d & mask",
+        [SKETCH_HASHES, "tests/test_joins.py::test_sketch_single_coordinate", SKETCH_ENCODE, SKETCH_DECODE],
     ),
 ]
 

@@ -344,26 +344,36 @@ def test_run_that_keeps_nothing_rejected_before_any_trial(argv, runner, monkeypa
     assert captured.err == f"error: {argv[0]} would keep nothing of its trials: give --out, --min-success or both\n"
 
 
+MISSING = ("{tmp}/missing/x", "directory '{tmp}/missing' does not exist")
+NO_FILE = ["run-bmm", "--n", "4", "--ell", "4", "--min-success", "0"]
+
+
+# an empty prefix, a directory and "." name no file: unchecked, "" wrote nothing and exited 0,
+# and "{tmp}/" wrote {tmp}/.csv and {tmp}/.summary.json
 @pytest.mark.parametrize(
-    "argv",
+    "argv, out, message",
     [
-        ["run-bmm", "--n", "8", "--ell", "4"],
-        ["run-mmf2", "--n", "8", "--ell", "4"],
-        ["scaling", "--protocol", "bmm-cost", "--n", "64", "--ell", "16,64"],
-        ["validate-reductions", "--n", "8"],
+        (["run-bmm", "--n", "8", "--ell", "4"], *MISSING),
+        (["run-mmf2", "--n", "8", "--ell", "4"], *MISSING),
+        (["scaling", "--protocol", "bmm-cost", "--n", "64", "--ell", "16,64"], *MISSING),
+        (["validate-reductions", "--n", "8"], *MISSING),
+        (NO_FILE, "", "prefix '' names no file"),
+        (NO_FILE, "{tmp}/", "prefix '{tmp}/' names no file"),
+        (NO_FILE, ".", "prefix '.' names no file"),
     ],
+    ids=["argv0", "argv1", "argv2", "argv3", "empty-prefix", "directory-prefix", "dot-prefix"],
 )
-def test_out_in_a_missing_directory_rejected_before_any_trial(argv, tmp_path, monkeypatch, capsys):
+def test_out_in_a_missing_directory_rejected_before_any_trial(argv, out, message, tmp_path, monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("an instance was built")
 
     monkeypatch.setattr(cli, "gen_promise_instance", refuse)
     monkeypatch.setattr(joins, "gen_hard_instance", refuse)
     monkeypatch.setattr(reductions, "embed_disj_family", refuse)
-    missing = tmp_path / "missing"
-    assert main(argv + ["--trials", "2", "--out", str(missing / "x")]) == 2
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--trials", "2", "--out", out.format(tmp=tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert f"argument --out: directory {str(missing)!r} does not exist" in err
+    assert f"argument --out: {message.format(tmp=tmp_path)}" in err
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
 

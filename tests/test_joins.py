@@ -593,7 +593,7 @@ def test_sketch_single_coordinate():
     x = BitVector.from_indices(64, [17])
     meas = sk.encode(x)
     # level-0 bucket of 17 carries its parity and its code word
-    bucket_of, code_of, _ = sk._tables
+    bucket_of, code_of = _reference_tables(sk)
     off = _field_offset(sk, 0, bucket_of[0][17])
     assert (meas.bits >> off) & 1 == 1
     mask = (1 << sk.code_bits) - 1
@@ -655,9 +655,9 @@ def test_sketch_draws_no_tables_it_does_not_use():
     assert sk.measurement_len == sk.levels * sk.buckets * (1 + sk.code_bits)
     assert sk.encode(BitVector(256)).is_zero()
     assert sk.decode(BitVector(sk.measurement_len)) == BitVector(256)
-    assert "_tables" not in vars(sk) and not sk._words
-    sk.encode(BitVector.from_indices(256, [3]))
-    assert "_tables" in vars(sk) and list(sk._words) == [3]
+    assert "_params" not in vars(sk) and not sk._placed
+    sk.encode(BitVector.from_indices(256, [3, 70, 255]))
+    assert "_params" in vars(sk) and sorted(sk._placed) == [3, 70, 255]
 
 
 def test_sketch_words_do_not_tie_the_sketch_into_a_cycle():
@@ -697,9 +697,12 @@ def _reference_tables(sk: SensingSketch) -> tuple[list[list[int]], list[list[int
 @example(1024, 8, 2**32 - 1)
 def test_sketch_hashes_are_invertible_codes_and_in_range_buckets(n, kappa, seed):
     sk = SensingSketch(n, kappa, seed)
-    bucket_of, code_of, _ = sk._tables
+    bucket_of, code_of = _reference_tables(sk)
     space = 1 << sk.code_bits
-    assert (bucket_of, code_of) == _reference_tables(sk)
+    for i in range(n):
+        word, offsets = sk._place(i)
+        assert offsets == [_field_offset(sk, level, bucket_of[level][i]) for level in range(sk.levels)]
+        assert word == sum((1 | code_of[level][i] << 1) << off for level, off in enumerate(offsets))
     for level in range(sk.levels):
         codes = code_of[level]
         assert len(set(codes)) == n
@@ -714,7 +717,7 @@ def test_sketch_hashes_are_invertible_codes_and_in_range_buckets(n, kappa, seed)
 
 def _reference_encode(sk: SensingSketch, x: BitVector) -> int:
     """The measurement built field by field: parity bit and code of each set coordinate, per level."""
-    bucket_of, code_of, _ = sk._tables
+    bucket_of, code_of = _reference_tables(sk)
     meas = 0
     for i in x.indices():
         for level in range(sk.levels):
@@ -765,7 +768,7 @@ def _reference_decode(sk: SensingSketch, measurement: BitVector) -> BitVector | 
 
     Codes are inverted through a dict built from the code table, not by the sketch's arithmetic.
     """
-    bucket_of, code_of, _ = sk._tables
+    bucket_of, code_of = _reference_tables(sk)
     code_inv = [{c: i for i, c in enumerate(codes)} for codes in code_of]
 
     def parse():
@@ -863,7 +866,7 @@ def test_sketch_decode_matches_reference_decoder(case):
     sk = SensingSketch(n, kappa, seed)
     meas = sk.encode(BitVector.from_indices(n, support)) ^ BitVector(sk.measurement_len, noise)
     got = sk.decode(meas)
-    # a fresh sketch decodes the same way as one whose tables and words are drawn
+    # a fresh sketch decodes the same way as one whose parameters are drawn and coordinates placed
     assert got == _reference_decode(sk, meas) == SensingSketch(n, kappa, seed).decode(meas)
 
 
