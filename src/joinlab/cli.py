@@ -6,7 +6,8 @@ derived per (cell, trial) from the base seed with a stable hash, so a given
 config reproduces its outputs byte for byte (timing defaults to 0 for that
 reason; pass --timing to record the protocol call's wall time).  A protocol
 error is a failed trial: success 0, the costs charged up to the error, and
-rounds 0 for run-bmm or 3 for run-mmf2.  --epsilon must lie in [0, 0.1).
+rounds 0 for run-bmm.  run-mmf2's rounds is the constant 3 in every trial;
+it counts no messages.  --epsilon must lie in [0, 0.1).
 """
 
 from __future__ import annotations

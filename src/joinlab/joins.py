@@ -2,10 +2,10 @@
 
 `bmm_with_trace` runs the search-and-collect protocol: repeatedly find an
 inner index whose column/row pair still collides on the complement of the
-accumulated output, then harvest all of its collisions.  `mm_f2` classifies
-output columns into dense and sparse, ships dense columns verbatim, and
-recovers sparse ones from linear parity sketches.  Both charge every
-modeled message to the ledger.
+accumulated output, then harvest all of its collisions.  `mm_f2` sends one
+batch of linear parity sketches, decodes every nonzero output column from
+it, and ships each column that does not decode verbatim.  Both charge
+every modeled message to the ledger.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from joinlab.ledger import (
     QUBITS,
     CommLedger,
     index_qubits,
+    integer_bits,
 )
 from joinlab.qsim import (
     BipartiteGraph,
@@ -51,7 +52,11 @@ class PromiseViolationError(ProtocolError):
 
 
 class DecodeBudgetError(ProtocolError):
-    """Sparse-column recovery failed past the repetition budget."""
+    """Sparse-column recovery failed past its budget.
+
+    No protocol raises it any more: ``mm_f2`` ships a column it cannot
+    decode dense.  It stays for callers that list the protocol errors.
+    """
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +349,18 @@ class SensingSketch:
     levels peel those false candidates.  When codes outnumber coordinates, d
     puts the preimage of code 0 at or above n, so no coordinate has code 0.
 
+    The sizes are set for vectors of at most kappa ones.  A coordinate that
+    shares its bucket with another one at every level is never pure until
+    one of those is peeled, so under independent uniform buckets a vector of
+    w <= kappa ones fails to decode with probability at most
+    ``w * ((w - 1) / (2 * kappa)) ** levels <= kappa * 2**-levels <= 1/100``,
+    the chance that some coordinate of it has no bucket to itself, as long
+    as no false candidate is peeled.  A bucket holding three or more
+    coordinates can name a fourth coordinate hashed to it, and confirmation
+    at a second level keeps those out.  Past the sparsity, decode returns
+    None; it returns a wrong vector only when that vector's measurement
+    equals the input's.
+
     Construction only fixes the sizes.  The per-level parameters are drawn
     on first use, and a coordinate is placed (its word and its field at each
     level) the first time it is read, so a sketch that only reports
@@ -469,89 +486,51 @@ class SensingSketch:
 # ---------------------------------------------------------------------------
 
 
-# a column flagged in at least this fraction of the sampling rounds is dense
-_DENSE_VOTE = 0.63
+def classify_columns(
+    instance: JoinInstance, columns: list[int], ledger: CommLedger, rng: random.Random
+) -> dict[int, int]:
+    """Step 1 of :func:`mm_f2`: one sketch batch, and the nonzero product columns it decodes.
 
-
-def _probe_rounds(instance: JoinInstance, ledger: CommLedger, rng: random.Random, r1: int, r_freivalds: int):
-    """Yield each round's sampled nonzero rows of A, its probe word and the answers v^T (A_S B).
-
-    Alice's coins are a private generator seeded by one shared
-    ``getrandbits(64)``.  A round keeps k of the n rows by selection sampling
-    (Knuth, Algorithm S) over [n] ordered with A's nonzero rows first, so the
-    kept rows are a uniform k-subset intersected with them; zero rows of A
-    add nothing to v^T A_S.  Bit ``t * r_freivalds + p`` of the round's word
-    is probe p's bit for ``chosen[t]``.  An answer is what
-    :func:`freivalds_round` returns on the kept rows, and is charged as one:
-    the XOR of the product rows (A B)[i] its probe picks, read from the
-    ``oracle_product`` of an F2 instance, the product ``mm_f2`` also reads.
-    """
-    B = instance.B
-    n = instance.A.rows
-    product = instance.oracle_product.data
-    sample_rows = min(n, max(1, math.ceil(n / math.sqrt(instance.ell))))
-    # each probe is charged as one freivalds_round: v out to B's side, v^T (A_S B) back
-    probe = [(A_TO_B, BITS, max(1, B.rows), "freivalds"), (B_TO_A, BITS, max(1, B.cols), "freivalds")]
-    coins = random.Random(rng.getrandbits(64))
-    randrange, getrandbits = coins.randrange, coins.getrandbits
-    support, mask = list(compress(range(n), instance.A.data)), (1 << r_freivalds) - 1
-    for _ in range(r1):
-        chosen, left = [], sample_rows
-        for t, i in enumerate(support):
-            if randrange(n - t) < left:
-                chosen.append(i)
-                left -= 1
-                if not left:
-                    break
-        word, answers = getrandbits(r_freivalds * len(chosen)), [0] * r_freivalds
-        for t, i in enumerate(chosen):
-            if product[i]:
-                for p in _iter_bits(word >> t * r_freivalds & mask):
-                    answers[p] ^= product[i]
-        ledger._log(probe, r_freivalds)
-        yield chosen, word, answers
-
-
-def classify_columns(instance: JoinInstance, ledger: CommLedger, rng: random.Random) -> frozenset[int]:
-    """Row-sampled probing that returns the columns of the product declared dense.
-
-    Each round samples k = min(n, ceil(n/sqrt(ell))) rows of A and probes
-    which columns of the sampled product are nonzero; columns flagged in at
-    least 0.63 r1 of the r1 = max(1, ceil(3 log2 n)) rounds are declared
-    dense.  A round has r_freivalds = ceil(log2(100 n)) probes, so it flags
-    a column with w ones with probability
-    q(w) = (1 - C(n-w, k)/C(n, k)) (1 - 2^-r_freivalds), and the column is
-    declared dense with probability P[Bin(r1, q(w)) >= 0.63 r1].  Around
-    sqrt(ell) that is no sharp split: at (n, ell) = (256, 64) it is 0.745
-    at w = 9 = ceil(1.1 sqrt(ell)) and 0.372 at w = 7 = floor(0.9 sqrt(ell)).
-    Samples and probes are Alice's private coins, seeded by one
-    ``rng.getrandbits(64)`` (see :func:`_probe_rounds`).  ``instance`` is an
-    F2 instance: the answers read its ``oracle_product``.
+    ``columns[j]`` is column j of the product.  Alice sends a sketch of each
+    column of A, ``measurement_len * n`` bits A->B, all from one seed of the
+    shared ``rng`` (public coin), each sized for kappa = ceil(1.1 sqrt(ell))
+    ones.  Bob folds them through column j of B; the sketch is linear, so
+    that is the sketch of column j of AB, and the simulation encodes the
+    column directly.  The result maps each nonzero column that decodes to
+    its decoded bits.  A nonzero column missing from it is dense: decode
+    returned None, which it does past the sketch's sparsity in place of a
+    wrong vector (see :class:`SensingSketch`).
     """
     n = instance.A.rows
-    r1, r_freivalds = max(1, math.ceil(3 * math.log2(n))), math.ceil(math.log2(100.0 * n))
-    votes = [0] * n
-    for _, _, answers in _probe_rounds(instance, ledger, rng, r1, r_freivalds):
-        for j in _iter_bits(reduce(or_, answers, 0)):
-            votes[j] += 1
-    threshold = _DENSE_VOTE * r1
-    return frozenset(j for j in range(n) if votes[j] >= threshold)
+    sketch = SensingSketch(n, math.ceil(1.1 * math.sqrt(instance.ell)), seed=rng.getrandbits(32))
+    ledger.charge(A_TO_B, BITS, sketch.measurement_len * n, "sketch-transfer")
+    decoded = {}
+    for j, column in enumerate(columns):
+        if column:
+            got = sketch.decode(sketch.encode(BitVector(n, column)))
+            if got is not None:
+                decoded[j] = got.bits
+    return decoded
 
 
 def mm_f2(instance: JoinInstance, ledger: CommLedger, rng: random.Random) -> BitMatrix:
-    """Full F2 product under the sparse-output promise.
+    """Full F2 product under the sparse-output promise, in O(n sqrt(ell) log^2 n) bits.
 
-    Step 1 classifies columns (classical probing).  Step 2 ships the dense
-    columns of B so their product columns are computed exactly.  Step 3
-    streams r3 = ceil(log2(100 n)) batches of sketches of A's columns, and
-    Bob decodes each sparse column of the product from his measurement: by
-    linearity, the sketches folded through column j of B are the sketch of
-    column j of AB, so the simulation encodes that column directly.  A zero
-    column has the zero measurement, which decodes to zero at once, so only
-    the nonzero sparse columns are encoded and decoded.  Every batch is
-    charged (a one-way stream), so the bits are the (n, ell)-determined
-    sketch and probe charges plus n for each dense column.  Classification
-    and step 3 read ``oracle_product``, the F2 product of an F2 instance.
+    Step 1 (:func:`classify_columns`) sends one sketch batch, and Bob
+    decodes every nonzero column of the product from it.  Step 2: Bob
+    replies, B->A, with the count of the columns that did not decode and,
+    for each, its index and column j of B, so Alice computes that column
+    exactly.  The reply is one ``dense-transfer`` charge: ``integer_bits(n)``
+    bits for the count, sent even when it is 0, plus ``index_qubits(n) + n``
+    bits per such column.  Sparse columns end at Bob and dense ones at
+    Alice.  At most ell / kappa < sqrt(ell) columns hold more than kappa
+    ones, so the reply stays within n sqrt(ell) bits plus what decoding
+    misses below kappa.  A second batch would cost ``measurement_len * n``
+    bits to save at most n + log n bits per column the first one missed,
+    so it pays only when the decode-failure rate times ell exceeds
+    ``measurement_len``; the failure bound in :class:`SensingSketch` keeps
+    that product far below 1 on every size here, so one batch is sent.
+    Both steps read ``oracle_product``, the F2 product of an F2 instance.
     """
     A = instance.A
     if instance.kind != "f2":
@@ -560,33 +539,12 @@ def mm_f2(instance: JoinInstance, ledger: CommLedger, rng: random.Random) -> Bit
     if A.rows != A.cols:
         raise DimensionError("mm_f2 handles square n x n operands")
     n = A.rows
-    r3 = math.ceil(math.log2(100.0 * n))
-
-    dense = classify_columns(instance, ledger, rng)
-    # the columns of the product whose rows classification probed; under the promise the transpose
-    # scatters at most ell ones
     columns = instance.oracle_product.transpose().data
+    decoded = classify_columns(instance, columns, ledger, rng)
+    dense = sum(1 for j, column in enumerate(columns) if column and j not in decoded)
+    ledger.charge(B_TO_A, BITS, integer_bits(n) + dense * (index_qubits(n) + n), "dense-transfer")
 
-    out_cols = {j: columns[j] for j in dense}
-    if dense:
-        ledger.charge(B_TO_A, BITS, len(dense) * n, "dense-transfer")
-
-    kappa = math.ceil(1.1 * math.sqrt(instance.ell))
-    unresolved = {j for j in range(n) if columns[j] and j not in dense}
-    for _ in range(r3):
-        sketch = SensingSketch(n, kappa, seed=rng.getrandbits(32))
-        ledger.charge(A_TO_B, BITS, sketch.measurement_len * n, "sketch-transfer")
-        for j in sorted(unresolved):
-            decoded = sketch.decode(sketch.encode(BitVector(n, columns[j])))
-            if decoded is not None:
-                out_cols[j] = decoded.bits
-                unresolved.discard(j)
-    if unresolved:
-        raise DecodeBudgetError(
-            f"{len(unresolved)} columns undecoded after {r3} sketch rounds"
-        )
-
-    result = BitMatrix(n, n, [out_cols.get(j, 0) for j in range(n)]).transpose()
+    result = BitMatrix(n, n, [decoded.get(j, column) for j, column in enumerate(columns)]).transpose()
     if result.weight() > instance.ell:
         raise PromiseViolationError(
             f"recovered {result.weight()} ones, promise allows {instance.ell}"

@@ -29,10 +29,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-CRITERION_2 = "tests/test_acceptance.py::test_criterion_2_mm_f2_correctness_and_cost"
 CRITERION_3 = "tests/test_acceptance.py::test_criterion_3_scaling_fits"
 REPLAY_LAW = "tests/test_joins.py::test_replay_charges_follow_the_per_round_formulas"
-DENSE_LAW = "tests/test_joins.py::test_classification_declares_a_column_dense_with_the_exact_binomial_law"
+MM_F2_CHARGES = "tests/test_joins.py::test_mm_f2_charges_follow_the_one_batch_formulas"
+MM_F2_DENSE = "tests/test_joins.py::test_mm_f2_ships_each_column_past_the_sketch_dense"
+DECODE_LAW = "tests/test_joins.py::test_sketch_decodes_its_design_sparsity_within_the_stated_failure_bound"
 SKETCH_HASHES = "tests/test_joins.py::test_sketch_hashes_are_invertible_codes_and_in_range_buckets"
 SKETCH_ENCODE = "tests/test_joins.py::test_sketch_encode_matches_field_by_field_reference"
 SKETCH_DECODE = "tests/test_joins.py::test_sketch_decode_matches_reference_decoder"
@@ -47,46 +48,11 @@ MUTANTS = [
         [CRITERION_3, REPLAY_LAW],
     ),
     (
-        "r3 = 1",
-        "joins.py",
-        "r3 = math.ceil(math.log2(100.0 * n))",
-        "r3 = 1",
-        [CRITERION_2],
-    ),
-    (
-        "_DENSE_VOTE 0.63 -> 0.3",
-        "joins.py",
-        "_DENSE_VOTE = 0.63",
-        "_DENSE_VOTE = 0.3",
-        ["tests/test_joins.py::test_classification_leaves_scattered_columns_sparse", DENSE_LAW],
-    ),
-    (
         "index_qubits + 1",
         "ledger.py",
         "return max(1, (n - 1).bit_length())",
         "return max(1, (n - 1).bit_length()) + 1",
         ["tests/test_ledger.py::test_conventions"],
-    ),
-    (
-        "Algorithm S with randrange(n)",
-        "joins.py",
-        "if randrange(n - t) < left:",
-        "if randrange(n) < left:",
-        ["tests/test_joins.py::test_probe_rounds_sample_rows_and_probe_bits_with_the_uniform_law", DENSE_LAW],
-    ),
-    (
-        "r_freivalds = 1",
-        "joins.py",
-        "r1, r_freivalds = max(1, math.ceil(3 * math.log2(n))), math.ceil(math.log2(100.0 * n))",
-        "r1, r_freivalds = max(1, math.ceil(3 * math.log2(n))), 1",
-        [DENSE_LAW],
-    ),
-    (
-        "r1 = max(1, ceil(log2 n))",
-        "joins.py",
-        "r1, r_freivalds = max(1, math.ceil(3 * math.log2(n))), math.ceil(math.log2(100.0 * n))",
-        "r1, r_freivalds = max(1, math.ceil(math.log2(n))), math.ceil(math.log2(100.0 * n))",
-        [DENSE_LAW],
     ),
     (
         "replay final-search charge dropped",
@@ -107,13 +73,28 @@ MUTANTS = [
         [REPLAY_LAW],
     ),
     (
-        # no law test states the decode rate at the design sparsity yet; the old-step-3 reference
-        # copy is the only non-digest check that kills this one
         "sketch kappa ceil(1.1 sqrt(ell)) -> ceil(0.8 sqrt(ell))",
         "joins.py",
-        "kappa = math.ceil(1.1 * math.sqrt(instance.ell))",
-        "kappa = math.ceil(0.8 * math.sqrt(instance.ell))",
-        ["tests/test_joins.py::test_mm_f2_sketches_only_nonzero_sparse_columns_like_the_full_sketch_reference"],
+        "math.ceil(1.1 * math.sqrt(instance.ell))",
+        "math.ceil(0.8 * math.sqrt(instance.ell))",
+        [
+            MM_F2_CHARGES,
+            "tests/test_joins.py::test_mm_f2_sketches_only_nonzero_sparse_columns_like_the_full_sketch_reference",
+        ],
+    ),
+    (
+        "undecoded column dropped, not shipped dense",
+        "joins.py",
+        "[decoded.get(j, column) for j, column in enumerate(columns)]",
+        "[decoded.get(j, 0) for j in range(n)]",
+        [MM_F2_CHARGES, MM_F2_DENSE],
+    ),
+    (
+        "dense reply charge dropped",
+        "joins.py",
+        'ledger.charge(B_TO_A, BITS, integer_bits(n) + dense * (index_qubits(n) + n), "dense-transfer")',
+        "pass",
+        [MM_F2_CHARGES, MM_F2_DENSE, "tests/test_joins.py::test_mm_f2_zero_b"],
     ),
     (
         "exact none_repeats base 3 -> 30",
@@ -159,7 +140,7 @@ MUTANTS = [
         "joins.py",
         "not (residual ^ word) >> offsets[other] & mask for other in levels",
         "False for other in levels",
-        [SKETCH_DECODE],
+        [DECODE_LAW, SKETCH_DECODE],
     ),
     (
         "sketch code map without the xorshift",

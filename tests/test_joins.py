@@ -1,7 +1,6 @@
 """Join protocols against the brute-force products, plus cost-model checks."""
 
 import gc
-import itertools
 import math
 import random
 import weakref
@@ -27,11 +26,9 @@ from joinlab.f2core import (
 from joinlab.joins import (
     BmmRound,
     BmmTrace,
-    DecodeBudgetError,
     PromiseViolationError,
     SensingSketch,
     _inner_iterations,
-    _probe_rounds,
     bmm_cost_model,
     bmm_with_trace,
     classify_columns,
@@ -39,7 +36,7 @@ from joinlab.joins import (
     gen_hard_instance,
     mm_f2,
 )
-from joinlab.ledger import A_TO_B, B_TO_A, BITS, QUBITS, CommLedger, index_qubits
+from joinlab.ledger import A_TO_B, B_TO_A, BITS, QUBITS, CommLedger, index_qubits, integer_bits
 from joinlab.qsim import (
     BipartiteGraph,
     CostModel,
@@ -644,6 +641,52 @@ def test_sketch_decode_failure_is_reported():
     assert outcomes["fail"] > 0
 
 
+def _binomial_upper(trials: int, p: float, tail: float) -> int:
+    """The least t with P[Bin(trials, p) > t] <= tail."""
+    below, t = 0.0, -1
+    while 1.0 - below > tail:
+        t += 1
+        below += math.comb(trials, t) * p**t * (1 - p) ** (trials - t)
+    return t
+
+
+@pytest.mark.parametrize("n, kappa", [(256, 8), (512, 9)])
+def test_sketch_decodes_its_design_sparsity_within_the_stated_failure_bound(n, kappa):
+    # the docstring's bound at w = kappa ones, the worst weight it covers: kappa ((kappa - 1) / (2 kappa))^levels,
+    # 2.1e-3 at (256, 8) and 2.7e-3 at (512, 9).  Over 4000 fresh sketches a decoder within it exceeds the
+    # allowed failures (21 and 25) with probability at most 1e-4, and one that fails 1 vector in 100 (40
+    # expected) stays within them with probability below 0.01
+    trials = 4000
+    levels = math.ceil(math.log2(100 * kappa))
+    bound = kappa * ((kappa - 1) / (2 * kappa)) ** levels
+    allowed = _binomial_upper(trials, bound, 1e-4)
+    assert sum(math.comb(trials, t) * 0.01**t * 0.99 ** (trials - t) for t in range(allowed + 1)) < 0.01
+    failed = 0
+    for trial in range(trials):
+        rng = random.Random(880000 + trial)
+        sk = SensingSketch(n, kappa, seed=rng.getrandbits(32))
+        x = BitVector.random_weight(n, kappa, rng)
+        got = sk.decode(sk.encode(x))
+        assert got in (None, x)
+        failed += got is None
+    assert failed <= allowed, f"{failed} of {trials} failed, the bound allows {allowed}"
+
+
+@pytest.mark.parametrize("n, kappa", [(256, 3), (256, 8)])
+def test_sketch_past_eight_kappa_returns_none_or_the_vector(n, kappa):
+    # mm_f2 ships every column that does not decode dense, so its output is right as long as a
+    # decode past the sparsity is None or x itself, never another vector
+    outcomes = {"none": 0, "x": 0}
+    for trial in range(150):
+        rng = random.Random(990000 + trial)
+        sk = SensingSketch(n, kappa, seed=rng.getrandbits(32))
+        x = BitVector.random_weight(n, rng.randint(8 * kappa + 1, 16 * kappa), rng)
+        got = sk.decode(sk.encode(x))
+        assert got in (None, x)
+        outcomes["none" if got is None else "x"] += 1
+    assert outcomes["none"] > 0
+
+
 @pytest.mark.parametrize("n, kappa, word", [(0, 4, "domain"), (64, 0, "sparsity")])
 def test_sketch_rejects_bad_sizes(n, kappa, word):
     with pytest.raises(ValueError, match=word):
@@ -881,7 +924,8 @@ def test_mm_f2_zero_b():
     led = CommLedger()
     out = mm_f2(inst, led, random.Random(2))
     assert out.weight() == 0
-    assert "dense-transfer" not in led.report()["phases"]  # no column looks dense
+    # every column decodes, so Bob's reply holds only the count 0
+    assert led.amounts[B_TO_A, BITS, "dense-transfer"] == integer_bits(16)
 
 
 def test_mm_f2_identity_a():
@@ -922,33 +966,36 @@ def test_mm_f2_cost_deterministic_in_n_ell():
         led = CommLedger()
         mm_f2(inst, led, random.Random(seed))
         costs.add(led.bits)
-    assert len(costs) <= 2  # dense-transfer may add |S| * n for flagged cells
+    assert len(costs) <= 2  # dense-transfer adds index + n bits for each column that does not decode
+
+
+def _dense_columns(inst, rng) -> set[int]:
+    """The nonzero product columns that classify_columns does not decode, so mm_f2 ships them dense."""
+    columns = inst.oracle_product.transpose().data
+    decoded = classify_columns(inst, columns, CommLedger(), rng)
+    return {j for j, column in enumerate(columns) if column and j not in decoded}
 
 
 def test_classification_captures_clearly_dense_columns():
+    # one product column of 8 kappa + 1 ones, past what the sketch holds, goes dense
     n, ell = 64, 16
+    kappa = math.ceil(1.1 * math.sqrt(ell))
     captured = 0
-    pure = 0
     trials = 100
     for tr in range(trials):
         rng = random.Random(40000 + tr)
         j_star = rng.randrange(n)
-        rows = set(rng.sample(range(n), ell))
+        rows = set(rng.sample(range(n), 8 * kappa + 1))
         a = BitMatrix(n, n, [1 if i in rows else 0 for i in range(n)])
         b = BitMatrix(n, n, [(1 << j_star) if k == 0 else 0 for k in range(n)])
         inst = JoinInstance.build(a, b, ell, tr, "f2")
-        dense = classify_columns(inst, CommLedger(), rng)
-        captured += j_star in dense
-        product_t = inst.oracle_product.transpose()
-        pure += all(product_t.data[j].bit_count() >= 0.9 * math.sqrt(ell) for j in dense)
+        captured += _dense_columns(inst, rng) == {j_star}
     assert captured / trials >= 0.95
-    assert pure / trials >= 0.95
 
 
 def test_classification_leaves_scattered_columns_sparse():
-    # ell ones in ell distinct columns: every column sits far below the
-    # dense threshold and must stay out of S (band columns may go either way,
-    # but these are weight-1 columns)
+    # ell ones in ell distinct columns: every column holds one coordinate, which a sketch
+    # always decodes, so none goes dense
     n, ell = 64, 16
     clean = 0
     trials = 100
@@ -962,7 +1009,7 @@ def test_classification_leaves_scattered_columns_sparse():
             data[i] |= 1 << j
         b = BitMatrix(n, n, data)
         inst = JoinInstance.build(a, b, ell, tr, "f2")
-        clean += not classify_columns(inst, CommLedger(), rng)
+        clean += not _dense_columns(inst, rng)
     assert clean / trials >= 0.95
 
 
@@ -970,71 +1017,29 @@ def test_classification_size_bound():
     for tr in range(50):
         seed = 61000 + tr
         inst = gen_promise_instance(64, 64, 36, seed, kind="f2")
-        dense = classify_columns(inst, CommLedger(), random.Random(seed))
+        dense = _dense_columns(inst, random.Random(seed))
         assert len(dense) <= math.ceil(inst.ell / (0.9 * math.sqrt(inst.ell)))
 
 
-def _declared_dense_probability(n: int, ell: int, w: int) -> float:
-    """Exact chance that classification declares a product column with w ones dense.
-
-    A round samples k = min(n, ceil(n / sqrt(ell))) rows, so it holds one of the w with
-    probability 1 - C(n - w, k) / C(n, k), and one of r_freivalds = ceil(log2(100 n)) fair probes
-    then flags the column unless all miss.  The column is dense when at least 0.63 r1 of the
-    r1 = max(1, ceil(3 log2 n)) independent rounds flag it."""
-    k = min(n, max(1, math.ceil(n / math.sqrt(ell))))
-    r1, r_freivalds = max(1, math.ceil(3 * math.log2(n))), math.ceil(math.log2(100 * n))
-    q = (1 - math.comb(n - w, k) / math.comb(n, k)) * (1 - 2.0**-r_freivalds)
-    return sum(math.comb(r1, v) * q**v * (1 - q) ** (r1 - v) for v in range(r1 + 1) if v >= 0.63 * r1)
-
-
-@pytest.mark.parametrize("w", [4, 7, 9])
-def test_classification_declares_a_column_dense_with_the_exact_binomial_law(w):
-    # one nonzero product column, of w ones: w = 7 and 9 are floor(0.9 sqrt(ell)) and ceil(1.1 sqrt(ell)),
-    # where the declared-dense rates are 0.41 and 0.76, not 0 and 1; w = 4 sits well below the band
-    n, ell, seeds = 128, 64, 300
-    rows = random.Random(w).sample(range(n), w)
-    b = BitMatrix(n, n, [1 if i in rows else 0 for i in range(n)])
-    inst = JoinInstance.build(BitMatrix.identity(n), b, ell, kind="f2")
-    rate = sum(0 in classify_columns(inst, CommLedger(), random.Random(seed)) for seed in range(seeds)) / seeds
-    expected = _declared_dense_probability(n, ell, w)
-    assert abs(rate - expected) <= 4 * math.sqrt(expected * (1 - expected) / seeds)
-
-
-def _reference_classify(instance, ledger, rng):
-    """classify_columns draw for draw, by plain loops: one 64-bit seed from ``rng`` for Alice's
-    coins, then per round Algorithm S over A's nonzero rows, each probe's bits read one at a time
-    from one word, and one :func:`freivalds_round` per probe on the sampled sub-matrix."""
-    A, n = instance.A, instance.A.rows
-    r1, r_freivalds = max(1, math.ceil(3 * math.log2(n))), math.ceil(math.log2(100 * n))
-    sample_rows = min(n, max(1, math.ceil(n / math.sqrt(instance.ell))))
-    coins = random.Random(rng.getrandbits(64))
-    nonzero = [i for i in range(n) if A.data[i]]
-    votes = [0] * n
-    for _ in range(r1):
-        chosen, left = [], sample_rows
-        for t, i in enumerate(nonzero):
-            if left == 0:
-                break
-            if coins.randrange(n - t) < left:
-                chosen.append(i)
-                left -= 1
-        c = len(chosen)
-        word = coins.getrandbits(r_freivalds * c)
-        sub = BitMatrix(c, A.cols, [A.data[i] for i in chosen])
-        seen = set()
-        for p in range(r_freivalds):
-            v = 0
-            for t in range(c):
-                if word >> (t * r_freivalds + p) & 1:
-                    v |= 1 << t
-            seen.update(freivalds_round(sub, instance.B, BitVector(c, v), ledger).indices())
-        for j in seen:
-            votes[j] += 1
-    return frozenset(j for j in range(n) if votes[j] >= 0.63 * r1)
+def test_mm_f2_takes_one_32_bit_draw_from_the_shared_stream_whatever_a_holds():
+    # the sketch seed is public coin: one shared 32-bit draw, and no other
+    n = 64
+    b = BitMatrix.identity(n)
+    instances = (
+        JoinInstance.build(BitMatrix(n, n, [0] * n), b, 16, kind="f2"),
+        JoinInstance.build(BitMatrix.identity(n), b, n, kind="f2"),
+        gen_promise_instance(n, n, 16, 9, "f2"),
+    )
+    after_seed = random.Random(31)
+    after_seed.getrandbits(32)
+    for inst in instances:
+        rng = random.Random(31)
+        mm_f2(inst, CommLedger(), rng)
+        assert rng.getstate() == after_seed.getstate()
 
 
 @st.composite
-def classify_cases(draw):
+def f2_cases(draw):
     """An F2 instance (planted, inner-product embedding, zero A, density-0.5 A or 1x1) and an rng seed."""
     family = draw(st.sampled_from(("planted", "ip", "zero-a", "half-a", "one")))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -1055,75 +1060,62 @@ def classify_cases(draw):
     return inst, seed
 
 
-@settings(max_examples=150)
-@given(classify_cases())
-@example((gen_promise_instance(64, 64, 128, 3, "f2"), 3))
-@example((JoinInstance.build(BitMatrix(8, 8, [0] * 8), BitMatrix.identity(8), 4, kind="f2"), 1))
+def _heavy_and_light_columns(seed):
+    """Identity A at n = 256 and a B with one column of 200 ones, more than 8 kappa = 144 at
+    ell = 240, and twenty columns of 2 ones: the product is B, with 240 ones."""
+    rng = random.Random(seed)
+    n, data = 256, [0] * 256
+    heavy, *light = rng.sample(range(n), 21)
+    for i in rng.sample(range(n), 200):
+        data[i] |= 1 << heavy
+    for j in light:
+        for i in rng.sample(range(n), 2):
+            data[i] |= 1 << j
+    return JoinInstance.build(BitMatrix.identity(n), BitMatrix(n, n, data), 240, kind="f2"), heavy
+
+
+@settings(max_examples=40, deadline=None)
+@given(f2_cases())
+@example((_heavy_and_light_columns(0)[0], 0))
 @example((JoinInstance.build(BitMatrix.identity(1), BitMatrix.identity(1), 1, kind="f2"), 5))
-def test_classify_columns_matches_per_round_reference(case):
+@example((JoinInstance.build(BitMatrix(8, 8, [0] * 8), BitMatrix.identity(8), 4, kind="f2"), 1))
+def test_mm_f2_charges_follow_the_one_batch_formulas(case):
+    # sketch-transfer is measurement_len(n, ceil(1.1 sqrt(ell))) n bits, and dense-transfer is the count
+    # plus index and column for each nonzero column that the reference decoder fails on
     inst, seed = case
-    runs = []
-    for classify in (classify_columns, _reference_classify):
-        rng, led = random.Random(seed), CommLedger()
-        got = classify(inst, led, rng)
-        runs.append((got, led.amounts, len(led), rng.getrandbits(32)))
-    assert runs[0] == runs[1]
+    n = inst.A.rows
+    led = CommLedger()
+    try:
+        got = mm_f2(inst, led, random.Random(seed))
+    except PromiseViolationError:
+        got = None
+    sk = SensingSketch(n, math.ceil(1.1 * math.sqrt(inst.ell)), random.Random(seed).getrandbits(32))
+    columns = [BitVector(n, column) for column in inst.oracle_product.transpose().data]
+    failed = [
+        j
+        for j, x in enumerate(columns)
+        if x.bits and _reference_decode(sk, BitVector(sk.measurement_len, _reference_encode(sk, x))) is None
+    ]
+    assert led.amounts == {
+        (A_TO_B, BITS, "sketch-transfer"): sk.measurement_len * n,
+        (B_TO_A, BITS, "dense-transfer"): integer_bits(n) + len(failed) * (index_qubits(n) + n),
+    }
+    assert len(led) == 2
+    # each column is decoded or shipped, so the output is the product unless it breaks the promise
+    if inst.oracle_product.weight() <= inst.ell:
+        assert got == inst.oracle_product
+    else:
+        assert got is None
 
 
-@settings(max_examples=60)
-@given(classify_cases(), st.integers(0, 6), st.integers(1, 5))
-@example((embed_ip_f2([BitVector(16, 0b1011)] * 2, [BitVector(16, 0b0110)] * 2, 16).instance, 2), 3, 4)
-def test_probe_answers_match_freivalds_round(case, r1, r):
-    inst, seed = case
-    A, B = inst.A, inst.B
-    for chosen, word, answers in _probe_rounds(inst, CommLedger(), random.Random(seed), r1, r):
-        assert chosen == sorted(set(chosen)) and all(A.data[i] for i in chosen)
-        assert word >> r * len(chosen) == 0 and len(answers) == r
-        sub = BitMatrix(len(chosen), A.cols, [A.data[i] for i in chosen])
-        for p, answer in enumerate(answers):
-            # probe p picks chosen[t] when bit t * r + p of the round's word is set
-            v = sum((word >> (t * r + p) & 1) << t for t in range(len(chosen)))
-            assert answer == freivalds_round(sub, B, BitVector(len(chosen), v), CommLedger()).bits
-
-
-def test_probe_rounds_sample_rows_and_probe_bits_with_the_uniform_law():
-    # k = ceil(10 / sqrt(7)) = 4 of n = 10 rows, three of them nonzero in A: a uniform 4-subset of
-    # [10] meets S in T with probability C(7, 4 - |T|) / C(10, 4), and each probe bit is fair
-    n, ell, support = 10, 7, (2, 5, 7)
-    a = BitMatrix(n, n, [1 << i if i in support else 0 for i in range(n)])
-    inst = JoinInstance.build(a, BitMatrix.identity(n), ell, kind="f2")
-    rounds, r_freivalds = 20_000, 2
-    subsets, ones, kept = {}, {}, dict.fromkeys(support, 0)
-    for chosen, word, _ in _probe_rounds(inst, CommLedger(), random.Random(2024), rounds, r_freivalds):
-        subsets[frozenset(chosen)] = subsets.get(frozenset(chosen), 0) + 1
-        for t, i in enumerate(chosen):
-            kept[i] += 1
-            for p in range(r_freivalds):
-                ones[i, p] = ones.get((i, p), 0) + (word >> (t * r_freivalds + p) & 1)
-    assert set(subsets) <= {frozenset(c) for r in range(4) for c in itertools.combinations(support, r)}
-    for size in range(4):
-        for subset in itertools.combinations(support, size):
-            q = math.comb(n - 3, 4 - size) / math.comb(n, 4)
-            assert abs(subsets.get(frozenset(subset), 0) / rounds - q) <= 5 * math.sqrt(q * (1 - q) / rounds)
-    for i in support:
-        for p in range(r_freivalds):
-            assert abs(ones[i, p] / kept[i] - 0.5) <= 5 * math.sqrt(0.25 / kept[i])
-
-
-def test_classification_takes_one_64_bit_draw_from_the_shared_stream_whatever_a_holds():
-    n = 64
-    b = BitMatrix.identity(n)
-    instances = (
-        JoinInstance.build(BitMatrix(n, n, [0] * n), b, 16, kind="f2"),
-        JoinInstance.build(BitMatrix.identity(n), b, n, kind="f2"),
-        gen_promise_instance(n, n, 16, 9, "f2"),
-    )
-    after_seed = random.Random(31)
-    after_seed.getrandbits(64)
-    for inst in instances:
-        rng = random.Random(31)
-        classify_columns(inst, CommLedger(), rng)
-        assert rng.getstate() == after_seed.getstate()
+def test_mm_f2_ships_each_column_past_the_sketch_dense():
+    for seed in range(10):
+        inst, heavy = _heavy_and_light_columns(seed)
+        led = CommLedger()
+        assert mm_f2(inst, led, random.Random(seed)) == inst.oracle_product
+        dense = _dense_columns(inst, random.Random(seed))
+        assert heavy in dense
+        assert led.amounts[B_TO_A, BITS, "dense-transfer"] == integer_bits(256) + len(dense) * (8 + 256)
 
 
 def _xor_selected(rows, word: int) -> int:
@@ -1136,34 +1128,25 @@ def _xor_selected(rows, word: int) -> int:
 
 
 def _reference_mm_f2(instance, ledger, rng):
-    """mm_f2 with step 3 as it was: both operands transposed, a sketch of every column of A,
-    and each sparse column's measurement folded from those sketches through the column of B."""
+    """mm_f2 by its messages: both operands transposed, one batch with a sketch of every column of
+    A, each column's measurement folded from those sketches through the column of B, and each
+    column that does not decode computed from the column of B that Bob ships."""
     n = instance.A.rows
-    r3 = math.ceil(math.log2(100 * n))
-    dense = classify_columns(instance, ledger, rng)
     a_t, b_t = instance.A.transpose(), instance.B.transpose()
-    out_cols = {}
-    if dense:
-        ledger.charge(B_TO_A, BITS, len(dense) * n, "dense-transfer")
-        for j in sorted(dense):
+    sketch = SensingSketch(n, math.ceil(1.1 * math.sqrt(instance.ell)), seed=rng.getrandbits(32))
+    ledger.charge(A_TO_B, BITS, sketch.measurement_len * n, "sketch-transfer")
+    col_sketches = [sketch.encode(BitVector(n, a_t.data[i])).bits for i in range(n)]
+    out_cols, dense = {}, []
+    for j in range(n):
+        meas = _xor_selected(col_sketches, b_t.data[j])
+        decoded = sketch.decode(BitVector(sketch.measurement_len, meas))
+        if decoded is None:
+            dense.append(j)
             out_cols[j] = _xor_selected(a_t.data, b_t.data[j])
-    kappa = math.ceil(1.1 * math.sqrt(instance.ell))
-    unresolved = {j for j in range(n) if j not in dense}
-    for _ in range(r3):
-        sketch = SensingSketch(n, kappa, seed=rng.getrandbits(32))
-        ledger.charge(A_TO_B, BITS, sketch.measurement_len * n, "sketch-transfer")
-        if not unresolved:
-            continue
-        col_sketches = [sketch.encode(BitVector(n, a_t.data[i])).bits for i in range(n)]
-        for j in sorted(unresolved):
-            meas = _xor_selected(col_sketches, b_t.data[j])
-            decoded = sketch.decode(BitVector(sketch.measurement_len, meas))
-            if decoded is not None:
-                out_cols[j] = decoded.bits
-                unresolved.discard(j)
-    if unresolved:
-        raise DecodeBudgetError(f"{len(unresolved)} columns undecoded after {r3} sketch rounds")
-    result = BitMatrix(n, n, [out_cols.get(j, 0) for j in range(n)]).transpose()
+        else:
+            out_cols[j] = decoded.bits
+    ledger.charge(B_TO_A, BITS, integer_bits(n) + len(dense) * (index_qubits(n) + n), "dense-transfer")
+    result = BitMatrix(n, n, [out_cols[j] for j in range(n)]).transpose()
     if result.weight() > instance.ell:
         raise PromiseViolationError(f"recovered {result.weight()} ones, promise allows {instance.ell}")
     return result
@@ -1193,17 +1176,13 @@ def _compare_with_full_sketch_reference(inst, seed):
                 got = type(exc), exc.args
         runs.append((got, led.amounts, len(led), rng.getrandbits(32)))
     assert runs[0] == runs[1]
-    columns = inst.oracle_product.transpose().data
-    dense = classify_columns(inst, CommLedger(), random.Random(seed))
-    sparse = [columns[j] for j in range(inst.A.rows) if columns[j] and j not in dense]
-    # the first batch encodes each nonzero sparse column once, in column order; later ones a subset
-    assert encoded[: len(sparse)] == sparse
-    assert 0 not in encoded and set(encoded) <= set(sparse)
+    # the one batch encodes each nonzero column of the product once, in column order
+    assert encoded == [column for column in inst.oracle_product.transpose().data if column]
     return runs[0][0]
 
 
 @settings(max_examples=120, deadline=None)
-@given(classify_cases())
+@given(f2_cases())
 @example((JoinInstance.build(BitMatrix.identity(1), BitMatrix.identity(1), 1, kind="f2"), 5))
 @example((JoinInstance.build(BitMatrix(8, 8, [0] * 8), BitMatrix.identity(8), 4, kind="f2"), 1))
 @example((JoinInstance.build(BitMatrix.identity(8), BitMatrix(8, 8, [0] * 8), 4, kind="f2"), 1))
@@ -1212,14 +1191,11 @@ def test_mm_f2_sketches_only_nonzero_sparse_columns_like_the_full_sketch_referen
     _compare_with_full_sketch_reference(*case)
 
 
-def test_mm_f2_ends_in_the_reference_errors(monkeypatch):
+def test_mm_f2_ends_in_the_reference_errors():
+    # the weight-32 column is past what a sketch for kappa = 2 holds, so it goes dense, and
+    # shipping it breaks the promise of one
     inst = _column_three_on_even_rows()
-    # the weight-32 column is dense, and shipping it breaks the promise of one
     assert _compare_with_full_sketch_reference(inst, 0)[0] is PromiseViolationError
-    # with no vote high enough, it stays sparse and overloads every sketch
-    monkeypatch.setattr(joins, "_DENSE_VOTE", 2.0)
-    got = _compare_with_full_sketch_reference(inst, 2)
-    assert got == (DecodeBudgetError, ("1 columns undecoded after 13 sketch rounds",))
 
 
 def test_mm_f2_transposes_neither_operand(monkeypatch):
@@ -1247,13 +1223,11 @@ def test_f2_protocols_read_the_instance_product_and_compute_none(monkeypatch):
         embed_ip_f2(*([BitVector.random(16, 0.5, rng) for _ in range(3)] for _ in range(2)), 16).instance,
         JoinInstance.build(BitMatrix.identity(16), b, ell=b.weight() + 1, kind="f2"),
     ]
-    dense = [_reference_classify(inst, CommLedger(), random.Random(seed)) for seed, inst in enumerate(instances)]
     # every instance is built, so its product is computed, before the spy goes in
     calls = []
     real_product = f2core._product
     monkeypatch.setattr(f2core, "_product", lambda *args: calls.append(args) or real_product(*args))
     for seed, inst in enumerate(instances):
-        assert classify_columns(inst, CommLedger(), random.Random(seed)) == dense[seed]
         assert mm_f2(inst, CommLedger(), random.Random(seed)) == inst.oracle_product
     assert calls == []
 
