@@ -207,15 +207,6 @@ class BitVector:
         return f"BitVector(n={self.n}, weight={self.weight()})"
 
 
-# Transpose scatters set bits while at most one cell in 80 is set, and
-# unpacks through a dense numpy array above that.  Measured crossover
-# density (Python 3.11, numpy 2.4, 2-core VM): 1/66 at 256x256, 1/80 at
-# 1024x1024 and 4096x4096, 1/45 at 64x4096, 1/120 at 4096x64.  At
-# density 0.5 the dense path is about 15x faster (0.66 vs 9.9 ms at
-# 256x256, 7.9 vs 118 ms at 1024x1024).
-_SCATTER_CELLS_PER_ONE = 80
-
-
 class BitMatrix:
     """Row-major packed bit matrix; rows are ints with bit ``j`` = column ``j``."""
 
@@ -245,12 +236,6 @@ class BitMatrix:
     def weight(self) -> int:
         return sum(map(int.bit_count, filter(None, self.data)))
 
-    def to_numpy(self) -> np.ndarray:
-        nbytes = (self.cols + 7) // 8 if self.cols else 1
-        buf = b"".join(r.to_bytes(nbytes, "little") for r in self.data)
-        arr = np.frombuffer(buf, dtype=np.uint8).reshape(self.rows, nbytes)
-        return np.unpackbits(arr, axis=1, bitorder="little")[:, : self.cols]
-
     @classmethod
     def from_numpy(cls, arr) -> "BitMatrix":
         arr = (np.asarray(arr) != 0).astype(np.uint8)
@@ -261,8 +246,6 @@ class BitMatrix:
         return cls(arr.shape[0], arr.shape[1], rows)
 
     def transpose(self) -> "BitMatrix":
-        if self.weight() * _SCATTER_CELLS_PER_ONE > self.rows * self.cols:
-            return BitMatrix.from_numpy(self.to_numpy().T)
         out = [0] * self.cols
         for i, r in enumerate(self.data):
             if r:

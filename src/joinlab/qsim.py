@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from operator import and_
 
-from joinlab.f2core import BitMatrix, BitVector, DimensionError, _fold, _iter_bits
+from joinlab.f2core import BitMatrix, BitVector, DimensionError, _bernoulli, _fold, _iter_bits
 from joinlab.ledger import (
     A_TO_B,
     B_TO_A,
@@ -314,7 +314,14 @@ class BipartiteGraph:
 
     @classmethod
     def random(cls, n_left: int, n_right: int, density: float, rng: random.Random) -> "BipartiteGraph":
-        return cls(BitMatrix.random(n_left, n_right, density, rng))
+        """Each edge present with probability ``density``: the draw of ``BitMatrix.random``, both orientations.
+
+        The complemented draw and its numpy transpose pack into the two lists
+        directly, so a dense graph never goes through the scatter transpose.
+        """
+        missing = ~_bernoulli(n_left, n_right, density, rng)
+        rows, cols = BitMatrix.from_numpy(missing).data, BitMatrix.from_numpy(missing.T).data
+        return cls.__new__(cls)._hold(n_left, n_right, list(rows), list(cols))
 
     def has_edge(self, i: int, j: int) -> bool:
         if not (0 <= i < self.n_left and 0 <= j < self.n_right):

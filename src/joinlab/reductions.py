@@ -2,8 +2,8 @@
 
 Each constructor packs the inputs of a simpler communication problem into a
 promise instance so that the join output determines the source answer; the
-validator checks the defining identity exactly with the brute-force
-products, independent of any protocol.
+validator checks the defining identity exactly against the brute-force
+product that ``JoinInstance.build`` cached, independent of any protocol.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from joinlab.f2core import (
     BitVector,
     JoinInstance,
     bool_product,
-    f2_product,
+    f2_product,  # not called here; perfbench's tracer test reads this module's binding of both products
 )
 
 
@@ -75,7 +75,7 @@ def embed_disj_family(a_vectors, b_vectors, n: int) -> Embedding:
 
 def _validate_disj_family(emb: Embedding) -> bool:
     inst, payload = emb.instance, emb.payload
-    product = bool_product(inst.A, inst.B)
+    product = inst.oracle_product
     answers = [bool(a.bits & b.bits) for a, b in zip(payload["a"], payload["b"])]
     diagonal = [bool(row >> i & 1) for i, row in enumerate(product.data[: len(answers)])]
     return product.weight() <= inst.ell and diagonal == answers and _round_trip(emb)
@@ -110,7 +110,7 @@ def _validate_inner_product(emb: Embedding) -> bool:
     inst, a = emb.instance, emb.payload["a"]
     n = inst.A.cols
     row_major = sum(row << (i * n) for i, row in enumerate(inst.A.data))
-    return bool_product(inst.A, inst.B) == inst.A and row_major & ((1 << a.n) - 1) == a.bits
+    return inst.oracle_product == inst.A and row_major & ((1 << a.n) - 1) == a.bits
 
 
 def embed_or_blocks(block_pairs, n: int) -> Embedding:
@@ -149,7 +149,7 @@ def embed_or_blocks(block_pairs, n: int) -> Embedding:
 
 def _validate_or_blocks(emb: Embedding) -> bool:
     inst = emb.instance
-    product = bool_product(inst.A, inst.B)
+    product = inst.oracle_product
     if product.weight() > inst.ell:
         return False
     s = emb.payload["side"]
@@ -171,7 +171,7 @@ def embed_ip_f2(x_vectors, y_vectors, n: int) -> Embedding:
 
 def _validate_ip_f2(emb: Embedding) -> bool:
     inst, payload = emb.instance, emb.payload
-    product = f2_product(inst.A, inst.B)
+    product = inst.oracle_product
     parity = sum(row >> i & 1 for i, row in enumerate(product.data)) % 2
     expected = sum((a & b).weight() for a, b in zip(payload["a"], payload["b"])) % 2
     return product.weight() <= inst.ell and parity == expected and _round_trip(emb)

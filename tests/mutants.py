@@ -37,6 +37,7 @@ DECODE_LAW = "tests/test_joins.py::test_sketch_decodes_its_design_sparsity_withi
 SKETCH_HASHES = "tests/test_joins.py::test_sketch_hashes_are_invertible_codes_and_in_range_buckets"
 SKETCH_ENCODE = "tests/test_joins.py::test_sketch_encode_matches_field_by_field_reference"
 SKETCH_DECODE = "tests/test_joins.py::test_sketch_decode_matches_reference_decoder"
+RANDOM_GRAPH = "tests/test_qsim.py::test_random_graph_is_the_bitmatrix_draw_in_both_orientations"
 
 # (name, file under src/joinlab, old text, new text, tests that must kill it)
 MUTANTS = [
@@ -148,6 +149,20 @@ MUTANTS = [
         "code = c2 * (x ^ x >> self._shift) + d & mask",
         "code = c2 * x + d & mask",
         [SKETCH_HASHES, "tests/test_joins.py::test_sketch_single_coordinate", SKETCH_ENCODE, SKETCH_DECODE],
+    ),
+    (
+        "random graph keeps the edge draw, not its complement",
+        "qsim.py",
+        "missing = ~_bernoulli(n_left, n_right, density, rng)",
+        "missing = _bernoulli(n_left, n_right, density, rng)",
+        [RANDOM_GRAPH],
+    ),
+    (
+        "random graph builds its columns from the untransposed draw",
+        "qsim.py",
+        "BitMatrix.from_numpy(missing.T)",
+        "BitMatrix.from_numpy(missing)",
+        [RANDOM_GRAPH],
     ),
 ]
 

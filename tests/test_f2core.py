@@ -7,7 +7,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from joinlab import f2core
@@ -21,6 +21,14 @@ from joinlab.f2core import (
     f2_product,
     gen_promise_instance,
 )
+
+
+def _dense(m: BitMatrix) -> np.ndarray:
+    """The rows x cols 0/1 array of ``m``, unpacked from its packed rows."""
+    nbytes = (m.cols + 7) // 8
+    buf = b"".join(r.to_bytes(nbytes, "little") for r in m.data)
+    packed = np.frombuffer(buf, dtype=np.uint8).reshape(m.rows, nbytes)
+    return np.unpackbits(packed, axis=1, bitorder="little")[:, : m.cols]
 
 
 def triple_loop_bool(a: BitMatrix, b: BitMatrix) -> BitMatrix:
@@ -91,10 +99,10 @@ def test_products_match_numpy_oracle_on_random_shapes():
         p = rng.randint(1, 64)
         a = BitMatrix.random(m, n, rng.uniform(0.05, 0.6), rng)
         b = BitMatrix.random(n, p, rng.uniform(0.05, 0.6), rng)
-        an, bn = a.to_numpy().astype(np.int64), b.to_numpy().astype(np.int64)
+        an, bn = _dense(a).astype(np.int64), _dense(b).astype(np.int64)
         counts = an @ bn
-        assert bool_product(a, b).to_numpy().tolist() == (counts > 0).astype(int).tolist()
-        assert f2_product(a, b).to_numpy().tolist() == (counts % 2).tolist()
+        assert _dense(bool_product(a, b)).tolist() == (counts > 0).astype(int).tolist()
+        assert _dense(f2_product(a, b)).tolist() == (counts % 2).tolist()
 
 
 def test_f2_ones_dominated_by_bool_ones():
@@ -361,7 +369,7 @@ def test_products_with_zero_rows_match_dense_oracle(m, n, p, zero_share, seed):
     for product, dense in ((bool_product, counts > 0), (f2_product, counts % 2 == 1)):
         got = product(A, B)
         assert (got.rows, got.cols) == (m, p)
-        assert got.to_numpy().astype(bool).tolist() == dense.tolist()
+        assert _dense(got).astype(bool).tolist() == dense.tolist()
         assert got.weight() == int(dense.sum())
 
 
@@ -398,31 +406,15 @@ def test_bulk_sample_matches_random_sample(n, k, seed):
     assert runs[0] == runs[1]
 
 
-def _check_transpose(m: BitMatrix):
-    t = m.transpose()
-    assert (t.rows, t.cols) == (m.cols, m.rows)
-    assert np.array_equal(t.to_numpy(), m.to_numpy().T)
-
-
 @st.composite
 def sparse_matrices(draw):
+    """Up to 200 x 200, with at most one cell in 80 set."""
     rows, cols = draw(st.integers(0, 200)), draw(st.integers(0, 200))
-    limit = rows * cols // f2core._SCATTER_CELLS_PER_ONE
     cell = st.tuples(st.integers(0, max(rows - 1, 0)), st.integers(0, max(cols - 1, 0)))
     data = [0] * rows
-    for i, j in draw(st.lists(cell, max_size=limit)):
+    for i, j in draw(st.lists(cell, max_size=rows * cols // 80)):
         data[i] |= 1 << j
     return BitMatrix(rows, cols, data)
-
-
-@given(sparse_matrices())
-@example(BitMatrix(0, 0, []))
-@example(BitMatrix(0, 7, []))
-@example(BitMatrix(7, 0, [0] * 7))
-@example(BitMatrix(9, 9, [0] * 8 + [1]))
-def test_transpose_scatter_side_matches_dense_oracle(m):
-    assert m.weight() * f2core._SCATTER_CELLS_PER_ONE <= m.rows * m.cols
-    _check_transpose(m)
 
 
 @st.composite
@@ -432,11 +424,35 @@ def dense_matrices(draw):
     return BitMatrix(rows, cols, data)
 
 
+def _diagonal_stack(n: int) -> BitMatrix:
+    """k = isqrt(n) rows of density 0.3 over n zero-padded rows, as ``_embed_diagonal`` stacks B's inputs."""
+    k = math.isqrt(n)
+    return BitMatrix(n, n, BitMatrix.random(k, n, 0.3, random.Random(n)).data + (0,) * (n - k))
+
+
+def _check_transpose(m: BitMatrix):
+    t = m.transpose()
+    assert (t.rows, t.cols) == (m.cols, m.rows)
+    assert np.array_equal(_dense(t), _dense(m).T)
+
+
+@given(sparse_matrices())
+@example(BitMatrix(0, 0, []))
+@example(BitMatrix(0, 7, []))
+@example(BitMatrix(7, 0, [0] * 7))
+@example(BitMatrix(9, 9, [0] * 8 + [1]))
+def test_transpose_scatter_side_matches_dense_oracle(m):
+    """Sparse inputs, at most one cell in 80 set, including empty shapes."""
+    _check_transpose(m)
+
+
 @given(dense_matrices())
 @example(BitMatrix(3, 70, [(1 << 70) - 1] * 3))
 @example(BitMatrix.identity(1))
+@example(_diagonal_stack(32))  # the embedding shapes that the benchmark transposes
+@example(_diagonal_stack(128))
 def test_transpose_dense_side_matches_dense_oracle(m):
-    assume(m.weight() * f2core._SCATTER_CELLS_PER_ONE > m.rows * m.cols)
+    """Dense inputs, and the embedding stacks with k <= sqrt(n) nonzero rows."""
     _check_transpose(m)
 
 

@@ -610,6 +610,22 @@ def test_graph_collision_trivials():
     assert e == (0, 1)
 
 
+@given(st.integers(0, 40), st.integers(0, 40), st.sampled_from((0.0, 0.3, 1.0)), st.integers(0, 2**32 - 1))
+@example(5, 40, 0.3, 0)
+@example(40, 5, 0.3, 1)
+@example(7, 13, 0.0, 2)
+@example(13, 7, 1.0, 3)
+@example(0, 6, 0.3, 4)
+@example(6, 0, 1.0, 5)
+def test_random_graph_is_the_bitmatrix_draw_in_both_orientations(n_left, n_right, density, seed):
+    rng, reference = random.Random(seed), random.Random(seed)
+    got = BipartiteGraph.random(n_left, n_right, density, rng)
+    want = BipartiteGraph(BitMatrix.random(n_left, n_right, density, reference))
+    for field in BipartiteGraph.__slots__:
+        assert getattr(got, field) == getattr(want, field), field
+    assert rng.getstate() == reference.getstate()
+
+
 def test_graph_collision_monte_carlo():
     n = 32
     good = 0
