@@ -7,7 +7,7 @@ config reproduces its outputs byte for byte (timing defaults to 0 for that
 reason; pass --timing to record the protocol call's wall time).  A protocol
 error is a failed trial: success 0, the costs charged up to the error, and
 rounds 0 for run-bmm.  run-mmf2's rounds is the constant 3 in every trial;
-it counts no messages.  --epsilon must lie in [0, 0.1).
+it counts no messages.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ def fit_exponent(points, n_boot: int = 200, seed: int = 0) -> FitResult:
 
 def _mode_of(args) -> CostModel:
     """The model the flags ask for; any cost constant given with ``--mode exact`` is rejected."""
-    given = {k: getattr(args, k) for k in ("c_shuttle", "c_round", "epsilon") if getattr(args, k) is not None}
+    given = {k: getattr(args, k) for k in ("c_shuttle", "c_round") if getattr(args, k) is not None}
     if args.mode == "cost-model":
         return CostModel.cost_model(**given)
     if given:
@@ -345,13 +345,12 @@ _POSITIVE = _flag_type(_at_least_one)
 _OUT = _flag_type(_out_prefix)
 
 
-def _float_in(lo: float, hi: float = math.inf, closed: bool = True):
+def _float_in(lo: float, hi: float = math.inf):
     def parse(text: str) -> float:
         value = float(text)
-        if math.isfinite(value) and lo <= value and (value <= hi if closed else value < hi):
+        if math.isfinite(value) and lo <= value <= hi:
             return value
-        bracket = "]" if closed else ")"
-        raise ValueError(f"must be finite and in [{lo:g}, {hi:g}{bracket}, got {text}")
+        raise ValueError(f"must be finite and in [{lo:g}, {hi:g}], got {text}")
 
     return _flag_type(parse)
 
@@ -364,10 +363,9 @@ def _add_common(parser):
 
 def _add_costs(parser, *flags):
     """Register the cost constants the command reads; None marks a constant not given."""
-    parser.set_defaults(c_shuttle=None, c_round=None, epsilon=None)
+    parser.set_defaults(c_shuttle=None, c_round=None)
     for flag in flags:
-        kind = _float_in(0.0, 0.1, closed=False) if flag == "--epsilon" else _float_in(1.0)
-        parser.add_argument(flag, type=kind)
+        parser.add_argument(flag, type=_float_in(1.0))
 
 
 def _add_model(parser, *cost_flags):
@@ -388,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_GRID, required=True)
     p.add_argument("--ell", type=_GRID, required=True)
     _add_common(p)
-    _add_model(p, "--c-shuttle", "--c-round")  # bmm does not model injected error
+    _add_model(p, "--c-shuttle", "--c-round")
     _add_trial_checks(p)
 
     p = sub.add_parser("run-mmf2", help="F2 product protocol over a grid")
@@ -400,13 +398,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run-disj", help="set disjointness with planted witness")
     p.add_argument("--n", type=_GRID, required=True)
     _add_common(p)
-    _add_model(p, "--c-round", "--epsilon")  # no outer search, so no c_shuttle
+    _add_model(p, "--c-round")  # no outer search, so no c_shuttle
     _add_trial_checks(p)
 
     p = sub.add_parser("run-gc", help="graph collision on random graphs")
     p.add_argument("--n", type=_GRID, required=True)
     _add_common(p)
-    _add_model(p, "--c-round", "--epsilon")
+    _add_model(p, "--c-round")
     _add_trial_checks(p)
 
     p = sub.add_parser(
@@ -420,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expect-slope", type=_float_in(-math.inf), default=None)
     p.add_argument("--slope-tol", type=_float_in(0.0), default=None, help="needs --expect-slope (default 0.1)")
     _add_common(p)
-    _add_costs(p, "--c-shuttle", "--c-round")  # injected error does not change a charged cost
+    _add_costs(p, "--c-shuttle", "--c-round")
     p.set_defaults(mode="cost-model")
 
     p = sub.add_parser("validate-reductions", help="random checks of the embedding identities")

@@ -119,8 +119,6 @@ def _search_and_collect(
     ``live`` and replays the protocol as :func:`bmm_cost_model` describes.
     """
     A, B = instance.A, instance.B
-    if model.epsilon:
-        raise ValueError("the bmm protocol does not model injected error; use epsilon = 0")
     m, n = A.rows, A.cols
     # an exact search misses with probability at most 1/3, so a round ends the run by mistake with
     # probability at most 1/(100 (ell + 2)), and the union bound covers the at most ell + 1 rounds

@@ -3,10 +3,10 @@
 Exact mode samples the shuttled search register from its exact state (one
 amplitude on marked, one on unmarked entries) and charges the ledger for
 every modeled message.  Cost-model mode computes the correct answer
-classically, charges the analytical iteration count scaled by the model
-constants, and can inject bounded error.  Either way a returned witness is
-always verified against its defining predicate, so false positives are
-impossible; only false negatives carry protocol error.
+classically and charges the analytical iteration count scaled by the model
+constants.  Either way a returned witness is always verified against its
+defining predicate, so false positives are impossible; only false negatives
+carry protocol error, and only exact mode samples it.
 """
 
 from __future__ import annotations
@@ -43,23 +43,20 @@ class CostModel:
     """Execution mode plus the constants used when charging modeled costs.
 
     ``c_shuttle`` scales outer (instance search) iteration counts and
-    ``c_round`` scales inner Grover iteration counts.  ``epsilon`` is the
-    injected per-call failure probability in cost-model mode; it only ever
-    suppresses a found witness (a fabricated one could not be verified).
+    ``c_round`` scales inner Grover iteration counts, in cost-model mode only.
     """
 
     mode: str = EXACT
     c_shuttle: float = 1.0
     c_round: float = 1.0
-    epsilon: float = 0.0
 
     def __post_init__(self):
         if self.mode not in (EXACT, COST_MODEL):
             raise ValueError(f"unknown mode {self.mode!r}")
         if not all(math.isfinite(c) and c >= 1.0 for c in (self.c_shuttle, self.c_round)):
             raise ValueError("cost constants must be finite and >= 1")
-        if not 0.0 <= self.epsilon < 0.1:
-            raise ValueError("epsilon must lie in [0, 1/10)")
+        if self.mode == EXACT and (self.c_shuttle, self.c_round) != (1.0, 1.0):
+            raise ValueError("exact mode takes no cost constants")
 
     @property
     def exact(self) -> bool:
@@ -70,8 +67,8 @@ class CostModel:
         return cls(EXACT)
 
     @classmethod
-    def cost_model(cls, c_shuttle: float = 1.0, c_round: float = 1.0, epsilon: float = 0.0) -> "CostModel":
-        return cls(COST_MODEL, c_shuttle, c_round, epsilon)
+    def cost_model(cls, c_shuttle: float = 1.0, c_round: float = 1.0) -> "CostModel":
+        return cls(COST_MODEL, c_shuttle, c_round)
 
 
 @dataclass(frozen=True)
@@ -148,7 +145,7 @@ def _amplify(domain, hits: list, plan, model, rng, outer=False, times=1):
     ceil(c * sqrt(|domain| / d)) for t marked entries: c = c_round and
     d = t + 1 for an inner search, c = c_shuttle and d = max(t, 1) for the
     ``outer`` instance search.  The witness is a seeded uniform pick among
-    the marked entries, suppressed with probability epsilon.
+    the marked entries.
     """
     m, t = len(domain), len(hits)
     if model.exact:
@@ -181,10 +178,7 @@ def _amplify(domain, hits: list, plan, model, rng, outer=False, times=1):
     draws = [math.ceil(c * math.sqrt(m / d))]
     if t == 0:
         return None, draws * times
-    witness = domain[hits[rng.randrange(t)]]
-    if model.epsilon and rng.random() < model.epsilon:
-        return None, draws
-    return witness, draws
+    return domain[hits[rng.randrange(t)]], draws
 
 
 class _Search:

@@ -383,7 +383,6 @@ def test_out_in_a_missing_directory_rejected_before_any_trial(argv, out, message
     [
         # flags a subcommand does not read are not registered
         ["run-mmf2", "--n", "16", "--ell", "4", "--mode", "exact"],
-        ["run-mmf2", "--n", "16", "--ell", "4", "--epsilon", "0.05"],
         ["scaling", "--protocol", "disj-cost", "--n", "64..512", "--mode", "cost-model"],
         ["scaling", "--protocol", "disj-cost", "--n", "64..512", "--timing"],
         ["scaling", "--protocol", "disj-cost", "--n", "64..512", "--min-success", "0.5"],
@@ -392,11 +391,7 @@ def test_out_in_a_missing_directory_rejected_before_any_trial(argv, out, message
         ["validate-reductions", "--n", "8", "--min-success", "0.5"],
         # cost constants only mean something in cost-model mode
         ["run-bmm", "--n", "16", "--ell", "8", "--c-shuttle", "2"],
-        ["run-disj", "--n", "64", "--mode", "exact", "--epsilon", "0.05"],
         ["run-gc", "--n", "16", "--c-round", "2"],
-        # the bmm replay never reads epsilon
-        ["run-bmm", "--n", "16", "--ell", "8", "--mode", "cost-model", "--epsilon", "0.05"],
-        ["scaling", "--protocol", "bmm-cost", "--n", "64", "--ell", "16", "--epsilon", "0.05"],
         # disj and graph collision run no outer search, so c_shuttle never enters a charge
         ["run-disj", "--n", "64", "--mode", "cost-model", "--c-shuttle", "5"],
         ["run-gc", "--n", "16", "--mode", "cost-model", "--c-shuttle", "5"],
@@ -406,12 +401,19 @@ def test_out_in_a_missing_directory_rejected_before_any_trial(argv, out, message
         ["scaling", "--protocol", "disj-cost", "--n", "1024,2048", "--c-shuttle", "1.0"],
         ["run-bmm", "--n", "16", "--ell", "8", "--mode", "exact", "--c-shuttle", "1"],
         ["run-disj", "--n", "64", "--c-round", "1.0"],
-        ["run-gc", "--n", "16", "--epsilon", "0"],
         # the disj sweep has no ell, and a tolerance means nothing without a slope
         ["scaling", "--protocol", "disj-cost", "--n", "64..512", "--ell", "16"],
         ["scaling", "--protocol", "disj-cost", "--n", "64..512", "--slope-tol", "0.2"],
-        # injected error is drawn after the charges a sweep fits
+        # cost-model mode injects no error, so no subcommand takes --epsilon
+        ["run-mmf2", "--n", "16", "--ell", "4", "--epsilon", "0.05"],
+        ["run-disj", "--n", "64", "--mode", "exact", "--epsilon", "0.05"],
+        ["run-disj", "--n", "64", "--mode", "cost-model", "--epsilon", "0.05"],
+        ["run-gc", "--n", "16", "--mode", "cost-model", "--epsilon", "0.05"],
+        ["run-gc", "--n", "16", "--epsilon", "0"],
+        ["run-bmm", "--n", "16", "--ell", "8", "--mode", "cost-model", "--epsilon", "0.05"],
+        ["scaling", "--protocol", "bmm-cost", "--n", "64", "--ell", "16", "--epsilon", "0.05"],
         ["scaling", "--protocol", "disj-cost", "--n", "64..512", "--epsilon", "0.05"],
+        ["validate-reductions", "--n", "8", "--epsilon", "0.05"],
     ],
 )
 def test_unused_flag_rejected(argv, capsys):
@@ -425,7 +427,7 @@ def test_unused_flag_rejected(argv, capsys):
         (["run-disj", "--n", "64", "--mode", "cost-model", "--c-round", "inf"], "--c-round"),
         (["run-disj", "--n", "64", "--mode", "cost-model", "--c-round", "nan"], "--c-round"),
         (["run-bmm", "--n", "16", "--ell", "8", "--mode", "cost-model", "--c-shuttle", "inf"], "--c-shuttle"),
-        (["run-gc", "--n", "16", "--mode", "cost-model", "--epsilon", "nan"], "--epsilon"),
+        (["run-gc", "--n", "16", "--mode", "cost-model", "--c-round", "nan"], "--c-round"),
         (["run-disj", "--n", "64", "--min-success", "nan"], "--min-success"),
         (["run-mmf2", "--n", "16", "--ell", "4", "--min-success", "1.5"], "--min-success"),
         (["run-bmm", "--n", "16", "--ell", "8", "--min-success", "-0.1"], "--min-success"),
@@ -502,17 +504,18 @@ def test_timing_changes_only_wall_time(argv, tmp_path):
         (
             ["run-disj", "--n", "8", "--c-round", "2"],
             "--c-round needs",
-            ("--c-shuttle", "--epsilon"),
-        ),
-        (
-            ["run-gc", "--n", "8", "--c-round", "2", "--epsilon", "0.05"],
-            "--c-round and --epsilon need",
             ("--c-shuttle",),
+        ),
+        pytest.param(
+            ["run-bmm", "--n", "16", "--ell", "8", "--c-shuttle", "2", "--c-round", "2"],
+            "--c-shuttle and --c-round need",
+            (),
+            id="both-cost-flags",
         ),
         (
             ["run-bmm", "--n", "16", "--ell", "8", "--c-round", "2"],
             "--c-round needs",
-            ("--c-shuttle", "--epsilon"),
+            ("--c-shuttle",),
         ),
     ],
 )
@@ -521,15 +524,6 @@ def test_exact_mode_cost_flag_message_names_given_flags(argv, named, unnamed, ca
     err = capsys.readouterr().err
     assert f"error: {named} --mode cost-model" in err
     assert not any(flag in err for flag in unnamed)
-
-
-@pytest.mark.parametrize("value", ["0.1", "0.5", "-0.01"])
-def test_epsilon_out_of_range_rejected_at_parse_time(value, capsys):
-    argv = ["run-disj", "--n", "64", "--mode", "cost-model", "--epsilon", value, "--trials", "2"]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert "argument --epsilon: must be finite and in [0, 0.1)" in err
-    assert "Traceback" not in err
 
 
 def test_console_entry_point():

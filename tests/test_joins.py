@@ -1245,17 +1245,6 @@ def test_instances_with_ell_below_one_are_rejected(kind, ell):
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        pytest.param(
-            lambda: bmm_with_trace(
-                gen_promise_instance(8, 8, 4, seed=1),
-                CostModel.cost_model(epsilon=0.05),
-                CommLedger(),
-                random.Random(0),
-            ),
-            ValueError,
-            "the bmm protocol does not model injected error; use epsilon = 0",
-            id="bmm-epsilon",
-        ),
         pytest.param(lambda: gen_hard_instance(0, 4, 1), InstanceError, "dimension must be positive", id="hard-n"),
         pytest.param(
             lambda: gen_hard_instance(8, 3, 1), InstanceError, "need 4 <= ell <= n^2 for the hard family", id="hard-ell"

@@ -42,17 +42,16 @@ COST_MODELS = (
     CostModel.cost_model(),
     CostModel.cost_model(c_shuttle=1.5, c_round=2.0),
 )
-# the qsim primitives also run with injected error, which the bmm replay rejects
-QSIM_MODELS = (EXACT, CostModel.cost_model(), CostModel.cost_model(c_round=2.0, epsilon=0.05))
+QSIM_MODELS = (EXACT, CostModel.cost_model(), CostModel.cost_model(c_round=2.0))
 
 EXPECTED = {
     "bmm_exact": "7ba5aa61a197e320e0fc0cdca74489929eca99b456093a45938c475719a15b1f",
     "bmm_cost_model": "3c7f16ddbe3f660987655afc5d72ac48ad0e034e948f70fe0c7034db3775857b",
     "bmm_cost_model_wide": "2fa02d67d9d35a53f1c35c4e557c4eb73e9451b579ae46b7db7505ec88947505",
-    "qsim": "4ec1a90e1fc963f6bb94dd336c1e3b31aacb64679d0e7d80235585e7ea082bcb",
+    "qsim": "b194b40722db47aa7cc7c485051536ee0ac41a233d08d85a9e17fe1c101d5611",
     "mm_f2": "811812e8a37156aa1a5b94370e902ba2150332c5e245931a969b8b38ba089689",
     "sketch": "f97de2d6efae69be59eb14edc171c8a51468a811765de79cea9c634778d8312f",
-    "cli": "f180cfcbdabd53866bcabf5381ae7cad8d7a006145360ad9f22681d3f866728b",
+    "cli": "39d22d98f2392b3fd9cdc6c5f07cb3fb51d859a4125477592386cd1ee5c5ad6a",
     "cli_sweeps": "07d166b1c89351cfe8496ba6c02ad20fb6060edec11b4f715b1420a0cd3a796b",
     "reductions": "b3861058dd40e27add3043d8965cecd9e0dc057cd718d3adfe299d38493c10c1",
 }
@@ -270,7 +269,7 @@ CLI_RUNS = (
     ("run-bmm", "--n", "16,32", "--ell", "8,32", "--trials", "10", "--seed", "3", "--mode", "cost-model"),
     ("run-mmf2", "--n", "32", "--ell", "16", "--trials", "10", "--seed", "3"),
     ("run-disj", "--n", "64,1024", "--trials", "10", "--seed", "3", "--mode", "exact"),
-    ("run-disj", "--n", "64,1024", "--trials", "10", "--seed", "3", "--mode", "cost-model", "--epsilon", "0.05"),
+    ("run-disj", "--n", "64,1024", "--trials", "10", "--seed", "3", "--mode", "cost-model"),
     ("run-gc", "--n", "16,32", "--trials", "10", "--seed", "3", "--mode", "exact"),
     ("run-gc", "--n", "16,32", "--trials", "10", "--seed", "3", "--mode", "cost-model", "--c-round", "2"),
     ("scaling", "--protocol", "bmm-cost", "--n", "128", "--ell", "16,64", "--trials", "2", "--seed", "3"),

@@ -442,7 +442,10 @@ def test_cost_model_validation():
     with pytest.raises(ValueError):
         CostModel.cost_model(c_shuttle=0.5)
     with pytest.raises(ValueError):
-        CostModel.cost_model(epsilon=0.2)
+        CostModel.cost_model(c_round=0.5)
+    for constants in ({"c_shuttle": 2.0}, {"c_round": 1.5}):
+        with pytest.raises(ValueError, match="^exact mode takes no cost constants$"):
+            CostModel("exact", **constants)
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):
             CostModel.cost_model(c_shuttle=bad)
@@ -579,17 +582,13 @@ def test_disj_cost_model_charges_formula():
     assert sum(led.report()["phases"]["disj"].values()) == iters * 2 * index_qubits(n)
 
 
-def test_disj_cost_model_epsilon_only_suppresses():
+def test_disj_cost_model_finds_the_shared_element_and_never_fabricates():
     n = 32
     a = BitVector.from_indices(n, [3])
     b = BitVector.from_indices(n, [3])
-    model = CostModel.cost_model(epsilon=0.09)
-    outcomes = Counter()
+    model = CostModel.cost_model()
     for tr in range(400):
-        outcomes[disj(a, b, CommLedger(), model, random.Random(tr))] += 1
-    assert outcomes[3] > 300
-    assert outcomes[None] > 0  # injected false negatives
-    # disjoint inputs never produce a witness, epsilon or not
+        assert disj(a, b, CommLedger(), model, random.Random(tr)) == 3
     c = BitVector.from_indices(n, [5])
     for tr in range(50):
         assert disj(a, c, CommLedger(), model, random.Random(tr)) is None
@@ -794,7 +793,7 @@ def collision_cases(draw):
     # every attempt fails from the start
     density = draw(st.sampled_from((0.0, 0.15, 0.4, 0.8, 1.0)))
     w_a, w_b = draw(st.integers(0, n_left)), draw(st.integers(0, n_right))
-    model = draw(st.sampled_from((EXACT, CostModel.cost_model(), CostModel.cost_model(c_round=2.0, epsilon=0.05))))
+    model = draw(st.sampled_from((EXACT, CostModel.cost_model(), CostModel.cost_model(c_round=2.0))))
     return n_left, n_right, density, w_a, w_b, model, draw(st.integers(0, 2**32))
 
 
@@ -802,9 +801,9 @@ def collision_cases(draw):
 @example((6, 6, 0.15, 3, 5, EXACT, 1))
 @example((9, 4, 0.8, 4, 2, EXACT, 2))
 @example((7, 5, 0.0, 4, 3, EXACT, 3))
-@example((7, 5, 0.0, 4, 3, CostModel.cost_model(epsilon=0.05), 4))
+@example((7, 5, 0.0, 4, 3, CostModel.cost_model(c_round=2.0), 4))
 @example((5, 5, 0.4, 0, 3, EXACT, 5))
-@example((8, 8, 0.8, 5, 6, CostModel.cost_model(epsilon=0.05), 6))
+@example((8, 8, 0.8, 5, 6, CostModel.cost_model(c_round=2.0), 6))
 def test_graph_collision_all_matches_a_loop_of_single_calls(case):
     # the question is built once per graph state, and the attempts that cannot find an edge
     # run as one batch; the loop builds the question and runs every attempt on its own
