@@ -127,17 +127,6 @@ def fit_exponent(points, n_boot: int = 200, seed: int = 0) -> FitResult:
 # ---------------------------------------------------------------------------
 
 
-def _mode_of(args) -> CostModel:
-    """The model the flags ask for; any cost constant given with ``--mode exact`` is rejected."""
-    given = {k: getattr(args, k) for k in ("c_shuttle", "c_round") if getattr(args, k) is not None}
-    if args.mode == "cost-model":
-        return CostModel.cost_model(**given)
-    if given:
-        flags = ["--" + k.replace("_", "-") for k in given]
-        raise ValueError(f"{' and '.join(flags)} need{'s' * (len(flags) == 1)} --mode cost-model")
-    return CostModel.exact_mode()
-
-
 def _trials(key, cell, trials, base_seed, timing, build, play, failed_rounds=0):
     """The seeded trial loop behind every runner: one CSV row per trial.
 
@@ -361,16 +350,8 @@ def _add_common(parser):
     parser.add_argument("--out", type=_OUT, default=None, help="path prefix for CSV/JSON outputs")
 
 
-def _add_costs(parser, *flags):
-    """Register the cost constants the command reads; None marks a constant not given."""
-    parser.set_defaults(c_shuttle=None, c_round=None)
-    for flag in flags:
-        parser.add_argument(flag, type=_float_in(1.0))
-
-
-def _add_model(parser, *cost_flags):
+def _add_model(parser):
     parser.add_argument("--mode", choices=["exact", "cost-model"], default="exact")
-    _add_costs(parser, *cost_flags)
 
 
 def _add_trial_checks(parser):
@@ -386,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_GRID, required=True)
     p.add_argument("--ell", type=_GRID, required=True)
     _add_common(p)
-    _add_model(p, "--c-shuttle", "--c-round")
+    _add_model(p)
     _add_trial_checks(p)
 
     p = sub.add_parser("run-mmf2", help="F2 product protocol over a grid")
@@ -398,13 +379,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run-disj", help="set disjointness with planted witness")
     p.add_argument("--n", type=_GRID, required=True)
     _add_common(p)
-    _add_model(p, "--c-round")  # no outer search, so no c_shuttle
+    _add_model(p)
     _add_trial_checks(p)
 
     p = sub.add_parser("run-gc", help="graph collision on random graphs")
     p.add_argument("--n", type=_GRID, required=True)
     _add_common(p)
-    _add_model(p, "--c-round")
+    _add_model(p)
     _add_trial_checks(p)
 
     p = sub.add_parser(
@@ -418,8 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expect-slope", type=_float_in(-math.inf), default=None)
     p.add_argument("--slope-tol", type=_float_in(0.0), default=None, help="needs --expect-slope (default 0.1)")
     _add_common(p)
-    _add_costs(p, "--c-shuttle", "--c-round")
-    p.set_defaults(mode="cost-model")
 
     p = sub.add_parser("validate-reductions", help="random checks of the embedding identities")
     p.add_argument("--n", type=_POSITIVE, default=32)
@@ -438,7 +417,7 @@ _GRIDS = {
 
 def _cmd_grid(args) -> int:
     """One runner call per (n, ell) cell; run-disj and run-gc have no ell, run-mmf2 no mode."""
-    model = _mode_of(args) if "mode" in args else None
+    model = CostModel(args.mode) if "mode" in args else None
     if not args.out and args.min_success is None:
         raise ValueError(f"{args.command} would keep nothing of its trials: give --out, --min-success or both")
     run, ells = _GRIDS[args.command], getattr(args, "ell", [None])
@@ -450,8 +429,8 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_scaling(args) -> int:
-    if args.protocol == "disj-cost" and (args.c_shuttle is not None or args.ell is not None):
-        raise ValueError("--protocol disj-cost reads neither --c-shuttle nor --ell")
+    if args.protocol == "disj-cost" and args.ell is not None:
+        raise ValueError("--protocol disj-cost reads no --ell")
     if args.slope_tol is not None and args.expect_slope is None:
         raise ValueError("--slope-tol needs --expect-slope")
     # fit_exponent's own checks, made from the grids before any instance is built
@@ -464,7 +443,7 @@ def _cmd_scaling(args) -> int:
     if len(set(ells if sweep_ell else args.n)) < 2:
         raise ValueError("need at least two distinct x values")
     points, rows = scaling_points(
-        args.protocol, args.n, ells, args.trials, args.seed, _mode_of(args), args.divide_log
+        args.protocol, args.n, ells, args.trials, args.seed, CostModel.cost_model(), args.divide_log
     )
     fit = fit_exponent(points, seed=args.seed)
     extra = {

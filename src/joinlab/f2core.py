@@ -295,12 +295,13 @@ class JoinInstance:
 
     ``kind`` selects the semiring the promise refers to: "bool" bounds
     ``weight(A * B)`` (Boolean product), "f2" bounds ``weight(AB)`` over F2.
+    Without an ``oracle_product`` the constructor computes it in that semiring.
     """
 
     A: BitMatrix
     B: BitMatrix
     ell: int
-    seed: int
+    seed: int = 0
     kind: str = "bool"
     oracle_product: BitMatrix = None
 
@@ -311,11 +312,9 @@ class JoinInstance:
             raise DimensionError("expected A of shape m x n against B of shape n x m")
         if self.ell < 1:
             raise InstanceError(f"ell must be at least 1, got {self.ell}")
-
-    @classmethod
-    def build(cls, A: BitMatrix, B: BitMatrix, ell: int, seed: int = 0, kind: str = "bool") -> "JoinInstance":
-        product = bool_product(A, B) if kind == "bool" else f2_product(A, B)
-        return cls(A, B, ell, seed, kind, product)
+        if self.oracle_product is None:
+            product = bool_product if self.kind == "bool" else f2_product
+            object.__setattr__(self, "oracle_product", product(self.A, self.B))
 
 
 _MAX_PLANT_ATTEMPTS = 100
@@ -359,7 +358,7 @@ def gen_promise_instance(m: int, n: int, ell: int, seed: int, kind: str = "bool"
             a_data[active_rows[r]] |= 1 << j
         for i, t in np.argwhere(fill[k:].reshape(n, k)).tolist():
             b_data[i] |= 1 << active_cols[t]
-        instance = JoinInstance.build(BitMatrix(m, n, a_data), BitMatrix(n, m, b_data), ell, seed, kind)
+        instance = JoinInstance(BitMatrix(m, n, a_data), BitMatrix(n, m, b_data), ell, seed, kind)
         got = instance.oracle_product.weight()
         if lo <= got <= ell:
             return instance

@@ -90,9 +90,9 @@ class BmmTrace:
         return sum(self.lambdas)
 
 
-def _inner_iterations(w: int, c_round: float) -> int:
+def _inner_iterations(w: int) -> int:
     """Grover rounds of a nested collision search whose smaller side has weight w."""
-    return max(1, math.ceil(c_round * math.sqrt(w))) if w else 1
+    return max(1, math.ceil(math.sqrt(w)))
 
 
 def _search_and_collect(
@@ -141,7 +141,7 @@ def _search_and_collect(
     live = list(active)
     width = index_qubits(m)
     # Grover budget of the nested collision search, uniform over branches
-    inner_budget = _inner_iterations(max(min_w, default=0), model.c_round)
+    inner_budget = _inner_iterations(max(min_w, default=0))
     inner_cost = inner_budget * 2 * width
 
     def pay(amount: int, phase: str):
@@ -176,15 +176,14 @@ def _search_and_collect(
         else:
             t_cur = len(live)
             if not t_cur:
-                pay(math.ceil(model.c_shuttle * math.sqrt(n)) * inner_budget * width, "final-search")
+                pay(math.ceil(math.sqrt(n)) * inner_budget * width, "final-search")
                 break
             k = live[rng.randrange(t_cur)]
             p = position[k]
             cells = [(r, c) for r in a_cols[p] for c in _iter_bits(b_rows[p] & ~out[r])]
-            inner = _inner_iterations(min_w[p], model.c_round)
-            pay(math.ceil(model.c_shuttle * math.sqrt(n / t_cur)) * inner * width, "search")
-            collect = max(1, math.ceil(model.c_round * math.sqrt(len(cells) * min_w[p])))
-            pay(collect * width, "collect")
+            inner = _inner_iterations(min_w[p])
+            pay(math.ceil(math.sqrt(n / t_cur)) * inner * width, "search")
+            pay(max(1, math.ceil(math.sqrt(len(cells) * min_w[p]))) * width, "collect")
         # every collected cell is new to the output, so only live positions are touched
         touched = 0
         for r, c in cells:
@@ -238,16 +237,16 @@ def bmm_cost_model(
     indices that still have an uncovered collision.  With t_cur marked
     witnesses remaining, a round charges (per direction, in qubits)
 
-        ceil(c_shuttle * sqrt(n / t_cur)) * ceil(c_round * sqrt(w_k)) * ceil(log2 m)
+        ceil(sqrt(n / t_cur)) * ceil(sqrt(w_k)) * ceil(log2 m)
 
-    for the search and ``ceil(c_round * sqrt(lambda * w_k)) * ceil(log2 m)``
-    for the collect step, where w_k = min(|A[.,k]|, |B[k,.]|) and lambda is
-    the number of fresh ones the round contributes.  A final failed search
-    at the worst-case inner budget closes the run, charging
-    ``ceil(c_shuttle * sqrt(n)) * ceil(c_round * sqrt(w_max)) * ceil(log2 m)``
-    with w_max the largest w_k; the middle factor is 1 when no inner index
-    is active.  An exact ``model`` runs the simulated protocol of
-    :func:`bmm_with_trace` instead.
+    for the search and ``ceil(sqrt(lambda * w_k)) * ceil(log2 m)`` for the
+    collect step, where w_k = min(|A[.,k]|, |B[k,.]|) and lambda is the
+    number of fresh ones the round contributes.  A final failed search at the
+    worst-case inner budget closes the run, charging
+    ``ceil(sqrt(n)) * ceil(sqrt(w_max)) * ceil(log2 m)`` with w_max the
+    largest w_k; the middle factor is 1 when no inner index is active.  An
+    exact ``model`` runs the simulated protocol of :func:`bmm_with_trace`
+    instead.
     """
     return _search_and_collect(instance, model, ledger, rng)
 
@@ -288,7 +287,7 @@ def gen_hard_instance(n: int, ell: int, seed: int) -> JoinInstance:
         b_data[k] = core | 1 << pool_cols[idx % p]
     A = BitMatrix(n, n, a_data)
     B = BitMatrix(n, n, b_data)
-    instance = JoinInstance.build(A, B, ell, seed, "bool")
+    instance = JoinInstance(A, B, ell, seed, "bool")
     if instance.oracle_product.weight() > ell:
         raise InstanceError("hard instance construction violated its own promise")
     return instance

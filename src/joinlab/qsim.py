@@ -3,10 +3,10 @@
 Exact mode samples the shuttled search register from its exact state (one
 amplitude on marked, one on unmarked entries) and charges the ledger for
 every modeled message.  Cost-model mode computes the correct answer
-classically and charges the analytical iteration count scaled by the model
-constants.  Either way a returned witness is always verified against its
-defining predicate, so false positives are impossible; only false negatives
-carry protocol error, and only exact mode samples it.
+classically and charges the analytical iteration count.  Either way a
+returned witness is always verified against its defining predicate, so false
+positives are impossible; only false negatives carry protocol error, and
+only exact mode samples it.
 """
 
 from __future__ import annotations
@@ -40,23 +40,13 @@ class ProtocolError(RuntimeError):
 
 @dataclass(frozen=True)
 class CostModel:
-    """Execution mode plus the constants used when charging modeled costs.
-
-    ``c_shuttle`` scales outer (instance search) iteration counts and
-    ``c_round`` scales inner Grover iteration counts, in cost-model mode only.
-    """
+    """Execution mode: sample the exact search state, or charge the analytical counts."""
 
     mode: str = EXACT
-    c_shuttle: float = 1.0
-    c_round: float = 1.0
 
     def __post_init__(self):
         if self.mode not in (EXACT, COST_MODEL):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if not all(math.isfinite(c) and c >= 1.0 for c in (self.c_shuttle, self.c_round)):
-            raise ValueError("cost constants must be finite and >= 1")
-        if self.mode == EXACT and (self.c_shuttle, self.c_round) != (1.0, 1.0):
-            raise ValueError("exact mode takes no cost constants")
 
     @property
     def exact(self) -> bool:
@@ -67,8 +57,8 @@ class CostModel:
         return cls(EXACT)
 
     @classmethod
-    def cost_model(cls, c_shuttle: float = 1.0, c_round: float = 1.0) -> "CostModel":
-        return cls(COST_MODEL, c_shuttle, c_round)
+    def cost_model(cls) -> "CostModel":
+        return cls(COST_MODEL)
 
 
 @dataclass(frozen=True)
@@ -142,10 +132,9 @@ def _amplify(domain, hits: list, plan, model, rng, outer=False, times=1):
     that float picks a candidate by the entry probabilities of
     :func:`_entry_probabilities`, tested on the hits alone.
     Cost-model mode makes a single measurement at the analytical count
-    ceil(c * sqrt(|domain| / d)) for t marked entries: c = c_round and
-    d = t + 1 for an inner search, c = c_shuttle and d = max(t, 1) for the
-    ``outer`` instance search.  The witness is a seeded uniform pick among
-    the marked entries.
+    ceil(sqrt(|domain| / d)) for t marked entries: d = t + 1 for an inner
+    search and d = max(t, 1) for the ``outer`` instance search.  The
+    witness is a seeded uniform pick among the marked entries.
     """
     m, t = len(domain), len(hits)
     if model.exact:
@@ -174,8 +163,7 @@ def _amplify(domain, hits: list, plan, model, rng, outer=False, times=1):
                     return domain[hits[j]], drawn
         return None, drawn
 
-    c, d = (model.c_shuttle, max(t, 1)) if outer else (model.c_round, t + 1)
-    draws = [math.ceil(c * math.sqrt(m / d))]
+    draws = [math.ceil(math.sqrt(m / (max(t, 1) if outer else t + 1)))]
     if t == 0:
         return None, draws * times
     return domain[hits[rng.randrange(t)]], draws

@@ -3,7 +3,7 @@
 Each constructor packs the inputs of a simpler communication problem into a
 promise instance so that the join output determines the source answer; the
 validator checks the defining identity exactly against the brute-force
-product that ``JoinInstance.build`` cached, independent of any protocol.
+product that ``JoinInstance`` cached, independent of any protocol.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ def _embed_diagonal(name: str, kind: str, a_vectors, b_vectors, n: int) -> Embed
     pad = [0] * (n - k)
     A = BitMatrix(n, n, [v.bits for v in a_vectors] + pad)
     B = BitMatrix(n, n, [v.bits for v in b_vectors] + pad).transpose()
-    instance = JoinInstance.build(A, B, ell=k * k, kind=kind)
+    instance = JoinInstance(A, B, ell=k * k, kind=kind)
     return Embedding(name, instance, {"a": a_vectors, "b": b_vectors, "k": k})
 
 
@@ -98,7 +98,7 @@ def embed_inner_product(a: BitVector, b: BitVector, n: int) -> Embedding:
     a_data = [0] * n
     for pos in a.indices():
         a_data[pos // n] |= 1 << (pos % n)
-    instance = JoinInstance.build(BitMatrix(n, n, a_data), BitMatrix.identity(n), ell=ell, kind="bool")
+    instance = JoinInstance(BitMatrix(n, n, a_data), BitMatrix.identity(n), ell=ell, kind="bool")
     return Embedding("inner-product", instance, {"a": a, "b": b})
 
 
@@ -141,9 +141,7 @@ def embed_or_blocks(block_pairs, n: int) -> Embedding:
     for idx, (_, right) in enumerate(block_pairs):
         for i in range(s):
             b_data[idx * s + i] = right.data[i]
-    instance = JoinInstance.build(
-        BitMatrix(n, n, a_data), BitMatrix(n, n, b_data), ell=s * s, kind="bool"
-    )
+    instance = JoinInstance(BitMatrix(n, n, a_data), BitMatrix(n, n, b_data), ell=s * s, kind="bool")
     return Embedding("or-blocks", instance, {"blocks": block_pairs, "side": s})
 
 

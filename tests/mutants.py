@@ -58,7 +58,7 @@ MUTANTS = [
     (
         "replay final-search charge dropped",
         "joins.py",
-        'pay(math.ceil(model.c_shuttle * math.sqrt(n)) * inner_budget * width, "final-search")',
+        'pay(math.ceil(math.sqrt(n)) * inner_budget * width, "final-search")',
         "pass",
         [
             "tests/test_joins.py::test_cost_model_zero_instance_single_failed_search",

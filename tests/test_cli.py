@@ -386,21 +386,21 @@ def test_out_in_a_missing_directory_rejected_before_any_trial(argv, out, message
         ["scaling", "--protocol", "disj-cost", "--n", "64..512", "--mode", "cost-model"],
         ["scaling", "--protocol", "disj-cost", "--n", "64..512", "--timing"],
         ["scaling", "--protocol", "disj-cost", "--n", "64..512", "--min-success", "0.5"],
-        ["validate-reductions", "--n", "8", "--c-round", "2"],
         ["validate-reductions", "--n", "8", "--timing"],
         ["validate-reductions", "--n", "8", "--min-success", "0.5"],
-        # cost constants only mean something in cost-model mode
+        # no subcommand takes a cost constant, whatever the mode or the value
+        ["validate-reductions", "--n", "8", "--c-round", "2"],
         ["run-bmm", "--n", "16", "--ell", "8", "--c-shuttle", "2"],
+        ["run-bmm", "--n", "16", "--ell", "8", "--mode", "cost-model", "--c-shuttle", "2"],
+        ["run-bmm", "--n", "16", "--ell", "8", "--mode", "exact", "--c-shuttle", "1"],
         ["run-gc", "--n", "16", "--c-round", "2"],
-        # disj and graph collision run no outer search, so c_shuttle never enters a charge
-        ["run-disj", "--n", "64", "--mode", "cost-model", "--c-shuttle", "5"],
         ["run-gc", "--n", "16", "--mode", "cost-model", "--c-shuttle", "5"],
+        ["run-disj", "--n", "64", "--mode", "cost-model", "--c-shuttle", "5"],
+        ["run-disj", "--n", "64", "--c-round", "1.0"],
         ["scaling", "--protocol", "disj-cost", "--n", "64..512", "--c-shuttle", "5"],
-        # a flag is rejected whatever its value, the default's included
         ["scaling", "--protocol", "disj-cost", "--n", "1024,2048", "--c-shuttle", "1"],
         ["scaling", "--protocol", "disj-cost", "--n", "1024,2048", "--c-shuttle", "1.0"],
-        ["run-bmm", "--n", "16", "--ell", "8", "--mode", "exact", "--c-shuttle", "1"],
-        ["run-disj", "--n", "64", "--c-round", "1.0"],
+        ["scaling", "--protocol", "bmm-cost", "--n", "64,128", "--ell", "16", "--c-round", "2"],
         # the disj sweep has no ell, and a tolerance means nothing without a slope
         ["scaling", "--protocol", "disj-cost", "--n", "64..512", "--ell", "16"],
         ["scaling", "--protocol", "disj-cost", "--n", "64..512", "--slope-tol", "0.2"],
@@ -424,10 +424,10 @@ def test_unused_flag_rejected(argv, capsys):
 @pytest.mark.parametrize(
     "argv, flag",
     [
-        (["run-disj", "--n", "64", "--mode", "cost-model", "--c-round", "inf"], "--c-round"),
-        (["run-disj", "--n", "64", "--mode", "cost-model", "--c-round", "nan"], "--c-round"),
-        (["run-bmm", "--n", "16", "--ell", "8", "--mode", "cost-model", "--c-shuttle", "inf"], "--c-shuttle"),
-        (["run-gc", "--n", "16", "--mode", "cost-model", "--c-round", "nan"], "--c-round"),
+        (["scaling", "--protocol", "disj-cost", "--n", "64..512", "--slope-tol", "-1"], "--slope-tol"),
+        (["scaling", "--protocol", "disj-cost", "--n", "64..512", "--slope-tol", "inf"], "--slope-tol"),
+        (["scaling", "--protocol", "disj-cost", "--n", "64..512", "--expect-slope", "inf"], "--expect-slope"),
+        (["run-gc", "--n", "16", "--min-success", "inf"], "--min-success"),
         (["run-disj", "--n", "64", "--min-success", "nan"], "--min-success"),
         (["run-mmf2", "--n", "16", "--ell", "4", "--min-success", "1.5"], "--min-success"),
         (["run-bmm", "--n", "16", "--ell", "8", "--min-success", "-0.1"], "--min-success"),
@@ -496,34 +496,6 @@ def test_timing_changes_only_wall_time(argv, tmp_path):
         assert a["wall_time_ms"] == "0"
         assert b["wall_time_ms"].isdigit()
         assert {**a, "wall_time_ms": None} == {**b, "wall_time_ms": None}
-
-
-@pytest.mark.parametrize(
-    "argv, named, unnamed",
-    [
-        (
-            ["run-disj", "--n", "8", "--c-round", "2"],
-            "--c-round needs",
-            ("--c-shuttle",),
-        ),
-        pytest.param(
-            ["run-bmm", "--n", "16", "--ell", "8", "--c-shuttle", "2", "--c-round", "2"],
-            "--c-shuttle and --c-round need",
-            (),
-            id="both-cost-flags",
-        ),
-        (
-            ["run-bmm", "--n", "16", "--ell", "8", "--c-round", "2"],
-            "--c-round needs",
-            ("--c-shuttle",),
-        ),
-    ],
-)
-def test_exact_mode_cost_flag_message_names_given_flags(argv, named, unnamed, capsys):
-    assert main(argv + ["--trials", "2"]) == 2
-    err = capsys.readouterr().err
-    assert f"error: {named} --mode cost-model" in err
-    assert not any(flag in err for flag in unnamed)
 
 
 def test_console_entry_point():

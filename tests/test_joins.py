@@ -56,7 +56,7 @@ EXACT = CostModel.exact_mode()
 
 
 def test_bmm_zero_input():
-    inst = JoinInstance.build(BitMatrix(6, 6, [0] * 6), BitMatrix(6, 6, [0] * 6), ell=4)
+    inst = JoinInstance(BitMatrix(6, 6, [0] * 6), BitMatrix(6, 6, [0] * 6), ell=4)
     led = CommLedger()
     out = bmm_with_trace(inst, EXACT, led, random.Random(0))[0]
     assert out.weight() == 0
@@ -66,7 +66,7 @@ def test_bmm_zero_input():
 def test_bmm_identity_b():
     rng = random.Random(9)
     a = BitMatrix.random(8, 8, 0.2, rng)
-    inst = JoinInstance.build(a, BitMatrix.identity(8), ell=a.weight() + 1)
+    inst = JoinInstance(a, BitMatrix.identity(8), ell=a.weight() + 1)
     out = bmm_with_trace(inst, EXACT, CommLedger(), random.Random(1))[0]
     assert out == a
 
@@ -164,7 +164,7 @@ def test_final_searches_meet_the_per_round_bound_by_the_exact_miss_probability(m
         gen_promise_instance(16, 16, 16, seed=4),
         gen_promise_instance(32, 32, 64, seed=5),
         gen_hard_instance(64, 64, seed=6),
-        JoinInstance.build(zero, zero, ell=1024),
+        JoinInstance(zero, zero, ell=1024),
     ]
     for inst in cases:
         calls = _spied_searches(monkeypatch)
@@ -183,7 +183,7 @@ def test_final_searches_meet_the_per_round_bound_by_the_exact_miss_probability(m
 
 
 def test_cost_model_zero_instance_single_failed_search():
-    inst = JoinInstance.build(BitMatrix(16, 16, [0] * 16), BitMatrix(16, 16, [0] * 16), ell=4)
+    inst = JoinInstance(BitMatrix(16, 16, [0] * 16), BitMatrix(16, 16, [0] * 16), ell=4)
     led = CommLedger()
     trace = bmm_cost_model(inst, CostModel.cost_model(), led, random.Random(0))
     assert trace.t == 0
@@ -198,7 +198,7 @@ def test_cost_model_single_witness_formula():
     n = 16
     a = BitMatrix(n, n, [1 << 5 if i == 3 else 0 for i in range(n)])
     b = BitMatrix(n, n, [1 << 7 if i == 5 else 0 for i in range(n)])
-    inst = JoinInstance.build(a, b, ell=1)
+    inst = JoinInstance(a, b, ell=1)
     led = CommLedger()
     model = CostModel.cost_model()
     trace = bmm_cost_model(inst, model, led, random.Random(0))
@@ -226,7 +226,7 @@ def test_cost_model_discovery_order_seeded():
     assert [r.witness for r in t1.rounds] == [r.witness for r in t2.rounds]
 
 
-def _replay_charges_by_formula(inst, model, trace) -> dict:
+def _replay_charges_by_formula(inst, trace) -> dict:
     """``bmm_cost_model``'s charges from its docstring's formulas, with t_cur, lambda and w_k of each
     round recomputed by brute force from A, B and the cells earlier rounds collected."""
     A = np.array([[x >> j & 1 for j in range(inst.A.cols)] for x in inst.A.data], dtype=np.int64)
@@ -243,15 +243,14 @@ def _replay_charges_by_formula(inst, model, trace) -> dict:
         cells = np.outer(A[:, k], B[k]) & (1 - collected)
         lam, w = int(cells.sum()), int(weights[k])
         assert (rnd.collisions, rnd.min_weight) == (lam, w)
-        outer = math.ceil(model.c_shuttle * math.sqrt(n / len(live)))
-        totals["search"] += outer * math.ceil(model.c_round * math.sqrt(w)) * width
-        totals["collect"] += math.ceil(model.c_round * math.sqrt(lam * w)) * width
+        totals["search"] += math.ceil(math.sqrt(n / len(live))) * math.ceil(math.sqrt(w)) * width
+        totals["collect"] += math.ceil(math.sqrt(lam * w)) * width
         collected |= cells
     assert not ((A.T @ (1 - collected)) * B).any()  # the run ends with t_cur = 0
     assert trace.product == BitMatrix(m, m, [sum(int(b) << j for j, b in enumerate(row)) for row in collected])
     w_max = int(weights.max())
-    inner = math.ceil(model.c_round * math.sqrt(w_max)) if w_max else 1
-    totals["final-search"] = math.ceil(model.c_shuttle * math.sqrt(n)) * inner * width
+    inner = math.ceil(math.sqrt(w_max)) if w_max else 1
+    totals["final-search"] = math.ceil(math.sqrt(n)) * inner * width
     return {(way, QUBITS, phase): amount for phase, amount in totals.items() if amount for way in (A_TO_B, B_TO_A)}
 
 
@@ -261,7 +260,7 @@ REPLAY_LAW_INSTANCES = [
 ]
 
 
-@pytest.mark.parametrize("model", [CostModel.cost_model(), CostModel.cost_model(c_shuttle=1.5, c_round=2.0)])
+@pytest.mark.parametrize("model", [CostModel.cost_model()])
 @pytest.mark.parametrize("family, n, ell, seed", REPLAY_LAW_INSTANCES)
 def test_replay_charges_follow_the_per_round_formulas(family, n, ell, seed, model):
     if family == "planted":
@@ -271,7 +270,7 @@ def test_replay_charges_follow_the_per_round_formulas(family, n, ell, seed, mode
     led = CommLedger()
     trace = bmm_cost_model(inst, model, led, random.Random(100 + seed))
     assert trace.t >= 1
-    assert led.amounts == _replay_charges_by_formula(inst, model, trace)
+    assert led.amounts == _replay_charges_by_formula(inst, trace)
 
 
 @st.composite
@@ -285,8 +284,8 @@ def bmm_cases(draw):
     elif family == "hard":
         inst = gen_hard_instance(n, draw(st.integers(4, 2 * n)), seed)
     else:
-        inst = JoinInstance.build(BitMatrix(n, n, [0] * n), BitMatrix(n, n, [0] * n), draw(st.integers(1, n)))
-    model = draw(st.sampled_from((EXACT, CostModel.cost_model(), CostModel.cost_model(2.0, 1.5))))
+        inst = JoinInstance(BitMatrix(n, n, [0] * n), BitMatrix(n, n, [0] * n), draw(st.integers(1, n)))
+    model = draw(st.sampled_from((EXACT, CostModel.cost_model())))
     return inst, model, draw(st.integers(0, 2**32 - 1))
 
 
@@ -322,7 +321,7 @@ def _reference_search_and_collect(instance, model, ledger, rng) -> BmmTrace:
     uncovered = [wa * wb for wa, wb in weights]
     live = np.array(uncovered, dtype=bool)
     width = index_qubits(m)
-    inner_budget = _inner_iterations(max(min_w, default=0), model.c_round)
+    inner_budget = _inner_iterations(max(min_w, default=0))
 
     def pay(amount, phase):
         ledger.charge(A_TO_B, QUBITS, amount, phase)
@@ -352,13 +351,13 @@ def _reference_search_and_collect(instance, model, ledger, rng) -> BmmTrace:
             marked = np.flatnonzero(live)
             t_cur = len(marked)
             if not t_cur:
-                pay(math.ceil(model.c_shuttle * math.sqrt(n)) * inner_budget * width, "final-search")
+                pay(math.ceil(math.sqrt(n)) * inner_budget * width, "final-search")
                 break
             k = int(marked[rng.randrange(t_cur)])
             cells = [(i, j) for i in _iter_bits(a_t.data[k]) for j in _iter_bits(B.data[k] & ~out_rows[i])]
-            inner = _inner_iterations(min_w[k], model.c_round)
-            pay(math.ceil(model.c_shuttle * math.sqrt(n / t_cur)) * inner * width, "search")
-            pay(max(1, math.ceil(model.c_round * math.sqrt(len(cells) * min_w[k]))) * width, "collect")
+            inner = _inner_iterations(min_w[k])
+            pay(math.ceil(math.sqrt(n / t_cur)) * inner * width, "search")
+            pay(max(1, math.ceil(math.sqrt(len(cells) * min_w[k]))) * width, "collect")
         for i, j in cells:
             uncollected.remove_edge(i, j)
             for kk in _iter_bits(A.data[i] & b_t.data[j]):
@@ -422,7 +421,7 @@ def _bmm_outcome(run, inst, model, seed):
 @settings(max_examples=200, deadline=None)
 @given(
     sparse_bool_cases(),
-    st.sampled_from((EXACT, CostModel.cost_model(), CostModel.cost_model(1.5, 2.0))),
+    st.sampled_from((EXACT, CostModel.cost_model())),
     st.integers(0, 2**32 - 1),
 )
 # A's rows name the inner indices out of order, and index 1 has a column of A but no row of B
@@ -437,7 +436,7 @@ def _bmm_outcome(run, inst, model, seed):
 def test_bmm_active_index_setup_matches_full_transpose_reference(case, model, seed):
     a_rows, b_rows, ell = case
     m, n = len(a_rows), len(b_rows)
-    inst = JoinInstance.build(BitMatrix(m, n, a_rows), BitMatrix(n, m, b_rows), ell)
+    inst = JoinInstance(BitMatrix(m, n, a_rows), BitMatrix(n, m, b_rows), ell)
     want = _bmm_outcome(_reference_search_and_collect, inst, model, seed)
     assert _bmm_outcome(lambda *a: bmm_with_trace(*a)[1], inst, model, seed) == want
     assert _bmm_outcome(bmm_cost_model, inst, model, seed) == want
@@ -449,9 +448,7 @@ def test_bmm_active_index_setup_matches_full_transpose_reference(case, model, se
 # several 30-bit limbs, and a round that touches enough positions to go through _scan_bits
 WIDE_BMM_CASES = {
     "hard-2048-cost": (lambda: gen_hard_instance(2048, 256, 3), CostModel.cost_model()),
-    "hard-2048-cost-1.5-2": (lambda: gen_hard_instance(2048, 256, 4), CostModel.cost_model(1.5, 2.0)),
     "hard-8192-cost": (lambda: gen_hard_instance(8192, 256, 5), CostModel.cost_model()),
-    "hard-8192-cost-1.5-2": (lambda: gen_hard_instance(8192, 256, 6), CostModel.cost_model(1.5, 2.0)),
     "planted-4096-cost": (lambda: gen_promise_instance(4096, 4096, 64, 4096), CostModel.cost_model()),
     "hard-1024-exact": (lambda: gen_hard_instance(1024, 256, 7), EXACT),
     "hard-16384-exact": (lambda: gen_hard_instance(1 << 14, 256, 8), EXACT),
@@ -920,7 +917,7 @@ def test_sketch_decode_matches_reference_decoder(case):
 
 def test_mm_f2_zero_b():
     a = BitMatrix.random(16, 16, 0.3, random.Random(1))
-    inst = JoinInstance.build(a, BitMatrix(16, 16, [0] * 16), ell=4, kind="f2")
+    inst = JoinInstance(a, BitMatrix(16, 16, [0] * 16), ell=4, kind="f2")
     led = CommLedger()
     out = mm_f2(inst, led, random.Random(2))
     assert out.weight() == 0
@@ -931,9 +928,22 @@ def test_mm_f2_zero_b():
 def test_mm_f2_identity_a():
     rng = random.Random(3)
     b = BitMatrix.random(16, 16, 0.1, rng)
-    inst = JoinInstance.build(BitMatrix.identity(16), b, ell=b.weight() + 1, kind="f2")
+    inst = JoinInstance(BitMatrix.identity(16), b, ell=b.weight() + 1, kind="f2")
     out = mm_f2(inst, CommLedger(), random.Random(4))
     assert out == b
+
+
+def test_constructed_instance_holds_its_product():
+    rng = random.Random(5)
+    a, b = BitMatrix.random(12, 12, 0.15, rng), BitMatrix.random(12, 12, 0.15, rng)
+    product = f2_product(a, b)
+    assert product.weight() > 0 and product != bool_product(a, b)
+    assert JoinInstance(a, b, 1, 0).oracle_product == bool_product(a, b)
+    inst = JoinInstance(a, b, product.weight(), 7, "f2")
+    assert inst.oracle_product == product
+    assert mm_f2(inst, CommLedger(), random.Random(6)) == product
+    # a product the caller passes is kept as given
+    assert JoinInstance(a, b, 1, 0, "bool", product).oracle_product is product
 
 
 def test_mm_f2_one_by_one_matches_oracle():
@@ -988,7 +998,7 @@ def test_classification_captures_clearly_dense_columns():
         rows = set(rng.sample(range(n), 8 * kappa + 1))
         a = BitMatrix(n, n, [1 if i in rows else 0 for i in range(n)])
         b = BitMatrix(n, n, [(1 << j_star) if k == 0 else 0 for k in range(n)])
-        inst = JoinInstance.build(a, b, ell, tr, "f2")
+        inst = JoinInstance(a, b, ell, tr, "f2")
         captured += _dense_columns(inst, rng) == {j_star}
     assert captured / trials >= 0.95
 
@@ -1008,7 +1018,7 @@ def test_classification_leaves_scattered_columns_sparse():
         for i, j in zip(rows, cols):
             data[i] |= 1 << j
         b = BitMatrix(n, n, data)
-        inst = JoinInstance.build(a, b, ell, tr, "f2")
+        inst = JoinInstance(a, b, ell, tr, "f2")
         clean += not _dense_columns(inst, rng)
     assert clean / trials >= 0.95
 
@@ -1026,8 +1036,8 @@ def test_mm_f2_takes_one_32_bit_draw_from_the_shared_stream_whatever_a_holds():
     n = 64
     b = BitMatrix.identity(n)
     instances = (
-        JoinInstance.build(BitMatrix(n, n, [0] * n), b, 16, kind="f2"),
-        JoinInstance.build(BitMatrix.identity(n), b, n, kind="f2"),
+        JoinInstance(BitMatrix(n, n, [0] * n), b, 16, kind="f2"),
+        JoinInstance(BitMatrix.identity(n), b, n, kind="f2"),
         gen_promise_instance(n, n, 16, 9, "f2"),
     )
     after_seed = random.Random(31)
@@ -1056,7 +1066,7 @@ def f2_cases(draw):
         if family == "one":
             n = 1
         a = BitMatrix(n, n, [0] * n) if family == "zero-a" else BitMatrix.random(n, n, 0.5, rng)
-        inst = JoinInstance.build(a, BitMatrix.random(n, n, 0.5, rng), draw(st.integers(1, n * n)), kind="f2")
+        inst = JoinInstance(a, BitMatrix.random(n, n, 0.5, rng), draw(st.integers(1, n * n)), kind="f2")
     return inst, seed
 
 
@@ -1071,14 +1081,14 @@ def _heavy_and_light_columns(seed):
     for j in light:
         for i in rng.sample(range(n), 2):
             data[i] |= 1 << j
-    return JoinInstance.build(BitMatrix.identity(n), BitMatrix(n, n, data), 240, kind="f2"), heavy
+    return JoinInstance(BitMatrix.identity(n), BitMatrix(n, n, data), 240, kind="f2"), heavy
 
 
 @settings(max_examples=40, deadline=None)
 @given(f2_cases())
 @example((_heavy_and_light_columns(0)[0], 0))
-@example((JoinInstance.build(BitMatrix.identity(1), BitMatrix.identity(1), 1, kind="f2"), 5))
-@example((JoinInstance.build(BitMatrix(8, 8, [0] * 8), BitMatrix.identity(8), 4, kind="f2"), 1))
+@example((JoinInstance(BitMatrix.identity(1), BitMatrix.identity(1), 1, kind="f2"), 5))
+@example((JoinInstance(BitMatrix(8, 8, [0] * 8), BitMatrix.identity(8), 4, kind="f2"), 1))
 def test_mm_f2_charges_follow_the_one_batch_formulas(case):
     # sketch-transfer is measurement_len(n, ceil(1.1 sqrt(ell))) n bits, and dense-transfer is the count
     # plus index and column for each nonzero column that the reference decoder fails on
@@ -1154,7 +1164,7 @@ def _reference_mm_f2(instance, ledger, rng):
 
 def _column_three_on_even_rows():
     b = BitMatrix(64, 64, [1 << 3 if i % 2 == 0 else 0 for i in range(64)])
-    return JoinInstance.build(BitMatrix.identity(64), b, 1, kind="f2")
+    return JoinInstance(BitMatrix.identity(64), b, 1, kind="f2")
 
 
 def _compare_with_full_sketch_reference(inst, seed):
@@ -1183,9 +1193,9 @@ def _compare_with_full_sketch_reference(inst, seed):
 
 @settings(max_examples=120, deadline=None)
 @given(f2_cases())
-@example((JoinInstance.build(BitMatrix.identity(1), BitMatrix.identity(1), 1, kind="f2"), 5))
-@example((JoinInstance.build(BitMatrix(8, 8, [0] * 8), BitMatrix.identity(8), 4, kind="f2"), 1))
-@example((JoinInstance.build(BitMatrix.identity(8), BitMatrix(8, 8, [0] * 8), 4, kind="f2"), 1))
+@example((JoinInstance(BitMatrix.identity(1), BitMatrix.identity(1), 1, kind="f2"), 5))
+@example((JoinInstance(BitMatrix(8, 8, [0] * 8), BitMatrix.identity(8), 4, kind="f2"), 1))
+@example((JoinInstance(BitMatrix.identity(8), BitMatrix(8, 8, [0] * 8), 4, kind="f2"), 1))
 @example((gen_promise_instance(64, 64, 16, 5, "f2"), 5))
 def test_mm_f2_sketches_only_nonzero_sparse_columns_like_the_full_sketch_reference(case):
     _compare_with_full_sketch_reference(*case)
@@ -1221,7 +1231,7 @@ def test_f2_protocols_read_the_instance_product_and_compute_none(monkeypatch):
         gen_promise_instance(64, 64, 16, 5, "f2"),
         gen_promise_instance(32, 32, 64, 6, "f2"),
         embed_ip_f2(*([BitVector.random(16, 0.5, rng) for _ in range(3)] for _ in range(2)), 16).instance,
-        JoinInstance.build(BitMatrix.identity(16), b, ell=b.weight() + 1, kind="f2"),
+        JoinInstance(BitMatrix.identity(16), b, ell=b.weight() + 1, kind="f2"),
     ]
     # every instance is built, so its product is computed, before the spy goes in
     calls = []
@@ -1237,7 +1247,7 @@ def test_f2_protocols_read_the_instance_product_and_compute_none(monkeypatch):
 def test_instances_with_ell_below_one_are_rejected(kind, ell):
     zero = BitMatrix(8, 8, [0] * 8)
     with pytest.raises(InstanceError, match=f"^ell must be at least 1, got {ell}$"):
-        JoinInstance.build(zero, zero, ell, kind=kind)
+        JoinInstance(zero, zero, ell, kind=kind)
     with pytest.raises(InstanceError, match="ell"):
         JoinInstance(zero, zero, ell, 0, kind, f2_product(zero, zero))
 
@@ -1275,7 +1285,7 @@ def test_instances_with_ell_below_one_are_rejected(kind, ell):
         ),
         pytest.param(
             lambda: mm_f2(
-                JoinInstance.build(BitMatrix(2, 3, [0, 0]), BitMatrix(3, 2, [0, 0, 0]), 1, kind="f2"),
+                JoinInstance(BitMatrix(2, 3, [0, 0]), BitMatrix(3, 2, [0, 0, 0]), 1, kind="f2"),
                 CommLedger(),
                 random.Random(0),
             ),

@@ -38,20 +38,17 @@ from joinlab.qsim import (
 from joinlab.reductions import embed_disj_family, embed_inner_product, embed_ip_f2, embed_or_blocks
 
 EXACT = CostModel.exact_mode()
-COST_MODELS = (
-    CostModel.cost_model(),
-    CostModel.cost_model(c_shuttle=1.5, c_round=2.0),
-)
-QSIM_MODELS = (EXACT, CostModel.cost_model(), CostModel.cost_model(c_round=2.0))
+COST_MODELS = (CostModel.cost_model(),)
+QSIM_MODELS = (EXACT, CostModel.cost_model())
 
 EXPECTED = {
     "bmm_exact": "7ba5aa61a197e320e0fc0cdca74489929eca99b456093a45938c475719a15b1f",
-    "bmm_cost_model": "3c7f16ddbe3f660987655afc5d72ac48ad0e034e948f70fe0c7034db3775857b",
-    "bmm_cost_model_wide": "2fa02d67d9d35a53f1c35c4e557c4eb73e9451b579ae46b7db7505ec88947505",
-    "qsim": "b194b40722db47aa7cc7c485051536ee0ac41a233d08d85a9e17fe1c101d5611",
+    "bmm_cost_model": "37b54e15b0ed5be92c70f7aacdff991f4d72398a9199ddbb6b73538e03eeabf6",
+    "bmm_cost_model_wide": "0ceccd3c9bc58f72b0abd35fd8558946ff4c9d46c2e59a40dd2cc5087676a0cf",
+    "qsim": "79aed18263bebd805125fb625236226d9ce5238c3b46ff3eaeb8ccf6c38c864d",
     "mm_f2": "811812e8a37156aa1a5b94370e902ba2150332c5e245931a969b8b38ba089689",
     "sketch": "f97de2d6efae69be59eb14edc171c8a51468a811765de79cea9c634778d8312f",
-    "cli": "39d22d98f2392b3fd9cdc6c5f07cb3fb51d859a4125477592386cd1ee5c5ad6a",
+    "cli": "bafcd4e09ae55cf6ca8cec9b3b6521ae88787c9ae5ae0e2567a8ac718b3ab993",
     "cli_sweeps": "07d166b1c89351cfe8496ba6c02ad20fb6060edec11b4f715b1420a0cd3a796b",
     "reductions": "b3861058dd40e27add3043d8965cecd9e0dc057cd718d3adfe299d38493c10c1",
 }
@@ -203,13 +200,13 @@ def _mm_f2_cases():
         yield 600 + n + k, embed_ip_f2(left, right, n).instance
     # a promise far below the product's weight: dense columns overflow it
     a, b = BitMatrix.random(24, 24, 0.3, rng), BitMatrix.random(24, 24, 0.3, rng)
-    yield 7, JoinInstance.build(a, b, ell=9, kind="f2")
+    yield 7, JoinInstance(a, b, ell=9, kind="f2")
     # two weight-40 columns, far over the promise of 16 ones
     data = [0] * 64
     for j in rng.sample(range(64), 2):
         for i in rng.sample(range(64), 40):
             data[i] |= 1 << j
-    inst = JoinInstance.build(BitMatrix.identity(64), BitMatrix(64, 64, data), ell=16, kind="f2")
+    inst = JoinInstance(BitMatrix.identity(64), BitMatrix(64, 64, data), ell=16, kind="f2")
     yield 8, inst
 
 
@@ -259,7 +256,7 @@ def reductions_digest() -> str:
         inst = emb.instance
         digest.add(emb.name, inst.A.data, inst.B.data, inst.ell, inst.kind, inst.oracle_product.data)
         flipped = BitMatrix(inst.A.rows, inst.A.cols, [inst.A.data[0] ^ 1, *inst.A.data[1:]])
-        tampered = JoinInstance.build(flipped, inst.B, inst.ell, inst.seed, inst.kind)
+        tampered = JoinInstance(flipped, inst.B, inst.ell, inst.seed, inst.kind)
         digest.add(emb.validate(), dataclasses.replace(emb, instance=tampered).validate())
     return digest.hexdigest()
 
@@ -271,7 +268,7 @@ CLI_RUNS = (
     ("run-disj", "--n", "64,1024", "--trials", "10", "--seed", "3", "--mode", "exact"),
     ("run-disj", "--n", "64,1024", "--trials", "10", "--seed", "3", "--mode", "cost-model"),
     ("run-gc", "--n", "16,32", "--trials", "10", "--seed", "3", "--mode", "exact"),
-    ("run-gc", "--n", "16,32", "--trials", "10", "--seed", "3", "--mode", "cost-model", "--c-round", "2"),
+    ("run-gc", "--n", "16,32", "--trials", "10", "--seed", "3", "--mode", "cost-model"),
     ("scaling", "--protocol", "bmm-cost", "--n", "128", "--ell", "16,64", "--trials", "2", "--seed", "3"),
 )
 

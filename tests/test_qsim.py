@@ -267,18 +267,17 @@ def test_hit_test_matches_the_bisect_with_r_on_the_masses(case):
     assert rng_got.getstate() == rng_want.getstate()
 
 
-@given(st.integers(1, 600), st.integers(0, 2**32), st.sampled_from((1.0, 1.5, 3.0)), st.booleans())
-@example(1, 0, 1.0, False)
-@example(600, 1, 3.0, True)
-def test_cost_model_search_is_one_analytical_draw(m, seed, c, outer):
-    # one measurement at ceil(c * sqrt(m / d)): d = t + 1 inside, max(t, 1) for the outer search
+@given(st.integers(1, 600), st.integers(0, 2**32), st.booleans())
+@example(1, 0, False)
+@example(600, 1, True)
+def test_cost_model_search_is_one_analytical_draw(m, seed, outer):
+    # one measurement at ceil(sqrt(m / d)): d = t + 1 inside, max(t, 1) for the outer search
     rng = random.Random(seed)
     t = rng.choice((0, 1, m, rng.randint(0, m)))
     mask = _random_mask(m, t, rng)
-    model = CostModel.cost_model(c_shuttle=c) if outer else CostModel.cost_model(c_round=c)
     domain = range(1000, 1000 + m)
-    found, draws = _amplify(domain, np.flatnonzero(mask).tolist(), None, model, rng, outer=outer)
-    assert draws == [math.ceil(c * math.sqrt(m / (max(t, 1) if outer else t + 1)))]
+    found, draws = _amplify(domain, np.flatnonzero(mask).tolist(), None, CostModel.cost_model(), rng, outer=outer)
+    assert draws == [math.ceil(math.sqrt(m / (max(t, 1) if outer else t + 1)))]
     assert (found is None) == (t == 0)
     assert found is None or mask[found - 1000]
 
@@ -439,18 +438,6 @@ def test_default_plan_caps():
 def test_cost_model_validation():
     with pytest.raises(ValueError):
         CostModel("fuzzy")
-    with pytest.raises(ValueError):
-        CostModel.cost_model(c_shuttle=0.5)
-    with pytest.raises(ValueError):
-        CostModel.cost_model(c_round=0.5)
-    for constants in ({"c_shuttle": 2.0}, {"c_round": 1.5}):
-        with pytest.raises(ValueError, match="^exact mode takes no cost constants$"):
-            CostModel("exact", **constants)
-    for bad in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="finite"):
-            CostModel.cost_model(c_shuttle=bad)
-        with pytest.raises(ValueError, match="finite"):
-            CostModel.cost_model(c_round=bad)
 
 
 def test_success_curve_matches_closed_form():
@@ -574,11 +561,10 @@ def test_disj_cost_model_charges_formula():
     n = 64
     a = BitVector.from_indices(n, range(8))
     b = BitVector.from_indices(n, [0, 1] + list(range(40, 60)))
-    model = CostModel.cost_model(c_round=2.0)
     led = CommLedger()
-    w = disj(a, b, led, model, random.Random(4))
+    w = disj(a, b, led, CostModel.cost_model(), random.Random(4))
     assert w in (0, 1)
-    iters = math.ceil(2.0 * math.sqrt(8 / 3))
+    iters = math.ceil(math.sqrt(8 / 3))
     assert sum(led.report()["phases"]["disj"].values()) == iters * 2 * index_qubits(n)
 
 
@@ -793,7 +779,7 @@ def collision_cases(draw):
     # every attempt fails from the start
     density = draw(st.sampled_from((0.0, 0.15, 0.4, 0.8, 1.0)))
     w_a, w_b = draw(st.integers(0, n_left)), draw(st.integers(0, n_right))
-    model = draw(st.sampled_from((EXACT, CostModel.cost_model(), CostModel.cost_model(c_round=2.0))))
+    model = draw(st.sampled_from((EXACT, CostModel.cost_model())))
     return n_left, n_right, density, w_a, w_b, model, draw(st.integers(0, 2**32))
 
 
@@ -801,9 +787,9 @@ def collision_cases(draw):
 @example((6, 6, 0.15, 3, 5, EXACT, 1))
 @example((9, 4, 0.8, 4, 2, EXACT, 2))
 @example((7, 5, 0.0, 4, 3, EXACT, 3))
-@example((7, 5, 0.0, 4, 3, CostModel.cost_model(c_round=2.0), 4))
+@example((7, 5, 0.0, 4, 3, CostModel.cost_model(), 4))
 @example((5, 5, 0.4, 0, 3, EXACT, 5))
-@example((8, 8, 0.8, 5, 6, CostModel.cost_model(c_round=2.0), 6))
+@example((8, 8, 0.8, 5, 6, CostModel.cost_model(), 6))
 def test_graph_collision_all_matches_a_loop_of_single_calls(case):
     # the question is built once per graph state, and the attempts that cannot find an edge
     # run as one batch; the loop builds the question and runs every attempt on its own

@@ -260,7 +260,7 @@ def _flipped(emb, side: str, i: int, j: int):
     mats = {"A": inst.A, "B": inst.B}
     m = mats[side]
     mats[side] = BitMatrix(m.rows, m.cols, [r ^ (1 << j) if row == i else r for row, r in enumerate(m.data)])
-    tampered = JoinInstance.build(mats["A"], mats["B"], inst.ell, inst.seed, inst.kind)
+    tampered = JoinInstance(mats["A"], mats["B"], inst.ell, inst.seed, inst.kind)
     return dataclasses.replace(emb, instance=tampered)
 
 
