@@ -42,6 +42,7 @@ from joinlab.qsim import (
     BipartiteGraph,
     CostModel,
     ProtocolError,
+    _repeats,
     graph_collision_all,
     instance_search,
 )
@@ -120,9 +121,10 @@ def _search_and_collect(
     """
     A, B = instance.A, instance.B
     m, n = A.rows, A.cols
-    # an exact search misses with probability at most 1/3, so a round ends the run by mistake with
-    # probability at most 1/(100 (ell + 2)), and the union bound covers the at most ell + 1 rounds
-    none_repeats = math.ceil(math.log(100.0 * (instance.ell + 2)) / math.log(3.0))
+    # an exact search misses with probability at most (3/4)^12 (GroverPlan.default), so a round ends
+    # the run by mistake with probability at most 1/(100 (ell + 2)), and the union bound covers the
+    # at most ell + 1 rounds
+    none_repeats = _repeats(1 / (100 * (instance.ell + 2)))
     rows = list(compress(range(m), A.data))
     active = [k for k in _iter_bits(reduce(or_, (A.data[i] for i in rows), 0)) if B.data[k]]
     position = {k: p for p, k in enumerate(active)}
@@ -216,9 +218,12 @@ def bmm_with_trace(
 
     Every edge entering the output is a verified collision, so spurious ones
     are impossible; protocol error is confined to stopping before all ones
-    are found.  The run ends only after ceil(log3(100 (ell+2))) searches in
-    a row find no witness, so the union bound over at most ell+1 rounds
-    keeps the end-to-end error small.  A cost-model ``model`` runs the
+    are found.  One search misses with probability at most q = (3/4)^12
+    (see :meth:`joinlab.qsim.GroverPlan.default`), and the run ends only
+    after ceil(log(100 (ell+2)) / log(1/q)) searches in a row find no
+    witness, the fewest that all miss with probability at most
+    1/(100 (ell+2)), so the union bound over at most ell+1 rounds keeps the
+    chance of ending early below 1/100.  A cost-model ``model`` runs the
     replay of :func:`bmm_cost_model` instead.
     """
     trace = _search_and_collect(instance, model, ledger, rng)

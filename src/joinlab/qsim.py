@@ -38,6 +38,15 @@ class ProtocolError(RuntimeError):
     """A protocol run failed: it exhausted a retry budget or broke its promise."""
 
 
+# one exact search under GroverPlan.default misses a marked entry with probability at most this
+_MISS_BOUND = 0.75**12
+
+
+def _repeats(failure: float) -> int:
+    """The fewest default-plan searches that all miss with probability at most ``failure``."""
+    return max(1, math.ceil(math.log(failure) / math.log(_MISS_BOUND)))
+
+
 @dataclass(frozen=True)
 class CostModel:
     """Execution mode: sample the exact search state, or charge the analytical counts."""
@@ -91,7 +100,20 @@ class GroverPlan:
     @classmethod
     @functools.lru_cache(maxsize=1024)  # plans are frozen, so callers can share one
     def default(cls, support_size: int) -> "GroverPlan":
-        """The growth caps below the ceiling, then four ceiling caps, each cap three times."""
+        """The growth caps below the ceiling, then four ceiling caps, each cap three times.
+
+        So the plan ends in 12 measurements at the ceiling h = ceil(pi/4 sqrt(N))
+        over N = ``support_size`` entries, and one search under it misses with
+        probability at most ``_MISS_BOUND`` = (3/4)^12 for every N and marked
+        count t >= 1.  With t = N every measurement hits.  For 1 <= t <= N - 1,
+        sin^2 theta = t/N gives sin 2 theta = 2 sqrt(t (N - t)) / N
+        >= 2 sqrt(N - 1) / N, and since N <= 2 (N - 1),
+        h >= (pi/4) sqrt(N) > sqrt(N/2) >= N / (2 sqrt(N - 1)) >= 1 / sin 2 theta.
+        A measurement after an iteration count drawn uniformly from [0, h)
+        with h >= 1 / sin 2 theta hits with probability at least 1/4 (Boyer,
+        Brassard, Hoyer, Tapp 1998, Lemma 2), so each ceiling measurement
+        misses with probability at most 3/4, independently of the others.
+        """
         if support_size < 1:
             raise ValueError("support must be nonempty")
         hard = math.ceil(math.pi / 4.0 * math.sqrt(support_size))
@@ -211,7 +233,8 @@ def grover_search(
 ):
     """Search ``support`` (subset of [n]) for an index satisfying ``marked``.
 
-    Returns a marked index with probability >= 2/3 when one exists, else
+    Returns a marked index with probability >= 1 - (3/4)^12 under the
+    default plan (see :meth:`GroverPlan.default`) when one exists, else
     None.  Every candidate measurement is verified against the predicate
     (one extra charged round trip), so a returned index is always marked.
     Each Grover round costs one register round trip of 2*ceil(log2 n)
@@ -423,9 +446,9 @@ def graph_collision_all(
     removal.
     """
     state = _Collision(graph, f_a, f_b, model)
-    # repetitions of a 2/3-correct call so a false "empty" survives a union bound over all edges
-    bound = f_a.weight() * f_b.weight()
-    reps = max(1, math.ceil(math.log(3.0 * (bound + 1)) / math.log(3.0)))
+    # repetitions of a call that misses with probability at most _MISS_BOUND, so a false "empty"
+    # survives a union bound over all edges
+    reps = _repeats(1 / (3 * (f_a.weight() * f_b.weight() + 1)))
     found: set[tuple[int, int]] = set()
     while True:
         if state.search is None or not state.search.hits:

@@ -38,6 +38,8 @@ SKETCH_HASHES = "tests/test_joins.py::test_sketch_hashes_are_invertible_codes_an
 SKETCH_ENCODE = "tests/test_joins.py::test_sketch_encode_matches_field_by_field_reference"
 SKETCH_DECODE = "tests/test_joins.py::test_sketch_decode_matches_reference_decoder"
 RANDOM_GRAPH = "tests/test_qsim.py::test_random_graph_is_the_bitmatrix_draw_in_both_orientations"
+FINAL_SEARCHES = "tests/test_joins.py::test_final_searches_meet_the_per_round_bound_by_the_exact_miss_probability"
+COLLECT_REPEATS = "tests/test_qsim.py::test_graph_collision_all_repeats_the_fewest_attempts_that_meet_the_per_edge_bound"
 
 # (name, file under src/joinlab, old text, new text, tests that must kill it)
 MUTANTS = [
@@ -98,11 +100,18 @@ MUTANTS = [
         [MM_F2_CHARGES, MM_F2_DENSE, "tests/test_joins.py::test_mm_f2_zero_b"],
     ),
     (
-        "exact none_repeats base 3 -> 30",
-        "joins.py",
-        "math.log(3.0)",
-        "math.log(30.0)",
-        ["tests/test_joins.py::test_final_searches_meet_the_per_round_bound_by_the_exact_miss_probability"],
+        "exact repeat count base 1/q -> 10/q",
+        "qsim.py",
+        "math.log(failure) / math.log(_MISS_BOUND)",
+        "math.log(failure) / math.log(_MISS_BOUND / 10)",
+        [FINAL_SEARCHES, COLLECT_REPEATS],
+    ),
+    (
+        "miss bound (3/4)^12 -> (3/4)^24",
+        "qsim.py",
+        "_MISS_BOUND = 0.75**12",
+        "_MISS_BOUND = 0.75**24",
+        [FINAL_SEARCHES, COLLECT_REPEATS],
     ),
     (
         # a block: exact mode's collect step in compact rows and columns, which moves the zero rows of A

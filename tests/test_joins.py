@@ -154,10 +154,47 @@ def _search_miss_probability(big_n: int) -> np.ndarray:
     return miss
 
 
+def _closed_form_miss_probability(big_n: int) -> np.ndarray:
+    """The same chance for each t in [1, big_n - 1] in Boyer, Brassard, Hoyer and Tapp's closed form
+    (1998, Lemma 2): the product over the caps m of 1/2 + sin(4 m theta) / (4 m sin 2 theta)."""
+    theta = np.arcsin(np.sqrt(np.arange(1, big_n) / big_n))
+    miss = np.ones(big_n - 1)
+    for cap in GroverPlan.default(big_n).caps:
+        miss *= 0.5 + np.sin(4 * cap * theta) / (4 * cap * np.sin(2 * theta))
+    return miss
+
+
+def test_default_plan_ends_in_twelve_ceiling_caps():
+    for big_n in range(1, (1 << 16) + 1):
+        hard = math.ceil(math.pi / 4 * math.sqrt(big_n))
+        caps = GroverPlan.default(big_n).caps
+        assert caps[-12:] == (hard,) * 12 and max(caps) == hard, big_n
+
+
+def test_ceiling_cap_reaches_one_over_sin_two_theta_for_every_marked_count():
+    # Lemma 2's 1/4 needs cap >= 1 / sin(2 theta); over 1 <= t <= N - 1 that is largest at t = 1 and t = N - 1
+    for big_n in range(2, 257):
+        theta = np.arcsin(np.sqrt(np.arange(1, big_n) / big_n))
+        assert np.all(1 / np.sin(2 * theta) <= big_n / (2 * math.sqrt(big_n - 1)) * (1 + 1e-12))
+    for lo in range(2, 1 << 22, 1 << 20):
+        big_n = np.arange(lo, min(lo + (1 << 20), 1 << 22), dtype=np.float64)
+        assert np.all(np.ceil(np.pi / 4 * np.sqrt(big_n)) >= big_n / (2 * np.sqrt(big_n - 1)))
+
+
+def test_one_default_plan_search_misses_with_probability_at_most_three_quarters_to_the_twelfth():
+    for big_n in range(2, 64):
+        explicit = _search_miss_probability(big_n)
+        assert np.abs(_closed_form_miss_probability(big_n) - explicit[:-1]).max() < 1e-15
+        assert explicit[-1] < 1e-15  # with every entry marked, every measurement hits
+    # every N up to 256, and every N of criterion 3's exact searches
+    grid = (*range(2, 257), 512, 1024, 2048, 4096, 8192, 16384)
+    assert max(_closed_form_miss_probability(big_n).max() for big_n in grid) <= 0.75**12
+
+
 def test_final_searches_meet_the_per_round_bound_by_the_exact_miss_probability(monkeypatch):
-    # premise of the base-3 count: one search misses with probability at most 1/3 for every (N, t)
+    # premise of the count: one search misses with probability at most (3/4)^12 for every (N, t)
     worst = {big_n: _search_miss_probability(big_n).max() for big_n in (*range(1, 65), 256, 1000, 1024, 4096)}
-    assert max(worst.values()) <= 1 / 3
+    assert max(worst.values()) <= 0.75**12
     zero = BitMatrix(32, 32, [0] * 32)
     cases = [
         gen_promise_instance(8, 8, 1, seed=3),
@@ -173,7 +210,9 @@ def test_final_searches_meet_the_per_round_bound_by_the_exact_miss_probability(m
         # the searches after the last witness are the round that ended the run
         final = len(calls) - 1 - max((i for i, (k, _) in enumerate(calls) if k is not None), default=-1)
         bound = 1 / (100 * (inst.ell + 2))
-        assert (1 / 3) ** final <= bound
+        assert (0.75**12) ** final <= bound
+        # and no fewer searches would
+        assert final == 1 or (0.75**12) ** (final - 1) > bound
         assert worst[inst.A.cols] ** final <= bound
 
 
@@ -314,7 +353,7 @@ def _reference_search_and_collect(instance, model, ledger, rng) -> BmmTrace:
     """
     A, B = instance.A, instance.B
     m, n = A.rows, A.cols
-    none_repeats = max(1, math.ceil(math.log(100.0 * (instance.ell + 2)) / math.log(3.0)))
+    none_repeats = max(1, math.ceil(math.log(1 / (100 * (instance.ell + 2))) / math.log(0.75**12)))
     a_t, b_t = A.transpose(), B.transpose()
     weights = [(col.bit_count(), row.bit_count()) for col, row in zip(a_t.data, B.data)]
     min_w = [min(w) for w in weights]

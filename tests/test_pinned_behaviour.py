@@ -42,13 +42,13 @@ COST_MODELS = (CostModel.cost_model(),)
 QSIM_MODELS = (EXACT, CostModel.cost_model())
 
 EXPECTED = {
-    "bmm_exact": "7ba5aa61a197e320e0fc0cdca74489929eca99b456093a45938c475719a15b1f",
+    "bmm_exact": "5520d4110f14eb736b55e25f5007ce6cad760a8a51b854185c72aa9887b10230",
     "bmm_cost_model": "37b54e15b0ed5be92c70f7aacdff991f4d72398a9199ddbb6b73538e03eeabf6",
     "bmm_cost_model_wide": "0ceccd3c9bc58f72b0abd35fd8558946ff4c9d46c2e59a40dd2cc5087676a0cf",
-    "qsim": "79aed18263bebd805125fb625236226d9ce5238c3b46ff3eaeb8ccf6c38c864d",
+    "qsim": "1983212fd0abfeaa165602c9bb7edec148fdc08afb1d4eb4d0e81d1fc7b8b048",
     "mm_f2": "811812e8a37156aa1a5b94370e902ba2150332c5e245931a969b8b38ba089689",
     "sketch": "f97de2d6efae69be59eb14edc171c8a51468a811765de79cea9c634778d8312f",
-    "cli": "bafcd4e09ae55cf6ca8cec9b3b6521ae88787c9ae5ae0e2567a8ac718b3ab993",
+    "cli": "83ab536f693cdf6dae2e916e1612e136016caaa7a3bcb2cfd8fceebf6ce81b98",
     "cli_sweeps": "07d166b1c89351cfe8496ba6c02ad20fb6060edec11b4f715b1420a0cd3a796b",
     "reductions": "b3861058dd40e27add3043d8965cecd9e0dc057cd718d3adfe299d38493c10c1",
 }

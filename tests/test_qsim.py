@@ -30,6 +30,7 @@ from joinlab.qsim import (
     BipartiteGraph,
     CostModel,
     GroverPlan,
+    _Collision,
     _amplify,
     _entry_probabilities,
     _instance_messages,
@@ -755,9 +756,38 @@ def test_graph_collision_all_monte_carlo_with_cost_band():
     assert 1.0 <= mean_ratio <= 60.0
 
 
+def test_graph_collision_all_repeats_the_fewest_attempts_that_meet_the_per_edge_bound(monkeypatch):
+    # one attempt misses an edge that is there with probability at most (3/4)^12 (GroverPlan.default), so
+    # reps attempts in a row end the collection by mistake with probability at most 1/(3 (bound + 1))
+    batches = []
+    attempt = _Collision.attempt
+
+    def spy(self, ledger, rng, times=1):
+        if self.search is None or not self.search.hits:
+            batches.append(times)
+        return attempt(self, ledger, rng, times)
+
+    monkeypatch.setattr(_Collision, "attempt", spy)
+    seen = set()
+    for seed, (w_a, w_b) in enumerate(((0, 5), (1, 1), (3, 3), (3, 4), (10, 10), (18, 18), (18, 19), (24, 24))):
+        rng = random.Random(seed)
+        graph = BipartiteGraph.random(24, 24, 0.3, rng)
+        f_a, f_b = BitVector.random_weight(24, w_a, rng), BitVector.random_weight(24, w_b, rng)
+        truth = frozenset((i, j) for i in f_a.indices() for j in f_b.indices() if graph.has_edge(i, j))
+        batches.clear()
+        assert graph_collision_all(graph, f_a, f_b, CommLedger(), EXACT, rng) == truth
+        # a run that found every edge ends in one batch of the attempts that cannot find one
+        [reps] = batches
+        target = 1 / (3 * (w_a * w_b + 1))
+        assert (0.75**12) ** reps <= target
+        assert reps == 1 or (0.75**12) ** (reps - 1) > target
+        seen.add(reps)
+    assert seen == {1, 2, 3}
+
+
 def _reference_graph_collision_all(graph, f_a, f_b, ledger, model, rng):
     """``graph_collision_all`` as one :func:`_reference_graph_collision` call per attempt, removing found edges."""
-    reps = max(1, math.ceil(math.log(3.0 * (f_a.weight() * f_b.weight() + 1)) / math.log(3.0)))
+    reps = max(1, math.ceil(math.log(1 / (3 * (f_a.weight() * f_b.weight() + 1))) / math.log(0.75**12)))
     found = set()
     while True:
         for _ in range(reps):
