@@ -60,7 +60,7 @@ def _at_least_one(text: str) -> int:
 
 
 def parse_grid(text: str) -> list[int]:
-    """Parse '64,128,256' lists or '256..4096' doubling ranges of sizes >= 1."""
+    """Parse '64,128,256' lists of distinct sizes >= 1, or '256..4096' doubling ranges."""
     if ".." in text:
         lo, hi = (_at_least_one(tok) for tok in text.split("..", 1))
         if hi < lo:
@@ -74,6 +74,9 @@ def parse_grid(text: str) -> list[int]:
     values = [_at_least_one(tok) for tok in text.split(",") if tok.strip()]
     if not values:
         raise ValueError(f"empty grid {text!r}")
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"repeated value {value} in {text!r}")
     return values
 
 
@@ -440,7 +443,7 @@ def _cmd_scaling(args) -> int:
         raise ValueError("a bmm-cost sweep varies --n or --ell, not both")
     if len(args.n) * len(ells) * args.trials < 4:
         raise ValueError("need at least 4 points")
-    if len(set(ells if sweep_ell else args.n)) < 2:
+    if len(ells if sweep_ell else args.n) < 2:
         raise ValueError("need at least two distinct x values")
     points, rows = scaling_points(
         args.protocol, args.n, ells, args.trials, args.seed, CostModel.cost_model(), args.divide_log

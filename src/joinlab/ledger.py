@@ -3,8 +3,8 @@
 Every protocol in this package charges the ledger for each message it
 models, tagged with a free-form phase label, so that empirical totals can
 be compared against the analytical cost forms.  The ledger keeps one
-running amount per direction, kind and phase, and a count of messages; a
-Grover search adds all its messages at once.
+running amount per direction, kind and phase, and a count of records; a
+Grover search adds all its records at once.
 
 Charging conventions (the analyses leave constants open; these pin them):
 
@@ -52,9 +52,10 @@ class CommLedger:
     """Running totals of exchanged resources, one per ``(direction, kind, phase)``.
 
     ``charge`` adds one message's amount to its key, :meth:`_log_search` a
-    whole search's by arithmetic, and :meth:`_log` a fixed set of messages
-    any number of times.  :attr:`amounts` reads the totals back and ``len``
-    counts the messages; their order is not kept.
+    whole search's by arithmetic, and :meth:`_log` a fixed set of messages;
+    their order is not kept.  :attr:`amounts` reads the totals back.  ``len``
+    counts records, not messages: a search adds one per template per
+    measurement, however many Grover rounds the measurement took.
     """
 
     def __init__(self):
@@ -92,12 +93,12 @@ class CommLedger:
             amounts[way, kind, phase] += amount * measurements
         self._records += len(per_round) * (measurements - draws.count(0)) + len(verify) * measurements
 
-    def _log(self, messages, times: int = 1):
-        """Charge each ``(direction, kind, amount, phase)`` of ``messages`` ``times`` times, unchecked."""
+    def _log(self, messages):
+        """Charge each ``(direction, kind, amount, phase)`` of ``messages`` once, unchecked."""
         amounts = self._amounts
         for way, kind, amount, phase in messages:
-            amounts[way, kind, phase] += amount * times
-        self._records += len(messages) * times
+            amounts[way, kind, phase] += amount
+        self._records += len(messages)
 
     @property
     def amounts(self) -> dict[tuple[str, str, str], int]:
@@ -130,4 +131,4 @@ class CommLedger:
         return self._records
 
     def __repr__(self) -> str:
-        return f"CommLedger(bits={self.bits}, qubits={self.qubits}, messages={len(self)})"
+        return f"CommLedger(bits={self.bits}, qubits={self.qubits}, records={len(self)})"

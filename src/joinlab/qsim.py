@@ -137,7 +137,7 @@ def _entry_probabilities(m: int, t: int, iterations: int) -> tuple[float, float]
     return marked, unmarked
 
 
-def _amplify(domain, hits: list, plan, model, rng, outer=False, times=1):
+def _amplify(domain, hits: list, plan, model, rng, outer=False):
     """Measure amplified candidates from ``domain`` (a sequence of indices) until one is marked.
 
     The sampling core of every search here.  ``hits`` lists the positions
@@ -145,8 +145,7 @@ def _amplify(domain, hits: list, plan, model, rng, outer=False, times=1):
     is the first marked entry.  Returns ``(witness, draws)``: the marked
     entry found, or None, and a fresh list of each measurement's iteration
     count in draw order, which the caller hands to
-    :meth:`CommLedger._log_search` with its message templates.  With
-    nothing marked, ``times`` runs that many (failing) searches as one.
+    :meth:`CommLedger._log_search` with its message templates.
 
     Exact mode measures once per cap of the plan: it draws the iteration
     count as ``rng.randrange(cap)`` would (or takes the cap when the plan
@@ -168,7 +167,7 @@ def _amplify(domain, hits: list, plan, model, rng, outer=False, times=1):
         # The mass through entry i, pu * (i + 1 - c) + pm * c with c hits up to i, sums two
         # non-decreasing rounded products, so masses are sorted.  Through the last entry it is the
         # total, which r (the total times a float below 1) never reaches: no fallback is needed.
-        for cap, width in plan._widths if t else plan._widths * times:
+        for cap, width in plan._widths:
             iterations = cap
             if randomize:
                 iterations = getrandbits(width)
@@ -187,7 +186,7 @@ def _amplify(domain, hits: list, plan, model, rng, outer=False, times=1):
 
     draws = [math.ceil(math.sqrt(m / (max(t, 1) if outer else t + 1)))]
     if t == 0:
-        return None, draws * times
+        return None, draws
     return domain[hits[rng.randrange(t)]], draws
 
 
@@ -210,8 +209,8 @@ class _Search:
         self.verify = [(out, QUBITS, width, phase), (back, BITS, outcome_bits(n), phase)]
         self.support, self.model, self.hits = support, model, hits
 
-    def run(self, ledger: CommLedger, rng: random.Random, plan=None, stats=None, times=1):
-        witness, draws = _amplify(self.support, self.hits, plan, self.model, rng, times=times)
+    def run(self, ledger: CommLedger, rng: random.Random, plan=None, stats=None):
+        witness, draws = _amplify(self.support, self.hits, plan, self.model, rng)
         ledger._log_search(draws, self.per_round, self.verify)
         if stats is not None:
             stats.setdefault("iterations", []).extend(draws)
@@ -391,11 +390,10 @@ class _Collision:
         left, right = (self.own, cover) if self.own_is_left else (cover, self.own)
         self.search = _disj_search(left, right, self.model)
 
-    def attempt(self, ledger: CommLedger, rng: random.Random, times: int = 1):
-        """One :func:`graph_collision` call: disjointness, then the partner pick and its report.
-        With nothing marked every call fails, so ``times`` charges and draws that many at once."""
-        ledger._log(_handshake(*self.sizes), times)
-        witness = None if self.search is None else self.search.run(ledger, rng, times=times)
+    def attempt(self, ledger: CommLedger, rng: random.Random):
+        """One :func:`graph_collision` call: disjointness, then the partner pick and its report."""
+        ledger._log(_handshake(*self.sizes))
+        witness = None if self.search is None else self.search.run(ledger, rng)
         if witness is None:
             return None
         partner_pool = list(_iter_bits(self.other.bits & ~self.missing[witness]))
@@ -440,10 +438,9 @@ def graph_collision_all(
 
     Removes every edge it finds from ``graph``.  Each attempt charges and
     draws what one :func:`graph_collision` call does, but the disjointness
-    question is built once per graph state, not per attempt, and attempts
-    that cannot find an edge run as one batch.  Vector lengths that do not
-    match the graph raise ``DimensionError`` before any charge, draw or
-    removal.
+    question is built once per graph state, not per attempt.  Vector
+    lengths that do not match the graph raise ``DimensionError`` before any
+    charge, draw or removal.
     """
     state = _Collision(graph, f_a, f_b, model)
     # repetitions of a call that misses with probability at most _MISS_BOUND, so a false "empty"
@@ -451,9 +448,6 @@ def graph_collision_all(
     reps = _repeats(1 / (3 * (f_a.weight() * f_b.weight() + 1)))
     found: set[tuple[int, int]] = set()
     while True:
-        if state.search is None or not state.search.hits:
-            state.attempt(ledger, rng, reps)
-            return frozenset(found)
         for _ in range(reps):
             edge = state.attempt(ledger, rng)
             if edge is not None:

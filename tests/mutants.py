@@ -114,6 +114,13 @@ MUTANTS = [
         [FINAL_SEARCHES, COLLECT_REPEATS],
     ),
     (
+        "graph_collision_all tries once",
+        "qsim.py",
+        "reps = _repeats(1 / (3 * (f_a.weight() * f_b.weight() + 1)))",
+        "reps = 1",
+        [COLLECT_REPEATS],
+    ),
+    (
         # a block: exact mode's collect step in compact rows and columns, which moves the zero rows of A
         # and the unused columns that a searched cover can hold, and so changes the draws
         "exact collect step in compact coordinates",

@@ -67,6 +67,8 @@ def test_parse_grid():
         parse_grid("")
     with pytest.raises(ValueError):
         parse_grid("8,0")
+    with pytest.raises(ValueError, match="repeated value 64 in '64,128,064'"):
+        parse_grid("64,128,064")
 
 
 def test_derive_seed_stable_and_distinct():
@@ -233,9 +235,9 @@ def test_scaling_rows_check_answers(protocol, module, target, answer, monkeypatc
     [
         (["--protocol", "bmm-cost", "--n", "8192", "--trials", "3"], "need at least 4 points"),
         (["--protocol", "disj-cost", "--n", "1024", "--trials", "3"], "need at least 4 points"),
-        (["--protocol", "bmm-cost", "--n", "64", "--ell", "16,16", "--trials", "3"], "need at least two distinct x values"),
-        (["--protocol", "bmm-cost", "--n", "64,64", "--trials", "3"], "need at least two distinct x values"),
-        (["--protocol", "disj-cost", "--n", "1024,1024", "--trials", "2"], "need at least two distinct x values"),
+        (["--protocol", "bmm-cost", "--n", "64", "--ell", "16", "--trials", "4"], "need at least two distinct x values"),
+        (["--protocol", "bmm-cost", "--n", "64", "--trials", "4"], "need at least two distinct x values"),
+        (["--protocol", "disj-cost", "--n", "1024", "--trials", "4"], "need at least two distinct x values"),
         (["--protocol", "bmm-cost", "--n", "256,1024", "--ell", "16,64", "--trials", "1"], "a bmm-cost sweep varies --n or --ell, not both"),
     ],
 )

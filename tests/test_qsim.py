@@ -121,24 +121,22 @@ def test_closed_form_draws_match_statevector(case):
     assert (got, rng_got.random()) == (want, rng_want.random())
 
 
-def _reference_bisect_amplify(domain, marked_mask, plan, rng, times=1):
+def _reference_bisect_amplify(domain, marked_mask, plan, rng):
     """The exact branch of ``_amplify`` that bisects prefix masses on every draw, whatever t is,
-    over a list of the running marked counts built from a bool mask.  With nothing marked it
-    runs the plan ``times`` times."""
+    over a list of the running marked counts built from a bool mask."""
     m = len(domain)
     marked = np.cumsum(marked_mask).tolist()
     t = marked[-1]
     draws = []
-    for _ in range(1 if t else times):
-        for iterations in _stdlib_draws(plan, rng):
-            pm, pu = _entry_probabilities(m, t, iterations)
-            r = rng.random() * (pu * (m - t) + pm * t)
-            candidate = bisect.bisect_right(
-                range(m - 1), r, key=lambda i: pu * (i + 1 - marked[i]) + pm * marked[i]
-            )
-            draws.append(iterations)
-            if marked_mask[candidate]:
-                return domain[candidate], draws
+    for iterations in _stdlib_draws(plan, rng):
+        pm, pu = _entry_probabilities(m, t, iterations)
+        r = rng.random() * (pu * (m - t) + pm * t)
+        candidate = bisect.bisect_right(
+            range(m - 1), r, key=lambda i: pu * (i + 1 - marked[i]) + pm * marked[i]
+        )
+        draws.append(iterations)
+        if marked_mask[candidate]:
+            return domain[candidate], draws
     return None, draws
 
 
@@ -373,15 +371,15 @@ def test_plan_draws_match_randrange(caps, seed):
 
 
 @given(st.lists(st.one_of(caps_near_powers, st.integers(0, 10**6)), min_size=1, max_size=30),
-       st.booleans(), st.integers(1, 4), st.integers(0, 2**64))
-@example([1, 2, 3, 4, 5, 7, 8, 9, 2**64 - 1, 2**64, 2**64 + 1], True, 3, 0)
-@example([0, 3, 0], False, 2, 1)
-def test_unmarked_draws_match_draws_zipped_with_random(caps, randomize, times, seed):
-    # times runs of the plan's draws, each value followed by its measurement's random(), in one list
+       st.booleans(), st.integers(0, 2**64))
+@example([1, 2, 3, 4, 5, 7, 8, 9, 2**64 - 1, 2**64, 2**64 + 1], True, 0)
+@example([0, 3, 0], False, 1)
+def test_unmarked_draws_match_draws_zipped_with_random(caps, randomize, seed):
+    # the plan's draws, each value followed by its measurement's random()
     plan = GroverPlan(tuple(c or 1 for c in caps) if randomize else tuple(caps), randomize)
     got, want = random.Random(seed), random.Random(seed)
-    expect = [count for _ in range(times) for count, _r in zip(_stdlib_draws(plan, want), iter(want.random, None))]
-    assert _amplify(range(1 + len(caps)), [], plan, EXACT, got, times=times) == (None, expect)
+    expect = [count for count, _r in zip(_stdlib_draws(plan, want), iter(want.random, None))]
+    assert _amplify(range(1 + len(caps)), [], plan, EXACT, got) == (None, expect)
     assert got.getstate() == want.getstate()
 
 
@@ -391,29 +389,28 @@ def draw_cases(draw):
     randomize = draw(st.booleans())
     m = draw(st.integers(1, 64))
     t = draw(st.sampled_from((0, 1, m)))
-    return caps, randomize, m, t, draw(st.integers(1, 4)), draw(st.integers(0, 2**64))
+    return caps, randomize, m, t, draw(st.integers(0, 2**64))
 
 
 @given(draw_cases())
-@example(([1, 2, 3, 4, 5, 7, 8, 9, 2**64 - 1, 2**64, 2**64 + 1], True, 1, 0, 3, 0))
-@example(([1, 2, 3, 4, 5, 7, 8, 9, 2**64 - 1, 2**64, 2**64 + 1], True, 64, 1, 2, 1))
-@example(([1, 2, 3, 4, 5, 7, 8, 9, 2**64 - 1, 2**64, 2**64 + 1], True, 9, 9, 1, 2))
-@example(([0, 3, 0], False, 5, 0, 2, 3))
-@example(([0, 3, 0], False, 5, 1, 4, 4))
+@example(([1, 2, 3, 4, 5, 7, 8, 9, 2**64 - 1, 2**64, 2**64 + 1], True, 1, 0, 0))
+@example(([1, 2, 3, 4, 5, 7, 8, 9, 2**64 - 1, 2**64, 2**64 + 1], True, 64, 1, 1))
+@example(([1, 2, 3, 4, 5, 7, 8, 9, 2**64 - 1, 2**64, 2**64 + 1], True, 9, 9, 2))
+@example(([0, 3, 0], False, 5, 0, 3))
+@example(([0, 3, 0], False, 5, 1, 4))
 def test_exact_draws_match_randrange(case):
-    # each measurement draws randrange(cap), or takes the cap of a fixed plan, then its random();
-    # with nothing marked, times runs of the plan in one list
-    caps, randomize, m, t, times, seed = case
+    # each measurement draws randrange(cap), or takes the cap of a fixed plan, then its random()
+    caps, randomize, m, t, seed = case
     plan = GroverPlan(tuple(c or 1 for c in caps) if randomize else tuple(caps), randomize)
     hits = sorted(random.Random(seed).sample(range(m), t))
     mask = np.zeros(m, dtype=bool)
     mask[hits] = True
     domain = range(1000, 1000 + m)
     got, want = random.Random(seed), random.Random(seed)
-    found, draws = _amplify(domain, hits, plan, EXACT, got, times=times)
-    assert (found, draws) == _reference_bisect_amplify(domain, mask, plan, want, times)
+    found, draws = _amplify(domain, hits, plan, EXACT, got)
+    assert (found, draws) == _reference_bisect_amplify(domain, mask, plan, want)
     assert got.getstate() == want.getstate()
-    assert t or len(draws) == times * len(caps)
+    assert t or len(draws) == len(caps)
 
 
 def test_default_plans_are_shared_per_arguments():
@@ -759,13 +756,13 @@ def test_graph_collision_all_monte_carlo_with_cost_band():
 def test_graph_collision_all_repeats_the_fewest_attempts_that_meet_the_per_edge_bound(monkeypatch):
     # one attempt misses an edge that is there with probability at most (3/4)^12 (GroverPlan.default), so
     # reps attempts in a row end the collection by mistake with probability at most 1/(3 (bound + 1))
-    batches = []
+    outcomes = []
     attempt = _Collision.attempt
 
-    def spy(self, ledger, rng, times=1):
-        if self.search is None or not self.search.hits:
-            batches.append(times)
-        return attempt(self, ledger, rng, times)
+    def spy(self, ledger, rng):
+        edge = attempt(self, ledger, rng)
+        outcomes.append(edge is None)
+        return edge
 
     monkeypatch.setattr(_Collision, "attempt", spy)
     seen = set()
@@ -774,10 +771,10 @@ def test_graph_collision_all_repeats_the_fewest_attempts_that_meet_the_per_edge_
         graph = BipartiteGraph.random(24, 24, 0.3, rng)
         f_a, f_b = BitVector.random_weight(24, w_a, rng), BitVector.random_weight(24, w_b, rng)
         truth = frozenset((i, j) for i in f_a.indices() for j in f_b.indices() if graph.has_edge(i, j))
-        batches.clear()
+        outcomes.clear()
         assert graph_collision_all(graph, f_a, f_b, CommLedger(), EXACT, rng) == truth
-        # a run that found every edge ends in one batch of the attempts that cannot find one
-        [reps] = batches
+        # a run that found every edge ends in a run of reps failing attempts, after its last hit or from the start
+        reps = (outcomes[::-1] + [False]).index(False)
         target = 1 / (3 * (w_a * w_b + 1))
         assert (0.75**12) ** reps <= target
         assert reps == 1 or (0.75**12) ** (reps - 1) > target
@@ -821,8 +818,7 @@ def collision_cases(draw):
 @example((5, 5, 0.4, 0, 3, EXACT, 5))
 @example((8, 8, 0.8, 5, 6, CostModel.cost_model(), 6))
 def test_graph_collision_all_matches_a_loop_of_single_calls(case):
-    # the question is built once per graph state, and the attempts that cannot find an edge
-    # run as one batch; the loop builds the question and runs every attempt on its own
+    # the question is built once per graph state; the loop builds it for every attempt
     n_left, n_right, density, w_a, w_b, model, seed = case
     rng = random.Random(seed)
     graph = BipartiteGraph.random(n_left, n_right, density, rng)
