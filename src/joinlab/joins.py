@@ -329,7 +329,7 @@ def freivalds_round(a_side: BitMatrix, b_side: BitMatrix, v: BitVector, ledger: 
 class SensingSketch:
     """Linear parity sketch with bucketed index checksums and a peeling decoder.
 
-    Each of ``levels = ceil(log2(100 kappa))`` levels hashes coordinates into
+    Each of ``levels = 5`` levels hashes coordinates into
     ``2 * kappa`` buckets; a bucket is one packed field, ``parity | code << 1``,
     holding the parity and the XOR of the per-level codes of the coordinates
     in it.  ``sketch[i]`` is coordinate i's measurement word, the image of the
@@ -351,17 +351,43 @@ class SensingSketch:
     levels peel those false candidates.  When codes outnumber coordinates, d
     puts the preimage of code 0 at or above n, so no coordinate has code 0.
 
-    The sizes are set for vectors of at most kappa ones.  A coordinate that
-    shares its bucket with another one at every level is never pure until
-    one of those is peeled, so under independent uniform buckets a vector of
-    w <= kappa ones fails to decode with probability at most
-    ``w * ((w - 1) / (2 * kappa)) ** levels <= kappa * 2**-levels <= 1/100``,
-    the chance that some coordinate of it has no bucket to itself, as long
-    as no false candidate is peeled.  A bucket holding three or more
-    coordinates can name a fourth coordinate hashed to it, and confirmation
-    at a second level keeps those out.  Past the sparsity, decode returns
-    None; it returns a wrong vector only when that vector's measurement
-    equals the input's.
+    The sizes are set for vectors of at most kappa ones.  As long as no
+    false candidate is peeled, peeling stops early only on a stopping set
+    (Goodrich and Mitzenmacher, Invertible Bloom Lookup Tables, 2011): a
+    set S of s >= 2 of the vector's w ones such that at every level no
+    bucket holds exactly one member of S.  Under independent uniform
+    buckets, a vector of w <= kappa ones fails to decode with probability
+    at most ``sum(C(w, s) * p_s(2 kappa) ** levels for s in 2..w)``, where
+    p_s(B) is the chance that s balls in B bins leave no bin with exactly
+    one.  The sum grows with w.  ``levels = 5`` keeps it at w = kappa
+    within 1/(100 kappa^2) for every kappa, and no fewer levels do for any
+    kappa >= 2:
+
+    * p_2(B) = 1/B, so the s = 2 term is (kappa - 1)/(64 kappa^4), at most
+      1.57/kappa of the target; with 4 levels it is (kappa - 1)/(32 kappa^3),
+      over the target for every kappa >= 2.  At kappa = 1 the sum is empty.
+    * For kappa <= 40 the tests sum the bound exactly; its largest ratio to
+      the target is 0.39, at kappa = 2.
+    * For kappa > 40: the s = 3 term is C(kappa, 3) (2 kappa)^-10.  For
+      s >= 4, s balls with no bin to themselves fill at most s/2 bins, so
+      p_s(2 kappa) <= (e s / (4 kappa))^(s/2), and with
+      C(kappa, s) <= (e kappa/s)^s e^(-s^2 / (2 kappa)) the term is at most
+      r^s, r = 1.035 (s/kappa)^1.5 e^(-s/(2 kappa)).  From s = 4 these
+      bounds at least halve per step while (s + 1)/kappa <= 1/5, so they sum
+      to at most twice the s = 4 one, below 9400 kappa^-6; past that, s log r
+      being convex in s, each is below e^(2.5 - 0.465 kappa).  The sum is
+      then at most (kappa - 1)/(64 kappa^4) + C(kappa, 3) (2 kappa)^-10
+      + 9400 kappa^-6 + kappa e^(2.5 - 0.465 kappa), 0.82 of the target at
+      kappa = 41 and a falling share of it beyond.
+
+    The target is per vector so that it covers a batch: one
+    :func:`classify_columns` batch holds at most ell < kappa^2 nonzero
+    columns, so by the union bound its columns of at most kappa ones all
+    decode with probability at least 99/100.  A bucket holding three
+    or more coordinates can name a fourth coordinate hashed to it, and
+    confirmation at a second level keeps those out.  Past the sparsity,
+    decode returns None; it returns a wrong vector only when that vector's
+    measurement equals the input's.
 
     Construction only fixes the sizes.  The per-level parameters are drawn
     on first use, and a coordinate is placed (its word and its field at each
@@ -378,7 +404,7 @@ class SensingSketch:
         self.n = n
         self.kappa = kappa
         self.seed = seed
-        self.levels = math.ceil(math.log2(100.0 * kappa))
+        self.levels = 5
         self.buckets = 2 * kappa
         self.code_bits = max(1, (n - 1).bit_length())
         self.measurement_len = self.levels * self.buckets * (1 + self.code_bits)
@@ -499,9 +525,11 @@ def classify_columns(
     ones.  Bob folds them through column j of B; the sketch is linear, so
     that is the sketch of column j of AB, and the simulation encodes the
     column directly.  The result maps each nonzero column that decodes to
-    its decoded bits.  A nonzero column missing from it is dense: decode
+    its decoded bits.  A nonzero column missing from it goes dense: decode
     returned None, which it does past the sketch's sparsity in place of a
-    wrong vector (see :class:`SensingSketch`).
+    wrong vector.  The batch holds at most ell < kappa^2 nonzero columns,
+    so its columns of at most kappa ones all decode with probability at
+    least 99/100 (the union bound in :class:`SensingSketch`).
     """
     n = instance.A.rows
     sketch = SensingSketch(n, math.ceil(1.1 * math.sqrt(instance.ell)), seed=rng.getrandbits(32))
@@ -516,7 +544,7 @@ def classify_columns(
 
 
 def mm_f2(instance: JoinInstance, ledger: CommLedger, rng: random.Random) -> BitMatrix:
-    """Full F2 product under the sparse-output promise, in O(n sqrt(ell) log^2 n) bits.
+    """Full F2 product under the sparse-output promise, in O(n sqrt(ell) log n) bits.
 
     Step 1 (:func:`classify_columns`) sends one sketch batch, and Bob
     decodes every nonzero column of the product from it.  Step 2: Bob
@@ -525,13 +553,16 @@ def mm_f2(instance: JoinInstance, ledger: CommLedger, rng: random.Random) -> Bit
     exactly.  The reply is one ``dense-transfer`` charge: ``integer_bits(n)``
     bits for the count, sent even when it is 0, plus ``index_qubits(n) + n``
     bits per such column.  Sparse columns end at Bob and dense ones at
-    Alice.  At most ell / kappa < sqrt(ell) columns hold more than kappa
-    ones, so the reply stays within n sqrt(ell) bits plus what decoding
-    misses below kappa.  A second batch would cost ``measurement_len * n``
-    bits to save at most n + log n bits per column the first one missed,
-    so it pays only when the decode-failure rate times ell exceeds
-    ``measurement_len``; the failure bound in :class:`SensingSketch` keeps
-    that product far below 1 on every size here, so one batch is sent.
+    Alice.  The batch is ``measurement_len * n`` bits, 5 levels of 2 kappa
+    fields of 1 + ceil(log2 n) bits per column of A, so O(n sqrt(ell) log n).
+    At most ell / kappa < sqrt(ell) columns hold more than kappa ones, so
+    the reply stays within n sqrt(ell) bits plus what decoding misses below
+    kappa.  A second batch would cost ``measurement_len * n`` bits to save
+    at most n + log n bits per column the first one missed.  Under the
+    batch bound in :class:`SensingSketch` the first batch misses fewer than
+    1/100 columns of at most kappa ones in expectation, so a second one
+    would save under (n + log n) / 100 bits in expectation, far less than
+    it costs, and one batch is sent.
     Both steps read ``oracle_product``, the F2 product of an F2 instance.
     """
     A = instance.A

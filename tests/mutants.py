@@ -34,6 +34,7 @@ REPLAY_LAW = "tests/test_joins.py::test_replay_charges_follow_the_per_round_form
 MM_F2_CHARGES = "tests/test_joins.py::test_mm_f2_charges_follow_the_one_batch_formulas"
 MM_F2_DENSE = "tests/test_joins.py::test_mm_f2_ships_each_column_past_the_sketch_dense"
 DECODE_LAW = "tests/test_joins.py::test_sketch_decodes_its_design_sparsity_within_the_stated_failure_bound"
+LEVELS_LAW = "tests/test_joins.py::test_sketch_levels_are_the_fewest_that_meet_the_batch_bound"
 SKETCH_HASHES = "tests/test_joins.py::test_sketch_hashes_are_invertible_codes_and_in_range_buckets"
 SKETCH_ENCODE = "tests/test_joins.py::test_sketch_encode_matches_field_by_field_reference"
 SKETCH_DECODE = "tests/test_joins.py::test_sketch_decode_matches_reference_decoder"
@@ -158,6 +159,13 @@ MUTANTS = [
         "not (residual ^ word) >> offsets[other] & mask for other in levels",
         "False for other in levels",
         [DECODE_LAW, SKETCH_DECODE],
+    ),
+    (
+        "sketch with four levels",
+        "joins.py",
+        "self.levels = 5",
+        "self.levels = 4",
+        [LEVELS_LAW, "tests/test_joins.py::test_sketch_measurement_length"],
     ),
     (
         "sketch code map without the xorshift",

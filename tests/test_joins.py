@@ -1,9 +1,12 @@
 """Join protocols against the brute-force products, plus cost-model checks."""
 
 import gc
+import itertools
 import math
 import random
 import weakref
+from collections import Counter
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -646,7 +649,61 @@ def test_sketch_linearity_exact():
 def test_sketch_measurement_length():
     sk = SensingSketch(256, 8, seed=0)
     assert sk.measurement_len == sk.levels * 2 * 8 * (1 + 8)
-    assert sk.levels == math.ceil(math.log2(100 * 8))
+    assert sk.levels == 5
+
+
+def _no_singleton_chance(s: int, bins: int) -> Fraction:
+    """p_s(B): the chance that s balls thrown into B bins leave no bin with exactly one ball.
+
+    Inclusion-exclusion over the j bins that do hold exactly one: choose them, give each one of the
+    balls, and throw the other s - j balls into the other B - j bins.
+    """
+    placements = sum(
+        (-1) ** j * math.comb(bins, j) * math.comb(s, j) * math.factorial(j) * (bins - j) ** (s - j)
+        for j in range(min(s, bins) + 1)
+    )
+    return Fraction(placements, bins**s)
+
+
+def _stopping_set_bound(kappa: int, levels: int) -> Fraction:
+    """The sketch docstring's failure bound at w = kappa ones: the union over sets of s >= 2 ones of
+    the chance that at every level no bucket holds exactly one of them."""
+    return sum(
+        (math.comb(kappa, s) * _no_singleton_chance(s, 2 * kappa) ** levels for s in range(2, kappa + 1)),
+        Fraction(0),
+    )
+
+
+def test_sketch_levels_are_the_fewest_that_meet_the_batch_bound():
+    # p_s(B) against every one of the B^s placements
+    for bins in range(1, 7):
+        for s in range(1, 6):
+            stuck = sum(1 not in Counter(place).values() for place in itertools.product(range(bins), repeat=s))
+            assert _no_singleton_chance(s, bins) == Fraction(stuck, bins**s), (s, bins)
+    # one batch holds at most ell < kappa^2 nonzero columns, so a per-vector target of 1/(100 kappa^2)
+    # bounds the batch's failure by 1/100; the sketch runs the fewest levels that meet it
+    assert _stopping_set_bound(1, SensingSketch(64, 1, seed=0).levels) == 0
+    for kappa in range(2, 41):
+        levels = SensingSketch(64, kappa, seed=0).levels
+        target = Fraction(1, 100 * kappa**2)
+        assert _stopping_set_bound(kappa, levels) <= target < _stopping_set_bound(kappa, levels - 1), kappa
+        assert math.comb(kappa, 2) * _no_singleton_chance(2, 2 * kappa) ** levels == Fraction(kappa - 1, 64 * kappa**4)
+    # past kappa = 40 the docstring's analytic tail: the s = 2 and s = 3 terms exactly, and the
+    # bounds that at least halve from s = 4 and stay below e^(2.5 - 0.465 kappa) beyond kappa / 5
+    shares = []
+    for kappa in range(41, 2001):
+        tail = (kappa - 1) / (64 * kappa**4) + math.comb(kappa, 3) / (2 * kappa) ** 10
+        tail += 9400 / kappa**6 + kappa * math.exp(2.5 - 0.465 * kappa)
+        shares.append(tail * 100 * kappa**2)
+    assert shares[0] <= 0.82 and shares == sorted(shares, reverse=True)
+
+    def log_term(s, kappa):  # s log r, r = 1.035 (s/kappa)^1.5 e^(-s/(2 kappa)) with 1.035 read as e^3.5 / 32
+        return s * (3.5 - math.log(32) + 1.5 * math.log(s / kappa) - s / (2 * kappa))
+
+    for kappa in (41, 100, 1000):
+        assert 2 * math.exp(log_term(4, kappa)) <= 9400 / kappa**6
+        assert all(log_term(s + 1, kappa) <= log_term(s, kappa) - math.log(2) for s in range(4, kappa // 5))
+        assert all(log_term(s, kappa) <= 2.5 - 0.465 * kappa for s in range(kappa // 5, kappa + 1))
 
 
 def test_sketch_recovery_rate_quick():
@@ -688,13 +745,12 @@ def _binomial_upper(trials: int, p: float, tail: float) -> int:
 
 @pytest.mark.parametrize("n, kappa", [(256, 8), (512, 9)])
 def test_sketch_decodes_its_design_sparsity_within_the_stated_failure_bound(n, kappa):
-    # the docstring's bound at w = kappa ones, the worst weight it covers: kappa ((kappa - 1) / (2 kappa))^levels,
-    # 2.1e-3 at (256, 8) and 2.7e-3 at (512, 9).  Over 4000 fresh sketches a decoder within it exceeds the
-    # allowed failures (21 and 25) with probability at most 1e-4, and one that fails 1 vector in 100 (40
-    # expected) stays within them with probability below 0.01
+    # the docstring's stopping-set bound at w = kappa ones, the worst weight it covers: 2.67e-5 at (256, 8)
+    # and 1.91e-5 at (512, 9).  Over 4000 fresh sketches a decoder within it exceeds the allowed failures
+    # (3 and 2) with probability at most 1e-4, and one that fails 1 vector in 100 (40 expected) stays
+    # within them with probability below 0.01
     trials = 4000
-    levels = math.ceil(math.log2(100 * kappa))
-    bound = kappa * ((kappa - 1) / (2 * kappa)) ** levels
+    bound = float(_stopping_set_bound(kappa, SensingSketch(n, kappa, seed=0).levels))
     allowed = _binomial_upper(trials, bound, 1e-4)
     assert sum(math.comb(trials, t) * 0.01**t * 0.99 ** (trials - t) for t in range(allowed + 1)) < 0.01
     failed = 0

@@ -46,9 +46,9 @@ EXPECTED = {
     "bmm_cost_model": "37b54e15b0ed5be92c70f7aacdff991f4d72398a9199ddbb6b73538e03eeabf6",
     "bmm_cost_model_wide": "0ceccd3c9bc58f72b0abd35fd8558946ff4c9d46c2e59a40dd2cc5087676a0cf",
     "qsim": "1983212fd0abfeaa165602c9bb7edec148fdc08afb1d4eb4d0e81d1fc7b8b048",
-    "mm_f2": "811812e8a37156aa1a5b94370e902ba2150332c5e245931a969b8b38ba089689",
-    "sketch": "f97de2d6efae69be59eb14edc171c8a51468a811765de79cea9c634778d8312f",
-    "cli": "83ab536f693cdf6dae2e916e1612e136016caaa7a3bcb2cfd8fceebf6ce81b98",
+    "mm_f2": "1d06f84bcf28909e57292358ed533133cda10e17125a66f1df105c06533301b4",
+    "sketch": "6940a86f8c3ead0c427ecf799a1614d790ec4e7ad230f7fa0486cb123278a630",
+    "cli": "d54d2532a5ada500e0bc6c2766017ff3ed4b1215330b532e846cea164e5aee1a",
     "cli_sweeps": "07d166b1c89351cfe8496ba6c02ad20fb6060edec11b4f715b1420a0cd3a796b",
     "reductions": "b3861058dd40e27add3043d8965cecd9e0dc057cd718d3adfe299d38493c10c1",
 }
@@ -181,12 +181,14 @@ def qsim_digest() -> str:
 def _mm_f2_cases():
     """(seed, instance) pairs for mm_f2, ending in its product or a promise violation.
 
-    The last case's two columns of 40 ones are past what a sketch for
-    kappa = 5 holds, so they go dense; every other nonzero column here
-    decodes from the one sketch batch.
+    The last two cases overflow their promise.  In the first of them 4 of
+    the 24 columns, all past kappa = 4 ones, do not decode and go dense;
+    in the last, both columns of 40 ones are past what a sketch for
+    kappa = 5 holds, so they go dense.  Every other nonzero column here
+    holds at most kappa ones and decodes from the one sketch batch.
     """
     for n in (16, 48, 128):
-        for ell in (4, n // 2, 2 * n):  # 2n puts columns on the dense side
+        for ell in (4, n // 2, 2 * n):  # 2n puts up to 12 ones in a column, still within kappa
             for trial in range(2):
                 seed = 9000 + 131 * n + 17 * ell + trial
                 yield seed, gen_promise_instance(n, n, ell, seed, "f2")
@@ -198,7 +200,8 @@ def _mm_f2_cases():
         left = [BitVector.random(n, 0.5, rng) for _ in range(k)]
         right = [BitVector.random(n, 0.5, rng) for _ in range(k)]
         yield 600 + n + k, embed_ip_f2(left, right, n).instance
-    # a promise far below the product's weight: dense columns overflow it
+    # a promise far below the product's weight: every column holds 8 to 16 ones, past kappa = 4;
+    # 4 of them go dense (a 121-bit reply), 20 still decode, and the product overflows the promise
     a, b = BitMatrix.random(24, 24, 0.3, rng), BitMatrix.random(24, 24, 0.3, rng)
     yield 7, JoinInstance(a, b, ell=9, kind="f2")
     # two weight-40 columns, far over the promise of 16 ones
