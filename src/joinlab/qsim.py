@@ -70,6 +70,11 @@ class CostModel:
         return cls(COST_MODEL)
 
 
+def _ceiling(n: int) -> int:
+    """The least h >= 1 with 4 h^2 (n - 1) >= n^2, in integers: h^2 >= ceil(n^2 / (4 (n - 1)))."""
+    return 1 if n == 1 else math.isqrt(-(-n * n // (4 * (n - 1))) - 1) + 1
+
+
 @dataclass(frozen=True)
 class GroverPlan:
     """Iteration schedule for search with unknown marked count.
@@ -77,10 +82,10 @@ class GroverPlan:
     ``caps`` holds one int cap per measurement, in draw order: each
     measurement draws ``randrange(cap)`` iterations, or takes the cap itself
     when ``randomize`` is off.  :func:`_amplify` makes the draws.  The
-    default plan grows caps geometrically up to the classic
-    ceil(pi/4 sqrt(m)) ceiling and then lingers there, which keeps the
-    expected cost at the sqrt(m/(t+1)) scale while bounding the false
-    negative rate for any marked count.
+    default plan grows caps geometrically up to the ceiling that Lemma 2 of
+    Boyer, Brassard, Hoyer and Tapp (1998) needs, about sqrt(m)/2, and
+    then lingers there, which keeps the expected cost at the sqrt(m/(t+1))
+    scale while bounding the false negative rate for any marked count.
     """
 
     caps: tuple[int, ...]
@@ -100,15 +105,15 @@ class GroverPlan:
     @classmethod
     @functools.lru_cache(maxsize=1024)  # plans are frozen, so callers can share one
     def default(cls, support_size: int) -> "GroverPlan":
-        """The growth caps below the ceiling, then four ceiling caps, each cap three times.
+        """The distinct growth caps below the ceiling, then four ceiling caps, each cap three times.
 
-        So the plan ends in 12 measurements at the ceiling h = ceil(pi/4 sqrt(N))
-        over N = ``support_size`` entries, and one search under it misses with
-        probability at most ``_MISS_BOUND`` = (3/4)^12 for every N and marked
-        count t >= 1.  With t = N every measurement hits.  For 1 <= t <= N - 1,
+        So the plan ends in 12 measurements at the ceiling h over N =
+        ``support_size`` entries, the least integer with 4 h^2 (N - 1) >= N^2
+        (h = 1 at N = 1), and one search under it misses with probability at
+        most ``_MISS_BOUND`` = (3/4)^12 for every N and marked count t >= 1.
+        With t = N every measurement hits.  For 1 <= t <= N - 1,
         sin^2 theta = t/N gives sin 2 theta = 2 sqrt(t (N - t)) / N
-        >= 2 sqrt(N - 1) / N, and since N <= 2 (N - 1),
-        h >= (pi/4) sqrt(N) > sqrt(N/2) >= N / (2 sqrt(N - 1)) >= 1 / sin 2 theta.
+        >= 2 sqrt(N - 1) / N, so h >= N / (2 sqrt(N - 1)) >= 1 / sin 2 theta.
         A measurement after an iteration count drawn uniformly from [0, h)
         with h >= 1 / sin 2 theta hits with probability at least 1/4 (Boyer,
         Brassard, Hoyer, Tapp 1998, Lemma 2), so each ceiling measurement
@@ -116,10 +121,11 @@ class GroverPlan:
         """
         if support_size < 1:
             raise ValueError("support must be nonempty")
-        hard = math.ceil(math.pi / 4.0 * math.sqrt(support_size))
+        hard = _ceiling(support_size)
         growth, s = [], 0
         while (cap := math.ceil(2.0 ** (s / 2.0))) < hard:
-            growth.append(cap)
+            if cap not in growth:
+                growth.append(cap)
             s += 1
         return cls(tuple(cap for cap in growth + [hard] * 4 for _ in range(3)))
 
@@ -461,8 +467,7 @@ def graph_collision_all(
 @functools.lru_cache(maxsize=1024)  # tuples, so every search with these arguments can share them
 def _instance_messages(big_n: int, inner_cost_qubits: int) -> tuple[tuple, tuple]:
     """The per-round and verify templates of :func:`instance_search` over big_n instances."""
-    cap = max(1, math.ceil(math.pi / 4.0 * math.sqrt(big_n)))
-    boost = max(1, math.ceil(math.log2(100.0 * cap)))
+    boost = math.ceil(math.log2(100.0 * GroverPlan.default(big_n).caps[-1]))
     inner_per_call = boost * inner_cost_qubits
     width = index_qubits(big_n)
     shuttle, inner = "instance-shuttle", "inner-protocol"
@@ -492,7 +497,9 @@ def instance_search(
     or charge.  Each amplitude-amplification round charges the index
     register round trip plus twice the inner protocol's cost (compute and
     uncompute), with the inner cost multiplied by the repetition factor
-    that boosts a bounded error inner protocol for coherent nesting.
+    that boosts a bounded error inner protocol for coherent nesting:
+    ceil(log2(100 h)), where h is the ceiling of the search's own plan,
+    the last cap of ``GroverPlan.default(len(instances))``.
     """
     big_n = len(instances)
     if big_n == 0:

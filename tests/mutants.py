@@ -41,6 +41,8 @@ SKETCH_DECODE = "tests/test_joins.py::test_sketch_decode_matches_reference_decod
 RANDOM_GRAPH = "tests/test_qsim.py::test_random_graph_is_the_bitmatrix_draw_in_both_orientations"
 FINAL_SEARCHES = "tests/test_joins.py::test_final_searches_meet_the_per_round_bound_by_the_exact_miss_probability"
 COLLECT_REPEATS = "tests/test_qsim.py::test_graph_collision_all_repeats_the_fewest_attempts_that_meet_the_per_edge_bound"
+CEILING_CAPS = "tests/test_joins.py::test_default_plan_ends_in_twelve_ceiling_caps"
+CEILING_LAW = "tests/test_joins.py::test_ceiling_cap_reaches_one_over_sin_two_theta_for_every_marked_count"
 
 # (name, file under src/joinlab, old text, new text, tests that must kill it)
 MUTANTS = [
@@ -113,6 +115,13 @@ MUTANTS = [
         "_MISS_BOUND = 0.75**12",
         "_MISS_BOUND = 0.75**24",
         [FINAL_SEARCHES, COLLECT_REPEATS],
+    ),
+    (
+        "Grover ceiling one below Lemma 2's bound",
+        "qsim.py",
+        "return 1 if n == 1 else math.isqrt(-(-n * n // (4 * (n - 1))) - 1) + 1",
+        "return 1 if n <= 2 else math.isqrt(-(-n * n // (4 * (n - 1))) - 1)",
+        [CEILING_CAPS, CEILING_LAW],
     ),
     (
         "graph_collision_all tries once",

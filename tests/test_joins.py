@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from joinlab import f2core, joins
+from joinlab import f2core, joins, qsim
 from joinlab.f2core import (
     BitMatrix,
     BitVector,
@@ -168,10 +168,13 @@ def _closed_form_miss_probability(big_n: int) -> np.ndarray:
 
 
 def test_default_plan_ends_in_twelve_ceiling_caps():
+    # the ceiling h is the least integer with 4 h^2 (N - 1) >= N^2, h = 1 at N = 1; integers only
     for big_n in range(1, (1 << 16) + 1):
-        hard = math.ceil(math.pi / 4 * math.sqrt(big_n))
         caps = GroverPlan.default(big_n).caps
+        hard = caps[-1]
         assert caps[-12:] == (hard,) * 12 and max(caps) == hard, big_n
+        assert hard >= 1 and (big_n == 1 or 4 * hard * hard * (big_n - 1) >= big_n * big_n), big_n
+        assert hard == 1 or 4 * (hard - 1) ** 2 * (big_n - 1) < big_n * big_n, big_n
 
 
 def test_ceiling_cap_reaches_one_over_sin_two_theta_for_every_marked_count():
@@ -179,9 +182,11 @@ def test_ceiling_cap_reaches_one_over_sin_two_theta_for_every_marked_count():
     for big_n in range(2, 257):
         theta = np.arcsin(np.sqrt(np.arange(1, big_n) / big_n))
         assert np.all(1 / np.sin(2 * theta) <= big_n / (2 * math.sqrt(big_n - 1)) * (1 + 1e-12))
-    for lo in range(2, 1 << 22, 1 << 20):
-        big_n = np.arange(lo, min(lo + (1 << 20), 1 << 22), dtype=np.float64)
-        assert np.all(np.ceil(np.pi / 4 * np.sqrt(big_n)) >= big_n / (2 * np.sqrt(big_n - 1)))
+    # so the ceiling h must reach N / (2 sqrt(N - 1)), and h - 1 must not: exact in int64 for every N < 2^22
+    big_n = np.arange(2, 1 << 22, dtype=np.int64)
+    hard = np.fromiter(map(qsim._ceiling, range(2, 1 << 22)), dtype=np.int64, count=len(big_n))
+    assert np.all(4 * hard * hard * (big_n - 1) >= big_n * big_n)
+    assert not np.any(4 * (hard - 1) ** 2 * (big_n - 1) >= big_n * big_n)
 
 
 def test_one_default_plan_search_misses_with_probability_at_most_three_quarters_to_the_twelfth():

@@ -19,7 +19,15 @@ from joinlab.ledger import (
     integer_bits,
     outcome_bits,
 )
-from joinlab.qsim import BipartiteGraph, CostModel, _amplify, disj, graph_collision_all, instance_search
+from joinlab.qsim import (
+    BipartiteGraph,
+    CostModel,
+    GroverPlan,
+    _amplify,
+    disj,
+    graph_collision_all,
+    instance_search,
+)
 
 
 def test_charge_accumulates():
@@ -145,7 +153,7 @@ def test_instance_search_ledger_recomputed_from_schedule(seed):
     assert witness == found
     iters, meas = sum(drawn), len(drawn)
     assert iters > 0
-    boost = math.ceil(math.log2(100 * math.ceil(math.pi / 4 * math.sqrt(big_n))))
+    boost = math.ceil(math.log2(100 * GroverPlan.default(big_n).caps[-1]))
     inner = boost * inner_cost
     assert led.report()["phases"] == {
         "inner-protocol": {BITS: 0, QUBITS: iters * 2 * inner},

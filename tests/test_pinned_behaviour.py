@@ -42,13 +42,13 @@ COST_MODELS = (CostModel.cost_model(),)
 QSIM_MODELS = (EXACT, CostModel.cost_model())
 
 EXPECTED = {
-    "bmm_exact": "5520d4110f14eb736b55e25f5007ce6cad760a8a51b854185c72aa9887b10230",
+    "bmm_exact": "b8191b345037ca7b0a260392ac4482b37c841d6013f4dbc42e6de7b1f707a601",
     "bmm_cost_model": "37b54e15b0ed5be92c70f7aacdff991f4d72398a9199ddbb6b73538e03eeabf6",
     "bmm_cost_model_wide": "0ceccd3c9bc58f72b0abd35fd8558946ff4c9d46c2e59a40dd2cc5087676a0cf",
-    "qsim": "1983212fd0abfeaa165602c9bb7edec148fdc08afb1d4eb4d0e81d1fc7b8b048",
+    "qsim": "3ac798e3b71dc0fcf8883eeb802cda446fb6657942eaa8b2fdd9f9b12954d016",
     "mm_f2": "1d06f84bcf28909e57292358ed533133cda10e17125a66f1df105c06533301b4",
     "sketch": "6940a86f8c3ead0c427ecf799a1614d790ec4e7ad230f7fa0486cb123278a630",
-    "cli": "d54d2532a5ada500e0bc6c2766017ff3ed4b1215330b532e846cea164e5aee1a",
+    "cli": "aa10bb7057d64db4a7cf41ec58b72b53203d3a793a0ee93b4b125fd7435e57f3",
     "cli_sweeps": "07d166b1c89351cfe8496ba6c02ad20fb6060edec11b4f715b1420a0cd3a796b",
     "reductions": "b3861058dd40e27add3043d8965cecd9e0dc057cd718d3adfe299d38493c10c1",
 }

@@ -294,8 +294,7 @@ def _charge_grover_measurements(ledger, draws, n, phase, directions):
 
 def _charge_instance_measurements(ledger, draws, big_n, inner_cost_qubits):
     """The charges ``instance_search`` made through ``charge``, one measurement at a time."""
-    cap = max(1, math.ceil(math.pi / 4.0 * math.sqrt(big_n)))
-    inner = max(1, math.ceil(math.log2(100.0 * cap))) * inner_cost_qubits
+    inner = math.ceil(math.log2(100.0 * GroverPlan.default(big_n).caps[-1])) * inner_cost_qubits
     width = index_qubits(big_n)
     for iterations in draws:
         if iterations > 0:
@@ -342,7 +341,11 @@ def test_batched_search_charges_match_per_measurement_charges(case):
     _charge_grover_measurements(want, taken, n, "probe", directions)
     assert _ledger_state(got) == _ledger_state(want)
 
-    with patch.object(GroverPlan, "default", lambda m: plan):
+    def planned(domain, hits, _default, *rest, **kwargs):
+        return _amplify(domain, hits, plan, *rest, **kwargs)
+
+    # the plan reaches the draws alone: the boost still reads the default plan's ceiling
+    with patch("joinlab.qsim._amplify", planned):
         instance_search(range(n), sorted(marked), got, EXACT, random.Random(seed), inner_cost_qubits=inner)
     _, taken = _reference_bisect_amplify(range(n), np.isin(range(n), list(marked)), plan, random.Random(seed))
     _charge_instance_measurements(want, taken, n, inner)
@@ -421,16 +424,19 @@ def test_default_plans_are_shared_per_arguments():
 
 
 def test_default_plan_caps():
-    # growth caps ceil(2^(s/2)) below the ceiling ceil(pi/4 sqrt(m)), then four ceiling caps, each three times
-    assert GroverPlan.default(64).caps == tuple(c for c in (1, 2, 2, 3, 4, 6, 7, 7, 7, 7) for _ in range(3))
+    # distinct growth caps ceil(2^(s/2)) below the ceiling, the least h with 4 h^2 (m - 1) >= m^2, then
+    # four ceiling caps, each three times
+    assert GroverPlan.default(64).caps == tuple(c for c in (1, 2, 3, 4, 5, 5, 5, 5) for _ in range(3))
     # at m = 1 the first growth cap is the ceiling, so every cap is the ceiling
     assert GroverPlan.default(1).caps == (1,) * 12
     assert _amplify(range(1), [], None, EXACT, random.Random(0)) == (None, [0] * 12)
     for m in (2, 3, 17, 1000, 1 << 20):
         caps = GroverPlan.default(m).caps
-        hard = math.ceil(math.pi / 4 * math.sqrt(m))
+        hard = caps[-1]
+        assert 4 * hard * hard * (m - 1) >= m * m > 4 * (hard - 1) ** 2 * (m - 1)
         assert caps[-12:] == (hard,) * 12 and max(caps[:-12], default=0) < hard
         assert caps == tuple(c for c in caps[::3] for _ in range(3))
+        assert list(caps[:-12:3]) == sorted(set(caps[:-12]))
 
 
 def test_cost_model_validation():
@@ -963,8 +969,7 @@ def test_instance_search_cost_within_factor_two():
             found += 1
         totals.append(led.qubits)
     assert found / trials >= 2 / 3
-    cap = max(1, math.ceil(math.pi / 4 * math.sqrt(8)))
-    boost = max(1, math.ceil(math.log2(100 * cap)))
+    boost = math.ceil(math.log2(100 * GroverPlan.default(8).caps[-1]))
     predicted = math.sqrt(8 / 2) * (2 * boost * inner_cost + 2 * index_qubits(8))
     mean = sum(totals) / len(totals)
     assert predicted / 2 <= mean <= predicted * 2
@@ -1001,7 +1006,7 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         GroverPlan((0,), randomize=True)
     plan = GroverPlan.default(64)
-    assert plan.caps[-1] == math.ceil(math.pi / 4 * 8)
+    assert plan.caps[-1] == 5  # the least h with 4 h^2 (64 - 1) >= 64^2
     assert all(c >= 1 for c in plan.caps)
 
 
