@@ -154,14 +154,14 @@ def _search_and_collect(
         # graph collision works at full width: each A column over [m], and the cells not yet collected,
         # from which graph_collision_all removes the cells it finds.  A searched cover can hold zero rows
         # of A and unused columns, so compact numbers, which move them, would change the draws
-        uncollected = BipartiteGraph.complete(m, m)
+        uncollected = BipartiteGraph(m, m)
     out = [0] * len(rows)
     ones = 0
     trace = BmmTrace()
     while True:
         if model.exact:
             for _ in range(none_repeats):
-                k = instance_search(range(n), live, ledger, model, rng, inner_cost_qubits=inner_cost)
+                k = instance_search(range(n), live, ledger, rng, inner_cost_qubits=inner_cost)
                 if k is not None:
                     break
             else:

@@ -1,12 +1,14 @@
 """Distributed Grover-style subroutines with exact and cost-model execution.
 
-Exact mode samples the shuttled search register from its exact state (one
-amplitude on marked, one on unmarked entries) and charges the ledger for
-every modeled message.  Cost-model mode computes the correct answer
-classically and charges the analytical iteration count.  Either way a
-returned witness is always verified against its defining predicate, so false
-positives are impossible; only false negatives carry protocol error, and
-only exact mode samples it.
+Every search samples through :func:`_amplify` and charges through
+:func:`_search`.  Exact mode samples the shuttled search register from its
+exact state (one amplitude on marked, one on unmarked entries) and charges
+the ledger for every modeled message.  Cost-model mode computes the correct
+answer classically and charges the analytical iteration count; it has no
+``instance_search``, whose outer search the ``bmm`` replay prices itself.
+Either way a returned witness is always verified against its defining
+predicate, so false positives are impossible; only false negatives carry
+protocol error, and only exact mode samples it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import functools
 import math
 import random
 from dataclasses import dataclass
-from operator import and_
+from operator import and_, lt
 
 from joinlab.f2core import BitMatrix, BitVector, DimensionError, _bernoulli, _fold, _iter_bits
 from joinlab.ledger import (
@@ -143,14 +145,14 @@ def _entry_probabilities(m: int, t: int, iterations: int) -> tuple[float, float]
     return marked, unmarked
 
 
-def _amplify(domain, hits: list, plan, model, rng, outer=False):
+def _amplify(domain, hits: list, plan, model, rng):
     """Measure amplified candidates from ``domain`` (a sequence of indices) until one is marked.
 
     The sampling core of every search here.  ``hits`` lists the positions
     in ``domain`` of its marked entries, ascending, so ``domain[hits[0]]``
     is the first marked entry.  Returns ``(witness, draws)``: the marked
     entry found, or None, and a fresh list of each measurement's iteration
-    count in draw order, which the caller hands to
+    count in draw order, which :func:`_search` hands to
     :meth:`CommLedger._log_search` with its message templates.
 
     Exact mode measures once per cap of the plan: it draws the iteration
@@ -159,9 +161,8 @@ def _amplify(domain, hits: list, plan, model, rng, outer=False):
     that float picks a candidate by the entry probabilities of
     :func:`_entry_probabilities`, tested on the hits alone.
     Cost-model mode makes a single measurement at the analytical count
-    ceil(sqrt(|domain| / d)) for t marked entries: d = t + 1 for an inner
-    search and d = max(t, 1) for the ``outer`` instance search.  The
-    witness is a seeded uniform pick among the marked entries.
+    ceil(sqrt(|domain| / (t + 1))) for t marked entries.  The witness is a
+    seeded uniform pick among the marked entries.
     """
     m, t = len(domain), len(hits)
     if model.exact:
@@ -190,38 +191,26 @@ def _amplify(domain, hits: list, plan, model, rng, outer=False):
                     return domain[hits[j]], drawn
         return None, drawn
 
-    draws = [math.ceil(math.sqrt(m / (max(t, 1) if outer else t + 1)))]
+    draws = [math.ceil(math.sqrt(m / (t + 1)))]
     if t == 0:
         return None, draws
     return domain[hits[rng.randrange(t)]], draws
 
 
-class _Search:
-    """A search over a sorted ``support`` of [n], prepared once and run any number of times.
+@functools.lru_cache(maxsize=1024)  # tuples, so every search with these arguments can share them
+def _search_messages(n: int, phase: str, out: str, back: str) -> tuple[tuple, tuple]:
+    """The per-round and verify templates of a search over [n]: a register round trip per Grover
+    round, and per measurement the candidate shuttled over and the verdict announced back."""
+    width, verify = index_qubits(n), phase + "-verify"
+    per_round = ((out, QUBITS, width, phase), (back, QUBITS, width, phase))
+    return per_round, ((out, QUBITS, width, verify), (back, BITS, outcome_bits(n), verify))
 
-    ``hits`` lists the positions of the marked entries of the support,
-    ascending.  The message templates are a round trip per Grover round,
-    and one per measurement that shuttles the candidate over and announces
-    the verdict back.
-    """
 
-    __slots__ = ("support", "model", "hits", "per_round", "verify")
-
-    def __init__(self, n: int, support: list, hits: list, model: CostModel, phase: str, directions):
-        width = index_qubits(n)
-        out, back = directions
-        self.per_round = [(out, QUBITS, width, phase), (back, QUBITS, width, phase)]
-        phase += "-verify"
-        self.verify = [(out, QUBITS, width, phase), (back, BITS, outcome_bits(n), phase)]
-        self.support, self.model, self.hits = support, model, hits
-
-    def run(self, ledger: CommLedger, rng: random.Random, plan=None, stats=None):
-        witness, draws = _amplify(self.support, self.hits, plan, self.model, rng)
-        ledger._log_search(draws, self.per_round, self.verify)
-        if stats is not None:
-            stats.setdefault("iterations", []).extend(draws)
-            stats["measurements"] = stats.get("measurements", 0) + len(draws)
-        return witness
+def _search(domain, hits: list, messages, model: CostModel, ledger: CommLedger, rng: random.Random, plan=None):
+    """Sample with :func:`_amplify`, charge the draws to ``messages`` and return ``(witness, draws)``."""
+    witness, draws = _amplify(domain, hits, plan, model, rng)
+    ledger._log_search(draws, *messages)
+    return witness, draws
 
 
 def grover_search(
@@ -253,22 +242,26 @@ def grover_search(
     if sup[0] < 0 or sup[-1] >= n:
         raise ValueError("support outside domain")
     hits = [p for p, i in enumerate(sup) if marked(i)]
-    return _Search(n, sup, hits, model, phase, directions).run(ledger, rng, plan, stats)
+    witness, draws = _search(sup, hits, _search_messages(n, phase, *directions), model, ledger, rng, plan)
+    if stats is not None:
+        stats.setdefault("iterations", []).extend(draws)
+        stats["measurements"] = stats.get("measurements", 0) + len(draws)
+    return witness
 
 
-def _disj_search(a: BitVector, b: BitVector, model: CostModel) -> _Search | None:
-    """The search :func:`disj` runs, or None when a or b is empty: the smaller-weight
-    side searches its own set, marked where the other set has it too."""
+def _disj_search(a: BitVector, b: BitVector) -> tuple | None:
+    """The ``(support, hits, messages)`` of the search :func:`disj` runs, or None when a or b is
+    empty: the smaller-weight side searches its own set, marked where the other set has it too."""
     if a.n != b.n:
         raise DimensionError(f"length mismatch: {a.n} vs {b.n}")
     wa, wb = a.weight(), b.weight()
     if min(wa, wb) == 0:
         return None
-    own, directions = (a, (A_TO_B, B_TO_A)) if wa <= wb else (b, (B_TO_A, A_TO_B))
+    own, (out, back) = (a, (A_TO_B, B_TO_A)) if wa <= wb else (b, (B_TO_A, A_TO_B))
     support = own.indices()
     # the marked entries are the intersection, which lies inside the support
     hits = [bisect.bisect_left(support, i) for i in _iter_bits(a.bits & b.bits)]
-    return _Search(a.n, support, hits, model, "disj", directions)
+    return support, hits, _search_messages(a.n, "disj", out, back)
 
 
 def disj(
@@ -285,9 +278,9 @@ def disj(
     the smaller-weight side drives a distributed search over its own set
     with the other side's membership as the marking predicate.
     """
-    search = _disj_search(a, b, model)
+    search = _disj_search(a, b)
     ledger._log(_handshake(a.n, a.n))
-    return None if search is None else search.run(ledger, rng, plan)
+    return None if search is None else _search(*search, model, ledger, rng, plan)[0]
 
 
 @functools.lru_cache(maxsize=1024)  # tuples, so every handshake over these domains can share them
@@ -307,20 +300,10 @@ class BipartiteGraph:
 
     __slots__ = ("n_left", "n_right", "missing_rows", "missing_cols")
 
-    def __init__(self, adjacency: BitMatrix):
-        full = (1 << adjacency.cols) - 1
-        missing = BitMatrix(adjacency.rows, adjacency.cols, [full ^ r for r in adjacency.data])
-        self._hold(missing.rows, missing.cols, list(missing.data), list(missing.transpose().data))
-
-    def _hold(self, n_left: int, n_right: int, missing_rows: list, missing_cols: list):
-        self.n_left, self.n_right = n_left, n_right
-        self.missing_rows, self.missing_cols = missing_rows, missing_cols
-        return self
-
-    @classmethod
-    def complete(cls, n_left: int, n_right: int) -> "BipartiteGraph":
+    def __init__(self, n_left: int, n_right: int):
         """Every edge present: the collision graph of ``bmm`` before it finds any output."""
-        return cls.__new__(cls)._hold(n_left, n_right, [0] * n_left, [0] * n_right)
+        self.n_left, self.n_right = n_left, n_right
+        self.missing_rows, self.missing_cols = [0] * n_left, [0] * n_right
 
     @classmethod
     def random(cls, n_left: int, n_right: int, density: float, rng: random.Random) -> "BipartiteGraph":
@@ -330,8 +313,10 @@ class BipartiteGraph:
         directly, so a dense graph never goes through the scatter transpose.
         """
         missing = ~_bernoulli(n_left, n_right, density, rng)
-        rows, cols = BitMatrix.from_numpy(missing).data, BitMatrix.from_numpy(missing.T).data
-        return cls.__new__(cls)._hold(n_left, n_right, list(rows), list(cols))
+        graph = cls(n_left, n_right)
+        graph.missing_rows[:] = BitMatrix.from_numpy(missing).data
+        graph.missing_cols[:] = BitMatrix.from_numpy(missing.T).data
+        return graph
 
     def has_edge(self, i: int, j: int) -> bool:
         if not (0 <= i < self.n_left and 0 <= j < self.n_right):
@@ -394,12 +379,12 @@ class _Collision:
     def rebuild(self):
         cover = self.cover(self.other)
         left, right = (self.own, cover) if self.own_is_left else (cover, self.own)
-        self.search = _disj_search(left, right, self.model)
+        self.search = _disj_search(left, right)
 
     def attempt(self, ledger: CommLedger, rng: random.Random):
         """One :func:`graph_collision` call: disjointness, then the partner pick and its report."""
         ledger._log(_handshake(*self.sizes))
-        witness = None if self.search is None else self.search.run(ledger, rng)
+        witness = None if self.search is None else _search(*self.search, self.model, ledger, rng)[0]
         if witness is None:
             return None
         partner_pool = list(_iter_bits(self.other.bits & ~self.missing[witness]))
@@ -468,15 +453,15 @@ def graph_collision_all(
 def _instance_messages(big_n: int, inner_cost_qubits: int) -> tuple[tuple, tuple]:
     """The per-round and verify templates of :func:`instance_search` over big_n instances."""
     boost = math.ceil(math.log2(100.0 * GroverPlan.default(big_n).caps[-1]))
-    inner_per_call = boost * inner_cost_qubits
-    width = index_qubits(big_n)
-    shuttle, inner = "instance-shuttle", "inner-protocol"
-    per_round = ((A_TO_B, QUBITS, width, shuttle), (B_TO_A, QUBITS, width, shuttle))
-    verify = ((B_TO_A, BITS, outcome_bits(big_n), "instance-shuttle-verify"),)
+    inner_per_call, inner = boost * inner_cost_qubits, "inner-protocol"
+    # a search's index round trip and verdict; verification runs the inner protocol once in place of
+    # shuttling the index
+    per_round, (_, verdict) = _search_messages(big_n, "instance-shuttle", A_TO_B, B_TO_A)
+    verify = (verdict,)
     if inner_per_call:
         # compute on the way out, uncompute on the way back
         per_round += ((A_TO_B, QUBITS, inner_per_call, inner), (B_TO_A, QUBITS, inner_per_call, inner))
-        verify = ((A_TO_B, QUBITS, inner_per_call, "instance-shuttle-verify"),) + verify
+        verify = ((A_TO_B, QUBITS, inner_per_call, "instance-shuttle-verify"), verdict)
     return per_round, verify
 
 
@@ -484,31 +469,30 @@ def instance_search(
     instances,
     answers: list,
     ledger: CommLedger,
-    model: CostModel,
     rng: random.Random,
     inner_cost_qubits: int = 0,
 ):
-    """Search a sequence of communication instances for one whose answer is 1.
+    """Search a sequence of communication instances for one whose answer is 1, in exact mode.
 
-    ``answers`` lists, ascending, the positions in ``instances`` whose
-    (deterministically computable) inner answer is 1; exact mode treats
-    them as a perfect phase oracle.  Returns the instance found, or None.
-    Positions outside ``instances`` raise ``ValueError`` before any draw
-    or charge.  Each amplitude-amplification round charges the index
-    register round trip plus twice the inner protocol's cost (compute and
-    uncompute), with the inner cost multiplied by the repetition factor
-    that boosts a bounded error inner protocol for coherent nesting:
-    ceil(log2(100 h)), where h is the ceiling of the search's own plan,
-    the last cap of ``GroverPlan.default(len(instances))``.
+    ``answers`` lists, strictly ascending, the positions in ``instances``
+    whose (deterministically computable) inner answer is 1; the search
+    treats them as a perfect phase oracle.  Returns the instance found, or
+    None.  Positions outside ``instances``, or out of order or repeated,
+    raise ``ValueError`` before any draw or charge.  The ``bmm`` cost-model
+    replay prices this search itself, so it has no cost-model mode.  Each
+    amplitude-amplification round charges the index register round trip
+    plus twice the inner protocol's cost (compute and uncompute), with the
+    inner cost multiplied by the repetition factor that boosts a bounded
+    error inner protocol for coherent nesting: ceil(log2(100 h)), where h
+    is the ceiling of the search's own plan, the last cap of
+    ``GroverPlan.default(len(instances))``.
     """
     big_n = len(instances)
     if big_n == 0:
         raise ValueError("instance list must be nonempty")
-    if answers and (answers[0] < 0 or answers[-1] >= big_n):
+    if answers and (answers[0] < 0 or answers[-1] >= big_n or not all(map(lt, answers, answers[1:]))):
         raise ValueError(f"answers must be positions in [0, {big_n}), ascending")
     if inner_cost_qubits < 0:
         raise ValueError("inner cost must be nonnegative")
-    per_round, verify = _instance_messages(big_n, inner_cost_qubits)
-    witness, draws = _amplify(instances, answers, None, model, rng, outer=True)
-    ledger._log_search(draws, per_round, verify)
-    return witness
+    messages = _instance_messages(big_n, inner_cost_qubits)
+    return _search(instances, answers, messages, CostModel.exact_mode(), ledger, rng)[0]

@@ -184,6 +184,13 @@ MUTANTS = [
         [SKETCH_HASHES, "tests/test_joins.py::test_sketch_single_coordinate", SKETCH_ENCODE, SKETCH_DECODE],
     ),
     (
+        "instance_search accepts unsorted answers",
+        "qsim.py",
+        " or not all(map(lt, answers, answers[1:]))",
+        "",
+        ["tests/test_qsim.py::test_instance_search_rejects_answers_outside_the_instances"],
+    ),
+    (
         "random graph keeps the edge draw, not its complement",
         "qsim.py",
         "missing = ~_bernoulli(n_left, n_right, density, rng)",

@@ -1,10 +1,10 @@
 """Public surface: a name without a leading underscore is public, and nothing else declares it.
 
 No module keeps an ``__all__`` and the package re-exports nothing, so
-names are imported from their modules.  Every public module-level name and
-every public method has a caller outside tests, and every default
-parameter of one is passed by such a caller, or an entry below names the
-check it is kept for.
+names are imported from their modules.  Every public module-level name,
+public method and public constructor has a caller outside tests, and
+every default parameter of one is passed by such a caller, or an entry
+below names the check it is kept for.
 """
 
 import ast
@@ -153,6 +153,42 @@ def test_public_classes_and_constants_have_callers_outside_tests():
     """A public module-level class or constant of ``joinlab`` is named in code of src/ or perfbench/, tests aside."""
     uncalled = _uncalled_top_level((ast.ClassDef, ast.Assign, ast.AnnAssign))
     assert not uncalled, f"public classes and constants only tests read: {sorted(uncalled)}"
+
+
+def test_public_constructors_have_callers_outside_tests():
+    """A public ``joinlab`` class with its own ``__init__`` is constructed in code of src/ or perfbench/, tests aside.
+
+    A construction calls the class by name, bare or as an attribute
+    (``qsim.BipartiteGraph(...)``), or calls ``cls`` in one of the class's
+    own class methods.  Otherwise the class is read only for its other
+    members, and its constructor is an API that only tests use.
+    """
+    trees = {path: ast.parse(path.read_text()) for path in CODE}
+    called = {
+        getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    }
+    uncalled = set()
+    for path, tree in trees.items():
+        if path.parent.name != "joinlab":
+            continue
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            methods = [fn for fn in cls.body if isinstance(fn, ast.FunctionDef)]
+            if "__init__" not in {fn.name for fn in methods}:
+                continue
+            by_cls = any(
+                isinstance(node, ast.Call) and getattr(node.func, "id", None) == "cls"
+                for fn in methods
+                if any(getattr(d, "id", None) == "classmethod" for d in fn.decorator_list)
+                for node in ast.walk(fn)
+            )
+            if cls.name not in called and not by_cls:
+                uncalled.add(f"{path.stem}.{cls.name}")
+    assert not uncalled, f"public classes whose constructor only tests call: {sorted(uncalled)}"
 
 
 # default parameters that no caller outside tests passes, each kept for the check that needs it

@@ -374,14 +374,14 @@ def _reference_search_and_collect(instance, model, ledger, rng) -> BmmTrace:
         ledger.charge(A_TO_B, QUBITS, amount, phase)
         ledger.charge(B_TO_A, QUBITS, amount, phase)
 
-    uncollected = BipartiteGraph.complete(m, m)
+    uncollected = BipartiteGraph(m, m)
     out_rows = uncollected.missing_rows
     ones, trace = 0, BmmTrace()
     while True:
         if model.exact:
             k = None
             for _ in range(none_repeats):
-                k = instance_search(range(n), np.flatnonzero(live).tolist(), ledger, model, rng,
+                k = instance_search(range(n), np.flatnonzero(live).tolist(), ledger, rng,
                                     inner_cost_qubits=inner_budget * 2 * width)
                 if k is not None:
                     break

@@ -34,6 +34,7 @@ from joinlab.qsim import (
     _amplify,
     _entry_probabilities,
     _instance_messages,
+    _search_messages,
     disj,
     graph_collision,
     graph_collision_all,
@@ -266,17 +267,17 @@ def test_hit_test_matches_the_bisect_with_r_on_the_masses(case):
     assert rng_got.getstate() == rng_want.getstate()
 
 
-@given(st.integers(1, 600), st.integers(0, 2**32), st.booleans())
-@example(1, 0, False)
-@example(600, 1, True)
-def test_cost_model_search_is_one_analytical_draw(m, seed, outer):
-    # one measurement at ceil(sqrt(m / d)): d = t + 1 inside, max(t, 1) for the outer search
+@given(st.integers(1, 600), st.integers(0, 2**32))
+@example(1, 0)
+@example(600, 1)
+def test_cost_model_search_is_one_analytical_draw(m, seed):
+    # one measurement at ceil(sqrt(m / (t + 1)))
     rng = random.Random(seed)
     t = rng.choice((0, 1, m, rng.randint(0, m)))
     mask = _random_mask(m, t, rng)
     domain = range(1000, 1000 + m)
-    found, draws = _amplify(domain, np.flatnonzero(mask).tolist(), None, CostModel.cost_model(), rng, outer=outer)
-    assert draws == [math.ceil(math.sqrt(m / (max(t, 1) if outer else t + 1)))]
+    found, draws = _amplify(domain, np.flatnonzero(mask).tolist(), None, CostModel.cost_model(), rng)
+    assert draws == [math.ceil(math.sqrt(m / (t + 1)))]
     assert (found is None) == (t == 0)
     assert found is None or mask[found - 1000]
 
@@ -346,7 +347,7 @@ def test_batched_search_charges_match_per_measurement_charges(case):
 
     # the plan reaches the draws alone: the boost still reads the default plan's ceiling
     with patch("joinlab.qsim._amplify", planned):
-        instance_search(range(n), sorted(marked), got, EXACT, random.Random(seed), inner_cost_qubits=inner)
+        instance_search(range(n), sorted(marked), got, random.Random(seed), inner_cost_qubits=inner)
     _, taken = _reference_bisect_amplify(range(n), np.isin(range(n), list(marked)), plan, random.Random(seed))
     _charge_instance_measurements(want, taken, n, inner)
     assert _ledger_state(got) == _ledger_state(want)
@@ -584,8 +585,18 @@ def test_disj_cost_model_finds_the_shared_element_and_never_fabricates():
         assert disj(a, c, CommLedger(), model, random.Random(tr)) is None
 
 
+def _graph(adjacency: BitMatrix) -> BipartiteGraph:
+    """The graph with the edges of ``adjacency``: the complete graph less each zero cell."""
+    graph = BipartiteGraph(adjacency.rows, adjacency.cols)
+    for i, row in enumerate(adjacency.data):
+        for j in range(adjacency.cols):
+            if not row >> j & 1:
+                graph.remove_edge(i, j)
+    return graph
+
+
 def test_graph_collision_trivials():
-    g = BipartiteGraph(BitMatrix(4, 4, [0b1111] * 4))
+    g = _graph(BitMatrix(4, 4, [0b1111] * 4))
     rng = random.Random(0)
     assert graph_collision(g, BitVector(4), BitVector(4, 0b1111), CommLedger(), EXACT, rng) is None
     e = graph_collision(
@@ -609,7 +620,7 @@ def test_graph_collision_trivials():
 def test_random_graph_is_the_bitmatrix_draw_in_both_orientations(n_left, n_right, density, seed):
     rng, reference = random.Random(seed), random.Random(seed)
     got = BipartiteGraph.random(n_left, n_right, density, rng)
-    want = BipartiteGraph(BitMatrix.random(n_left, n_right, density, reference))
+    want = _graph(BitMatrix.random(n_left, n_right, density, reference))
     for field in BipartiteGraph.__slots__:
         assert getattr(got, field) == getattr(want, field), field
     assert rng.getstate() == reference.getstate()
@@ -717,7 +728,7 @@ def test_graph_collision_matches_reference_on_each_sides_domain(
 
 
 def test_graph_collision_all_diagonal():
-    g = BipartiteGraph(BitMatrix.identity(4))
+    g = _graph(BitMatrix.identity(4))
     full = BitVector(4, 0b1111)
     got = graph_collision_all(g, full, full, CommLedger(), EXACT, random.Random(2))
     assert got == frozenset((i, i) for i in range(4))
@@ -725,7 +736,7 @@ def test_graph_collision_all_diagonal():
 
 @pytest.mark.parametrize("left, right", [(3, 4), (4, 3), (5, 5)])
 def test_graph_collision_all_rejects_mismatched_vectors_before_any_charge_or_draw(left, right):
-    g = BipartiteGraph(BitMatrix.identity(4))
+    g = _graph(BitMatrix.identity(4))
     led, rng = CommLedger(), random.Random(9)
     state = rng.getstate()
     with pytest.raises(DimensionError):
@@ -843,7 +854,7 @@ def test_graph_collision_all_matches_a_loop_of_single_calls(case):
 
 @pytest.mark.parametrize("i, j", [(1, 9), (-1, 2), (3, 0), (0, 4), (0, -1)])
 def test_remove_edge_out_of_range_changes_nothing(i, j):
-    graph = BipartiteGraph.complete(3, 4)
+    graph = BipartiteGraph(3, 4)
     graph.remove_edge(2, 3)
     rows, cols = list(graph.missing_rows), list(graph.missing_cols)
     with pytest.raises(IndexError, match=re.escape(str((i, j)))):
@@ -917,11 +928,11 @@ def test_output_view_matches_adjacency_rows(case):
     out, f_a, f_b = case
     ref = _AdjacencyGraph.complement_of(out)
     # built cell by cell as bmm builds it, and from the complement's adjacency
-    view = BipartiteGraph.complete(out.rows, out.cols)
+    view = BipartiteGraph(out.rows, out.cols)
     for i, row in enumerate(out.data):
         for j in BitVector(out.cols, row).indices():
             view.remove_edge(i, j)
-    for graph in (view, BipartiteGraph(ref.adj)):
+    for graph in (view, _graph(ref.adj)):
         _same_graph(graph, ref)
         assert graph.left_cover(f_b) == ref.left_cover(f_b)
         assert graph.right_cover(f_a) == ref.right_cover(f_a)
@@ -934,21 +945,20 @@ def test_output_view_matches_adjacency_rows(case):
 
 def test_instance_search_trivials():
     rng = random.Random(0)
-    assert instance_search(range(8), [], CommLedger(), EXACT, rng) is None
+    assert instance_search(range(8), [], CommLedger(), rng) is None
     led = CommLedger()
-    idx = instance_search(range(8), list(range(8)), led, EXACT, random.Random(1))
+    idx = instance_search(range(8), list(range(8)), led, random.Random(1))
     assert idx in range(8)
     with pytest.raises(ValueError):
-        instance_search([], [], CommLedger(), EXACT, rng)
+        instance_search([], [], CommLedger(), rng)
 
 
-@pytest.mark.parametrize("model", [EXACT, CostModel.cost_model()])
-@pytest.mark.parametrize("answers", [[8], [3, 8], [-1], [-1, 2], [0, 8]])
-def test_instance_search_rejects_answers_outside_the_instances(model, answers):
-    # a position past either end is rejected before any draw or charge
+@pytest.mark.parametrize("answers", [[8], [3, 8], [-1], [-1, 2], [0, 8], [3, 2], [2, 2]])
+def test_instance_search_rejects_answers_outside_the_instances(answers):
+    # a position past either end, out of order or repeated is rejected before any draw or charge
     led, rng = CommLedger(), random.Random(5)
-    with pytest.raises(ValueError, match=r"positions in \[0, 8\)"):
-        instance_search(range(8), answers, led, model, rng)
+    with pytest.raises(ValueError, match=r"positions in \[0, 8\), ascending"):
+        instance_search(range(8), answers, led, rng)
     assert (led.amounts, len(led)) == ({}, 0)
     assert rng.random() == random.Random(5).random()
 
@@ -962,7 +972,7 @@ def test_instance_search_cost_within_factor_two():
     for tr in range(trials):
         led = CommLedger()
         idx = instance_search(
-            range(8), answers, led, EXACT, random.Random(tr), inner_cost_qubits=inner_cost
+            range(8), answers, led, random.Random(tr), inner_cost_qubits=inner_cost
         )
         if idx is not None:
             assert idx in answers
@@ -975,7 +985,7 @@ def test_instance_search_cost_within_factor_two():
     assert predicted / 2 <= mean <= predicted * 2
 
 
-def test_instance_search_templates_are_shared_and_immutable():
+def test_instance_search_templates_are_shared_and_immutable(monkeypatch):
     # one template pair per (instance count, inner cost), shared by every search with those two
     answers = [1, 4]
     templates = _instance_messages(8, 12)
@@ -984,9 +994,33 @@ def test_instance_search_templates_are_shared_and_immutable():
     charges = []
     for _ in range(2):
         led = CommLedger()
-        instance_search(range(8), answers, led, EXACT, random.Random(3), inner_cost_qubits=12)
+        instance_search(range(8), answers, led, random.Random(3), inner_cost_qubits=12)
         charges.append((led.amounts, len(led)))
     assert charges[0] == charges[1]
+    # its index round trip and its verdict are the records of the shared search templates
+    round_trip, (_, verdict) = _search_messages(8, "instance-shuttle", A_TO_B, B_TO_A)
+    for per_round, verify in (templates, _instance_messages(8, 0)):
+        assert per_round[0] is round_trip[0] and per_round[1] is round_trip[1] and verify[-1] is verdict
+    # grover_search and disj charge from one shared tuple pair per (n, phase, directions)
+    charged, log_search = [], CommLedger._log_search
+    monkeypatch.setattr(CommLedger, "_log_search", lambda led, draws, *pair: charged.append(pair) or
+                        log_search(led, draws, *pair))
+    a, b = BitVector.from_indices(16, [1, 4]), BitVector.from_indices(16, [4, 7, 9])
+    for _ in range(2):
+        grover_search(16, range(8), {3}.__contains__, None, CommLedger(), EXACT, random.Random(0))
+        grover_search(16, range(8), {3}.__contains__, None, CommLedger(), EXACT, random.Random(0),
+                      phase="probe", directions=(B_TO_A, A_TO_B))
+        disj(a, b, CommLedger(), EXACT, random.Random(0))
+        disj(b, a, CommLedger(), EXACT, random.Random(0))
+    shared = [
+        _search_messages(16, "grover-shuttle", A_TO_B, B_TO_A),
+        _search_messages(16, "probe", B_TO_A, A_TO_B),
+        _search_messages(16, "disj", A_TO_B, B_TO_A),
+        _search_messages(16, "disj", B_TO_A, A_TO_B),
+    ]
+    assert len(charged) == 8 and len({id(pair) for pair in shared}) == 4
+    assert all(isinstance(part, tuple) for pair in shared for part in pair)
+    assert all(got[0] is want[0] and got[1] is want[1] for got, want in zip(charged, shared * 2))
 
 
 def test_ledger_entry_sequence_reproducible():
@@ -1035,21 +1069,21 @@ def test_plan_validation():
             "support outside domain",
             id="support-below",
         ),
-        pytest.param(lambda: BipartiteGraph.complete(3, 3).has_edge(3, 0), IndexError, "(3, 0)", id="has-edge"),
+        pytest.param(lambda: BipartiteGraph(3, 3).has_edge(3, 0), IndexError, "(3, 0)", id="has-edge"),
         pytest.param(
-            lambda: BipartiteGraph.complete(3, 4).left_cover(BitVector(3)),
+            lambda: BipartiteGraph(3, 4).left_cover(BitVector(3)),
             DimensionError,
             "right-side vector length mismatch",
             id="left-cover",
         ),
         pytest.param(
-            lambda: BipartiteGraph.complete(3, 4).right_cover(BitVector(4)),
+            lambda: BipartiteGraph(3, 4).right_cover(BitVector(4)),
             DimensionError,
             "left-side vector length mismatch",
             id="right-cover",
         ),
         pytest.param(
-            lambda: instance_search(range(4), [], CommLedger(), EXACT, random.Random(0), inner_cost_qubits=-1),
+            lambda: instance_search(range(4), [], CommLedger(), random.Random(0), inner_cost_qubits=-1),
             ValueError,
             "inner cost must be nonnegative",
             id="inner-cost",
