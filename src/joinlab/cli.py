@@ -353,43 +353,33 @@ def _add_common(parser):
     parser.add_argument("--out", type=_OUT, default=None, help="path prefix for CSV/JSON outputs")
 
 
-def _add_model(parser):
-    parser.add_argument("--mode", choices=["exact", "cost-model"], default="exact")
-
-
-def _add_trial_checks(parser):
-    parser.add_argument("--timing", action="store_true", help="record real wall times (breaks byte-identical output)")
-    parser.add_argument("--min-success", type=_float_in(0.0, 1.0), default=None)
+# each run-* command: its help, the flags it reads besides --n and the flags every run takes, its runner
+_GRIDS = {
+    "run-bmm": ("Boolean product protocol over a grid", ("--ell", "--mode"),
+                lambda a, n, ell: run_bmm_trials(n, ell, a.trials, a.seed, CostModel(a.mode), a.timing)),
+    "run-mmf2": ("F2 product protocol over a grid", ("--ell",),
+                 lambda a, n, ell: run_mmf2_trials(n, ell, a.trials, a.seed, a.timing)),
+    "run-disj": ("set disjointness with planted witness", ("--mode",),
+                 lambda a, n, ell: run_disj_trials(n, a.trials, a.seed, CostModel(a.mode), a.timing)),
+    "run-gc": ("graph collision on random graphs", ("--mode",),
+               lambda a, n, ell: run_gc_trials(n, a.trials, a.seed, CostModel(a.mode), a.timing)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="joinlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("run-bmm", help="Boolean product protocol over a grid")
-    p.add_argument("--n", type=_GRID, required=True)
-    p.add_argument("--ell", type=_GRID, required=True)
-    _add_common(p)
-    _add_model(p)
-    _add_trial_checks(p)
-
-    p = sub.add_parser("run-mmf2", help="F2 product protocol over a grid")
-    p.add_argument("--n", type=_GRID, required=True)
-    p.add_argument("--ell", type=_GRID, required=True)
-    _add_common(p)
-    _add_trial_checks(p)
-
-    p = sub.add_parser("run-disj", help="set disjointness with planted witness")
-    p.add_argument("--n", type=_GRID, required=True)
-    _add_common(p)
-    _add_model(p)
-    _add_trial_checks(p)
-
-    p = sub.add_parser("run-gc", help="graph collision on random graphs")
-    p.add_argument("--n", type=_GRID, required=True)
-    _add_common(p)
-    _add_model(p)
-    _add_trial_checks(p)
+    for command, (text, reads, _) in _GRIDS.items():
+        p = sub.add_parser(command, help=text)
+        p.add_argument("--n", type=_GRID, required=True)
+        if "--ell" in reads:
+            p.add_argument("--ell", type=_GRID, required=True)
+        _add_common(p)
+        if "--mode" in reads:
+            p.add_argument("--mode", choices=["exact", "cost-model"], default="exact")
+        p.add_argument("--timing", action="store_true", help="record real wall times (breaks byte-identical output)")
+        p.add_argument("--min-success", type=_float_in(0.0, 1.0), default=None)
 
     p = sub.add_parser(
         "scaling",
@@ -410,21 +400,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_GRIDS = {
-    "run-bmm": lambda a, model, n, ell: run_bmm_trials(n, ell, a.trials, a.seed, model, a.timing),
-    "run-mmf2": lambda a, model, n, ell: run_mmf2_trials(n, ell, a.trials, a.seed, a.timing),
-    "run-disj": lambda a, model, n, ell: run_disj_trials(n, a.trials, a.seed, model, a.timing),
-    "run-gc": lambda a, model, n, ell: run_gc_trials(n, a.trials, a.seed, model, a.timing),
-}
-
-
 def _cmd_grid(args) -> int:
-    """One runner call per (n, ell) cell; run-disj and run-gc have no ell, run-mmf2 no mode."""
-    model = CostModel(args.mode) if "mode" in args else None
+    """One runner call per (n, ell) cell, or per n for a command that reads no --ell."""
     if not args.out and args.min_success is None:
         raise ValueError(f"{args.command} would keep nothing of its trials: give --out, --min-success or both")
-    run, ells = _GRIDS[args.command], getattr(args, "ell", [None])
-    summary = _emit(args, [row for n in args.n for ell in ells for row in run(args, model, n, ell)])
+    _, reads, run = _GRIDS[args.command]
+    ells = args.ell if "--ell" in reads else [None]
+    summary = _emit(args, [row for n in args.n for ell in ells for row in run(args, n, ell)])
     if args.min_success is None:
         return 0
     worst = min(cell["success_rate"] for cell in summary["cells"].values())

@@ -225,7 +225,7 @@ def grover_search(
     directions=(A_TO_B, B_TO_A),
     stats: dict | None = None,
 ):
-    """Search ``support`` (subset of [n]) for an index satisfying ``marked``.
+    """Search ``support`` (distinct entries of [n]) for an index satisfying ``marked``.
 
     Returns a marked index with probability >= 1 - (3/4)^12 under the
     default plan (see :meth:`GroverPlan.default`) when one exists, else
@@ -241,6 +241,8 @@ def grover_search(
         raise ValueError("support must be nonempty")
     if sup[0] < 0 or sup[-1] >= n:
         raise ValueError("support outside domain")
+    if not all(map(lt, sup, sup[1:])):
+        raise ValueError("support repeats an entry")
     hits = [p for p, i in enumerate(sup) if marked(i)]
     witness, draws = _search(sup, hits, _search_messages(n, phase, *directions), model, ledger, rng, plan)
     if stats is not None:

@@ -191,6 +191,22 @@ MUTANTS = [
         ["tests/test_qsim.py::test_instance_search_rejects_answers_outside_the_instances"],
     ),
     (
+        "grover_search accepts repeated support",
+        "qsim.py",
+        """    if not all(map(lt, sup, sup[1:])):
+        raise ValueError("support repeats an entry")
+""",
+        "",
+        ["tests/test_qsim.py::test_input_checks_reject_with_their_message"],
+    ),
+    (
+        "run-mmf2 row reads --mode",
+        "cli.py",
+        '"F2 product protocol over a grid", ("--ell",),',
+        '"F2 product protocol over a grid", ("--ell", "--mode"),',
+        ["tests/test_cli.py::test_readme_flag_table_matches_the_parser"],
+    ),
+    (
         "random graph keeps the edge draw, not its complement",
         "qsim.py",
         "missing = ~_bernoulli(n_left, n_right, density, rng)",

@@ -43,6 +43,7 @@ from joinlab.qsim import (
 )
 
 EXACT = CostModel.exact_mode()
+COST = CostModel.cost_model()
 
 
 # ---------------------------------------------------------------------------
@@ -1044,6 +1045,16 @@ def test_plan_validation():
     assert all(c >= 1 for c in plan.caps)
 
 
+def _untouched(search):
+    """Call ``search(ledger, rng)``, which must raise; it leaves the ledger empty and the generator unmoved."""
+    led, rng = CommLedger(), random.Random(5)
+    try:
+        search(led, rng)
+    finally:
+        assert (led.amounts, len(led)) == ({}, 0)
+        assert rng.random() == random.Random(5).random()
+
+
 @pytest.mark.parametrize(
     "call, error, message",
     [
@@ -1058,16 +1069,25 @@ def test_plan_validation():
             id="plan-string-cap",
         ),
         pytest.param(
-            lambda: grover_search(4, [0, 4], lambda i: False, None, CommLedger(), EXACT, random.Random(0)),
+            lambda: _untouched(lambda led, rng: grover_search(4, [0, 4], lambda i: False, None, led, EXACT, rng)),
             ValueError,
             "support outside domain",
             id="support-above",
         ),
         pytest.param(
-            lambda: grover_search(4, [-1, 0], lambda i: False, None, CommLedger(), EXACT, random.Random(0)),
+            lambda: _untouched(lambda led, rng: grover_search(4, [-1, 0], lambda i: False, None, led, EXACT, rng)),
             ValueError,
             "support outside domain",
             id="support-below",
+        ),
+        pytest.param(
+            # seven 3s and nine 5s would search 16 entries with 7 marked, not 2 with 1 marked
+            lambda: _untouched(
+                lambda led, rng: grover_search(64, [3] * 7 + [5] * 9, lambda i: i == 3, None, led, COST, rng)
+            ),
+            ValueError,
+            "support repeats an entry",
+            id="support-repeated",
         ),
         pytest.param(lambda: BipartiteGraph(3, 3).has_edge(3, 0), IndexError, "(3, 0)", id="has-edge"),
         pytest.param(
