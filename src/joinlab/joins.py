@@ -41,8 +41,8 @@ from joinlab.ledger import (
 from joinlab.qsim import (
     BipartiteGraph,
     CostModel,
+    GroverPlan,
     ProtocolError,
-    _repeats,
     graph_collision_all,
     instance_search,
 )
@@ -121,10 +121,6 @@ def _search_and_collect(
     """
     A, B = instance.A, instance.B
     m, n = A.rows, A.cols
-    # an exact search misses with probability at most (3/4)^12 (GroverPlan.default), so a round ends
-    # the run by mistake with probability at most 1/(100 (ell + 2)), and the union bound covers the
-    # at most ell + 1 rounds
-    none_repeats = _repeats(1 / (100 * (instance.ell + 2)))
     rows = list(compress(range(m), A.data))
     active = [k for k in _iter_bits(reduce(or_, (A.data[i] for i in rows), 0)) if B.data[k]]
     position = {k: p for p, k in enumerate(active)}
@@ -151,6 +147,11 @@ def _search_and_collect(
         ledger.charge(B_TO_A, QUBITS, amount, phase)
 
     if model.exact:
+        # a round searches under the default plan's growth caps, then certifies a miss with one
+        # fixed-point search, which misses with probability at most 1/(10^4 (ell + 2)) whatever the
+        # marked count; the union bound covers the at most ell + 1 rounds
+        growth = GroverPlan.growth(n)
+        certificate = GroverPlan.fixed_point(n, 1 / (10_000 * (instance.ell + 2)))
         # graph collision works at full width: each A column over [m], and the cells not yet collected,
         # from which graph_collision_all removes the cells it finds.  A searched cover can hold zero rows
         # of A and unused columns, so compact numbers, which move them, would change the draws
@@ -160,12 +161,11 @@ def _search_and_collect(
     trace = BmmTrace()
     while True:
         if model.exact:
-            for _ in range(none_repeats):
-                k = instance_search(range(n), live, ledger, rng, inner_cost_qubits=inner_cost)
-                if k is not None:
+            k = None if growth is None else instance_search(range(n), live, ledger, rng, inner_cost, growth)
+            if k is None:
+                k = instance_search(range(n), live, ledger, rng, inner_cost, certificate)
+                if k is None:
                     break
-            else:
-                break
             p = position[k]
             f_a, f_b = BitVector(m, sum(1 << rows[r] for r in a_cols[p])), BitVector(m, B.data[k])
             for _ in range(100):
@@ -218,13 +218,22 @@ def bmm_with_trace(
 
     Every edge entering the output is a verified collision, so spurious ones
     are impossible; protocol error is confined to stopping before all ones
-    are found.  One search misses with probability at most q = (3/4)^12
-    (see :meth:`joinlab.qsim.GroverPlan.default`), and the run ends only
-    after ceil(log(100 (ell+2)) / log(1/q)) searches in a row find no
-    witness, the fewest that all miss with probability at most
-    1/(100 (ell+2)), so the union bound over at most ell+1 rounds keeps the
-    chance of ending early below 1/100.  A cost-model ``model`` runs the
-    replay of :func:`bmm_cost_model` instead.
+    are found.  A round first searches under ``GroverPlan.growth(n)``, the
+    default plan's growth caps, each three times.  If that finds no
+    witness, one fixed-point search certifies the miss
+    (:meth:`joinlab.qsim.GroverPlan.fixed_point` with delta^2 =
+    1/(10^4 (ell+2))), which misses a live witness with probability at most
+    delta^2 for every count of them, and its miss ends the run.  So a round
+    ends the run early with probability at most 1/(10^4 (ell+2)), and the
+    union bound over at most ell+1 rounds keeps the chance of ending early
+    below 1/10^4, inside the protocol's 1/100 budget.  A target of
+    1/(100 (ell+2)) would meet that budget too, but it made wrong outputs
+    about a hundred times as frequent as the repeated default plans did;
+    this one makes them no more frequent.  The certificate's l rounds run in one coherent go, so its
+    inner protocol is boosted ceil(log2(100 max(h, l))) times, h the
+    default plan's ceiling, and it is charged under ``certify`` and
+    ``certify-verify``.  A cost-model ``model`` runs the replay of
+    :func:`bmm_cost_model` instead.
     """
     trace = _search_and_collect(instance, model, ledger, rng)
     return trace.product, trace

@@ -79,19 +79,25 @@ def _ceiling(n: int) -> int:
 
 @dataclass(frozen=True)
 class GroverPlan:
-    """Iteration schedule for search with unknown marked count.
+    """Iteration schedule for search with unknown marked count, and the law its measurements follow.
 
     ``caps`` holds one int cap per measurement, in draw order: each
     measurement draws ``randrange(cap)`` iterations, or takes the cap itself
-    when ``randomize`` is off.  :func:`_amplify` makes the draws.  The
-    default plan grows caps geometrically up to the ceiling that Lemma 2 of
-    Boyer, Brassard, Hoyer and Tapp (1998) needs, about sqrt(m)/2, and
+    when ``randomize`` is off.  :func:`_amplify` makes the draws and samples
+    each measurement from :attr:`probabilities`.  With ``failure`` None a
+    round is a Grover iterate, whose law is :func:`_entry_probabilities`.
+    The default plan grows caps geometrically up to the ceiling that Lemma 2
+    of Boyer, Brassard, Hoyer and Tapp (1998) needs, about sqrt(m)/2, and
     then lingers there, which keeps the expected cost at the sqrt(m/(t+1))
     scale while bounding the false negative rate for any marked count.
+    With ``failure`` = delta^2 a round is an iterate of the fixed-point
+    search of :meth:`fixed_point`, whose law is
+    :func:`_fixed_point_probabilities`.
     """
 
     caps: tuple[int, ...]
     randomize: bool = True
+    failure: float | None = None
 
     def __post_init__(self):
         if not self.caps:
@@ -103,6 +109,8 @@ class GroverPlan:
             raise ValueError("caps must be nonnegative")
         if self.randomize and any(c < 1 for c in self.caps):
             raise ValueError("randomized caps must be positive")
+        if self.failure is not None and not 0 < self.failure < 1:
+            raise ValueError(f"failure must lie in (0, 1), got {self.failure!r}")
 
     @classmethod
     @functools.lru_cache(maxsize=1024)  # plans are frozen, so callers can share one
@@ -131,9 +139,50 @@ class GroverPlan:
             s += 1
         return cls(tuple(cap for cap in growth + [hard] * 4 for _ in range(3)))
 
+    @classmethod
+    @functools.lru_cache(maxsize=1024)
+    def growth(cls, support_size: int) -> "GroverPlan | None":
+        """The default plan without its 12 ceiling caps: its growth caps, each three times, or None
+        when it has no growth caps (N = 1 and 2)."""
+        caps = cls.default(support_size).caps[:-12]
+        return cls(caps) if caps else None
+
+    @classmethod
+    @functools.lru_cache(maxsize=1024)
+    def fixed_point(cls, support_size: int, failure: float) -> "GroverPlan":
+        """One unrandomized measurement after l rounds of the fixed-point search of Yoder, Low and
+        Chuang (*Fixed-point quantum search with an optimal number of queries*, PRL 113, 2014).
+
+        L = 2l + 1 is the least odd integer with 1 - gamma_L^2 <= 1/N over N =
+        ``support_size`` entries, where gamma_L = 1 / cosh(arccosh(1/delta) / L)
+        and delta^2 = ``failure``.  Round j applies the oracle phase beta_j and
+        then the phase alpha_j about the start state, with alpha_j =
+        -beta_(l-j+1) = 2 arccot(tan(2 pi j / L) sqrt(1 - gamma_L^2)), which
+        leaves 1 - delta^2 T_L(sqrt(1 - t/N) / gamma_L)^2 on t marked entries
+        (T_L the Chebyshev polynomial).  For t >= 1 the argument is at most
+        sqrt(1 - 1/N) / gamma_L <= 1, where |T_L| <= 1, so the measurement
+        misses with probability at most ``failure``, for every t at once.
+        """
+        if support_size < 1:
+            raise ValueError("support must be nonempty")
+        if not 0 < failure < 1:
+            raise ValueError(f"failure must lie in (0, 1), got {failure!r}")
+        length = 1
+        while 1 - _fixed_point_gamma(length, failure) ** 2 > 1 / support_size:
+            length += 2
+        return cls((length // 2,), randomize=False, failure=failure)
+
     @functools.cached_property
     def _widths(self) -> tuple[tuple[int, int], ...]:
         return tuple((cap, cap.bit_length()) for cap in self.caps)
+
+    @functools.cached_property
+    def probabilities(self):
+        """The law ``(m, t, iterations) -> (marked, unmarked)`` of one measurement: the probability of
+        each of t marked and of each other of m entries after that many rounds."""
+        if self.failure is None:
+            return _entry_probabilities
+        return functools.partial(_fixed_point_probabilities, failure=self.failure)
 
 
 def _entry_probabilities(m: int, t: int, iterations: int) -> tuple[float, float]:
@@ -143,6 +192,25 @@ def _entry_probabilities(m: int, t: int, iterations: int) -> tuple[float, float]
     marked = math.sin(angle) ** 2 / t if t else 0.0
     unmarked = math.cos(angle) ** 2 / (m - t) if t < m else 0.0
     return marked, unmarked
+
+
+def _fixed_point_gamma(length: int, failure: float) -> float:
+    """gamma_L = 1 / T_(1/L)(1/delta) = 1 / cosh(arccosh(1/delta) / L) of a fixed-point search, delta^2 = failure."""
+    return 1 / math.cosh(math.acosh(1 / math.sqrt(failure)) / length)
+
+
+def _fixed_point_probabilities(m: int, t: int, iterations: int, failure: float) -> tuple[float, float]:
+    """Probability of each of t marked and each other of m entries after l = ``iterations`` rounds of
+    the fixed-point search (see :meth:`GroverPlan.fixed_point`): marked mass
+    1 - delta^2 T_L(sqrt(1 - t/m) / gamma_L)^2 with L = 2l + 1 and delta^2 = ``failure``, spread evenly.
+    It is 0 at t = 0, where T_L(1/gamma_L) = 1/delta, and 1 at t = m, where T_L(0) = 0."""
+    if not t:
+        return 0.0, 1 / m
+    length = 2 * iterations + 1
+    x = math.sqrt(1 - t / m) / _fixed_point_gamma(length, failure)
+    chebyshev = math.cos(length * math.acos(x)) if x <= 1 else math.cosh(length * math.acosh(x))
+    hit = 1 - failure * chebyshev * chebyshev
+    return hit / t, (1 - hit) / (m - t) if t < m else 0.0
 
 
 def _amplify(domain, hits: list, plan, model, rng):
@@ -158,8 +226,8 @@ def _amplify(domain, hits: list, plan, model, rng):
     Exact mode measures once per cap of the plan: it draws the iteration
     count as ``rng.randrange(cap)`` would (or takes the cap when the plan
     does not randomize), then one ``rng.random()``.  With something marked,
-    that float picks a candidate by the entry probabilities of
-    :func:`_entry_probabilities`, tested on the hits alone.
+    that float picks a candidate by the plan's entry probabilities
+    (:attr:`GroverPlan.probabilities`), tested on the hits alone.
     Cost-model mode makes a single measurement at the analytical count
     ceil(sqrt(|domain| / (t + 1))) for t marked entries.  The witness is a
     seeded uniform pick among the marked entries.
@@ -169,6 +237,7 @@ def _amplify(domain, hits: list, plan, model, rng):
         if plan is None:
             plan = GroverPlan.default(m)
         getrandbits, random_, randomize, drawn = rng.getrandbits, rng.random, plan.randomize, []
+        probabilities = plan.probabilities
         # randrange(cap) is getrandbits(cap.bit_length()) redrawn while the result is >= cap: the
         # same values and generator state, without randrange's two Python frames per draw.
         # The mass through entry i, pu * (i + 1 - c) + pm * c with c hits up to i, sums two
@@ -183,7 +252,7 @@ def _amplify(domain, hits: list, plan, model, rng):
             r = random_()
             drawn.append(iterations)
             if t:
-                pm, pu = _entry_probabilities(m, t, iterations)
+                pm, pu = probabilities(m, t, iterations)
                 r *= pu * (m - t) + pm * t
                 # the first hit whose mass exceeds r is the candidate if the mass before it does not
                 j = bisect.bisect_right(range(t), r, key=lambda j: pu * (hits[j] - j) + pm * (j + 1))
@@ -452,18 +521,21 @@ def graph_collision_all(
 
 
 @functools.lru_cache(maxsize=1024)  # tuples, so every search with these arguments can share them
-def _instance_messages(big_n: int, inner_cost_qubits: int) -> tuple[tuple, tuple]:
-    """The per-round and verify templates of :func:`instance_search` over big_n instances."""
-    boost = math.ceil(math.log2(100.0 * GroverPlan.default(big_n).caps[-1]))
-    inner_per_call, inner = boost * inner_cost_qubits, "inner-protocol"
+def _instance_messages(big_n: int, inner_cost_qubits: int, plan: GroverPlan | None = None) -> tuple[tuple, tuple]:
+    """The per-round and verify templates of :func:`instance_search` over big_n instances under ``plan``,
+    with its boost and, for a fixed-point plan, its ``certify`` phases."""
+    longest, shuttle, inner = GroverPlan.default(big_n).caps[-1], "instance-shuttle", "inner-protocol"
+    if plan is not None and plan.failure is not None:
+        longest, shuttle, inner = max(longest, plan.caps[0]), "certify", "certify"
+    inner_per_call = math.ceil(math.log2(100.0 * longest)) * inner_cost_qubits
     # a search's index round trip and verdict; verification runs the inner protocol once in place of
     # shuttling the index
-    per_round, (_, verdict) = _search_messages(big_n, "instance-shuttle", A_TO_B, B_TO_A)
+    per_round, (_, verdict) = _search_messages(big_n, shuttle, A_TO_B, B_TO_A)
     verify = (verdict,)
     if inner_per_call:
         # compute on the way out, uncompute on the way back
         per_round += ((A_TO_B, QUBITS, inner_per_call, inner), (B_TO_A, QUBITS, inner_per_call, inner))
-        verify = ((A_TO_B, QUBITS, inner_per_call, "instance-shuttle-verify"), verdict)
+        verify = ((A_TO_B, QUBITS, inner_per_call, shuttle + "-verify"), verdict)
     return per_round, verify
 
 
@@ -473,6 +545,7 @@ def instance_search(
     ledger: CommLedger,
     rng: random.Random,
     inner_cost_qubits: int = 0,
+    plan: GroverPlan | None = None,
 ):
     """Search a sequence of communication instances for one whose answer is 1, in exact mode.
 
@@ -481,13 +554,17 @@ def instance_search(
     treats them as a perfect phase oracle.  Returns the instance found, or
     None.  Positions outside ``instances``, or out of order or repeated,
     raise ``ValueError`` before any draw or charge.  The ``bmm`` cost-model
-    replay prices this search itself, so it has no cost-model mode.  Each
-    amplitude-amplification round charges the index register round trip
-    plus twice the inner protocol's cost (compute and uncompute), with the
-    inner cost multiplied by the repetition factor that boosts a bounded
-    error inner protocol for coherent nesting: ceil(log2(100 h)), where h
-    is the ceiling of the search's own plan, the last cap of
-    ``GroverPlan.default(len(instances))``.
+    replay prices this search itself, so it has no cost-model mode.  The
+    search measures under ``plan``, ``GroverPlan.default(len(instances))``
+    when it is None.  Each amplitude-amplification round charges the index
+    register round trip plus twice the inner protocol's cost (compute and
+    uncompute), with the inner cost multiplied by the repetition factor
+    that boosts a bounded error inner protocol for coherent nesting:
+    ceil(log2(100 r)), r the longest coherent run of rounds.  That is the
+    default plan's ceiling h for every plan but a fixed-point one
+    (:meth:`GroverPlan.fixed_point`, a certificate that nothing is
+    marked), which runs its l rounds in one go: r = max(h, l), and its
+    records are charged under ``certify`` and ``certify-verify``.
     """
     big_n = len(instances)
     if big_n == 0:
@@ -496,5 +573,5 @@ def instance_search(
         raise ValueError(f"answers must be positions in [0, {big_n}), ascending")
     if inner_cost_qubits < 0:
         raise ValueError("inner cost must be nonnegative")
-    messages = _instance_messages(big_n, inner_cost_qubits)
-    return _search(instances, answers, messages, CostModel.exact_mode(), ledger, rng)[0]
+    messages = _instance_messages(big_n, inner_cost_qubits, plan)
+    return _search(instances, answers, messages, CostModel.exact_mode(), ledger, rng, plan)[0]

@@ -39,7 +39,11 @@ SKETCH_HASHES = "tests/test_joins.py::test_sketch_hashes_are_invertible_codes_an
 SKETCH_ENCODE = "tests/test_joins.py::test_sketch_encode_matches_field_by_field_reference"
 SKETCH_DECODE = "tests/test_joins.py::test_sketch_decode_matches_reference_decoder"
 RANDOM_GRAPH = "tests/test_qsim.py::test_random_graph_is_the_bitmatrix_draw_in_both_orientations"
-FINAL_SEARCHES = "tests/test_joins.py::test_final_searches_meet_the_per_round_bound_by_the_exact_miss_probability"
+CERT_LENGTH = "tests/test_joins.py::test_certificate_length_is_the_least_odd_that_covers_one_marked_entry"
+CERT_MISS = "tests/test_joins.py::test_certificate_misses_with_probability_at_most_its_failure_for_every_marked_count"
+EXACT_ROUND = "tests/test_joins.py::test_exact_round_is_the_growth_pass_then_one_certificate"
+CERT_BOOST = "tests/test_qsim.py::test_certificate_boost_is_sized_by_its_longest_coherent_run"
+CERT_LEDGER = "tests/test_ledger.py::test_certificate_ledger_recomputed_from_its_rounds"
 COLLECT_REPEATS = "tests/test_qsim.py::test_graph_collision_all_repeats_the_fewest_attempts_that_meet_the_per_edge_bound"
 CEILING_CAPS = "tests/test_joins.py::test_default_plan_ends_in_twelve_ceiling_caps"
 CEILING_LAW = "tests/test_joins.py::test_ceiling_cap_reaches_one_over_sin_two_theta_for_every_marked_count"
@@ -107,14 +111,14 @@ MUTANTS = [
         "qsim.py",
         "math.log(failure) / math.log(_MISS_BOUND)",
         "math.log(failure) / math.log(_MISS_BOUND / 10)",
-        [FINAL_SEARCHES, COLLECT_REPEATS],
+        [COLLECT_REPEATS],
     ),
     (
         "miss bound (3/4)^12 -> (3/4)^24",
         "qsim.py",
         "_MISS_BOUND = 0.75**12",
         "_MISS_BOUND = 0.75**24",
-        [FINAL_SEARCHES, COLLECT_REPEATS],
+        [COLLECT_REPEATS],
     ),
     (
         "Grover ceiling one below Lemma 2's bound",
@@ -122,6 +126,27 @@ MUTANTS = [
         "return 1 if n == 1 else math.isqrt(-(-n * n // (4 * (n - 1))) - 1) + 1",
         "return 1 if n <= 2 else math.isqrt(-(-n * n // (4 * (n - 1))) - 1)",
         [CEILING_CAPS, CEILING_LAW],
+    ),
+    (
+        "certificate one step short (L - 2)",
+        "qsim.py",
+        "return cls((length // 2,), randomize=False, failure=failure)",
+        "return cls((max(0, length // 2 - 1),), randomize=False, failure=failure)",
+        [CERT_LENGTH, CERT_MISS],
+    ),
+    (
+        "certificate failure target loosened 10x",
+        "joins.py",
+        "GroverPlan.fixed_point(n, 1 / (10_000 * (instance.ell + 2)))",
+        "GroverPlan.fixed_point(n, 1 / (1_000 * (instance.ell + 2)))",
+        [EXACT_ROUND, "tests/test_joins.py::test_exact_bmm_that_stops_early_keeps_its_verified_rounds"],
+    ),
+    (
+        "certificate boost sized by h, not max(h, l)",
+        "qsim.py",
+        'longest, shuttle, inner = max(longest, plan.caps[0]), "certify", "certify"',
+        'longest, shuttle, inner = longest, "certify", "certify"',
+        [CERT_BOOST, CERT_LEDGER],
     ),
     (
         "graph_collision_all tries once",

@@ -117,16 +117,16 @@ def test_bmm_witness_weight_bound_under_promise():
 
 
 def _spied_searches(monkeypatch, stop_after=None):
-    """Route joins' instance searches through the real one, recording each result and the ledger
-    total it added; past ``stop_after`` witnesses every search reports None (still charged)."""
+    """Route joins' instance searches through the real one, recording each result, the ledger total
+    it added and its plan; past ``stop_after`` witnesses every search reports None (still charged)."""
     calls = []
 
-    def search(instances, answers, ledger, *args, **kwargs):
+    def search(instances, answers, ledger, rng, inner_cost_qubits=0, plan=None):
         before = ledger.total()
-        k = instance_search(instances, answers, ledger, *args, **kwargs)
-        if stop_after is not None and sum(c is not None for c, _ in calls) == stop_after:
+        k = instance_search(instances, answers, ledger, rng, inner_cost_qubits, plan)
+        if stop_after is not None and sum(c is not None for c, _, _ in calls) == stop_after:
             k = None
-        calls.append((k, ledger.total() - before))
+        calls.append((k, ledger.total() - before, plan))
         return k
 
     monkeypatch.setattr(joins, "instance_search", search)
@@ -138,12 +138,15 @@ def test_exact_bmm_that_stops_early_keeps_its_verified_rounds(monkeypatch):
     calls = _spied_searches(monkeypatch, stop_after=2)
     led = CommLedger()
     out, trace = bmm_with_trace(inst, EXACT, led, random.Random(6))
-    assert trace.t == 2 and [r.witness for r in trace.rounds] == [k for k, _ in calls if k is not None]
+    assert trace.t == 2 and [r.witness for r in trace.rounds] == [k for k, _, _ in calls if k is not None]
     truth = inst.oracle_product
     assert out != truth and all(mine & ~row == 0 for mine, row in zip(out.data, truth.data))
     assert sum(trace.lambdas) == out.weight()
     # every search the run made, the ones told to miss included, is on the run's ledger
-    assert calls[-1][0] is None and all(charged > 0 for _, charged in calls)
+    assert all(charged > 0 for _, charged, _ in calls)
+    # the round told to miss is the growth pass and then the certificate, and its miss ends the run
+    certificate = GroverPlan.fixed_point(32, 1 / (10_000 * (inst.ell + 2)))
+    assert [(k, plan) for k, _, plan in calls[-2:]] == [(None, GroverPlan.growth(32)), (None, certificate)]
 
 
 def _search_miss_probability(big_n: int) -> np.ndarray:
@@ -199,29 +202,85 @@ def test_one_default_plan_search_misses_with_probability_at_most_three_quarters_
     assert max(_closed_form_miss_probability(big_n).max() for big_n in grid) <= 0.75**12
 
 
-def test_final_searches_meet_the_per_round_bound_by_the_exact_miss_probability(monkeypatch):
-    # premise of the count: one search misses with probability at most (3/4)^12 for every (N, t)
-    worst = {big_n: _search_miss_probability(big_n).max() for big_n in (*range(1, 65), 256, 1000, 1024, 4096)}
-    assert max(worst.values()) <= 0.75**12
-    zero = BitMatrix(32, 32, [0] * 32)
-    cases = [
-        gen_promise_instance(8, 8, 1, seed=3),
-        gen_promise_instance(16, 16, 16, seed=4),
-        gen_promise_instance(32, 32, 64, seed=5),
-        gen_hard_instance(64, 64, seed=6),
-        JoinInstance(zero, zero, ell=1024),
-    ]
-    for inst in cases:
-        calls = _spied_searches(monkeypatch)
-        out = bmm_with_trace(inst, EXACT, CommLedger(), random.Random(inst.ell))[0]
-        assert out == inst.oracle_product
-        # the searches after the last witness are the round that ended the run
-        final = len(calls) - 1 - max((i for i, (k, _) in enumerate(calls) if k is not None), default=-1)
-        bound = 1 / (100 * (inst.ell + 2))
-        assert (0.75**12) ** final <= bound
-        # and no fewer searches would
-        assert final == 1 or (0.75**12) ** (final - 1) > bound
-        assert worst[inst.A.cols] ** final <= bound
+def _covers_one_marked_entry(length: int, big_n: int, failure: float) -> bool:
+    """1 - gamma_L^2 <= 1/N, gamma_L = 1 / cosh(arccosh(1/delta) / L): the fixed-point search of length L
+    then misses with probability at most delta^2 for every marked fraction of at least 1/N."""
+    gamma = 1 / math.cosh(math.acosh(1 / math.sqrt(failure)) / length)
+    return 1 - gamma**2 <= 1 / big_n
+
+
+# 1/(10^4 (ell + 2)) at ell = 1, 16, 256 and 1024, and 1/(100 (ell + 2)) at ell = 1 and 1024
+CERTIFICATE_FAILURES = (1 / 300, 1 / 102600, 1 / 30_000, 1 / 180_000, 1 / 2_580_000, 1 / 10_260_000)
+# every N up to 256, and every N of criterion 3's exact searches
+CERTIFICATE_SIZES = (*range(1, 257), 512, 1024, 2048, 4096, 8192, 16384)
+
+
+def test_certificate_length_is_the_least_odd_that_covers_one_marked_entry():
+    for failure in CERTIFICATE_FAILURES:
+        for big_n in CERTIFICATE_SIZES:
+            plan = GroverPlan.fixed_point(big_n, failure)
+            assert (plan.randomize, plan.failure, len(plan.caps)) == (False, failure, 1)
+            length = 2 * plan.caps[0] + 1
+            assert _covers_one_marked_entry(length, big_n, failure), (big_n, failure)
+            assert length == 1 or not _covers_one_marked_entry(length - 2, big_n, failure), (big_n, failure)
+
+
+def test_certificate_misses_with_probability_at_most_its_failure_for_every_marked_count():
+    for failure in CERTIFICATE_FAILURES:
+        for big_n in CERTIFICATE_SIZES:
+            plan = GroverPlan.fixed_point(big_n, failure)
+            (rounds,) = plan.caps
+            length = 2 * rounds + 1
+            # the closed form, vectorised over every t in [0, N]: miss = delta^2 T_L(x)^2, x = sqrt(1 - t/N) / gamma
+            t = np.arange(big_n + 1)
+            x = np.sqrt(1 - t / big_n) * np.cosh(np.arccosh(1 / np.sqrt(failure)) / length)
+            chebyshev = np.where(x <= 1, np.cos(length * np.arccos(np.minimum(x, 1))),
+                                 np.cosh(length * np.arccosh(np.maximum(x, 1))))
+            miss = failure * chebyshev**2
+            assert np.all(miss[1:] <= failure), (big_n, failure)
+            assert abs(miss[0] - 1) < 1e-9 and miss[-1] < 1e-20  # T_L(1/gamma) = 1/delta, T_L(0) = 0
+            # the law the plan samples spreads the same hit mass over the marked entries
+            law = np.array([plan.probabilities(big_n, k, rounds) for k in range(big_n + 1)])
+            # t = 0 never hits, and t = N always does
+            assert tuple(law[0]) == (0.0, 1 / big_n) and tuple(law[-1]) == (1 / big_n, 0.0)
+            hit = law[1:, 0] * t[1:]
+            assert np.all(np.abs(hit - (1 - miss[1:])) <= 1e-12)
+            assert np.all(law[1:-1, 1] * (big_n - t[1:-1]) <= failure * (1 + 1e-12))
+
+
+@pytest.mark.parametrize("inst", [
+    gen_promise_instance(8, 8, 1, seed=3),
+    gen_promise_instance(16, 16, 16, seed=4),
+    gen_promise_instance(32, 32, 64, seed=5),
+    gen_hard_instance(64, 64, seed=6),
+    JoinInstance(BitMatrix(2, 2, [0b01, 0b10]), BitMatrix(2, 2, [0b10, 0b01]), ell=2),
+    JoinInstance(BitMatrix(32, 32, [0] * 32), BitMatrix(32, 32, [0] * 32), ell=1024),
+], ids=["planted-8", "planted-16", "planted-32", "hard-64", "swap-2", "zero-32"])
+def test_exact_round_is_the_growth_pass_then_one_certificate(monkeypatch, inst):
+    n = inst.A.cols
+    calls = _spied_searches(monkeypatch)
+    led = CommLedger()
+    out = bmm_with_trace(inst, EXACT, led, random.Random(inst.ell))[0]
+    assert out == inst.oracle_product
+    # per round: the default plan without its 12 ceiling caps, and the certificate only when that misses
+    default = GroverPlan.default(n).caps
+    growth = GroverPlan(default[:-12]) if len(default) > 12 else None
+    failure = 1 / (10_000 * (inst.ell + 2))
+    certificate = GroverPlan.fixed_point(n, failure)
+    rounds, searches = [], iter(calls)
+    for k, _, plan in searches:
+        if plan == growth and k is None:
+            k, _, plan = next(searches)
+        assert plan in (growth, certificate)
+        rounds.append((k, plan))
+    assert all(k is not None for k, _ in rounds[:-1]) and rounds[-1] == (None, certificate)
+    assert len(rounds) <= inst.ell + 1
+    # each round ends the run by mistake with probability at most the certificate's failure, so the
+    # at most ell + 1 rounds do with probability at most 1/10^4, inside the 1/100 budget
+    assert (inst.ell + 1) * failure <= 1 / 10_000
+    # the certify phases hold what the certificates charged, and nothing else does
+    certified = sum(amount for (_, _, phase), amount in led.amounts.items() if phase.startswith("certify"))
+    assert certified == sum(charged for _, charged, plan in calls if plan == certificate) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +420,10 @@ def _reference_search_and_collect(instance, model, ledger, rng) -> BmmTrace:
     """
     A, B = instance.A, instance.B
     m, n = A.rows, A.cols
-    none_repeats = max(1, math.ceil(math.log(1 / (100 * (instance.ell + 2))) / math.log(0.75**12)))
+    # a round searches under the default plan without its 12 ceiling caps, then certifies a miss
+    default = GroverPlan.default(n).caps
+    plans = [GroverPlan(default[:-12])] if len(default) > 12 else []
+    plans.append(GroverPlan.fixed_point(n, 1 / (10_000 * (instance.ell + 2))))
     a_t, b_t = A.transpose(), B.transpose()
     weights = [(col.bit_count(), row.bit_count()) for col, row in zip(a_t.data, B.data)]
     min_w = [min(w) for w in weights]
@@ -380,9 +442,9 @@ def _reference_search_and_collect(instance, model, ledger, rng) -> BmmTrace:
     while True:
         if model.exact:
             k = None
-            for _ in range(none_repeats):
+            for plan in plans:
                 k = instance_search(range(n), np.flatnonzero(live).tolist(), ledger, rng,
-                                    inner_cost_qubits=inner_budget * 2 * width)
+                                    inner_cost_qubits=inner_budget * 2 * width, plan=plan)
                 if k is not None:
                     break
             if k is None:

@@ -160,6 +160,24 @@ def test_instance_search_ledger_recomputed_from_schedule(seed):
     assert len(led) == 4 * sum(k > 0 for k in drawn) + 2 * meas
 
 
+@pytest.mark.parametrize("answers", [[], [6, 21]])
+def test_certificate_ledger_recomputed_from_its_rounds(answers):
+    # one measurement after the certificate's l rounds, charged as a search's are but under certify
+    # and certify-verify, with the inner protocol boosted ceil(log2(100 max(h, l))) times
+    big_n, inner_cost = 32, 10
+    certificate = GroverPlan.fixed_point(big_n, 1 / 180_000)
+    (rounds,) = certificate.caps
+    led = CommLedger()
+    found = instance_search(range(big_n), answers, led, random.Random(5), inner_cost, certificate)
+    assert (found is None) == (not answers) and (found is None or found in answers)
+    inner = math.ceil(math.log2(100 * max(GroverPlan.default(big_n).caps[-1], rounds))) * inner_cost
+    assert led.report()["phases"] == {
+        "certify": {BITS: 0, QUBITS: rounds * 2 * (index_qubits(big_n) + inner)},
+        "certify-verify": {BITS: outcome_bits(big_n), QUBITS: inner},
+    }
+    assert len(led) == 4 + 2
+
+
 def test_prior_charges_do_not_change_outputs():
     n = 48
     rng = random.Random(15)

@@ -14,7 +14,12 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from grover_statevector import grover_success_curve, grover_success_curves_batch, statevectors
+from grover_statevector import (
+    fixed_point_amplitudes,
+    grover_success_curve,
+    grover_success_curves_batch,
+    statevectors,
+)
 from joinlab.f2core import BitMatrix, BitVector, DimensionError
 from joinlab.ledger import (
     A_TO_B,
@@ -93,6 +98,41 @@ def test_entry_probabilities_match_statevector():
         marked, unmarked = np.array(pairs).T
         expect = np.where(masks, marked.T[..., None], unmarked.T[..., None])
         assert np.max(np.abs(probs - expect)) < 1e-12, m
+
+
+@pytest.mark.parametrize("denominator", [300, 102_600, 30_000, 10_260_000])
+def test_fixed_point_probabilities_match_statevector(denominator):
+    # the certificate's closed form against the generalized iterate, entry by entry, for every N <= 64 and t
+    failure = 1 / denominator
+    for m in range(1, 65):
+        plan = GroverPlan.fixed_point(m, failure)
+        (rounds,) = plan.caps
+        masks = np.tril(np.ones((m + 1, m), dtype=bool), -1)  # row t marks the first t entries
+        probs = np.abs(fixed_point_amplitudes(masks, 2 * rounds + 1, failure)) ** 2
+        marked, unmarked = np.array([plan.probabilities(m, t, rounds) for t in range(m + 1)]).T
+        expect = np.where(masks, marked[:, None], unmarked[:, None])
+        assert np.max(np.abs(probs - expect)) < 1e-12, m
+
+
+@given(
+    st.integers(1, 64).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m))),
+    st.sampled_from((1 / 300, 1 / 102600, 1 / 30_000, 1 / 10_260_000)),
+    st.integers(0, 2**32),
+)
+@example((1, 1), 1 / 300, 0)
+@example((64, 1), 1 / 102600, 1)
+def test_fixed_point_draw_matches_statevector(case, failure, seed):
+    # one unrandomized measurement after the certificate's rounds, sampled from the generalized iterate
+    m, t = case
+    mask = _random_mask(m, t, random.Random(seed))
+    plan = GroverPlan.fixed_point(m, failure)
+    (rounds,) = plan.caps
+    domain = range(1000, 1000 + m)
+    rng_got, rng_want = random.Random(seed), random.Random(seed)
+    got = _amplify(domain, np.flatnonzero(mask).tolist(), plan, EXACT, rng_got)
+    candidate = _sample_index(np.abs(fixed_point_amplitudes(mask, 2 * rounds + 1, failure)) ** 2, rng_want)
+    want = (domain[candidate] if mask[candidate] else None, [rounds])
+    assert (got, rng_got.random()) == (want, rng_want.random())
 
 
 def _fixed_plans(most: int):
@@ -984,6 +1024,28 @@ def test_instance_search_cost_within_factor_two():
     predicted = math.sqrt(8 / 2) * (2 * boost * inner_cost + 2 * index_qubits(8))
     mean = sum(totals) / len(totals)
     assert predicted / 2 <= mean <= predicted * 2
+
+
+def test_certificate_boost_is_sized_by_its_longest_coherent_run():
+    # ceil(log2(100 max(h, l))) inner calls per round, h the default plan's ceiling and l the certificate's
+    # rounds; the certificate charges under certify and certify-verify, the growth pass as every search does
+    for big_n in (1, 2, 3, 8, 64, 1000, 4096):
+        width, h = index_qubits(big_n), GroverPlan.default(big_n).caps[-1]
+        for failure in (1 / 300, 1 / 10_260_000):
+            certificate = GroverPlan.fixed_point(big_n, failure)
+            inner = 7 * math.ceil(math.log2(100 * max(h, certificate.caps[0])))
+            per_round, verify = _instance_messages(big_n, 7, certificate)
+            assert per_round == (
+                (A_TO_B, QUBITS, width, "certify"), (B_TO_A, QUBITS, width, "certify"),
+                (A_TO_B, QUBITS, inner, "certify"), (B_TO_A, QUBITS, inner, "certify"),
+            )
+            assert verify == (
+                (A_TO_B, QUBITS, inner, "certify-verify"), (B_TO_A, BITS, outcome_bits(big_n), "certify-verify"),
+            )
+        growth = GroverPlan.growth(big_n)
+        assert growth is None or _instance_messages(big_n, 7, growth) == _instance_messages(big_n, 7)
+    # past N = 1 the certificate's rounds outrun the ceiling: at N = 8, l = 5 against h = 2
+    assert GroverPlan.fixed_point(8, 1 / 300).caps[0] == 5 and GroverPlan.default(8).caps[-1] == 2
 
 
 def test_instance_search_templates_are_shared_and_immutable(monkeypatch):
