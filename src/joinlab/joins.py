@@ -147,11 +147,8 @@ def _search_and_collect(
         ledger.charge(B_TO_A, QUBITS, amount, phase)
 
     if model.exact:
-        # a round searches under the default plan's growth caps, then certifies a miss with one
-        # fixed-point search, which misses with probability at most 1/(10^4 (ell + 2)) whatever the
-        # marked count; the union bound covers the at most ell + 1 rounds
-        growth = GroverPlan.growth(n)
-        certificate = GroverPlan.fixed_point(n, 1 / (10_000 * (instance.ell + 2)))
+        # a round's passes, whose certificate misses with probability at most 1/(10^4 (ell + 2))
+        plans = GroverPlan.certified(n, 1 / (10_000 * (instance.ell + 2)))
         # graph collision works at full width: each A column over [m], and the cells not yet collected,
         # from which graph_collision_all removes the cells it finds.  A searched cover can hold zero rows
         # of A and unused columns, so compact numbers, which move them, would change the draws
@@ -161,11 +158,12 @@ def _search_and_collect(
     trace = BmmTrace()
     while True:
         if model.exact:
-            k = None if growth is None else instance_search(range(n), live, ledger, rng, inner_cost, growth)
-            if k is None:
-                k = instance_search(range(n), live, ledger, rng, inner_cost, certificate)
-                if k is None:
+            for plan in plans:
+                k = instance_search(range(n), live, ledger, rng, inner_cost, plan)
+                if k is not None:
                     break
+            else:
+                break
             p = position[k]
             f_a, f_b = BitVector(m, sum(1 << rows[r] for r in a_cols[p])), BitVector(m, B.data[k])
             for _ in range(100):
@@ -218,22 +216,21 @@ def bmm_with_trace(
 
     Every edge entering the output is a verified collision, so spurious ones
     are impossible; protocol error is confined to stopping before all ones
-    are found.  A round first searches under ``GroverPlan.growth(n)``, the
-    default plan's growth caps, each three times.  If that finds no
-    witness, one fixed-point search certifies the miss
-    (:meth:`joinlab.qsim.GroverPlan.fixed_point` with delta^2 =
-    1/(10^4 (ell+2))), which misses a live witness with probability at most
-    delta^2 for every count of them, and its miss ends the run.  So a round
-    ends the run early with probability at most 1/(10^4 (ell+2)), and the
-    union bound over at most ell+1 rounds keeps the chance of ending early
-    below 1/10^4, inside the protocol's 1/100 budget.  A target of
-    1/(100 (ell+2)) would meet that budget too, but it made wrong outputs
-    about a hundred times as frequent as the repeated default plans did;
-    this one makes them no more frequent.  The certificate's l rounds run in one coherent go, so its
-    inner protocol is boosted ceil(log2(100 max(h, l))) times, h the
-    default plan's ceiling, and it is charged under ``certify`` and
-    ``certify-verify``.  A cost-model ``model`` runs the replay of
-    :func:`bmm_cost_model` instead.
+    are found.  A round searches in the passes of
+    ``GroverPlan.certified(n, 1/(10^4 (ell+2)))``: the default plan's growth
+    caps, then a fixed-point certificate that misses a live witness with
+    probability at most 1/(10^4 (ell+2)) whatever their count, and whose
+    miss ends the run.  The union bound over at most ell+1 rounds keeps the
+    chance of ending early below 1/10^4, inside the protocol's 1/100 budget.
+    The certificate's l rounds run in one coherent go, so its inner protocol
+    is boosted ceil(log2(100 max(h, l))) times, h the default plan's
+    ceiling, and it is charged under ``certify`` and ``certify-verify``.  A
+    round collects its witness's cells with
+    :func:`joinlab.qsim.graph_collision_all`, which can stop early.  That
+    costs a round, not an output: the witness stays live until the output
+    holds every cell it covers, so a later round finds it again, and the
+    collision's own failure target takes no part in the union bound.  A
+    cost-model ``model`` runs the replay of :func:`bmm_cost_model` instead.
     """
     trace = _search_and_collect(instance, model, ledger, rng)
     return trace.product, trace

@@ -40,15 +40,6 @@ class ProtocolError(RuntimeError):
     """A protocol run failed: it exhausted a retry budget or broke its promise."""
 
 
-# one exact search under GroverPlan.default misses a marked entry with probability at most this
-_MISS_BOUND = 0.75**12
-
-
-def _repeats(failure: float) -> int:
-    """The fewest default-plan searches that all miss with probability at most ``failure``."""
-    return max(1, math.ceil(math.log(failure) / math.log(_MISS_BOUND)))
-
-
 @dataclass(frozen=True)
 class CostModel:
     """Execution mode: sample the exact search state, or charge the analytical counts."""
@@ -85,13 +76,9 @@ class GroverPlan:
     measurement draws ``randrange(cap)`` iterations, or takes the cap itself
     when ``randomize`` is off.  :func:`_amplify` makes the draws and samples
     each measurement from :attr:`probabilities`.  With ``failure`` None a
-    round is a Grover iterate, whose law is :func:`_entry_probabilities`.
-    The default plan grows caps geometrically up to the ceiling that Lemma 2
-    of Boyer, Brassard, Hoyer and Tapp (1998) needs, about sqrt(m)/2, and
-    then lingers there, which keeps the expected cost at the sqrt(m/(t+1))
-    scale while bounding the false negative rate for any marked count.
-    With ``failure`` = delta^2 a round is an iterate of the fixed-point
-    search of :meth:`fixed_point`, whose law is
+    round is a Grover iterate, whose law is :func:`_entry_probabilities`
+    (see :meth:`default`).  With ``failure`` = delta^2 a round is an iterate
+    of the fixed-point search of :meth:`fixed_point`, whose law is
     :func:`_fixed_point_probabilities`.
     """
 
@@ -120,7 +107,7 @@ class GroverPlan:
         So the plan ends in 12 measurements at the ceiling h over N =
         ``support_size`` entries, the least integer with 4 h^2 (N - 1) >= N^2
         (h = 1 at N = 1), and one search under it misses with probability at
-        most ``_MISS_BOUND`` = (3/4)^12 for every N and marked count t >= 1.
+        most (3/4)^12 for every N and marked count t >= 1.
         With t = N every measurement hits.  For 1 <= t <= N - 1,
         sin^2 theta = t/N gives sin 2 theta = 2 sqrt(t (N - t)) / N
         >= 2 sqrt(N - 1) / N, so h >= N / (2 sqrt(N - 1)) >= 1 / sin 2 theta.
@@ -171,6 +158,13 @@ class GroverPlan:
         while 1 - _fixed_point_gamma(length, failure) ** 2 > 1 / support_size:
             length += 2
         return cls((length // 2,), randomize=False, failure=failure)
+
+    @classmethod
+    def certified(cls, support_size: int, failure: float) -> tuple["GroverPlan", ...]:
+        """The passes of a search that stops at its first hit: :meth:`growth`, if any, then :meth:`fixed_point`
+        at ``failure``, so it ends empty-handed with probability at most ``failure`` when something is marked."""
+        growth, certificate = cls.growth(support_size), cls.fixed_point(support_size, failure)
+        return (certificate,) if growth is None else (growth, certificate)
 
     @functools.cached_property
     def _widths(self) -> tuple[tuple[int, int], ...]:
@@ -223,11 +217,9 @@ def _amplify(domain, hits: list, plan, model, rng):
     count in draw order, which :func:`_search` hands to
     :meth:`CommLedger._log_search` with its message templates.
 
-    Exact mode measures once per cap of the plan: it draws the iteration
-    count as ``rng.randrange(cap)`` would (or takes the cap when the plan
-    does not randomize), then one ``rng.random()``.  With something marked,
-    that float picks a candidate by the plan's entry probabilities
-    (:attr:`GroverPlan.probabilities`), tested on the hits alone.
+    Exact mode measures once per cap of the plan, as :class:`GroverPlan`
+    says, then takes one ``rng.random()``, which with something marked
+    picks a candidate by the plan's law, tested on the hits alone.
     Cost-model mode makes a single measurement at the analytical count
     ceil(sqrt(|domain| / (t + 1))) for t marked entries.  The witness is a
     seeded uniform pick among the marked entries.
@@ -321,8 +313,8 @@ def grover_search(
 
 
 def _disj_search(a: BitVector, b: BitVector) -> tuple | None:
-    """The ``(support, hits, messages)`` of the search :func:`disj` runs, or None when a or b is
-    empty: the smaller-weight side searches its own set, marked where the other set has it too."""
+    """The ``(support, hits, (out, back))`` of :func:`disj`'s search, or None when a or b is empty: the
+    smaller-weight side searches its own set, sending ``out``, marked where the other set has it too."""
     if a.n != b.n:
         raise DimensionError(f"length mismatch: {a.n} vs {b.n}")
     wa, wb = a.weight(), b.weight()
@@ -332,7 +324,7 @@ def _disj_search(a: BitVector, b: BitVector) -> tuple | None:
     support = own.indices()
     # the marked entries are the intersection, which lies inside the support
     hits = [bisect.bisect_left(support, i) for i in _iter_bits(a.bits & b.bits)]
-    return support, hits, _search_messages(a.n, "disj", out, back)
+    return support, hits, (out, back)
 
 
 def disj(
@@ -351,7 +343,10 @@ def disj(
     """
     search = _disj_search(a, b)
     ledger._log(_handshake(a.n, a.n))
-    return None if search is None else _search(*search, model, ledger, rng, plan)[0]
+    if search is None:
+        return None
+    support, hits, directions = search
+    return _search(support, hits, _search_messages(a.n, "disj", *directions), model, ledger, rng, plan)[0]
 
 
 @functools.lru_cache(maxsize=1024)  # tuples, so every handshake over these domains can share them
@@ -419,6 +414,15 @@ def _cover(missing: list, query: BitVector, n: int) -> BitVector:
     return BitVector(n, full ^ _fold(and_, missing, query.bits, full))
 
 
+@functools.lru_cache(maxsize=1024)  # tuples, so every graph state with these arguments can share them
+def _disj_passes(n: int, size: int, failure: float | None, out: str, back: str) -> tuple[tuple, ...]:
+    """The ``(plan, messages)`` passes of a graph collision attempt over ``size`` entries of [n]: the default
+    plan with ``failure`` None, else :meth:`GroverPlan.certified`'s, the certificate's under ``disj-certify``."""
+    plans = (None,) if failure is None else GroverPlan.certified(size, failure)
+    return tuple((plan, _search_messages(n, "disj-certify" if plan and plan.failure else "disj", out, back))
+                 for plan in plans)
+
+
 class _Collision:
     """Graph collision of f_a and f_b, its disjointness question built once per graph state.
 
@@ -427,13 +431,14 @@ class _Collision:
     change only the witness's cover bit, so :meth:`remove` rebuilds only then.
     """
 
-    __slots__ = ("graph", "model", "own_is_left", "own", "other", "cover", "missing", "reporter", "sizes",
-                 "search")
+    __slots__ = ("graph", "model", "failure", "own_is_left", "own", "other", "cover", "missing", "reporter",
+                 "sizes", "search", "passes")
 
-    def __init__(self, graph: BipartiteGraph, f_a: BitVector, f_b: BitVector, model: CostModel):
+    def __init__(self, graph: BipartiteGraph, f_a: BitVector, f_b: BitVector, model: CostModel, failure=None):
         if f_a.n != graph.n_left or f_b.n != graph.n_right:
             raise DimensionError("vector lengths do not match the graph sides")
-        self.graph, self.model, self.own_is_left = graph, model, f_a.weight() <= f_b.weight()
+        self.graph, self.model, self.failure = graph, model, failure if model.exact else None
+        self.own_is_left = f_a.weight() <= f_b.weight()
         # missing[witness] holds the witness's non-neighbors; reporter is the side that names the partner
         if self.own_is_left:
             parts = f_a, f_b, graph.left_cover, graph.missing_rows, B_TO_A
@@ -442,21 +447,29 @@ class _Collision:
         self.own, self.other, self.cover, self.missing, self.reporter = parts
         # disj shakes hands over the kept side's domain; with a side empty, before anyone can
         # conclude emptiness, each side announces its weight over its own
-        self.sizes, self.search = (f_a.n, f_b.n), None
+        self.sizes, self.passes = (f_a.n, f_b.n), ()
         if f_a.bits and f_b.bits:
             self.sizes = (self.own.n, self.own.n)
             self.rebuild()
 
     def rebuild(self):
+        """Ask the disjointness question of this graph state; with a side of it empty, no pass is left."""
         cover = self.cover(self.other)
         left, right = (self.own, cover) if self.own_is_left else (cover, self.own)
-        self.search = _disj_search(left, right)
+        search, self.passes = _disj_search(left, right), ()
+        if search is not None:
+            support, hits, directions = search
+            self.search = support, hits
+            self.passes = _disj_passes(self.own.n, len(support), self.failure, *directions)
 
     def attempt(self, ledger: CommLedger, rng: random.Random):
-        """One :func:`graph_collision` call: disjointness, then the partner pick and its report."""
+        """The handshake, the passes up to the first witness, then the partner pick and its report."""
         ledger._log(_handshake(*self.sizes))
-        witness = None if self.search is None else _search(*self.search, self.model, ledger, rng)[0]
-        if witness is None:
+        for plan, messages in self.passes:
+            witness = _search(*self.search, messages, self.model, ledger, rng, plan)[0]
+            if witness is not None:
+                break
+        else:
             return None
         partner_pool = list(_iter_bits(self.other.bits & ~self.missing[witness]))
         partner = partner_pool[rng.randrange(len(partner_pool))]
@@ -481,9 +494,9 @@ def graph_collision(
     """Find an edge (i, j) of the graph with f_a(i) = f_b(j) = 1, or None.
 
     The smaller-weight side keeps its own set; the other side maps its set
-    through the graph neighborhoods, reducing the question to disjointness.
-    The winning side then scans its own neighborhood to report the partner
-    endpoint, charged as one outcome announcement.
+    through the graph neighborhoods, reducing the question to disjointness
+    under the default plan.  The winning side then scans its own
+    neighborhood to report the partner endpoint, charged as one outcome.
     """
     return _Collision(graph, f_a, f_b, model).attempt(ledger, rng)
 
@@ -496,28 +509,21 @@ def graph_collision_all(
     model: CostModel,
     rng: random.Random,
 ) -> frozenset[tuple[int, int]]:
-    """Collect every colliding edge by excluding found edges and repeating.
+    """Collect every colliding edge, removing each from ``graph``, until an attempt finds none.
 
-    Removes every edge it finds from ``graph``.  Each attempt charges and
-    draws what one :func:`graph_collision` call does, but the disjointness
-    question is built once per graph state, not per attempt.  Vector
-    lengths that do not match the graph raise ``DimensionError`` before any
-    charge, draw or removal.
+    An attempt is one :func:`graph_collision`, its question built once per
+    graph state.  In exact mode it searches the s entries of the question's
+    support in the passes of ``GroverPlan.certified(s, 1/(3 (|f_a| |f_b| +
+    1)))``, so it misses a remaining edge with probability at most that
+    target; in cost-model mode it is one analytical search.  Mismatched
+    vector lengths raise ``DimensionError`` before any charge, draw or removal.
     """
-    state = _Collision(graph, f_a, f_b, model)
-    # repetitions of a call that misses with probability at most _MISS_BOUND, so a false "empty"
-    # survives a union bound over all edges
-    reps = _repeats(1 / (3 * (f_a.weight() * f_b.weight() + 1)))
+    state = _Collision(graph, f_a, f_b, model, 1 / (3 * (f_a.weight() * f_b.weight() + 1)))
     found: set[tuple[int, int]] = set()
-    while True:
-        for _ in range(reps):
-            edge = state.attempt(ledger, rng)
-            if edge is not None:
-                break
-        else:
-            return frozenset(found)
+    while (edge := state.attempt(ledger, rng)) is not None:
         found.add(edge)
         state.remove(*edge)
+    return frozenset(found)
 
 
 @functools.lru_cache(maxsize=1024)  # tuples, so every search with these arguments can share them
@@ -554,17 +560,14 @@ def instance_search(
     treats them as a perfect phase oracle.  Returns the instance found, or
     None.  Positions outside ``instances``, or out of order or repeated,
     raise ``ValueError`` before any draw or charge.  The ``bmm`` cost-model
-    replay prices this search itself, so it has no cost-model mode.  The
-    search measures under ``plan``, ``GroverPlan.default(len(instances))``
-    when it is None.  Each amplitude-amplification round charges the index
-    register round trip plus twice the inner protocol's cost (compute and
-    uncompute), with the inner cost multiplied by the repetition factor
-    that boosts a bounded error inner protocol for coherent nesting:
-    ceil(log2(100 r)), r the longest coherent run of rounds.  That is the
-    default plan's ceiling h for every plan but a fixed-point one
-    (:meth:`GroverPlan.fixed_point`, a certificate that nothing is
-    marked), which runs its l rounds in one go: r = max(h, l), and its
-    records are charged under ``certify`` and ``certify-verify``.
+    replay prices this search itself, so it has no cost-model mode.  It
+    measures under ``plan``, or ``GroverPlan.default(len(instances))``.
+    Each round charges the index register round trip plus the inner cost
+    twice (compute and uncompute), times the boost of a bounded-error inner
+    protocol for coherent nesting: ceil(log2(100 r)), r the longest
+    coherent run of rounds, the default plan's ceiling h.  A fixed-point
+    plan (:meth:`GroverPlan.fixed_point`) runs its l rounds in one go, so
+    there r = max(h, l), charged under ``certify`` and ``certify-verify``.
     """
     big_n = len(instances)
     if big_n == 0:

@@ -44,7 +44,8 @@ CERT_MISS = "tests/test_joins.py::test_certificate_misses_with_probability_at_mo
 EXACT_ROUND = "tests/test_joins.py::test_exact_round_is_the_growth_pass_then_one_certificate"
 CERT_BOOST = "tests/test_qsim.py::test_certificate_boost_is_sized_by_its_longest_coherent_run"
 CERT_LEDGER = "tests/test_ledger.py::test_certificate_ledger_recomputed_from_its_rounds"
-COLLECT_REPEATS = "tests/test_qsim.py::test_graph_collision_all_repeats_the_fewest_attempts_that_meet_the_per_edge_bound"
+COLLECT_PASSES = "tests/test_qsim.py::test_graph_collision_all_ends_in_one_growth_pass_and_then_one_certificate"
+COLLECT_LOOP = "tests/test_qsim.py::test_graph_collision_all_matches_a_loop_of_single_calls"
 CEILING_CAPS = "tests/test_joins.py::test_default_plan_ends_in_twelve_ceiling_caps"
 CEILING_LAW = "tests/test_joins.py::test_ceiling_cap_reaches_one_over_sin_two_theta_for_every_marked_count"
 
@@ -107,20 +108,6 @@ MUTANTS = [
         [MM_F2_CHARGES, MM_F2_DENSE, "tests/test_joins.py::test_mm_f2_zero_b"],
     ),
     (
-        "exact repeat count base 1/q -> 10/q",
-        "qsim.py",
-        "math.log(failure) / math.log(_MISS_BOUND)",
-        "math.log(failure) / math.log(_MISS_BOUND / 10)",
-        [COLLECT_REPEATS],
-    ),
-    (
-        "miss bound (3/4)^12 -> (3/4)^24",
-        "qsim.py",
-        "_MISS_BOUND = 0.75**12",
-        "_MISS_BOUND = 0.75**24",
-        [COLLECT_REPEATS],
-    ),
-    (
         "Grover ceiling one below Lemma 2's bound",
         "qsim.py",
         "return 1 if n == 1 else math.isqrt(-(-n * n // (4 * (n - 1))) - 1) + 1",
@@ -137,8 +124,8 @@ MUTANTS = [
     (
         "certificate failure target loosened 10x",
         "joins.py",
-        "GroverPlan.fixed_point(n, 1 / (10_000 * (instance.ell + 2)))",
-        "GroverPlan.fixed_point(n, 1 / (1_000 * (instance.ell + 2)))",
+        "GroverPlan.certified(n, 1 / (10_000 * (instance.ell + 2)))",
+        "GroverPlan.certified(n, 1 / (1_000 * (instance.ell + 2)))",
         [EXACT_ROUND, "tests/test_joins.py::test_exact_bmm_that_stops_early_keeps_its_verified_rounds"],
     ),
     (
@@ -149,11 +136,25 @@ MUTANTS = [
         [CERT_BOOST, CERT_LEDGER],
     ),
     (
-        "graph_collision_all tries once",
+        "collision certificate target loosened 10x",
         "qsim.py",
-        "reps = _repeats(1 / (3 * (f_a.weight() * f_b.weight() + 1)))",
-        "reps = 1",
-        [COLLECT_REPEATS],
+        "1 / (3 * (f_a.weight() * f_b.weight() + 1))",
+        "10 / (3 * (f_a.weight() * f_b.weight() + 1))",
+        [COLLECT_PASSES, COLLECT_LOOP],
+    ),
+    (
+        "collision growth pass skipped",
+        "qsim.py",
+        "GroverPlan.certified(size, failure)",
+        "GroverPlan.certified(size, failure)[-1:]",
+        [COLLECT_PASSES, COLLECT_LOOP],
+    ),
+    (
+        "collision certificate dropped: a growth miss ends the collection",
+        "qsim.py",
+        "GroverPlan.certified(size, failure)",
+        "GroverPlan.certified(size, failure)[:1]",
+        [COLLECT_PASSES, COLLECT_LOOP],
     ),
     (
         # a block: exact mode's collect step in compact rows and columns, which moves the zero rows of A

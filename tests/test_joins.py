@@ -149,6 +149,35 @@ def test_exact_bmm_that_stops_early_keeps_its_verified_rounds(monkeypatch):
     assert [(k, plan) for k, _, plan in calls[-2:]] == [(None, GroverPlan.growth(32)), (None, certificate)]
 
 
+def test_exact_bmm_collects_a_cell_its_collision_missed_in_one_more_round_on_the_same_witness(monkeypatch):
+    # two witnesses, each the only one for its 2 x 2 block of output cells
+    a_rows, b_rows = [0] * 16, [0] * 16
+    for k, rows, cols in ((3, (1, 5), (2, 7)), (9, (0, 8), (4, 11))):
+        for i in rows:
+            a_rows[i] |= 1 << k
+        b_rows[k] = sum(1 << j for j in cols)
+    inst = JoinInstance(BitMatrix(16, 16, a_rows), BitMatrix(16, 16, b_rows), ell=8)
+    dropped = []
+
+    def collect(graph, f_a, f_b, ledger, model, rng):
+        found = graph_collision_all(graph, f_a, f_b, ledger, model, rng)
+        if not dropped:
+            # the first call misses one of the edges it found: the edge stays in the graph
+            assert len(found) == 4
+            i, j = dropped[:] = min(found)
+            graph.missing_rows[i] &= ~(1 << j)
+            graph.missing_cols[j] &= ~(1 << i)
+            return found - {(i, j)}
+        return found
+
+    monkeypatch.setattr(joins, "graph_collision_all", collect)
+    out, trace = bmm_with_trace(inst, EXACT, CommLedger(), random.Random(5))
+    assert out == inst.oracle_product
+    first = trace.rounds[0].witness
+    assert [(r.witness, r.collisions) for r in trace.rounds if r.witness == first] == [(first, 3), (first, 1)]
+    assert len(trace.rounds) == 3 and sum(trace.lambdas) == 8
+
+
 def _search_miss_probability(big_n: int) -> np.ndarray:
     """Exact chance, for each marked count t in [1, big_n], that one exact instance search over
     big_n entries under ``GroverPlan.default`` finds nothing: the product over its caps of

@@ -42,13 +42,13 @@ COST_MODELS = (CostModel.cost_model(),)
 QSIM_MODELS = (EXACT, CostModel.cost_model())
 
 EXPECTED = {
-    "bmm_exact": "75d997e8ac3e539bea8dc9cf2de1404bf80f2a52353ac243fcd13445cf5067ea",
+    "bmm_exact": "1641972a26a8287efca91b78b3bea58c736817bf7e7eb1e60e113aa22951d30f",
     "bmm_cost_model": "37b54e15b0ed5be92c70f7aacdff991f4d72398a9199ddbb6b73538e03eeabf6",
     "bmm_cost_model_wide": "0ceccd3c9bc58f72b0abd35fd8558946ff4c9d46c2e59a40dd2cc5087676a0cf",
-    "qsim": "19aa8ac25774cafabf76a348aaaccadfc2e2837f4c46d92d9a7befd02943242a",
+    "qsim": "8030b355d7a3f8101fd1d6f171cafffdb0ffc302b051546ee97d13bbb9eab90e",
     "mm_f2": "1d06f84bcf28909e57292358ed533133cda10e17125a66f1df105c06533301b4",
     "sketch": "6940a86f8c3ead0c427ecf799a1614d790ec4e7ad230f7fa0486cb123278a630",
-    "cli": "cc490a28148e47bdeb8d038594b024bbcb9debbf92a33ab8f6b4351ca48aab9e",
+    "cli": "2ff5f06d0e903d4f95b7771c47ed68c6e7b3cd754e1201329309b312cc29d58a",
     "cli_sweeps": "07d166b1c89351cfe8496ba6c02ad20fb6060edec11b4f715b1420a0cd3a796b",
     "reductions": "b3861058dd40e27add3043d8965cecd9e0dc057cd718d3adfe299d38493c10c1",
 }

@@ -20,6 +20,7 @@ from grover_statevector import (
     grover_success_curves_batch,
     statevectors,
 )
+from joinlab import qsim
 from joinlab.f2core import BitMatrix, BitVector, DimensionError
 from joinlab.ledger import (
     A_TO_B,
@@ -35,7 +36,6 @@ from joinlab.qsim import (
     BipartiteGraph,
     CostModel,
     GroverPlan,
-    _Collision,
     _amplify,
     _entry_probabilities,
     _instance_messages,
@@ -712,11 +712,13 @@ def test_graph_collision_on_non_square_graphs(own_is_left, n_left, n_right, mode
     assert found >= 30
 
 
-def _reference_graph_collision(graph, f_a, f_b, ledger, model, rng):
+def _reference_graph_collision(graph, f_a, f_b, ledger, model, rng, failure=None):
     """``graph_collision`` spelled out per orientation, with covers read off ``has_edge``.
 
     The lighter side keeps its set and disjointness runs over that side's
-    domain: [n_left] when A keeps f_a, [n_right] when B keeps f_b.
+    domain: [n_left] when A keeps f_a, [n_right] when B keeps f_b.  With a
+    ``failure`` target it is an attempt of ``graph_collision_all``, which
+    asks the disjointness question as :func:`_reference_disj` does.
     """
     if f_a.weight() == 0 or f_b.weight() == 0:
         ledger.charge(A_TO_B, BITS, integer_bits(f_a.n), "handshake")
@@ -724,7 +726,7 @@ def _reference_graph_collision(graph, f_a, f_b, ledger, model, rng):
         return None
     if f_a.weight() <= f_b.weight():
         cover = [i for i in range(graph.n_left) if any(graph.has_edge(i, j) for j in f_b.indices())]
-        i = disj(f_a, BitVector.from_indices(graph.n_left, cover), ledger, model, rng)
+        i = _reference_disj(f_a, BitVector.from_indices(graph.n_left, cover), ledger, model, rng, failure)
         if i is None:
             return None
         pool = [j for j in f_b.indices() if graph.has_edge(i, j)]
@@ -732,7 +734,7 @@ def _reference_graph_collision(graph, f_a, f_b, ledger, model, rng):
         ledger.charge(B_TO_A, BITS, outcome_bits(graph.n_right), "edge-report")
         return i, j
     cover = [j for j in range(graph.n_right) if any(graph.has_edge(i, j) for i in f_a.indices())]
-    j = disj(BitVector.from_indices(graph.n_right, cover), f_b, ledger, model, rng)
+    j = _reference_disj(BitVector.from_indices(graph.n_right, cover), f_b, ledger, model, rng, failure)
     if j is None:
         return None
     pool = [i for i in f_a.indices() if graph.has_edge(i, j)]
@@ -811,48 +813,99 @@ def test_graph_collision_all_monte_carlo_with_cost_band():
     assert 1.0 <= mean_ratio <= 60.0
 
 
-def test_graph_collision_all_repeats_the_fewest_attempts_that_meet_the_per_edge_bound(monkeypatch):
-    # one attempt misses an edge that is there with probability at most (3/4)^12 (GroverPlan.default), so
-    # reps attempts in a row end the collection by mistake with probability at most 1/(3 (bound + 1))
-    outcomes = []
-    attempt = _Collision.attempt
+def test_graph_collision_all_ends_in_one_growth_pass_and_then_one_certificate(monkeypatch):
+    # an attempt searches its support of s entries under GroverPlan.growth(s) and, when that misses, under
+    # one certificate at the call's target 1/(3 (|f_a| |f_b| + 1)); the first attempt whose certificate
+    # misses ends the collection
+    searches = []
+    search = qsim._search
 
-    def spy(self, ledger, rng):
-        edge = attempt(self, ledger, rng)
-        outcomes.append(edge is None)
-        return edge
+    def spy(domain, hits, messages, model, ledger, rng, plan=None):
+        witness, draws = search(domain, hits, messages, model, ledger, rng, plan)
+        searches.append((len(domain), plan, messages[0][0][3], witness))
+        return witness, draws
 
-    monkeypatch.setattr(_Collision, "attempt", spy)
+    monkeypatch.setattr(qsim, "_search", spy)
     seen = set()
     for seed, (w_a, w_b) in enumerate(((0, 5), (1, 1), (3, 3), (3, 4), (10, 10), (18, 18), (18, 19), (24, 24))):
         rng = random.Random(seed)
         graph = BipartiteGraph.random(24, 24, 0.3, rng)
         f_a, f_b = BitVector.random_weight(24, w_a, rng), BitVector.random_weight(24, w_b, rng)
         truth = frozenset((i, j) for i in f_a.indices() for j in f_b.indices() if graph.has_edge(i, j))
-        outcomes.clear()
+        searches.clear()
         assert graph_collision_all(graph, f_a, f_b, CommLedger(), EXACT, rng) == truth
-        # a run that found every edge ends in a run of reps failing attempts, after its last hit or from the start
-        reps = (outcomes[::-1] + [False]).index(False)
         target = 1 / (3 * (w_a * w_b + 1))
-        assert (0.75**12) ** reps <= target
-        assert reps == 1 or (0.75**12) ** (reps - 1) > target
-        seen.add(reps)
-    assert seen == {1, 2, 3}
+        attempts, calls = [], iter(searches)
+        for size, plan, phase, witness in calls:
+            growth, certificate = GroverPlan.growth(size), GroverPlan.fixed_point(size, target)
+            if growth is None:
+                seen.add("certificate alone")
+            else:
+                assert (plan, phase) == (growth, "disj")
+                if witness is not None:
+                    attempts.append(("growth", witness))
+                    continue
+                size, plan, phase, witness = next(calls)
+            assert (plan, phase) == (certificate, "disj-certify") and plan.failure == target
+            attempts.append(("certificate", witness))
+        # every attempt finds an edge until the last: a certificate that misses, or no search at all once
+        # the question is empty (a side without weight, or no cover left)
+        found = [witness is not None for _, witness in attempts]
+        ending = "certificate missed" if attempts and not found[-1] else "question empty"
+        assert found == [True] * len(truth) + [False] * (ending == "certificate missed")
+        assert ending == "question empty" or attempts[-1][0] == "certificate"
+        seen.update(kind for kind, witness in attempts if witness is not None)
+        seen.add(ending)
+    assert seen == {"growth", "certificate", "certificate alone", "certificate missed", "question empty"}
+
+
+def test_collision_certificate_misses_with_probability_at_most_its_target_for_every_marked_count():
+    # graph_collision_all's targets 1/(3 (|f_a| |f_b| + 1)) over every support of s <= 256 entries
+    for weights in (1, 2, 9, 10, 100, 331, 332, 576, 4096, 65536):
+        failure = 1 / (3 * (weights + 1))
+        for size in range(1, 257):
+            plan = GroverPlan.fixed_point(size, failure)
+            (rounds,) = plan.caps
+            length = 2 * rounds + 1
+            # the closed form over every t in [1, s]: miss = delta^2 T_L(x)^2, x = sqrt(1 - t/s) / gamma_L
+            x = np.sqrt(1 - np.arange(1, size + 1) / size) * np.cosh(np.arccosh(1 / np.sqrt(failure)) / length)
+            chebyshev = np.where(x <= 1, np.cos(length * np.arccos(np.minimum(x, 1))),
+                                 np.cosh(length * np.arccosh(np.maximum(x, 1))))
+            assert np.all(failure * chebyshev**2 <= failure * (1 + 1e-12)), (size, failure)
+            # and the law the certificate samples, at one marked entry, where x is largest
+            assert 1 - plan.probabilities(size, 1, rounds)[0] <= failure * (1 + 1e-12), (size, failure)
+
+
+def _reference_disj(a, b, ledger, model, rng, failure):
+    """``disj`` as an attempt of ``graph_collision_all`` asks it.  With a ``failure`` target, in exact
+    mode: the handshake, then ``grover_search`` over the lighter set, marked by the other, under
+    ``GroverPlan.growth`` of its weight (when there is one) and, if that misses, under the certificate
+    at ``failure``, charged under ``disj-certify``.  Otherwise ``disj`` itself."""
+    if failure is None or not model.exact:
+        return disj(a, b, ledger, model, rng)
+    ledger.charge(A_TO_B, BITS, integer_bits(a.n), "handshake")
+    ledger.charge(B_TO_A, BITS, integer_bits(a.n), "handshake")
+    if not a.weight() or not b.weight():
+        return None
+    own, other, directions = (a, b, (A_TO_B, B_TO_A)) if a.weight() <= b.weight() else (b, a, (B_TO_A, A_TO_B))
+    size = own.weight()
+    for plan, phase in ((GroverPlan.growth(size), "disj"), (GroverPlan.fixed_point(size, failure), "disj-certify")):
+        if plan is not None:
+            found = grover_search(a.n, own.indices(), other.__getitem__, plan, ledger, model, rng, phase, directions)
+            if found is not None:
+                return found
+    return None
 
 
 def _reference_graph_collision_all(graph, f_a, f_b, ledger, model, rng):
-    """``graph_collision_all`` as one :func:`_reference_graph_collision` call per attempt, removing found edges."""
-    reps = max(1, math.ceil(math.log(1 / (3 * (f_a.weight() * f_b.weight() + 1))) / math.log(0.75**12)))
+    """``graph_collision_all`` as one :func:`_reference_graph_collision` call per attempt at its failure
+    target, removing found edges, up to the first call that finds none."""
+    failure = 1 / (3 * (f_a.weight() * f_b.weight() + 1))
     found = set()
-    while True:
-        for _ in range(reps):
-            edge = _reference_graph_collision(graph, f_a, f_b, ledger, model, rng)
-            if edge is not None:
-                break
-        if edge is None:
-            return frozenset(found)
+    while (edge := _reference_graph_collision(graph, f_a, f_b, ledger, model, rng, failure)) is not None:
         found.add(edge)
         graph.remove_edge(*edge)
+    return frozenset(found)
 
 
 @st.composite
