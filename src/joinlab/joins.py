@@ -222,9 +222,11 @@ def bmm_with_trace(
     probability at most 1/(10^4 (ell+2)) whatever their count, and whose
     miss ends the run.  The union bound over at most ell+1 rounds keeps the
     chance of ending early below 1/10^4, inside the protocol's 1/100 budget.
-    The certificate's l rounds run in one coherent go, so its inner protocol
-    is boosted ceil(log2(100 max(h, l))) times, h the default plan's
-    ceiling, and it is charged under ``certify`` and ``certify-verify``.  A
+    Each inner call is boosted ceil(log2(100 r)) times, r the coherent run
+    it is part of: the growth pass's largest cap for its rounds, r = 1 for
+    the verification of one of its measurements, and the certificate's l
+    rounds, run in one go, for its rounds and its verification, which are
+    charged under ``certify`` and ``certify-verify``.  A
     round collects its witness's cells with
     :func:`joinlab.qsim.graph_collision_all`, which can stop early.  That
     costs a round, not an output: the witness stays live until the output

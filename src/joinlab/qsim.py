@@ -528,20 +528,22 @@ def graph_collision_all(
 
 @functools.lru_cache(maxsize=1024)  # tuples, so every search with these arguments can share them
 def _instance_messages(big_n: int, inner_cost_qubits: int, plan: GroverPlan | None = None) -> tuple[tuple, tuple]:
-    """The per-round and verify templates of :func:`instance_search` over big_n instances under ``plan``,
-    with its boost and, for a fixed-point plan, its ``certify`` phases."""
-    longest, shuttle, inner = GroverPlan.default(big_n).caps[-1], "instance-shuttle", "inner-protocol"
-    if plan is not None and plan.failure is not None:
-        longest, shuttle, inner = max(longest, plan.caps[0]), "certify", "certify"
-    inner_per_call = math.ceil(math.log2(100.0 * longest)) * inner_cost_qubits
+    """The per-round and verify templates of :func:`instance_search` over big_n instances under ``plan``
+    (the default plan when None), with the boosts it states and, for a fixed-point plan, its ``certify`` phases."""
+    if plan is None:
+        plan = GroverPlan.default(big_n)
+    certificate = plan.failure is not None
+    shuttle, inner = ("certify", "certify") if certificate else ("instance-shuttle", "inner-protocol")
+    inner_per_round = math.ceil(math.log2(100.0 * max(1, *plan.caps))) * inner_cost_qubits
+    inner_per_verify = inner_per_round if certificate else math.ceil(math.log2(100.0)) * inner_cost_qubits
     # a search's index round trip and verdict; verification runs the inner protocol once in place of
     # shuttling the index
     per_round, (_, verdict) = _search_messages(big_n, shuttle, A_TO_B, B_TO_A)
     verify = (verdict,)
-    if inner_per_call:
+    if inner_cost_qubits:
         # compute on the way out, uncompute on the way back
-        per_round += ((A_TO_B, QUBITS, inner_per_call, inner), (B_TO_A, QUBITS, inner_per_call, inner))
-        verify = ((A_TO_B, QUBITS, inner_per_call, shuttle + "-verify"), verdict)
+        per_round += ((A_TO_B, QUBITS, inner_per_round, inner), (B_TO_A, QUBITS, inner_per_round, inner))
+        verify = ((A_TO_B, QUBITS, inner_per_verify, shuttle + "-verify"), verdict)
     return per_round, verify
 
 
@@ -563,11 +565,14 @@ def instance_search(
     replay prices this search itself, so it has no cost-model mode.  It
     measures under ``plan``, or ``GroverPlan.default(len(instances))``.
     Each round charges the index register round trip plus the inner cost
-    twice (compute and uncompute), times the boost of a bounded-error inner
-    protocol for coherent nesting: ceil(log2(100 r)), r the longest
-    coherent run of rounds, the default plan's ceiling h.  A fixed-point
-    plan (:meth:`GroverPlan.fixed_point`) runs its l rounds in one go, so
-    there r = max(h, l), charged under ``certify`` and ``certify-verify``.
+    twice (compute and uncompute), and each measurement its verdict plus
+    one inner call.  A bounded-error inner protocol nested coherently is
+    boosted ceil(log2(100 r)) times, r the coherent run the call is part
+    of: the plan's largest cap (at least 1) for a round, and 1 for a
+    verification, which runs outside any run.  A fixed-point plan
+    (:meth:`GroverPlan.fixed_point`) runs its l rounds in one go and its
+    miss ends the run, so its verification keeps the rounds' boost; it is
+    charged under ``certify`` and ``certify-verify``.
     """
     big_n = len(instances)
     if big_n == 0:

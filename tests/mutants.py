@@ -42,8 +42,10 @@ RANDOM_GRAPH = "tests/test_qsim.py::test_random_graph_is_the_bitmatrix_draw_in_b
 CERT_LENGTH = "tests/test_joins.py::test_certificate_length_is_the_least_odd_that_covers_one_marked_entry"
 CERT_MISS = "tests/test_joins.py::test_certificate_misses_with_probability_at_most_its_failure_for_every_marked_count"
 EXACT_ROUND = "tests/test_joins.py::test_exact_round_is_the_growth_pass_then_one_certificate"
-CERT_BOOST = "tests/test_qsim.py::test_certificate_boost_is_sized_by_its_longest_coherent_run"
+BOOST_LAW = "tests/test_qsim.py::test_inner_boost_is_sized_by_the_coherent_run_of_each_call"
 CERT_LEDGER = "tests/test_ledger.py::test_certificate_ledger_recomputed_from_its_rounds"
+INSTANCE_LEDGER = "tests/test_ledger.py::test_instance_search_ledger_recomputed_from_schedule"
+BATCHED_CHARGES = "tests/test_qsim.py::test_batched_search_charges_match_per_measurement_charges"
 COLLECT_PASSES = "tests/test_qsim.py::test_graph_collision_all_ends_in_one_growth_pass_and_then_one_certificate"
 COLLECT_LOOP = "tests/test_qsim.py::test_graph_collision_all_matches_a_loop_of_single_calls"
 CEILING_CAPS = "tests/test_joins.py::test_default_plan_ends_in_twelve_ceiling_caps"
@@ -129,11 +131,32 @@ MUTANTS = [
         [EXACT_ROUND, "tests/test_joins.py::test_exact_bmm_that_stops_early_keeps_its_verified_rounds"],
     ),
     (
-        "certificate boost sized by h, not max(h, l)",
+        "certificate boost sized by h, not its l rounds",
         "qsim.py",
-        'longest, shuttle, inner = max(longest, plan.caps[0]), "certify", "certify"',
-        'longest, shuttle, inner = longest, "certify", "certify"',
-        [CERT_BOOST, CERT_LEDGER],
+        "max(1, *plan.caps)",
+        "max(1, *(GroverPlan.default(big_n) if certificate else plan).caps)",
+        [BOOST_LAW, CERT_LEDGER],
+    ),
+    (
+        "verification boosted at the run's r",
+        "qsim.py",
+        "inner_per_round if certificate else math.ceil(math.log2(100.0)) * inner_cost_qubits",
+        "inner_per_round",
+        [BOOST_LAW, INSTANCE_LEDGER, BATCHED_CHARGES],
+    ),
+    (
+        "growth rounds boosted at the default ceiling",
+        "qsim.py",
+        "max(1, *plan.caps)",
+        "max(1, *plan.caps, GroverPlan.default(big_n).caps[-1])",
+        [BOOST_LAW],
+    ),
+    (
+        "certificate verification at r = 1",
+        "qsim.py",
+        "inner_per_round if certificate else math.ceil(math.log2(100.0)) * inner_cost_qubits",
+        "math.ceil(math.log2(100.0)) * inner_cost_qubits",
+        [BOOST_LAW, CERT_LEDGER],
     ),
     (
         "collision certificate target loosened 10x",

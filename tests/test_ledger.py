@@ -150,12 +150,13 @@ def test_instance_search_ledger_recomputed_from_schedule(seed):
     assert witness == found
     iters, meas = sum(drawn), len(drawn)
     assert iters > 0
-    boost = math.ceil(math.log2(100 * GroverPlan.default(big_n).caps[-1]))
-    inner = boost * inner_cost
+    # a round's inner call is boosted for the plan's ceiling h, a verification's for a run of 1
+    inner = math.ceil(math.log2(100 * GroverPlan.default(big_n).caps[-1])) * inner_cost
+    verify = math.ceil(math.log2(100)) * inner_cost
     assert led.report()["phases"] == {
         "inner-protocol": {BITS: 0, QUBITS: iters * 2 * inner},
         "instance-shuttle": {BITS: 0, QUBITS: iters * 2 * index_qubits(big_n)},
-        "instance-shuttle-verify": {BITS: meas * outcome_bits(big_n), QUBITS: meas * inner},
+        "instance-shuttle-verify": {BITS: meas * outcome_bits(big_n), QUBITS: meas * verify},
     }
     assert len(led) == 4 * sum(k > 0 for k in drawn) + 2 * meas
 
@@ -163,14 +164,14 @@ def test_instance_search_ledger_recomputed_from_schedule(seed):
 @pytest.mark.parametrize("answers", [[], [6, 21]])
 def test_certificate_ledger_recomputed_from_its_rounds(answers):
     # one measurement after the certificate's l rounds, charged as a search's are but under certify
-    # and certify-verify, with the inner protocol boosted ceil(log2(100 max(h, l))) times
+    # and certify-verify, with the inner protocol boosted ceil(log2(100 l)) times, verification included
     big_n, inner_cost = 32, 10
     certificate = GroverPlan.fixed_point(big_n, 1 / 180_000)
     (rounds,) = certificate.caps
     led = CommLedger()
     found = instance_search(range(big_n), answers, led, random.Random(5), inner_cost, certificate)
     assert (found is None) == (not answers) and (found is None or found in answers)
-    inner = math.ceil(math.log2(100 * max(GroverPlan.default(big_n).caps[-1], rounds))) * inner_cost
+    inner = math.ceil(math.log2(100 * rounds)) * inner_cost
     assert led.report()["phases"] == {
         "certify": {BITS: 0, QUBITS: rounds * 2 * (index_qubits(big_n) + inner)},
         "certify-verify": {BITS: outcome_bits(big_n), QUBITS: inner},

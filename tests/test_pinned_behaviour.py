@@ -42,13 +42,13 @@ COST_MODELS = (CostModel.cost_model(),)
 QSIM_MODELS = (EXACT, CostModel.cost_model())
 
 EXPECTED = {
-    "bmm_exact": "1641972a26a8287efca91b78b3bea58c736817bf7e7eb1e60e113aa22951d30f",
+    "bmm_exact": "f3673c8fe6295ee419196322244517e10285ea8b5bd0069795f559642065f809",
     "bmm_cost_model": "37b54e15b0ed5be92c70f7aacdff991f4d72398a9199ddbb6b73538e03eeabf6",
     "bmm_cost_model_wide": "0ceccd3c9bc58f72b0abd35fd8558946ff4c9d46c2e59a40dd2cc5087676a0cf",
-    "qsim": "8030b355d7a3f8101fd1d6f171cafffdb0ffc302b051546ee97d13bbb9eab90e",
+    "qsim": "a849679f0f02b63f807310526a5eb7389f70d93855f7ad1d497bc38ae22b68cb",
     "mm_f2": "1d06f84bcf28909e57292358ed533133cda10e17125a66f1df105c06533301b4",
     "sketch": "6940a86f8c3ead0c427ecf799a1614d790ec4e7ad230f7fa0486cb123278a630",
-    "cli": "2ff5f06d0e903d4f95b7771c47ed68c6e7b3cd754e1201329309b312cc29d58a",
+    "cli": "1a33294a1e6ddeecd620f56633550e843aecde440e3592e18b2a76ee14970d5f",
     "cli_sweeps": "07d166b1c89351cfe8496ba6c02ad20fb6060edec11b4f715b1420a0cd3a796b",
     "reductions": "b3861058dd40e27add3043d8965cecd9e0dc057cd718d3adfe299d38493c10c1",
 }

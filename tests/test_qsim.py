@@ -335,8 +335,10 @@ def _charge_grover_measurements(ledger, draws, n, phase, directions):
 
 
 def _charge_instance_measurements(ledger, draws, big_n, inner_cost_qubits):
-    """The charges ``instance_search`` made through ``charge``, one measurement at a time."""
+    """The charges ``instance_search`` made through ``charge``, one measurement at a time, under the
+    default plan: a round's inner calls boosted for its ceiling h, a verification's for a run of 1."""
     inner = math.ceil(math.log2(100.0 * GroverPlan.default(big_n).caps[-1])) * inner_cost_qubits
+    verify = math.ceil(math.log2(100.0)) * inner_cost_qubits
     width = index_qubits(big_n)
     for iterations in draws:
         if iterations > 0:
@@ -346,7 +348,7 @@ def _charge_instance_measurements(ledger, draws, big_n, inner_cost_qubits):
             if iterations > 0:
                 ledger.charge(A_TO_B, QUBITS, iterations * inner, "inner-protocol")
                 ledger.charge(B_TO_A, QUBITS, iterations * inner, "inner-protocol")
-            ledger.charge(A_TO_B, QUBITS, inner, "instance-shuttle-verify")
+            ledger.charge(A_TO_B, QUBITS, verify, "instance-shuttle-verify")
         ledger.charge(B_TO_A, BITS, outcome_bits(big_n), "instance-shuttle-verify")
 
 
@@ -386,7 +388,8 @@ def test_batched_search_charges_match_per_measurement_charges(case):
     def planned(domain, hits, _default, *rest, **kwargs):
         return _amplify(domain, hits, plan, *rest, **kwargs)
 
-    # the plan reaches the draws alone: the boost still reads the default plan's ceiling
+    # the plan reaches the draws alone: instance_search was given no plan, so the templates, boosts
+    # included, are the default plan's
     with patch("joinlab.qsim._amplify", planned):
         instance_search(range(n), sorted(marked), got, random.Random(seed), inner_cost_qubits=inner)
     _, taken = _reference_bisect_amplify(range(n), np.isin(range(n), list(marked)), plan, random.Random(seed))
@@ -1079,26 +1082,41 @@ def test_instance_search_cost_within_factor_two():
     assert predicted / 2 <= mean <= predicted * 2
 
 
-def test_certificate_boost_is_sized_by_its_longest_coherent_run():
-    # ceil(log2(100 max(h, l))) inner calls per round, h the default plan's ceiling and l the certificate's
-    # rounds; the certificate charges under certify and certify-verify, the growth pass as every search does
+def test_inner_boost_is_sized_by_the_coherent_run_of_each_call():
+    # a round's inner call is boosted ceil(log2(100 r)) times, r = max(1, the plan's largest cap); a
+    # verification is one call outside any run (r = 1, boost 7), except a certificate's, whose miss ends
+    # its run, so it keeps the rounds' boost; the certificate charges under certify and certify-verify
+    cost = 5
     for big_n in (1, 2, 3, 8, 64, 1000, 4096):
-        width, h = index_qubits(big_n), GroverPlan.default(big_n).caps[-1]
-        for failure in (1 / 300, 1 / 10_260_000):
-            certificate = GroverPlan.fixed_point(big_n, failure)
-            inner = 7 * math.ceil(math.log2(100 * max(h, certificate.caps[0])))
-            per_round, verify = _instance_messages(big_n, 7, certificate)
-            assert per_round == (
-                (A_TO_B, QUBITS, width, "certify"), (B_TO_A, QUBITS, width, "certify"),
-                (A_TO_B, QUBITS, inner, "certify"), (B_TO_A, QUBITS, inner, "certify"),
+        width, verdict = index_qubits(big_n), outcome_bits(big_n)
+        plans = [(None, False), (GroverPlan.default(big_n), False)]
+        plans += [(GroverPlan.growth(big_n), False)] if big_n > 2 else []
+        plans += [(GroverPlan.fixed_point(big_n, failure), True) for failure in (1 / 300, 1 / 10_260_000)]
+        for plan, certificate in plans:
+            caps = (plan or GroverPlan.default(big_n)).caps
+            inner = math.ceil(math.log2(100 * max(1, max(caps)))) * cost
+            verify = inner if certificate else 7 * cost
+            shuttle, rounds = ("certify", "certify") if certificate else ("instance-shuttle", "inner-protocol")
+            assert _instance_messages(big_n, cost, plan) == (
+                (
+                    (A_TO_B, QUBITS, width, shuttle), (B_TO_A, QUBITS, width, shuttle),
+                    (A_TO_B, QUBITS, inner, rounds), (B_TO_A, QUBITS, inner, rounds),
+                ),
+                ((A_TO_B, QUBITS, verify, shuttle + "-verify"), (B_TO_A, BITS, verdict, shuttle + "-verify")),
             )
-            assert verify == (
-                (A_TO_B, QUBITS, inner, "certify-verify"), (B_TO_A, BITS, outcome_bits(big_n), "certify-verify"),
+            # without an inner protocol only the index round trip and the verdict are left
+            assert _instance_messages(big_n, 0, plan) == (
+                ((A_TO_B, QUBITS, width, shuttle), (B_TO_A, QUBITS, width, shuttle)),
+                ((B_TO_A, BITS, verdict, shuttle + "-verify"),),
             )
-        growth = GroverPlan.growth(big_n)
-        assert growth is None or _instance_messages(big_n, 7, growth) == _instance_messages(big_n, 7)
-    # past N = 1 the certificate's rounds outrun the ceiling: at N = 8, l = 5 against h = 2
-    assert GroverPlan.fixed_point(8, 1 / 300).caps[0] == 5 and GroverPlan.default(8).caps[-1] == 2
+    # at N = 1 the certificate has no rounds (l = 0), and its boost is a run of 1's
+    assert GroverPlan.fixed_point(1, 1 / 300).caps == (0,)
+    assert _instance_messages(1, cost, GroverPlan.fixed_point(1, 1 / 300))[1][0][2] == 7 * cost
+    # the growth pass's runs are shorter than the ceiling's: at N = 8 its caps are 1 against h = 2, so
+    # its rounds are boosted 7 times and the default plan's 8; the certificate's l = 5 outruns both (9)
+    boosts = [_instance_messages(8, 1, plan)[0][2][2]
+              for plan in (GroverPlan.growth(8), None, GroverPlan.fixed_point(8, 1 / 300))]
+    assert boosts == [7, 8, 9]
 
 
 def test_instance_search_templates_are_shared_and_immutable(monkeypatch):
