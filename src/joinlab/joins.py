@@ -3,7 +3,7 @@
 `bmm_with_trace` runs the search-and-collect protocol: repeatedly find an
 inner index whose column/row pair still collides on the complement of the
 accumulated output, then harvest all of its collisions.  `mm_f2` sends one
-batch of linear parity sketches, decodes every nonzero output column from
+batch of linear syndrome sketches, decodes every nonzero output column from
 it, and ships each column that does not decode verbatim.  Both charge
 every modeled message to the ledger.
 """
@@ -14,9 +14,11 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cache, lru_cache, reduce
 from itertools import compress
 from operator import or_, xor
+
+import numpy as np
 
 from joinlab.f2core import (
     BitMatrix,
@@ -55,8 +57,9 @@ class PromiseViolationError(ProtocolError):
 class DecodeBudgetError(ProtocolError):
     """Sparse-column recovery failed past its budget.
 
-    No protocol raises it any more: ``mm_f2`` ships a column it cannot
-    decode dense.  It stays for callers that list the protocol errors.
+    No protocol raises it: ``mm_f2``'s sketch decodes every column of at
+    most kappa ones, and ``mm_f2`` ships every column it does not decode
+    dense.  It stays for callers that list the protocol errors.
     """
 
 
@@ -334,74 +337,82 @@ def freivalds_round(a_side: BitMatrix, b_side: BitMatrix, v: BitVector, ledger: 
 # ---------------------------------------------------------------------------
 
 
+@cache
+def _field(m: int) -> tuple[list[int], list[int], np.ndarray]:
+    """Exp and log tables of GF(2^m), alpha a root of the least primitive polynomial of degree m.
+
+    With q = 2^m - 1, ``log[a]`` is the k < q with alpha^k = a, and ``log[0]`` is 2q.  ``exp[k]``
+    is alpha^k for k < 2q and 0 from 2q to 4q, so ``exp[log[a] + log[b]]`` is the product a b
+    for every a and b, 0 included; the third entry is ``exp`` as an array.  A polynomial is
+    primitive when the powers of x first return to 1 after q steps.
+    """
+    q = (1 << m) - 1
+    for poly in range(1 << m | 1, 2 << m, 2):
+        powers, x = [1], 1
+        for _ in range(q - 1):
+            x <<= 1
+            if x >> m:
+                x ^= poly
+            if x == 1:
+                break
+            powers.append(x)
+        else:
+            log = [2 * q] * (q + 1)
+            for k, a in enumerate(powers):
+                log[a] = k
+            exp = powers + powers + [0] * (2 * q + 1)
+            return exp, log, np.array(exp)
+
+
+@lru_cache(maxsize=32)  # bounded, so a sweep over many sizes keeps only the recent sizes' words
+def _tables(n: int, kappa: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Each code position's sketch word, and for k <= kappa the exponents k (p + 1) mod q of position p.
+
+    Word p packs S_j(e_p) = alpha^((p+1) j) for the odd j = 1, 3, ..., 4 kappa - 1, m bits each, S_1
+    lowest; the words are an object array, so a sketch permutes them in one indexing step.
+    """
+    m = (n + 1).bit_length()
+    q = (1 << m) - 1
+    exp = _field(m)[0]
+    words = np.empty(n, dtype=object)
+    for p in range(n):
+        word = 0
+        for power in range((4 * kappa - 1) * (p + 1), 0, -2 * (p + 1)):
+            word = word << m | exp[power % q]
+        words[p] = word
+    return words, list(np.arange(kappa + 1)[:, None] * np.arange(1, n + 1) % q)
+
+
 class SensingSketch:
-    """Linear parity sketch with bucketed index checksums and a peeling decoder.
+    """Linear sketch of a length-n F2 vector: 2 kappa odd power-sum syndromes over GF(2^m), coordinates shuffled.
 
-    Each of ``levels = 5`` levels hashes coordinates into
-    ``2 * kappa`` buckets; a bucket is one packed field, ``parity | code << 1``,
-    holding the parity and the XOR of the per-level codes of the coordinates
-    in it.  ``sketch[i]`` is coordinate i's measurement word, the image of the
-    unit vector e_i, with its own field at one bucket per level, so the
-    sketch is linear over F2.  Decoding peels that same word off the residual
-    measurement for a coordinate named by a pure bucket, preferring one
-    confirmed by a second level, and only accepts a result whose residual
-    cancels exactly.
+    With m = ``(n + 1).bit_length()``, the least m with n < 2^m - 1, code position p stands for
+    X_p = alpha^(p+1), a distinct element other than 0 and 1.  The syndrome of a vector z over the
+    positions is S_j = sum of X_p^j over its ones, for the odd j = 1, 3, ..., 4 kappa - 1, so
+    ``measurement_len = 2 kappa m``: z's syndrome in the binary BCH code of designed distance
+    4 kappa + 1, as in PinSketch (Dodis, Ostrovsky, Reyzin and Smith 2004) and in set reconciliation
+    (Minsky, Trachtenberg and Zippel 2003).  ``seed`` places the coordinates: ``random.Random(seed)``
+    draws a 64-bit key per coordinate, and code position p holds the coordinate of the p-th smallest
+    key, so the sketch of x is the syndrome of its image pi(x).  The sketch is linear over F2:
+    ``encode`` XORs the words of x's ones, each the sketch of a unit vector.  The position words are
+    built once per (n, kappa); a sketch only permutes them.
 
-    Level l puts coordinate i in bucket ``h * buckets >> 32`` of the
-    multiply-shift hash ``h = ((a*i + b) mod 2**64) >> 32`` (Dietzfelbinger
-    et al. 1997) and gives it code ``(c2 * s(c1*i) + d) mod 2**code_bits``,
-    with c1, c2 odd and ``s(x) = x ^ x >> ceil(code_bits / 2)``.
-    ``random.Random(seed)`` draws only a, b, c1, c2 and d per level.  Each
-    step is a bijection, so :meth:`_coordinate` inverts the code by
-    arithmetic.  Without the xorshift s, the XOR of the codes of three
-    coordinates sharing a bucket names a fourth coordinate of that bucket
-    about three times as often as with random codes, and sketches with few
-    levels peel those false candidates.  When codes outnumber coordinates, d
-    puts the preimage of code 0 at or above n, so no coordinate has code 0.
-
-    The sizes are set for vectors of at most kappa ones.  As long as no
-    false candidate is peeled, peeling stops early only on a stopping set
-    (Goodrich and Mitzenmacher, Invertible Bloom Lookup Tables, 2011): a
-    set S of s >= 2 of the vector's w ones such that at every level no
-    bucket holds exactly one member of S.  Under independent uniform
-    buckets, a vector of w <= kappa ones fails to decode with probability
-    at most ``sum(C(w, s) * p_s(2 kappa) ** levels for s in 2..w)``, where
-    p_s(B) is the chance that s balls in B bins leave no bin with exactly
-    one.  The sum grows with w.  ``levels = 5`` keeps it at w = kappa
-    within 1/(100 kappa^2) for every kappa, and no fewer levels do for any
-    kappa >= 2:
-
-    * p_2(B) = 1/B, so the s = 2 term is (kappa - 1)/(64 kappa^4), at most
-      1.57/kappa of the target; with 4 levels it is (kappa - 1)/(32 kappa^3),
-      over the target for every kappa >= 2.  At kappa = 1 the sum is empty.
-    * For kappa <= 40 the tests sum the bound exactly; its largest ratio to
-      the target is 0.39, at kappa = 2.
-    * For kappa > 40: the s = 3 term is C(kappa, 3) (2 kappa)^-10.  For
-      s >= 4, s balls with no bin to themselves fill at most s/2 bins, so
-      p_s(2 kappa) <= (e s / (4 kappa))^(s/2), and with
-      C(kappa, s) <= (e kappa/s)^s e^(-s^2 / (2 kappa)) the term is at most
-      r^s, r = 1.035 (s/kappa)^1.5 e^(-s/(2 kappa)).  From s = 4 these
-      bounds at least halve per step while (s + 1)/kappa <= 1/5, so they sum
-      to at most twice the s = 4 one, below 9400 kappa^-6; past that, s log r
-      being convex in s, each is below e^(2.5 - 0.465 kappa).  The sum is
-      then at most (kappa - 1)/(64 kappa^4) + C(kappa, 3) (2 kappa)^-10
-      + 9400 kappa^-6 + kappa e^(2.5 - 0.465 kappa), 0.82 of the target at
-      kappa = 41 and a falling share of it beyond.
-
-    The target is per vector so that it covers a batch: one
-    :func:`classify_columns` batch holds at most ell < kappa^2 nonzero
-    columns, so by the union bound its columns of at most kappa ones all
-    decode with probability at least 99/100.  A bucket holding three
-    or more coordinates can name a fourth coordinate hashed to it, and
-    confirmation at a second level keeps those out.  Past the sparsity,
-    decode returns None; it returns a wrong vector only when that vector's
-    measurement equals the input's.
-
-    Construction only fixes the sizes.  The per-level parameters are drawn
-    on first use, and a coordinate is placed (its word and its field at each
-    level) the first time it is read, so a sketch that only reports
-    ``measurement_len``, or only sees zero vectors and zero measurements,
-    draws nothing, and encoding x places only x's ones.
+    ``decode(encode(x))`` is x when x has at most kappa ones and None when it has kappa + 1 to
+    3 kappa, whatever the seed: decode returns only a vector of at most kappa ones with the input's
+    sketch, and two vectors with one sketch differ in 4 kappa + 1 places or more.  Past 3 kappa ones
+    it returns None or a wrong vector: one of at most kappa ones with x's sketch, which exists
+    exactly when pi(x) lies within kappa ones of a nonzero codeword (a vector of sketch 0).  For a
+    uniform pi, pi(x) is a uniform vector of x's weight w, so for every x the chance of a wrong
+    vector is the share eps_w of weight-w vectors that lie so near a codeword, the code's
+    decoder-error rate at weight w.  The keys are taken as uniform; two coincide with chance below
+    n^2 / 2^65.  Only the V = sum of C(n, i) over i <= kappa vectors of at most kappa ones have a
+    decodable sketch, so when the sketches of weight-w vectors spread about evenly over the
+    2^(2 kappa m) words, eps_w is about V / 2^(2 kappa m) < 2 / (kappa! n^kappa) for n >= 3 kappa.
+    That is an estimate, not a proof; exhaustively at n = 15 and 16 with kappa = 1, eps_w is at most
+    1.6 times it at every weight.  The shuffle is what makes eps_w the law: without it a chosen x
+    near a codeword decodes wrong every time.  Leaving X = 1 out keeps the all-ones vector out of the
+    code (its S_1 is alpha (alpha^n - 1) / (alpha - 1), not 0); at n = 2^m - 1 it is a codeword,
+    which no shuffle moves, and a column of n ones would decode to the zero vector.
     """
 
     def __init__(self, n: int, kappa: int, seed: int):
@@ -411,110 +422,76 @@ class SensingSketch:
             raise ValueError("sparsity bound must be positive")
         self.n = n
         self.kappa = kappa
-        self.seed = seed
-        self.levels = 5
-        self.buckets = 2 * kappa
-        self.code_bits = max(1, (n - 1).bit_length())
-        self.measurement_len = self.levels * self.buckets * (1 + self.code_bits)
-        self._shift = (self.code_bits + 1) // 2
-        self._placed: dict[int, tuple[int, list[int]]] = {}
-
-    @cached_property
-    def _params(self) -> list[tuple[int, int, int, int, int, int, int]]:
-        """Per level: (a, b, c1, c2, d, c2^-1, c1^-1), the inverses modulo 2**code_bits."""
-        rng = random.Random(self.seed)
-        n, bits = self.n, self.code_bits
-        space = 1 << bits
-        params = []
-        for _ in range(self.levels):
-            a, b = rng.getrandbits(64), rng.getrandbits(64)
-            c1, c2 = rng.getrandbits(bits) | 1, rng.getrandbits(bits) | 1
-            if space > n:
-                x = c1 * rng.randrange(n, space) % space
-                d = -c2 * (x ^ x >> self._shift) % space
-            else:
-                d = rng.getrandbits(bits)
-            params.append((a, b, c1, c2, d, pow(c2, -1, space), pow(c1, -1, space)))
-        return params
-
-    def _coordinate(self, level: int, code: int) -> int | None:
-        """The coordinate with this code at this level, or None when no coordinate below n has it."""
-        _, _, _, _, d, c2_inv, c1_inv = self._params[level]
-        mask = (1 << self.code_bits) - 1
-        x = (code - d) * c2_inv & mask
-        i = (x ^ x >> self._shift) * c1_inv & mask
-        return i if i < self.n else None
-
-    def _place(self, i: int) -> tuple[int, list[int]]:
-        """Coordinate i's measurement word and the bit position of its field at each level, computed once."""
-        placed = self._placed.get(i)
-        if placed is None:
-            mask, width = (1 << self.code_bits) - 1, 1 + self.code_bits
-            word, offsets = 0, []
-            for level, (a, b, c1, c2, d, _, _) in enumerate(self._params):
-                x = c1 * i & mask
-                code = c2 * (x ^ x >> self._shift) + d & mask
-                bucket = ((a * i + b) % 2**64 >> 32) * self.buckets >> 32
-                offset = (level * self.buckets + bucket) * width
-                word |= (1 | code << 1) << offset
-                offsets.append(offset)
-            placed = self._placed[i] = word, offsets
-        return placed
-
-    def __getitem__(self, i: int) -> int:
-        """Coordinate i's measurement word."""
-        return self._place(i)[0]
+        self.m = (n + 1).bit_length()
+        self.measurement_len = 2 * kappa * self.m
+        words, self._powers = _tables(n, kappa)
+        keys = np.frombuffer(random.Random(seed).randbytes(8 * n), dtype="<u8")
+        self._coordinate = np.argsort(keys, kind="stable")  # the coordinate at each code position
+        placed = np.empty(n, dtype=object)
+        placed[self._coordinate] = words
+        self._words = placed.tolist()  # coordinate i's word
 
     def encode(self, x: BitVector) -> BitVector:
         if x.n != self.n:
             raise DimensionError(f"expected length {self.n}, got {x.n}")
-        return BitVector(self.measurement_len, _fold(xor, self, x.bits))
+        return BitVector(self.measurement_len, _fold(xor, self._words, x.bits))
 
     def decode(self, measurement: BitVector) -> BitVector | None:
-        """Recover x from its sketch, or None when peeling cannot finish.
+        """The vector of at most kappa ones with this sketch, or None when there is none.
 
-        Each step scans the buckets of the residual level by level for a pure
-        one: parity 1 and a code naming a coordinate hashed to that bucket.
-        The first such coordinate whose bucket at another level holds exactly
-        its own field is peeled, else the first one found; the peel XORs the
-        coordinate's word out of the residual.  At most 8 kappa + 8 peels.
+        Berlekamp-Massey over S_1 .. S_(2 kappa), the even ones squares (S_2j = S_j^2), finds
+        their shortest linear recurrence, of length L.  When some y of at most kappa ones has
+        this sketch, that recurrence is the locator Lambda(z) = prod (1 - X_p z) over the code
+        positions of y's ones, since 2 kappa terms fix a recurrence of length kappa or less.  With
+        S_2j = S_j^2 every even step's discrepancy is zero, so only odd steps compute one, and L
+        never falls, so decoding stops once it passes kappa.  The candidate holds the coordinate
+        at every position p whose X_p is a root of z^L Lambda(1/z), found by evaluating it at all
+        n positions, and it is returned only when its sketch, all 2 kappa fields, equals the input.
         """
         if measurement.n != self.measurement_len:
             raise DimensionError("measurement length mismatch")
-        residual = measurement.bits
-        coordinate, place, levels = self._coordinate, self._place, range(self.levels)
-        width = 1 + self.code_bits
-        mask, span = (1 << width) - 1, self.buckets * width
-        recovered = 0
-        for _ in range(8 * self.kappa + 8):
-            if not residual:
-                return BitVector(self.n, recovered)
-            chosen = fallback = None
-            for level in levels:
-                for at in range(level * span, (level + 1) * span, width):
-                    field = residual >> at & mask
-                    i = coordinate(level, field >> 1) if field & 1 else None
-                    if i is None:
-                        continue
-                    word, offsets = place(i)
-                    if offsets[level] != at:
-                        continue
-                    if any(
-                        not (residual ^ word) >> offsets[other] & mask for other in levels if other != level
-                    ):
-                        chosen = i
-                        break
-                    if fallback is None:
-                        fallback = i
-                if chosen is not None:
-                    break
-            if chosen is None:
-                chosen = fallback
-            if chosen is None:
+        bits, n, m, kappa = measurement.bits, self.n, self.m, self.kappa
+        exp, log, exp_array = _field(m)
+        q = (1 << m) - 1
+        s = [0] * (2 * kappa + 1)
+        for j in range(1, 2 * kappa, 2):
+            s[j] = bits & q
+            bits >>= m
+        for j in range(1, kappa + 1):
+            s[2 * j] = exp[2 * log[s[j]]]
+        logs = [log[a] for a in s]
+        # the locator c, its length L, the locator b before the last length change, its length,
+        # the log of that step's discrepancy and how many steps back it was
+        c, b = [1] + [0] * kappa, [1] + [0] * kappa
+        L = L_b = log_b = 0
+        shift = 1
+        for r in range(1, 2 * kappa, 2):
+            d = s[r]
+            for a, e in zip(c[1 : L + 1], reversed(logs[r - L : r])):
+                d ^= exp[log[a] + e]
+            if not d:
+                shift += 2
+                continue
+            grow = 2 * L < r
+            if grow and r - L > kappa:
                 return None
-            residual ^= place(chosen)[0]
-            recovered ^= 1 << chosen
-        return None
+            scale = (log[d] - log_b) % q
+            new = c[:] if grow else c
+            for k in range(L_b + 1):
+                new[k + shift] ^= exp[scale + log[b[k]]]
+            if grow:
+                L, L_b, b, log_b, shift = r - L, L, c, log[d], 2
+            else:
+                shift += 2
+            c = new
+        powers = self._powers
+        values = exp_array.take(powers[L])  # c[0] is 1
+        for k in range(1, L + 1):
+            values ^= exp_array[log[c[k]] :].take(powers[L - k])
+        ones = self._coordinate[values == 0].tolist()
+        if reduce(xor, map(self._words.__getitem__, ones), 0) != measurement.bits:
+            return None
+        return BitVector.from_indices(n, ones)
 
 
 # ---------------------------------------------------------------------------
@@ -528,16 +505,17 @@ def classify_columns(
     """Step 1 of :func:`mm_f2`: one sketch batch, and the nonzero product columns it decodes.
 
     ``columns[j]`` is column j of the product.  Alice sends a sketch of each
-    column of A, ``measurement_len * n`` bits A->B, all from one seed of the
-    shared ``rng`` (public coin), each sized for kappa = ceil(1.1 sqrt(ell))
+    column of A, ``measurement_len * n`` bits A->B, all placed by one seed of
+    the shared ``rng`` (public coin), each sized for kappa = ceil(1.1 sqrt(ell))
     ones.  Bob folds them through column j of B; the sketch is linear, so
     that is the sketch of column j of AB, and the simulation encodes the
     column directly.  The result maps each nonzero column that decodes to
-    its decoded bits.  A nonzero column missing from it goes dense: decode
-    returned None, which it does past the sketch's sparsity in place of a
-    wrong vector.  The batch holds at most ell < kappa^2 nonzero columns,
-    so its columns of at most kappa ones all decode with probability at
-    least 99/100 (the union bound in :class:`SensingSketch`).
+    its decoded bits.  A nonzero column missing from it goes dense.  By the
+    sketch's distance law (:class:`SensingSketch`) every column of at most
+    kappa ones decodes and every column of kappa + 1 to 3 kappa ones goes
+    dense, whatever the seed.  A column of w > 3 kappa ones goes dense
+    unless it decodes to a wrong vector, which for each column happens with
+    chance eps_w over the seed.
     """
     n = instance.A.rows
     sketch = SensingSketch(n, math.ceil(1.1 * math.sqrt(instance.ell)), seed=rng.getrandbits(32))
@@ -561,16 +539,14 @@ def mm_f2(instance: JoinInstance, ledger: CommLedger, rng: random.Random) -> Bit
     exactly.  The reply is one ``dense-transfer`` charge: ``integer_bits(n)``
     bits for the count, sent even when it is 0, plus ``index_qubits(n) + n``
     bits per such column.  Sparse columns end at Bob and dense ones at
-    Alice.  The batch is ``measurement_len * n`` bits, 5 levels of 2 kappa
-    fields of 1 + ceil(log2 n) bits per column of A, so O(n sqrt(ell) log n).
-    At most ell / kappa < sqrt(ell) columns hold more than kappa ones, so
-    the reply stays within n sqrt(ell) bits plus what decoding misses below
-    kappa.  A second batch would cost ``measurement_len * n`` bits to save
-    at most n + log n bits per column the first one missed.  Under the
-    batch bound in :class:`SensingSketch` the first batch misses fewer than
-    1/100 columns of at most kappa ones in expectation, so a second one
-    would save under (n + log n) / 100 bits in expectation, far less than
-    it costs, and one batch is sent.
+    Alice.  The batch is ``measurement_len * n`` bits, 2 kappa fields of
+    ``(n + 1).bit_length()`` bits per column of A, so O(n sqrt(ell) log n).  Every
+    column of at most kappa ones decodes, and at most ell / kappa < sqrt(ell)
+    columns hold more, so the reply stays within sqrt(ell) (n + log n) bits
+    plus the count.  The sketch's seed is one 32-bit draw from ``rng``, and
+    nothing else is drawn.  The result is wrong only when a column of w >
+    3 kappa ones decodes to a wrong vector, with chance eps_w over the seed
+    for each of the at most ell / (3 kappa) such columns (:class:`SensingSketch`).
     Both steps read ``oracle_product``, the F2 product of an F2 instance.
     """
     A = instance.A

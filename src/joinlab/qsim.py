@@ -527,11 +527,9 @@ def graph_collision_all(
 
 
 @functools.lru_cache(maxsize=1024)  # tuples, so every search with these arguments can share them
-def _instance_messages(big_n: int, inner_cost_qubits: int, plan: GroverPlan | None = None) -> tuple[tuple, tuple]:
-    """The per-round and verify templates of :func:`instance_search` over big_n instances under ``plan``
-    (the default plan when None), with the boosts it states and, for a fixed-point plan, its ``certify`` phases."""
-    if plan is None:
-        plan = GroverPlan.default(big_n)
+def _instance_messages(big_n: int, inner_cost_qubits: int, plan: GroverPlan) -> tuple[tuple, tuple]:
+    """The per-round and verify templates of :func:`instance_search` over big_n instances under ``plan``,
+    with the boosts it states and, for a fixed-point plan, its ``certify`` phases."""
     certificate = plan.failure is not None
     shuttle, inner = ("certify", "certify") if certificate else ("instance-shuttle", "inner-protocol")
     inner_per_round = math.ceil(math.log2(100.0 * max(1, *plan.caps))) * inner_cost_qubits
@@ -552,8 +550,8 @@ def instance_search(
     answers: list,
     ledger: CommLedger,
     rng: random.Random,
-    inner_cost_qubits: int = 0,
-    plan: GroverPlan | None = None,
+    inner_cost_qubits: int,
+    plan: GroverPlan,
 ):
     """Search a sequence of communication instances for one whose answer is 1, in exact mode.
 
@@ -563,7 +561,7 @@ def instance_search(
     None.  Positions outside ``instances``, or out of order or repeated,
     raise ``ValueError`` before any draw or charge.  The ``bmm`` cost-model
     replay prices this search itself, so it has no cost-model mode.  It
-    measures under ``plan``, or ``GroverPlan.default(len(instances))``.
+    measures under ``plan``.
     Each round charges the index register round trip plus the inner cost
     twice (compute and uncompute), and each measurement its verdict plus
     one inner call.  A bounded-error inner protocol nested coherently is

@@ -33,11 +33,11 @@ CRITERION_3 = "tests/test_acceptance.py::test_criterion_3_scaling_fits"
 REPLAY_LAW = "tests/test_joins.py::test_replay_charges_follow_the_per_round_formulas"
 MM_F2_CHARGES = "tests/test_joins.py::test_mm_f2_charges_follow_the_one_batch_formulas"
 MM_F2_DENSE = "tests/test_joins.py::test_mm_f2_ships_each_column_past_the_sketch_dense"
-DECODE_LAW = "tests/test_joins.py::test_sketch_decodes_its_design_sparsity_within_the_stated_failure_bound"
-LEVELS_LAW = "tests/test_joins.py::test_sketch_levels_are_the_fewest_that_meet_the_batch_bound"
-SKETCH_HASHES = "tests/test_joins.py::test_sketch_hashes_are_invertible_codes_and_in_range_buckets"
+DECODE_LAW = "tests/test_joins.py::test_sketch_decode_law_on_every_vector_of_at_most_three_kappa_ones"
+DECODE_EVERY_WORD = "tests/test_joins.py::test_sketch_decode_is_the_light_vector_with_that_sketch_for_every_measurement"
+DECODE_LAW_WIDE = "tests/test_joins.py::test_sketch_decode_law_up_to_n_4096"
 SKETCH_ENCODE = "tests/test_joins.py::test_sketch_encode_matches_field_by_field_reference"
-SKETCH_DECODE = "tests/test_joins.py::test_sketch_decode_matches_reference_decoder"
+NEAR_CODEWORD = "tests/test_joins.py::test_mm_f2_recovers_a_heavy_column_next_to_a_codeword_under_every_seed_tried"
 RANDOM_GRAPH = "tests/test_qsim.py::test_random_graph_is_the_bitmatrix_draw_in_both_orientations"
 CERT_LENGTH = "tests/test_joins.py::test_certificate_length_is_the_least_odd_that_covers_one_marked_entry"
 CERT_MISS = "tests/test_joins.py::test_certificate_misses_with_probability_at_most_its_failure_for_every_marked_count"
@@ -205,32 +205,37 @@ MUTANTS = [
         ["tests/test_joins.py::test_bmm_active_index_setup_matches_full_transpose_reference"],
     ),
     (
-        "sketch bucket hash without + b",
+        # every word holds S_3 .. S_(4 kappa + 1) in place of S_1 .. S_(4 kappa - 1)
+        "sketch syndrome powers off by two",
         "joins.py",
-        "((a * i + b) % 2**64 >> 32)",
-        "((a * i) % 2**64 >> 32)",
-        [SKETCH_HASHES, "tests/test_joins.py::test_sketch_single_coordinate", SKETCH_ENCODE, SKETCH_DECODE],
+        "range((4 * kappa - 1) * (p + 1), 0, -2 * (p + 1))",
+        "range((4 * kappa + 1) * (p + 1), p + 1, -2 * (p + 1))",
+        [SKETCH_ENCODE, DECODE_LAW, DECODE_EVERY_WORD],
     ),
     (
-        "sketch decode never confirms, always the fallback",
+        # a locator past kappa overruns the kappa + 1 coefficients, so decoding fails with an IndexError
+        "sketch accepts a locator of up to 2 kappa",
         "joins.py",
-        "not (residual ^ word) >> offsets[other] & mask for other in levels",
-        "False for other in levels",
-        [DECODE_LAW, SKETCH_DECODE],
+        "if grow and r - L > kappa:",
+        "if grow and r - L > 2 * kappa:",
+        [DECODE_LAW, DECODE_EVERY_WORD, DECODE_LAW_WIDE],
     ),
     (
-        "sketch with four levels",
+        "sketch returns its roots without checking their sketch",
         "joins.py",
-        "self.levels = 5",
-        "self.levels = 4",
-        [LEVELS_LAW, "tests/test_joins.py::test_sketch_measurement_length"],
+        """        if reduce(xor, map(self._words.__getitem__, ones), 0) != measurement.bits:
+            return None
+""",
+        "",
+        [DECODE_LAW, DECODE_EVERY_WORD, DECODE_LAW_WIDE],
     ),
     (
-        "sketch code map without the xorshift",
+        # the seed no longer places the coordinates, so a column next to a codeword decodes wrong every time
+        "sketch keeps the coordinates in position order",
         "joins.py",
-        "code = c2 * (x ^ x >> self._shift) + d & mask",
-        "code = c2 * x + d & mask",
-        [SKETCH_HASHES, "tests/test_joins.py::test_sketch_single_coordinate", SKETCH_ENCODE, SKETCH_DECODE],
+        'self._coordinate = np.argsort(keys, kind="stable")',
+        "self._coordinate = np.arange(n)",
+        [SKETCH_ENCODE, "tests/test_joins.py::test_sketch_single_coordinate", NEAR_CODEWORD],
     ),
     (
         "instance_search accepts unsorted answers",

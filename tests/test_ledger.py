@@ -143,8 +143,9 @@ def test_instance_search_ledger_recomputed_from_schedule(seed):
     big_n, inner_cost = 32, 10
     answers = [6, 21]
     led, plain = CommLedger(), CommLedger()
-    found = instance_search(range(big_n), answers, led, random.Random(seed), inner_cost_qubits=inner_cost)
-    assert found == instance_search(range(big_n), answers, plain, random.Random(seed), inner_cost_qubits=inner_cost)
+    plan = GroverPlan.default(big_n)
+    found = instance_search(range(big_n), answers, led, random.Random(seed), inner_cost, plan)
+    assert found == instance_search(range(big_n), answers, plain, random.Random(seed), inner_cost, plan)
     assert led.amounts == plain.amounts and len(led) == len(plain)  # the same seed gives the same charges
     witness, drawn = _amplify(range(big_n), answers, None, CostModel.exact_mode(), random.Random(seed))
     assert witness == found
@@ -354,7 +355,7 @@ def _run_protocol(name: str, led: CommLedger, rng: random.Random):
     else:
         marked = 3 if name == "instance_search" else None
         answers = [i for i in range(30) if i % 7 == marked]
-        instance_search(range(30), answers, led, rng, inner_cost_qubits=6)
+        instance_search(range(30), answers, led, rng, 6, GroverPlan.default(30))
 
 
 @pytest.mark.parametrize("seed", [0, 7])

@@ -46,9 +46,9 @@ EXPECTED = {
     "bmm_cost_model": "37b54e15b0ed5be92c70f7aacdff991f4d72398a9199ddbb6b73538e03eeabf6",
     "bmm_cost_model_wide": "0ceccd3c9bc58f72b0abd35fd8558946ff4c9d46c2e59a40dd2cc5087676a0cf",
     "qsim": "a849679f0f02b63f807310526a5eb7389f70d93855f7ad1d497bc38ae22b68cb",
-    "mm_f2": "1d06f84bcf28909e57292358ed533133cda10e17125a66f1df105c06533301b4",
-    "sketch": "6940a86f8c3ead0c427ecf799a1614d790ec4e7ad230f7fa0486cb123278a630",
-    "cli": "1a33294a1e6ddeecd620f56633550e843aecde440e3592e18b2a76ee14970d5f",
+    "mm_f2": "1891451f5362f70dd8ac64ac1c92debc1f8254667121183a427ac63fd140b91b",
+    "sketch": "de88461e79c4eafb9d7cd8f0afa89c246c3547f7801ae930c9f050df8c34df38",
+    "cli": "54c9db3bd3c7d11b30898d4a0dc1194a9011c8cf491e0ebd606dc7ab38af3085",
     "cli_sweeps": "07d166b1c89351cfe8496ba6c02ad20fb6060edec11b4f715b1420a0cd3a796b",
     "reductions": "b3861058dd40e27add3043d8965cecd9e0dc057cd718d3adfe299d38493c10c1",
 }
@@ -168,7 +168,12 @@ def qsim_digest() -> str:
             if model.exact:
                 rng, led = random.Random(case), CommLedger()
                 hits = [i for i, answer in enumerate(answers) if answer]
-                _run(digest, lambda: instance_search(range(size), hits, led, rng, inner_cost_qubits=inner), rng, led)
+                _run(
+                    digest,
+                    lambda: instance_search(range(size), hits, led, rng, inner, GroverPlan.default(size)),
+                    rng,
+                    led,
+                )
 
             n = setup.choice((8, 24))
             graph = BipartiteGraph.random(n, n, setup.choice((0.1, 0.5)), setup)
@@ -182,11 +187,12 @@ def qsim_digest() -> str:
 def _mm_f2_cases():
     """(seed, instance) pairs for mm_f2, ending in its product or a promise violation.
 
-    The last two cases overflow their promise.  In the first of them 4 of
-    the 24 columns, all past kappa = 4 ones, do not decode and go dense;
-    in the last, both columns of 40 ones are past what a sketch for
-    kappa = 5 holds, so they go dense.  Every other nonzero column here
-    holds at most kappa ones and decodes from the one sketch batch.
+    The last two cases overflow their promise.  In the first of them all
+    24 columns, of 8 to 16 ones, are past kappa = 4 ones, and none decodes,
+    so all go dense; in the last, both columns of 40 ones are past what a
+    sketch for kappa = 5 holds, so they go dense.  Every other nonzero
+    column here holds at most kappa ones and decodes from the one sketch
+    batch.
     """
     for n in (16, 48, 128):
         for ell in (4, n // 2, 2 * n):  # 2n puts up to 12 ones in a column, still within kappa
@@ -202,7 +208,7 @@ def _mm_f2_cases():
         right = [BitVector.random(n, 0.5, rng) for _ in range(k)]
         yield 600 + n + k, embed_ip_f2(left, right, n).instance
     # a promise far below the product's weight: every column holds 8 to 16 ones, past kappa = 4;
-    # 4 of them go dense (a 121-bit reply), 20 still decode, and the product overflows the promise
+    # all 24 go dense (a 701-bit reply), and the product overflows the promise
     a, b = BitMatrix.random(24, 24, 0.3, rng), BitMatrix.random(24, 24, 0.3, rng)
     yield 7, JoinInstance(a, b, ell=9, kind="f2")
     # two weight-40 columns, far over the promise of 16 ones
@@ -224,7 +230,7 @@ def mm_f2_digest() -> str:
 
 
 def sketch_digest() -> str:
-    """The measurement bytes and the decode of fixed-seed sketches: the realized hash."""
+    """The measurement bytes and the decode of fixed-seed sketches: the realized syndromes and placement."""
     digest = _Digest()
     rng = random.Random(46)
     for n, kappa, seed in ((2, 1, 5), (64, 4, 1), (100, 3, 7), (1024, 16, 99)):

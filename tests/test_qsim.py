@@ -388,10 +388,10 @@ def test_batched_search_charges_match_per_measurement_charges(case):
     def planned(domain, hits, _default, *rest, **kwargs):
         return _amplify(domain, hits, plan, *rest, **kwargs)
 
-    # the plan reaches the draws alone: instance_search was given no plan, so the templates, boosts
-    # included, are the default plan's
+    # the plan reaches the draws alone: instance_search was given the default plan, so the templates,
+    # boosts included, are the default plan's
     with patch("joinlab.qsim._amplify", planned):
-        instance_search(range(n), sorted(marked), got, random.Random(seed), inner_cost_qubits=inner)
+        instance_search(range(n), sorted(marked), got, random.Random(seed), inner, GroverPlan.default(n))
     _, taken = _reference_bisect_amplify(range(n), np.isin(range(n), list(marked)), plan, random.Random(seed))
     _charge_instance_measurements(want, taken, n, inner)
     assert _ledger_state(got) == _ledger_state(want)
@@ -1042,12 +1042,13 @@ def test_output_view_matches_adjacency_rows(case):
 
 def test_instance_search_trivials():
     rng = random.Random(0)
-    assert instance_search(range(8), [], CommLedger(), rng) is None
+    plan = GroverPlan.default(8)
+    assert instance_search(range(8), [], CommLedger(), rng, 0, plan) is None
     led = CommLedger()
-    idx = instance_search(range(8), list(range(8)), led, random.Random(1))
+    idx = instance_search(range(8), list(range(8)), led, random.Random(1), 0, plan)
     assert idx in range(8)
     with pytest.raises(ValueError):
-        instance_search([], [], CommLedger(), rng)
+        instance_search([], [], CommLedger(), rng, 0, GroverPlan.default(1))
 
 
 @pytest.mark.parametrize("answers", [[8], [3, 8], [-1], [-1, 2], [0, 8], [3, 2], [2, 2]])
@@ -1055,7 +1056,7 @@ def test_instance_search_rejects_answers_outside_the_instances(answers):
     # a position past either end, out of order or repeated is rejected before any draw or charge
     led, rng = CommLedger(), random.Random(5)
     with pytest.raises(ValueError, match=r"positions in \[0, 8\), ascending"):
-        instance_search(range(8), answers, led, rng)
+        instance_search(range(8), answers, led, rng, 0, GroverPlan.default(8))
     assert (led.amounts, len(led)) == ({}, 0)
     assert rng.random() == random.Random(5).random()
 
@@ -1068,9 +1069,7 @@ def test_instance_search_cost_within_factor_two():
     trials = 400
     for tr in range(trials):
         led = CommLedger()
-        idx = instance_search(
-            range(8), answers, led, random.Random(tr), inner_cost_qubits=inner_cost
-        )
+        idx = instance_search(range(8), answers, led, random.Random(tr), inner_cost, GroverPlan.default(8))
         if idx is not None:
             assert idx in answers
             found += 1
@@ -1089,12 +1088,11 @@ def test_inner_boost_is_sized_by_the_coherent_run_of_each_call():
     cost = 5
     for big_n in (1, 2, 3, 8, 64, 1000, 4096):
         width, verdict = index_qubits(big_n), outcome_bits(big_n)
-        plans = [(None, False), (GroverPlan.default(big_n), False)]
+        plans = [(GroverPlan.default(big_n), False)]
         plans += [(GroverPlan.growth(big_n), False)] if big_n > 2 else []
         plans += [(GroverPlan.fixed_point(big_n, failure), True) for failure in (1 / 300, 1 / 10_260_000)]
         for plan, certificate in plans:
-            caps = (plan or GroverPlan.default(big_n)).caps
-            inner = math.ceil(math.log2(100 * max(1, max(caps)))) * cost
+            inner = math.ceil(math.log2(100 * max(1, max(plan.caps)))) * cost
             verify = inner if certificate else 7 * cost
             shuttle, rounds = ("certify", "certify") if certificate else ("instance-shuttle", "inner-protocol")
             assert _instance_messages(big_n, cost, plan) == (
@@ -1115,25 +1113,25 @@ def test_inner_boost_is_sized_by_the_coherent_run_of_each_call():
     # the growth pass's runs are shorter than the ceiling's: at N = 8 its caps are 1 against h = 2, so
     # its rounds are boosted 7 times and the default plan's 8; the certificate's l = 5 outruns both (9)
     boosts = [_instance_messages(8, 1, plan)[0][2][2]
-              for plan in (GroverPlan.growth(8), None, GroverPlan.fixed_point(8, 1 / 300))]
+              for plan in (GroverPlan.growth(8), GroverPlan.default(8), GroverPlan.fixed_point(8, 1 / 300))]
     assert boosts == [7, 8, 9]
 
 
 def test_instance_search_templates_are_shared_and_immutable(monkeypatch):
     # one template pair per (instance count, inner cost), shared by every search with those two
-    answers = [1, 4]
-    templates = _instance_messages(8, 12)
-    assert _instance_messages(8, 12) is templates
+    answers, plan = [1, 4], GroverPlan.default(8)
+    templates = _instance_messages(8, 12, plan)
+    assert _instance_messages(8, 12, plan) is templates
     assert all(isinstance(part, tuple) for part in templates)
     charges = []
     for _ in range(2):
         led = CommLedger()
-        instance_search(range(8), answers, led, random.Random(3), inner_cost_qubits=12)
+        instance_search(range(8), answers, led, random.Random(3), 12, plan)
         charges.append((led.amounts, len(led)))
     assert charges[0] == charges[1]
     # its index round trip and its verdict are the records of the shared search templates
     round_trip, (_, verdict) = _search_messages(8, "instance-shuttle", A_TO_B, B_TO_A)
-    for per_round, verify in (templates, _instance_messages(8, 0)):
+    for per_round, verify in (templates, _instance_messages(8, 0, plan)):
         assert per_round[0] is round_trip[0] and per_round[1] is round_trip[1] and verify[-1] is verdict
     # grover_search and disj charge from one shared tuple pair per (n, phase, directions)
     charged, log_search = [], CommLedger._log_search
@@ -1236,7 +1234,7 @@ def _untouched(search):
             id="right-cover",
         ),
         pytest.param(
-            lambda: instance_search(range(4), [], CommLedger(), random.Random(0), inner_cost_qubits=-1),
+            lambda: instance_search(range(4), [], CommLedger(), random.Random(0), -1, GroverPlan.default(4)),
             ValueError,
             "inner cost must be nonnegative",
             id="inner-cost",
