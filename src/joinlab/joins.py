@@ -86,12 +86,8 @@ class BmmTrace:
     def t(self) -> int:
         return len(self.rounds)
 
-    @property
-    def lambdas(self) -> list[int]:
-        return [r.collisions for r in self.rounds]
-
     def total_ones(self) -> int:
-        return sum(self.lambdas)
+        return sum(r.collisions for r in self.rounds)
 
 
 def _inner_iterations(w: int) -> int:
@@ -170,7 +166,7 @@ def _search_and_collect(
             p = position[k]
             f_a, f_b = BitVector(m, sum(1 << rows[r] for r in a_cols[p])), BitVector(m, B.data[k])
             for _ in range(100):
-                found = graph_collision_all(uncollected, f_a, f_b, ledger, model, rng)
+                found = graph_collision_all(uncollected, f_a, f_b, ledger, rng)
                 if found:
                     break
             else:

@@ -5,7 +5,8 @@ Every search samples through :func:`_amplify` and charges through
 exact state (one amplitude on marked, one on unmarked entries) and charges
 the ledger for every modeled message.  Cost-model mode computes the correct
 answer classically and charges the analytical iteration count; it has no
-``instance_search``, whose outer search the ``bmm`` replay prices itself.
+``instance_search`` and no ``graph_collision_all``, whose searches the
+``bmm`` replay prices itself.
 Either way a returned witness is always verified against its defining
 predicate, so false positives are impossible; only false negatives carry
 protocol error, and only exact mode samples it.
@@ -327,26 +328,21 @@ def _disj_search(a: BitVector, b: BitVector) -> tuple | None:
     return support, hits, (out, back)
 
 
-def disj(
-    a: BitVector,
-    b: BitVector,
-    ledger: CommLedger,
-    model: CostModel,
-    rng: random.Random,
-    plan: GroverPlan | None = None,
-):
+def disj(a: BitVector, b: BitVector, ledger: CommLedger, model: CostModel, rng: random.Random):
     """Set disjointness with witness: None if a,b look disjoint, else i in a&b.
 
     Opens with the weight handshake (each side announces its weight), then
     the smaller-weight side drives a distributed search over its own set
-    with the other side's membership as the marking predicate.
+    with the other side's membership as the marking predicate, under the
+    default plan: in exact mode it misses a shared element with probability
+    at most (3/4)^12 (see :meth:`GroverPlan.default`).
     """
     search = _disj_search(a, b)
     ledger._log(_handshake(a.n, a.n))
     if search is None:
         return None
     support, hits, directions = search
-    return _search(support, hits, _search_messages(a.n, "disj", *directions), model, ledger, rng, plan)[0]
+    return _search(support, hits, _search_messages(a.n, "disj", *directions), model, ledger, rng)[0]
 
 
 @functools.lru_cache(maxsize=1024)  # tuples, so every handshake over these domains can share them
@@ -437,7 +433,7 @@ class _Collision:
     def __init__(self, graph: BipartiteGraph, f_a: BitVector, f_b: BitVector, model: CostModel, failure=None):
         if f_a.n != graph.n_left or f_b.n != graph.n_right:
             raise DimensionError("vector lengths do not match the graph sides")
-        self.graph, self.model, self.failure = graph, model, failure if model.exact else None
+        self.graph, self.model, self.failure = graph, model, failure
         self.own_is_left = f_a.weight() <= f_b.weight()
         # missing[witness] holds the witness's non-neighbors; reporter is the side that names the partner
         if self.own_is_left:
@@ -506,19 +502,19 @@ def graph_collision_all(
     f_a: BitVector,
     f_b: BitVector,
     ledger: CommLedger,
-    model: CostModel,
     rng: random.Random,
 ) -> frozenset[tuple[int, int]]:
-    """Collect every colliding edge, removing each from ``graph``, until an attempt finds none.
+    """Collect every colliding edge, removing each from ``graph``, until an attempt finds none, in exact mode.
 
     An attempt is one :func:`graph_collision`, its question built once per
-    graph state.  In exact mode it searches the s entries of the question's
-    support in the passes of ``GroverPlan.certified(s, 1/(3 (|f_a| |f_b| +
-    1)))``, so it misses a remaining edge with probability at most that
-    target; in cost-model mode it is one analytical search.  Mismatched
-    vector lengths raise ``DimensionError`` before any charge, draw or removal.
+    graph state.  It searches the s entries of the question's support in
+    the passes of ``GroverPlan.certified(s, 1/(3 (|f_a| |f_b| + 1)))``, so
+    it misses a remaining edge with probability at most that target.  The
+    ``bmm`` cost-model replay prices its own collect step, so this has no
+    cost-model mode.  Mismatched vector lengths raise ``DimensionError``
+    before any charge, draw or removal.
     """
-    state = _Collision(graph, f_a, f_b, model, 1 / (3 * (f_a.weight() * f_b.weight() + 1)))
+    state = _Collision(graph, f_a, f_b, CostModel.exact_mode(), 1 / (3 * (f_a.weight() * f_b.weight() + 1)))
     found: set[tuple[int, int]] = set()
     while (edge := state.attempt(ledger, rng)) is not None:
         found.add(edge)

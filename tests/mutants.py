@@ -186,7 +186,7 @@ MUTANTS = [
         "joins.py",
         """            f_a, f_b = BitVector(m, sum(1 << rows[r] for r in a_cols[p])), BitVector(m, B.data[k])
             for _ in range(100):
-                found = graph_collision_all(uncollected, f_a, f_b, ledger, model, rng)
+                found = graph_collision_all(uncollected, f_a, f_b, ledger, rng)
                 if found:
                     break
             else:
@@ -195,7 +195,7 @@ MUTANTS = [
 """,
         """            f_a, f_b = BitVector(m, sum(1 << r for r in a_cols[p])), BitVector(m, b_rows[p])
             for _ in range(100):
-                found = graph_collision_all(uncollected, f_a, f_b, ledger, model, rng)
+                found = graph_collision_all(uncollected, f_a, f_b, ledger, rng)
                 if found:
                     break
             else:

@@ -30,7 +30,7 @@ from joinlab.joins import (
 )
 from joinlab.cli import _disj_pair, fit_exponent
 from joinlab.ledger import A_TO_B, B_TO_A, BITS, QUBITS, CommLedger
-from joinlab.qsim import CostModel, GroverPlan, _entry_probabilities, disj
+from joinlab.qsim import CostModel, GroverPlan, _entry_probabilities, disj, grover_search
 
 EXACT = CostModel.exact_mode()
 COST = CostModel.cost_model()
@@ -196,7 +196,8 @@ def test_criterion_4_exact_grover_and_witness_distribution():
         counts = Counter()
         hits = 0
         for trial in range(1000):
-            w = disj(a, b, CommLedger(), EXACT, random.Random(8000 + trial), plan=plan)
+            # disj's search under a fixed plan: the lighter side a searches its own set, marked where b has it too
+            w = grover_search(n, a.indices(), b.__getitem__, plan, CommLedger(), EXACT, random.Random(8000 + trial))
             if w is not None:
                 assert a[w] == 1 and b[w] == 1
                 counts[w] += 1
@@ -296,7 +297,7 @@ def test_criterion_8_invariant_suite():
         ell = 1 + (seed % (m * m // 2 + 1))
         inst = gen_promise_instance(m, m, ell, 300000 + seed, "bool")
         trace = bmm_cost_model(inst, COST, CommLedger(), random.Random(seed))
-        assert sum(trace.lambdas) == trace.product.weight()
+        assert trace.total_ones() == trace.product.weight()
         assert trace.t <= min(m, inst.ell + 1)
         for rnd in trace.rounds:
             assert rnd.collisions >= 1
@@ -305,7 +306,7 @@ def test_criterion_8_invariant_suite():
     for seed in range(200):
         inst = gen_promise_instance(16, 16, 8, 310000 + seed, "bool")
         out, trace = bmm_with_trace(inst, EXACT, CommLedger(), random.Random(seed))
-        assert sum(trace.lambdas) == out.weight()
+        assert trace.total_ones() == out.weight()
         assert trace.t <= min(16, inst.ell + 1)
         for rnd in trace.rounds:
             assert rnd.min_weight <= math.sqrt(inst.ell) + 1e-9

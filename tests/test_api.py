@@ -195,7 +195,6 @@ def test_public_constructors_have_callers_outside_tests():
 TEST_ONLY_DEFAULTS = {
     "cli.fit_exponent": (("n_boot",), "acceptance criteria 3 and 4 fit with a 100-sample bootstrap"),
     "cli.main": (("argv",), "test_cli.py drives the commands in-process; the console script passes none"),
-    "qsim.disj": (("plan",), "acceptance criterion 4 runs disj under fixed plans"),
     "qsim.grover_search": (
         ("phase", "directions", "stats"),
         "the qsim digest hashes stats, and test_qsim.py recomputes charges under its own phase and directions",

@@ -82,7 +82,7 @@ def test_bmm_matches_oracle_and_never_spurious():
         good += out == inst.oracle_product
         for mine, truth in zip(out.data, inst.oracle_product.data):
             assert mine & ~truth == 0
-        assert sum(trace.lambdas) == out.weight()
+        assert trace.total_ones() == out.weight()
         assert trace.t <= min(inst.A.cols, inst.ell + 1)
     assert good >= int(0.8 * trials)
 
@@ -139,7 +139,7 @@ def test_exact_bmm_that_stops_early_keeps_its_verified_rounds(monkeypatch):
     assert trace.t == 2 and [r.witness for r in trace.rounds] == [k for k, _, _ in calls if k is not None]
     truth = inst.oracle_product
     assert out != truth and all(mine & ~row == 0 for mine, row in zip(out.data, truth.data))
-    assert sum(trace.lambdas) == out.weight()
+    assert trace.total_ones() == out.weight()
     # every search the run made, the ones told to miss included, is on the run's ledger
     assert all(charged > 0 for _, charged, _ in calls)
     # the round told to miss is the growth pass and then the certificate, and its miss ends the run
@@ -157,8 +157,8 @@ def test_exact_bmm_collects_a_cell_its_collision_missed_in_one_more_round_on_the
     inst = JoinInstance(BitMatrix(16, 16, a_rows), BitMatrix(16, 16, b_rows), ell=8)
     dropped = []
 
-    def collect(graph, f_a, f_b, ledger, model, rng):
-        found = graph_collision_all(graph, f_a, f_b, ledger, model, rng)
+    def collect(graph, f_a, f_b, ledger, rng):
+        found = graph_collision_all(graph, f_a, f_b, ledger, rng)
         if not dropped:
             # the first call misses one of the edges it found: the edge stays in the graph
             assert len(found) == 4
@@ -173,7 +173,7 @@ def test_exact_bmm_collects_a_cell_its_collision_missed_in_one_more_round_on_the
     assert out == inst.oracle_product
     first = trace.rounds[0].witness
     assert [(r.witness, r.collisions) for r in trace.rounds if r.witness == first] == [(first, 3), (first, 1)]
-    assert len(trace.rounds) == 3 and sum(trace.lambdas) == 8
+    assert len(trace.rounds) == 3 and trace.total_ones() == 8
 
 
 def _search_miss_probability(big_n: int) -> np.ndarray:
@@ -335,7 +335,7 @@ def test_cost_model_single_witness_formula():
     led = CommLedger()
     model = CostModel.cost_model()
     trace = bmm_cost_model(inst, model, led, random.Random(0))
-    assert trace.t == 1 and trace.lambdas == [1]
+    assert trace.t == 1 and trace.total_ones() == 1
     width = index_qubits(n)
     search = math.ceil(math.sqrt(n / 1)) * math.ceil(math.sqrt(1)) * width
     collect = math.ceil(math.sqrt(1 * 1)) * width
@@ -348,7 +348,7 @@ def test_cost_model_product_matches_oracle():
         inst = gen_promise_instance(24, 24, 24, seed=seed)
         trace = bmm_cost_model(inst, CostModel.cost_model(), CommLedger(), random.Random(seed))
         assert trace.product == inst.oracle_product
-        assert sum(trace.lambdas) == inst.oracle_product.weight()
+        assert trace.total_ones() == inst.oracle_product.weight()
         assert trace.t <= min(24, inst.ell + 1)
 
 
@@ -478,7 +478,7 @@ def _reference_search_and_collect(instance, model, ledger, rng) -> BmmTrace:
                 break
             f_a, f_b = BitVector(m, a_t.data[k]), BitVector(m, B.data[k])
             for _ in range(100):
-                cells = graph_collision_all(uncollected, f_a, f_b, ledger, model, rng)
+                cells = graph_collision_all(uncollected, f_a, f_b, ledger, rng)
                 if cells:
                     break
             else:

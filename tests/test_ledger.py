@@ -351,7 +351,7 @@ def _run_protocol(name: str, led: CommLedger, rng: random.Random):
     elif name == "disj":
         disj(a, b, led, exact, rng)
     elif name == "graph_collision_all":
-        graph_collision_all(graph, f_a, f_b, led, exact, rng)
+        graph_collision_all(graph, f_a, f_b, led, rng)
     else:
         marked = 3 if name == "instance_search" else None
         answers = [i for i in range(30) if i % 7 == marked]

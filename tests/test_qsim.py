@@ -586,26 +586,6 @@ def test_disj_monte_carlo_success_and_uniformity():
     assert tv <= 0.1
 
 
-def test_disj_uniform_at_optimal_iterations():
-    n = 64
-    for t in (2, 4):
-        a = BitVector.from_indices(n, range(16))
-        b = BitVector.from_indices(n, list(range(t)) + list(range(30, 46)))
-        theta = math.asin(math.sqrt(t / 16))
-        k_opt = max(0, round(math.pi / (4 * theta) - 0.5))
-        plan = GroverPlan((k_opt,) * 8, randomize=False)
-        counts = Counter()
-        hits = 0
-        for tr in range(1000):
-            w = disj(a, b, CommLedger(), EXACT, random.Random(8000 + tr), plan=plan)
-            if w is not None:
-                counts[w] += 1
-                hits += 1
-        assert hits >= 2 * 1000 // 3
-        tv = 0.5 * sum(abs(counts[w] / hits - 1 / t) for w in range(t))
-        assert tv <= 0.1
-
-
 def test_disj_cost_model_charges_formula():
     n = 64
     a = BitVector.from_indices(n, range(8))
@@ -776,7 +756,7 @@ def test_graph_collision_matches_reference_on_each_sides_domain(
 def test_graph_collision_all_diagonal():
     g = _graph(BitMatrix.identity(4))
     full = BitVector(4, 0b1111)
-    got = graph_collision_all(g, full, full, CommLedger(), EXACT, random.Random(2))
+    got = graph_collision_all(g, full, full, CommLedger(), random.Random(2))
     assert got == frozenset((i, i) for i in range(4))
 
 
@@ -786,7 +766,7 @@ def test_graph_collision_all_rejects_mismatched_vectors_before_any_charge_or_dra
     led, rng = CommLedger(), random.Random(9)
     state = rng.getstate()
     with pytest.raises(DimensionError):
-        graph_collision_all(g, BitVector(left, 1), BitVector(right, 1), led, EXACT, rng)
+        graph_collision_all(g, BitVector(left, 1), BitVector(right, 1), led, rng)
     assert len(led) == 0 and led.total() == 0
     assert rng.getstate() == state
 
@@ -805,7 +785,7 @@ def test_graph_collision_all_monte_carlo_with_cost_band():
             (i, j) for i in f_a.indices() for j in f_b.indices() if g.has_edge(i, j)
         )
         led = CommLedger()
-        got = graph_collision_all(g, f_a, f_b, led, EXACT, rng)
+        got = graph_collision_all(g, f_a, f_b, led, rng)
         good += got == truth
         lam = len(truth)
         scale = math.sqrt((lam + 1) * 5) * math.log2(n)
@@ -836,7 +816,7 @@ def test_graph_collision_all_ends_in_one_growth_pass_and_then_one_certificate(mo
         f_a, f_b = BitVector.random_weight(24, w_a, rng), BitVector.random_weight(24, w_b, rng)
         truth = frozenset((i, j) for i in f_a.indices() for j in f_b.indices() if graph.has_edge(i, j))
         searches.clear()
-        assert graph_collision_all(graph, f_a, f_b, CommLedger(), EXACT, rng) == truth
+        assert graph_collision_all(graph, f_a, f_b, CommLedger(), rng) == truth
         target = 1 / (3 * (w_a * w_b + 1))
         attempts, calls = [], iter(searches)
         for size, plan, phase, witness in calls:
@@ -880,11 +860,11 @@ def test_collision_certificate_misses_with_probability_at_most_its_target_for_ev
 
 
 def _reference_disj(a, b, ledger, model, rng, failure):
-    """``disj`` as an attempt of ``graph_collision_all`` asks it.  With a ``failure`` target, in exact
-    mode: the handshake, then ``grover_search`` over the lighter set, marked by the other, under
+    """``disj`` as an attempt of the exact ``graph_collision_all`` asks it, at its ``failure`` target: the
+    handshake, then ``grover_search`` over the lighter set, marked by the other, under
     ``GroverPlan.growth`` of its weight (when there is one) and, if that misses, under the certificate
-    at ``failure``, charged under ``disj-certify``.  Otherwise ``disj`` itself."""
-    if failure is None or not model.exact:
+    at ``failure``, charged under ``disj-certify``.  Without a target, ``disj`` itself."""
+    if failure is None:
         return disj(a, b, ledger, model, rng)
     ledger.charge(A_TO_B, BITS, integer_bits(a.n), "handshake")
     ledger.charge(B_TO_A, BITS, integer_bits(a.n), "handshake")
@@ -900,12 +880,12 @@ def _reference_disj(a, b, ledger, model, rng, failure):
     return None
 
 
-def _reference_graph_collision_all(graph, f_a, f_b, ledger, model, rng):
-    """``graph_collision_all`` as one :func:`_reference_graph_collision` call per attempt at its failure
-    target, removing found edges, up to the first call that finds none."""
+def _reference_graph_collision_all(graph, f_a, f_b, ledger, rng):
+    """``graph_collision_all`` as one exact :func:`_reference_graph_collision` call per attempt at its
+    failure target, removing found edges, up to the first call that finds none."""
     failure = 1 / (3 * (f_a.weight() * f_b.weight() + 1))
     found = set()
-    while (edge := _reference_graph_collision(graph, f_a, f_b, ledger, model, rng, failure)) is not None:
+    while (edge := _reference_graph_collision(graph, f_a, f_b, ledger, EXACT, rng, failure)) is not None:
         found.add(edge)
         graph.remove_edge(*edge)
     return frozenset(found)
@@ -920,28 +900,26 @@ def collision_cases(draw):
     # every attempt fails from the start
     density = draw(st.sampled_from((0.0, 0.15, 0.4, 0.8, 1.0)))
     w_a, w_b = draw(st.integers(0, n_left)), draw(st.integers(0, n_right))
-    model = draw(st.sampled_from((EXACT, CostModel.cost_model())))
-    return n_left, n_right, density, w_a, w_b, model, draw(st.integers(0, 2**32))
+    return n_left, n_right, density, w_a, w_b, draw(st.integers(0, 2**32))
 
 
 @given(collision_cases())
-@example((6, 6, 0.15, 3, 5, EXACT, 1))
-@example((9, 4, 0.8, 4, 2, EXACT, 2))
-@example((7, 5, 0.0, 4, 3, EXACT, 3))
-@example((7, 5, 0.0, 4, 3, CostModel.cost_model(), 4))
-@example((5, 5, 0.4, 0, 3, EXACT, 5))
-@example((8, 8, 0.8, 5, 6, CostModel.cost_model(), 6))
+@example((6, 6, 0.15, 3, 5, 1))
+@example((9, 4, 0.8, 4, 2, 2))
+@example((7, 5, 0.0, 4, 3, 3))
+@example((5, 5, 0.4, 0, 3, 5))
+@example((8, 8, 0.8, 5, 6, 6))
 def test_graph_collision_all_matches_a_loop_of_single_calls(case):
     # the question is built once per graph state; the loop builds it for every attempt
-    n_left, n_right, density, w_a, w_b, model, seed = case
+    n_left, n_right, density, w_a, w_b, seed = case
     rng = random.Random(seed)
     graph = BipartiteGraph.random(n_left, n_right, density, rng)
     f_a, f_b = BitVector.random_weight(n_left, w_a, rng), BitVector.random_weight(n_right, w_b, rng)
     got_rng, want_rng = random.Random(seed), random.Random(seed)
     got_led, want_led = CommLedger(), CommLedger()
     want_graph = copy.deepcopy(graph)
-    want = _reference_graph_collision_all(want_graph, f_a, f_b, want_led, model, want_rng)
-    got = graph_collision_all(graph, f_a, f_b, got_led, model, got_rng)
+    want = _reference_graph_collision_all(want_graph, f_a, f_b, want_led, want_rng)
+    got = graph_collision_all(graph, f_a, f_b, got_led, got_rng)
     assert got == want
     assert got_led.amounts == want_led.amounts and len(got_led) == len(want_led)
     assert got_rng.getstate() == want_rng.getstate()
